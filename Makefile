@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint lint-fast lint-sarif race resilience-smoke parallel-smoke attrib-smoke serving-smoke bench bench-quick bench-diff profile clean
+.PHONY: all build test check vet fmt lint race resilience-smoke parallel-smoke attrib-smoke serving-smoke bench bench-quick bench-diff profile clean
 
 all: check
 
@@ -41,23 +41,11 @@ serving-smoke: build
 vet:
 	$(GO) vet ./...
 
-# lint: caislint, the project's determinism, unit-safety and
-# cache-soundness analyzer (see DESIGN.md "Static analysis").
-# `caislint -list` prints the check catalog.
+# lint: caislint, the project's determinism and unit-safety analyzer
+# (see DESIGN.md "Static analysis"). `caislint -list` prints the check
+# catalog.
 lint:
 	$(GO) run ./cmd/caislint ./...
-
-# lint-fast: incremental caislint — per-package results are cached under
-# .caislint-cache.json keyed by content hashes of each package and its
-# transitive module dependencies, so unchanged packages are skipped
-# entirely. Same diagnostics as `make lint`, much faster on re-runs.
-lint-fast:
-	$(GO) run ./cmd/caislint -cache .caislint-cache.json ./...
-
-# lint-sarif: full run plus a SARIF 2.1.0 log for code-scanning UIs; CI
-# uploads caislint.sarif as a workflow artifact.
-lint-sarif:
-	$(GO) run ./cmd/caislint -sarif caislint.sarif ./...
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -1,17 +1,14 @@
-// Command caislint runs the project's determinism, unit-safety and
-// cache-soundness static analyzer over the simulator source tree.
+// Command caislint runs the project's determinism and unit-safety static
+// analyzer over the simulator source tree.
 //
 // Usage:
 //
-//	caislint [-json] [-sarif file] [-cache file] [-checks a,b] [-list] [-C dir] [patterns...]
+//	caislint [-json] [-checks a,b] [-list] [-C dir] [patterns...]
 //
 // Patterns default to "./..." and are resolved against the module root (a
 // directory containing go.mod, found by walking up from -C or the current
 // directory). -list prints the registered checks and exits. -checks runs
-// a subset by name. -cache enables incremental mode: per-package results
-// are reused when neither the package nor any of its transitive module
-// dependencies changed. -sarif additionally writes a SARIF 2.1.0 log
-// ("-" for stdout) for code-scanning UIs and CI artifacts.
+// a subset by name.
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 when the analysis itself failed to run.
@@ -30,8 +27,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-	cachePath := flag.String("cache", "", "incremental mode: cache per-package results in this file")
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "print the registered checks with their one-line docs and exit")
 	dir := flag.String("C", ".", "directory to start the module-root search from")
@@ -54,28 +49,13 @@ func main() {
 		checks = strings.Split(*checksFlag, ",")
 	}
 	diags, err := lint.Run(lint.Config{
-		Dir:       root,
-		Patterns:  flag.Args(),
-		Checks:    checks,
-		CachePath: *cachePath,
+		Dir:      root,
+		Patterns: flag.Args(),
+		Checks:   checks,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "caislint:", err)
 		os.Exit(2)
-	}
-	if *sarifOut != "" {
-		data, err := lint.SARIF(diags, root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "caislint: sarif:", err)
-			os.Exit(2)
-		}
-		data = append(data, '\n')
-		if *sarifOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*sarifOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "caislint: sarif:", err)
-			os.Exit(2)
-		}
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -87,7 +67,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "caislint:", err)
 			os.Exit(2)
 		}
-	} else if *sarifOut != "-" {
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -182,8 +182,9 @@ func runExperiments(r experimentRun) {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", x, err)
 			os.Exit(1)
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s regenerated in %v]\n\n", x, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("%s\n\n", out)
+		// Wall time goes to stderr so stdout stays byte-stable.
+		fmt.Fprintf(os.Stderr, "[%s regenerated in %v]\n", x, time.Since(start).Round(time.Millisecond))
 	}
 	if r.attrib {
 		fmt.Println(cfg.Attrib.Render())

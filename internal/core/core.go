@@ -72,26 +72,10 @@ func (s *Session) Run() (sim.Time, error) {
 		return 0, fmt.Errorf("core: session already ran")
 	}
 	s.ran = true
-	completed := false
-	var doneAt sim.Time
-	s.machine.Eng.At(0, func() {
-		var step func(i int)
-		step = func(i int) {
-			if i >= len(s.stages) {
-				completed = true
-				doneAt = s.machine.Eng.Now()
-				return
-			}
-			s.machine.LaunchAll(s.stages[i], func() { step(i + 1) })
-		}
-		step(0)
-	})
-	s.drained = s.machine.Run()
-	if !completed {
-		if err := s.machine.CheckQuiescent(); err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("core: plan did not complete")
+	doneAt, drained, err := s.machine.RunStages(s.stages)
+	s.drained = drained
+	if err != nil {
+		return 0, err
 	}
 	s.elapsed = doneAt
 	return doneAt, nil

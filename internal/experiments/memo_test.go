@@ -15,8 +15,8 @@ import (
 // healthy point once per fault family. Together they must produce cache
 // hits, and each must render byte-identically with the cache hot or cold.
 // Table II rides along to cover the RunLayers key path. Fig. 16 joins the
-// set now that its utilization timeline is a replayable memo artifact
-// (Options.UtilBin) instead of a cache-bypassing Configure callback. The
+// set: its utilization timeline is a replayable memo artifact
+// (Options.UtilBin). The
 // serving study joins for its anchor shapes: quantized (strategy, token)
 // anchors repeat across arrival rates and fault scenarios, so the driver
 // must both hit the shared cache and render byte-identically without one.

@@ -339,8 +339,7 @@ func Fig16(c Config) (*Fig16Result, error) {
 		spec := specs[i]
 		// UtilBin is declarative and hashed into the memo key, so the
 		// timeline records into the cache entry on the first run and
-		// replays byte-identically on hits — this figure used to bypass
-		// the cache via a Configure callback.
+		// replays byte-identically on hits.
 		ent, err := c.runSubLayer("fig16/"+spec.Name, hw, spec, sub, strategy.Options{UtilBin: bin})
 		if err != nil {
 			return Fig16Series{}, fmt.Errorf("fig16 %s: %w", spec.Name, err)

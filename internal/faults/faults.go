@@ -136,7 +136,7 @@ func (f Fault) String() string {
 // Schedule is an ordered list of faults. Faults with equal onset times are
 // applied in slice order, which makes the whole schedule deterministic.
 type Schedule struct {
-	Name   string //caislint:nodigest cosmetic label; identical fault lists must share a memo key
+	Name   string `memo:"-"` // cosmetic label; identical fault lists share a memo key
 	Faults []Fault
 }
 

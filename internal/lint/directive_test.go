@@ -94,19 +94,6 @@ func f() {}
 	}
 }
 
-func TestDirectiveNodigestValidation(t *testing.T) {
-	_, _, diags := parseSrc(t, `package p
-
-type s struct {
-	A int //caislint:nodigest cosmetic, display only
-	B int //caislint:nodigest
-}
-`)
-	if len(diags) != 1 || !strings.Contains(diags[0].Msg, "nodigest is missing its mandatory reason") {
-		t.Fatalf("want exactly the reason-less nodigest reported, got: %s", diagMsgs(diags))
-	}
-}
-
 // TestDirectiveStatementRange is the unit-level regression for multi-line
 // suppression: a directive above a statement covers every line the
 // statement spans, and a directive above a func covers only the func line

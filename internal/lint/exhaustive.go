@@ -171,3 +171,8 @@ func exhaustiveMapLit(pass *Pass, lit *ast.CompositeLit) {
 			shortName(named), strings.Join(missing, ", "))
 	}
 }
+
+// shortName renders a type as pkgname.Type for diagnostics.
+func shortName(t *types.Named) string {
+	return types.TypeString(t, func(pkg *types.Package) string { return pkg.Name() })
+}

@@ -1,23 +1,15 @@
 // Package lint is caislint: a project-specific static analyzer that
-// enforces the simulator's determinism, unit-safety and cache-soundness
-// invariants. The whole reproduction (event ordering, merge-session
-// bookkeeping, telemetry digests, memoized simulation points) is only
-// meaningful if runs are bit-reproducible and cache keys cover every
-// semantically relevant input, so the checks guard the properties
-// reviewers cannot reliably eyeball.
+// enforces the simulator's determinism and unit-safety invariants. The
+// whole reproduction (event ordering, merge-session bookkeeping,
+// telemetry digests, memoized simulation points) is only meaningful if
+// runs are bit-reproducible, so the checks guard the properties reviewers
+// cannot reliably eyeball.
 //
 // The check catalog lives in registry.go; `caislint -list` prints it.
 // Local syntactic checks (wallclock, rand, map-order, units, goroutine,
-// poolreset) analyze one package at a time. Three whole-module passes
+// poolreset) analyze one package at a time. Two whole-module passes
 // reason across package boundaries:
 //
-//   - digestcover: for each struct type consumed by a memo.Hasher digest
-//     method, every exported field must be written into the digest,
-//     passed to a nested digest call, or annotated
-//     `//caislint:nodigest <reason>` at its declaration; func-typed
-//     fields must additionally be guarded by memo.Cacheable. Adding a
-//     field to strategy.Options without updating internal/memo/key.go is
-//     a build-breaking diagnostic instead of a silent stale cache hit.
 //   - exhaustive: switches and map literals over enum-like const blocks
 //     (faults.Kind, attrib.Bucket, ...) must cover every declared
 //     constant or carry an explicit default.
@@ -32,14 +24,10 @@
 //	    line above — covering the full line range of the statement that
 //	    starts there)
 //	//caislint:file-ignore <check> <reason>           (whole file)
-//	//caislint:nodigest <reason>                      (in a struct field's
-//	    doc or trailing comment: deliberately excluded from the digest)
 //
 // The analyzer is pure stdlib (go/parser, go/ast, go/types, go/importer);
 // it type-checks the module from source so the type-driven checks see
-// real types, not syntax. Incremental runs (Config.CachePath) reuse
-// per-package results keyed by content hashes of the package and its
-// transitive module dependencies.
+// real types, not syntax.
 package lint
 
 import (
@@ -65,16 +53,15 @@ func (d Diagnostic) String() string {
 
 // Check names. "directive" covers malformed or unused directives.
 const (
-	CheckWallclock   = "wallclock"
-	CheckRand        = "rand"
-	CheckMapOrder    = "map-order"
-	CheckUnits       = "units"
-	CheckGoroutine   = "goroutine"
-	CheckPoolReset   = "poolreset"
-	CheckDigestCover = "digestcover"
-	CheckExhaustive  = "exhaustive"
-	CheckTaintWall   = "taintwall"
-	CheckDirective   = "directive"
+	CheckWallclock  = "wallclock"
+	CheckRand       = "rand"
+	CheckMapOrder   = "map-order"
+	CheckUnits      = "units"
+	CheckGoroutine  = "goroutine"
+	CheckPoolReset  = "poolreset"
+	CheckExhaustive = "exhaustive"
+	CheckTaintWall  = "taintwall"
+	CheckDirective  = "directive"
 )
 
 // knownChecks is the directive vocabulary, derived from the registry.
@@ -98,11 +85,6 @@ type Config struct {
 	// Checks selects a subset of the registered analyzers by name.
 	// Empty means all.
 	Checks []string
-	// CachePath, when non-empty, enables incremental mode: per-package
-	// diagnostics are cached there keyed by content hashes of the
-	// package and its transitive module dependencies, so repeated runs
-	// skip unchanged packages entirely.
-	CachePath string
 
 	// TimeTypes are fully-qualified named types ("<pkg>.<Name>") treated
 	// as simulated time. Default: <module>/internal/sim.Time.
@@ -125,10 +107,6 @@ type Config struct {
 	// Pool whose lifecycle discipline the poolreset check enforces.
 	// Default: <module>/internal/pool.
 	PoolPackages []string
-	// DigestPackages are import paths whose Hasher methods define the
-	// memoization digest; digestcover analyzes the structs they consume.
-	// Default: <module>/internal/memo.
-	DigestPackages []string
 }
 
 // resolved is the config with module-path defaults filled in.
@@ -140,7 +118,6 @@ type resolved struct {
 	concurrencyAllow []string
 	unitAllow        []string
 	poolPkgs         map[string]bool
-	digestPkgs       map[string]bool
 }
 
 func (c Config) resolve(module string) *resolved {
@@ -181,38 +158,7 @@ func (c Config) resolve(module string) *resolved {
 	for _, p := range pp {
 		r.poolPkgs[p] = true
 	}
-	dp := c.DigestPackages
-	if len(dp) == 0 {
-		dp = []string{module + "/internal/memo"}
-	}
-	r.digestPkgs = map[string]bool{}
-	for _, p := range dp {
-		r.digestPkgs[p] = true
-	}
 	return r
-}
-
-// fingerprint renders the policy config canonically for cache keying: any
-// policy change invalidates every cached package.
-func (r *resolved) fingerprint() string {
-	var b strings.Builder
-	b.WriteString("module=" + r.module)
-	for _, part := range []struct {
-		name string
-		vals []string
-	}{
-		{"time", sortedKeys(r.timeTypes)},
-		{"wallclock", append([]string(nil), r.wallclockAllow...)},
-		{"engine", sortedKeys(r.enginePkgs)},
-		{"conc", append([]string(nil), r.concurrencyAllow...)},
-		{"unit", append([]string(nil), r.unitAllow...)},
-		{"pool", sortedKeys(r.poolPkgs)},
-		{"digest", sortedKeys(r.digestPkgs)},
-	} {
-		b.WriteString(";" + part.name + "=")
-		b.WriteString(strings.Join(part.vals, ","))
-	}
-	return b.String()
 }
 
 // pathAllowed reports whether an import path is covered by an allowlist
@@ -247,39 +193,15 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := cfg.resolve(l.module)
-	mod := newModState(l, rc)
-
-	var cache *Cache
-	if cfg.CachePath != "" {
-		cache, err = openCache(cfg.CachePath, l, rc.fingerprint(), checkNames(checks))
-		if err != nil {
-			return nil, err
-		}
-	}
+	mod := newModState(l, cfg.resolve(l.module))
 
 	var diags []Diagnostic
 	for _, path := range paths {
-		if cache != nil {
-			if cached, ok := cache.get(path); ok {
-				diags = append(diags, cached...)
-				continue
-			}
-		}
 		p, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
-		pd := lintPackage(p, mod, checks)
-		diags = append(diags, pd...)
-		if cache != nil {
-			cache.put(path, pd)
-		}
-	}
-	if cache != nil {
-		if err := cache.save(); err != nil {
-			return nil, err
-		}
+		diags = append(diags, lintPackage(p, mod, checks)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -295,15 +217,6 @@ func Run(cfg Config) ([]Diagnostic, error) {
 		return a.Check < b.Check
 	})
 	return diags, nil
-}
-
-// checkNames lists analyzer names in registry order (cache key input).
-func checkNames(checks []*Analyzer) []string {
-	out := make([]string, len(checks))
-	for i, a := range checks {
-		out[i] = a.Name
-	}
-	return out
 }
 
 // reporter is the sink checks report into; suppression by directive
@@ -362,10 +275,7 @@ type directiveSet struct {
 // parseDirectives extracts caislint directives from a file's comments.
 // Malformed directives (unknown check, missing reason) are diagnostics
 // themselves: a suppression without a recorded reason is indistinguishable
-// from a shrug. //caislint:nodigest annotations are validated here (their
-// package owns the malformed-annotation diagnostic) but consumed by the
-// digestcover pass, so they carry no suppression range and are exempt
-// from unused-directive tracking.
+// from a shrug.
 func parseDirectives(fset *token.FileSet, f *ast.File) (*directiveSet, []Diagnostic) {
 	ds := &directiveSet{}
 	var diags []Diagnostic
@@ -393,15 +303,8 @@ func parseDirectives(fset *token.FileSet, f *ast.File) (*directiveSet, []Diagnos
 				continue
 			}
 			verb := fields[0]
-			switch verb {
-			case "nodigest":
-				if len(fields) < 2 {
-					bad(c.Pos(), "caislint:nodigest is missing its mandatory reason")
-				}
-				continue // consumed by digestcover via the field's position
-			case "ignore", "file-ignore":
-			default:
-				bad(c.Pos(), "unknown caislint directive %q (want ignore, file-ignore or nodigest)", verb)
+			if verb != "ignore" && verb != "file-ignore" {
+				bad(c.Pos(), "unknown caislint directive %q (want ignore or file-ignore)", verb)
 				continue
 			}
 			if len(fields) < 2 {

@@ -136,16 +136,14 @@ func TestExpandPatterns(t *testing.T) {
 		want     []string
 	}{
 		{[]string{"./..."}, []string{
-			"fixture/cmd/tool", "fixture/internal/cfg", "fixture/internal/faults",
-			"fixture/internal/gpu", "fixture/internal/memo", "fixture/internal/pool",
-			"fixture/internal/serve", "fixture/internal/sim", "fixture/internal/sweep",
-			"fixture/internal/trace", "fixture/internal/util",
+			"fixture/cmd/tool", "fixture/internal/faults", "fixture/internal/gpu",
+			"fixture/internal/pool", "fixture/internal/serve", "fixture/internal/sim",
+			"fixture/internal/sweep", "fixture/internal/trace", "fixture/internal/util",
 		}},
 		{[]string{"./internal/..."}, []string{
-			"fixture/internal/cfg", "fixture/internal/faults", "fixture/internal/gpu",
-			"fixture/internal/memo", "fixture/internal/pool", "fixture/internal/serve",
-			"fixture/internal/sim", "fixture/internal/sweep", "fixture/internal/trace",
-			"fixture/internal/util",
+			"fixture/internal/faults", "fixture/internal/gpu", "fixture/internal/pool",
+			"fixture/internal/serve", "fixture/internal/sim", "fixture/internal/sweep",
+			"fixture/internal/trace", "fixture/internal/util",
 		}},
 		{[]string{"./internal/sim", "./cmd/tool"}, []string{
 			"fixture/cmd/tool", "fixture/internal/sim",

@@ -2,16 +2,14 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
 // modState is the whole-module view shared by every package analyzed in
 // one Run. The cross-package passes use it to reach beyond the package
-// under analysis: digestcover reads field annotations from the digested
-// structs' defining packages, exhaustive collects enum const blocks from
-// their declaring package, and taintwall walks callee bodies across the
+// under analysis: exhaustive collects enum const blocks from their
+// declaring package, and taintwall walks callee bodies across the
 // module's call graph. All lookups are lazy and memoized — a package's
 // AST and type information load at most once per Run, shared with the
 // per-package analysis itself through the loader.
@@ -20,7 +18,6 @@ type modState struct {
 	rc *resolved
 
 	decls    map[string]map[*types.Func]*ast.FuncDecl // pkg path -> func object -> decl
-	nodigest map[string]map[token.Pos]bool            // pkg path -> annotated field-name positions
 	enums    map[*types.TypeName][]enumMember
 	taints   map[*types.Func]*taintFacts
 	taintRun map[*types.Func]bool // DFS guard for call-graph cycles
@@ -31,7 +28,6 @@ func newModState(l *loader, rc *resolved) *modState {
 		l:        l,
 		rc:       rc,
 		decls:    map[string]map[*types.Func]*ast.FuncDecl{},
-		nodigest: map[string]map[token.Pos]bool{},
 		enums:    map[*types.TypeName][]enumMember{},
 		taints:   map[*types.Func]*taintFacts{},
 		taintRun: map[*types.Func]bool{},
@@ -86,67 +82,4 @@ func (m *modState) declOf(fn *types.Func) (*ast.FuncDecl, *Package) {
 		m.decls[p.Path] = idx
 	}
 	return idx[fn], p
-}
-
-// nodigestFields returns the set of field-name positions carrying a
-// well-formed //caislint:nodigest annotation, resolved through the AST: a
-// field is annotated by its own doc comment or its own trailing comment,
-// never by a neighboring field's (a trailing annotation on one field must
-// not bleed into the next line's field). Malformed annotations (missing
-// reason) are reported by the owning package's directive parsing and
-// deliberately NOT honored here, so a reason-less exclusion still fails
-// the digest-coverage gate.
-func (m *modState) nodigestFields(p *Package) map[token.Pos]bool {
-	if set, ok := m.nodigest[p.Path]; ok {
-		return set
-	}
-	set := map[token.Pos]bool{}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				if !hasNodigest(fld.Doc) && !hasNodigest(fld.Comment) {
-					continue
-				}
-				for _, name := range fld.Names {
-					set[name.Pos()] = true
-				}
-			}
-			return true
-		})
-	}
-	m.nodigest[p.Path] = set
-	return set
-}
-
-// hasNodigest reports whether a comment group carries a well-formed
-// (reason-bearing) nodigest annotation.
-func hasNodigest(cg *ast.CommentGroup) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		text, ok := strings.CutPrefix(c.Text, "//")
-		if !ok {
-			continue
-		}
-		rest, ok := strings.CutPrefix(strings.TrimSpace(text), "caislint:nodigest")
-		if ok && strings.TrimSpace(rest) != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// fieldNodigest reports whether a struct field carries a well-formed
-// //caislint:nodigest annotation at its declaration.
-func (m *modState) fieldNodigest(field *types.Var) bool {
-	p := m.pkgFor(field.Pkg())
-	if p == nil {
-		return false
-	}
-	return m.nodigestFields(p)[field.Pos()]
 }

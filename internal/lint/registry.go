@@ -19,10 +19,9 @@ type Analyzer struct {
 
 // Pass is the per-package analysis context handed to each analyzer: the
 // type-checked package under analysis, the resolved policy config, and a
-// whole-module view for the cross-package passes (digestcover walks the
-// digested structs' defining packages, taintwall follows the call graph
-// into dependency bodies, exhaustive reads enum const blocks from their
-// declaring package).
+// whole-module view for the cross-package passes (taintwall follows the
+// call graph into dependency bodies, exhaustive reads enum const blocks
+// from their declaring package).
 type Pass struct {
 	Pkg *Package
 	rc  *resolved
@@ -72,11 +71,6 @@ var registry = []*Analyzer{
 		Name: CheckPoolReset,
 		Doc:  "pool.Pool element types need a reset() method and every Put(x) must be immediately preceded by x.reset()",
 		run:  perFile(checkPoolReset),
-	},
-	{
-		Name: CheckDigestCover,
-		Doc:  "every exported field of a struct digested by a memo.Hasher method must be written into the digest, passed to a nested digest, or annotated //caislint:nodigest; func-typed fields must be guarded by memo.Cacheable",
-		run:  checkDigestCover,
 	},
 	{
 		Name: CheckExhaustive,

@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 
 	"cais/internal/gpu"
 	"cais/internal/kernel"
 	"cais/internal/noc"
+	"cais/internal/sim"
 	"cais/internal/trace"
 )
 
@@ -89,6 +91,36 @@ func (m *Machine) Sequence(kernels []*kernel.Kernel, onDone func()) {
 		m.LaunchKernel(kernels[i], func() { step(i + 1) })
 	}
 	step(0)
+}
+
+// RunStages executes a staged plan: each stage's kernels launch together
+// (LaunchAll) once every kernel of the previous stage has retired on all
+// GPUs. It drains the event queue and returns when the final stage
+// finished and when the queue drained — posted writes may still land
+// after the last thread block retires. A plan that never finishes
+// returns the quiescence error naming what it is stuck on.
+func (m *Machine) RunStages(stages [][]*kernel.Kernel) (done, drained sim.Time, err error) {
+	completed := false
+	m.Eng.At(0, func() {
+		var step func(i int)
+		step = func(i int) {
+			if i >= len(stages) {
+				completed = true
+				done = m.Eng.Now()
+				return
+			}
+			m.LaunchAll(stages[i], func() { step(i + 1) })
+		}
+		step(0)
+	})
+	drained = m.Run()
+	if !completed {
+		if err = m.CheckQuiescent(); err == nil {
+			err = errors.New("machine: staged plan did not complete")
+		}
+		return 0, drained, err
+	}
+	return done, drained, nil
 }
 
 // LaunchAll launches a set of kernels concurrently (they share the GPU per

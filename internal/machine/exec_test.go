@@ -19,6 +19,34 @@ func TestLaunchAllEmptyAndSequenceEmpty(t *testing.T) {
 	}
 }
 
+// TestRunStages pins the staged-plan runner both entry points share:
+// stages run back to back, the plan finishes no later than the queue
+// drains, and a stuck plan returns the quiescence error.
+func TestRunStages(t *testing.T) {
+	m := newTestMachine(t, testHW(), Options{})
+	done, drained, err := m.RunStages([][]*kernel.Kernel{
+		{computeOnly("a", 4, 1e8)}, {computeOnly("b", 4, 1e8)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done <= 0 || drained < done {
+		t.Fatalf("done=%v drained=%v", done, drained)
+	}
+	if m.KernelSpans[1].Start < m.KernelSpans[0].End {
+		t.Fatal("stage b launched before stage a retired")
+	}
+
+	stuck := newTestMachine(t, testHW(), Options{})
+	never := kernel.Tile{Buf: 999, Idx: 0}
+	k := &kernel.Kernel{Name: "stuck", Grid: 1, Work: func(g, tb int) kernel.TBDesc {
+		return kernel.TBDesc{In: []kernel.Tile{never}, Group: -1}
+	}}
+	if _, _, err := stuck.RunStages([][]*kernel.Kernel{{k}}); err == nil {
+		t.Fatal("stuck plan reported no error")
+	}
+}
+
 func TestKernelSpansRecorded(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
 	m.Eng.At(0, func() {

@@ -1,203 +1,141 @@
 package memo
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 
 	"cais/internal/config"
-	"cais/internal/faults"
 	"cais/internal/model"
 	"cais/internal/strategy"
 )
 
-// Hasher accumulates a canonical FNV-1a-64 digest. Every write is typed
-// and fixed-width (strings are length-prefixed), so the encoding is
-// prefix-free: two different field sequences cannot collide by
-// concatenation. Key builders write fields in a single fixed order —
-// the canonical form — so equal values always digest equally.
-type Hasher struct{ h uint64 }
+// hasher accumulates a canonical FNV-1a-64 digest. Every write is
+// fixed-width or length-prefixed, so the encoding is prefix-free: two
+// different field sequences cannot collide by concatenation.
+type hasher struct{ h uint64 }
 
 const (
 	fnvOffset uint64 = 0xcbf29ce484222325
 	fnvPrime  uint64 = 0x100000001b3
 )
 
-// NewHasher returns a hasher at the FNV-1a offset basis.
-func NewHasher() *Hasher { return &Hasher{h: fnvOffset} }
-
-func (h *Hasher) byte(b byte) {
+func (h *hasher) byte(b byte) {
 	h.h ^= uint64(b)
 	h.h *= fnvPrime
 }
 
-// U64 writes a fixed-width unsigned value.
-func (h *Hasher) U64(v uint64) {
+func (h *hasher) u64(v uint64) {
 	for i := 0; i < 8; i++ {
 		h.byte(byte(v >> (8 * i)))
 	}
 }
 
-// I64 writes a fixed-width signed value.
-func (h *Hasher) I64(v int64) { h.U64(uint64(v)) }
-
-// Int writes an int.
-func (h *Hasher) Int(v int) { h.U64(uint64(int64(v))) }
-
-// F64 writes a float by bit pattern (NaNs never appear in configs).
-func (h *Hasher) F64(v float64) { h.U64(math.Float64bits(v)) }
-
-// Bool writes a bool.
-func (h *Hasher) Bool(v bool) {
-	if v {
+// value writes v in field-declaration order: ints, uints, bools and float
+// bit patterns fixed-width; strings and slices prefixed with their length;
+// pointers as a nil marker, then the element. Struct fields tagged
+// `memo:"-"` are skipped. Any other func, map, chan or interface value
+// panics: the key would silently miss whatever it holds.
+func (h *hasher) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			h.byte(1)
+		} else {
+			h.byte(0)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		h.u64(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		h.u64(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		h.u64(math.Float64bits(v.Float()))
+	case reflect.String:
+		s := v.String()
+		h.u64(uint64(len(s)))
+		for i := 0; i < len(s); i++ {
+			h.byte(s[i])
+		}
+	case reflect.Slice:
+		h.u64(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			h.value(v.Index(i))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			h.byte(0)
+			return
+		}
 		h.byte(1)
-	} else {
-		h.byte(0)
+		h.value(v.Elem())
+	case reflect.Struct:
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if f.Tag.Get("memo") == "-" {
+				continue
+			}
+			switch f.Type.Kind() {
+			case reflect.Func, reflect.Map, reflect.Chan, reflect.Interface:
+				panic(fmt.Sprintf("memo: cannot digest %s field %s.%s; tag it `memo:\"-\"` and make Cacheable reject runs that set it",
+					f.Type.Kind(), t, f.Name))
+			}
+			h.value(v.Field(i))
+		}
+	default:
+		panic(fmt.Sprintf("memo: cannot digest a value of type %s", v.Type()))
 	}
 }
 
-// Str writes a length-prefixed string.
-func (h *Hasher) Str(s string) {
-	h.U64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
+// digest returns the canonical digest of a key value.
+func digest(key any) uint64 {
+	h := hasher{h: fnvOffset}
+	h.value(reflect.ValueOf(key))
+	return h.h
+}
+
+// canonical resolves defaults before hashing, so a zero knob and its
+// explicit default key identically: StepLimit 0 runs with
+// strategy.DefaultStepLimit, and an empty fault schedule is bit-identical
+// to none at run time (faults.Schedule.Empty).
+func canonical(o strategy.Options) strategy.Options {
+	if o.StepLimit == 0 {
+		o.StepLimit = strategy.DefaultStepLimit
 	}
-}
-
-// Sum returns the digest.
-func (h *Hasher) Sum() uint64 { return h.h }
-
-// hardware digests every config.Hardware field — all of them shape the
-// simulated result (Seed included: it drives launch jitter and TB noise).
-func (h *Hasher) hardware(hw config.Hardware) {
-	h.Int(hw.NumGPUs)
-	h.Int(hw.NumSwitchPlanes)
-	h.Int(hw.SMsPerGPU)
-	h.F64(hw.SMFLOPs)
-	h.F64(hw.HBMBandwidth)
-	h.F64(hw.LinkBandwidth)
-	h.F64(hw.LinkEfficiency)
-	h.I64(int64(hw.LinkLatency))
-	h.I64(int64(hw.SwitchLatency))
-	h.I64(hw.MergeTableBytes)
-	h.I64(int64(hw.MergeTimeout))
-	h.Int(hw.NumVirtualChannels)
-	h.I64(hw.RequestBytes)
-	h.I64(int64(hw.KernelLaunchOverhead))
-	h.I64(int64(hw.KernelLaunchJitter))
-	h.F64(hw.TBTimeNoise)
-	h.I64(int64(hw.TBOverhead))
-	h.I64(hw.ThrottleWindowBytes)
-	h.Int(hw.CommSMs)
-	h.Int(hw.ElemBytes)
-	h.U64(hw.Seed)
-}
-
-// spec digests the full strategy.Spec, not just its name: ablation specs
-// (Fig. 13b) share a name while differing in coordination knobs.
-func (h *Hasher) spec(s strategy.Spec) {
-	h.Str(s.Name)
-	h.Int(int(s.Layout))
-	h.Int(int(s.Gather))
-	h.Int(int(s.Reduce))
-	h.Int(int(s.Barrier))
-	h.Int(s.Chunks)
-	h.Bool(s.FusedComm)
-	h.Bool(s.CoordPreLaunch)
-	h.Bool(s.CoordPreAccess)
-	h.Bool(s.Throttled)
-	h.Bool(s.TrafficControl)
-}
-
-// options digests the value-type run knobs with defaults resolved, so a
-// zero knob and its explicit default key identically. Callback knobs
-// (Configure, Tracer, Progress) are NOT digested — points carrying them
-// must bypass the cache entirely (see Cacheable).
-func (h *Hasher) options(o strategy.Options) {
-	h.I64(o.MergeTableBytes)
-	h.Bool(o.UnlimitedMergeTable)
-	h.Bool(o.NoMergeTimeout)
-	h.Int(int(o.Eviction))
-	h.Bool(o.NoControlSideband)
-	limit := o.StepLimit
-	if limit == 0 {
-		limit = strategy.DefaultStepLimit
+	if o.Faults.Empty() {
+		o.Faults = nil
 	}
-	h.U64(limit)
-	h.faults(o.Faults)
-	h.I64(int64(o.UtilBin))
-	h.Bool(o.Attrib)
+	return o
 }
 
-// faults digests a fault schedule. An empty schedule is bit-identical to
-// no schedule at run time (faults.Schedule.Empty), so both digest as the
-// same zero marker; the schedule name is cosmetic and excluded.
-func (h *Hasher) faults(s *faults.Schedule) {
-	if s.Empty() {
-		h.U64(0)
-		return
-	}
-	h.U64(uint64(len(s.Faults)))
-	for _, f := range s.Faults {
-		h.Int(int(f.Kind))
-		h.I64(int64(f.At))
-		h.I64(int64(f.For))
-		h.Int(f.Plane)
-		h.Int(f.GPU)
-		h.Int(int(f.Dir))
-		h.F64(f.Factor)
-	}
-}
-
-func (h *Hasher) op(o model.OpSpec) {
-	h.Str(o.Name)
-	h.Int(int(o.Kind))
-	h.Int(o.M)
-	h.Int(o.N)
-	h.Int(o.K)
-	h.Int(o.Rows)
-	h.Int(o.Cols)
-	h.Int(o.Batch)
-	h.Int(o.Heads)
-	h.Int(o.Seq)
-	h.Int(o.HeadDim)
-	h.F64(o.BackwardScale)
-}
-
-// Cacheable reports whether a point's options permit memoization: the
-// callback knobs observe or mutate the live machine, which a cache hit
-// does not build.
+// Cacheable reports whether a point's options permit memoization. The
+// observers left out of the key (the `memo:"-"` pointer and func fields of
+// strategy.Options) watch a live machine that a cache hit never builds,
+// so setting any of them bypasses the cache.
 func Cacheable(o strategy.Options) bool {
-	return o.Configure == nil && o.Tracer == nil && o.Progress == nil
+	return o.Tracer == nil && o.Progress == nil
 }
 
 // KeySubLayer digests a strategy.RunSubLayer point.
 func KeySubLayer(hw config.Hardware, spec strategy.Spec, sub model.SubLayer, opts strategy.Options) uint64 {
-	h := NewHasher()
-	h.Str("sublayer")
-	h.hardware(hw)
-	h.spec(spec)
-	h.Str(sub.ID)
-	h.op(sub.RowGEMM)
-	h.op(sub.LN)
-	h.op(sub.ColGEMM)
-	h.options(opts)
-	return h.Sum()
+	return digest(struct {
+		Domain string
+		HW     config.Hardware
+		Spec   strategy.Spec
+		Sub    model.SubLayer
+		Opts   strategy.Options
+	}{"sublayer", hw, spec, sub, canonical(opts)})
 }
 
 // KeyLayers digests a strategy.RunLayersOpts point.
 func KeyLayers(hw config.Hardware, spec strategy.Spec, cfg config.Model, training bool, layers int, opts strategy.Options) uint64 {
-	h := NewHasher()
-	h.Str("layers")
-	h.hardware(hw)
-	h.spec(spec)
-	h.Str(cfg.Name)
-	h.Int(cfg.Hidden)
-	h.Int(cfg.FFNHidden)
-	h.Int(cfg.Heads)
-	h.Int(cfg.SeqLen)
-	h.Int(cfg.Batch)
-	h.Int(cfg.Layers)
-	h.Bool(training)
-	h.Int(layers)
-	h.options(opts)
-	return h.Sum()
+	return digest(struct {
+		Domain   string
+		HW       config.Hardware
+		Spec     strategy.Spec
+		Model    config.Model
+		Training bool
+		Layers   int
+		Opts     strategy.Options
+	}{"layers", hw, spec, cfg, training, layers, canonical(opts)})
 }

@@ -1,17 +1,13 @@
 package memo
 
 import (
-	"io/fs"
-	"os"
-	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"cais/internal/config"
 	"cais/internal/faults"
-	"cais/internal/lint"
-	"cais/internal/machine"
 	"cais/internal/model"
 	"cais/internal/sim"
 	"cais/internal/strategy"
@@ -153,112 +149,151 @@ func TestCacheable(t *testing.T) {
 	if Cacheable(strategy.Options{Progress: func(sim.Time, uint64) {}}) {
 		t.Error("Progress callback must bypass the cache")
 	}
-	if Cacheable(strategy.Options{Configure: func(*machine.Machine) {}}) {
-		t.Error("Configure callback must bypass the cache")
-	}
 	if Cacheable(strategy.Options{Tracer: trace.New()}) {
 		t.Error("Tracer must bypass the cache")
 	}
 }
 
-// copyModuleForMutation copies the module's buildable source (non-test
-// .go files plus go.mod, skipping nested test modules) into a temp dir
-// so a mutation can be applied without touching the checkout.
-func copyModuleForMutation(t *testing.T) string {
-	t.Helper()
-	src, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := t.TempDir()
-	err = filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", "testdata", ".github":
-				return fs.SkipDir
-			}
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		keep := rel == "go.mod" ||
-			(strings.HasSuffix(rel, ".go") && !strings.HasSuffix(rel, "_test.go"))
-		if !keep {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dst
+// keyedPoint gathers every key input of both key builders, so one
+// reflective walk reaches each field they digest.
+type keyedPoint struct {
+	HW       config.Hardware
+	Spec     strategy.Spec
+	Sub      model.SubLayer
+	Model    config.Model
+	Training bool
+	Layers   int
+	Opts     strategy.Options
 }
 
-// TestKeyMutationCaughtByLint is the mutation test closing the loop
-// between this package and caislint's digestcover pass: delete a single
-// field-digest line from key.go and the analyzer must report exactly that
-// field as uncovered. One mutation per Hasher digest method (hardware,
-// spec, options, and the fault range loop).
-func TestKeyMutationCaughtByLint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a mutated module copy per case; skipped in -short")
+func (p *keyedPoint) keys() [2]uint64 {
+	return [2]uint64{
+		KeySubLayer(p.HW, p.Spec, p.Sub, p.Opts),
+		KeyLayers(p.HW, p.Spec, p.Model, p.Training, p.Layers, p.Opts),
 	}
-	mutations := []struct {
-		deleteLine string // unique substring of the line to delete
-		wantField  string // field the diagnostic must name
-	}{
-		{"h.F64(hw.LinkBandwidth)", "config.Hardware.LinkBandwidth"},
-		{"h.Bool(s.Throttled)", "strategy.Spec.Throttled"},
-		{"h.I64(int64(o.UtilBin))", "strategy.Options.UtilBin"},
-		{"h.F64(f.Factor)", "faults.Fault.Factor"},
+}
+
+// fullPoint populates every pointer and slice on the key path, so the walk
+// reaches the fault schedule's Fault fields.
+func fullPoint() keyedPoint {
+	hw, spec, sub := testPoint()
+	return keyedPoint{
+		HW: hw, Spec: spec, Sub: sub, Model: config.LLaMA7B(), Layers: 2,
+		Opts: strategy.Options{Faults: &faults.Schedule{Name: "s", Faults: []faults.Fault{
+			{Kind: faults.Straggler, At: 5, For: 7, Plane: faults.All, GPU: 1, Factor: 2},
+		}}},
 	}
-	for _, m := range mutations {
-		t.Run(m.wantField, func(t *testing.T) {
-			root := copyModuleForMutation(t)
-			keyPath := filepath.Join(root, "internal", "memo", "key.go")
-			data, err := os.ReadFile(keyPath)
-			if err != nil {
-				t.Fatal(err)
+}
+
+// walkFields calls visit for every field reachable from v — through
+// pointers and into each slice's first element — with its dotted path.
+// Tagged fields are visited but not entered.
+func walkFields(t *testing.T, v reflect.Value, path string, visit func(path string, f reflect.Value, tagged bool)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			p := path + "." + f.Name
+			if f.Tag.Get("memo") == "-" {
+				visit(p, v.Field(i), true)
+				continue
 			}
-			lines := strings.Split(string(data), "\n")
-			kept := lines[:0]
-			removed := 0
-			for _, line := range lines {
-				if strings.Contains(line, m.deleteLine) {
-					removed++
-					continue
-				}
-				kept = append(kept, line)
-			}
-			if removed != 1 {
-				t.Fatalf("substring %q matched %d lines in key.go, want exactly 1", m.deleteLine, removed)
-			}
-			if err := os.WriteFile(keyPath, []byte(strings.Join(kept, "\n")), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			diags, err := lint.Run(lint.Config{
-				Dir:      root,
-				Patterns: []string{"./internal/memo"},
-				Checks:   []string{"digestcover"},
-			})
-			if err != nil {
-				t.Fatalf("lint.Run on mutated module: %v", err)
-			}
-			for _, d := range diags {
-				if d.Check == "digestcover" && strings.Contains(d.Msg, m.wantField) {
-					return
-				}
-			}
-			t.Fatalf("digestcover missed the deleted write of %s; diagnostics: %v", m.wantField, diags)
-		})
+			walkFields(t, v.Field(i), p, visit)
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			t.Fatalf("%s: fullPoint must populate every pointer on the key path", path)
+		}
+		walkFields(t, v.Elem(), path, visit)
+	case reflect.Slice:
+		if v.Len() == 0 {
+			t.Fatalf("%s: fullPoint must populate every slice on the key path", path)
+		}
+		walkFields(t, v.Index(0), path+"[0]", visit)
+	default:
+		visit(path, v, false)
 	}
+}
+
+// bump changes a scalar in place; it reports false for kinds it cannot vary.
+func bump(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float()*2 + 1)
+	case reflect.String:
+		v.SetString(v.String() + "'")
+	default:
+		return false
+	}
+	return true
+}
+
+// TestKeyCoversEveryField is the by-construction coverage check: every
+// untagged leaf field of the hardware, spec, model, op, options and fault
+// key inputs moves the key when changed; a tagged scalar never does; and a
+// tagged func or pointer field is only legal in strategy.Options, where
+// setting it must make the point uncacheable.
+func TestKeyCoversEveryField(t *testing.T) {
+	p := fullPoint()
+	base := p.keys()
+	leaves := 0
+	walkFields(t, reflect.ValueOf(&p).Elem(), "point", func(path string, f reflect.Value, tagged bool) {
+		saved := reflect.New(f.Type()).Elem()
+		saved.Set(f)
+		defer f.Set(saved)
+		if !tagged {
+			leaves++
+			if !bump(f) {
+				t.Errorf("%s: untagged %s field cannot be keyed", path, f.Kind())
+			} else if p.keys() == base {
+				t.Errorf("%s: changing it did not move the key", path)
+			}
+			return
+		}
+		switch f.Kind() {
+		case reflect.Func:
+			f.Set(reflect.MakeFunc(f.Type(), func([]reflect.Value) []reflect.Value { return nil }))
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			if !bump(f) {
+				t.Fatalf("%s: tagged %s field is not varied by this test", path, f.Kind())
+			}
+			if p.keys() != base {
+				t.Errorf("%s: tagged memo:\"-\" but changing it moved the key", path)
+			}
+			return
+		}
+		if !strings.HasPrefix(path, "point.Opts.") {
+			t.Errorf("%s: tagged %s field outside strategy.Options escapes Cacheable", path, f.Kind())
+		} else if Cacheable(p.Opts) {
+			t.Errorf("%s: setting it left the point cacheable", path)
+		}
+	})
+	if leaves < 50 {
+		t.Fatalf("walk reached only %d leaf fields; the key inputs have more", leaves)
+	}
+}
+
+// TestDigestRejectsUntaggedFunc pins the guard that keeps the key honest:
+// a field the digest cannot encode must be tagged, never skipped silently.
+func TestDigestRejectsUntaggedFunc(t *testing.T) {
+	type hooked struct {
+		N      int
+		OnDone func()
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "hooked.OnDone") {
+			t.Fatalf("panic %q does not name the untagged field", msg)
+		}
+	}()
+	digest(hooked{})
+	t.Fatal("untagged func field digested without a panic")
 }

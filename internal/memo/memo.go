@@ -9,9 +9,15 @@
 // The contract that keeps memoized output byte-identical to cold runs:
 //
 //   - Keys cover every input that can change the simulated result — and
-//     nothing else. Worker count is excluded by construction (the key
-//     builders never see it): a point's result is independent of which
-//     goroutine computes it (see internal/sweep's determinism contract).
+//     nothing else. A key is a reflective digest of the point's value
+//     types (hardware, strategy spec, workload, options, fault schedule)
+//     that walks every field, so a field added to any of them is keyed
+//     without further work. Fields tagged `memo:"-"` are left out; the
+//     func and pointer ones are observers, and Cacheable sends runs that
+//     set them around the cache. Worker count is excluded by construction
+//     (the key builders never see it): a point's result is independent of
+//     which goroutine computes it (see internal/sweep's determinism
+//     contract).
 //   - Defaults are resolved before hashing, so a zero value and its
 //     explicit default hash identically (StepLimit 0 vs
 //     strategy.DefaultStepLimit, nil vs empty fault schedule).

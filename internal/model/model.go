@@ -154,7 +154,7 @@ func LayerOps(m config.Model, phase Phase) []OpSpec {
 // AG-GEMM under SP).
 type SubLayer struct {
 	ID   string // L1..L4
-	Desc string
+	Desc string `memo:"-"` // display text; ID names the pipeline
 	// RowGEMM produces the reduced/sharded tensor; ColGEMM consumes the
 	// re-gathered one.
 	RowGEMM OpSpec

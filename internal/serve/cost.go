@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 
 	"cais/internal/config"
 	"cais/internal/memo"
@@ -62,8 +63,20 @@ type StrategyCost struct {
 	opts   strategy.Options
 	cache  *memo.Cache
 
+	// anchors holds each quantized shape's model and memo key: a serving
+	// run prices hundreds of thousands of iterations over a handful of
+	// shapes, so the key is digested once per shape, not once per lookup.
+	mu      sync.Mutex
+	anchors map[int]anchor
+
 	sims    metrics.AtomicCounter // anchor simulations actually run
 	lookups metrics.AtomicCounter // Prefill/Decode calls served
+}
+
+// anchor is one quantized shape's simulated model and its memo key.
+type anchor struct {
+	model config.Model
+	key   uint64
 }
 
 // NewStrategyCost builds a cost model for one (hardware, strategy, model)
@@ -79,12 +92,13 @@ func NewStrategyCost(hw config.Hardware, spec strategy.Spec, base config.Model, 
 		layers = 1
 	}
 	if !memo.Cacheable(opts) {
-		return nil, fmt.Errorf("serve: cost-model options must be cacheable (no Configure/Tracer/Progress callbacks)")
+		return nil, fmt.Errorf("serve: cost-model options must be cacheable (no Tracer/Progress observers)")
 	}
 	if cache == nil {
 		cache = memo.NewCache()
 	}
-	return &StrategyCost{hw: hw, spec: spec, base: base, layers: layers, opts: opts, cache: cache}, nil
+	return &StrategyCost{hw: hw, spec: spec, base: base, layers: layers, opts: opts, cache: cache,
+		anchors: map[int]anchor{}}, nil
 }
 
 // Sims reports how many anchor simulations this model triggered (cache
@@ -95,15 +109,23 @@ func (sc *StrategyCost) Sims() int64 { return sc.sims.Value() }
 // Lookups reports how many iteration prices were served.
 func (sc *StrategyCost) Lookups() int64 { return sc.lookups.Value() }
 
-// anchorModel derives the simulated shape for q tokens. The name encodes
-// the anchor deterministically — config.Model.Name is part of the memo
-// key, so it must be a pure function of the shape.
-func (sc *StrategyCost) anchorModel(q int) config.Model {
-	m := sc.base
-	m.Name = fmt.Sprintf("serve/%s/tok%d", sc.base.Name, q)
-	m.Batch = 1
-	m.SeqLen = q
-	return m
+// anchorFor returns the simulated shape for q tokens and its memo key,
+// deriving both on first use. The name encodes the anchor
+// deterministically — config.Model.Name is part of the memo key, so it
+// must be a pure function of the shape.
+func (sc *StrategyCost) anchorFor(q int) anchor {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	a, ok := sc.anchors[q]
+	if !ok {
+		a.model = sc.base
+		a.model.Name = fmt.Sprintf("serve/%s/tok%d", sc.base.Name, q)
+		a.model.Batch = 1
+		a.model.SeqLen = q
+		a.key = memo.KeyLayers(sc.hw, sc.spec, a.model, false, sc.layers, sc.opts)
+		sc.anchors[q] = a
+	}
+	return a
 }
 
 // tokenCost prices a forward pass over tokens tokens: simulate the
@@ -116,13 +138,13 @@ func (sc *StrategyCost) tokenCost(tokens int) (sim.Time, error) {
 	}
 	sc.lookups.Inc()
 	q := quantizeTokens(tokens)
-	m := sc.anchorModel(q)
-	e, err := sc.cache.Do(memo.KeyLayers(sc.hw, sc.spec, m, false, sc.layers, sc.opts), func() (memo.Entry, error) {
+	a := sc.anchorFor(q)
+	e, err := sc.cache.Do(a.key, func() (memo.Entry, error) {
 		sc.sims.Inc()
-		return memo.RunLayers(nil, sc.hw, sc.spec, m, false, sc.layers, sc.opts)
+		return memo.RunLayers(nil, sc.hw, sc.spec, a.model, false, sc.layers, sc.opts)
 	})
 	if err != nil {
-		return 0, fmt.Errorf("serve: anchor %s: %w", m.Name, err)
+		return 0, fmt.Errorf("serve: anchor %s: %w", a.model.Name, err)
 	}
 	perLayer := e.Elapsed / sim.Time(sc.layers)
 	full := perLayer * sim.Time(sc.base.Layers)

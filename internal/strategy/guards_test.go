@@ -66,19 +66,6 @@ func TestRunLayersRejectsInvalidModel(t *testing.T) {
 	}
 }
 
-func TestRunLayersOptsConfigureHook(t *testing.T) {
-	called := false
-	_, err := RunLayersOpts(tinyHW(), CAIS(), tinyModel(), false, 1, Options{
-		Configure: func(m *machine.Machine) { called = true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("Configure hook not invoked")
-	}
-}
-
 func TestDirectionTrafficAsymmetry(t *testing.T) {
 	// A pure GEMM-RS run is GPU-to-switch heavy (Fig. 10a): contributions
 	// go up, only merged results come down.

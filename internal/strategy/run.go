@@ -32,24 +32,24 @@ type Options struct {
 	NoControlSideband bool
 	// StepLimit guards against runaway simulations (0 = default).
 	StepLimit uint64
-	// Configure, when set, runs on the freshly assembled machine before
-	// any kernel launches (e.g. to attach utilization recorders).
-	Configure func(*machine.Machine) //caislint:nodigest opaque behavior; memo.Cacheable rejects runs that set it
 	// Tracer, when non-nil, records the run as a Perfetto-loadable event
-	// trace. Instrumentation stays disabled (zero-cost) when nil.
-	Tracer *trace.Tracer //caislint:nodigest observer only; memo.Cacheable rejects runs that set it
+	// trace. Instrumentation stays disabled (zero-cost) when nil. An
+	// observer only: left out of the memo key, and memo.Cacheable rejects
+	// runs that set it.
+	Tracer *trace.Tracer `memo:"-"`
 	// Progress, when set together with ProgressEvery, is invoked from the
 	// event loop every ProgressEvery engine steps (heartbeat logging).
-	Progress      func(now sim.Time, steps uint64) //caislint:nodigest observer only; memo.Cacheable rejects runs that set it
-	ProgressEvery uint64                           //caislint:nodigest heartbeat cadence; does not affect simulated time
+	// Observers only, left out of the memo key like Tracer; the cadence
+	// does not affect simulated time.
+	Progress      func(now sim.Time, steps uint64) `memo:"-"`
+	ProgressEvery uint64                           `memo:"-"`
 	// Faults, when non-nil and non-empty, is the fault schedule injected
 	// into the run (DESIGN.md §8). Nil or empty reproduces the unfaulted
 	// run bit-for-bit.
 	Faults *faults.Schedule
 	// UtilBin, when positive, records a binned link-utilization timeline
-	// over all links and returns it in Result.Timeline (Fig. 16). Unlike a
-	// Configure callback, this declarative form hashes into the memo key,
-	// so timeline-producing runs stay cacheable.
+	// over all links and returns it in Result.Timeline (Fig. 16). It hashes
+	// into the memo key, so timeline-producing runs stay cacheable.
 	UtilBin sim.Time
 	// Attrib, when set, attaches an internal tracer and runs the time-
 	// attribution pass after completion (Result.Attrib, DESIGN.md §12).
@@ -490,32 +490,6 @@ func publishLocalGrid(b *model.Builder, grid model.LocalGrid) {
 	b.M.PublishTiles(tiles)
 }
 
-// execute runs the plan's stages and returns the completion time.
-func execute(m *machine.Machine, p *plan) (sim.Time, error) {
-	var doneAt sim.Time
-	completed := false
-	m.Eng.At(0, func() {
-		var step func(i int)
-		step = func(i int) {
-			if i >= len(p.stages) {
-				completed = true
-				doneAt = m.Eng.Now()
-				return
-			}
-			m.LaunchAll(p.stages[i], func() { step(i + 1) })
-		}
-		step(0)
-	})
-	m.Run()
-	if !completed {
-		if err := m.CheckQuiescent(); err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("strategy: plan did not complete")
-	}
-	return doneAt, nil
-}
-
 // DefaultStepLimit is the runaway-simulation guard applied when
 // Options.StepLimit is zero. Exported so the memo layer can resolve the
 // default before hashing (zero and explicit default must key identically).
@@ -586,9 +560,6 @@ func RunSubLayer(hw config.Hardware, spec Spec, sub model.SubLayer, opts Options
 	if rec != nil {
 		m.AttachRecorder(rec)
 	}
-	if opts.Configure != nil {
-		opts.Configure(m)
-	}
 	b := model.NewBuilder(m)
 	p := &plan{}
 
@@ -605,7 +576,7 @@ func RunSubLayer(hw config.Hardware, spec Spec, sub model.SubLayer, opts Options
 	lower(b, spec, sub.LN, &st, p)
 	lower(b, spec, sub.ColGEMM, &st, p)
 
-	doneAt, err := execute(m, p)
+	doneAt, _, err := m.RunStages(p.stages)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%s: %w", spec.Name, sub.ID, err)
 	}
@@ -629,9 +600,6 @@ func RunLayersOpts(hw config.Hardware, spec Spec, cfg config.Model, training boo
 	if rec != nil {
 		m.AttachRecorder(rec)
 	}
-	if opts.Configure != nil {
-		opts.Configure(m)
-	}
 	b := model.NewBuilder(m)
 	p := &plan{}
 	st := initialState(b, spec, cfg.Tokens())
@@ -649,7 +617,7 @@ func RunLayersOpts(hw config.Hardware, spec Spec, cfg config.Model, training boo
 		}
 	}
 
-	doneAt, err := execute(m, p)
+	doneAt, _, err := m.RunStages(p.stages)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%s: %w", spec.Name, cfg.Name, err)
 	}
