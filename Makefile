@@ -51,7 +51,11 @@ fmt:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: fmt vet lint test race resilience-smoke attrib-smoke serving-smoke
+# check: the one pre-merge gate, the same script CI runs — formatting,
+# vet, build, caislint, the tests (root module, the caisbench module and
+# under -race), the zero-alloc tracer benchmark and the quick smokes.
+check:
+	sh scripts/check.sh
 
 # bench: the full benchmark suite (experiment drivers, engine hot path,
 # tracer, metrics) via scripts/bench.sh, which writes a dated

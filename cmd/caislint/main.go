@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	caislint [-json] [-checks a,b] [-list] [-C dir] [patterns...]
+//	caislint [-json] [-list] [-C dir] [patterns...]
 //
 // Patterns default to "./..." and are resolved against the module root (a
 // directory containing go.mod, found by walking up from -C or the current
-// directory). -list prints the registered checks and exits. -checks runs
-// a subset by name.
+// directory). Every check runs; -list prints the registered checks and
+// exits.
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 when the analysis itself failed to run.
@@ -20,14 +20,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"cais/internal/lint"
 )
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "print the registered checks with their one-line docs and exit")
 	dir := flag.String("C", ".", "directory to start the module-root search from")
 	flag.Parse()
@@ -44,15 +42,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "caislint:", err)
 		os.Exit(2)
 	}
-	var checks []string
-	if *checksFlag != "" {
-		checks = strings.Split(*checksFlag, ",")
-	}
-	diags, err := lint.Run(lint.Config{
-		Dir:      root,
-		Patterns: flag.Args(),
-		Checks:   checks,
-	})
+	diags, err := lint.Run(lint.Config{Dir: root, Patterns: flag.Args()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "caislint:", err)
 		os.Exit(2)

@@ -93,16 +93,22 @@ func (r *Fig2Result) Render() string {
 // SpeedupRow is one (model, workload) row of speedups of CAIS over every
 // baseline.
 type SpeedupRow struct {
-	Model    string
-	Workload string // "inference" or "training"
+	Model string
+	// Workload is "inference" or "training" in Fig. 11 and the sub-layer
+	// ID in Fig. 12.
+	Workload string
 	// Elapsed per strategy (simulated per-layer chain time).
 	Elapsed map[string]sim.Time
 	// Speedup of CAIS over each strategy.
 	Speedup map[string]float64
 }
 
-// Fig11Result is the end-to-end speedup study.
-type Fig11Result struct {
+// SpeedupResult is a speedup study of CAIS over every strategy: Fig. 11
+// (end to end) and Fig. 12 (sub-layers) differ only in their points, title
+// and second column.
+type SpeedupResult struct {
+	Title      string
+	RowHeader  string // second column: "Workload" or "Sub-layer"
 	Rows       []SpeedupRow
 	Strategies []string
 	// Geomean of CAIS speedup over each baseline across rows.
@@ -112,7 +118,7 @@ type Fig11Result struct {
 // Fig11 reproduces Fig. 11: end-to-end speedup of CAIS over the nine
 // baselines plus CAIS-Base, for training and inference (prefill) on the
 // Table I models.
-func Fig11(c Config) (*Fig11Result, error) {
+func Fig11(c Config) (*SpeedupResult, error) {
 	workloads := []struct {
 		name     string
 		training bool
@@ -120,162 +126,61 @@ func Fig11(c Config) (*Fig11Result, error) {
 	if c.Quick {
 		workloads = workloads[:1]
 	}
-	return speedupStudy(c, func(spec strategy.Spec, cfg config.Model, training bool) (memo.Entry, error) {
-		wl := "inference"
-		if training {
-			wl = "training"
-		}
-		return c.runLayers("fig11/"+cfg.Name+"/"+wl+"/"+spec.Name,
-			c.e2eHW(), spec, cfg, training, c.layers(), strategy.Options{})
-	}, workloads)
-}
-
-func speedupStudy(c Config,
-	run func(spec strategy.Spec, cfg config.Model, training bool) (memo.Entry, error),
-	workloads []struct {
-		name     string
-		training bool
-	}) (*Fig11Result, error) {
-
-	specs := strategy.All()
-	out := &Fig11Result{Geomean: map[string]float64{}}
-	for _, s := range specs {
-		out.Strategies = append(out.Strategies, s.Name)
-	}
-
-	// Fan the (model, workload, strategy) cube out as independent points,
-	// then fold sequentially in the original nested order so rows,
-	// speedups and geomeans come out byte-identical to a sequential run.
-	models := c.models()
-	type runKey struct{ mi, wi, si int }
-	keys := make([]runKey, 0, len(models)*len(workloads)*len(specs))
-	for mi := range models {
-		for wi := range workloads {
-			for si := range specs {
-				keys = append(keys, runKey{mi, wi, si})
-			}
-		}
-	}
-	elapsed, err := mapPoints(c, len(keys), func(i int) (sim.Time, error) {
-		k := keys[i]
-		res, err := run(specs[k.si], models[k.mi], workloads[k.wi].training)
-		if err != nil {
-			return 0, fmt.Errorf("fig11 %s/%s/%s: %w",
-				models[k.mi].Name, workloads[k.wi].name, specs[k.si].Name, err)
-		}
-		return res.Elapsed, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	samples := map[string][]float64{}
-	idx := 0
-	for _, cfg := range models {
+	var rows []SpeedupRow
+	var models []config.Model
+	var training []bool
+	for _, cfg := range c.models() {
 		for _, w := range workloads {
-			row := SpeedupRow{
-				Model: cfg.Name, Workload: w.name,
-				Elapsed: map[string]sim.Time{},
-				Speedup: map[string]float64{},
-			}
-			for _, spec := range specs {
-				row.Elapsed[spec.Name] = elapsed[idx]
-				idx++
-			}
-			cais := row.Elapsed["CAIS"]
-			for name, e := range row.Elapsed {
-				if name == "CAIS" || cais == 0 {
-					continue
-				}
-				sp := float64(e) / float64(cais)
-				row.Speedup[name] = sp
-				samples[name] = append(samples[name], sp)
-			}
-			out.Rows = append(out.Rows, row)
+			rows = append(rows, SpeedupRow{Model: cfg.Name, Workload: w.name})
+			models = append(models, cfg)
+			training = append(training, w.training)
 		}
 	}
-	for _, s := range out.Strategies {
-		if xs := samples[s]; len(xs) > 0 {
-			out.Geomean[s] = metrics.Geomean(xs)
-		}
-	}
-	return out, nil
-}
-
-// Render formats the Fig. 11 table.
-func (r *Fig11Result) Render() string {
-	headers := append([]string{"Model", "Workload"}, r.Strategies...)
-	t := metrics.NewTable("Fig. 11: CAIS speedup over baselines (end-to-end per-layer chain)", headers...)
-	for _, row := range r.Rows {
-		cells := []string{row.Model, row.Workload}
-		for _, s := range r.Strategies {
-			if s == "CAIS" {
-				cells = append(cells, row.Elapsed[s].String())
-				continue
-			}
-			cells = append(cells, fmt.Sprintf("%.2fx", row.Speedup[s]))
-		}
-		t.AddRow(cells...)
-	}
-	geo := []string{"geomean", ""}
-	for _, s := range r.Strategies {
-		if s == "CAIS" {
-			geo = append(geo, "1.00x")
-			continue
-		}
-		geo = append(geo, fmt.Sprintf("%.2fx", r.Geomean[s]))
-	}
-	t.AddRow(geo...)
-	return t.String()
-}
-
-// Fig12Result is the sub-layer speedup study (L1-L4).
-type Fig12Result struct {
-	Rows       []SpeedupRow // Workload carries the sub-layer ID
-	Strategies []string
-	Geomean    map[string]float64
+	return speedupStudy(c, "fig11", "Fig. 11: CAIS speedup over baselines (end-to-end per-layer chain)", "Workload", rows,
+		func(label string, row int, spec strategy.Spec) (memo.Entry, error) {
+			return c.runLayers(label, c.e2eHW(), spec, models[row], training[row], c.layers(), strategy.Options{})
+		})
 }
 
 // Fig12 reproduces Fig. 12: speedups on the four communication-intensive
 // sub-layers (GEMM-RS + LN + AG-GEMM pipelines).
-func Fig12(c Config) (*Fig12Result, error) {
+func Fig12(c Config) (*SpeedupResult, error) {
+	hw := c.microHW()
+	var rows []SpeedupRow
+	var subs []model.SubLayer
+	for _, cfg := range c.models() {
+		cs := model.SubLayers(cfg)
+		if c.Quick {
+			cs = cs[:2]
+		}
+		for _, sub := range cs {
+			rows = append(rows, SpeedupRow{Model: cfg.Name, Workload: sub.ID})
+			subs = append(subs, sub)
+		}
+	}
+	return speedupStudy(c, "fig12", "Fig. 12: CAIS speedup on sub-layers L1-L4", "Sub-layer", rows,
+		func(label string, row int, spec strategy.Spec) (memo.Entry, error) {
+			return c.runSubLayer(label, hw, spec, subs[row], strategy.Options{})
+		})
+}
+
+// speedupStudy runs every strategy on each row's point and folds the
+// speedups of CAIS over the others. The (row, strategy) grid fans out as
+// independent points, then folds sequentially in row order so rows,
+// speedups and geomeans come out byte-identical to a sequential run.
+func speedupStudy(c Config, id, title, rowHeader string, rows []SpeedupRow,
+	run func(label string, row int, spec strategy.Spec) (memo.Entry, error)) (*SpeedupResult, error) {
+
 	specs := strategy.All()
-	out := &Fig12Result{Geomean: map[string]float64{}}
+	out := &SpeedupResult{Title: title, RowHeader: rowHeader, Geomean: map[string]float64{}}
 	for _, s := range specs {
 		out.Strategies = append(out.Strategies, s.Name)
 	}
-	hw := c.microHW()
-
-	// Flatten the (model, sub-layer, strategy) cube into independent
-	// points; fold in nested order afterwards.
-	type subKey struct {
-		model config.Model
-		sub   model.SubLayer
-	}
-	var cells []subKey
-	for _, cfg := range c.models() {
-		subs := model.SubLayers(cfg)
-		if c.Quick {
-			subs = subs[:2]
-		}
-		for _, sub := range subs {
-			cells = append(cells, subKey{model: cfg, sub: sub})
-		}
-	}
-	type runKey struct{ ci, si int }
-	keys := make([]runKey, 0, len(cells)*len(specs))
-	for ci := range cells {
-		for si := range specs {
-			keys = append(keys, runKey{ci, si})
-		}
-	}
-	elapsed, err := mapPoints(c, len(keys), func(i int) (sim.Time, error) {
-		k := keys[i]
-		cell := cells[k.ci]
-		res, err := c.runSubLayer("fig12/"+cell.model.Name+"/"+cell.sub.ID+"/"+specs[k.si].Name,
-			hw, specs[k.si], cell.sub, strategy.Options{})
+	elapsed, err := mapPoints(c, len(rows)*len(specs), func(i int) (sim.Time, error) {
+		row, spec := rows[i/len(specs)], specs[i%len(specs)]
+		res, err := run(id+"/"+row.Model+"/"+row.Workload+"/"+spec.Name, i/len(specs), spec)
 		if err != nil {
-			return 0, fmt.Errorf("fig12 %s/%s/%s: %w", cell.model.Name, cell.sub.ID, specs[k.si].Name, err)
+			return 0, fmt.Errorf("%s %s/%s/%s: %w", id, row.Model, row.Workload, spec.Name, err)
 		}
 		return res.Elapsed, nil
 	})
@@ -285,12 +190,9 @@ func Fig12(c Config) (*Fig12Result, error) {
 
 	samples := map[string][]float64{}
 	idx := 0
-	for _, cell := range cells {
-		row := SpeedupRow{
-			Model: cell.model.Name, Workload: cell.sub.ID,
-			Elapsed: map[string]sim.Time{},
-			Speedup: map[string]float64{},
-		}
+	for _, row := range rows {
+		row.Elapsed = map[string]sim.Time{}
+		row.Speedup = map[string]float64{}
 		for _, spec := range specs {
 			row.Elapsed[spec.Name] = elapsed[idx]
 			idx++
@@ -314,10 +216,10 @@ func Fig12(c Config) (*Fig12Result, error) {
 	return out, nil
 }
 
-// Render formats the Fig. 12 table.
-func (r *Fig12Result) Render() string {
-	headers := append([]string{"Model", "Sub-layer"}, r.Strategies...)
-	t := metrics.NewTable("Fig. 12: CAIS speedup on sub-layers L1-L4", headers...)
+// Render formats the speedup table.
+func (r *SpeedupResult) Render() string {
+	headers := append([]string{"Model", r.RowHeader}, r.Strategies...)
+	t := metrics.NewTable(r.Title, headers...)
 	for _, row := range r.Rows {
 		cells := []string{row.Model, row.Workload}
 		for _, s := range r.Strategies {

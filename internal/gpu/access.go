@@ -69,13 +69,12 @@ func (g *GPU) hbmDone() {
 
 	case jobLocal:
 		c := j.ctx
-		if len(c.a.Publish) > 0 || c.a.PublishAt != nil || c.a.PublishEach.Buf != 0 {
+		if len(c.a.Publish) > 0 || c.a.PublishEach.Buf != 0 {
 			g.sink.OnAccessDone(g.ID, c.a)
 		}
 		if c.onComplete != nil {
 			c.onComplete()
 		}
-		c.reset()
 		g.ctxs.Put(c)
 	}
 }
@@ -98,15 +97,15 @@ type accessCtx struct {
 	pendingDone  int
 
 	// Cached method values, created once per object lifetime and preserved
-	// across reset()/reuse.
+	// across Reset/reuse.
 	chunkDoneFn func()
 	sendNextFn  func()
 }
 
-// reset clears the access state for pool reuse. The g back-pointer and the
+// Reset clears the access state for pool reuse. The g back-pointer and the
 // cached closures survive deliberately: they are bound to this object's
-// identity, not to any one access (caislint: poolreset).
-func (c *accessCtx) reset() {
+// identity, not to any one access.
+func (c *accessCtx) Reset() {
 	c.a = kernel.Access{}
 	c.group = 0
 	c.throttledReq = false
@@ -161,7 +160,6 @@ func (c *accessCtx) chunkDone() {
 // point.
 func (c *accessCtx) maybeFree() {
 	if c.pendingIssue == 0 && c.pendingDone == 0 {
-		c.reset()
 		c.g.ctxs.Put(c)
 	}
 }
@@ -229,9 +227,9 @@ type chunkCredit struct {
 	acceptedFn func()
 }
 
-// reset clears the credit for pool reuse; the back-pointer and cached
-// closure survive (caislint: poolreset).
-func (c *chunkCredit) reset() { c.size = 0 }
+// Reset clears the credit for pool reuse; the back-pointer and cached
+// closure survive.
+func (c *chunkCredit) Reset() { c.size = 0 }
 
 func (g *GPU) getChunkCredit() *chunkCredit {
 	c := g.credits.Get()
@@ -246,7 +244,6 @@ func (g *GPU) getChunkCredit() *chunkCredit {
 // switch sends exactly one acceptance per request.
 func (c *chunkCredit) accepted() {
 	sz := c.size
-	c.reset()
 	c.g.credits.Put(c)
 	c.g.throttle.Release(sz)
 }

@@ -23,11 +23,9 @@ type TileTag struct {
 	Base      uint64 // access base address (chunks share it)
 	NeedBytes int64  // contribution bytes required before publishing
 	Publish   []kernel.Tile
-	// PublishAt, when non-nil, yields receiver-specific tiles (multicast
-	// copies land in per-GPU local buffers).
-	PublishAt func(gpu int) []kernel.Tile
 	// PublishEach, when Buf != 0, makes receiver r publish the single
-	// tile {Buf, Idx + r} — the closure-free stride-1 multicast form.
+	// tile {Buf, Idx + r} (multicast copies land in per-GPU local
+	// buffers).
 	PublishEach kernel.Tile
 }
 
@@ -74,9 +72,9 @@ type GPU struct {
 	// pool shared with the switches (wired by the assembly layer; nil
 	// degrades to plain allocation); the rest are private to this GPU.
 	pkts    *noc.PacketPool
-	ctxs    pool.Pool[accessCtx]
-	credits pool.Pool[chunkCredit]
-	runs    pool.Pool[tbRun]
+	ctxs    pool.Pool[accessCtx, *accessCtx]
+	credits pool.Pool[chunkCredit, *chunkCredit]
+	runs    pool.Pool[tbRun, *tbRun]
 
 	// hbmJobs pairs pending HBM-reservation completions with the single
 	// cached hbmDoneFn closure (see access.go).
@@ -245,7 +243,7 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 		if onIssued != nil {
 			g.eng.After(0, onIssued)
 		}
-		if len(a.Publish) > 0 || a.PublishAt != nil || a.PublishEach.Buf != 0 || onComplete != nil {
+		if len(a.Publish) > 0 || a.PublishEach.Buf != 0 || onComplete != nil {
 			ctx := g.getAccessCtx()
 			ctx.a = a
 			ctx.onComplete = onComplete
@@ -265,7 +263,7 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 	// remote writes/reductions publish at the home GPU via the packet tag
 	// (never here — the issuer's completion is only a throttling signal).
 	ctx.publishHere = a.Sem == kernel.SemRead &&
-		(len(a.Publish) > 0 || a.PublishAt != nil || a.PublishEach.Buf != 0)
+		(len(a.Publish) > 0 || a.PublishEach.Buf != 0)
 	// Throttling applies to reduction traffic: red.cais carries data
 	// uplink (the direction the merge footprint accumulates on), while
 	// ld.cais requests are header-only and already paced by the
@@ -284,7 +282,7 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 		// allocation rather than joining a pool.
 		ctx.tag = &TileTag{
 			Base: a.Addr, NeedBytes: int64(need) * a.Bytes,
-			Publish: a.Publish, PublishAt: a.PublishAt, PublishEach: a.PublishEach,
+			Publish: a.Publish, PublishEach: a.PublishEach,
 		}
 	}
 

@@ -87,7 +87,7 @@ type tbRun struct {
 	// next selects what the cached stepFn does when it fires.
 	next uint8
 	// stepFn is the cached step method value (preserved across
-	// reset/reuse) — the only closure a pooled run carries.
+	// Reset/reuse) — the only closure a pooled run carries.
 	stepFn func()
 }
 
@@ -126,10 +126,9 @@ func (r *tbRun) step() {
 	}
 }
 
-// reset clears per-TB state for pool reuse; the g back-pointer and cached
-// step method value are the object's identity and survive (caislint:
-// poolreset).
-func (r *tbRun) reset() {
+// Reset clears per-TB state for pool reuse; the g back-pointer and cached
+// step method value are the object's identity and survive.
+func (r *tbRun) Reset() {
 	r.l = nil
 	r.tb = 0
 	r.desc = kernel.TBDesc{}
@@ -522,7 +521,6 @@ func (g *GPU) finishTB(l *Launch, run *tbRun) {
 	// The Out tile list rides along to the retire callback so the machine
 	// layer never re-runs Work for retirement publishing.
 	tb, out := run.tb, run.desc.Out
-	run.reset()
 	g.runs.Put(run)
 	if l.onTBRetire != nil {
 		l.onTBRetire(tb, out)

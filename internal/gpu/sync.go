@@ -45,8 +45,8 @@ type pendingWait struct {
 	expected int
 }
 
-// reset clears the wait for pool reuse (caislint: poolreset).
-func (w *pendingWait) reset() { *w = pendingWait{} }
+// Reset clears the wait for pool reuse.
+func (w *pendingWait) Reset() { *w = pendingWait{} }
 
 // Synchronizer is the per-GPU module of Fig. 8b: it registers TB groups
 // with the switch's Group Sync Table by exchanging lightweight empty
@@ -55,7 +55,7 @@ func (w *pendingWait) reset() { *w = pendingWait{} }
 type Synchronizer struct {
 	g       *GPU
 	waiting map[syncKey]*pendingWait
-	waits   pool.Pool[pendingWait]
+	waits   pool.Pool[pendingWait, *pendingWait]
 	// lenient tolerates releases for unknown keys (plane failover can
 	// deliver a stale release after a wait was re-registered and released
 	// by the surviving plane). Off by default: healthy runs keep the
@@ -191,7 +191,6 @@ func (s *Synchronizer) Release(group, phase int) {
 	}
 	delete(s.waiting, key)
 	fn := w.fn
-	w.reset()
 	s.waits.Put(w)
 	fn()
 }

@@ -100,15 +100,9 @@ type Access struct {
 	// reductions and stores.
 	Publish []Tile
 
-	// PublishAt, when non-nil, yields receiver-specific tiles for
-	// multicast stores, whose copies land in per-GPU local buffers.
-	PublishAt func(gpu int) []Tile
-
-	// PublishEach is the closure-free form of the common stride-1
-	// PublishAt pattern: when Buf != 0, receiver r publishes the single
-	// tile {Buf, Idx + r}. Builders prefer it over PublishAt because a
-	// Tile value costs nothing to construct while a closure is a heap
-	// allocation per access per kernel per iteration.
+	// PublishEach yields receiver-specific tiles for multicast stores,
+	// whose copies land in per-GPU local buffers: when Buf != 0, receiver
+	// r publishes the single tile {Buf, Idx + r}.
 	PublishEach Tile
 
 	// TileNeed is the number of whole-access contributions required at

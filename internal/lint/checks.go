@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // pkgOf resolves the package an identifier's selector base refers to,
@@ -23,28 +24,56 @@ func pkgOf(p *Package, x ast.Expr) *types.Package {
 
 // checkWallclock forbids wall-clock reads in simulated code: the engine's
 // sim.Time is the only clock, so time.Now/Since/Until anywhere outside the
-// CLI and tracing layers silently breaks replayability.
-func checkWallclock(p *Package, f *ast.File, rc *resolved, rep reporter) {
-	if pathAllowed(p.Path, rc.wallclockAllow) {
+// CLI and tracing layers silently breaks replayability. A call to a module
+// function that reaches the wall clock is a read too.
+func checkWallclock(pass *Pass) {
+	if pathAllowed(pass.Pkg.Path, pass.rc.wallclockAllow) {
 		return
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
+	checkSource(pass, CheckWallclock,
+		"%s reads the wall clock; simulated code must use sim.Engine time (allowed only under cmd/ and internal/trace)",
+		"call to %s transitively reads the wall clock (%s); simulated code must use sim.Engine time")
+}
+
+// checkRand forbids the global math/rand functions: only explicitly
+// seeded generators (sim.RNG, or *rand.Rand built via rand.New) keep runs
+// reproducible across processes and Go versions. A call to a module
+// function that reaches the global source is a use too.
+func checkRand(pass *Pass) {
+	checkSource(pass, CheckRand,
+		"%s uses the unseeded global source; use sim.RNG (sim.NewRNG or a labeled sim.NewStreamRNG stream) or a *rand.Rand seeded from the run configuration",
+		"call to %s transitively uses the unseeded global math/rand source (%s); thread a seeded generator (sim.RNG) instead")
+}
+
+// checkSource reports the uses of one nondeterminism source in a package:
+// every direct use (formatted into direct with the source's name), and
+// every call to a module function whose taint facts reach the source
+// (formatted into transitive with the callee and the witness chain).
+// Directives stay line-scoped, so an ignore on a helper's definition does
+// not launder its call sites. Function values and closures are outside the
+// call-graph walk; their bodies are still checked directly.
+func checkSource(pass *Pass, check, direct, transitive string) {
+	p := pass.Pkg
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if c, name := source(p, n); c == check {
+					pass.rep(n.Pos(), check, direct, name)
+				}
+			case *ast.CallExpr:
+				fn := calleeFunc(p, n)
+				if fn == nil || !pass.mod.inModule(fn.Pkg()) {
+					return true
+				}
+				facts, _ := pass.mod.taint(fn)
+				if chain := facts[check]; chain != nil {
+					pass.rep(n.Pos(), check, transitive, shortFuncName(fn), strings.Join(chain, " -> "))
+				}
+			}
 			return true
-		}
-		pkg := pkgOf(p, sel.X)
-		if pkg == nil || pkg.Path() != "time" {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "Now", "Since", "Until":
-			rep(sel.Pos(), CheckWallclock,
-				"time.%s reads the wall clock; simulated code must use sim.Engine time (allowed only under cmd/ and internal/trace)",
-				sel.Sel.Name)
-		}
-		return true
-	})
+		})
+	}
 }
 
 // randAllowed are the math/rand entry points that construct seeded
@@ -58,36 +87,29 @@ var randAllowed = map[string]bool{
 	"NewZipf":    true, // takes a *rand.Rand, so it is already seeded
 }
 
-// checkRand forbids the global math/rand functions: only explicitly
-// seeded generators (sim.RNG, or *rand.Rand built via rand.New) keep runs
-// reproducible across processes and Go versions.
-func checkRand(p *Package, f *ast.File, _ *resolved, rep reporter) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
+// source classifies a selector as a nondeterminism source: CheckWallclock
+// for time.Now/Since/Until, CheckRand for a global math/rand(/v2)
+// function, "" otherwise. name is the qualified source ("time.Now").
+func source(p *Package, sel *ast.SelectorExpr) (check, name string) {
+	pkg := pkgOf(p, sel.X)
+	if pkg == nil {
+		return "", ""
+	}
+	name = pkg.Name() + "." + sel.Sel.Name
+	switch pkg.Path() {
+	case "time":
+		switch sel.Sel.Name {
+		case "Now", "Since", "Until":
+			return CheckWallclock, name
 		}
-		pkg := pkgOf(p, sel.X)
-		if pkg == nil {
-			return true
-		}
-		if path := pkg.Path(); path != "math/rand" && path != "math/rand/v2" {
-			return true
-		}
-		if randAllowed[sel.Sel.Name] {
-			return true
-		}
+	case "math/rand", "math/rand/v2":
 		// Types (rand.Rand, rand.Source) are legitimate in signatures.
-		if obj, ok := p.Info.Uses[sel.Sel]; ok {
-			if _, isType := obj.(*types.TypeName); isType {
-				return true
-			}
+		if _, isType := p.Info.Uses[sel.Sel].(*types.TypeName); isType || randAllowed[sel.Sel.Name] {
+			return "", ""
 		}
-		rep(sel.Pos(), CheckRand,
-			"rand.%s uses the unseeded global source; use sim.RNG (sim.NewRNG or a labeled sim.NewStreamRNG stream) or a *rand.Rand seeded from the run configuration",
-			sel.Sel.Name)
-		return true
-	})
+		return CheckRand, name
+	}
+	return "", ""
 }
 
 // checkGoroutine polices `go` statements. Engine packages forbid them
@@ -117,8 +139,8 @@ func checkGoroutine(p *Package, f *ast.File, rc *resolved, rep reporter) {
 	})
 }
 
-// isTimeType reports whether t (or its pointer base) is one of the
-// configured simulated-time types.
+// isTimeType reports whether t (or its pointer base) is the simulated-time
+// type.
 func isTimeType(rc *resolved, t types.Type) bool {
 	if t == nil {
 		return false
@@ -134,7 +156,7 @@ func isTimeType(rc *resolved, t types.Type) bool {
 	if obj.Pkg() == nil {
 		return false
 	}
-	return rc.timeTypes[obj.Pkg().Path()+"."+obj.Name()]
+	return obj.Pkg().Path()+"."+obj.Name() == rc.timeType
 }
 
 func isFloat(t types.Type) bool {
@@ -210,174 +232,4 @@ func derivesFromTime(p *Package, rc *resolved, e ast.Expr) bool {
 		return true
 	})
 	return found
-}
-
-// isPoolType reports whether t (or its pointer base) is an instantiation
-// of Pool from a configured free-list package, returning the named type
-// for type-argument inspection.
-func isPoolType(rc *resolved, t types.Type) (*types.Named, bool) {
-	if t == nil {
-		return nil, false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Name() != "Pool" {
-		return nil, false
-	}
-	return named, rc.poolPkgs[obj.Pkg().Path()]
-}
-
-// hasResetMethod reports whether *T has a niladic reset() method. The
-// lookup runs from T's own package: reset is deliberately unexported — the
-// lifecycle discipline is a package-internal contract.
-func hasResetMethod(elem types.Type) bool {
-	named, ok := elem.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(elem), true, named.Obj().Pkg(), "reset")
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Params().Len() == 0 && sig.Results().Len() == 0
-}
-
-// checkPoolReset enforces the free-list lifecycle discipline (see
-// internal/pool): every element type handed to a pool.Pool must carry a
-// reset() method, and every Put must be immediately preceded by a reset of
-// the object it returns — pool.Get hands objects out without clearing
-// them, so a skipped or distant reset resurfaces one run's state in
-// another object's lifetime, the classic stale-field heisenbug.
-func checkPoolReset(p *Package, f *ast.File, rc *resolved, rep reporter) {
-	if rc.poolPkgs[p.Path] {
-		return // the pool package itself (generic T has no methods to check)
-	}
-
-	// Rule 1: every Pool[T] type expression needs T to have reset().
-	ast.Inspect(f, func(n ast.Node) bool {
-		e, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		tv, ok := p.Info.Types[e]
-		if !ok || !tv.IsType() {
-			return true
-		}
-		named, isPool := isPoolType(rc, tv.Type)
-		if !isPool || named.TypeArgs().Len() != 1 {
-			return true
-		}
-		elem := named.TypeArgs().At(0)
-		if _, isTP := elem.(*types.TypeParam); isTP {
-			return true
-		}
-		if !hasResetMethod(elem) {
-			rep(e.Pos(), CheckPoolReset,
-				"pool.Pool element type %s has no reset() method; pooled objects must reset before returning to the free list",
-				types.TypeString(elem, types.RelativeTo(p.Types)))
-		}
-		return false
-	})
-
-	// Rule 2: every Put(x) statement is immediately preceded by x.reset().
-	// Statement lists live in blocks and in switch/select clause bodies.
-	checked := map[token.Pos]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		var list []ast.Stmt
-		switch n := n.(type) {
-		case *ast.BlockStmt:
-			list = n.List
-		case *ast.CaseClause:
-			list = n.Body
-		case *ast.CommClause:
-			list = n.Body
-		default:
-			return true
-		}
-		for i, stmt := range list {
-			call := poolPutStmt(p, rc, stmt)
-			if call == nil {
-				continue
-			}
-			checked[call.Pos()] = true
-			arg := types.ExprString(call.Args[0])
-			if i == 0 || !isResetOf(list[i-1], arg) {
-				rep(call.Pos(), CheckPoolReset,
-					"%s is returned to its pool without %s.reset() as the immediately preceding statement",
-					arg, arg)
-			}
-		}
-		return true
-	})
-
-	// Any pool Put reached outside statement position (defer, go, an
-	// expression context) cannot be paired with a reset statically — flag
-	// it rather than silently trusting it.
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || checked[call.Pos()] || !isPoolPutCall(p, rc, call) {
-			return true
-		}
-		rep(call.Pos(), CheckPoolReset,
-			"pool Put in non-statement position; call reset() then Put as two adjacent statements so the lifecycle is auditable")
-		return true
-	})
-}
-
-// poolPutStmt returns the pool Put call when stmt is a plain `x.Put(y)`
-// expression statement, nil otherwise.
-func poolPutStmt(p *Package, rc *resolved, stmt ast.Stmt) *ast.CallExpr {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return nil
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok || !isPoolPutCall(p, rc, call) {
-		return nil
-	}
-	return call
-}
-
-// isPoolPutCall reports whether call invokes Pool.Put from a configured
-// free-list package.
-func isPoolPutCall(p *Package, rc *resolved, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Put" || len(call.Args) != 1 {
-		return false
-	}
-	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	_, isPool := isPoolType(rc, sig.Recv().Type())
-	return isPool
-}
-
-// isResetOf reports whether stmt is exactly `<arg>.reset()`.
-func isResetOf(stmt ast.Stmt, arg string) bool {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok || len(call.Args) != 0 {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "reset" {
-		return false
-	}
-	return types.ExprString(sel.X) == arg
 }

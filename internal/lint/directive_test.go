@@ -33,7 +33,7 @@ func TestDirectiveMultiCheck(t *testing.T) {
 	_, ds, diags := parseSrc(t, `package p
 
 func f() {
-	//caislint:ignore wallclock,rand,taintwall one comment, three checks
+	//caislint:ignore wallclock,rand,units one comment, three checks
 	_ = 1
 }
 `)
@@ -43,7 +43,7 @@ func f() {
 	if len(ds.list) != 3 {
 		t.Fatalf("got %d directives, want 3 (one per named check)", len(ds.list))
 	}
-	want := []string{CheckWallclock, CheckRand, CheckTaintWall}
+	want := []string{CheckWallclock, CheckRand, CheckUnits}
 	for i, d := range ds.list {
 		if d.check != want[i] {
 			t.Errorf("directive %d covers %q, want %q", i, d.check, want[i])
@@ -56,8 +56,8 @@ func f() {
 	if !ds.suppressed(CheckRand, ds.list[0].line+1) {
 		t.Error("rand not suppressed on the annotated line")
 	}
-	if ds.suppressed(CheckUnits, ds.list[0].line+1) {
-		t.Error("units suppressed though the directive never named it")
+	if ds.suppressed(CheckGoroutine, ds.list[0].line+1) {
+		t.Error("goroutine suppressed though the directive never named it")
 	}
 }
 
@@ -156,17 +156,8 @@ func f() {}
 	if !ds.suppressed(CheckWallclock, ds.list[0].line+1) {
 		t.Fatal("wallclock half did not suppress")
 	}
-	allRan := map[string]bool{}
-	for _, a := range Analyzers() {
-		allRan[a.Name] = true
-	}
-	unused := ds.unused(fset, allRan)
+	unused := ds.unused(fset)
 	if len(unused) != 1 || !strings.Contains(unused[0].Msg, "for rand") {
 		t.Fatalf("want exactly the rand half reported stale, got: %+v", unused)
-	}
-	// Under -checks subsetting, a directive for a check that did not run
-	// cannot be known-stale and must not be reported.
-	if got := ds.unused(fset, map[string]bool{CheckWallclock: true}); len(got) != 0 {
-		t.Fatalf("rand did not run, its directive must not be reported stale, got: %+v", got)
 	}
 }

@@ -6,16 +6,17 @@
 // cannot reliably eyeball.
 //
 // The check catalog lives in registry.go; `caislint -list` prints it.
-// Local syntactic checks (wallclock, rand, map-order, units, goroutine,
-// poolreset) analyze one package at a time. Two whole-module passes
-// reason across package boundaries:
+// The map-order, units and goroutine checks analyze one package at a
+// time. The others reason across package boundaries:
 //
+//   - wallclock and rand: a use of time.Now/Since/Until or the global
+//     math/rand source is flagged where it appears, and so is every call
+//     to a module function that reaches one through any chain of
+//     module-internal calls — a helper that wraps time.Now is flagged at
+//     every call site in simulated code, with the witness chain.
 //   - exhaustive: switches and map literals over enum-like const blocks
 //     (faults.Kind, attrib.Bucket, ...) must cover every declared
 //     constant or carry an explicit default.
-//   - taintwall: a transitive call-graph taint pass — a helper that
-//     wraps time.Now or the global math/rand source is flagged at every
-//     call site in simulated code, not just at its definition.
 //
 // Violations that are intentional carry a directive with a mandatory
 // reason:
@@ -58,9 +59,7 @@ const (
 	CheckMapOrder   = "map-order"
 	CheckUnits      = "units"
 	CheckGoroutine  = "goroutine"
-	CheckPoolReset  = "poolreset"
 	CheckExhaustive = "exhaustive"
-	CheckTaintWall  = "taintwall"
 	CheckDirective  = "directive"
 )
 
@@ -73,90 +72,45 @@ var knownChecks = func() map[string]bool {
 	return m
 }()
 
-// Config selects what to analyze and where the policy boundaries sit. The
-// zero value of every policy field derives a default from the module path,
-// matching this repository's layout.
+// Config selects what to analyze. The policy boundaries (which packages
+// may read the wall clock, spawn goroutines or convert floats to time)
+// derive from the module path, matching this repository's layout.
 type Config struct {
 	// Dir is the module root (a directory containing go.mod).
 	Dir string
 	// Patterns are package patterns relative to Dir ("./...", ".",
 	// "./internal/..."). Empty means "./...".
 	Patterns []string
-	// Checks selects a subset of the registered analyzers by name.
-	// Empty means all.
-	Checks []string
-
-	// TimeTypes are fully-qualified named types ("<pkg>.<Name>") treated
-	// as simulated time. Default: <module>/internal/sim.Time.
-	TimeTypes []string
-	// WallclockAllow are import-path prefixes where wall-clock reads are
-	// legal. Default: <module>/cmd, <module>/internal/trace.
-	WallclockAllow []string
-	// EnginePackages are import paths where `go` statements are forbidden
-	// unconditionally (no allowlist applies).
-	// Default: <module>/internal/{sim,gpu,nvswitch,noc,machine}.
-	EnginePackages []string
-	// ConcurrencyAllow are import-path prefixes where `go` statements are
-	// legal outside the engine packages — the sanctioned concurrency
-	// sites. Default: <module>/internal/sweep, <module>/cmd.
-	ConcurrencyAllow []string
-	// UnitConvertAllow are import-path prefixes housing the audited
-	// float→time conversion helpers. Default: <module>/internal/sim.
-	UnitConvertAllow []string
-	// PoolPackages are import paths providing the generic free-list type
-	// Pool whose lifecycle discipline the poolreset check enforces.
-	// Default: <module>/internal/pool.
-	PoolPackages []string
 }
 
-// resolved is the config with module-path defaults filled in.
+// resolved is the policy derived from the module path.
 type resolved struct {
-	module           string
-	timeTypes        map[string]bool
-	wallclockAllow   []string
-	enginePkgs       map[string]bool
+	// timeType is the fully-qualified simulated-time type.
+	timeType string
+	// wallclockAllow are import-path prefixes where wall-clock reads are
+	// legal.
+	wallclockAllow []string
+	// enginePkgs are import paths where `go` statements are forbidden
+	// unconditionally (no allowlist applies).
+	enginePkgs map[string]bool
+	// concurrencyAllow are import-path prefixes where `go` statements are
+	// legal outside the engine packages — the sanctioned concurrency sites.
 	concurrencyAllow []string
-	unitAllow        []string
-	poolPkgs         map[string]bool
+	// unitAllow are import-path prefixes housing the audited float→time
+	// conversion helpers.
+	unitAllow []string
 }
 
-func (c Config) resolve(module string) *resolved {
-	r := &resolved{module: module, timeTypes: map[string]bool{}, enginePkgs: map[string]bool{}}
-	tt := c.TimeTypes
-	if len(tt) == 0 {
-		tt = []string{module + "/internal/sim.Time"}
+func resolve(module string) *resolved {
+	r := &resolved{
+		timeType:         module + "/internal/sim.Time",
+		wallclockAllow:   []string{module + "/cmd", module + "/internal/trace"},
+		enginePkgs:       map[string]bool{},
+		concurrencyAllow: []string{module + "/internal/sweep", module + "/cmd"},
+		unitAllow:        []string{module + "/internal/sim"},
 	}
-	for _, t := range tt {
-		r.timeTypes[t] = true
-	}
-	r.wallclockAllow = c.WallclockAllow
-	if len(r.wallclockAllow) == 0 {
-		r.wallclockAllow = []string{module + "/cmd", module + "/internal/trace"}
-	}
-	eng := c.EnginePackages
-	if len(eng) == 0 {
-		for _, p := range []string{"sim", "gpu", "nvswitch", "noc", "machine"} {
-			eng = append(eng, module+"/internal/"+p)
-		}
-	}
-	for _, p := range eng {
-		r.enginePkgs[p] = true
-	}
-	r.concurrencyAllow = c.ConcurrencyAllow
-	if len(r.concurrencyAllow) == 0 {
-		r.concurrencyAllow = []string{module + "/internal/sweep", module + "/cmd"}
-	}
-	r.unitAllow = c.UnitConvertAllow
-	if len(r.unitAllow) == 0 {
-		r.unitAllow = []string{module + "/internal/sim"}
-	}
-	pp := c.PoolPackages
-	if len(pp) == 0 {
-		pp = []string{module + "/internal/pool"}
-	}
-	r.poolPkgs = map[string]bool{}
-	for _, p := range pp {
-		r.poolPkgs[p] = true
+	for _, p := range []string{"sim", "gpu", "nvswitch", "noc", "machine"} {
+		r.enginePkgs[module+"/internal/"+p] = true
 	}
 	return r
 }
@@ -177,10 +131,6 @@ func pathAllowed(path string, allow []string) bool {
 // could not run (parse/type errors, bad patterns) — distinct from
 // violations, which arrive as diagnostics with a nil error.
 func Run(cfg Config) ([]Diagnostic, error) {
-	checks, err := selectAnalyzers(cfg.Checks)
-	if err != nil {
-		return nil, err
-	}
 	l, err := newLoader(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -193,7 +143,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	mod := newModState(l, cfg.resolve(l.module))
+	mod := newModState(l, resolve(l.module))
 
 	var diags []Diagnostic
 	for _, path := range paths {
@@ -201,7 +151,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 		if err != nil {
 			return nil, err
 		}
-		diags = append(diags, lintPackage(p, mod, checks)...)
+		diags = append(diags, lintPackage(p, mod)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -223,7 +173,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 // happens here.
 type reporter func(pos token.Pos, check, format string, args ...any)
 
-func lintPackage(p *Package, mod *modState, checks []*Analyzer) []Diagnostic {
+func lintPackage(p *Package, mod *modState) []Diagnostic {
 	fset := p.Fset
 	var diags []Diagnostic
 	dirsByFile := map[string]*directiveSet{}
@@ -244,13 +194,11 @@ func lintPackage(p *Package, mod *modState, checks []*Analyzer) []Diagnostic {
 		})
 	}
 	pass := &Pass{Pkg: p, rc: mod.rc, mod: mod, rep: rep}
-	ran := map[string]bool{}
-	for _, a := range checks {
+	for _, a := range registry {
 		a.run(pass)
-		ran[a.Name] = true
 	}
 	for _, name := range sortedKeys(dirsByFile) {
-		diags = append(diags, dirsByFile[name].unused(fset, ran)...)
+		diags = append(diags, dirsByFile[name].unused(fset)...)
 	}
 	return diags
 }
@@ -392,13 +340,11 @@ func (ds *directiveSet) suppressed(check string, line int) bool {
 }
 
 // unused reports directives that suppressed nothing — stale annotations
-// are themselves violations so the tree stays minimally annotated. A
-// directive is only known-stale when its check actually ran, so under
-// -checks subsetting the other checks' ignores are left alone.
-func (ds *directiveSet) unused(fset *token.FileSet, ran map[string]bool) []Diagnostic {
+// are themselves violations so the tree stays minimally annotated.
+func (ds *directiveSet) unused(fset *token.FileSet) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range ds.list {
-		if d.used || !ran[d.check] {
+		if d.used {
 			continue
 		}
 		position := fset.Position(d.pos)

@@ -9,7 +9,7 @@ import (
 // modState is the whole-module view shared by every package analyzed in
 // one Run. The cross-package passes use it to reach beyond the package
 // under analysis: exhaustive collects enum const blocks from their
-// declaring package, and taintwall walks callee bodies across the
+// declaring package, and wallclock and rand walk callee bodies across the
 // module's call graph. All lookups are lazy and memoized — a package's
 // AST and type information load at most once per Run, shared with the
 // per-package analysis itself through the loader.
@@ -19,7 +19,7 @@ type modState struct {
 
 	decls    map[string]map[*types.Func]*ast.FuncDecl // pkg path -> func object -> decl
 	enums    map[*types.TypeName][]enumMember
-	taints   map[*types.Func]*taintFacts
+	taints   map[*types.Func]taintFacts
 	taintRun map[*types.Func]bool // DFS guard for call-graph cycles
 }
 
@@ -29,7 +29,7 @@ func newModState(l *loader, rc *resolved) *modState {
 		rc:       rc,
 		decls:    map[string]map[*types.Func]*ast.FuncDecl{},
 		enums:    map[*types.TypeName][]enumMember{},
-		taints:   map[*types.Func]*taintFacts{},
+		taints:   map[*types.Func]taintFacts{},
 		taintRun: map[*types.Func]bool{},
 	}
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"fmt"
-	"go/ast"
-)
+import "go/ast"
 
 // Analyzer is one registered check: a stable name (the directive
 // vocabulary), a one-line doc string (rendered by `caislint -list` and
@@ -18,10 +15,10 @@ type Analyzer struct {
 }
 
 // Pass is the per-package analysis context handed to each analyzer: the
-// type-checked package under analysis, the resolved policy config, and a
-// whole-module view for the cross-package passes (taintwall follows the
-// call graph into dependency bodies, exhaustive reads enum const blocks
-// from their declaring package).
+// type-checked package under analysis, the module-derived policy, and a
+// whole-module view for the cross-package passes (wallclock and rand
+// follow the call graph into dependency bodies, exhaustive reads enum
+// const blocks from their declaring package).
 type Pass struct {
 	Pkg *Package
 	rc  *resolved
@@ -44,13 +41,13 @@ func perFile(fn func(*Package, *ast.File, *resolved, reporter)) func(*Pass) {
 var registry = []*Analyzer{
 	{
 		Name: CheckWallclock,
-		Doc:  "time.Now/Since/Until forbidden outside cmd/ and internal/trace; simulated code uses sim.Engine time",
-		run:  perFile(checkWallclock),
+		Doc:  "time.Now/Since/Until, directly or through a chain of module calls, forbidden outside cmd/ and internal/trace; simulated code uses sim.Engine time",
+		run:  checkWallclock,
 	},
 	{
 		Name: CheckRand,
-		Doc:  "global math/rand(/v2) functions forbidden everywhere; only seeded generators (sim.RNG, rand.New) are allowed",
-		run:  perFile(checkRand),
+		Doc:  "global math/rand(/v2) functions, directly or through a chain of module calls, forbidden everywhere; only seeded generators (sim.RNG, rand.New) are allowed",
+		run:  checkRand,
 	},
 	{
 		Name: CheckMapOrder,
@@ -68,19 +65,9 @@ var registry = []*Analyzer{
 		run:  perFile(checkGoroutine),
 	},
 	{
-		Name: CheckPoolReset,
-		Doc:  "pool.Pool element types need a reset() method and every Put(x) must be immediately preceded by x.reset()",
-		run:  perFile(checkPoolReset),
-	},
-	{
 		Name: CheckExhaustive,
 		Doc:  "switches and map literals over enum-like const blocks must cover every declared constant or carry an explicit default",
 		run:  checkExhaustive,
-	},
-	{
-		Name: CheckTaintWall,
-		Doc:  "calls to module functions that transitively reach time.Now or the global math/rand source are flagged at every call site",
-		run:  checkTaintWall,
 	},
 }
 
@@ -89,39 +76,4 @@ func Analyzers() []*Analyzer {
 	out := make([]*Analyzer, len(registry))
 	copy(out, registry)
 	return out
-}
-
-// selectAnalyzers resolves the Config.Checks subset (empty = all),
-// rejecting unknown names so a typo in -checks fails loudly instead of
-// silently running nothing.
-func selectAnalyzers(names []string) ([]*Analyzer, error) {
-	if len(names) == 0 {
-		return Analyzers(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range registry {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	seen := map[string]bool{}
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown check %q (run caislint -list for the catalog)", n)
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		out = append(out, a)
-	}
-	// Preserve registry order regardless of the requested order, so
-	// partial runs report identically to full runs.
-	var ordered []*Analyzer
-	for _, a := range registry {
-		if seen[a.Name] {
-			ordered = append(ordered, a)
-		}
-	}
-	return ordered, nil
 }

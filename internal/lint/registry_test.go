@@ -40,29 +40,6 @@ func TestReadmeTableMatchesRegistry(t *testing.T) {
 	}
 }
 
-func TestSelectAnalyzers(t *testing.T) {
-	all, err := selectAnalyzers(nil)
-	if err != nil || len(all) != len(registry) {
-		t.Fatalf("empty selection = %d analyzers, err %v; want the full registry", len(all), err)
-	}
-	// Requested order does not matter: partial runs report in registry
-	// order, and duplicates collapse.
-	got, err := selectAnalyzers([]string{CheckTaintWall, CheckWallclock, CheckTaintWall})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != CheckWallclock || got[1].Name != CheckTaintWall {
-		names := make([]string, len(got))
-		for i, a := range got {
-			names[i] = a.Name
-		}
-		t.Fatalf("subset = %v, want [wallclock taintwall] in registry order", names)
-	}
-	if _, err := selectAnalyzers([]string{"frobnicate"}); err == nil || !strings.Contains(err.Error(), "unknown check") {
-		t.Fatalf("unknown check selection error = %v, want unknown-check error", err)
-	}
-}
-
 // TestEveryCheckHasFixtures enforces the registry contract: each analyzer
 // ships golden fixtures with at least one positive case (a lintwant
 // marker) and at least one suppressed case (an ignore directive naming

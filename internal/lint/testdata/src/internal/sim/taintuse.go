@@ -7,15 +7,15 @@ import "fixture/internal/util"
 // witness chain.
 
 // stampNow reaches time.Now through one hop (util.Stamp).
-func stampNow() int64 { return util.Stamp() } // lintwant:taintwall
+func stampNow() int64 { return util.Stamp() } // lintwant:wallclock
 
 // stampTwo reaches it through two hops (util.StampTwice -> util.Stamp).
-func stampTwo() int64 { return util.StampTwice() } // lintwant:taintwall
+func stampTwo() int64 { return util.StampTwice() } // lintwant:wallclock
 
 // jitter reaches the global rand source through util.Jitter.
-func jitter() float64 { return util.Jitter() } // lintwant:taintwall
+func jitter() float64 { return util.Jitter() } // lintwant:rand
 
 // banner is suppressed with a recorded reason.
 //
-//caislint:ignore taintwall startup banner, runs before the simulated timeline
+//caislint:ignore wallclock,rand startup banner, runs before the simulated timeline
 func banner() int64 { return stampNow() + stampTwo() + int64(jitter()) }

@@ -76,23 +76,6 @@ func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 	m.launchScratch = launches[:0]
 }
 
-// Sequence launches kernels one after another with a global barrier
-// between steps (the communication-centric baseline execution mode), then
-// calls onDone.
-func (m *Machine) Sequence(kernels []*kernel.Kernel, onDone func()) {
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(kernels) {
-			if onDone != nil {
-				onDone()
-			}
-			return
-		}
-		m.LaunchKernel(kernels[i], func() { step(i + 1) })
-	}
-	step(0)
-}
-
 // RunStages executes a staged plan: each stage's kernels launch together
 // (LaunchAll) once every kernel of the previous stage has retired on all
 // GPUs. It drains the event queue and returns when the final stage
@@ -206,7 +189,6 @@ func (m *Machine) publishOne(t kernel.Tile) {
 		d.pending--
 		if d.pending == 0 {
 			launch, tb := d.launch, d.tb
-			d.reset()
 			m.deps.Put(d)
 			launch.MarkEligible(tb)
 		}
@@ -230,7 +212,7 @@ func (m *Machine) OnData(g int, p *noc.Packet) {
 		contribs = 1
 	}
 	m.addContribution(g, tag.Base, tag.NeedBytes, int64(contribs)*p.Size,
-		tag.Publish, tag.PublishAt, tag.PublishEach)
+		tag.Publish, tag.PublishEach)
 }
 
 // OnAccessDone implements gpu.DataSink: one TB's access completed at the
@@ -239,7 +221,7 @@ func (m *Machine) OnData(g int, p *noc.Packet) {
 // GPU.
 func (m *Machine) OnAccessDone(g int, a kernel.Access) {
 	if a.Sem == kernel.SemRead {
-		m.publishFor(g, a.Publish, a.PublishAt, a.PublishEach)
+		m.publishFor(g, a.Publish, a.PublishEach)
 		return
 	}
 	need := a.TileNeed
@@ -247,11 +229,11 @@ func (m *Machine) OnAccessDone(g int, a kernel.Access) {
 		need = 1
 	}
 	m.addContribution(g, a.Addr, int64(need)*a.Bytes, a.Bytes,
-		a.Publish, a.PublishAt, a.PublishEach)
+		a.Publish, a.PublishEach)
 }
 
 func (m *Machine) addContribution(g int, base uint64, needBytes, bytes int64,
-	pub []kernel.Tile, pubAt func(int) []kernel.Tile, pubEach kernel.Tile) {
+	pub []kernel.Tile, pubEach kernel.Tile) {
 	key := contribKey{base: base, gpu: g}
 	st, ok := m.contrib[key]
 	if !ok {
@@ -268,16 +250,11 @@ func (m *Machine) addContribution(g int, base uint64, needBytes, bytes int64,
 		return
 	}
 	delete(m.contrib, key)
-	st.reset()
 	m.contribs.Put(st)
-	m.publishFor(g, pub, pubAt, pubEach)
+	m.publishFor(g, pub, pubEach)
 }
 
-func (m *Machine) publishFor(g int, tiles []kernel.Tile, perGPU func(int) []kernel.Tile, each kernel.Tile) {
-	if perGPU != nil {
-		m.PublishTiles(perGPU(g))
-		return
-	}
+func (m *Machine) publishFor(g int, tiles []kernel.Tile, each kernel.Tile) {
 	if each.Buf != 0 {
 		m.publishOne(kernel.Tile{Buf: each.Buf, Idx: each.Idx + g})
 		return

@@ -13,9 +13,11 @@ func TestLaunchAllEmptyAndSequenceEmpty(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
 	calls := 0
 	m.LaunchAll(nil, func() { calls++ })
-	m.Sequence(nil, func() { calls++ })
-	if calls != 2 {
-		t.Fatalf("empty plans must complete immediately: %d", calls)
+	if calls != 1 {
+		t.Fatal("an empty batch must complete immediately")
+	}
+	if done, _, err := m.RunStages(nil); err != nil || done != 0 {
+		t.Fatalf("empty staged plan: done=%v err=%v, want 0 and no error", done, err)
 	}
 }
 
@@ -49,10 +51,9 @@ func TestRunStages(t *testing.T) {
 
 func TestKernelSpansRecorded(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	m.Eng.At(0, func() {
-		m.Sequence([]*kernel.Kernel{computeOnly("a", 4, 1e8), computeOnly("b", 4, 1e8)}, nil)
-	})
-	m.Run()
+	if _, _, err := m.RunStages([][]*kernel.Kernel{{computeOnly("a", 4, 1e8)}, {computeOnly("b", 4, 1e8)}}); err != nil {
+		t.Fatal(err)
+	}
 	if len(m.KernelSpans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(m.KernelSpans))
 	}
@@ -68,13 +69,13 @@ func TestKernelSpansRecorded(t *testing.T) {
 
 func TestContributionInconsistencyPanics(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	m.addContribution(0, 99, 100, 10, nil, nil, kernel.Tile{})
+	m.addContribution(0, 99, 100, 10, nil, kernel.Tile{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("inconsistent contribution need did not panic")
 		}
 	}()
-	m.addContribution(0, 99, 200, 10, nil, nil, kernel.Tile{})
+	m.addContribution(0, 99, 200, 10, nil, kernel.Tile{})
 }
 
 func TestOnDataIgnoresUntaggedPackets(t *testing.T) {

@@ -70,13 +70,13 @@ type Machine struct {
 	// Per-run allocation state for the kernel-construction and dataflow
 	// hot path (DESIGN.md §10). All of it is owned by this machine and
 	// dies with it, so nothing leaks across simulation points.
-	tiles    pool.Arena[kernel.Tile]   // TB descriptor tile slices
-	accs     pool.Arena[kernel.Access] // TB descriptor access slices
-	deps     pool.Pool[tbDep]          // tile-tracker dependency records
-	depLists [][]*tbDep                // recycled waiter backing arrays
-	kdones   pool.Pool[kernelDone]     // per-kernel completion records
-	contribs pool.Pool[contribState]   // reduction contribution counters
-	latches  sim.LatchPool             // kernel/batch completion latches
+	tiles    pool.Arena[kernel.Tile]                // TB descriptor tile slices
+	accs     pool.Arena[kernel.Access]              // TB descriptor access slices
+	deps     pool.Pool[tbDep, *tbDep]               // tile-tracker dependency records
+	depLists [][]*tbDep                             // recycled waiter backing arrays
+	kdones   pool.Pool[kernelDone, *kernelDone]     // per-kernel completion records
+	contribs pool.Pool[contribState, *contribState] // reduction contribution counters
+	latches  sim.LatchPool                          // kernel/batch completion latches
 
 	// tbRetireFn is the one retire callback shared by every launch: the
 	// retiring TB's Out tiles arrive as an argument, so nothing needs to
@@ -144,8 +144,8 @@ type contribState struct {
 	got  int64
 }
 
-// reset clears the counter for pool reuse (caislint: poolreset).
-func (c *contribState) reset() {
+// Reset clears the counter for pool reuse.
+func (c *contribState) Reset() {
 	c.need = 0
 	c.got = 0
 }
@@ -157,8 +157,8 @@ type tbDep struct {
 	pending int
 }
 
-// reset clears the record for pool reuse (caislint: poolreset).
-func (d *tbDep) reset() {
+// Reset clears the record for pool reuse.
+func (d *tbDep) Reset() {
 	d.launch = nil
 	d.tb = 0
 	d.pending = 0
@@ -176,10 +176,9 @@ type kernelDone struct {
 	fireFn  func()
 }
 
-// reset clears per-kernel state for pool reuse; the m back-pointer and
-// cached fireFn are the object's identity and survive (caislint:
-// poolreset).
-func (d *kernelDone) reset() {
+// Reset clears per-kernel state for pool reuse; the m back-pointer and
+// cached fireFn are the object's identity and survive.
+func (d *kernelDone) Reset() {
 	d.span = nil
 	d.traceID = 0
 	d.onDone = nil
@@ -190,7 +189,6 @@ func (d *kernelDone) reset() {
 // next kernel through a fresh record.
 func (d *kernelDone) fire() {
 	m, span, traceID, onDone := d.m, d.span, d.traceID, d.onDone
-	d.reset()
 	m.kdones.Put(d)
 	span.End = m.Eng.Now()
 	if traceID != 0 {

@@ -62,20 +62,20 @@ func TestComputeKernelCompletes(t *testing.T) {
 	}
 }
 
+// TestSequenceRunsKernelsWithBarriers runs a kernel sequence as a staged
+// plan of one kernel per stage.
 func TestSequenceRunsKernelsWithBarriers(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	var order []string
 	k1 := computeOnly("a", 8, 1e8)
 	k2 := computeOnly("b", 8, 1e8)
-	m.Eng.At(0, func() {
-		m.Sequence([]*kernel.Kernel{k1, k2}, func() { order = append(order, "done") })
-	})
-	m.Run()
-	if len(order) != 1 {
-		t.Fatal("sequence did not complete")
+	if _, _, err := m.RunStages([][]*kernel.Kernel{{k1}, {k2}}); err != nil {
+		t.Fatal(err)
 	}
 	if err := m.CheckQuiescent(); err != nil {
 		t.Fatal(err)
+	}
+	if m.KernelSpans[1].Start < m.KernelSpans[0].End {
+		t.Fatal("second kernel launched before the barrier")
 	}
 }
 

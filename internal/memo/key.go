@@ -95,13 +95,9 @@ func digest(key any) uint64 {
 }
 
 // canonical resolves defaults before hashing, so a zero knob and its
-// explicit default key identically: StepLimit 0 runs with
-// strategy.DefaultStepLimit, and an empty fault schedule is bit-identical
-// to none at run time (faults.Schedule.Empty).
+// explicit default key identically: an empty fault schedule is
+// bit-identical to none at run time (faults.Schedule.Empty).
 func canonical(o strategy.Options) strategy.Options {
-	if o.StepLimit == 0 {
-		o.StepLimit = strategy.DefaultStepLimit
-	}
 	if o.Faults.Empty() {
 		o.Faults = nil
 	}

@@ -57,12 +57,6 @@ func TestKeyDomainSeparation(t *testing.T) {
 func TestKeyDefaultResolution(t *testing.T) {
 	hw, spec, sub := testPoint()
 
-	zero := KeySubLayer(hw, spec, sub, strategy.Options{})
-	explicit := KeySubLayer(hw, spec, sub, strategy.Options{StepLimit: strategy.DefaultStepLimit})
-	if zero != explicit {
-		t.Errorf("StepLimit 0 and explicit default hash differently: %#x vs %#x", zero, explicit)
-	}
-
 	nilSched := KeySubLayer(hw, spec, sub, strategy.Options{Faults: nil})
 	emptySched := KeySubLayer(hw, spec, sub, strategy.Options{Faults: &faults.Schedule{}})
 	if nilSched != emptySched {
@@ -143,7 +137,7 @@ func TestKeyExcludesWorkerCount(t *testing.T) {
 // a point (the callback observes or mutates machine state that a cache hit
 // never builds).
 func TestCacheable(t *testing.T) {
-	if !Cacheable(strategy.Options{UnlimitedMergeTable: true, StepLimit: 5}) {
+	if !Cacheable(strategy.Options{UnlimitedMergeTable: true, MergeTableBytes: 5}) {
 		t.Error("value-only options should be cacheable")
 	}
 	if Cacheable(strategy.Options{Progress: func(sim.Time, uint64) {}}) {

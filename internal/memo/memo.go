@@ -19,8 +19,7 @@
 //     which goroutine computes it (see internal/sweep's determinism
 //     contract).
 //   - Defaults are resolved before hashing, so a zero value and its
-//     explicit default hash identically (StepLimit 0 vs
-//     strategy.DefaultStepLimit, nil vs empty fault schedule).
+//     explicit default hash identically (nil vs empty fault schedule).
 //   - Entries are plain values (times, summaries, telemetry snapshots):
 //     no machine, engine or other live state is retained, so a cache hit
 //     cannot observe or perturb a later run. Callers must treat the

@@ -147,8 +147,8 @@ func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, red Shard
 			// Wait for the accumulated partial from the predecessor.
 			d.In = b.tiles.With(d.In, hopTile(tb, g))
 		}
-		// The hop's only receiver is next, so a plain Publish replaces
-		// the receiver-independent PublishAt closure.
+		// The hop's only receiver is next, so a plain Publish names the
+		// tile it completes.
 		publish := hopTile(tb, next)
 		if next == owner {
 			publish = parts.Tile(mi, ni, 0)

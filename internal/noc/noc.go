@@ -154,9 +154,9 @@ type Packet struct {
 	Tag interface{}
 }
 
-// reset clears every field so a recycled packet is indistinguishable from a
-// fresh one (pool discipline, caislint: poolreset).
-func (p *Packet) reset() {
+// Reset clears every field so a recycled packet is indistinguishable from
+// a fresh one; the packet pool calls it on Put.
+func (p *Packet) Reset() {
 	*p = Packet{}
 }
 

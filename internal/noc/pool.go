@@ -14,7 +14,7 @@ import "cais/internal/pool"
 // committed to HBM) is. A nil *PacketPool is valid and degrades to plain
 // allocation, so unit tests that wire components by hand keep working.
 type PacketPool struct {
-	p pool.Pool[Packet]
+	p pool.Pool[Packet, *Packet]
 }
 
 // NewPacketPool returns an empty pool.
@@ -35,7 +35,6 @@ func (pp *PacketPool) Put(p *Packet) {
 	if pp == nil || p == nil {
 		return
 	}
-	p.reset()
 	pp.p.Put(p)
 }
 

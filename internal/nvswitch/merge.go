@@ -56,14 +56,14 @@ type session struct {
 
 	// m and timeoutFn are the entry's pooled identity: the owning unit and
 	// its cached forward-progress closure, installed once at first pool Get
-	// and preserved across reset so re-arming never allocates.
+	// and preserved across Reset so re-arming never allocates.
 	m         *MergeUnit
 	timeoutFn func()
 }
 
-// reset clears the entry for pool reuse (caislint: poolreset), keeping the
-// waiters/onDone backing arrays and the cached timeout closure.
-func (s *session) reset() {
+// Reset clears the entry for pool reuse, keeping the waiters/onDone
+// backing arrays and the cached timeout closure.
+func (s *session) Reset() {
 	for i := range s.waiters {
 		s.waiters[i] = nil
 	}
@@ -97,8 +97,8 @@ type mergeRespTag struct {
 	orig interface{}
 }
 
-// reset clears the tag for pool reuse (caislint: poolreset).
-func (t *mergeRespTag) reset() { *t = mergeRespTag{} }
+// Reset clears the tag for pool reuse.
+func (t *mergeRespTag) Reset() { *t = mergeRespTag{} }
 
 // EvictionPolicy selects the victim-selection rule under capacity
 // pressure. The paper uses LRU; the alternatives exist for the design
@@ -153,9 +153,9 @@ type MergeUnit struct {
 	// pkts is the run-wide packet free list (nil degrades to allocation);
 	// the session/tag pools are private to this port.
 	pkts      *noc.PacketPool
-	sessPool  pool.Pool[session]
-	respTags  pool.Pool[mergeRespTag]
-	plainTags pool.Pool[plainLoadTag]
+	sessPool  pool.Pool[session, *session]
+	respTags  pool.Pool[mergeRespTag, *mergeRespTag]
+	plainTags pool.Pool[plainLoadTag, *plainLoadTag]
 }
 
 // getSession hands out a pooled merging-table entry, installing the owning
@@ -316,7 +316,6 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 func (m *MergeUnit) HandleResponse(p *noc.Packet, tag *mergeRespTag) {
 	s, ok := m.sessions[tag.addr]
 	orig := tag.orig
-	tag.reset()
 	m.respTags.Put(tag)
 	if !ok {
 		// Session was force-released (timeout after flush); deliver to the
@@ -390,8 +389,8 @@ type plainLoadTag struct {
 	orig      interface{}
 }
 
-// reset clears the tag for pool reuse (caislint: poolreset).
-func (t *plainLoadTag) reset() { *t = plainLoadTag{} }
+// Reset clears the tag for pool reuse.
+func (t *plainLoadTag) Reset() { *t = plainLoadTag{} }
 
 // HandleReduction implements Micro-Function 2 (reduction request merging).
 func (m *MergeUnit) HandleReduction(p *noc.Packet) {
@@ -605,7 +604,6 @@ func (m *MergeUnit) release(s *session) {
 	if m.used < 0 {
 		panic("nvswitch: merge table occupancy underflow")
 	}
-	s.reset()
 	m.sessPool.Put(s)
 }
 

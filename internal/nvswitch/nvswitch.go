@@ -76,9 +76,9 @@ type Switch struct {
 	// pkts is the run-wide packet free list (nil degrades to plain
 	// allocation); the session pools are private to this plane.
 	pkts         *noc.PacketPool
-	redSessions  pool.Pool[nvlsRedSession]
-	pullSessions pool.Pool[nvlsPullSession]
-	syncEntries  pool.Pool[syncEntry]
+	redSessions  pool.Pool[nvlsRedSession, *nvlsRedSession]
+	pullSessions pool.Pool[nvlsPullSession, *nvlsPullSession]
+	syncEntries  pool.Pool[syncEntry, *syncEntry]
 
 	// pending pairs packets awaiting the switch-internal latency with the
 	// single cached processNextFn closure: the latency is constant, so
@@ -116,9 +116,9 @@ type nvlsRedSession struct {
 	lru      sim.Time // last contribution (timeout base in fault-tolerant mode)
 }
 
-// reset clears the session for pool reuse (caislint: poolreset), keeping
-// the onDone backing array so steady-state sessions stop allocating.
-func (rs *nvlsRedSession) reset() {
+// Reset clears the session for pool reuse, keeping the onDone backing
+// array so steady-state sessions stop allocating.
+func (rs *nvlsRedSession) Reset() {
 	for i := range rs.onDone {
 		rs.onDone[i] = nil
 	}
@@ -139,8 +139,8 @@ type nvlsPullSession struct {
 	fanTag  pullTag
 }
 
-// reset clears the session for pool reuse (caislint: poolreset).
-func (ps *nvlsPullSession) reset() { *ps = nvlsPullSession{} }
+// Reset clears the session for pool reuse.
+func (ps *nvlsPullSession) Reset() { *ps = nvlsPullSession{} }
 
 type syncEntry struct {
 	count    int
@@ -148,9 +148,8 @@ type syncEntry struct {
 	seen     []bool // indexed by GPU; backing array reused across entries
 }
 
-// reset clears the entry for pool reuse (caislint: poolreset), keeping the
-// seen backing array.
-func (e *syncEntry) reset() {
+// Reset clears the entry for pool reuse, keeping the seen backing array.
+func (e *syncEntry) Reset() {
 	for i := range e.seen {
 		e.seen[i] = false
 	}
@@ -344,7 +343,6 @@ func (s *Switch) handleLoadResp(p *noc.Packet) {
 		p.Tag = tag.orig
 		requester, unit := tag.requester, tag.unit
 		if unit != nil {
-			tag.reset()
 			unit.plainTags.Put(tag)
 		}
 		s.sendDown(requester, p)
@@ -414,7 +412,6 @@ func (s *Switch) handlePullResponse(p *noc.Packet, key pullKey) {
 	if sess.pending == 0 {
 		delete(s.nvlsPull, key)
 		resp := sess.resp
-		sess.reset()
 		s.pullSessions.Put(sess)
 		s.sendDown(resp.Dst, resp)
 	}
@@ -470,7 +467,6 @@ func (s *Switch) completeRed(addr uint64, sess *nvlsRedSession) {
 	for _, done := range sess.onDone {
 		s.eng.After(0, done)
 	}
-	sess.reset()
 	s.redSessions.Put(sess)
 }
 
@@ -563,7 +559,6 @@ func (s *Switch) syncRegister(p *noc.Packet) {
 		rel.Src, rel.Dst, rel.Group = -1, g, p.Group
 		s.sendDown(g, rel)
 	}
-	e.reset()
 	s.syncEntries.Put(e)
 }
 

@@ -3,18 +3,18 @@ package pool
 import "testing"
 
 type thing struct {
-	a int
-	b []int
+	a      int
+	b      []int
+	resets int // survives Reset: counts calls for the Put test
 }
 
-func (t *thing) reset() { t.a = 0; t.b = t.b[:0] }
+func (t *thing) Reset() { t.a = 0; t.b = t.b[:0]; t.resets++ }
 
 func TestGetPutRecycles(t *testing.T) {
-	var p Pool[thing]
+	var p Pool[thing, *thing]
 	x := p.Get()
 	x.a = 7
 	x.b = append(x.b, 1, 2, 3)
-	x.reset()
 	p.Put(x)
 	y := p.Get()
 	if y != x {
@@ -28,12 +28,25 @@ func TestGetPutRecycles(t *testing.T) {
 	}
 }
 
+func TestPutResetsOnce(t *testing.T) {
+	var p Pool[thing, *thing]
+	x := p.Get()
+	if x.resets != 0 {
+		t.Fatalf("Get of a fresh object ran Reset %d times", x.resets)
+	}
+	p.Put(x)
+	if x.resets != 1 {
+		t.Fatalf("Put ran Reset %d times, want 1", x.resets)
+	}
+	if p.Get(); x.resets != 1 {
+		t.Fatalf("Get of a recycled object ran Reset again (%d calls)", x.resets)
+	}
+}
+
 func TestGetOrderLIFO(t *testing.T) {
-	var p Pool[thing]
+	var p Pool[thing, *thing]
 	a, b := p.Get(), p.Get()
-	a.reset()
 	p.Put(a)
-	b.reset()
 	p.Put(b)
 	if got := p.Get(); got != b {
 		t.Fatalf("pool is not LIFO: got %p want %p", got, b)
@@ -44,7 +57,7 @@ func TestGetOrderLIFO(t *testing.T) {
 }
 
 func TestPutNilIgnored(t *testing.T) {
-	var p Pool[thing]
+	var p Pool[thing, *thing]
 	p.Put(nil)
 	if x := p.Get(); x == nil {
 		t.Fatalf("Get returned nil after Put(nil)")
@@ -52,10 +65,8 @@ func TestPutNilIgnored(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	var p Pool[thing]
-	x := p.Get()
-	x.reset()
-	p.Put(x)
+	var p Pool[thing, *thing]
+	p.Put(p.Get())
 	p.Get()
 	gets, news, idle := p.Stats()
 	if gets != 2 || news != 1 || idle != 0 {
@@ -64,20 +75,17 @@ func TestStats(t *testing.T) {
 }
 
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	var p Pool[thing]
+	var p Pool[thing, *thing]
 	// Warm the free list so append in Put never grows.
 	warm := make([]*thing, 8)
 	for i := range warm {
 		warm[i] = p.Get()
 	}
 	for _, x := range warm {
-		x.reset()
 		p.Put(x)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		x := p.Get()
-		x.reset()
-		p.Put(x)
+		p.Put(p.Get())
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Get/Put allocates %v allocs/op, want 0", allocs)

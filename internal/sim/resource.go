@@ -63,43 +63,26 @@ func (r *Resource) Utilization(horizon Time) float64 {
 	return u
 }
 
-// Latch is a countdown latch used to model barriers: once Add'ed count
-// reaches zero the registered callbacks fire, in registration order, at the
-// time of the final Done call.
-//
-// Latches come in two flavours. NewLatch builds a standalone one-shot
-// latch with the historical OnRelease API. LatchPool.Get builds a pooled
-// latch with a single pre-bound callback slot: firing recycles the latch
-// into its pool automatically, and the DoneFunc method value is cached
-// across pool round trips, so the machine-layer kernel-completion path
-// counts down without allocating a closure per latch.
+// Latch is a pooled countdown latch used to model barriers: LatchPool.Get
+// arms it with a count and a single pre-bound callback, and the final Done
+// call fires the callback at that simulated time. Firing recycles the
+// latch into its pool, and the DoneFunc method value is cached across pool
+// round trips, so the machine-layer kernel-completion path counts down
+// without allocating a closure per latch.
 type Latch struct {
 	remaining int
-	fns       []func()
-	fired     bool
-
-	// fn is the pooled flavour's single pre-bound callback slot — the
-	// cached-method-value counterpart of the OnRelease closure list.
-	fn   func()
-	home *LatchPool // recycle destination; nil for standalone latches
+	fn        func()
+	home      *LatchPool // recycle destination
 
 	// doneFn is the cached Done method value. It is bound to this object's
-	// identity and deliberately survives reset() (caislint: poolreset).
+	// identity and deliberately survives Reset.
 	doneFn func()
 }
 
-// NewLatch returns a standalone latch waiting for n completions. n == 0
-// latches fire immediately upon the first callback registration.
-func NewLatch(n int) *Latch {
-	return &Latch{remaining: n}
-}
-
-// reset clears the latch for pool reuse; the cached doneFn method value
-// is the object's identity and survives (caislint: poolreset).
-func (l *Latch) reset() {
+// Reset clears the latch for pool reuse; the cached doneFn method value
+// is the object's identity and survives.
+func (l *Latch) Reset() {
 	l.remaining = 0
-	l.fns = nil
-	l.fired = false
 	l.fn = nil
 	l.home = nil
 }
@@ -107,18 +90,7 @@ func (l *Latch) reset() {
 // Remaining reports outstanding completions.
 func (l *Latch) Remaining() int { return l.remaining }
 
-// OnRelease registers fn to run when the latch reaches zero. If the latch
-// already fired, fn runs synchronously.
-func (l *Latch) OnRelease(fn func()) {
-	if l.fired || l.remaining <= 0 {
-		l.fire()
-		fn()
-		return
-	}
-	l.fns = append(l.fns, fn)
-}
-
-// Done counts down one completion, firing callbacks when the count hits
+// Done counts down one completion, firing the callback when the count hits
 // zero. Calling Done on a released latch panics: it indicates a
 // double-completion bug in the caller.
 func (l *Latch) Done() {
@@ -141,32 +113,21 @@ func (l *Latch) DoneFunc() func() {
 	return l.doneFn
 }
 
-// fire releases the latch. A pooled latch recycles itself before invoking
-// its callbacks, so a callback may immediately Get a fresh latch from the
+// fire releases the latch. It recycles itself before invoking the
+// callback, so the callback may immediately Get a fresh latch from the
 // same pool (the machine launches follow-up kernels from completion
 // callbacks).
 func (l *Latch) fire() {
-	if l.fired {
-		return
-	}
-	l.fired = true
-	fn, fns, home := l.fn, l.fns, l.home
-	if home != nil {
-		l.reset()
-		home.p.Put(l)
-	}
+	fn := l.fn
+	l.home.p.Put(l)
 	if fn != nil {
 		fn()
 	}
-	for _, f := range fns {
-		f()
-	}
 }
 
-// LatchPool is a free list of latches with the strict reset-before-Put
-// lifecycle of the other engine pools. The zero value is ready to use.
+// LatchPool is a free list of latches. The zero value is ready to use.
 type LatchPool struct {
-	p pool.Pool[Latch]
+	p pool.Pool[Latch, *Latch]
 }
 
 // Get returns a latch waiting for n completions (n must be >= 1) that

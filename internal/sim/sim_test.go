@@ -197,9 +197,9 @@ func TestResourceReservationsNeverOverlap(t *testing.T) {
 }
 
 func TestLatchFiresOnceAtZero(t *testing.T) {
-	l := NewLatch(3)
+	var lp LatchPool
 	fired := 0
-	l.OnRelease(func() { fired++ })
+	l := lp.Get(3, func() { fired++ })
 	l.Done()
 	l.Done()
 	if fired != 0 {
@@ -209,24 +209,11 @@ func TestLatchFiresOnceAtZero(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
-	// Late registration runs immediately.
-	l.OnRelease(func() { fired++ })
-	if fired != 2 {
-		t.Fatalf("late OnRelease fired = %d, want 2", fired)
-	}
-}
-
-func TestLatchZeroCountFiresImmediately(t *testing.T) {
-	l := NewLatch(0)
-	fired := false
-	l.OnRelease(func() { fired = true })
-	if !fired {
-		t.Fatal("zero latch should fire on registration")
-	}
 }
 
 func TestLatchDoubleDonePanics(t *testing.T) {
-	l := NewLatch(1)
+	var lp LatchPool
+	l := lp.Get(1, nil)
 	l.Done()
 	defer func() {
 		if recover() == nil {
@@ -270,8 +257,7 @@ func TestLatchPoolRecyclesBeforeCallback(t *testing.T) {
 	// this position. The fired latch must already be available for reuse.
 	var lp LatchPool
 	var inner *Latch
-	outer := lp.Get(1, nil)
-	outer.OnRelease(func() { inner = lp.Get(1, nil) })
+	outer := lp.Get(1, func() { inner = lp.Get(1, nil) })
 	outer.Done()
 	if inner != outer {
 		t.Fatal("callback Get did not reuse the just-fired latch")

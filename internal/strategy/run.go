@@ -30,8 +30,6 @@ type Options struct {
 	// NoControlSideband disables the links' dedicated control channel
 	// (design ablation).
 	NoControlSideband bool
-	// StepLimit guards against runaway simulations (0 = default).
-	StepLimit uint64
 	// Tracer, when non-nil, records the run as a Perfetto-loadable event
 	// trace. Instrumentation stays disabled (zero-cost) when nil. An
 	// observer only: left out of the memo key, and memo.Cacheable rejects
@@ -490,18 +488,12 @@ func publishLocalGrid(b *model.Builder, grid model.LocalGrid) {
 	b.M.PublishTiles(tiles)
 }
 
-// DefaultStepLimit is the runaway-simulation guard applied when
-// Options.StepLimit is zero. Exported so the memo layer can resolve the
-// default before hashing (zero and explicit default must key identically).
-const DefaultStepLimit uint64 = 2_000_000_000
+// stepLimit is the runaway-simulation guard every run's engine carries.
+const stepLimit uint64 = 2_000_000_000
 
 func newMachine(hw config.Hardware, spec Spec, opts Options) *machine.Machine {
 	eng := sim.NewEngine()
-	limit := opts.StepLimit
-	if limit == 0 {
-		limit = DefaultStepLimit
-	}
-	eng.SetStepLimit(limit)
+	eng.SetStepLimit(stepLimit)
 	if opts.Progress != nil && opts.ProgressEvery > 0 {
 		eng.SetProgress(opts.ProgressEvery, opts.Progress)
 	}

@@ -1,8 +1,9 @@
 #!/bin/sh
-# check.sh — the repo's pre-merge gate, mirrored by .github/workflows/ci.yml.
+# check.sh — the repo's one pre-merge gate; `make check` and CI both run it.
 # Runs formatting, vet, build, caislint (the determinism & unit-safety
-# analyzer), the full test suite (plain and under the race detector), and
-# the quick fault-injection smoke.
+# analyzer), the full test suite (plain, for the caisbench module, and
+# under the race detector), the disabled-tracer zero-alloc benchmark, and
+# the quick resilience, attribution, serving and parallel-sweep smokes.
 set -eu
 
 cd "$(dirname "$0")/.."
