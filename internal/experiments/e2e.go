@@ -50,7 +50,7 @@ func Fig2(c Config) (*Fig2Result, error) {
 		p := counts[i]
 		hw := c.e2eHW()
 		hw.NumGPUs = p
-		real, err := c.runLayers(fmt.Sprintf("fig2/p%d/real", p), hw, strategy.SPNVLS(), cfg, false, c.layers(), strategy.Options{})
+		real, err := c.runLayers(fmt.Sprintf("fig2/p%d/real", p), hw, strategy.SPNVLS(), cfg, false, 1, strategy.Options{})
 		if err != nil {
 			return Fig2Row{}, fmt.Errorf("fig2 p=%d: %w", p, err)
 		}
@@ -59,7 +59,7 @@ func Fig2(c Config) (*Fig2Result, error) {
 		ideal.LinkEfficiency = 1
 		ideal.LinkLatency = 0
 		ideal.SwitchLatency = 0
-		perfect, err := c.runLayers(fmt.Sprintf("fig2/p%d/ideal", p), ideal, strategy.SPNVLS(), cfg, false, c.layers(), strategy.Options{})
+		perfect, err := c.runLayers(fmt.Sprintf("fig2/p%d/ideal", p), ideal, strategy.SPNVLS(), cfg, false, 1, strategy.Options{})
 		if err != nil {
 			return Fig2Row{}, fmt.Errorf("fig2 ideal p=%d: %w", p, err)
 		}
@@ -68,7 +68,7 @@ func Fig2(c Config) (*Fig2Result, error) {
 		if comm < 0 {
 			comm = 0
 		}
-		row := Fig2Row{GPUs: p, ComputeMS: ms(compute) / float64(c.layers()), CommMS: ms(comm) / float64(c.layers())}
+		row := Fig2Row{GPUs: p, ComputeMS: ms(compute), CommMS: ms(comm)}
 		if row.ComputeMS > 0 {
 			row.Ratio = row.CommMS / row.ComputeMS
 		}
@@ -138,7 +138,7 @@ func Fig11(c Config) (*SpeedupResult, error) {
 	}
 	return speedupStudy(c, "fig11", "Fig. 11: CAIS speedup over baselines (end-to-end per-layer chain)", "Workload", rows,
 		func(label string, row int, spec strategy.Spec) (memo.Entry, error) {
-			return c.runLayers(label, c.e2eHW(), spec, models[row], training[row], c.layers(), strategy.Options{})
+			return c.runLayers(label, c.e2eHW(), spec, models[row], training[row], 1, strategy.Options{})
 		})
 }
 
@@ -198,11 +198,11 @@ func speedupStudy(c Config, id, title, rowHeader string, rows []SpeedupRow,
 			idx++
 		}
 		cais := row.Elapsed["CAIS"]
-		for name, e := range row.Elapsed {
+		for _, name := range out.Strategies {
 			if name == "CAIS" || cais == 0 {
 				continue
 			}
-			sp := float64(e) / float64(cais)
+			sp := float64(row.Elapsed[name]) / float64(cais)
 			row.Speedup[name] = sp
 			samples[name] = append(samples[name], sp)
 		}

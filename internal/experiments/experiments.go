@@ -27,10 +27,6 @@ type Config struct {
 	// defaults run the full Table I configurations.
 	Quick bool
 
-	// Layers simulated per end-to-end run (layer homogeneity scales the
-	// result to full depth; DESIGN.md §1).
-	Layers int
-
 	// Workers bounds the sweep worker pool fanning independent simulation
 	// points out across goroutines (caissim -parallel). <= 0 selects
 	// GOMAXPROCS; 1 runs strictly sequentially. Every driver collects
@@ -72,7 +68,7 @@ type Config struct {
 
 // Default returns the full-fidelity configuration.
 func Default() Config {
-	return Config{HW: config.DGXH100(), Layers: 1}
+	return Config{HW: config.DGXH100()}
 }
 
 // Quick returns the reduced configuration used in tests: coarse request
@@ -102,13 +98,6 @@ func (c Config) primaryModel() config.Model {
 
 func quickModel() config.Model {
 	return config.Model{Name: "Quick-Tiny", Hidden: 512, FFNHidden: 2048, Heads: 4, SeqLen: 512, Batch: 2, Layers: 4}
-}
-
-func (c Config) layers() int {
-	if c.Layers > 0 {
-		return c.Layers
-	}
-	return 1
 }
 
 // e2eHW is the hardware used for end-to-end sweeps: coarser request

@@ -217,11 +217,11 @@ func Resilience(c Config) (*ResilienceResult, error) {
 				}
 			}
 			cais := row.Elapsed["CAIS"]
-			for name, e := range row.Elapsed {
+			for _, name := range out.Strategies {
 				if name == "CAIS" || cais == 0 {
 					continue
 				}
-				sp := float64(e) / float64(cais)
+				sp := float64(row.Elapsed[name]) / float64(cais)
 				row.Speedup[name] = sp
 				if sc.sched != nil {
 					samples[name] = append(samples[name], sp)

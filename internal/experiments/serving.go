@@ -168,7 +168,7 @@ func Serving(c Config) (*ServingResult, error) {
 	}
 	points, err := mapPoints(c, len(keys), func(i int) (point, error) {
 		k := keys[i]
-		cm, err := serve.NewStrategyCost(hw, k.spec, base, c.layers(), strategy.Options{Faults: k.sched}, c.Memo)
+		cm, err := serve.NewStrategyCost(hw, k.spec, base, 1, strategy.Options{Faults: k.sched}, c.Memo)
 		if err != nil {
 			return point{}, fmt.Errorf("serving %s: %w", k.tag, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"cais/internal/area"
 	"cais/internal/config"
+	"cais/internal/core"
 	"cais/internal/kernel"
 	"cais/internal/machine"
 	"cais/internal/metrics"
@@ -87,10 +88,11 @@ func Fig18(c Config) (*Fig18Result, error) {
 // runAllReduce simulates one bare AllReduce of the given payload using the
 // NVLS push-reduction (nvls=true) or the GPU-driven ring (nvls=false).
 func runAllReduce(hw config.Hardware, bytes int64, nvls bool) (sim.Time, error) {
-	eng := sim.NewEngine()
-	eng.SetStepLimit(500_000_000)
-	m := machine.New(eng, hw, machine.Options{})
-	b := model.NewBuilder(m)
+	s, err := core.NewSession(hw, machine.Options{})
+	if err != nil {
+		return 0, err
+	}
+	b := s.Builder()
 
 	// Shape the payload as an M x N bf16 tensor.
 	cols := 8192
@@ -98,36 +100,26 @@ func runAllReduce(hw config.Hardware, bytes int64, nvls bool) (sim.Time, error) 
 	if rows < model.TileM {
 		rows = model.TileM
 	}
-	partial := b.NewLocalGrid(rows, cols)
 	out := b.NewLocalGrid(rows, cols)
 	in := func(g, mi, ni int) []kernel.Tile { return nil }
-	var k *kernel.Kernel
 	if nvls {
-		k = b.NVLSAllReduce("ar.bench", rows, cols, in, out)
+		s.Stage(b.NVLSAllReduce("ar.bench", rows, cols, in, out))
 	} else {
-		k = b.RingAllReduce("ar.bench", rows, cols, in, out)
+		s.Stage(b.RingAllReduce("ar.bench", rows, cols, in, out))
 	}
-	_ = partial
-	completed := false
-	m.Eng.At(0, func() {
-		m.LaunchKernel(k, func() { completed = true })
-	})
+	if _, err := s.Run(); err != nil {
+		return 0, err
+	}
 	// The collective is done when every GPU's reduced copy has been
-	// delivered, not when the (posted) pushes were issued: run to
+	// delivered, not when the (posted) pushes were issued: time it to
 	// quiescence and confirm all output tiles published.
-	end := m.Run()
-	if !completed {
-		if err := m.CheckQuiescent(); err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("allreduce did not complete")
-	}
+	m := s.Machine()
 	for g := 0; g < hw.NumGPUs; g++ {
 		if !m.TileReady(out.Tile(0, 0, g)) || !m.TileReady(out.Tile(out.MTiles-1, out.NTiles-1, g)) {
 			return 0, fmt.Errorf("allreduce data not fully delivered")
 		}
 	}
-	return end, nil
+	return s.DrainedAt(), nil
 }
 
 // Render formats the Fig. 18 table.

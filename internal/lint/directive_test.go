@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// parseSrc parses a synthetic file and runs directive extraction plus
-// range resolution, the way lintPackage does.
+// parseSrc parses a synthetic file and runs directive extraction, the way
+// lintPackage does.
 func parseSrc(t *testing.T, src string) (*token.FileSet, *directiveSet, []Diagnostic) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -17,7 +17,6 @@ func parseSrc(t *testing.T, src string) (*token.FileSet, *directiveSet, []Diagno
 		t.Fatal(err)
 	}
 	ds, diags := parseDirectives(fset, f)
-	ds.resolveRanges(fset, f)
 	return fset, ds, diags
 }
 
@@ -29,80 +28,14 @@ func diagMsgs(diags []Diagnostic) string {
 	return strings.Join(parts, " | ")
 }
 
-func TestDirectiveMultiCheck(t *testing.T) {
-	_, ds, diags := parseSrc(t, `package p
-
-func f() {
-	//caislint:ignore wallclock,rand,units one comment, three checks
-	_ = 1
-}
-`)
-	if len(diags) != 0 {
-		t.Fatalf("well-formed multi-check directive reported: %s", diagMsgs(diags))
-	}
-	if len(ds.list) != 3 {
-		t.Fatalf("got %d directives, want 3 (one per named check)", len(ds.list))
-	}
-	want := []string{CheckWallclock, CheckRand, CheckUnits}
-	for i, d := range ds.list {
-		if d.check != want[i] {
-			t.Errorf("directive %d covers %q, want %q", i, d.check, want[i])
-		}
-		if d.fileWide {
-			t.Errorf("directive %d is file-wide, want line-scoped", i)
-		}
-	}
-	// Each expanded directive suppresses independently.
-	if !ds.suppressed(CheckRand, ds.list[0].line+1) {
-		t.Error("rand not suppressed on the annotated line")
-	}
-	if ds.suppressed(CheckGoroutine, ds.list[0].line+1) {
-		t.Error("goroutine suppressed though the directive never named it")
-	}
-}
-
-func TestDirectiveMultiCheckMissingReason(t *testing.T) {
-	_, ds, diags := parseSrc(t, `package p
-
-//caislint:ignore wallclock,rand
-func f() {}
-`)
-	if len(ds.list) != 0 {
-		t.Fatalf("reason-less directive produced %d suppressions, want 0", len(ds.list))
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Msg, "mandatory reason") {
-		t.Fatalf("want one missing-reason diagnostic, got: %s", diagMsgs(diags))
-	}
-}
-
-func TestDirectiveMultiCheckUnknownName(t *testing.T) {
-	_, ds, diags := parseSrc(t, `package p
-
-//caislint:ignore wallclock,frob,rand,blah the list mixes known and unknown
-func f() {}
-`)
-	if len(ds.list) != 0 {
-		t.Fatalf("poisoned directive produced %d suppressions, want 0", len(ds.list))
-	}
-	if len(diags) != 2 {
-		t.Fatalf("want one diagnostic per unknown name, got %d: %s", len(diags), diagMsgs(diags))
-	}
-	for _, d := range diags {
-		if !strings.Contains(d.Msg, "unknown check") {
-			t.Errorf("unexpected diagnostic: %s", d.Msg)
-		}
-	}
-}
-
-// TestDirectiveStatementRange is the unit-level regression for multi-line
-// suppression: a directive above a statement covers every line the
-// statement spans, and a directive above a func covers only the func line
-// (never the whole body).
-func TestDirectiveStatementRange(t *testing.T) {
+// TestDirectiveCoversTwoLines pins a directive's reach: its own line and
+// the next. A multi-line statement below it is covered on its first line
+// only, and a directive above a func never reaches into the body.
+func TestDirectiveCoversTwoLines(t *testing.T) {
 	_, ds, diags := parseSrc(t, `package p
 
 func f() string {
-	//caislint:ignore wallclock spans the whole call below
+	//caislint:ignore wallclock covers the first line of the call below
 	return sprintf("%v %v",
 		1,
 		2)
@@ -118,28 +51,23 @@ func sprintf(string, ...any) string { return "" }
 	if len(diags) != 0 {
 		t.Fatalf("unexpected diagnostics: %s", diagMsgs(diags))
 	}
-	var wall, rand *directive
-	for _, d := range ds.list {
-		switch d.check {
-		case CheckWallclock:
-			wall = d
-		case CheckRand:
-			rand = d
+	if len(ds.list) != 2 {
+		t.Fatalf("got %d directives, want 2", len(ds.list))
+	}
+	wall, rand := ds.list[0], ds.list[1]
+	if wall.check != CheckWallclock || rand.check != CheckRand {
+		t.Fatalf("directives cover %q and %q, want wallclock and rand", wall.check, rand.check)
+	}
+	for _, line := range []int{wall.line, wall.line + 1} {
+		if !ds.suppressed(CheckWallclock, line) {
+			t.Errorf("line %d (directive line %d) not suppressed", line, wall.line)
 		}
 	}
-	if wall == nil || rand == nil {
-		t.Fatal("directives not parsed")
+	if ds.suppressed(CheckWallclock, wall.line+3) {
+		t.Error("directive reached the last line of the multi-line statement")
 	}
-	// The return statement starts on wall.line+1 and ends two lines later.
-	if wall.covEnd != wall.line+3 {
-		t.Errorf("wallclock directive covers through line %d, want %d (statement end)", wall.covEnd, wall.line+3)
-	}
-	if !ds.suppressed(CheckWallclock, wall.line+3) {
-		t.Error("last line of the multi-line statement not suppressed")
-	}
-	// FuncDecls are excluded from widening: coverage stays at line+1.
-	if rand.covEnd != rand.line+1 {
-		t.Errorf("func-level directive covers through line %d, want %d (func line only)", rand.covEnd, rand.line+1)
+	if ds.suppressed(CheckRand, wall.line+1) {
+		t.Error("wallclock directive suppressed rand")
 	}
 	if ds.suppressed(CheckRand, rand.line+2) {
 		t.Error("directive above func suppressed inside the body")
@@ -149,15 +77,18 @@ func sprintf(string, ...any) string { return "" }
 func TestDirectiveUnusedReported(t *testing.T) {
 	fset, ds, _ := parseSrc(t, `package p
 
-//caislint:ignore wallclock,rand only one half will match
+//caislint:ignore wallclock this one matches
 func f() {}
+
+//caislint:ignore rand this one is stale
+func g() {}
 `)
-	// Simulate a wallclock hit on the func line; the rand half stays stale.
+	// Simulate a wallclock hit on f's line; the rand directive stays stale.
 	if !ds.suppressed(CheckWallclock, ds.list[0].line+1) {
-		t.Fatal("wallclock half did not suppress")
+		t.Fatal("wallclock directive did not suppress")
 	}
 	unused := ds.unused(fset)
 	if len(unused) != 1 || !strings.Contains(unused[0].Msg, "for rand") {
-		t.Fatalf("want exactly the rand half reported stale, got: %+v", unused)
+		t.Fatalf("want exactly the rand directive reported stale, got: %+v", unused)
 	}
 }

@@ -18,13 +18,13 @@
 //     (faults.Kind, attrib.Bucket, ...) must cover every declared
 //     constant or carry an explicit default.
 //
-// Violations that are intentional carry a directive with a mandatory
-// reason:
+// A violation that is intentional carries a directive naming one check
+// and a mandatory reason, on its own line or the line above:
 //
-//	//caislint:ignore <check>[,<check>...] <reason>   (this line, or the
-//	    line above — covering the full line range of the statement that
-//	    starts there)
-//	//caislint:file-ignore <check> <reason>           (whole file)
+//	//caislint:ignore <check> <reason>
+//
+// A directive covers the line it sits on and the next, nothing more.
+// Malformed directives and directives that suppress nothing are reported.
 //
 // The analyzer is pure stdlib (go/parser, go/ast, go/types, go/importer);
 // it type-checks the module from source so the type-driven checks see
@@ -179,7 +179,6 @@ func lintPackage(p *Package, mod *modState) []Diagnostic {
 	dirsByFile := map[string]*directiveSet{}
 	for _, f := range p.Files {
 		ds, dirDiags := parseDirectives(fset, f)
-		ds.resolveRanges(fset, f)
 		diags = append(diags, dirDiags...)
 		dirsByFile[fset.Position(f.Pos()).Filename] = ds
 	}
@@ -203,17 +202,13 @@ func lintPackage(p *Package, mod *modState) []Diagnostic {
 	return diags
 }
 
-// directive is one parsed //caislint: comment. A single ignore comment
-// naming several checks ("//caislint:ignore wallclock,rand reason")
-// expands into one directive per check, tracked individually so a stale
-// name inside a multi-check directive is still reported.
+// directive is one parsed //caislint:ignore comment. It covers its own
+// line and the next.
 type directive struct {
-	check    string
-	fileWide bool
-	line     int
-	covEnd   int // last line covered (resolved from statement extents)
-	pos      token.Pos
-	used     bool
+	check string
+	line  int
+	pos   token.Pos
+	used  bool
 }
 
 type directiveSet struct {
@@ -221,9 +216,9 @@ type directiveSet struct {
 }
 
 // parseDirectives extracts caislint directives from a file's comments.
-// Malformed directives (unknown check, missing reason) are diagnostics
-// themselves: a suppression without a recorded reason is indistinguishable
-// from a shrug.
+// Malformed directives (unknown verb or check, missing reason) are
+// diagnostics themselves: a suppression without a recorded reason is
+// indistinguishable from a shrug.
 func parseDirectives(fset *token.FileSet, f *ast.File) (*directiveSet, []Diagnostic) {
 	ds := &directiveSet{}
 	var diags []Diagnostic
@@ -246,92 +241,31 @@ func parseDirectives(fset *token.FileSet, f *ast.File) (*directiveSet, []Diagnos
 				continue
 			}
 			fields := strings.Fields(rest)
-			if len(fields) == 0 {
+			switch {
+			case len(fields) == 0:
 				bad(c.Pos(), "empty caislint directive")
-				continue
-			}
-			verb := fields[0]
-			if verb != "ignore" && verb != "file-ignore" {
-				bad(c.Pos(), "unknown caislint directive %q (want ignore or file-ignore)", verb)
-				continue
-			}
-			if len(fields) < 2 {
-				bad(c.Pos(), "caislint:%s needs a check name", verb)
-				continue
-			}
-			names := strings.Split(fields[1], ",")
-			badName := false
-			for _, check := range names {
-				if !knownChecks[check] {
-					bad(c.Pos(), "caislint:%s names unknown check %q", verb, check)
-					badName = true
-				}
-			}
-			if badName {
-				continue
-			}
-			if len(fields) < 3 {
-				bad(c.Pos(), "caislint:%s %s is missing its mandatory reason", verb, fields[1])
-				continue
-			}
-			line := fset.Position(c.Pos()).Line
-			for _, check := range names {
-				ds.list = append(ds.list, &directive{
-					check:    check,
-					fileWide: verb == "file-ignore",
-					line:     line,
-					covEnd:   line + 1,
-					pos:      c.Pos(),
-				})
+			case fields[0] != "ignore":
+				bad(c.Pos(), "unknown caislint directive %q (want ignore)", fields[0])
+			case len(fields) < 2:
+				bad(c.Pos(), "caislint:ignore needs a check name")
+			case !knownChecks[fields[1]]:
+				bad(c.Pos(), "caislint:ignore names unknown check %q", fields[1])
+			case len(fields) < 3:
+				bad(c.Pos(), "caislint:ignore %s is missing its mandatory reason", fields[1])
+			default:
+				ds.list = append(ds.list, &directive{check: fields[1], line: fset.Position(c.Pos()).Line, pos: c.Pos()})
 			}
 		}
 	}
 	return ds, diags
 }
 
-// resolveRanges widens each line directive to the full line range of the
-// statement (or declaration) starting on its own line or the line below,
-// so a directive above a multi-line statement suppresses diagnostics
-// anywhere inside it — not just on the first line. Bare blocks are not
-// extents of their own (a directive above `{` should not blanket the
-// block), and function declarations keep the narrow two-line coverage so
-// a directive above `func` never silently shadows a whole body.
-func (ds *directiveSet) resolveRanges(fset *token.FileSet, f *ast.File) {
-	lineOf := func(p token.Pos) int { return fset.Position(p).Line }
-	widen := func(start, end int) {
-		for _, d := range ds.list {
-			if d.fileWide {
-				continue
-			}
-			if (start == d.line || start == d.line+1) && end > d.covEnd {
-				d.covEnd = end
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BlockStmt, *ast.FuncDecl, nil:
-			return true
-		case ast.Stmt:
-			widen(lineOf(n.Pos()), lineOf(n.End()))
-		case *ast.GenDecl:
-			widen(lineOf(n.Pos()), lineOf(n.End()))
-		}
-		return true
-	})
-}
-
 // suppressed reports whether a diagnostic for check at the given line is
-// covered: file-wide directives cover everything, line directives cover
-// the resolved line range of the statement they annotate (at minimum
-// their own line and the line directly below).
+// covered by a directive on that line or the line above.
 func (ds *directiveSet) suppressed(check string, line int) bool {
 	hit := false
 	for _, d := range ds.list {
-		if d.check != check {
-			continue
-		}
-		if d.fileWide || (line >= d.line && line <= d.covEnd) {
+		if d.check == check && (line == d.line || line == d.line+1) {
 			d.used = true
 			hit = true
 		}

@@ -51,7 +51,7 @@ var registry = []*Analyzer{
 	},
 	{
 		Name: CheckMapOrder,
-		Doc:  "for-range over a map with an order-dependent body must iterate sorted keys instead",
+		Doc:  "for-range over a map must iterate sorted keys; the one body allowed is collecting the range key (keys = append(keys, k))",
 		run:  perFile(checkMapOrder),
 	},
 	{

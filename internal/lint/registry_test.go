@@ -47,7 +47,7 @@ func TestReadmeTableMatchesRegistry(t *testing.T) {
 func TestEveryCheckHasFixtures(t *testing.T) {
 	positives := map[string]int{}
 	suppressions := map[string]int{}
-	ignoreRe := regexp.MustCompile(`caislint:(?:file-)?ignore ([a-z,-]+)`)
+	ignoreRe := regexp.MustCompile(`caislint:ignore ([a-z-]+)\s`)
 	err := filepath.WalkDir("testdata/src", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
@@ -60,9 +60,7 @@ func TestEveryCheckHasFixtures(t *testing.T) {
 			positives[m[2]]++
 		}
 		for _, m := range ignoreRe.FindAllStringSubmatch(string(data), -1) {
-			for _, name := range strings.Split(m[1], ",") {
-				suppressions[name]++
-			}
+			suppressions[m[1]]++
 		}
 		return nil
 	})

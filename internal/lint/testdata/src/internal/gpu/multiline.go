@@ -5,22 +5,13 @@ import (
 	"time"
 )
 
-// Multiline is the regression fixture for statement-range suppression: a
-// directive above a multi-line statement covers every line the statement
-// spans, so the wall-clock read two lines below the directive is
-// suppressed — before the fix only the directive's own line and the line
-// directly beneath it were covered.
+// Multiline pins a directive's reach: its own line and the next, never
+// the rest of a multi-line statement. The wall-clock read two lines below
+// the directive is reported, and the directive, having suppressed
+// nothing, is stale.
 func Multiline() string {
-	//caislint:ignore wallclock banner timestamp, outside the simulated timeline
-	return fmt.Sprintf("started %v",
-		time.Now())
-}
-
-// Multicheck exercises per-name tracking inside one multi-check
-// directive: the wallclock half suppresses the read below, while the
-// rand half suppresses nothing and is reported stale on its own line.
-func Multicheck() time.Time {
 	// lintwant+1:directive
-	//caislint:ignore wallclock,rand only the wallclock half matches here
-	return time.Now()
+	//caislint:ignore wallclock covers two lines, not the whole statement
+	return fmt.Sprintf("started %v",
+		time.Now()) // lintwant:wallclock
 }

@@ -15,7 +15,10 @@ func stampTwo() int64 { return util.StampTwice() } // lintwant:wallclock
 // jitter reaches the global rand source through util.Jitter.
 func jitter() float64 { return util.Jitter() } // lintwant:rand
 
-// banner is suppressed with a recorded reason.
+// bannerTime and bannerJitter are suppressed with a recorded reason.
 //
-//caislint:ignore wallclock,rand startup banner, runs before the simulated timeline
-func banner() int64 { return stampNow() + stampTwo() + int64(jitter()) }
+//caislint:ignore wallclock startup banner, runs before the simulated timeline
+func bannerTime() int64 { return stampNow() + stampTwo() }
+
+//caislint:ignore rand startup banner, runs before the simulated timeline
+func bannerJitter() float64 { return jitter() }

@@ -84,8 +84,9 @@ type cell struct {
 // Cache is a content-addressed simulation-point cache, safe for use from
 // parallel sweep workers.
 type Cache struct {
-	mu    sync.Mutex
-	cells map[uint64]*cell
+	mu      sync.Mutex
+	cells   map[uint64]*cell
+	entries int // populated cells, counted under mu as Do marks them ready
 
 	hits     metrics.AtomicCounter // lookups served from a populated cell
 	misses   metrics.AtomicCounter // lookups that simulated the point
@@ -111,13 +112,7 @@ func (c *Cache) Lookups() int64 { return c.Hits() + c.Misses() }
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, s := range c.cells {
-		if s.ready {
-			n++
-		}
-	}
-	return n
+	return c.entries
 }
 
 // RegisterMetrics exposes the cache's counters in a metrics registry
@@ -185,6 +180,7 @@ func (c *Cache) Do(key uint64, fn func() (Entry, error)) (Entry, error) {
 		completed = true
 		c.mu.Lock()
 		s.val, s.err, s.ready = val, err, true
+		c.entries++
 		c.mu.Unlock()
 		close(s.done)
 		return val, err

@@ -114,6 +114,9 @@ func TestCacheSingleFlight(t *testing.T) {
 		t.Fatalf("accounting lookups=%d misses=%d hits=%d, want %d/1/%d",
 			c.Lookups(), c.Misses(), c.Hits(), workers, workers-1)
 	}
+	if c.Len() != 1 {
+		t.Fatalf("Len=%d after one contended key, want 1", c.Len())
+	}
 }
 
 // TestCachePanicAbandonsSlot pins the failure mode: a panicking compute
@@ -129,8 +132,14 @@ func TestCachePanicAbandonsSlot(t *testing.T) {
 		}()
 		_, _ = c.Do(3, func() (Entry, error) { panic("kaboom") })
 	}()
+	if c.Len() != 0 {
+		t.Fatalf("Len=%d after a panicked compute, want 0", c.Len())
+	}
 	e, err := c.Do(3, func() (Entry, error) { return Entry{UpBytes: 1}, nil })
 	if err != nil || e.UpBytes != 1 {
 		t.Fatalf("slot wedged after panic: entry=%+v err=%v", e, err)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len=%d after the recompute, want 1", c.Len())
 	}
 }

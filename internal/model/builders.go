@@ -47,9 +47,6 @@ func (b *Builder) PeerTiles(grid LocalGrid, mi, ni int) []kernel.Tile {
 	return grid.PeerTiles(mi, ni, b.cache)
 }
 
-// CacheStats reports the tile-set intern cache's size and hit count.
-func (b *Builder) CacheStats() (sets int, hits int64) { return b.cache.Stats() }
-
 // NewSharded allocates a sequence-sharded tensor handle for rows rows.
 func (b *Builder) NewSharded(rows int) Sharded {
 	return Sharded{Buf: b.M.NewBuffer(), MTiles: MTiles(rows), P: b.P}

@@ -109,7 +109,6 @@ const (
 // cache is owned by the Builder and dies with the run.
 type TileCache struct {
 	sets map[tileSetKey][]kernel.Tile
-	hits int64
 }
 
 func (c *TileCache) lookup(k tileSetKey) ([]kernel.Tile, bool) {
@@ -117,9 +116,6 @@ func (c *TileCache) lookup(k tileSetKey) ([]kernel.Tile, bool) {
 		return nil, false
 	}
 	s, ok := c.sets[k]
-	if ok {
-		c.hits++
-	}
 	return s, ok
 }
 
@@ -132,12 +128,4 @@ func (c *TileCache) store(k tileSetKey, s []kernel.Tile) []kernel.Tile {
 	}
 	c.sets[k] = s
 	return s
-}
-
-// Stats reports interned set count and lookup hits.
-func (c *TileCache) Stats() (sets int, hits int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return len(c.sets), c.hits
 }

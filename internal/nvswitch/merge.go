@@ -80,9 +80,6 @@ func (s *session) Reset() {
 	s.traceID = 0
 }
 
-// ArrivalHook, when set, observes every red.cais arrival (diagnostics).
-var ArrivalHook func(addr uint64, src int, t sim.Time)
-
 // loadMetaBytes is the merging-table footprint of a Load-Wait entry: the
 // CAM entry plus request metadata in the content array. The fetched data
 // itself occupies the table only from response arrival (Load-Ready) until
@@ -395,9 +392,6 @@ func (t *plainLoadTag) Reset() { *t = plainLoadTag{} }
 // HandleReduction implements Micro-Function 2 (reduction request merging).
 func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 	m.stats.noteArrivalKind(p.Addr, p.Expected(), m.eng.Now(), false)
-	if ArrivalHook != nil {
-		ArrivalHook(p.Addr, p.Src, m.eng.Now())
-	}
 	m.credit(p)
 	now := m.eng.Now()
 	if m.disabled {

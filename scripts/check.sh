@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's one pre-merge gate; `make check` and CI both run it.
-# Runs formatting, vet, build, caislint (the determinism & unit-safety
-# analyzer), the full test suite (plain, for the caisbench module, and
-# under the race detector), the disabled-tracer zero-alloc benchmark, and
-# the quick resilience, attribution, serving and parallel-sweep smokes.
+# Runs formatting, vet (root and caisbench modules), build, caislint (the
+# determinism & unit-safety analyzer), the full test suite (plain, for the
+# caisbench module, and under the race detector), the disabled-tracer
+# zero-alloc benchmark, and the quick resilience, attribution, serving and
+# parallel-sweep smokes.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,6 +20,11 @@ fi
 echo "== go vet"
 go vet ./...
 
+# The benchmark is its own module: the root vet, build and test do not
+# reach it, yet it builds against the memo, serve and strategy APIs.
+echo "== go vet (cmd/caisbench module)"
+(cd cmd/caisbench && go vet ./...)
+
 echo "== go build"
 go build ./...
 
@@ -28,8 +34,6 @@ go run ./cmd/caislint ./...
 echo "== go test"
 go test ./...
 
-# The benchmark is its own module: the root build and test do not compile
-# it, yet it builds against the memo, serve and strategy APIs.
 echo "== go test (cmd/caisbench module)"
 (cd cmd/caisbench && go test ./...)
 
