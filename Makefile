@@ -57,14 +57,14 @@ fmt:
 check:
 	sh scripts/check.sh
 
-# bench: the full benchmark suite (experiment drivers, engine hot path,
-# tracer, metrics) via scripts/bench.sh, which writes a dated
+# bench: the full benchmark suite (experiment drivers and the per-layer
+# microbenchmarks) via scripts/bench.sh, which writes a dated
 # benchstat-compatible baseline to BENCH_<date>.json.
 bench: build
 	sh scripts/bench.sh
 
-# bench-quick: engine + tracer/metrics microbenchmarks only (skips the
-# slow experiment-level benchmarks).
+# bench-quick: the per-layer microbenchmarks only (skips the slow
+# experiment-level benchmarks).
 bench-quick: build
 	sh scripts/bench.sh -quick
 

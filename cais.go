@@ -21,7 +21,6 @@ import (
 	"cais/internal/core"
 	"cais/internal/experiments"
 	"cais/internal/faults"
-	"cais/internal/machine"
 	"cais/internal/memo"
 	"cais/internal/metrics"
 	"cais/internal/model"
@@ -40,7 +39,8 @@ type (
 	Model = config.Model
 	// Strategy is one execution strategy (CAIS or a baseline).
 	Strategy = strategy.Spec
-	// RunOptions are per-run experiment knobs.
+	// RunOptions tune a strategy run or a Session: design ablations,
+	// fault injection and observers.
 	RunOptions = strategy.Options
 	// Result is a simulated run's outcome.
 	Result = strategy.Result
@@ -49,8 +49,6 @@ type (
 	SubLayer = model.SubLayer
 	// Session composes custom kernel pipelines (see internal/core).
 	Session = core.Session
-	// SessionOptions tune session machine assembly.
-	SessionOptions = machine.Options
 	// ExperimentConfig tunes experiment fidelity.
 	ExperimentConfig = experiments.Config
 	// MemoCache is the cross-sweep simulation-point cache: attach one via
@@ -68,8 +66,8 @@ type (
 	// Metric is one named telemetry value in a snapshot.
 	Metric = metrics.Metric
 	// FaultSchedule is a declarative fault-injection schedule (DESIGN.md
-	// §8). Attach via RunOptions.Faults or SessionOptions.Faults; nil
-	// reproduces the unfaulted run bit-for-bit.
+	// §8). Attach via RunOptions.Faults; nil reproduces the unfaulted run
+	// bit-for-bit.
 	FaultSchedule = faults.Schedule
 	// Fault is one fault of a schedule (kind, onset, duration, target).
 	Fault = faults.Fault
@@ -102,7 +100,7 @@ type (
 )
 
 // NewTracer creates an enabled event tracer. Pass it via RunOptions.Tracer
-// (or SessionOptions.Tracer) and serialize with its WriteFile/WriteJSON.
+// and serialize with its WriteFile/WriteJSON.
 func NewTracer() *Tracer { return trace.New() }
 
 // DGXH100 returns the paper's simulated system configuration.
@@ -149,8 +147,8 @@ func RunTraining(hw Hardware, s Strategy, m Model, layers int) (Result, error) {
 	return strategy.RunLayers(hw, s, m, true, layers)
 }
 
-// RunInferenceOpts is RunInference with run options (tracing, progress
-// callbacks, step limits, machine configuration hooks).
+// RunInferenceOpts is RunInference with run options (design ablations,
+// fault injection, tracing, progress callbacks, attribution).
 func RunInferenceOpts(hw Hardware, s Strategy, m Model, layers int, opts RunOptions) (Result, error) {
 	return strategy.RunLayersOpts(hw, s, m, false, layers, opts)
 }
@@ -172,8 +170,9 @@ func LoadFaultSchedule(path string) (*FaultSchedule, error) { return faults.Load
 // ParseFaultSchedule parses a JSON fault schedule.
 func ParseFaultSchedule(data []byte) (*FaultSchedule, error) { return faults.Parse(data) }
 
-// NewSession assembles a machine for custom kernel pipelines.
-func NewSession(hw Hardware, opts SessionOptions) (*Session, error) {
+// NewSession assembles a machine for custom kernel pipelines. It honours
+// every run option a strategy run does.
+func NewSession(hw Hardware, opts RunOptions) (*Session, error) {
 	return core.NewSession(hw, opts)
 }
 

@@ -97,7 +97,7 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 
 func TestFacadeSessionCustomPipeline(t *testing.T) {
 	hw := fastHW()
-	s, err := cais.NewSession(hw, cais.SessionOptions{})
+	s, err := cais.NewSession(hw, cais.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFacadeSessionCustomPipeline(t *testing.T) {
 }
 
 func TestFacadeSessionConcurrentStages(t *testing.T) {
-	s, err := cais.NewSession(fastHW(), cais.SessionOptions{})
+	s, err := cais.NewSession(fastHW(), cais.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

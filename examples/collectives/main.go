@@ -66,7 +66,7 @@ func main() {
 // runAllGather compares the push-multicast AllGather against the ring.
 func runAllGather(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err error) {
 	run := func(useNVLS bool) (cais.Time, error) {
-		s, err := cais.NewSession(hw, cais.SessionOptions{})
+		s, err := cais.NewSession(hw, cais.RunOptions{})
 		if err != nil {
 			return 0, err
 		}
@@ -104,7 +104,7 @@ func runAllGather(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err erro
 // runReduceScatter compares the pull-reduce ReduceScatter against the ring.
 func runReduceScatter(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err error) {
 	run := func(useNVLS bool) (cais.Time, error) {
-		s, err := cais.NewSession(hw, cais.SessionOptions{})
+		s, err := cais.NewSession(hw, cais.RunOptions{})
 		if err != nil {
 			return 0, err
 		}
@@ -138,7 +138,7 @@ func runReduceScatter(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err 
 // payload is shaped as an M x 8192 bf16 tensor and every GPU contributes a
 // partial.
 func runAllReduce(hw cais.Hardware, bytes int64, nvls bool) (cais.Time, error) {
-	s, err := cais.NewSession(hw, cais.SessionOptions{})
+	s, err := cais.NewSession(hw, cais.RunOptions{})
 	if err != nil {
 		return 0, err
 	}

@@ -36,12 +36,12 @@ type Hardware struct {
 	LinkLatency    sim.Time // one-way GPU<->switch propagation
 	SwitchLatency  sim.Time // switch-internal processing per packet
 
-	// CAIS merge unit (per switch port).
+	// CAIS merge unit (per switch port). A negative MergeTableBytes
+	// removes the capacity limit (Fig. 13a's minimal-table probe); a zero
+	// MergeTimeout disables the forward-progress timeout, so sessions wait
+	// for every expected request.
 	MergeTableBytes int64    // capacity of the merging table in bytes
 	MergeTimeout    sim.Time // forward-progress eviction timeout
-
-	// Traffic control.
-	NumVirtualChannels int // VCs per input port when traffic control is on
 
 	// Simulation granularity: communication is modeled as requests of
 	// RequestBytes each (DESIGN.md §1). Smaller values increase fidelity
@@ -90,19 +90,13 @@ func DGXH100() Hardware {
 		SwitchLatency:        50 * sim.Nanosecond,
 		MergeTableBytes:      40 << 10, // 40 KB per port
 		MergeTimeout:         8 * sim.Microsecond,
-		NumVirtualChannels:   2,
 		RequestBytes:         8 << 10,
 		KernelLaunchOverhead: 2 * sim.Microsecond,
 		KernelLaunchJitter:   30 * sim.Microsecond,
 		TBTimeNoise:          0.08,
 		TBOverhead:           300 * sim.Nanosecond,
-		// The paper's Sec. V-C-2 bound: system-wide merge footprint is
-		// bounded by one GPU's outstanding requests = 1280 KB (40 KB per
-		// switch port across 32 ports).
 		// The paper's Sec. V-C-2 footprint bound: outstanding mergeable
-		// bytes per GPU (1280 KB system-wide = 40 KB x 32 ports). The
-		// throttle's primary mechanism is uplink-rate pacing; this bound
-		// is the backstop.
+		// bytes per GPU (1280 KB system-wide = 40 KB x 32 ports).
 		ThrottleWindowBytes: 1280 << 10,
 		CommSMs:             16,
 		ElemBytes:           2,
@@ -136,14 +130,10 @@ func (h Hardware) Validate() error {
 		return fmt.Errorf("config: LinkBandwidth = %g, need > 0", h.LinkBandwidth)
 	case h.LinkLatency < 0:
 		return fmt.Errorf("config: negative LinkLatency")
-	case h.MergeTableBytes < 0:
-		return fmt.Errorf("config: negative MergeTableBytes")
 	case h.RequestBytes < 1:
 		return fmt.Errorf("config: RequestBytes = %d, need >= 1", h.RequestBytes)
 	case h.ElemBytes < 1:
 		return fmt.Errorf("config: ElemBytes = %d, need >= 1", h.ElemBytes)
-	case h.NumVirtualChannels < 1:
-		return fmt.Errorf("config: NumVirtualChannels = %d, need >= 1", h.NumVirtualChannels)
 	}
 	return nil
 }

@@ -28,10 +28,8 @@ func TestValidateCatchesEachField(t *testing.T) {
 		func(h *Hardware) { h.HBMBandwidth = -1 },
 		func(h *Hardware) { h.LinkBandwidth = 0 },
 		func(h *Hardware) { h.LinkLatency = -1 },
-		func(h *Hardware) { h.MergeTableBytes = -1 },
 		func(h *Hardware) { h.RequestBytes = 0 },
 		func(h *Hardware) { h.ElemBytes = 0 },
-		func(h *Hardware) { h.NumVirtualChannels = 0 },
 	}
 	for i, breakIt := range break1 {
 		h := DGXH100()
@@ -39,6 +37,11 @@ func TestValidateCatchesEachField(t *testing.T) {
 		if err := h.Validate(); err == nil {
 			t.Errorf("broken config %d accepted", i)
 		}
+	}
+	h := DGXH100()
+	h.MergeTableBytes = -1 // unlimited (Fig. 13a)
+	if err := h.Validate(); err != nil {
+		t.Errorf("unlimited merge table rejected: %v", err)
 	}
 }
 

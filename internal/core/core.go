@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 
+	"cais/internal/attrib"
 	"cais/internal/config"
 	"cais/internal/kernel"
 	"cais/internal/machine"
@@ -16,6 +17,10 @@ import (
 	"cais/internal/nvswitch"
 	"cais/internal/sim"
 )
+
+// stepLimit is the runaway-simulation guard every session's engine
+// carries.
+const stepLimit uint64 = 2_000_000_000
 
 // Session is one assembled system plus a staged execution plan.
 type Session struct {
@@ -25,15 +30,17 @@ type Session struct {
 	ran     bool
 	elapsed sim.Time
 	drained sim.Time
+	attrib  *attrib.Report
 }
 
-// NewSession assembles a machine for the hardware configuration.
+// NewSession assembles a machine for the hardware configuration and the
+// run options.
 func NewSession(hw config.Hardware, opts machine.Options) (*Session, error) {
 	if err := hw.Validate(); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	eng.SetStepLimit(2_000_000_000)
+	eng.SetStepLimit(stepLimit)
 	m := machine.New(eng, hw, opts)
 	return &Session{machine: m, builder: model.NewBuilder(m)}, nil
 }
@@ -66,7 +73,8 @@ func (s *Session) PublishTiles(tiles []kernel.Tile) {
 }
 
 // Run executes the staged plan to completion and returns the simulated
-// time at which the final stage finished.
+// time at which the final stage finished. Under Options.Attrib it then
+// builds the time-attribution report (Attrib).
 func (s *Session) Run() (sim.Time, error) {
 	if s.ran {
 		return 0, fmt.Errorf("core: session already ran")
@@ -78,8 +86,15 @@ func (s *Session) Run() (sim.Time, error) {
 		return 0, err
 	}
 	s.elapsed = doneAt
+	if s.machine.Opts.Attrib {
+		s.attrib = attrib.Build(s.machine, s.machine.Opts.Tracer, doneAt)
+	}
 	return doneAt, nil
 }
+
+// Attrib returns the time-attribution report of the run (DESIGN.md §12),
+// or nil unless the session ran with Options.Attrib.
+func (s *Session) Attrib() *attrib.Report { return s.attrib }
 
 // Elapsed reports the completion time of the last Run's staged plan
 // (thread-block retirement; posted writes may still be in flight).

@@ -7,6 +7,7 @@ import (
 	"cais/internal/kernel"
 	"cais/internal/machine"
 	"cais/internal/model"
+	"cais/internal/sim"
 )
 
 func coreHW() config.Hardware {
@@ -50,6 +51,38 @@ func TestSessionStagedPipeline(t *testing.T) {
 	}
 	if s.AvgLinkUtilization() <= 0 {
 		t.Fatal("no link utilization")
+	}
+}
+
+// TestSessionHonoursObserverOptions: a Session applies the observer
+// options a strategy run does, building the attribution report and the
+// utilization timeline.
+func TestSessionHonoursObserverOptions(t *testing.T) {
+	s, err := NewSession(coreHW(), machine.Options{Attrib: true, UtilBin: 5 * sim.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s.Builder()
+	s.Stage(b.NVLSAllReduce("ar", 512, 512, func(g, mi, ni int) []kernel.Tile { return nil }, b.NewLocalGrid(512, 512)))
+	elapsed, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := s.Attrib()
+	if rep == nil || rep.Elapsed != elapsed || len(rep.Components) == 0 {
+		t.Fatalf("attribution report %+v does not cover the run's %v", rep, elapsed)
+	}
+	for _, c := range rep.Components {
+		if c.Total() != elapsed {
+			t.Fatalf("%s: buckets sum to %v, want %v", c.Name, c.Total(), elapsed)
+		}
+	}
+	var busy sim.Time
+	for _, b := range s.Machine().Timeline().Busy {
+		busy += b
+	}
+	if busy <= 0 {
+		t.Fatal("UtilBin set but the timeline recorded no traffic")
 	}
 }
 

@@ -149,3 +149,26 @@ func TestAttributionReplaysFromMemo(t *testing.T) {
 		t.Error("attribution from memo hits differs from cold-run attribution")
 	}
 }
+
+// TestFig14SharesAblationPoints: the merge-table size is a hardware field,
+// so Fig. 14's 40 KB points key like the hardware default and are the same
+// simulations as the CAIS sideband-on and CAIS-w/o-Coord LRU ablation
+// points. With one cache, fig14 at quick fidelity simulates only its four
+// other points.
+func TestFig14SharesAblationPoints(t *testing.T) {
+	c := Quick()
+	c.Workers = 1
+	c.Memo = memo.NewCache()
+	for _, id := range []string{"ablation-eviction", "ablation-sideband"} {
+		if _, err := Run(id, c); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	before := c.Memo.Misses()
+	if _, err := Run("fig14", c); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Memo.Misses() - before; got != 4 {
+		t.Fatalf("fig14 simulated %d new points after the ablations, want 4", got)
+	}
+}

@@ -32,7 +32,13 @@ type Fig13aResult struct {
 // TB coordination.
 func Fig13a(c Config) (*Fig13aResult, error) {
 	out := &Fig13aResult{}
+	// "Merge all eligible requests": an unlimited table and no
+	// forward-progress timeout, so every session waits for its full
+	// request set and the high-water mark is the true buffering
+	// requirement.
 	hw := c.microHW()
+	hw.MergeTableBytes = -1
+	hw.MergeTimeout = 0
 	type cell struct {
 		modelName string
 		sub       model.SubLayer
@@ -50,16 +56,11 @@ func Fig13a(c Config) (*Fig13aResult, error) {
 	// Each point runs one cell's coordinated and uncoordinated probes.
 	rows, err := mapPoints(c, len(cells), func(i int) (Fig13aRow, error) {
 		cl := cells[i]
-		// "Merge all eligible requests": unlimited capacity and no
-		// forward-progress timeout, so every session waits for its
-		// full request set and the high-water mark is the true
-		// buffering requirement.
-		opts := strategy.Options{UnlimitedMergeTable: true, NoMergeTimeout: true}
-		coord, err := c.runSubLayer("fig13a/"+cl.modelName+"/"+cl.sub.ID+"/CAIS", hw, strategy.CAIS(), cl.sub, opts)
+		coord, err := c.runSubLayer("fig13a/"+cl.modelName+"/"+cl.sub.ID+"/CAIS", hw, strategy.CAIS(), cl.sub, strategy.Options{})
 		if err != nil {
 			return Fig13aRow{}, fmt.Errorf("fig13a %s/%s coord: %w", cl.modelName, cl.sub.ID, err)
 		}
-		uncoord, err := c.runSubLayer("fig13a/"+cl.modelName+"/"+cl.sub.ID+"/no-coord", hw, strategy.CAISNoCoord(), cl.sub, opts)
+		uncoord, err := c.runSubLayer("fig13a/"+cl.modelName+"/"+cl.sub.ID+"/no-coord", hw, strategy.CAISNoCoord(), cl.sub, strategy.Options{})
 		if err != nil {
 			return Fig13aRow{}, fmt.Errorf("fig13a %s/%s uncoord: %w", cl.modelName, cl.sub.ID, err)
 		}
@@ -124,9 +125,10 @@ func Fig13b(c Config) (*Fig13bResult, error) {
 	}
 	sub := model.SubLayers(c.primaryModel())[1] // the paper's L2
 	hw := c.microHW()
+	hw.MergeTableBytes = -1 // unlimited, so no eviction splits a session's arrivals
 	rows, err := mapPoints(c, len(steps), func(i int) (Fig13bRow, error) {
 		st := steps[i]
-		res, err := c.runSubLayer("fig13b/"+st.name, hw, st.spec, sub, strategy.Options{UnlimitedMergeTable: true})
+		res, err := c.runSubLayer("fig13b/"+st.name, hw, st.spec, sub, strategy.Options{})
 		if err != nil {
 			return Fig13bRow{}, fmt.Errorf("fig13b %s: %w", st.name, err)
 		}
@@ -186,12 +188,13 @@ func Fig14(c Config) (*Fig14Result, error) {
 	type pair struct{ cais, unc sim.Time }
 	points, err := mapPoints(c, len(sizes), func(i int) (pair, error) {
 		kb := sizes[i]
-		opts := strategy.Options{MergeTableBytes: int64(kb) << 10}
-		cais, err := c.runSubLayer(fmt.Sprintf("fig14/%dKB/CAIS", kb), hw, strategy.CAIS(), sub, opts)
+		hw := hw // this point's table size
+		hw.MergeTableBytes = int64(kb) << 10
+		cais, err := c.runSubLayer(fmt.Sprintf("fig14/%dKB/CAIS", kb), hw, strategy.CAIS(), sub, strategy.Options{})
 		if err != nil {
 			return pair{}, fmt.Errorf("fig14 cais %dKB: %w", kb, err)
 		}
-		unc, err := c.runSubLayer(fmt.Sprintf("fig14/%dKB/no-coord", kb), hw, strategy.CAISNoCoord(), sub, opts)
+		unc, err := c.runSubLayer(fmt.Sprintf("fig14/%dKB/no-coord", kb), hw, strategy.CAISNoCoord(), sub, strategy.Options{})
 		if err != nil {
 			return pair{}, fmt.Errorf("fig14 uncoord %dKB: %w", kb, err)
 		}

@@ -260,6 +260,7 @@ func resilienceWaits(c Config, sub model.SubLayer) ([]ResilienceWaitRow, error) 
 		{"CAIS w/o coordination", strategy.CAISNoCoord(), straggle("wait-straggler-2", 2)},
 	}
 	mhw := c.microHW()
+	mhw.MergeTableBytes = -1 // unlimited, as in Fig. 13b
 	return mapPoints(c, len(steps), func(i int) (ResilienceWaitRow, error) {
 		st := steps[i]
 		gpus := "healthy"
@@ -267,7 +268,7 @@ func resilienceWaits(c Config, sub model.SubLayer) ([]ResilienceWaitRow, error) 
 			gpus = "gpu0 2x slower"
 		}
 		res, err := c.runSubLayer("resilience/waits/"+st.name+"/"+gpus,
-			mhw, st.spec, sub, strategy.Options{UnlimitedMergeTable: true, Faults: st.sched})
+			mhw, st.spec, sub, strategy.Options{Faults: st.sched})
 		if err != nil {
 			return ResilienceWaitRow{}, fmt.Errorf("resilience waits %s: %w", st.name, err)
 		}

@@ -113,11 +113,7 @@ func New(eng *sim.Engine, id int, hw config.Hardware, planeOf func(addr uint64) 
 		}
 	}
 	g.sync = newSynchronizer(g)
-	// The throttle bounds outstanding mergeable bytes (released by switch
-	// acceptance credits). Rate pacing is deliberately not used: any
-	// per-GPU serialized regulator would perturb the alignment the group
-	// synchronization establishes (GPU streams differ by data ownership).
-	g.throttle = newThrottle(eng, 0, hw.ThrottleWindowBytes)
+	g.throttle = newThrottle(hw.ThrottleWindowBytes)
 	return g
 }
 
@@ -174,14 +170,8 @@ func (g *GPU) pktID() uint64 {
 	return uint64(g.ID)<<48 | g.nextPktID
 }
 
-// SendHook, when set, observes every uplink send (diagnostics).
-var SendHook func(gpu int, p *noc.Packet, t sim.Time)
-
 // sendUp routes a packet onto the deterministic plane for its address.
 func (g *GPU) sendUp(p *noc.Packet) {
-	if SendHook != nil {
-		SendHook(g.ID, p, g.eng.Now())
-	}
 	plane := g.planeOf(p.Addr)
 	if g.up[plane] == nil {
 		panic(fmt.Sprintf("gpu%d: no uplink for plane %d", g.ID, plane))

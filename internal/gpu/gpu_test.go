@@ -54,15 +54,11 @@ func TestChunkSizesConserveBytes(t *testing.T) {
 }
 
 func TestThrottleWindowFIFO(t *testing.T) {
-	eng := sim.NewEngine()
-	th := newThrottle(eng, 0, 100)
+	th := newThrottle(100)
 	var order []int
-	eng.At(0, func() {
-		th.Acquire(60, func() { order = append(order, 1) })
-		th.Acquire(60, func() { order = append(order, 2) }) // exceeds window, defers
-		th.Acquire(10, func() { order = append(order, 3) }) // must stay behind 2
-	})
-	eng.Run()
+	th.Acquire(60, func() { order = append(order, 1) })
+	th.Acquire(60, func() { order = append(order, 2) }) // exceeds window, defers
+	th.Acquire(10, func() { order = append(order, 3) }) // must stay behind 2
 	if len(order) != 1 || order[0] != 1 {
 		t.Fatalf("initial grants = %v, want [1]", order)
 	}
@@ -76,40 +72,16 @@ func TestThrottleWindowFIFO(t *testing.T) {
 }
 
 func TestThrottleOversizeNeverStarves(t *testing.T) {
-	eng := sim.NewEngine()
-	th := newThrottle(eng, 0, 100)
+	th := newThrottle(100)
 	granted := false
-	eng.At(0, func() {
-		th.Acquire(500, func() { granted = true }) // larger than the window
-	})
-	eng.Run()
+	th.Acquire(500, func() { granted = true }) // larger than the window
 	if !granted {
 		t.Fatal("oversize request starved on an idle window")
 	}
 }
 
-func TestThrottlePacingSpacesGrants(t *testing.T) {
-	eng := sim.NewEngine()
-	// 1 GB/s pacing: 1000 bytes take 1us.
-	th := newThrottle(eng, 1e9, 0)
-	var times []sim.Time
-	eng.At(0, func() {
-		for i := 0; i < 3; i++ {
-			th.Acquire(1000, func() { times = append(times, eng.Now()) })
-		}
-	})
-	eng.Run()
-	if len(times) != 3 {
-		t.Fatalf("grants = %d, want 3", len(times))
-	}
-	if times[0] != 0 || times[1] != sim.Microsecond || times[2] != 2*sim.Microsecond {
-		t.Fatalf("grant times = %v, want paced at 1us", times)
-	}
-}
-
 func TestThrottleReleaseUnderflowPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	th := newThrottle(eng, 0, 100)
+	th := newThrottle(100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("window underflow did not panic")
@@ -119,15 +91,11 @@ func TestThrottleReleaseUnderflowPanics(t *testing.T) {
 }
 
 func TestThrottleDisabledPassesThrough(t *testing.T) {
-	eng := sim.NewEngine()
-	th := newThrottle(eng, 0, 0)
+	th := newThrottle(0)
 	n := 0
-	eng.At(0, func() {
-		for i := 0; i < 10; i++ {
-			th.Acquire(1<<30, func() { n++ })
-		}
-	})
-	eng.Run()
+	for i := 0; i < 10; i++ {
+		th.Acquire(1<<30, func() { n++ })
+	}
 	if n != 10 {
 		t.Fatalf("grants = %d, want 10 with throttling disabled", n)
 	}

@@ -43,10 +43,6 @@ type Launch struct {
 
 	onTBRetire func(int, []kernel.Tile)
 	onDone     func()
-
-	// StartedAt / FinishedAt bracket the launch for reporting.
-	StartedAt  sim.Time
-	FinishedAt sim.Time
 }
 
 // tbRun is one thread block's runtime state. Runs are pooled per GPU and
@@ -235,15 +231,10 @@ func (g *GPU) Launch(k *kernel.Kernel, opts LaunchOpts) *Launch {
 		remaining:  k.Grid,
 		onTBRetire: opts.OnTBRetire,
 		onDone:     opts.OnDone,
-		StartedAt:  g.eng.Now(),
-	}
-	overhead := g.hw.KernelLaunchOverhead
-	if k.LaunchOverheadOverride > 0 {
-		overhead = k.LaunchOverheadOverride
 	}
 	rng := sim.NewRNG(sim.Hash64(g.seed, uint64(opts.LaunchID)))
 	jitter := rng.Between(0, g.hw.KernelLaunchJitter)
-	l.readyAt = g.eng.Now() + overhead + jitter
+	l.readyAt = g.eng.Now() + g.hw.KernelLaunchOverhead + jitter
 	g.launches = append(g.launches, l)
 	g.eng.At(l.readyAt, func() {
 		l.started = true
@@ -264,13 +255,6 @@ func (g *GPU) partitionFor(k *kernel.Kernel) int {
 			return g.hw.SMsPerGPU
 		}
 		return k.CommSMs
-	}
-	if k.SMShare > 0 {
-		n := int(k.SMShare * float64(g.hw.SMsPerGPU))
-		if n < 1 {
-			n = 1
-		}
-		return n
 	}
 	return g.hw.SMsPerGPU
 }
@@ -528,7 +512,6 @@ func (g *GPU) finishTB(l *Launch, run *tbRun) {
 	l.remaining--
 	if l.remaining == 0 {
 		l.done = true
-		l.FinishedAt = g.eng.Now()
 		g.removeLaunch(l)
 		if l.onDone != nil {
 			l.onDone()

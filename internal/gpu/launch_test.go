@@ -207,9 +207,4 @@ func TestCommSMsPartitionCap(t *testing.T) {
 	if got := g.partitionFor(k); got != testHardwareSlots() {
 		t.Fatalf("oversize comm partition = %d, want clamp to pool", got)
 	}
-	share := &kernel.Kernel{Name: "s", Grid: 1, SMShare: 0.5,
-		Work: func(gpu, tb int) kernel.TBDesc { return kernel.TBDesc{} }}
-	if got := g.partitionFor(share); got != testHardwareSlots()/2 {
-		t.Fatalf("share partition = %d", got)
-	}
 }

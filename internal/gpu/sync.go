@@ -62,7 +62,6 @@ type Synchronizer struct {
 	// strict single-release invariant.
 	lenient bool
 
-	Requests        int64 // sync requests sent (stats)
 	Reregistrations int64 // waits re-sent after a routing change (fault stats)
 	Retries         int64 // re-registration attempts deferred by a down uplink
 	StaleReleases   int64 // duplicate releases tolerated in lenient mode
@@ -91,7 +90,6 @@ func (s *Synchronizer) routePlane(group int) int {
 
 // register sends the Group Sync Table registration packet on a plane.
 func (s *Synchronizer) register(group, phase, expected, plane int) {
-	s.Requests++
 	req := s.g.pkts.Get()
 	req.ID, req.Op = s.g.pktID(), noc.OpSyncRequest
 	req.Addr, req.Group = uint64(phase), group
@@ -198,21 +196,16 @@ func (s *Synchronizer) Release(group, phase int) {
 // Pending reports how many sync waits are outstanding.
 func (s *Synchronizer) Pending() int { return len(s.waiting) }
 
-// Throttle implements TB-aware request throttling (Sec. III-B-2): it
-// paces mergeable request injection to the GPU's effective uplink rate —
-// the same rate on every GPU, so aligned issue stays aligned at the switch
-// — and bounds outstanding bytes (the paper's Sec. V-C-2 footprint bound)
-// as a backstop, releasing on the switch's acceptance credits.
+// Throttle implements TB-aware request throttling (Sec. III-B-2): a FIFO
+// window on the GPU's outstanding mergeable request bytes (the paper's
+// Sec. V-C-2 footprint bound), released by the switch's acceptance
+// credits. It does not pace by rate: any per-GPU serialized regulator
+// would perturb the alignment the group synchronization establishes (GPU
+// streams differ by data ownership).
 type Throttle struct {
-	eng      *sim.Engine
-	rate     float64 // bytes/s injection pacing; <= 0 disables pacing
-	window   int64   // outstanding-bytes bound; <= 0 disables
-	nextFree sim.Time
-	out      int64
-	queue    pool.Ring[throttleReq]
-	armed    bool
-	pumpFn   func()
-	Deferred int64 // requests that could not issue immediately (stats)
+	window int64 // outstanding-bytes bound; <= 0 disables
+	out    int64
+	queue  pool.Ring[throttleReq]
 }
 
 type throttleReq struct {
@@ -220,49 +213,25 @@ type throttleReq struct {
 	fn    func()
 }
 
-func newThrottle(eng *sim.Engine, rate float64, window int64) *Throttle {
-	t := &Throttle{eng: eng, rate: rate, window: window}
-	t.pumpFn = t.pumpDisarm
-	return t
-}
+func newThrottle(window int64) *Throttle { return &Throttle{window: window} }
 
-// Acquire runs fn when pacing and the outstanding window allow; FIFO order
-// is preserved.
+// Acquire runs fn once the outstanding window allows; FIFO order is
+// preserved.
 func (t *Throttle) Acquire(bytes int64, fn func()) {
-	wasIdle := t.queue.Len() == 0
 	t.queue.PushBack(throttleReq{bytes: bytes, fn: fn})
-	t.pump()
-	if !wasIdle || t.queue.Len() > 0 {
-		t.Deferred++
-	}
-}
-
-func (t *Throttle) pumpDisarm() {
-	t.armed = false
 	t.pump()
 }
 
 func (t *Throttle) pump() {
 	for t.queue.Len() > 0 {
 		head := t.queue.Head()
-		// Outstanding-window backstop: an idle window always grants so an
-		// oversize request cannot starve.
+		// An idle window always grants so an oversize request cannot
+		// starve.
 		if t.window > 0 && t.out > 0 && t.out+head.bytes > t.window {
 			return // a Release will re-pump
 		}
-		now := t.eng.Now()
-		if t.rate > 0 && t.nextFree > now {
-			if !t.armed {
-				t.armed = true
-				t.eng.At(t.nextFree, t.pumpFn)
-			}
-			return
-		}
 		t.queue.PopFront()
 		t.out += head.bytes
-		if t.rate > 0 {
-			t.nextFree = now + sim.DurationForBytes(head.bytes, t.rate)
-		}
 		head.fn()
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"cais/internal/noc"
-	"cais/internal/sim"
 )
 
 // Kind classifies kernels for scheduling and reporting.
@@ -157,12 +156,8 @@ type Kernel struct {
 	// the same accesses Work generates concretely.
 	Patterns []Pattern
 
-	// SMShare is the fraction of the GPU's SMs this kernel may occupy
-	// (asymmetric kernel overlapping partitions the pool). Zero means
-	// the full GPU.
-	SMShare float64
-
-	// CommSMs pins a comm kernel to a fixed SM count instead of a share.
+	// CommSMs pins a comm kernel to a fixed SM count (asymmetric kernel
+	// overlapping partitions the pool). Zero means the full GPU.
 	CommSMs int
 
 	// PreLaunchSync enables pre-launch TB-group synchronization (aligned
@@ -174,11 +169,6 @@ type Kernel struct {
 
 	// Throttled enables TB-aware request throttling.
 	Throttled bool
-
-	// LaunchOverheadOverride, when positive, replaces the hardware
-	// default (fused kernels launch once; chunked pipelines pay per
-	// chunk).
-	LaunchOverheadOverride sim.Time
 }
 
 // Validate reports structural problems in the kernel definition.
@@ -191,9 +181,6 @@ func (k *Kernel) Validate() error {
 	}
 	if k.Work == nil {
 		return fmt.Errorf("kernel %s: nil Work generator", k.Name)
-	}
-	if k.SMShare < 0 || k.SMShare > 1 {
-		return fmt.Errorf("kernel %s: SMShare %v out of [0,1]", k.Name, k.SMShare)
 	}
 	return nil
 }

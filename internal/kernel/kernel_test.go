@@ -102,7 +102,6 @@ func TestKernelValidate(t *testing.T) {
 		{Grid: 4, Work: ok.Work},
 		{Name: "k", Grid: 0, Work: ok.Work},
 		{Name: "k", Grid: 4},
-		{Name: "k", Grid: 4, Work: ok.Work, SMShare: 1.5},
 	}
 	for i, k := range bad {
 		if err := k.Validate(); err == nil {

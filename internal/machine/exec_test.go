@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"cais/internal/kernel"
-	"cais/internal/metrics"
 	"cais/internal/noc"
 	"cais/internal/sim"
+	"cais/internal/trace"
 )
 
 func TestLaunchAllEmptyAndSequenceEmpty(t *testing.T) {
@@ -86,18 +86,37 @@ func TestOnDataIgnoresUntaggedPackets(t *testing.T) {
 	}
 }
 
-func TestAttachRecorderCoversAllLinks(t *testing.T) {
-	hw := testHW()
-	m := newTestMachine(t, hw, Options{})
-	rec := metrics.NewUtilSeries(10*sim.Microsecond, len(m.Links()))
-	m.AttachRecorder(rec)
+// TestUtilBinCoversAllLinks: Options.UtilBin attaches one recorder to
+// every link, and Timeline reads it back.
+func TestUtilBinCoversAllLinks(t *testing.T) {
+	m := newTestMachine(t, testHW(), Options{UtilBin: 10 * sim.Microsecond})
 	m.Eng.At(0, func() {
 		k := buildRSKernel(m, 8, 4<<10, m.NewBuffer(), false)
 		m.LaunchKernel(k, nil)
 	})
 	m.Run()
-	if rec.Mean(0) <= 0 {
-		t.Fatal("recorder saw no traffic despite remote reductions")
+	var recorded, busy sim.Time
+	for _, b := range m.Timeline().Busy {
+		recorded += b
+	}
+	for _, l := range m.Links() {
+		busy += l.BusyTime()
+	}
+	if busy <= 0 || recorded != busy {
+		t.Fatalf("timeline recorded %v of the links' %v busy time", recorded, busy)
+	}
+}
+
+// TestZeroOptionsAttachNoObservers: a machine built with zero Options
+// attaches no tracer and records no timeline, so observers cost nothing
+// unless a run opts in.
+func TestZeroOptionsAttachNoObservers(t *testing.T) {
+	m := newTestMachine(t, testHW(), Options{})
+	if trace.FromEngine(m.Eng) != nil {
+		t.Fatal("tracer attached without Tracer or Attrib")
+	}
+	if !m.Timeline().IsZero() {
+		t.Fatal("timeline recorded without UtilBin")
 	}
 }
 

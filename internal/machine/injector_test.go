@@ -11,7 +11,7 @@ import (
 // with the given fault schedule and returns (elapsed, steps).
 func runRS(t *testing.T, sched *faults.Schedule) (sim.Time, uint64, *Machine) {
 	t.Helper()
-	m := newTestMachine(t, testHW(), Options{UnlimitedMergeTable: true, Faults: sched})
+	m := newTestMachine(t, unlimitedHW(), Options{Faults: sched})
 	done := false
 	m.Eng.At(0, func() {
 		k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(), true)
@@ -94,9 +94,6 @@ func TestPlaneDownFailoverCompletes(t *testing.T) {
 	if m.Reroutes() == 0 {
 		t.Fatal("no packets rerouted around the dead plane")
 	}
-	if m.Switches[1].Failed() != true {
-		t.Fatal("switch 1 not in failed state")
-	}
 	// Routing invariants after the kill: everything lands on plane 0.
 	for addr := uint64(1); addr < 64; addr++ {
 		if m.routeAddr(addr) != 0 {
@@ -117,9 +114,6 @@ func TestPlaneDownThenRepair(t *testing.T) {
 	}})
 	if !m.PlaneAlive(0) {
 		t.Fatal("plane 0 not restored after repair")
-	}
-	if m.Switches[0].Failed() {
-		t.Fatal("switch 0 still failed after repair")
 	}
 	// Static routing restored: addr hash is the identity plane hash again.
 	for addr := uint64(1); addr < 16; addr++ {
@@ -195,7 +189,7 @@ func TestInvalidScheduleRejectedAtAssembly(t *testing.T) {
 // A plane failure while heavy ld.cais fan-in is in flight: the AG workload
 // exercises the pull-path re-route (pullTag) and sync failover together.
 func TestPlaneDownDuringAGPattern(t *testing.T) {
-	m := newTestMachine(t, testHW(), Options{UnlimitedMergeTable: true,
+	m := newTestMachine(t, unlimitedHW(), Options{
 		Faults: &faults.Schedule{Name: "ag-plane-kill", Faults: []faults.Fault{
 			{Kind: faults.PlaneDown, At: 4 * sim.Microsecond, Plane: 0, GPU: faults.All},
 		}}})

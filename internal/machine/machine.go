@@ -22,16 +22,11 @@ import (
 	"cais/internal/trace"
 )
 
-// Options tune system assembly beyond the hardware config.
+// Options tune a run beyond the hardware config and the strategy spec:
+// design ablations, fault injection and observers. It is the one
+// run-options type; strategy.Options aliases it. Fields tagged
+// `memo:"-"` are observers left out of memo keys (DESIGN.md §10).
 type Options struct {
-	// TrafficControl enables virtual channels with round-robin
-	// arbitration on every link (full CAIS; CAIS-Partial disables it).
-	TrafficControl bool
-	// UnlimitedMergeTable measures the minimal required table size
-	// (Fig. 13a) by removing the capacity limit.
-	UnlimitedMergeTable bool
-	// MergeTableBytes overrides the hardware per-port capacity when > 0.
-	MergeTableBytes int64
 	// Eviction selects the merge unit's victim policy (default LRU).
 	Eviction nvswitch.EvictionPolicy
 	// NoControlSideband disables the dedicated request/control channel
@@ -40,13 +35,28 @@ type Options struct {
 	NoControlSideband bool
 	// Tracer, when non-nil, is attached to the engine before assembly so
 	// every subsystem records spans into it (Perfetto export). Nil keeps
-	// instrumentation disabled at zero cost.
-	Tracer *trace.Tracer
+	// instrumentation disabled at zero cost. memo.Cacheable rejects runs
+	// that set it.
+	Tracer *trace.Tracer `memo:"-"`
+	// Progress, when set together with ProgressEvery, is invoked from the
+	// event loop every ProgressEvery engine steps (heartbeat logging). The
+	// cadence does not affect simulated time.
+	Progress      func(now sim.Time, steps uint64) `memo:"-"`
+	ProgressEvery uint64                           `memo:"-"`
 	// Faults, when non-nil and non-empty, is the fault schedule the
 	// machine's injector plays back on the sim clock (DESIGN.md §8). Nil
 	// or empty keeps every fault hook inert, bit-identical to an
 	// unfaulted run.
 	Faults *faults.Schedule
+	// UtilBin, when positive, records a binned link-utilization timeline
+	// over all links, read back with Machine.Timeline (Fig. 16). It hashes
+	// into the memo key, so timeline-producing runs stay cacheable.
+	UtilBin sim.Time
+	// Attrib, when set, attaches an internal tracer (unless Tracer is
+	// set) so core.Session.Run can build the time-attribution report
+	// (DESIGN.md §12). The tracer only observes: elapsed time and
+	// telemetry are identical with Attrib on or off.
+	Attrib bool
 }
 
 // Machine is one assembled system plus its execution state.
@@ -115,6 +125,7 @@ type Machine struct {
 	pkts *noc.PacketPool
 	reg  *metrics.Registry
 	tr   *trace.Tracer
+	util *metrics.UtilSeries // link busy timeline (Options.UtilBin)
 }
 
 // KernelSpan is one kernel's execution window across all GPUs.
@@ -124,14 +135,6 @@ type KernelSpan struct {
 	Wave  int      // barrier-delimited launch batch (see Machine.nextWave)
 	Start sim.Time // first launch start
 	End   sim.Time // last GPU's completion
-}
-
-// AttachRecorder installs a busy-interval observer on every link in the
-// fabric (utilization-over-time measurements, Fig. 16).
-func (m *Machine) AttachRecorder(r noc.BusyRecorder) {
-	for _, l := range m.Links() {
-		l.SetRecorder(r)
-	}
 }
 
 type contribKey struct {
@@ -219,15 +222,23 @@ func (m *Machine) TileArena() *pool.Arena[kernel.Tile] { return &m.tiles }
 // AccessArena is the access-slice counterpart of TileArena.
 func (m *Machine) AccessArena() *pool.Arena[kernel.Access] { return &m.accs }
 
-// New assembles a machine for the hardware configuration.
+// New assembles a machine for the hardware configuration and applies
+// every run option: observers attach to the engine and the links, and a
+// fault schedule arms the injector.
 func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 	if err := hw.Validate(); err != nil {
 		panic(err)
+	}
+	if opts.Attrib && opts.Tracer == nil {
+		opts.Tracer = trace.New()
 	}
 	if opts.Tracer != nil {
 		// Attach before assembly: every component captures the tracer from
 		// the engine at construction time.
 		trace.Attach(eng, opts.Tracer)
+	}
+	if opts.Progress != nil && opts.ProgressEvery > 0 {
+		eng.SetProgress(opts.ProgressEvery, opts.Progress)
 	}
 	m := &Machine{
 		Eng: eng, HW: hw, Opts: opts,
@@ -262,19 +273,12 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 		m.GPUs[g].SetGroupRouter(m.routeGroup)
 		m.GPUs[g].SetPacketPool(pkts)
 	}
-	capacity := hw.MergeTableBytes
-	if opts.MergeTableBytes > 0 {
-		capacity = opts.MergeTableBytes
-	}
-	if opts.UnlimitedMergeTable {
-		capacity = -1
-	}
 	planeBW := hw.PlaneBandwidth()
 	for pl := 0; pl < hw.NumSwitchPlanes; pl++ {
 		sw := nvswitch.New(eng, nvswitch.Config{
 			NumGPUs: hw.NumGPUs, Plane: pl,
 			SwitchLatency: hw.SwitchLatency,
-			MergeCapacity: capacity,
+			MergeCapacity: hw.MergeTableBytes,
 			MergeTimeout:  hw.MergeTimeout,
 			CreditLatency: hw.LinkLatency,
 			Eviction:      opts.Eviction,
@@ -287,8 +291,6 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 		for g := 0; g < hw.NumGPUs; g++ {
 			up := noc.NewLink(eng, fmt.Sprintf("g%d->sw%d", g, pl), planeBW, hw.LinkLatency, sw)
 			down := noc.NewLink(eng, fmt.Sprintf("sw%d->g%d", pl, g), planeBW, hw.LinkLatency, m.GPUs[g])
-			up.SetVirtualChannels(opts.TrafficControl)
-			down.SetVirtualChannels(opts.TrafficControl)
 			up.SetControlSideband(!opts.NoControlSideband)
 			down.SetControlSideband(!opts.NoControlSideband)
 			m.GPUs[g].ConnectUp(pl, up)
@@ -302,10 +304,34 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 		m.upLink = append(m.upLink, ups)
 		m.downLink = append(m.downLink, downs)
 	}
+	if opts.UtilBin > 0 {
+		m.util = metrics.NewUtilSeries(opts.UtilBin, 2*hw.NumGPUs*hw.NumSwitchPlanes)
+		for _, l := range m.Links() {
+			l.SetRecorder(m.util)
+		}
+	}
 	m.nameTraceTracks()
 	m.registerGauges()
 	m.installFaults()
 	return m
+}
+
+// SetTrafficControl enables (on) or disables the per-class virtual
+// channels with round-robin arbitration on every link (Sec. III-C-2: full
+// CAIS enables them, CAIS-Partial does not). Call it before the run.
+func (m *Machine) SetTrafficControl(on bool) {
+	for _, l := range m.Links() {
+		l.SetVirtualChannels(on)
+	}
+}
+
+// Timeline returns the binned link-utilization timeline recorded under
+// Options.UtilBin; it is zero when no timeline was recorded.
+func (m *Machine) Timeline() metrics.UtilTimeline {
+	if m.util == nil {
+		return metrics.UtilTimeline{}
+	}
+	return m.util.Timeline()
 }
 
 // routeAddr is the fault-aware address-to-plane hash shared by every GPU:

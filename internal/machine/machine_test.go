@@ -19,6 +19,13 @@ func testHW() config.Hardware {
 	return hw
 }
 
+// unlimitedHW is testHW with an unlimited merge table.
+func unlimitedHW() config.Hardware {
+	hw := testHW()
+	hw.MergeTableBytes = -1
+	return hw
+}
+
 func newTestMachine(t *testing.T, hw config.Hardware, opts Options) *Machine {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -122,8 +129,8 @@ func buildAGKernel(m *Machine, rows, cols int, shardBytes int64, copyBuf int) *k
 }
 
 func TestAGPatternMergesLoads(t *testing.T) {
-	hw := testHW()
-	m := newTestMachine(t, hw, Options{UnlimitedMergeTable: true})
+	hw := unlimitedHW()
+	m := newTestMachine(t, hw, Options{})
 	const rows, cols = 8, 4
 	shardBytes := int64(8 << 10) // 8 chunks of 1KB
 	done := false
@@ -197,8 +204,8 @@ func buildRSKernel(m *Machine, rows int, tileBytes int64, outBuf int, coordinate
 }
 
 func TestRSPatternMergesReductionsAndPublishes(t *testing.T) {
-	hw := testHW()
-	m := newTestMachine(t, hw, Options{UnlimitedMergeTable: true})
+	hw := unlimitedHW()
+	m := newTestMachine(t, hw, Options{})
 	const rows = 8
 	tileBytes := int64(4 << 10)
 	outBuf := 0
@@ -233,10 +240,10 @@ func TestRSPatternMergesReductionsAndPublishes(t *testing.T) {
 }
 
 func TestCoordinationReducesSkew(t *testing.T) {
-	hw := testHW()
+	hw := unlimitedHW()
 	hw.KernelLaunchJitter = 10 * sim.Microsecond
 	run := func(coordinated bool) sim.Time {
-		m := newTestMachine(t, hw, Options{UnlimitedMergeTable: true})
+		m := newTestMachine(t, hw, Options{})
 		m.Eng.At(0, func() {
 			k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(), coordinated)
 			m.LaunchKernel(k, nil)
@@ -258,10 +265,10 @@ func TestCoordinationReducesSkew(t *testing.T) {
 }
 
 func TestCoordinationReducesMergeTableHighWater(t *testing.T) {
-	hw := testHW()
+	hw := unlimitedHW()
 	hw.KernelLaunchJitter = 10 * sim.Microsecond
 	run := func(coordinated bool) int64 {
-		m := newTestMachine(t, hw, Options{UnlimitedMergeTable: true})
+		m := newTestMachine(t, hw, Options{})
 		m.Eng.At(0, func() {
 			k := buildRSKernel(m, 32, 4<<10, m.NewBuffer(), coordinated)
 			m.LaunchKernel(k, nil)

@@ -25,7 +25,7 @@ func testPoint() (config.Hardware, strategy.Spec, model.SubLayer) {
 // point: equal inputs digest equally, run after run.
 func TestKeyDeterministic(t *testing.T) {
 	hw, spec, sub := testPoint()
-	opts := strategy.Options{MergeTableBytes: 40 << 10}
+	opts := strategy.Options{NoControlSideband: true}
 	a := KeySubLayer(hw, spec, sub, opts)
 	b := KeySubLayer(hw, spec, sub, opts)
 	if a != b {
@@ -100,13 +100,6 @@ func TestKeySemanticFieldsDiffer(t *testing.T) {
 		t.Error("fault severity change did not move the key")
 	}
 
-	if KeySubLayer(hw, spec, sub, strategy.Options{UnlimitedMergeTable: true}) == base {
-		t.Error("UnlimitedMergeTable did not move the key")
-	}
-	if KeySubLayer(hw, spec, sub, strategy.Options{MergeTableBytes: 40 << 10}) == base {
-		t.Error("MergeTableBytes did not move the key")
-	}
-
 	// Fig. 13b's ablation specs share one name while differing in
 	// coordination knobs: the full spec is digested, not just the name.
 	tweaked := spec
@@ -137,7 +130,7 @@ func TestKeyExcludesWorkerCount(t *testing.T) {
 // a point (the callback observes or mutates machine state that a cache hit
 // never builds).
 func TestCacheable(t *testing.T) {
-	if !Cacheable(strategy.Options{UnlimitedMergeTable: true, MergeTableBytes: 5}) {
+	if !Cacheable(strategy.Options{NoControlSideband: true, UtilBin: 5, Attrib: true}) {
 		t.Error("value-only options should be cacheable")
 	}
 	if Cacheable(strategy.Options{Progress: func(sim.Time, uint64) {}}) {

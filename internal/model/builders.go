@@ -132,9 +132,6 @@ const (
 	// computing): the switch fetches each row block once and replicates
 	// it to all requesters.
 	GatherCAIS GatherMode = iota
-	// GatherP2P uses plain loads with a per-GPU loader TB: every GPU
-	// fetches every remote block once (no in-switch merging).
-	GatherP2P
 	// GatherPerTB uses plain loads issued by every consuming TB (LADM:
 	// locality-aware TB scheduling without in-switch computing or
 	// gather staging) — remote operand rows are re-fetched by each

@@ -63,10 +63,6 @@ type Switch struct {
 	// default so healthy runs keep strict invariants and bit-identical
 	// behavior.
 	faultTolerant bool
-	// failed marks a plane taken down by the injector. The plane keeps
-	// draining traffic already addressed to it (downlinks stay up), but
-	// its merge/NVLS/sync state was flushed at failure.
-	failed bool
 
 	stats  *Stats
 	tr     *trace.Tracer
@@ -237,9 +233,6 @@ func (s *Switch) PoolStats() (gets, news, idle int) {
 // semantics bit-for-bit.
 func (s *Switch) SetFaultTolerant(on bool) { s.faultTolerant = on }
 
-// Failed reports whether the injector has taken this plane down.
-func (s *Switch) Failed() bool { return s.failed }
-
 // Failover takes the plane down: every NVLS push session flushes its
 // partial result (receivers count contribution bytes, so split sessions
 // still complete), every Group Sync Table entry is dropped (the machine
@@ -248,7 +241,6 @@ func (s *Switch) Failed() bool { return s.failed }
 // draining — downlinks stay up — and any sessions such stragglers open are
 // reaped by the fault-tolerant timeouts.
 func (s *Switch) Failover() {
-	s.failed = true
 	addrs := make([]uint64, 0, len(s.nvlsRed))
 	for a := range s.nvlsRed {
 		addrs = append(addrs, a)
@@ -271,7 +263,6 @@ func (s *Switch) Failover() {
 // Repair brings a failed plane back into service. Its tables are empty
 // (flushed at failure); routing is restored by the machine.
 func (s *Switch) Repair() {
-	s.failed = false
 	if s.tr.Enabled() {
 		s.tr.Instant(s.pid, 0, "nvswitch.fault", "plane repair", s.eng.Now())
 	}

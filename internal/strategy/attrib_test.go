@@ -4,26 +4,6 @@ import (
 	"testing"
 )
 
-// TestObserversDisabledAllocatesNothing pins the zero-overhead contract at
-// the run-setup layer: with attribution and timeline recording both off,
-// the observer hook must neither allocate nor attach a tracer — the run
-// stays on the seed's nil-check-only hot path.
-func TestObserversDisabledAllocatesNothing(t *testing.T) {
-	hw := tinyHW()
-	allocs := testing.AllocsPerRun(1000, func() {
-		opts := Options{}
-		if rec := observers(hw, &opts); rec != nil {
-			panic("recorder created without opt-in")
-		}
-		if opts.Tracer != nil {
-			panic("tracer attached without opt-in")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled observers allocate %v/op, want 0", allocs)
-	}
-}
-
 // TestAttributionDoesNotPerturbSimulation: enabling attribution (which
 // implicitly attaches a tracer and runs an offline interval sweep after
 // the engine drains) must not change a single simulated quantity.

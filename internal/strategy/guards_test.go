@@ -3,18 +3,20 @@ package strategy
 import (
 	"testing"
 
-	"cais/internal/machine"
+	"cais/internal/core"
 	"cais/internal/model"
-	"cais/internal/sim"
 )
 
 // Lowering-state guards: a miswired op sequence must fail loudly, not
 // silently produce a wrong pipeline.
 
-func guardBuilder(t *testing.T) *model.Builder {
+func tinySession(t *testing.T) *core.Session {
 	t.Helper()
-	eng := sim.NewEngine()
-	return model.NewBuilder(machine.New(eng, tinyHW(), machine.Options{}))
+	s, err := core.NewSession(tinyHW(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func expectPanic(t *testing.T, what string, fn func()) {
@@ -28,33 +30,34 @@ func expectPanic(t *testing.T, what string, fn func()) {
 }
 
 func TestLoweringGuards(t *testing.T) {
-	b := guardBuilder(t)
+	s := tinySession(t)
+	b := s.Builder()
 	tokens := tinyModel().Tokens()
 
 	expectPanic(t, "attention without a local QKV grid", func() {
 		st := actState{kind: stateSharded, sharded: b.NewSharded(tokens)}
-		lower(b, CAIS(), model.OpSpec{Name: "attn", Kind: model.OpAttention,
-			Batch: 1, Heads: 4, Seq: 256, HeadDim: 128}, &st, &plan{})
+		lower(s, CAIS(), model.OpSpec{Name: "attn", Kind: model.OpAttention,
+			Batch: 1, Heads: 4, Seq: 256, HeadDim: 128}, &st)
 	})
 	expectPanic(t, "row GEMM without a local input grid", func() {
 		st := actState{kind: stateGathered, gathered: b.NewGathered(tokens)}
-		lower(b, CAIS(), model.OpSpec{Name: "rg", Kind: model.OpRowGEMM,
-			M: tokens, N: 512, K: 512}, &st, &plan{})
+		lower(s, CAIS(), model.OpSpec{Name: "rg", Kind: model.OpRowGEMM,
+			M: tokens, N: 512, K: 512}, &st)
 	})
 	expectPanic(t, "Basic-TP col GEMM without replicated input", func() {
 		st := actState{kind: stateSharded, sharded: b.NewSharded(tokens)}
-		lower(b, TPNVLS(), model.OpSpec{Name: "cg", Kind: model.OpColGEMM,
-			M: tokens, N: 512, K: 512}, &st, &plan{})
+		lower(s, TPNVLS(), model.OpSpec{Name: "cg", Kind: model.OpColGEMM,
+			M: tokens, N: 512, K: 512}, &st)
 	})
 	expectPanic(t, "SP gather from a non-sharded state", func() {
 		st := actState{kind: stateLocal, local: b.NewLocalGrid(tokens, 512)}
-		lower(b, CAIS(), model.OpSpec{Name: "cg", Kind: model.OpColGEMM,
-			M: tokens, N: 512, K: 512}, &st, &plan{})
+		lower(s, CAIS(), model.OpSpec{Name: "cg", Kind: model.OpColGEMM,
+			M: tokens, N: 512, K: 512}, &st)
 	})
 	expectPanic(t, "row op with no activation state", func() {
 		st := actState{}
-		lower(b, CAIS(), model.OpSpec{Name: "ln", Kind: model.OpLN,
-			Rows: tokens, Cols: 512}, &st, &plan{})
+		lower(s, CAIS(), model.OpSpec{Name: "ln", Kind: model.OpLN,
+			Rows: tokens, Cols: 512}, &st)
 	})
 }
 

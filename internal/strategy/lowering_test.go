@@ -152,23 +152,34 @@ func TestCoordinationSpecWiring(t *testing.T) {
 	}
 }
 
+// TestBarrierPlanPlacement pins how each barrier mode places kernels
+// into a session's launch waves: Global gives each kernel its own wave,
+// Stage groups one op's kernels, and None accumulates successive ops.
 func TestBarrierPlanPlacement(t *testing.T) {
-	p := &plan{}
-	a := computeOnly("a", 4, 1)
-	b := computeOnly("b", 4, 1)
-	p.add(BarrierGlobal, a, b)
-	if len(p.stages) != 2 {
-		t.Fatalf("global: stages = %d, want 2", len(p.stages))
+	// waves places kernels a and b as one op, or as two when split, and
+	// returns the launch waves they ran in.
+	waves := func(mode BarrierMode, split bool) (int, int) {
+		s := tinySession(t)
+		a, b := computeOnly("a", 4, 1), computeOnly("b", 4, 1)
+		if split {
+			place(s, mode, a)
+			place(s, mode, b)
+		} else {
+			place(s, mode, a, b)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		spans := s.Machine().KernelSpans
+		return spans[0].Wave, spans[1].Wave
 	}
-	p2 := &plan{}
-	p2.add(BarrierStage, a, b)
-	if len(p2.stages) != 1 || len(p2.stages[0]) != 2 {
+	if a, b := waves(BarrierGlobal, false); a == b {
+		t.Fatal("global: both kernels share a wave")
+	}
+	if a, b := waves(BarrierStage, false); a != b {
 		t.Fatal("stage mode must group the op's kernels")
 	}
-	p3 := &plan{}
-	p3.add(BarrierNone, a)
-	p3.add(BarrierNone, b)
-	if len(p3.stages) != 1 || len(p3.stages[0]) != 2 {
+	if a, b := waves(BarrierNone, true); a != b {
 		t.Fatal("barrier-none must accumulate one stage")
 	}
 }

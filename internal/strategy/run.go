@@ -5,56 +5,19 @@ import (
 
 	"cais/internal/attrib"
 	"cais/internal/config"
-	"cais/internal/faults"
+	"cais/internal/core"
 	"cais/internal/kernel"
 	"cais/internal/machine"
 	"cais/internal/metrics"
 	"cais/internal/model"
 	"cais/internal/nvswitch"
 	"cais/internal/sim"
-	"cais/internal/trace"
 )
 
-// Options tune a run beyond the strategy spec (experiment knobs).
-type Options struct {
-	// MergeTableBytes overrides the per-port merging-table capacity.
-	MergeTableBytes int64
-	// UnlimitedMergeTable removes the capacity limit (Fig. 13a probes).
-	UnlimitedMergeTable bool
-	// NoMergeTimeout disables the forward-progress timeout so sessions
-	// wait for every expected request (the "merge all eligible requests"
-	// condition of Fig. 13a).
-	NoMergeTimeout bool
-	// Eviction selects the merge unit's victim policy (design ablation).
-	Eviction nvswitch.EvictionPolicy
-	// NoControlSideband disables the links' dedicated control channel
-	// (design ablation).
-	NoControlSideband bool
-	// Tracer, when non-nil, records the run as a Perfetto-loadable event
-	// trace. Instrumentation stays disabled (zero-cost) when nil. An
-	// observer only: left out of the memo key, and memo.Cacheable rejects
-	// runs that set it.
-	Tracer *trace.Tracer `memo:"-"`
-	// Progress, when set together with ProgressEvery, is invoked from the
-	// event loop every ProgressEvery engine steps (heartbeat logging).
-	// Observers only, left out of the memo key like Tracer; the cadence
-	// does not affect simulated time.
-	Progress      func(now sim.Time, steps uint64) `memo:"-"`
-	ProgressEvery uint64                           `memo:"-"`
-	// Faults, when non-nil and non-empty, is the fault schedule injected
-	// into the run (DESIGN.md §8). Nil or empty reproduces the unfaulted
-	// run bit-for-bit.
-	Faults *faults.Schedule
-	// UtilBin, when positive, records a binned link-utilization timeline
-	// over all links and returns it in Result.Timeline (Fig. 16). It hashes
-	// into the memo key, so timeline-producing runs stay cacheable.
-	UtilBin sim.Time
-	// Attrib, when set, attaches an internal tracer and runs the time-
-	// attribution pass after completion (Result.Attrib, DESIGN.md §12).
-	// The tracer only observes — elapsed time and telemetry are identical
-	// with Attrib on or off.
-	Attrib bool
-}
+// Options tune a run beyond the strategy spec: design ablations, fault
+// injection and observers. Hardware knobs such as the merge-table size
+// live in config.Hardware.
+type Options = machine.Options
 
 // Result is the outcome of one simulated run.
 type Result struct {
@@ -113,52 +76,36 @@ type actState struct {
 	local      model.LocalGrid
 }
 
-// plan accumulates kernels into barrier-delimited stages.
-type plan struct {
-	stages [][]*kernel.Kernel
-}
-
-func (p *plan) stage(ks ...*kernel.Kernel) {
-	p.stages = append(p.stages, ks)
-}
-
-func (p *plan) appendToStage(ks ...*kernel.Kernel) {
-	if len(p.stages) == 0 {
-		p.stages = append(p.stages, nil)
-	}
-	last := len(p.stages) - 1
-	p.stages[last] = append(p.stages[last], ks...)
-}
-
-// add places kernels according to the barrier mode: Global = every kernel
-// its own stage; Stage = this op's kernels together in a fresh stage;
-// None = everything in one stage.
-func (p *plan) add(mode BarrierMode, ks ...*kernel.Kernel) {
+// place adds one op's kernels to the session according to the barrier
+// mode: Global = every kernel its own stage; Stage = the op's kernels
+// together in a fresh stage; None = everything in one stage.
+func place(s *core.Session, mode BarrierMode, ks ...*kernel.Kernel) {
 	switch mode {
 	case BarrierGlobal:
 		for _, k := range ks {
-			p.stage(k)
+			s.Stage(k)
 		}
 	case BarrierStage:
-		p.stage(ks...)
+		s.Stage(ks...)
 	case BarrierNone:
-		p.appendToStage(ks...)
+		s.Concurrent(ks...)
 	}
 }
 
 // lower translates one operator under the spec, mutating the state and
-// appending kernels to the plan.
-func lower(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *plan) {
+// adding kernels to the session's plan.
+func lower(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
+	b := s.Builder()
 	P := b.P
 	switch op.Kind {
 	case model.OpLN, model.OpElemwise:
-		lowerRowOp(b, spec, op, st, p)
+		lowerRowOp(s, spec, op, st)
 
 	case model.OpColGEMM:
-		lowerColGEMM(b, spec, op, st, p)
+		lowerColGEMM(s, spec, op, st)
 
 	case model.OpRowGEMM:
-		lowerRowGEMM(b, spec, op, st, p)
+		lowerRowGEMM(s, spec, op, st)
 
 	case model.OpAttention:
 		headsLocal := op.Heads / P
@@ -171,7 +118,7 @@ func lower(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *plan) 
 		tokens := op.Batch * op.Seq
 		out := b.NewLocalGrid(tokens, headsLocal*op.HeadDim)
 		k := b.Attention(op.Name, op.Batch, headsLocal, op.Seq, op.HeadDim, op.ComputeScale(), st.local, out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 		*st = actState{kind: stateLocal, local: out}
 
 	default:
@@ -181,7 +128,8 @@ func lower(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *plan) 
 
 // lowerRowOp handles LN and elementwise ops in whatever representation the
 // activation currently has.
-func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *plan) {
+func lowerRowOp(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
+	b := s.Builder()
 	kind := kernel.KindLN
 	if op.Kind == model.OpElemwise {
 		kind = kernel.KindElemwise
@@ -193,7 +141,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		out := b.NewLocalGrid(op.Rows, local.NTiles*model.TileN)
 		k := b.LocalRowOp(op.Name, op.Rows, local.NTiles*model.TileN,
 			func(g, mi, ni int) []kernel.Tile { return b.Tile1(local.Tile(mi, ni, g)) }, out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 		*st = actState{kind: stateLocal, local: out}
 
 	case stateParts:
@@ -202,7 +150,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		out := b.NewSharded(op.Rows)
 		k := b.ShardedRowOp(op.Name, kind, op.Rows, op.Cols,
 			func(g, mi, _ int) []kernel.Tile { return b.RowTiles(parts, mi, 0) }, out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 		*st = actState{kind: stateSharded, sharded: out}
 
 	case stateSharded:
@@ -210,7 +158,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		out := b.NewSharded(op.Rows)
 		k := b.ShardedRowOp(op.Name, kind, op.Rows, op.Cols,
 			func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi)) }, out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 		*st = actState{kind: stateSharded, sharded: out}
 
 	case stateGathered:
@@ -218,7 +166,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		out := b.NewGathered(op.Rows)
 		k := b.ReplicatedRowOp(op.Name, kind, op.Rows, op.Cols,
 			func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi, g)) }, out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 		*st = actState{kind: stateGathered, gathered: out}
 
 	case stateReducedCopies:
@@ -226,7 +174,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		out := b.NewGathered(op.Rows)
 		k := b.ReplicatedRowOp(op.Name, kind, op.Rows, op.Cols,
 			func(g, mi, _ int) []kernel.Tile { return b.RowTiles(copies, mi, g) }, out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 		*st = actState{kind: stateGathered, gathered: out}
 
 	default:
@@ -235,7 +183,8 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 }
 
 // lowerColGEMM handles the AllGather + column-parallel GEMM boundary.
-func lowerColGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *plan) {
+func lowerColGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
+	b := s.Builder()
 	P := b.P
 	nLocal := op.N / P
 	if nLocal < model.TileN {
@@ -252,7 +201,7 @@ func lowerColGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 		src := st.gathered
 		k := b.GEMM(op.Name, op.M, nLocal, op.K, scale,
 			func(g, mi, ni int) []kernel.Tile { return b.Tile1(src.Tile(mi, g)) }, out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 
 	case AGNVLS, AGRing, AGP2PPush:
 		src := needSharded(st, op.Name)
@@ -273,26 +222,27 @@ func lowerColGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 			func(g, mi, ni int) []kernel.Tile { return b.Tile1(copies.Tile(mi, g)) }, out)
 		// Stage mode keeps the gather and its consumer together for
 		// fine-grained AG-GEMM overlap (T3's extension); Global mode
-		// splits them (p.add handles both).
-		p.add(spec.Barrier, ag, gemm)
+		// splits them (place handles both).
+		place(s, spec.Barrier, ag, gemm)
 
 	case AGFusedCAIS:
 		src := needSharded(st, op.Name)
 		k := b.FusedAGGEMM(op.Name, src, op.M, nLocal, op.K, scale,
 			model.GatherCAIS, spec.coordination(), out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 
 	case AGPerTB:
 		src := needSharded(st, op.Name)
 		k := b.FusedAGGEMM(op.Name, src, op.M, nLocal, op.K, scale,
 			model.GatherPerTB, model.Coordination{}, out)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 	}
 	*st = actState{kind: stateLocal, local: out}
 }
 
 // lowerRowGEMM handles the row-parallel GEMM + reduction boundary.
-func lowerRowGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *plan) {
+func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
+	b := s.Builder()
 	P := b.P
 	kLocal := op.K / P
 	if kLocal < 1 {
@@ -319,10 +269,10 @@ func lowerRowGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 		}
 		if spec.Chunks > 1 {
 			comms := chunkedComms(b, spec, op, partial, build)
-			p.add(spec.Barrier, append([]*kernel.Kernel{gemm}, comms...)...)
+			place(s, spec.Barrier, append([]*kernel.Kernel{gemm}, comms...)...)
 		} else {
 			ar := build("ar."+op.Name, commIn)
-			p.add(spec.Barrier, gemm, ar)
+			place(s, spec.Barrier, gemm, ar)
 		}
 		*st = actState{kind: stateReducedCopies, local: copies}
 
@@ -346,13 +296,13 @@ func lowerRowGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 			}
 			rs = b.RingReduceScatter("rs."+op.Name, op.M, op.N, commIn, red, parts)
 		}
-		p.add(spec.Barrier, gemm, rs)
+		place(s, spec.Barrier, gemm, rs)
 		*st = actState{kind: stateParts, parts: parts, partsOwner: red}
 
 	case RedARFusedCAIS:
 		copies := b.NewLocalGrid(op.M, op.N)
 		k := b.FusedGEMMAR(op.Name, op.M, op.N, kLocal, scale, in, spec.coordination(), copies)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 		*st = actState{kind: stateReducedCopies, local: copies}
 
 	case RedRSFusedCAIS, RedRSFusedStore, RedRSFusedNVLSPush:
@@ -369,7 +319,7 @@ func lowerRowGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 		}
 		k := b.FusedGEMMRS(op.Name, op.M, op.N, kLocal, scale, in,
 			mode, spec.coordination(), red, parts)
-		p.add(spec.Barrier, k)
+		place(s, spec.Barrier, k)
 		*st = actState{kind: stateParts, parts: parts, partsOwner: red}
 	}
 }
@@ -452,7 +402,8 @@ func needSharded(st *actState, name string) model.Sharded {
 
 // initialState publishes the chain's input activation and returns the
 // starting lowering state.
-func initialState(b *model.Builder, spec Spec, tokens int) actState {
+func initialState(s *core.Session, spec Spec, tokens int) actState {
+	b := s.Builder()
 	switch spec.Layout {
 	case SeqParallel:
 		x := b.NewSharded(tokens)
@@ -460,7 +411,7 @@ func initialState(b *model.Builder, spec Spec, tokens int) actState {
 		for mi := 0; mi < x.MTiles; mi++ {
 			tiles = append(tiles, x.Tile(mi))
 		}
-		b.M.PublishTiles(tiles)
+		s.PublishTiles(tiles)
 		return actState{kind: stateSharded, sharded: x}
 	default:
 		x := b.NewGathered(tokens)
@@ -470,13 +421,13 @@ func initialState(b *model.Builder, spec Spec, tokens int) actState {
 				tiles = append(tiles, x.Tile(mi, g))
 			}
 		}
-		b.M.PublishTiles(tiles)
+		s.PublishTiles(tiles)
 		return actState{kind: stateGathered, gathered: x}
 	}
 }
 
 // publishLocalGrid publishes a whole per-GPU grid (workload inputs).
-func publishLocalGrid(b *model.Builder, grid model.LocalGrid) {
+func publishLocalGrid(s *core.Session, grid model.LocalGrid) {
 	var tiles []kernel.Tile
 	for mi := 0; mi < grid.MTiles; mi++ {
 		for ni := 0; ni < grid.NTiles; ni++ {
@@ -485,94 +436,55 @@ func publishLocalGrid(b *model.Builder, grid model.LocalGrid) {
 			}
 		}
 	}
-	b.M.PublishTiles(tiles)
+	s.PublishTiles(tiles)
 }
 
-// stepLimit is the runaway-simulation guard every run's engine carries.
-const stepLimit uint64 = 2_000_000_000
-
-func newMachine(hw config.Hardware, spec Spec, opts Options) *machine.Machine {
-	eng := sim.NewEngine()
-	eng.SetStepLimit(stepLimit)
-	if opts.Progress != nil && opts.ProgressEvery > 0 {
-		eng.SetProgress(opts.ProgressEvery, opts.Progress)
+// run assembles a session for the spec, lowers the workload into it with
+// build, runs it and reports the result. label names the workload in
+// errors.
+func run(hw config.Hardware, spec Spec, opts Options, label string, build func(s *core.Session)) (Result, error) {
+	s, err := core.NewSession(hw, opts)
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%s: %w", spec.Name, label, err)
 	}
-	if opts.NoMergeTimeout {
-		hw.MergeTimeout = 0
+	m := s.Machine()
+	m.SetTrafficControl(spec.TrafficControl)
+	build(s)
+	doneAt, err := s.Run()
+	if err != nil {
+		return Result{}, fmt.Errorf("%s/%s: %w", spec.Name, label, err)
 	}
-	return machine.New(eng, hw, machine.Options{
-		TrafficControl:      spec.TrafficControl,
-		UnlimitedMergeTable: opts.UnlimitedMergeTable,
-		MergeTableBytes:     opts.MergeTableBytes,
-		Eviction:            opts.Eviction,
-		NoControlSideband:   opts.NoControlSideband,
-		Tracer:              opts.Tracer,
-		Faults:              opts.Faults,
-	})
-}
-
-// observers resolves the declarative observability knobs. The internal
-// tracer must exist before machine assembly (GPU trace thread ids are
-// assigned at construction), so callers invoke this on the options copy
-// before newMachine and attach the returned recorder right after.
-func observers(hw config.Hardware, opts *Options) *metrics.UtilSeries {
-	if opts.Attrib && opts.Tracer == nil {
-		opts.Tracer = trace.New()
-	}
-	if opts.UtilBin > 0 {
-		return metrics.NewUtilSeries(opts.UtilBin, 2*hw.NumGPUs*hw.NumSwitchPlanes)
-	}
-	return nil
-}
-
-func finish(spec Spec, m *machine.Machine, doneAt sim.Time, opts Options, rec *metrics.UtilSeries) Result {
-	res := Result{
+	return Result{
 		Strategy:  spec.Name,
 		Elapsed:   doneAt,
-		Stats:     m.SwitchStats(),
-		AvgUtil:   m.AvgLinkUtilization(doneAt),
+		Stats:     s.SwitchStats(),
+		AvgUtil:   s.AvgLinkUtilization(),
 		MergeHWM:  m.MergeTableHighWater(),
 		Machine:   m,
 		Telemetry: m.Metrics().Snapshot(),
-	}
-	if rec != nil {
-		res.Timeline = rec.Timeline()
-	}
-	if opts.Attrib {
-		res.Attrib = attrib.Build(m, opts.Tracer, doneAt)
-	}
-	return res
+		Timeline:  m.Timeline(),
+		Attrib:    s.Attrib(),
+	}, nil
 }
 
 // RunSubLayer executes one of the paper's communication-intensive
 // sub-layers (row-GEMM -> LN -> col-GEMM, Fig. 12) under the strategy.
 func RunSubLayer(hw config.Hardware, spec Spec, sub model.SubLayer, opts Options) (Result, error) {
-	rec := observers(hw, &opts)
-	m := newMachine(hw, spec, opts)
-	if rec != nil {
-		m.AttachRecorder(rec)
-	}
-	b := model.NewBuilder(m)
-	p := &plan{}
+	return run(hw, spec, opts, sub.ID, func(s *core.Session) {
+		// The row GEMM's input: the preceding column-parallel activation.
+		b := s.Builder()
+		kLocal := sub.RowGEMM.K / b.P
+		if kLocal < model.TileN {
+			kLocal = model.TileN
+		}
+		input := b.NewLocalGrid(sub.RowGEMM.M, kLocal)
+		publishLocalGrid(s, input)
+		st := actState{kind: stateLocal, local: input}
 
-	// The row GEMM's input: the preceding column-parallel activation.
-	kLocal := sub.RowGEMM.K / b.P
-	if kLocal < model.TileN {
-		kLocal = model.TileN
-	}
-	input := b.NewLocalGrid(sub.RowGEMM.M, kLocal)
-	publishLocalGrid(b, input)
-	st := actState{kind: stateLocal, local: input}
-
-	lower(b, spec, sub.RowGEMM, &st, p)
-	lower(b, spec, sub.LN, &st, p)
-	lower(b, spec, sub.ColGEMM, &st, p)
-
-	doneAt, _, err := m.RunStages(p.stages)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s/%s: %w", spec.Name, sub.ID, err)
-	}
-	return finish(spec, m, doneAt, opts, rec), nil
+		lower(s, spec, sub.RowGEMM, &st)
+		lower(s, spec, sub.LN, &st)
+		lower(s, spec, sub.ColGEMM, &st)
+	})
 }
 
 // RunLayers executes n transformer layers (forward, plus backward when
@@ -582,36 +494,24 @@ func RunLayers(hw config.Hardware, spec Spec, cfg config.Model, training bool, l
 	return RunLayersOpts(hw, spec, cfg, training, layers, Options{})
 }
 
-// RunLayersOpts is RunLayers with experiment knobs.
+// RunLayersOpts is RunLayers with run options.
 func RunLayersOpts(hw config.Hardware, spec Spec, cfg config.Model, training bool, layers int, opts Options) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	rec := observers(hw, &opts)
-	m := newMachine(hw, spec, opts)
-	if rec != nil {
-		m.AttachRecorder(rec)
-	}
-	b := model.NewBuilder(m)
-	p := &plan{}
-	st := initialState(b, spec, cfg.Tokens())
-
-	phases := []model.Phase{model.Forward}
-	if training {
-		phases = append(phases, model.Backward)
-	}
-	for _, phase := range phases {
-		for layer := 0; layer < layers; layer++ {
-			for _, op := range model.LayerOps(cfg, phase) {
-				op.Name = fmt.Sprintf("%s.l%d.%s", phase, layer, op.Name)
-				lower(b, spec, op, &st, p)
+	return run(hw, spec, opts, cfg.Name, func(s *core.Session) {
+		st := initialState(s, spec, cfg.Tokens())
+		phases := []model.Phase{model.Forward}
+		if training {
+			phases = append(phases, model.Backward)
+		}
+		for _, phase := range phases {
+			for layer := 0; layer < layers; layer++ {
+				for _, op := range model.LayerOps(cfg, phase) {
+					op.Name = fmt.Sprintf("%s.l%d.%s", phase, layer, op.Name)
+					lower(s, spec, op, &st)
+				}
 			}
 		}
-	}
-
-	doneAt, _, err := m.RunStages(p.stages)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s/%s: %w", spec.Name, cfg.Name, err)
-	}
-	return finish(spec, m, doneAt, opts, rec), nil
+	})
 }

@@ -3,7 +3,7 @@
 // CAIS-w/o-Coord) and the nine baselines of Section IV-C — TP-NVLS,
 // SP-NVLS, CoCoNet, FuseLib, T3, their NVLS-enhanced variants, and LADM.
 // A strategy is a declarative Spec; the executor in run.go lowers a
-// workload under the Spec onto a machine.
+// workload under the Spec into a core.Session and runs it.
 package strategy
 
 import (

@@ -1,16 +1,16 @@
 #!/bin/sh
 # bench.sh — run the repo's benchmark suite and write a dated baseline.
 #
-# Runs the experiment-level benchmarks (bench_test.go at the root), the
-# engine hot-path microbenchmarks (internal/sim), and the tracer/metrics
-# benchmarks, then writes BENCH_<date>.json: a JSON envelope holding the
-# parsed results plus the raw `go test -bench` text, which is
-# benchstat-compatible (extract .raw and feed two baselines to benchstat
-# to compare).
+# Runs the experiment-level benchmarks (bench_test.go at the root) and the
+# per-layer microbenchmarks of every package that has them (engine, tracer,
+# NoC link ring, model builders, machine), then writes BENCH_<date>.json: a
+# JSON envelope holding the parsed results plus the raw `go test -bench`
+# text, which is benchstat-compatible (extract .raw and feed two baselines
+# to benchstat to compare).
 #
 # Usage:
 #   scripts/bench.sh             # full suite -> BENCH_<date>.json
-#   scripts/bench.sh -quick      # engine + tracer/metrics microbenchmarks only
+#   scripts/bench.sh -quick      # per-layer microbenchmarks only
 #   BENCH_OUT=path scripts/bench.sh   # override the output file
 set -eu
 
@@ -27,8 +27,8 @@ trap 'rm -f "$raw"' EXIT
 
 # The root package carries the per-experiment regeneration benchmarks
 # (BenchmarkFig*, BenchmarkServingSweep, ...); it joins the full suite only —
-# quick mode sticks to the fast engine/tooling microbenchmarks.
-pkgs="./internal/sim/ ./internal/trace/ ./internal/metrics/ ./internal/lint/ ./internal/model/ ./internal/machine/"
+# quick mode sticks to the fast per-layer microbenchmarks.
+pkgs="./internal/sim/ ./internal/trace/ ./internal/noc/ ./internal/model/ ./internal/machine/"
 if [ "$quick" = 0 ]; then
 	pkgs=". $pkgs"
 fi
