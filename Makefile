@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint race resilience-smoke parallel-smoke attrib-smoke serving-smoke bench bench-quick bench-diff profile clean
+.PHONY: all build test check vet fmt lint race resilience-smoke parallel-smoke attrib-smoke serving-smoke experiments-full bench bench-quick bench-diff profile clean
 
 all: check
 
@@ -22,9 +22,16 @@ resilience-smoke: build
 	$(GO) run ./cmd/caissim -experiment resilience -quick
 
 # parallel-smoke: every experiment at reduced fidelity on a 4-worker sweep
-# pool — exercises the parallel executor end to end.
+# pool, compared byte for byte with the committed golden — exercises the
+# parallel executor end to end through the CLI.
 parallel-smoke: build
-	$(GO) run ./cmd/caissim -experiment all -quick -parallel 4
+	$(GO) run ./cmd/caissim -experiment all -quick -parallel 4 | cmp - internal/experiments/testdata/golden/quick.txt
+
+# experiments-full: regenerate experiments_full.txt, the full-fidelity
+# output EXPERIMENTS.md quotes (about two minutes on 2 vCPUs). CI runs it
+# and fails when the committed file differs.
+experiments-full: build
+	$(GO) run ./cmd/caissim -experiment all > experiments_full.txt
 
 # attrib-smoke: the time-attribution engine end to end (DESIGN.md §12) —
 # a quick fig17 sweep with the tick-exact JSON report written out; CI
@@ -53,7 +60,8 @@ fmt:
 
 # check: the one pre-merge gate, the same script CI runs — formatting,
 # vet, build, caislint, the tests (root module, the caisbench module and
-# under -race), the zero-alloc tracer benchmark and the quick smokes.
+# under -race), the zero-alloc tracer benchmark, the quick smokes and the
+# CLI's quick sweep compared with the committed golden.
 check:
 	sh scripts/check.sh
 

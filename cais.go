@@ -100,7 +100,7 @@ type (
 )
 
 // NewTracer creates an enabled event tracer. Pass it via RunOptions.Tracer
-// and serialize with its WriteFile/WriteJSON.
+// and serialize it with its WriteJSON.
 func NewTracer() *Tracer { return trace.New() }
 
 // DGXH100 returns the paper's simulated system configuration.

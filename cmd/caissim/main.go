@@ -190,14 +190,14 @@ func runExperiments(r experimentRun) {
 		fmt.Println(cfg.Attrib.Render())
 	}
 	if r.attribJSON != "" {
-		if err := cfg.Attrib.WriteFile(r.attribJSON); err != nil {
+		if err := writeTo(r.attribJSON, cfg.Attrib.WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "attrib-json: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote attribution for %d points to %s\n", cfg.Attrib.Len(), r.attribJSON)
 	}
 	if r.attribTrace != "" {
-		if err := cfg.Attrib.WriteChromeTraceFile(r.attribTrace); err != nil {
+		if err := writeTo(r.attribTrace, cfg.Attrib.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "attrib-trace: %v\n", err)
 			os.Exit(1)
 		}
@@ -363,7 +363,7 @@ func runStrategy(r strategyRun) {
 	}
 
 	if r.traceOut != "" {
-		if err := opts.Tracer.WriteFile(r.traceOut); err != nil {
+		if err := writeTo(r.traceOut, opts.Tracer.WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}

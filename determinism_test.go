@@ -1,144 +1,142 @@
 package cais_test
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"cais"
 )
 
 // The simulator's evaluation is only meaningful if runs are
-// bit-reproducible: same configuration and seed must yield the same event
-// count, elapsed time, switch statistics, telemetry bytes and trace bytes.
-// caislint guards the static side of that invariant (map iteration order,
-// wall-clock reads, unseeded randomness); this test guards it at runtime
-// by running identical workloads twice and comparing digests.
+// bit-reproducible. The reference is committed: internal/experiments'
+// TestGolden writes and checks internal/experiments/testdata/golden (its
+// golden_test.go says how to regenerate it). The tests here check that the
+// public API reproduces those goldens, each from one run: the traced CAIS
+// runs and sweep points of points.txt, and the tables of quick.txt.
 
-// runDigest captures everything observable about one run.
-type runDigest struct {
-	elapsed   cais.Time
-	steps     uint64
-	stats     string
-	avgUtil   float64
-	mergeHWM  int64
-	telemetry [sha256.Size]byte
-	trace     [sha256.Size]byte
-	attrib    [sha256.Size]byte
-}
+const goldenDir = "internal/experiments/testdata/golden"
 
-func digestRun(t *testing.T, training bool) runDigest {
-	return digestRunFaults(t, training, nil)
-}
-
-func digestRunFaults(t *testing.T, training bool, sched *cais.FaultSchedule) runDigest {
+func readGolden(t *testing.T, name string) string {
 	t.Helper()
-	hw := cais.DGXH100()
-	hw.RequestBytes = 32 << 10 // coarse requests keep the event count small
-	hw.Seed = 0xD37E12
-	m := cais.Model{Name: "Tiny", Hidden: 512, FFNHidden: 2048, Heads: 4, SeqLen: 512, Batch: 2, Layers: 2}
-	tr := cais.NewTracer()
-	var (
-		res cais.Result
-		err error
-	)
-	// Attribution rides along on every digested run: its rendered report
-	// plus JSON must be exactly as bit-reproducible as the raw trace.
-	opts := cais.RunOptions{Tracer: tr, Faults: sched, Attrib: true}
-	if training {
-		res, err = cais.RunTrainingOpts(hw, cais.CAIS(), m, 2, opts)
-	} else {
-		res, err = cais.RunInferenceOpts(hw, cais.CAIS(), m, 2, opts)
+	b, err := os.ReadFile(filepath.Join(goldenDir, name))
+	if err != nil {
+		t.Fatalf("%v (regenerate with `go test -run Golden ./internal/experiments`)", err)
 	}
+	return string(b)
+}
+
+// goldenPoints parses points.txt: "key elapsed_ps digest" lines whose key
+// may hold spaces.
+func goldenPoints(t *testing.T) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, line := range strings.Split(readGolden(t, "points.txt"), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			if j := strings.LastIndexByte(line[:i], ' '); j > 0 {
+				out[line[:j]] = line[j+1:]
+			}
+		}
+	}
+	return out
+}
+
+func checkPoint(t *testing.T, key, got string) {
+	t.Helper()
+	if want := goldenPoints(t)[key]; got != want {
+		t.Errorf("%s: %s, want points.txt's %q", key, got, want)
+	}
+}
+
+// checkQuick fails unless out is one experiment's section of quick.txt,
+// where every section ends in a blank line.
+func checkQuick(t *testing.T, id string, workers int, out string) {
+	t.Helper()
+	if !strings.Contains("\n\n"+readGolden(t, "quick.txt"), "\n\n"+out+"\n\n") {
+		t.Errorf("%s at workers=%d is not its section of %s/quick.txt:\n%s", id, workers, goldenDir, out)
+	}
+}
+
+// quickModel is the model of internal/experiments' quick fidelity.
+var quickModel = cais.Model{Name: "Quick-Tiny", Hidden: 512, FFNHidden: 2048, Heads: 4, SeqLen: 512, Batch: 2, Layers: 4}
+
+// digest hashes a run as internal/experiments' golden_test.go does for
+// points.txt: the switch summary, link utilization, merge-table high
+// water, the attribution report in both renderings, the simulated
+// telemetry and, when traced, the event trace.
+func digest(r cais.Result, tr *cais.Tracer) (string, error) {
+	h := sha256.New()
+	fmt.Fprintf(h, "%#v %v %d\n%s", r.Stats, r.AvgUtil, r.MergeHWM, r.Attrib.Render())
+	var sim cais.Telemetry // without the host allocator gauges
+	for _, m := range r.Telemetry.Metrics {
+		if !strings.HasPrefix(m.Name, "pool.") && !strings.HasPrefix(m.Name, "arena.") {
+			sim.Metrics = append(sim.Metrics, m)
+		}
+	}
+	writes := []func(io.Writer) error{sim.WriteJSON, r.Attrib.WriteJSON}
+	if tr != nil {
+		writes = append(writes, tr.WriteJSON)
+	}
+	for _, write := range writes {
+		if err := write(h); err != nil {
+			return "", err
+		}
+	}
+	return fmt.Sprintf("%d %s", r.Elapsed, hex.EncodeToString(h.Sum(nil)[:8])), nil
+}
+
+// tracedRun digests two traced CAIS layers of the quick model at the seed
+// points.txt's traced/* entries use, with attribution on.
+func tracedRun(t *testing.T, training bool, sched *cais.FaultSchedule) string {
+	t.Helper()
+	hw := cais.QuickExperiments().HW
+	hw.Seed = 0xD37E12
+	run := cais.RunInferenceOpts
+	if training {
+		run = cais.RunTrainingOpts
+	}
+	tr := cais.NewTracer()
+	r, err := run(hw, cais.CAIS(), quickModel, 2, cais.RunOptions{Tracer: tr, Faults: sched, Attrib: true})
 	if err != nil {
 		t.Fatalf("run(training=%v): %v", training, err)
 	}
-	var tele, spans, rep bytes.Buffer
-	if err := res.Telemetry.WriteJSON(&tele); err != nil {
-		t.Fatalf("telemetry: %v", err)
+	d, err := digest(r, tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := tr.WriteJSON(&spans); err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	if res.Attrib == nil {
-		t.Fatal("attribution report missing")
-	}
-	rep.WriteString(res.Attrib.Render())
-	if err := res.Attrib.WriteJSON(&rep); err != nil {
-		t.Fatalf("attribution: %v", err)
-	}
-	return runDigest{
-		elapsed:   res.Elapsed,
-		steps:     res.Machine.Eng.Steps(),
-		stats:     fmt.Sprintf("%+v", res.Stats),
-		avgUtil:   res.AvgUtil,
-		mergeHWM:  res.MergeHWM,
-		telemetry: sha256.Sum256(tele.Bytes()),
-		trace:     sha256.Sum256(spans.Bytes()),
-		attrib:    sha256.Sum256(rep.Bytes()),
-	}
-}
-
-func assertIdentical(t *testing.T, a, b runDigest) {
-	t.Helper()
-	if a.elapsed != b.elapsed {
-		t.Errorf("elapsed differs across identical runs: %v vs %v", a.elapsed, b.elapsed)
-	}
-	if a.steps != b.steps {
-		t.Errorf("event count differs across identical runs: %d vs %d", a.steps, b.steps)
-	}
-	if a.stats != b.stats {
-		t.Errorf("switch stats differ across identical runs:\n  %s\n  %s", a.stats, b.stats)
-	}
-	if a.avgUtil != b.avgUtil {
-		t.Errorf("link utilization differs across identical runs: %v vs %v", a.avgUtil, b.avgUtil)
-	}
-	if a.mergeHWM != b.mergeHWM {
-		t.Errorf("merge-table HWM differs across identical runs: %d vs %d", a.mergeHWM, b.mergeHWM)
-	}
-	if a.telemetry != b.telemetry {
-		t.Errorf("telemetry JSON digest differs across identical runs")
-	}
-	if a.trace != b.trace {
-		t.Errorf("trace JSON digest differs across identical runs")
-	}
-	if a.attrib != b.attrib {
-		t.Errorf("attribution report digest differs across identical runs")
-	}
+	return d
 }
 
 func TestDeterminismInference(t *testing.T) {
-	assertIdentical(t, digestRun(t, false), digestRun(t, false))
+	checkPoint(t, "traced/inference", tracedRun(t, false, nil))
 }
 
 func TestDeterminismTraining(t *testing.T) {
-	assertIdentical(t, digestRun(t, true), digestRun(t, true))
+	checkPoint(t, "traced/training", tracedRun(t, true, nil))
 }
 
-// TestDeterminismExperimentTables renders experiment tables twice and
-// requires byte-identical output — the property that makes regenerated
-// paper tables diffable.
+// TestDeterminismExperimentTables renders tables sequentially through the
+// public API and requires quick.txt's bytes — the property that makes
+// regenerated paper tables diffable.
 func TestDeterminismExperimentTables(t *testing.T) {
+	cfg := cais.QuickExperiments()
+	cfg.Workers = 1
 	for _, id := range []string{"table1", "fig11"} {
-		first, err := cais.RunExperiment(id, cais.QuickExperiments())
+		out, err := cais.RunExperiment(id, cfg)
 		if err != nil {
-			t.Fatalf("%s (run 1): %v", id, err)
+			t.Fatalf("%s: %v", id, err)
 		}
-		second, err := cais.RunExperiment(id, cais.QuickExperiments())
-		if err != nil {
-			t.Fatalf("%s (run 2): %v", id, err)
-		}
-		if first != second {
-			t.Errorf("%s: rendered table not byte-stable across runs\nrun1 sha256 %x\nrun2 sha256 %x",
-				id, sha256.Sum256([]byte(first)), sha256.Sum256([]byte(second)))
-		}
+		checkQuick(t, id, 1, out)
 	}
 }
 
-// TestDeterminismUnderFaults runs the same workload under the same fault
-// schedule twice: fault injection (failover, re-routing, retries) must be
-// exactly as reproducible as a healthy run.
+// TestDeterminismUnderFaults: fault injection (failover, re-routing,
+// retries) is exactly as reproducible as a healthy run.
 func TestDeterminismUnderFaults(t *testing.T) {
 	sched, err := cais.ParseFaultSchedule([]byte(`{
 		"name": "determinism-mix",
@@ -151,13 +149,11 @@ func TestDeterminismUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, digestRunFaults(t, false, sched), digestRunFaults(t, false, sched))
+	checkPoint(t, "traced/faults", tracedRun(t, false, sched))
 }
 
 // TestEmptyFaultScheduleMatchesBaseline requires an empty schedule to be
-// fully inert: every digest — elapsed, steps, stats, telemetry, trace —
-// must match the unfaulted run bit-for-bit.
+// fully inert: the run digests exactly like the unfaulted one.
 func TestEmptyFaultScheduleMatchesBaseline(t *testing.T) {
-	empty := &cais.FaultSchedule{Name: "empty"}
-	assertIdentical(t, digestRun(t, false), digestRunFaults(t, false, empty))
+	checkPoint(t, "traced/inference", tracedRun(t, false, &cais.FaultSchedule{Name: "empty"}))
 }

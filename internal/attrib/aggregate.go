@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -141,19 +140,6 @@ func (a *Aggregator) WriteJSON(w io.Writer) error {
 	return enc.Encode(struct {
 		Points []jsonPoint `json:"points"`
 	}{points})
-}
-
-// WriteFile writes the JSON report to path.
-func (a *Aggregator) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := a.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // WriteJSON serializes a single report as a one-point document (the

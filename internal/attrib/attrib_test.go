@@ -234,24 +234,6 @@ func TestChromeTraceDecodes(t *testing.T) {
 	}
 }
 
-func TestMicrosRendering(t *testing.T) {
-	cases := []struct {
-		ps   sim.Time
-		want string
-	}{
-		{0, "0"},
-		{1_000_000, "1"},
-		{1_500_000, "1.5"},
-		{123, "0.000123"},
-		{-2_500_000, "-2.5"},
-	}
-	for _, c := range cases {
-		if got := micros(c.ps); got != c.want {
-			t.Errorf("micros(%d): got %q, want %q", int64(c.ps), got, c.want)
-		}
-	}
-}
-
 func TestClassShare(t *testing.T) {
 	r := syntheticReport(1000)
 	if got := r.ClassShare(ClassGPU, Compute); got != 0.5 {

@@ -1,20 +1,19 @@
 package attrib
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 
 	"cais/internal/sim"
+	"cais/internal/trace"
 )
 
 // Chrome-trace "top contributors" export: each labeled point renders as
 // one trace process whose tracks make the attribution visual — the
 // critical path as real-time complete slices on track 0, and per bucket
 // one track where the top contributing components are laid out as
-// consecutive slices sized by their bucket time. Loadable in Perfetto /
+// consecutive slices sized by their bucket time. The view is recorded on a
+// trace.Tracer and serialized by its writer, so it loads in Perfetto /
 // chrome://tracing next to a run's full event trace.
 
 // topContributors is how many components each bucket track shows.
@@ -23,54 +22,26 @@ const topContributors = 5
 // WriteChromeTrace serializes the aggregate in Chrome trace-event JSON.
 func (a *Aggregator) WriteChromeTrace(w io.Writer) error {
 	labels, reps := a.sorted()
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.WriteString("{\"traceEvents\":[")
-	first := true
+	tr := trace.New()
 	for i, l := range labels {
-		writePointTrace(bw, int32(i), l, reps[i], &first)
+		tracePoint(tr, int32(i), l, reps[i])
 	}
-	bw.WriteString("],\"displayTimeUnit\":\"ns\"}")
-	return bw.Flush()
-}
-
-// WriteChromeTraceFile writes the Chrome trace to path.
-func (a *Aggregator) WriteChromeTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := a.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return tr.WriteJSON(w)
 }
 
 // WriteChromeTrace serializes a single report as a one-process trace.
 func (r *Report) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.WriteString("{\"traceEvents\":[")
-	first := true
-	writePointTrace(bw, 0, "attribution", r, &first)
-	bw.WriteString("],\"displayTimeUnit\":\"ns\"}")
-	return bw.Flush()
+	tr := trace.New()
+	tracePoint(tr, 0, "attribution", r)
+	return tr.WriteJSON(w)
 }
 
-func writePointTrace(bw *bufio.Writer, pid int32, label string, r *Report, first *bool) {
-	sep := func() {
-		if !*first {
-			bw.WriteString(",\n")
-		}
-		*first = false
-	}
-	sep()
-	fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}}`,
-		pid, strconv.Quote(label))
-	sep()
-	fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":0,"args":{"name":"critical path"}}`, pid)
+// tracePoint records one report as trace process pid.
+func tracePoint(tr *trace.Tracer, pid int32, label string, r *Report) {
+	tr.NameProcess(pid, label)
+	tr.NameThread(pid, 0, "critical path")
 	for _, seg := range r.Path {
-		sep()
-		writeSlice(bw, pid, 0, seg.Kind, fmt.Sprintf("w%d %s", seg.Wave, seg.Name), seg.Start, seg.End-seg.Start)
+		tr.Span(pid, 0, seg.Kind, fmt.Sprintf("w%d %s", seg.Wave, seg.Name), seg.Start, seg.End)
 	}
 	// One track per bucket, its top contributors stacked from t=0.
 	for b := Bucket(0); int(b) < NumBuckets; b++ {
@@ -79,13 +50,10 @@ func writePointTrace(bw *bufio.Writer, pid int32, label string, r *Report, first
 			continue
 		}
 		tid := int32(b) + 1
-		sep()
-		fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
-			pid, tid, strconv.Quote("top "+b.String()))
+		tr.NameThread(pid, tid, "top "+b.String())
 		var at sim.Time
 		for _, c := range top {
-			sep()
-			writeSlice(bw, pid, tid, b.String(), c.Name, at, c.Buckets[b])
+			tr.Span(pid, tid, b.String(), c.Name, at, at+c.Buckets[b])
 			at += c.Buckets[b]
 		}
 	}
@@ -114,29 +82,4 @@ func topFor(r *Report, b Bucket) []Component {
 		out = out[:topContributors]
 	}
 	return out
-}
-
-// writeSlice emits one complete event; timestamps render as microseconds
-// with picosecond precision (same convention as internal/trace).
-func writeSlice(bw *bufio.Writer, pid, tid int32, cat, name string, ts, dur sim.Time) {
-	fmt.Fprintf(bw, `{"name":%s,"cat":%s,"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s}`,
-		strconv.Quote(name), strconv.Quote(cat), pid, tid, micros(ts), micros(dur))
-}
-
-func micros(t sim.Time) string {
-	ps := int64(t)
-	neg := ""
-	if ps < 0 {
-		neg, ps = "-", -ps
-	}
-	whole := ps / 1_000_000
-	frac := ps % 1_000_000
-	if frac == 0 {
-		return neg + strconv.FormatInt(whole, 10)
-	}
-	s := strconv.FormatInt(frac+1_000_000, 10)[1:]
-	for len(s) > 1 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
-	}
-	return neg + strconv.FormatInt(whole, 10) + "." + s
 }

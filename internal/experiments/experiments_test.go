@@ -37,7 +37,7 @@ func TestTable1ListsModels(t *testing.T) {
 }
 
 func TestFig2QuickShowsCommGrowth(t *testing.T) {
-	r, err := Fig2(Quick())
+	r, err := Fig2(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFig2QuickShowsCommGrowth(t *testing.T) {
 }
 
 func TestFig11QuickCAISWins(t *testing.T) {
-	r, err := Fig11(Quick())
+	r, err := Fig11(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFig11QuickCAISWins(t *testing.T) {
 }
 
 func TestFig12QuickRuns(t *testing.T) {
-	r, err := Fig12(Quick())
+	r, err := Fig12(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFig12QuickRuns(t *testing.T) {
 }
 
 func TestFig13aCoordinationShrinksTable(t *testing.T) {
-	r, err := Fig13a(Quick())
+	r, err := Fig13a(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFig13aCoordinationShrinksTable(t *testing.T) {
 }
 
 func TestFig13bCoordinationReducesWaiting(t *testing.T) {
-	r, err := Fig13b(Quick())
+	r, err := Fig13b(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFig13bCoordinationReducesWaiting(t *testing.T) {
 }
 
 func TestFig14CAISToleratesSmallTables(t *testing.T) {
-	r, err := Fig14(Quick())
+	r, err := Fig14(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFig14CAISToleratesSmallTables(t *testing.T) {
 }
 
 func TestFig15UtilizationLadder(t *testing.T) {
-	r, err := Fig15(Quick())
+	r, err := Fig15(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFig15UtilizationLadder(t *testing.T) {
 }
 
 func TestFig16ProducesSeries(t *testing.T) {
-	r, err := Fig16(Quick())
+	r, err := Fig16(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFig16ProducesSeries(t *testing.T) {
 }
 
 func TestFig17PerGPUThroughputStable(t *testing.T) {
-	r, err := Fig17(Quick())
+	r, err := Fig17(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFig17PerGPUThroughputStable(t *testing.T) {
 }
 
 func TestFig18ValidationError(t *testing.T) {
-	r, err := Fig18(Quick())
+	r, err := Fig18(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFig18ValidationError(t *testing.T) {
 }
 
 func TestTable2SpeedupsConsistent(t *testing.T) {
-	r, err := Table2(Quick())
+	r, err := Table2(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTable2SpeedupsConsistent(t *testing.T) {
 }
 
 func TestFig10DirectionalTraffic(t *testing.T) {
-	r, err := Fig10(Quick())
+	r, err := Fig10(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFig10DirectionalTraffic(t *testing.T) {
 }
 
 func TestAblationSidebandShowsHoLBlocking(t *testing.T) {
-	r, err := AblationSideband(Quick())
+	r, err := AblationSideband(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestAblationSidebandShowsHoLBlocking(t *testing.T) {
 }
 
 func TestAblationEvictionLRUCompetitive(t *testing.T) {
-	r, err := AblationEviction(Quick())
+	r, err := AblationEviction(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestAblationEvictionLRUCompetitive(t *testing.T) {
 }
 
 func TestAblationGranularityStableSpeedup(t *testing.T) {
-	r, err := AblationGranularity(Quick())
+	r, err := AblationGranularity(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +283,69 @@ func TestAreaRenders(t *testing.T) {
 	out := Area()
 	if !strings.Contains(out, "merge units") || !strings.Contains(out, "synchronizer") {
 		t.Errorf("area output incomplete:\n%s", out)
+	}
+}
+
+// Render coverage: every result type must produce a titled, populated
+// table (quick fidelity).
+func TestAllRendersPopulated(t *testing.T) {
+	c := cached(t)
+	cases := []struct {
+		name string
+		run  func() (string, error)
+		want []string
+	}{
+		{"fig2", func() (string, error) { r, e := Fig2(c); return render(r, e) },
+			[]string{"Fig. 2", "GPUs", "comm/compute"}},
+		{"fig10", func() (string, error) { r, e := Fig10(c); return render(r, e) },
+			[]string{"Fig. 10", "G2S", "S2G", "CAIS"}},
+		{"fig13a", func() (string, error) { r, e := Fig13a(c); return render(r, e) },
+			[]string{"Fig. 13a", "reduction"}},
+		{"fig13b", func() (string, error) { r, e := Fig13b(c); return render(r, e) },
+			[]string{"Fig. 13b", "throttling"}},
+		{"fig14", func() (string, error) { r, e := Fig14(c); return render(r, e) },
+			[]string{"Fig. 14", "Table (KB)"}},
+		{"fig16", func() (string, error) { r, e := Fig16(c); return render(r, e) },
+			[]string{"Fig. 16", "CAIS-Base", "%"}},
+		{"fig18", func() (string, error) { r, e := Fig18(c); return render(r, e) },
+			[]string{"Fig. 18", "avg", "algbw"}},
+		{"table2", func() (string, error) { r, e := Table2(c); return render(r, e) },
+			[]string{"Table II", "Full", "Half"}},
+		{"ablation-eviction", func() (string, error) { r, e := AblationEviction(c); return render(r, e) },
+			[]string{"eviction", "lru", "mru"}},
+		{"ablation-granularity", func() (string, error) { r, e := AblationGranularity(c); return render(r, e) },
+			[]string{"granularity", "KB requests"}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(out, w) {
+					t.Errorf("%s render missing %q:\n%s", tc.name, w, out)
+				}
+			}
+		})
+	}
+}
+
+func TestFig17RenderAndFig15Render(t *testing.T) {
+	c := cached(t)
+	r15, err := Fig15(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(r15.Render(), "average") {
+		t.Error("fig15 render missing average row")
+	}
+	r17, err := Fig17(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(r17.Render(), "CoCoNet-NVLS") {
+		t.Error("fig17 render missing baseline column")
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestResilienceQuick(t *testing.T) {
-	r, err := Resilience(Quick())
+	r, err := Resilience(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,22 +72,20 @@ func TestResilienceQuick(t *testing.T) {
 	}
 }
 
+// TestResilienceDeterministic: the resilience study, the most intricate
+// fold (nested fault cube, healthy anchors, geomeans), renders its
+// quick.txt section with the memo off at GOMAXPROCS workers, the one
+// configuration the memo ladder in golden_test.go leaves out.
 func TestResilienceDeterministic(t *testing.T) {
-	r1, err := Resilience(Quick())
+	out, err := Run("resilience", Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Resilience(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Render() != r2.Render() {
-		t.Fatal("resilience study not byte-stable across runs")
-	}
+	checkSection(t, "memo off, GOMAXPROCS workers", "resilience", out)
 }
 
 func TestResilienceCoordinationBoundsStragglerWait(t *testing.T) {
-	r, err := Resilience(Quick())
+	r, err := Resilience(cached(t))
 	if err != nil {
 		t.Fatal(err)
 	}

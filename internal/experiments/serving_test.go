@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,16 +10,10 @@ import (
 	"cais/internal/metrics"
 )
 
-// TestServingDeterminism is the serving study's acceptance ladder: rendered
-// output is byte-identical at worker counts 1, 2 and GOMAXPROCS, with the
-// memo cache shared or absent.
+// TestServingDeterminism is the serving study's ladder: it renders its
+// quick.txt section at worker counts 1, 2 and GOMAXPROCS, with a fresh memo
+// cache or none.
 func TestServingDeterminism(t *testing.T) {
-	cold := Quick()
-	cold.Workers = 1
-	ref, err := Run("serving", cold)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		for _, memoized := range []bool{false, true} {
 			c := Quick()
@@ -30,9 +25,7 @@ func TestServingDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != ref {
-				t.Errorf("workers=%d memo=%v: serving output differs from cold sequential run", workers, memoized)
-			}
+			checkSection(t, fmt.Sprintf("workers=%d memo=%v", workers, memoized), "serving", got)
 		}
 	}
 }
@@ -60,8 +53,7 @@ func TestServingMemoHits(t *testing.T) {
 // knobs: a single rate collapses the sweep (and anchors the fault study) and
 // the SLO bound lands in the rendered header.
 func TestServingRateAndSLOOverrides(t *testing.T) {
-	c := Quick()
-	c.Workers = 1
+	c := cached(t)
 	c.ServingRate = 500
 	c.ServingSLOMs = 7
 	r, err := Serving(c)
@@ -87,8 +79,7 @@ func TestServingRateAndSLOOverrides(t *testing.T) {
 // per-request latencies land in Config.Metrics with the expected counts
 // (rate sweep only — faulted runs stay out of the distributions).
 func TestServingRecordsMetrics(t *testing.T) {
-	c := Quick()
-	c.Workers = 1
+	c := cached(t)
 	c.Metrics = metrics.NewRegistry()
 	r, err := Serving(c)
 	if err != nil {
@@ -115,8 +106,7 @@ func TestServingRecordsMetrics(t *testing.T) {
 // healthy fault-row is its own baseline (RelGoodput exactly 1) and the
 // healthy goodput matches the sweep row at the fault-study rate.
 func TestServingHealthyAnchorsFaultTable(t *testing.T) {
-	c := Quick()
-	c.Workers = 1
+	c := cached(t)
 	r, err := Serving(c)
 	if err != nil {
 		t.Fatal(err)

@@ -153,12 +153,6 @@ func (g *GPU) SetComputeSlowdown(f float64) {
 // ComputeSlowdown reports the current straggler factor (1 = healthy).
 func (g *GPU) ComputeSlowdown() float64 { return g.slowdown }
 
-// Uplink returns the GPU->switch link of a plane (for metrics wiring).
-func (g *GPU) Uplink(plane int) *noc.Link { return g.up[plane] }
-
-// HBM exposes the memory resource (for utilization reporting).
-func (g *GPU) HBM() *sim.Resource { return g.hbm }
-
 // Synchronizer exposes the TB-group synchronizer (for tests).
 func (g *GPU) Synchronizer() *Synchronizer { return g.sync }
 

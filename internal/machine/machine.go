@@ -486,9 +486,6 @@ func (m *Machine) Metrics() *metrics.Registry { return m.reg }
 // UpLink returns the GPU->switch link for (plane, gpu).
 func (m *Machine) UpLink(plane, g int) *noc.Link { return m.upLink[plane][g] }
 
-// DownLink returns the switch->GPU link for (plane, gpu).
-func (m *Machine) DownLink(plane, g int) *noc.Link { return m.downLink[plane][g] }
-
 // Links yields every link in the fabric (both directions).
 func (m *Machine) Links() []*noc.Link {
 	var out []*noc.Link

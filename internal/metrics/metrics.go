@@ -74,9 +74,6 @@ func (s *UtilSeries) RecordBusy(start, end sim.Time, bytes int64) {
 	}
 }
 
-// BinWidth reports the bin width.
-func (s *UtilSeries) BinWidth() sim.Time { return s.bin }
-
 // UtilTimeline is the value-type snapshot of a finished UtilSeries: a
 // replayable telemetry timeline the memo layer can cache and serve on
 // hits (DESIGN.md §12). A zero Bin marks "no timeline recorded". The Busy
@@ -95,8 +92,8 @@ func (s *UtilSeries) Timeline() UtilTimeline {
 // IsZero reports whether no timeline was recorded.
 func (t UtilTimeline) IsZero() bool { return t.Bin == 0 }
 
-// Utilization returns per-bin utilization in [0, 1], identically to
-// UtilSeries.Utilization on the live recorder.
+// Utilization returns per-bin utilization in [0, 1]: busy time divided by
+// bin width times the number of links feeding the series.
 func (t UtilTimeline) Utilization() []float64 {
 	out := make([]float64, len(t.Busy))
 	denom := float64(t.Bin) * float64(t.Links)
@@ -108,37 +105,6 @@ func (t UtilTimeline) Utilization() []float64 {
 		out[i] = u
 	}
 	return out
-}
-
-// Utilization returns per-bin utilization in [0, 1]: busy time divided by
-// bin width times the number of links feeding the series.
-func (s *UtilSeries) Utilization() []float64 {
-	out := make([]float64, len(s.busy))
-	denom := float64(s.bin) * float64(s.links)
-	for i, b := range s.busy {
-		u := float64(b) / denom
-		if u > 1 {
-			u = 1
-		}
-		out[i] = u
-	}
-	return out
-}
-
-// Mean reports the average utilization over bins [0, n) (n <= 0 means all).
-func (s *UtilSeries) Mean(n int) float64 {
-	u := s.Utilization()
-	if n <= 0 || n > len(u) {
-		n = len(u)
-	}
-	if n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range u[:n] {
-		sum += v
-	}
-	return sum / float64(n)
 }
 
 // Geomean computes the geometric mean of positive values; non-positive

@@ -13,7 +13,7 @@ func TestUtilSeriesBinsIntervals(t *testing.T) {
 	s := NewUtilSeries(10*sim.Microsecond, 1)
 	// Busy 5us in bin 0, spanning interval into bin 1.
 	s.RecordBusy(5*sim.Microsecond, 15*sim.Microsecond, 0)
-	u := s.Utilization()
+	u := s.Timeline().Utilization()
 	if len(u) != 2 {
 		t.Fatalf("bins = %d, want 2", len(u))
 	}
@@ -25,7 +25,7 @@ func TestUtilSeriesBinsIntervals(t *testing.T) {
 func TestUtilSeriesMultiLinkNormalization(t *testing.T) {
 	s := NewUtilSeries(10*sim.Microsecond, 2)
 	s.RecordBusy(0, 10*sim.Microsecond, 0) // link A fully busy
-	u := s.Utilization()
+	u := s.Timeline().Utilization()
 	if u[0] != 0.5 {
 		t.Fatalf("two-link normalization: %v, want 0.5", u[0])
 	}
@@ -53,15 +53,14 @@ func TestUtilSeriesConservesBusyTime(t *testing.T) {
 	}
 }
 
+// TestUtilSeriesMean: back-to-back intervals fill bin 0 and half of bin
+// 1, a mean utilization of 0.75 over the run.
 func TestUtilSeriesMean(t *testing.T) {
 	s := NewUtilSeries(10*sim.Microsecond, 1)
 	s.RecordBusy(0, 10*sim.Microsecond, 0)
 	s.RecordBusy(10*sim.Microsecond, 15*sim.Microsecond, 0)
-	if got := s.Mean(0); math.Abs(got-0.75) > 1e-9 {
-		t.Fatalf("mean = %v, want 0.75", got)
-	}
-	if got := s.Mean(1); got != 1.0 {
-		t.Fatalf("mean(1) = %v, want 1.0", got)
+	if u := s.Timeline().Utilization(); len(u) != 2 || u[0] != 1 || u[1] != 0.5 {
+		t.Fatalf("utilization = %v, want [1 0.5]", u)
 	}
 }
 
@@ -123,7 +122,7 @@ func TestUtilSeriesLongIntervalPreSizes(t *testing.T) {
 	if s.busy[0] != bin-start || s.busy[bins] != 500*sim.Nanosecond {
 		t.Fatalf("edge bins = %v/%v", s.busy[0], s.busy[bins])
 	}
-	u := s.Utilization()
+	u := s.Timeline().Utilization()
 	if u[1] != 1 || u[bins/2] != 1 {
 		t.Fatalf("interior bins must be fully utilized: %v %v", u[1], u[bins/2])
 	}

@@ -9,6 +9,7 @@ package noc
 import (
 	"fmt"
 
+	"cais/internal/pool"
 	"cais/internal/sim"
 	"cais/internal/trace"
 )
@@ -196,52 +197,6 @@ type BusyRecorder interface {
 	RecordBusy(start, end sim.Time, bytes int64)
 }
 
-// ring is a reusable circular packet queue. Unlike the append/reslice
-// idiom it grows to the burst high-water mark once and then recycles the
-// backing array forever, so steady-state enqueue/dequeue is allocation
-// free. Capacity is kept a power of two so index wrap is a mask, not a
-// division.
-type ring struct {
-	buf  []*Packet
-	head int
-	n    int
-}
-
-func (r *ring) len() int { return r.n }
-
-func (r *ring) push(p *Packet) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
-	r.n++
-}
-
-// pop removes and returns the oldest packet, or nil when empty. The slot is
-// cleared so the ring never pins a delivered packet for the GC (or a pool).
-func (r *ring) pop() *Packet {
-	if r.n == 0 {
-		return nil
-	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return p
-}
-
-func (r *ring) grow() {
-	c := len(r.buf) * 2
-	if c < 16 {
-		c = 16
-	}
-	nb := make([]*Packet, c)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = nb, 0
-}
-
 // Link is a unidirectional NVLink: packets serialize at the link bandwidth
 // and arrive after the propagation latency. With virtual channels enabled,
 // per-class queues are served round-robin, eliminating head-of-line
@@ -255,17 +210,16 @@ type Link struct {
 	latency  sim.Time
 	dst      Endpoint
 	vcOn     bool
-	sideband bool // dedicated control/request channel (default on)
-	control  ring // sideband queue: requests, sync, credits
-	queues   [numClasses]ring
-	fifo     ring
+	sideband bool               // dedicated control/request channel (default on)
+	control  pool.Ring[*Packet] // sideband queue: requests, sync, credits
+	queues   [numClasses]pool.Ring[*Packet]
+	fifo     pool.Ring[*Packet]
 	rr       Class
 	busy     bool
 	bwScale  float64 // fault-injection bandwidth degradation factor (1 = healthy)
 	down     bool    // fault-injection link-down: queued packets stall until repair
 	busyTime sim.Time
 	sent     int64 // total wire bytes
-	pkts     int64
 	recorder BusyRecorder
 	maxQueue int
 
@@ -274,7 +228,7 @@ type Link struct {
 	// propagation latency is fixed, so delivery is FIFO: the two cached
 	// closures below replace the two per-packet closures the hot path used
 	// to allocate (18% of all simulation allocations, by -pprof).
-	inflight       ring
+	inflight       pool.Ring[*Packet]
 	onSerializedFn func()
 	deliverFn      func()
 
@@ -350,17 +304,11 @@ func (l *Link) SetDown(down bool) {
 // Down reports whether the link is currently failed.
 func (l *Link) Down() bool { return l.down }
 
-// Bandwidth reports the link's bandwidth in bytes/s.
-func (l *Link) Bandwidth() float64 { return l.bw }
-
 // BusyTime reports accumulated serialization time.
 func (l *Link) BusyTime() sim.Time { return l.busyTime }
 
 // BytesSent reports total wire bytes transmitted (including headers).
 func (l *Link) BytesSent() int64 { return l.sent }
-
-// Packets reports the number of packets transmitted.
-func (l *Link) Packets() int64 { return l.pkts }
 
 // MaxQueueDepth reports the high-water mark of queued packets.
 func (l *Link) MaxQueueDepth() int { return l.maxQueue }
@@ -385,11 +333,11 @@ func (l *Link) Utilization(horizon sim.Time) float64 {
 func (l *Link) Send(p *Packet) {
 	switch {
 	case l.sideband && p.Op.IsControl():
-		l.control.push(p)
+		l.control.PushBack(p)
 	case l.vcOn:
-		l.queues[ClassOf(p.Op)].push(p)
+		l.queues[ClassOf(p.Op)].PushBack(p)
 	default:
-		l.fifo.push(p)
+		l.fifo.PushBack(p)
 	}
 	if d := l.queueDepth(); d > l.maxQueue {
 		l.maxQueue = d
@@ -404,32 +352,35 @@ func (l *Link) Send(p *Packet) {
 func (l *Link) QueueDepth() int { return l.queueDepth() }
 
 func (l *Link) queueDepth() int {
-	n := l.control.len()
+	n := l.control.Len()
 	if !l.vcOn {
-		return n + l.fifo.len()
+		return n + l.fifo.Len()
 	}
 	for c := range l.queues {
-		n += l.queues[c].len()
+		n += l.queues[c].Len()
 	}
 	return n
 }
 
-// pop selects the next packet: control sideband first (header-only flits),
-// then data per the arbitration policy.
+// pop selects the next packet, or nil when none is queued: control
+// sideband first (header-only flits), then data per the arbitration policy.
 func (l *Link) pop() *Packet {
-	if p := l.control.pop(); p != nil {
-		return p
+	if l.control.Len() > 0 {
+		return l.control.PopFront()
 	}
 	if !l.vcOn {
-		return l.fifo.pop()
+		if l.fifo.Len() > 0 {
+			return l.fifo.PopFront()
+		}
+		return nil
 	}
 	// Round-robin over non-empty classes after the last served (the
 	// ClassControl queue is only populated when the sideband is off).
 	for i := 1; i <= int(numClasses); i++ {
 		c := Class((int(l.rr) + i) % int(numClasses))
-		if p := l.queues[c].pop(); p != nil {
+		if l.queues[c].Len() > 0 {
 			l.rr = c
-			return p
+			return l.queues[c].PopFront()
 		}
 	}
 	return nil
@@ -453,7 +404,6 @@ func (l *Link) transmitNext() {
 	end := start + ser
 	l.busyTime += ser
 	l.sent += wire
-	l.pkts++
 	if l.recorder != nil {
 		l.recorder.RecordBusy(start, end, wire)
 	}
@@ -463,7 +413,7 @@ func (l *Link) transmitNext() {
 	// Cut-through delivery: the head arrives after latency, the tail
 	// after latency + serialization. The packet parks on the inflight
 	// ring; onSerialized/deliver pair it back up in FIFO order.
-	l.inflight.push(p)
+	l.inflight.PushBack(p)
 	l.eng.At(end, l.onSerializedFn)
 }
 
@@ -479,5 +429,5 @@ func (l *Link) onSerialized() {
 // fire in transmit order (monotonic serialization ends + fixed latency), so
 // popping the ring head always yields the matching packet.
 func (l *Link) deliver() {
-	l.dst.Receive(l.inflight.pop())
+	l.dst.Receive(l.inflight.PopFront())
 }

@@ -17,9 +17,6 @@ type PacketPool struct {
 	p pool.Pool[Packet, *Packet]
 }
 
-// NewPacketPool returns an empty pool.
-func NewPacketPool() *PacketPool { return &PacketPool{} }
-
 // Get returns a zeroed packet, recycled when possible.
 func (pp *PacketPool) Get() *Packet {
 	if pp == nil {

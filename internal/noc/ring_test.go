@@ -1,105 +1,83 @@
 package noc
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"weak"
+
+	"cais/internal/sim"
+)
+
+// A link queues packets on pool.Ring deques: the control sideband, the
+// per-class virtual channels, the single FIFO and the in-flight ring. These
+// tests pin, through the link, what it needs of them.
 
 func TestRingFIFOAcrossWrap(t *testing.T) {
-	var r ring
-	pkts := make([]*Packet, 100)
-	for i := range pkts {
-		pkts[i] = &Packet{ID: uint64(i)}
-	}
-	// Interleave pushes and pops so the head wraps the backing array
-	// several times at small capacity.
-	next := 0
-	for i, p := range pkts {
-		r.push(p)
-		if i%3 == 2 {
-			if got := r.pop(); got != pkts[next] {
-				t.Fatalf("pop %d: got ID %d want %d", next, got.ID, pkts[next].ID)
+	for _, vc := range []bool{false, true} {
+		eng, l, s := newTestLink(100e9, 50*sim.Nanosecond)
+		l.SetVirtualChannels(vc)
+		// Bursts of three 10 ns packets every 25 ns keep a few packets
+		// queued and a few in flight, so each ring's head wraps its
+		// 16-slot backing array several times.
+		pkts := make([]*Packet, 100)
+		for i := range pkts {
+			p := &Packet{ID: uint64(i), Op: OpStore, Size: 984}
+			pkts[i] = p
+			eng.At(sim.Time(i/3)*25*sim.Nanosecond, func() { l.Send(p) })
+		}
+		eng.Run()
+		if len(s.got) != len(pkts) {
+			t.Fatalf("vc=%v: delivered %d packets, want %d", vc, len(s.got), len(pkts))
+		}
+		for i, p := range s.got {
+			if p != pkts[i] {
+				t.Fatalf("vc=%v: delivery %d is packet %d", vc, i, p.ID)
 			}
-			next++
 		}
-	}
-	for r.len() > 0 {
-		if got := r.pop(); got != pkts[next] {
-			t.Fatalf("drain pop %d: got ID %d want %d", next, got.ID, pkts[next].ID)
-		}
-		next++
-	}
-	if next != len(pkts) {
-		t.Fatalf("drained %d packets, want %d", next, len(pkts))
-	}
-	if r.pop() != nil {
-		t.Fatalf("pop on empty ring should return nil")
 	}
 }
 
+// TestRingPopClearsSlot: a delivered packet is not pinned by any of the
+// link's rings, so the GC or a packet pool can take it back.
 func TestRingPopClearsSlot(t *testing.T) {
-	var r ring
-	r.push(&Packet{ID: 1})
-	r.pop()
-	for i, p := range r.buf {
-		if p != nil {
-			t.Fatalf("slot %d still holds a packet after pop", i)
+	for _, vc := range []bool{false, true} {
+		eng := sim.NewEngine()
+		l := NewLink(eng, "test", 100e9, sim.Nanosecond, EndpointFunc(func(*Packet) {}))
+		l.SetVirtualChannels(vc)
+		var sent []weak.Pointer[Packet]
+		for _, op := range []Op{OpStore, OpLdCAIS, OpRedCAIS} {
+			p := &Packet{Op: op, Size: 984}
+			sent = append(sent, weak.Make(p))
+			l.Send(p)
 		}
+		eng.Run()
+		runtime.GC()
+		for i, w := range sent {
+			if w.Value() != nil {
+				t.Errorf("vc=%v: packet %d still reachable after delivery", vc, i)
+			}
+		}
+		runtime.KeepAlive(l)
 	}
 }
 
 func TestRingSteadyStateZeroAlloc(t *testing.T) {
-	var r ring
-	p := &Packet{}
-	// Warm to an 8-deep burst so the backing array reaches its high-water
-	// capacity, then verify churn at that depth never reallocates.
-	for i := 0; i < 8; i++ {
-		r.push(p)
-	}
-	for r.len() > 0 {
-		r.pop()
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
+	eng := sim.NewEngine()
+	l := NewLink(eng, "test", 100e9, sim.Nanosecond, EndpointFunc(func(*Packet) {}))
+	l.SetVirtualChannels(true)
+	pkts := []*Packet{{Op: OpStore, Size: 984}, {Op: OpLdCAIS}, {Op: OpRedCAIS, Size: 984}}
+	// An 8-deep burst per class warms every ring to its high-water
+	// capacity; churn at that depth must never reallocate.
+	burst := func() {
 		for i := 0; i < 8; i++ {
-			r.push(p)
+			for _, p := range pkts {
+				l.Send(p)
+			}
 		}
-		for j := 0; j < 8; j++ {
-			r.pop()
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ring churn allocates %v allocs/op, want 0", allocs)
+		eng.Run()
 	}
-}
-
-// BenchmarkRingEnqueueDequeue measures the per-class queue churn pattern
-// Link.Send/pop exercise: bursts of enqueues drained in FIFO order. The
-// old append/reslice queues allocated on every burst; the ring reuses its
-// backing array (0 allocs/op at steady state).
-func BenchmarkRingEnqueueDequeue(b *testing.B) {
-	var r ring
-	p := &Packet{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 16; j++ {
-			r.push(p)
-		}
-		for j := 0; j < 16; j++ {
-			r.pop()
-		}
-	}
-}
-
-// BenchmarkSliceEnqueueDequeue is the pre-PR-5 append/reslice queue idiom,
-// kept as the comparison baseline for BenchmarkRingEnqueueDequeue.
-func BenchmarkSliceEnqueueDequeue(b *testing.B) {
-	var q []*Packet
-	p := &Packet{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 16; j++ {
-			q = append(q, p)
-		}
-		for j := 0; j < 16; j++ {
-			q = q[1:]
-		}
-		q = nil
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("steady-state link churn allocates %v allocs/op, want 0", allocs)
 	}
 }

@@ -188,9 +188,6 @@ func (m *MergeUnit) SetDisabled(disabled bool) {
 	}
 }
 
-// Disabled reports whether the merge unit is fault-disabled.
-func (m *MergeUnit) Disabled() bool { return m.disabled }
-
 // Quiesce flushes every live session: reduction entries flush partial
 // results, cached loads release, and in-flight fetches are marked to
 // release as soon as their response arrives. Used at merge-disable onset

@@ -84,3 +84,37 @@ func TestRingSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state ring churn allocates %v allocs/op, want 0", allocs)
 	}
 }
+
+// BenchmarkRingEnqueueDequeue measures the queue churn of a NoC link's
+// Send/pop: bursts of enqueues drained in FIFO order, reusing the backing
+// array (0 allocs/op at steady state).
+func BenchmarkRingEnqueueDequeue(b *testing.B) {
+	var r Ring[*int]
+	p := new(int)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 16; j++ {
+			r.PushBack(p)
+		}
+		for j := 0; j < 16; j++ {
+			r.PopFront()
+		}
+	}
+}
+
+// BenchmarkSliceEnqueueDequeue is the append/reslice queue idiom the ring
+// replaced, kept as the comparison baseline for BenchmarkRingEnqueueDequeue.
+func BenchmarkSliceEnqueueDequeue(b *testing.B) {
+	var q []*int
+	p := new(int)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 16; j++ {
+			q = append(q, p)
+		}
+		for j := 0; j < 16; j++ {
+			q = q[1:]
+		}
+		q = nil
+	}
+}

@@ -12,11 +12,9 @@ import "cais/internal/pool"
 // events it needs, which keeps queueing policy (FIFO vs virtual channels)
 // in the component that owns the policy.
 type Resource struct {
-	Name     string
-	freeAt   Time
-	busy     Time
-	firstUse Time
-	used     bool
+	Name   string
+	freeAt Time
+	busy   Time
 }
 
 // NewResource returns an idle resource.
@@ -38,15 +36,8 @@ func (r *Resource) Reserve(now Time, dur Time) (start, end Time) {
 	end = start + dur
 	r.freeAt = end
 	r.busy += dur
-	if !r.used {
-		r.used = true
-		r.firstUse = start
-	}
 	return start, end
 }
-
-// FreeAt reports when the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
 
 // BusyTime reports the total reserved time.
 func (r *Resource) BusyTime() Time { return r.busy }

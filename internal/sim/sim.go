@@ -45,9 +45,6 @@ func (t Time) String() string {
 	}
 }
 
-// Nanoseconds converts to float64 nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
 // Microseconds converts to float64 microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 

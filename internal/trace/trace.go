@@ -22,7 +22,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 
@@ -254,22 +253,6 @@ func (t *Tracer) CountCategory(cat string) int {
 		}
 	}
 	return n
-}
-
-// WriteFile serializes the trace as Chrome trace-event JSON to path.
-func (t *Tracer) WriteFile(path string) error {
-	if t == nil {
-		return fmt.Errorf("trace: nil tracer has nothing to write")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // WriteJSON serializes the trace in the Chrome trace-event JSON object

@@ -123,6 +123,27 @@ func TestSubMicrosecondPrecision(t *testing.T) {
 	}
 }
 
+// TestMicrosRendering pins the ps -> us rendering: whole microseconds
+// print bare, fractions keep picosecond precision without trailing zeros,
+// and a negative time keeps its sign.
+func TestMicrosRendering(t *testing.T) {
+	cases := []struct {
+		ps   sim.Time
+		want string
+	}{
+		{0, "0"},
+		{1_000_000, "1"},
+		{1_500_000, "1.5"},
+		{123, "0.000123"},
+		{-2_500_000, "-2.5"},
+	}
+	for _, c := range cases {
+		if got := string(appendMicros(nil, c.ps)); got != c.want {
+			t.Errorf("appendMicros(%d) = %q, want %q", int64(c.ps), got, c.want)
+		}
+	}
+}
+
 func TestSpanClampsNegativeDuration(t *testing.T) {
 	tr := New()
 	tr.Span(0, 0, "c", "n", 10, 5)

@@ -3,7 +3,8 @@ package cais_test
 import (
 	"bytes"
 	"crypto/sha256"
-	"runtime"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"cais"
@@ -11,151 +12,89 @@ import (
 )
 
 // The parallel half of the determinism suite: fanning sweep points out
-// over a worker pool must not change a single output byte. These tests pin
-// the contract at both levels — rendered experiment tables through the
-// Config.Workers knob, and raw telemetry/trace digests through sweep.Map
-// directly.
+// over a worker pool changes no output byte. Rendered tables (through
+// ExperimentConfig.Workers), attribution reports and per-point digests
+// (through sweep.Map) must each reproduce the goldens that
+// internal/experiments records at other worker counts.
 
-// renderExperiment runs one experiment at the given worker count.
-func renderExperiment(t *testing.T, id string, workers int) string {
-	t.Helper()
-	cfg := cais.QuickExperiments()
-	cfg.Workers = workers
-	out, err := cais.RunExperiment(id, cfg)
-	if err != nil {
-		t.Fatalf("%s (workers=%d): %v", id, workers, err)
-	}
-	return out
-}
-
-// TestParallelExperimentTablesByteIdentical renders experiment tables at
-// -parallel 1, 2 and GOMAXPROCS and requires byte-identical output, plus a
-// repeated parallel run to catch scheduling-dependent flakiness.
 func TestParallelExperimentTablesByteIdentical(t *testing.T) {
-	for _, id := range []string{"fig11", "fig2"} {
-		ref := renderExperiment(t, id, 1)
-		for _, workers := range []int{2, 0} {
-			if got := renderExperiment(t, id, workers); got != ref {
-				t.Errorf("%s: workers=%d output differs from sequential\nseq sha256 %x\npar sha256 %x",
-					id, workers, sha256.Sum256([]byte(ref)), sha256.Sum256([]byte(got)))
+	for _, workers := range []int{2, 4} {
+		cfg := cais.QuickExperiments()
+		cfg.Workers = workers
+		for _, id := range []string{"fig11", "fig2", "serving"} {
+			out, err := cais.RunExperiment(id, cfg)
+			if err != nil {
+				t.Fatalf("%s (workers=%d): %v", id, workers, err)
 			}
+			checkQuick(t, id, workers, out)
 		}
-		if a, b := renderExperiment(t, id, 2), renderExperiment(t, id, 2); a != b {
-			t.Errorf("%s: repeated parallel runs differ", id)
-		}
-	}
-	// Resilience has the most intricate fold (nested cube, healthy anchors,
-	// geomeans); one sequential-vs-parallel comparison covers it without
-	// quintupling the suite's runtime.
-	if testing.Short() {
-		return
-	}
-	if got, ref := renderExperiment(t, "resilience", 4), renderExperiment(t, "resilience", 1); got != ref {
-		t.Error("resilience: parallel output differs from sequential")
-	}
-	// Serving folds through a different layer (the request-level scheduler
-	// over memoized cost anchors); same one-shot coverage.
-	if got, ref := renderExperiment(t, "serving", 4), renderExperiment(t, "serving", 1); got != ref {
-		t.Error("serving: parallel output differs from sequential")
 	}
 }
 
-// attribAt runs one experiment with an attribution aggregator attached at
-// the given worker count and returns the aggregator's rendered table plus
-// its JSON export.
-func attribAt(t *testing.T, id string, workers int) string {
-	t.Helper()
+// TestParallelAttributionByteIdentical: per-point reports arrive in
+// worker-completion order, but each labeled report is the one points.txt
+// records.
+func TestParallelAttributionByteIdentical(t *testing.T) {
 	cfg := cais.QuickExperiments()
-	cfg.Workers = workers
+	cfg.Workers = 2
 	cfg.Attrib = cais.NewAttribAggregator()
-	if _, err := cais.RunExperiment(id, cfg); err != nil {
-		t.Fatalf("%s (workers=%d): %v", id, workers, err)
-	}
-	if cfg.Attrib.Len() == 0 {
-		t.Fatalf("%s (workers=%d): aggregator collected no points", id, workers)
+	for _, id := range []string{"fig16", "fig13b"} {
+		if _, err := cais.RunExperiment(id, cfg); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := cfg.Attrib.WriteJSON(&buf); err != nil {
-		t.Fatalf("%s (workers=%d): %v", id, workers, err)
+		t.Fatal(err)
 	}
-	return cfg.Attrib.Render() + buf.String()
-}
-
-// TestParallelAttributionByteIdentical extends the ladder to the
-// attribution aggregator: per-point reports arrive in worker-completion
-// order, but the label-sorted fold must render byte-identically at
-// -parallel 1, 2 and GOMAXPROCS.
-func TestParallelAttributionByteIdentical(t *testing.T) {
-	for _, id := range []string{"fig16", "fig13b"} {
-		ref := attribAt(t, id, 1)
-		for _, workers := range []int{2, 0} {
-			if got := attribAt(t, id, workers); got != ref {
-				t.Errorf("%s: attribution at workers=%d differs from sequential\nseq sha256 %x\npar sha256 %x",
-					id, workers, sha256.Sum256([]byte(ref)), sha256.Sum256([]byte(got)))
-			}
+	var doc struct {
+		Points []json.RawMessage `json:"points"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Points) == 0 {
+		t.Fatal("aggregator collected no points")
+	}
+	want := goldenPoints(t)
+	for _, raw := range doc.Points {
+		var p struct {
+			Label   string `json:"label"`
+			Elapsed int64  `json:"elapsed_ps"`
+		}
+		if err := json.Unmarshal(raw, &p); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		if got := fmt.Sprintf("%d %x", p.Elapsed, sum[:8]); got != want[p.Label] {
+			t.Errorf("%s: %s, want points.txt's %q", p.Label, got, want[p.Label])
 		}
 	}
 }
 
-// pointDigest hashes everything observable about one sweep point: the
-// scalar results plus the full telemetry and trace byte streams.
-type pointDigest struct {
-	elapsed   cais.Time
-	steps     uint64
-	telemetry [sha256.Size]byte
-	trace     [sha256.Size]byte
-}
-
-// digestPoints runs a 3-point request-granularity sweep through sweep.Map
-// at the given worker count, digesting each point. Each point builds its
-// own engine, machine and tracer — the isolation sweep.Map requires.
-func digestPoints(t *testing.T, workers int) []pointDigest {
-	t.Helper()
-	hw := cais.DGXH100()
-	hw.Seed = 0xD37E12
-	m := cais.Model{Name: "Tiny", Hidden: 512, FFNHidden: 2048, Heads: 4, SeqLen: 512, Batch: 2, Layers: 2}
-	sizes := []int64{16 << 10, 32 << 10, 64 << 10}
-	out, err := sweep.Map(len(sizes), workers, func(i int) (pointDigest, error) {
-		phw := hw
-		phw.RequestBytes = sizes[i]
-		tr := cais.NewTracer()
-		res, err := cais.RunInferenceOpts(phw, cais.CAIS(), m, 1, cais.RunOptions{Tracer: tr})
+// TestParallelSweepDigestsByteIdentical checks the property under the
+// rendered tables: each point's digest — telemetry and attribution report,
+// not just the summary — is independent of the worker count. Every
+// strategy's prefill and training layer fans out at 2 workers.
+func TestParallelSweepDigestsByteIdentical(t *testing.T) {
+	hw := cais.QuickExperiments().HW
+	specs := append(cais.Strategies(), cais.ExtensionStrategies()...)
+	phases := []string{"prefill", "training"}
+	got, err := sweep.Map(len(specs)*len(phases), 2, func(i int) (string, error) {
+		run := cais.RunInferenceOpts
+		if i%2 == 1 {
+			run = cais.RunTrainingOpts
+		}
+		r, err := run(hw, specs[i/2], quickModel, 1, cais.RunOptions{Attrib: true})
 		if err != nil {
-			return pointDigest{}, err
+			return "", err
 		}
-		var tele, spans bytes.Buffer
-		if err := res.Telemetry.WriteJSON(&tele); err != nil {
-			return pointDigest{}, err
-		}
-		if err := tr.WriteJSON(&spans); err != nil {
-			return pointDigest{}, err
-		}
-		return pointDigest{
-			elapsed:   res.Elapsed,
-			steps:     res.Machine.Eng.Steps(),
-			telemetry: sha256.Sum256(tele.Bytes()),
-			trace:     sha256.Sum256(spans.Bytes()),
-		}, nil
+		return digest(r, nil)
 	})
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
-	return out
-}
-
-// TestParallelSweepDigestsByteIdentical checks the stronger property under
-// the rendered tables: each point's telemetry and trace digests — not just
-// the summary rows — are independent of the worker count and stable across
-// repeated parallel runs.
-func TestParallelSweepDigestsByteIdentical(t *testing.T) {
-	ref := digestPoints(t, 1)
-	workerCounts := []int{2, runtime.GOMAXPROCS(0), 2}
-	for _, workers := range workerCounts {
-		got := digestPoints(t, workers)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("workers=%d point %d: digest differs from sequential run", workers, i)
-			}
-		}
+	for i, d := range got {
+		checkPoint(t, "strategy/"+phases[i%2]+"/"+specs[i/2].Name, d)
 	}
 }

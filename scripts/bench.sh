@@ -3,10 +3,10 @@
 #
 # Runs the experiment-level benchmarks (bench_test.go at the root) and the
 # per-layer microbenchmarks of every package that has them (engine, tracer,
-# NoC link ring, model builders, machine), then writes BENCH_<date>.json: a
-# JSON envelope holding the parsed results plus the raw `go test -bench`
-# text, which is benchstat-compatible (extract .raw and feed two baselines
-# to benchstat to compare).
+# the ring behind NoC link queues, model builders, machine), then writes
+# BENCH_<date>.json: a JSON envelope holding the parsed results plus the
+# raw `go test -bench` text, which is benchstat-compatible (extract .raw
+# and feed two baselines to benchstat to compare).
 #
 # Usage:
 #   scripts/bench.sh             # full suite -> BENCH_<date>.json
@@ -28,7 +28,7 @@ trap 'rm -f "$raw"' EXIT
 # The root package carries the per-experiment regeneration benchmarks
 # (BenchmarkFig*, BenchmarkServingSweep, ...); it joins the full suite only —
 # quick mode sticks to the fast per-layer microbenchmarks.
-pkgs="./internal/sim/ ./internal/trace/ ./internal/noc/ ./internal/model/ ./internal/machine/"
+pkgs="./internal/sim/ ./internal/trace/ ./internal/pool/ ./internal/model/ ./internal/machine/"
 if [ "$quick" = 0 ]; then
 	pkgs=". $pkgs"
 fi

@@ -3,8 +3,9 @@
 # Runs formatting, vet (root and caisbench modules), build, caislint (the
 # determinism & unit-safety analyzer), the full test suite (plain, for the
 # caisbench module, and under the race detector), the disabled-tracer
-# zero-alloc benchmark, and the quick resilience, attribution, serving and
-# parallel-sweep smokes.
+# zero-alloc benchmark, the quick resilience, attribution and serving
+# smokes, and the CLI's parallel quick sweep compared byte for byte with
+# the committed golden (internal/experiments/testdata/golden/quick.txt).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,7 +53,7 @@ go run ./cmd/caissim -experiment fig17 -quick -attrib-json attrib-report.json > 
 echo "== serving smoke (request-level serving study, quick, 4 workers)"
 go run ./cmd/caissim -experiment serving -quick -parallel 4 > /dev/null
 
-echo "== parallel sweep smoke (all experiments, quick, 4 workers)"
-go run ./cmd/caissim -experiment all -quick -parallel 4 > /dev/null
+echo "== parallel sweep check (all experiments, quick, 4 workers, against the golden)"
+go run ./cmd/caissim -experiment all -quick -parallel 4 | cmp - internal/experiments/testdata/golden/quick.txt
 
 echo "OK"
