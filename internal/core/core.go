@@ -34,9 +34,12 @@ type Session struct {
 }
 
 // NewSession assembles a machine for the hardware configuration and the
-// run options.
+// run options. Invalid hardware or an invalid fault schedule is an error.
 func NewSession(hw config.Hardware, opts machine.Options) (*Session, error) {
 	if err := hw.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opts.Faults.Validate(hw.NumGPUs, hw.NumSwitchPlanes); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cais/internal/config"
+	"cais/internal/faults"
 	"cais/internal/kernel"
 	"cais/internal/machine"
 	"cais/internal/model"
@@ -24,6 +25,13 @@ func TestSessionRejectsInvalidHardware(t *testing.T) {
 	hw.NumGPUs = 0
 	if _, err := NewSession(hw, machine.Options{}); err == nil {
 		t.Fatal("invalid hardware accepted")
+	}
+}
+
+func TestSessionRejectsInvalidFaultSchedule(t *testing.T) {
+	sched := &faults.Schedule{Faults: []faults.Fault{{Kind: faults.LinkDegrade, At: 9e18, For: 9e18, Factor: 0.5}}}
+	if _, err := NewSession(coreHW(), machine.Options{Faults: sched}); err == nil {
+		t.Fatal("fault schedule whose repair overflows the sim clock accepted")
 	}
 }
 

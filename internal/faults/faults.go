@@ -11,6 +11,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -181,9 +182,10 @@ func checkGPU(f Fault, numGPUs int, wildcardOK bool) error {
 }
 
 // Validate checks the schedule against a concrete topology. Rules beyond
-// simple range checks: LinkDown must have a repair time (a permanently dead
-// link deadlocks queued traffic), and at least one plane must survive every
-// instant of the run (the re-route hash needs a live target).
+// simple range checks: a repair time must fit the sim clock, LinkDown must
+// have a repair time (a permanently dead link deadlocks queued traffic),
+// and at least one plane must survive every instant of the run (the
+// re-route hash needs a live target).
 func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 	if s == nil {
 		return nil
@@ -199,6 +201,9 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 		if f.For < 0 {
 			return fmt.Errorf("faults: fault %d (%s): negative repair delay", i, f)
 		}
+		if f.At > math.MaxInt64-f.For {
+			return fmt.Errorf("faults: fault %d (%s): repair time overflows the sim clock", i, f)
+		}
 		switch f.Kind {
 		case LinkDegrade:
 			if err := checkPlane(f, numPlanes, true); err != nil {
@@ -207,7 +212,7 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 			if err := checkGPU(f, numGPUs, true); err != nil {
 				return err
 			}
-			if f.Factor <= 0 || f.Factor > 1 {
+			if !(f.Factor > 0 && f.Factor <= 1) { // NaN fails too
 				return fmt.Errorf("faults: fault %d (%s): degrade factor must be in (0,1]", i, f)
 			}
 		case LinkDown:
@@ -241,15 +246,49 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 			if err := checkGPU(f, numGPUs, false); err != nil {
 				return err
 			}
-			if f.Factor < 1 {
+			if !(f.Factor >= 1) {
 				return fmt.Errorf("faults: fault %d (%s): straggler factor must be >= 1", i, f)
 			}
 		default:
 			return fmt.Errorf("faults: fault %d: unknown kind %d", i, int(f.Kind))
 		}
 	}
-	if len(deadForever) >= numPlanes {
-		return fmt.Errorf("faults: schedule permanently kills all %d planes; at least one must survive", numPlanes)
+	return s.checkPlaneSurvives(numPlanes)
+}
+
+// checkPlaneSurvives replays the plane-down onsets and repairs in the
+// order the injector fires them — by time, and at equal times in the
+// order it scheduled them, fault by fault — and reports the first event
+// that leaves no plane alive.
+func (s *Schedule) checkPlaneSurvives(numPlanes int) error {
+	type planeEvent struct {
+		at    sim.Time
+		fault int
+		down  bool
+	}
+	var evs []planeEvent
+	for i, f := range s.Faults {
+		if f.Kind != PlaneDown {
+			continue
+		}
+		evs = append(evs, planeEvent{at: f.At, fault: i, down: true})
+		if f.For > 0 {
+			evs = append(evs, planeEvent{at: f.At + f.For, fault: i})
+		}
+	}
+	sort.SliceStable(evs, func(a, b int) bool { return evs[a].at < evs[b].at })
+	down, live := make([]bool, numPlanes), numPlanes
+	for _, e := range evs {
+		f := s.Faults[e.fault]
+		if down[f.Plane] == e.down {
+			continue
+		}
+		down[f.Plane] = e.down
+		if !e.down {
+			live++
+		} else if live--; live == 0 {
+			return fmt.Errorf("faults: fault %d (%s) leaves no live plane at %v; at least one must survive every instant", e.fault, f, e.at)
+		}
 	}
 	return nil
 }

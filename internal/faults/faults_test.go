@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -17,6 +18,16 @@ func TestValidateAcceptsWellFormedSchedule(t *testing.T) {
 	}}
 	if err := s.Validate(8, 4); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+	// One live plane at every instant: at 10us plane 0's repair, listed
+	// first, fires before plane 1's onset.
+	handover := &Schedule{Name: "handover", Faults: []Fault{
+		{Kind: PlaneDown, For: 10 * sim.Microsecond, Plane: 0},
+		{Kind: PlaneDown, At: 10 * sim.Microsecond, For: 10 * sim.Microsecond, Plane: 1},
+		{Kind: PlaneDown, Plane: 2}, {Kind: PlaneDown, Plane: 3},
+	}}
+	if err := handover.Validate(8, 4); err != nil {
+		t.Fatalf("Validate(handover): %v", err)
 	}
 }
 
@@ -44,6 +55,24 @@ func TestValidateRejections(t *testing.T) {
 			{Kind: PlaneDown, Plane: 2}, {Kind: PlaneDown, Plane: 3},
 		}}, "at least one must survive"},
 		{"unknown kind", Schedule{Faults: []Fault{{Kind: Kind(99)}}}, "unknown kind"},
+		{"repair overflows the clock", Schedule{Faults: []Fault{
+			{Kind: LinkDegrade, At: 9e18, For: 9e18, Factor: 0.5},
+		}}, "overflows the sim clock"},
+		{"all planes down at once", Schedule{Faults: []Fault{
+			{Kind: PlaneDown, For: 100 * sim.Microsecond, Plane: 0},
+			{Kind: PlaneDown, For: 100 * sim.Microsecond, Plane: 1},
+			{Kind: PlaneDown, For: 100 * sim.Microsecond, Plane: 2},
+			{Kind: PlaneDown, For: 100 * sim.Microsecond, Plane: 3},
+		}}, "at least one must survive"},
+		// At one instant the injector fires fault by fault: plane 0's
+		// onset (fault 0) precedes plane 1's repair (fault 1).
+		{"handover in the wrong order", Schedule{Faults: []Fault{
+			{Kind: PlaneDown, At: 10 * sim.Microsecond, Plane: 0},
+			{Kind: PlaneDown, For: 10 * sim.Microsecond, Plane: 1},
+			{Kind: PlaneDown, Plane: 2}, {Kind: PlaneDown, Plane: 3},
+		}}, "at least one must survive"},
+		{"NaN degrade factor", Schedule{Faults: []Fault{{Kind: LinkDegrade, Factor: math.NaN()}}}, "degrade factor"},
+		{"NaN straggler factor", Schedule{Faults: []Fault{{Kind: Straggler, Factor: math.NaN()}}}, "straggler factor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -106,17 +106,7 @@ type accessCtx struct {
 // cached closures survive deliberately: they are bound to this object's
 // identity, not to any one access.
 func (c *accessCtx) Reset() {
-	c.a = kernel.Access{}
-	c.group = 0
-	c.throttledReq = false
-	c.publishHere = false
-	c.onIssued = nil
-	c.onComplete = nil
-	c.tag = nil
-	c.chunk = 0
-	c.nextChunk = 0
-	c.pendingIssue = 0
-	c.pendingDone = 0
+	*c = accessCtx{g: c.g, chunkDoneFn: c.chunkDoneFn, sendNextFn: c.sendNextFn}
 }
 
 // getAccessCtx pops a recycled context and (first time only) installs its
@@ -229,7 +219,7 @@ type chunkCredit struct {
 
 // Reset clears the credit for pool reuse; the back-pointer and cached
 // closure survive.
-func (c *chunkCredit) Reset() { c.size = 0 }
+func (c *chunkCredit) Reset() { *c = chunkCredit{g: c.g, acceptedFn: c.acceptedFn} }
 
 func (g *GPU) getChunkCredit() *chunkCredit {
 	c := g.credits.Get()

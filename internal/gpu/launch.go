@@ -124,20 +124,7 @@ func (r *tbRun) step() {
 
 // Reset clears per-TB state for pool reuse; the g back-pointer and cached
 // step method value are the object's identity and survive.
-func (r *tbRun) Reset() {
-	r.l = nil
-	r.tb = 0
-	r.desc = kernel.TBDesc{}
-	r.group = 0
-	r.loaded = false
-	r.yielded = false
-	r.retireAfterPost = false
-	r.prePending = 0
-	r.postPending = 0
-	r.slotTid = 0
-	r.slotStart = 0
-	r.next = stepFinish
-}
+func (r *tbRun) Reset() { *r = tbRun{g: r.g, stepFn: r.stepFn} }
 
 // getRun pops a recycled run and (first time only) installs its step
 // closure.

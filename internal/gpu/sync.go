@@ -153,7 +153,7 @@ func (s *Synchronizer) Resync() {
 		}
 		s.Reregistrations++
 		key := k
-		sim.Retry(s.g.eng, sim.Backoff{Base: sim.Microsecond, Max: 64 * sim.Microsecond, Factor: 2}, func(n int) bool {
+		sim.Retry(s.g.eng, func() bool {
 			// Re-fetch on every attempt: waits are pooled, so pointer
 			// identity cannot distinguish "still waiting" from "released
 			// and re-registered" — the registered plane can.
@@ -172,7 +172,7 @@ func (s *Synchronizer) Resync() {
 			cur.plane = plane
 			s.register(key.group, key.phase, cur.expected, plane)
 			return true
-		}, nil)
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"cais/internal/faults"
-	"cais/internal/metrics"
 	"cais/internal/noc"
 	"cais/internal/nvswitch"
 	"cais/internal/trace"
@@ -18,8 +17,8 @@ type injector struct {
 	sched  *faults.Schedule
 	active int
 
-	applied  *metrics.Counter
-	repaired *metrics.Counter
+	applied  int64 // onsets fired
+	repaired int64 // repairs fired
 }
 
 // installFaults arms the injector when the machine's options carry a
@@ -33,12 +32,10 @@ func (m *Machine) installFaults() {
 	if err := sched.Validate(m.HW.NumGPUs, m.HW.NumSwitchPlanes); err != nil {
 		panic(err)
 	}
-	inj := &injector{
-		m: m, sched: sched,
-		applied:  m.reg.Counter("faults.applied"),
-		repaired: m.reg.Counter("faults.repaired"),
-	}
+	inj := &injector{m: m, sched: sched}
 	m.inj = inj
+	m.reg.CounterFunc("faults.applied", func() int64 { return inj.applied })
+	m.reg.CounterFunc("faults.repaired", func() int64 { return inj.repaired })
 	m.reg.GaugeFunc("faults.active", func() float64 { return float64(inj.active) })
 	m.reg.GaugeFunc("faults.reroutes", func() float64 { return float64(m.reroutes) })
 	m.reg.GaugeFunc("faults.sync_reregistrations", func() float64 {
@@ -104,7 +101,7 @@ func (inj *injector) instant(label string) {
 
 func (inj *injector) apply(f faults.Fault) {
 	m := inj.m
-	inj.applied.Inc()
+	inj.applied++
 	inj.active++
 	inj.instant("onset: " + f.String())
 	switch f.Kind {
@@ -130,7 +127,7 @@ func (inj *injector) apply(f faults.Fault) {
 
 func (inj *injector) repair(f faults.Fault) {
 	m := inj.m
-	inj.repaired.Inc()
+	inj.repaired++
 	inj.active--
 	inj.instant("repair: " + f.String())
 	switch f.Kind {

@@ -148,10 +148,7 @@ type contribState struct {
 }
 
 // Reset clears the counter for pool reuse.
-func (c *contribState) Reset() {
-	c.need = 0
-	c.got = 0
-}
+func (c *contribState) Reset() { *c = contribState{} }
 
 // tbDep tracks one TB instance's unsatisfied input count.
 type tbDep struct {
@@ -161,11 +158,7 @@ type tbDep struct {
 }
 
 // Reset clears the record for pool reuse.
-func (d *tbDep) Reset() {
-	d.launch = nil
-	d.tb = 0
-	d.pending = 0
-}
+func (d *tbDep) Reset() { *d = tbDep{} }
 
 // kernelDone carries one kernel's completion bookkeeping (span close,
 // trace end, caller callback); the pooled launch latch fires it when the
@@ -181,11 +174,7 @@ type kernelDone struct {
 
 // Reset clears per-kernel state for pool reuse; the m back-pointer and
 // cached fireFn are the object's identity and survive.
-func (d *kernelDone) Reset() {
-	d.span = nil
-	d.traceID = 0
-	d.onDone = nil
-}
+func (d *kernelDone) Reset() { *d = kernelDone{m: d.m, fireFn: d.fireFn} }
 
 // fire closes the kernel's span and runs the caller's completion. The
 // record recycles itself first so the callback may immediately launch the

@@ -34,6 +34,7 @@ package memo
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cais/internal/attrib"
 	"cais/internal/metrics"
@@ -88,9 +89,9 @@ type Cache struct {
 	cells   map[uint64]*cell
 	entries int // populated cells, counted under mu as Do marks them ready
 
-	hits     metrics.AtomicCounter // lookups served from a populated cell
-	misses   metrics.AtomicCounter // lookups that simulated the point
-	inflight metrics.AtomicCounter // lookups that waited on another worker
+	hits     atomic.Int64 // lookups served from a populated cell
+	misses   atomic.Int64 // lookups that simulated the point
+	inflight atomic.Int64 // lookups that waited on another worker
 }
 
 // NewCache returns an empty cache.
@@ -100,10 +101,10 @@ func NewCache() *Cache {
 
 // Hits reports lookups served from the cache (including waits on a
 // concurrent first run).
-func (c *Cache) Hits() int64 { return c.hits.Value() + c.inflight.Value() }
+func (c *Cache) Hits() int64 { return c.hits.Load() + c.inflight.Load() }
 
 // Misses reports lookups that had to simulate the point.
-func (c *Cache) Misses() int64 { return c.misses.Value() }
+func (c *Cache) Misses() int64 { return c.misses.Load() }
 
 // Lookups reports total Do calls.
 func (c *Cache) Lookups() int64 { return c.Hits() + c.Misses() }
@@ -122,9 +123,9 @@ func (c *Cache) RegisterMetrics(reg *metrics.Registry) {
 	if c == nil || reg == nil {
 		return
 	}
-	reg.GaugeFunc("memo.hits", func() float64 { return float64(c.hits.Value()) })
-	reg.GaugeFunc("memo.misses", func() float64 { return float64(c.misses.Value()) })
-	reg.GaugeFunc("memo.inflight_waits", func() float64 { return float64(c.inflight.Value()) })
+	reg.GaugeFunc("memo.hits", func() float64 { return float64(c.hits.Load()) })
+	reg.GaugeFunc("memo.misses", func() float64 { return float64(c.misses.Load()) })
+	reg.GaugeFunc("memo.inflight_waits", func() float64 { return float64(c.inflight.Load()) })
 	reg.GaugeFunc("memo.entries", func() float64 { return float64(c.Len()) })
 }
 
@@ -145,14 +146,14 @@ func (c *Cache) Do(key uint64, fn func() (Entry, error)) (Entry, error) {
 			ready := s.ready
 			c.mu.Unlock()
 			if ready {
-				c.hits.Inc()
+				c.hits.Add(1)
 				return s.val, s.err
 			}
 			// In flight elsewhere: the channel close publishes val/err/ready
 			// (happens-before), so no re-lock is needed after the wait.
 			<-s.done
 			if s.ready {
-				c.inflight.Inc()
+				c.inflight.Add(1)
 				return s.val, s.err
 			}
 			// The computing worker panicked and abandoned the slot;
@@ -162,7 +163,7 @@ func (c *Cache) Do(key uint64, fn func() (Entry, error)) (Entry, error) {
 		s = &cell{done: make(chan struct{})}
 		c.cells[key] = s
 		c.mu.Unlock()
-		c.misses.Inc()
+		c.misses.Add(1)
 
 		completed := false
 		defer func() {

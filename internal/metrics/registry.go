@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // Registry is the central metric registry: every subsystem registers its
@@ -15,10 +14,14 @@ import (
 // "nvswitch.plane0.merged_loads") and the registry snapshots them into a
 // machine-readable run report.
 //
-// Registration is idempotent per (name, kind); registering the same name
-// with a different kind panics — two subsystems fighting over one name is
-// a wiring bug. The registry is not goroutine-safe: the simulation engine
-// is single-threaded and metric updates happen only on the event loop.
+// The registry holds no counts: components keep theirs in plain fields and
+// register functions that read them at snapshot time (CounterFunc,
+// GaugeFunc). Only histograms, which have no plain-field form, live here.
+// Registering a name again with the same kind is idempotent (a function
+// is replaced, a histogram returned); with a different kind it panics —
+// two subsystems fighting over one name is a wiring bug. The registry is
+// not goroutine-safe: the simulation engine is single-threaded and metric
+// updates happen only on the event loop.
 type Registry struct {
 	items map[string]metric
 }
@@ -36,45 +39,44 @@ func NewRegistry() *Registry {
 // Len reports how many metrics are registered.
 func (r *Registry) Len() int { return len(r.items) }
 
-func (r *Registry) register(name, kind string, create func() metric) metric {
-	if existing, ok := r.items[name]; ok {
-		if existing.kind() != kind {
-			panic(fmt.Sprintf("metrics: %q registered as %s and %s", name, existing.kind(), kind))
-		}
-		return existing
-	}
-	m := create()
-	r.items[name] = m
-	return m
-}
-
-// Counter returns the named monotonic counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	return r.register(name, "counter", func() metric { return &Counter{} }).(*Counter)
-}
-
-// Gauge returns the named settable gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return r.register(name, "gauge", func() metric { return &Gauge{} }).(*Gauge)
+// CounterFunc registers a lazily-read monotonic counter: fn is called at
+// snapshot time, so the count lives in the component that increments it.
+// Re-registering the same name replaces the function.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	r.setFunc(name, "counter", func() float64 { return float64(fn()) })
 }
 
 // GaugeFunc registers a lazily-evaluated gauge: fn is called at snapshot
-// time. It lets existing subsystem state feed the registry without rewiring
-// hot paths. Re-registering the same name replaces the function.
+// time. Re-registering the same name replaces the function.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
+	r.setFunc(name, "gauge", fn)
+}
+
+func (r *Registry) setFunc(name, kind string, fn func() float64) {
 	if existing, ok := r.items[name]; ok {
-		if g, isFn := existing.(*funcGauge); isFn {
-			g.fn = fn
-			return
+		f, isFn := existing.(*funcMetric)
+		if !isFn || f.k != kind {
+			panic(fmt.Sprintf("metrics: %q registered as %s and %s", name, existing.kind(), kind))
 		}
-		panic(fmt.Sprintf("metrics: %q registered as %s and func-gauge", name, existing.kind()))
+		f.fn = fn
+		return
 	}
-	r.items[name] = &funcGauge{fn: fn}
+	r.items[name] = &funcMetric{k: kind, fn: fn}
 }
 
 // Hist returns the named weighted histogram, creating it on first use.
 func (r *Registry) Hist(name string) *Hist {
-	return r.register(name, "hist", func() metric { return newHist() }).(*Hist)
+	existing, ok := r.items[name]
+	if !ok {
+		h := newHist()
+		r.items[name] = h
+		return h
+	}
+	h, isHist := existing.(*Hist)
+	if !isHist {
+		panic(fmt.Sprintf("metrics: %q registered as %s and hist", name, existing.kind()))
+	}
+	return h
 }
 
 // Snapshot captures every registered metric, sorted by name.
@@ -96,64 +98,16 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return r.Snapshot().WriteJSON(w)
 }
 
-// Counter is a monotonic int64 counter. Add/Inc are allocation-free and
-// safe on the simulation hot path.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v += n }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v }
-
-func (c *Counter) kind() string { return "counter" }
-func (c *Counter) snap(name string) Metric {
-	return Metric{Name: name, Kind: "counter", Value: float64(c.v)}
+// funcMetric is a counter or gauge read through a function at snapshot
+// time.
+type funcMetric struct {
+	k  string // "counter" or "gauge"
+	fn func() float64
 }
 
-// AtomicCounter is a goroutine-safe monotonic counter for the few
-// measurement points that live outside the single-threaded engine — today
-// the sweep-level memo cache's hit/miss accounting, which parallel workers
-// update concurrently. Engine-side code should use Counter (cheaper, and
-// the engine is single-threaded by construction).
-type AtomicCounter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *AtomicCounter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *AtomicCounter) Add(n int64) { c.v.Add(n) }
-
-// Value reports the current count.
-func (c *AtomicCounter) Value() int64 { return c.v.Load() }
-
-func (c *AtomicCounter) kind() string { return "counter" }
-func (c *AtomicCounter) snap(name string) Metric {
-	return Metric{Name: name, Kind: "counter", Value: float64(c.Value())}
-}
-
-// Gauge is a settable instantaneous value.
-type Gauge struct{ v float64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value reports the stored value.
-func (g *Gauge) Value() float64 { return g.v }
-
-func (g *Gauge) kind() string { return "gauge" }
-func (g *Gauge) snap(name string) Metric {
-	return Metric{Name: name, Kind: "gauge", Value: g.v}
-}
-
-type funcGauge struct{ fn func() float64 }
-
-func (g *funcGauge) kind() string { return "gauge" }
-func (g *funcGauge) snap(name string) Metric {
-	return Metric{Name: name, Kind: "gauge", Value: g.fn()}
+func (f *funcMetric) kind() string { return f.k }
+func (f *funcMetric) snap(name string) Metric {
+	return Metric{Name: name, Kind: f.k, Value: f.fn()}
 }
 
 // histBuckets is the number of power-of-two histogram buckets: bucket i

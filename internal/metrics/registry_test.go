@@ -9,41 +9,46 @@ import (
 
 func TestRegistryCountersGaugesIdempotent(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("nvswitch.plane0.merged_loads")
-	c.Inc()
-	c.Add(2)
-	if r.Counter("nvswitch.plane0.merged_loads") != c {
-		t.Fatal("Counter must be idempotent per name")
-	}
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	g := r.Gauge("gpu.free_slots")
-	g.Set(42)
-	if r.Gauge("gpu.free_slots").Value() != 42 {
-		t.Fatal("gauge roundtrip failed")
-	}
+	loads := int64(3)
+	r.CounterFunc("nvswitch.plane0.merged_loads", func() int64 { return 0 })
+	r.CounterFunc("nvswitch.plane0.merged_loads", func() int64 { return loads })
 	r.GaugeFunc("sim.steps", func() float64 { return 7 })
+	h := r.Hist("gpu.tb_us")
+	if r.Hist("gpu.tb_us") != h {
+		t.Fatal("Hist must be idempotent per name")
+	}
 	if r.Len() != 3 {
 		t.Fatalf("len = %d, want 3", r.Len())
+	}
+	loads = 5
+	m, _ := r.Snapshot().Get("nvswitch.plane0.merged_loads")
+	if m.Kind != "counter" || m.Value != 5 {
+		t.Fatalf("counter = %+v, want the replacing function's live value 5", m)
 	}
 }
 
 func TestRegistryKindCollisionPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind collision must panic")
-		}
-	}()
-	r.Gauge("x")
+	for name, second := range map[string]func(r *Registry){
+		"gauge over counter": func(r *Registry) { r.GaugeFunc("x", func() float64 { return 0 }) },
+		"hist over counter":  func(r *Registry) { r.Hist("x") },
+	} {
+		r := NewRegistry()
+		r.CounterFunc("x", func() int64 { return 0 })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: kind collision must panic", name)
+				}
+			}()
+			second(r)
+		}()
+	}
 }
 
 func TestSnapshotSortedAndQueryable(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b.two").Add(2)
-	r.Counter("a.one").Add(1)
+	r.CounterFunc("b.two", func() int64 { return 2 })
+	r.CounterFunc("a.one", func() int64 { return 1 })
 	r.GaugeFunc("c.three", func() float64 { return 3 })
 	s := r.Snapshot()
 	if s.Len() != 3 {
@@ -55,6 +60,9 @@ func TestSnapshotSortedAndQueryable(t *testing.T) {
 	}
 	if s.Value("b.two") != 2 || s.Value("c.three") != 3 {
 		t.Fatalf("values wrong: %+v", s.Metrics)
+	}
+	if s.Metrics[1].Kind != "counter" || s.Metrics[2].Kind != "gauge" {
+		t.Fatalf("kinds wrong: %+v", s.Metrics)
 	}
 	if _, ok := s.Get("missing"); ok {
 		t.Fatal("Get on missing name must report false")
@@ -182,7 +190,7 @@ func TestHistSnapshotCarriesQuantiles(t *testing.T) {
 
 func TestSnapshotJSONRoundtrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("noc.up.wire_bytes").Add(1024)
+	r.CounterFunc("noc.up.wire_bytes", func() int64 { return 1024 })
 	r.Hist("gpu.tb_us").Observe(3)
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {
@@ -201,15 +209,12 @@ func TestSnapshotJSONRoundtrip(t *testing.T) {
 	}
 }
 
-func TestCounterHotPathAllocatesNothing(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("hot")
-	h := r.Hist("hot_hist")
+func TestHistHotPathAllocatesNothing(t *testing.T) {
+	h := NewRegistry().Hist("hot_hist")
 	if allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(3)
 		h.Observe(2)
+		h.ObserveWeighted(5, 3)
 	}); allocs != 0 {
-		t.Fatalf("metric hot path allocates %v/op, want 0", allocs)
+		t.Fatalf("Hist.Observe allocates %v/op, want 0", allocs)
 	}
 }

@@ -62,22 +62,11 @@ type session struct {
 }
 
 // Reset clears the entry for pool reuse, keeping the waiters/onDone
-// backing arrays and the cached timeout closure.
+// backing arrays and the pooled identity (m and timeoutFn).
 func (s *session) Reset() {
-	for i := range s.waiters {
-		s.waiters[i] = nil
-	}
-	s.waiters = s.waiters[:0]
-	for i := range s.onDone {
-		s.onDone[i] = nil
-	}
-	s.onDone = s.onDone[:0]
-	s.addr, s.state, s.size, s.count, s.expected = 0, LoadWait, 0, 0, 0
-	s.bcast, s.pinned, s.flush = false, false, false
-	s.group = 0
-	s.first, s.lru = 0, 0
-	s.tag = nil
-	s.traceID = 0
+	clear(s.waiters)
+	clear(s.onDone)
+	*s = session{waiters: s.waiters[:0], onDone: s.onDone[:0], m: s.m, timeoutFn: s.timeoutFn}
 }
 
 // loadMetaBytes is the merging-table footprint of a Load-Wait entry: the
@@ -212,7 +201,7 @@ func (m *MergeUnit) Quiesce() {
 			s.flush = true
 			continue
 		}
-		m.stats.evictions.Inc()
+		m.stats.Evictions++
 		m.evict(s)
 	}
 }
@@ -247,7 +236,7 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 	m.credit(p)
 	now := m.eng.Now()
 	if m.disabled {
-		m.stats.bypassLoads.Inc()
+		m.stats.BypassLoads++
 		m.forwardPlainLoad(p)
 		m.pkts.Put(p) // original absorbed; the fetch carries its context
 		return
@@ -262,10 +251,10 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 			// Data still pending: append the request metadata to the
 			// content array for a deferred response.
 			s.waiters = append(s.waiters, p)
-			m.stats.mergedLoads.Inc()
+			m.stats.MergedLoads++
 		case LoadReady:
 			// Serve immediately from cached data.
-			m.stats.mergedLoads.Inc()
+			m.stats.MergedLoads++
 			m.respond(s, p)
 			m.pkts.Put(p) // served from cache; request absorbed
 			if s.count >= s.expected {
@@ -278,7 +267,7 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 	// metadata); on capacity pressure, evict LRU evictable entries; if
 	// nothing is evictable, bypass the merge unit.
 	if !m.reserve(loadMetaBytes) {
-		m.stats.bypassLoads.Inc()
+		m.stats.BypassLoads++
 		if m.tr.Enabled() {
 			m.tr.Instant(m.pid, int32(m.gpu), "nvswitch.merge", "load bypass", now)
 		}
@@ -292,7 +281,7 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 	s.waiters = append(s.waiters, p)
 	s.tag = p.Tag
 	m.insert(s)
-	m.stats.loadFetches.Inc()
+	m.stats.LoadFetches++
 	// Forward the fetch to the home GPU through the standard routing path.
 	tag := m.respTags.Get()
 	tag.unit, tag.addr, tag.orig = m, p.Addr, p.Tag
@@ -342,7 +331,7 @@ func (m *MergeUnit) HandleResponse(p *noc.Packet, tag *mergeRespTag) {
 		ok := m.reserve(grow)
 		s.pinned = false
 		if !ok {
-			m.stats.evictions.Inc()
+			m.stats.Evictions++
 			m.release(s)
 			m.pkts.Put(p)
 			return
@@ -392,7 +381,7 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 	m.credit(p)
 	now := m.eng.Now()
 	if m.disabled {
-		m.stats.bypassReds.Inc()
+		m.stats.BypassReds++
 		if p.Dst < 0 {
 			// Broadcast (GEMM-AR) contribution with merging off: without
 			// in-switch accumulation each contribution is replicated to
@@ -426,7 +415,7 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 		if !m.reserve(p.Size) {
 			// Bypass: forward the lone contribution straight to the home
 			// GPU, which folds it in at HBM cost.
-			m.stats.bypassReds.Inc()
+			m.stats.BypassReds++
 			if m.tr.Enabled() {
 				m.tr.Instant(m.pid, int32(m.gpu), "nvswitch.merge", "red bypass", now)
 			}
@@ -447,9 +436,9 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 		s.onDone = append(s.onDone, p.OnDone)
 	}
 	m.pkts.Put(p) // contribution absorbed into the merging table
-	m.stats.mergedReds.Inc()
+	m.stats.MergedReds++
 	if s.count >= s.expected {
-		m.stats.completedReds.Inc()
+		m.stats.CompletedReds++
 		m.finishReduction(s)
 	}
 }
@@ -547,7 +536,7 @@ func (m *MergeUnit) evictOne() bool {
 	if victim == nil {
 		return false
 	}
-	m.stats.evictions.Inc()
+	m.stats.Evictions++
 	if m.tr.Enabled() {
 		m.tr.Instant(m.pid, int32(m.gpu), "nvswitch.merge", "evict "+victim.state.String(), m.eng.Now())
 	}
@@ -560,13 +549,13 @@ func (m *MergeUnit) evict(s *session) {
 		// A broadcast session cannot flush partials to a home replica;
 		// it completes in place (all contributions are counted at the
 		// receivers, so partial broadcasts stay correct).
-		m.stats.partialFlushes.Inc()
+		m.stats.PartialFlushes++
 		m.finishReduction(s)
 		return
 	}
 	if s.state == Reduction {
 		// Flush the partial result to the home GPU.
-		m.stats.partialFlushes.Inc()
+		m.stats.PartialFlushes++
 		m.forwardPartial(s.addr, s.size, s.group, s.count, s.tag, nil)
 		for _, done := range s.onDone {
 			m.eng.After(0, done)
@@ -658,7 +647,7 @@ func (s *session) timeoutCheck() {
 		m.armTimeout(cur)
 		return
 	}
-	m.stats.timeoutEvictions.Inc()
+	m.stats.TimeoutEvictions++
 	if m.tr.Enabled() {
 		m.tr.Instant(m.pid, int32(m.gpu), "nvswitch.merge", "timeout", m.eng.Now())
 	}

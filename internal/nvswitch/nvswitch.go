@@ -115,15 +115,8 @@ type nvlsRedSession struct {
 // Reset clears the session for pool reuse, keeping the onDone backing
 // array so steady-state sessions stop allocating.
 func (rs *nvlsRedSession) Reset() {
-	for i := range rs.onDone {
-		rs.onDone[i] = nil
-	}
-	rs.onDone = rs.onDone[:0]
-	rs.size, rs.count, rs.expected = 0, 0, 0
-	rs.bcast = false
-	rs.home, rs.group = 0, 0
-	rs.tag = nil
-	rs.lru = 0
+	clear(rs.onDone)
+	*rs = nvlsRedSession{onDone: rs.onDone[:0]}
 }
 
 // nvlsPullSession is one in-flight multimem.ld_reduce: reads fanned to all
@@ -146,10 +139,8 @@ type syncEntry struct {
 
 // Reset clears the entry for pool reuse, keeping the seen backing array.
 func (e *syncEntry) Reset() {
-	for i := range e.seen {
-		e.seen[i] = false
-	}
-	e.count, e.expected = 0, 0
+	clear(e.seen)
+	*e = syncEntry{seen: e.seen}
 }
 
 // New creates a switch plane for cfg.
@@ -205,7 +196,7 @@ func (s *Switch) SetPacketPool(pp *noc.PacketPool) {
 func (s *Switch) Stats() *Stats { return s.stats }
 
 // Summary captures the plane's statistics into a plain value.
-func (s *Switch) Summary() Summary { return s.stats.Summary() }
+func (s *Switch) Summary() Summary { return s.stats.Summary }
 
 // Port returns the merge unit of the given GPU-facing port.
 func (s *Switch) Port(gpu int) *MergeUnit { return s.port[gpu] }
@@ -247,10 +238,10 @@ func (s *Switch) Failover() {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
-		s.stats.nvlsTimeoutFlushes.Inc()
+		s.stats.NvlsTimeoutFlushes++
 		s.completeRed(a, s.nvlsRed[a])
 	}
-	s.stats.syncDropped.Add(int64(len(s.sync)))
+	s.stats.SyncDropped += int64(len(s.sync))
 	s.sync = make(map[syncTableKey]*syncEntry)
 	for _, port := range s.port {
 		port.Quiesce()
@@ -345,7 +336,7 @@ func (s *Switch) handleLoadResp(p *noc.Packet) {
 // handleMulticastStore implements the NVLS push-mode AllGather step: one
 // uplink payload is replicated to every peer's downlink.
 func (s *Switch) handleMulticastStore(p *noc.Packet) {
-	s.stats.multicastStores.Inc()
+	s.stats.MulticastStores++
 	for g := 0; g < s.cfg.NumGPUs; g++ {
 		if g == p.Src {
 			continue
@@ -382,7 +373,7 @@ func (s *Switch) handlePullReduce(p *noc.Packet) {
 	sess.pending, sess.resp = s.cfg.NumGPUs, resp
 	sess.fanTag = pullTag{sw: s, key: key}
 	s.nvlsPull[key] = sess
-	s.stats.pullReduces.Inc()
+	s.stats.PullReduces++
 	for g := 0; g < s.cfg.NumGPUs; g++ {
 		fan := s.pkts.Get()
 		fan.ID, fan.Op, fan.Addr, fan.Home = s.id(), noc.OpReadFan, p.Addr, g
@@ -437,7 +428,7 @@ func (s *Switch) handlePushReduce(p *noc.Packet) {
 	if sess.count < sess.expected {
 		return
 	}
-	s.stats.pushReduces.Inc()
+	s.stats.PushReduces++
 	s.completeRed(addr, sess)
 }
 
@@ -488,7 +479,7 @@ func (s *Switch) armRedTimeout(addr uint64, sess *nvlsRedSession) {
 			s.armRedTimeout(addr, cur)
 			return
 		}
-		s.stats.nvlsTimeoutFlushes.Inc()
+		s.stats.NvlsTimeoutFlushes++
 		if s.tr.Enabled() {
 			s.tr.Instant(s.pid, 0, "nvswitch.fault", "nvls timeout flush", s.eng.Now())
 		}
@@ -526,7 +517,7 @@ func (s *Switch) syncRegister(p *noc.Packet) {
 			// A failover re-registration can race a registration that was
 			// in flight when the routing changed; idempotent registration
 			// keeps the entry correct.
-			s.stats.syncDuplicates.Inc()
+			s.stats.SyncDuplicates++
 			return
 		}
 		panic(fmt.Sprintf("nvswitch: duplicate sync registration group=%d phase=%d gpu=%d", p.Group, p.Addr, p.Src))
@@ -537,7 +528,7 @@ func (s *Switch) syncRegister(p *noc.Packet) {
 		return
 	}
 	delete(s.sync, key)
-	s.stats.syncReleases.Inc()
+	s.stats.SyncReleases++
 	if s.tr.Enabled() {
 		s.tr.Instant(s.pid, int32(p.Group), "nvswitch.sync", "sync release", s.eng.Now())
 	}

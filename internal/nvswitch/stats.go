@@ -1,62 +1,33 @@
 package nvswitch
 
 import (
+	"reflect"
+	"strings"
+
 	"cais/internal/metrics"
 	"cais/internal/sim"
 )
 
-// Stats is the live per-plane statistics collector. Every quantity is a
-// named counter/gauge/histogram in a metrics.Registry (naming scheme
-// "<prefix>.<metric>", e.g. "nvswitch.plane0.merged_loads"), so the same
-// numbers that drive the paper's figures also appear in machine-readable
-// run reports. One Stats instance is shared by a plane's ports;
-// experiments fold planes together with Summary.
+// Stats is the live per-plane statistics collector. Its counts are the
+// fields of the embedded Summary, which the switch's hot paths increment
+// directly; NewStatsIn registers each field in a metrics.Registry under
+// its `metric` tag (naming scheme "<prefix>.<metric>", e.g.
+// "nvswitch.plane0.merged_loads"), so the same numbers that drive the
+// paper's figures also appear in machine-readable run reports. One Stats
+// instance is shared by a plane's ports; experiments fold planes together
+// with Summary.Add.
 type Stats struct {
-	// NVLS unit.
-	multicastStores *metrics.Counter // multimem.st replications
-	pullReduces     *metrics.Counter // completed multimem.ld_reduce sessions
-	pushReduces     *metrics.Counter // completed multimem.red sessions
+	Summary
 
-	// Merge unit (Micro-Functions 1 and 2).
-	mergedLoads   *metrics.Counter // ld.cais requests absorbed by an existing session
-	loadFetches   *metrics.Counter // fetches issued to home GPUs (one per session)
-	bypassLoads   *metrics.Counter // loads forwarded unmerged (table saturated)
-	mergedReds    *metrics.Counter // red.cais contributions accepted into sessions
-	completedReds *metrics.Counter // reduction sessions that gathered all contributions
-	bypassReds    *metrics.Counter // contributions forwarded unmerged
-
-	// Eviction machinery.
-	evictions        *metrics.Counter // LRU capacity evictions
-	partialFlushes   *metrics.Counter // partial reduction results flushed to home GPUs
-	timeoutEvictions *metrics.Counter // forward-progress timeouts
-
-	// Group Sync Table.
-	syncReleases *metrics.Counter
-
-	// Fault tolerance (plane failover, see DESIGN.md §8).
-	nvlsTimeoutFlushes *metrics.Counter // NVLS push sessions flushed partial by timeout/failover
-	syncDropped        *metrics.Counter // sync entries dropped when the plane failed
-	syncDuplicates     *metrics.Counter // duplicate registrations tolerated in fault mode
-
-	// Session lifetime (first arrival to release).
-	sessLifeSumPS *metrics.Counter
-	sessLifeCount *metrics.Counter
-	sessLifeUS    *metrics.Hist
+	sessLifeUS *metrics.Hist
 
 	// Per-address request skew: the delay between the earliest and latest
 	// requests targeting the same address (the paper's "average waiting
 	// time", Fig. 13b). Tracked independently of merge-session lifetime so
 	// evictions don't hide skew. The open-address map is collector state;
-	// completed spreads accumulate into the registry.
-	skew        map[uint64]*skewEntry
-	skewSumPS   *metrics.Counter
-	skewCount   *metrics.Counter
-	skewMaxPS   *metrics.Gauge
-	skewUS      *metrics.Hist
-	ldSkewSumPS *metrics.Counter
-	ldSkewCount *metrics.Counter
-	redSkewSum  *metrics.Counter
-	redSkewCnt  *metrics.Counter
+	// completed spreads accumulate into Summary.
+	skew   map[uint64]*skewEntry
+	skewUS *metrics.Hist
 }
 
 type skewEntry struct {
@@ -72,39 +43,24 @@ type skewEntry struct {
 func NewStats() *Stats { return NewStatsIn(metrics.NewRegistry(), "nvswitch") }
 
 // NewStatsIn returns a collector whose metrics register into reg under
-// "<prefix>.<metric>" names.
+// "<prefix>.<metric>" names: one counter per Summary field (a gauge for a
+// field tagged ",max") plus the two distribution histograms.
 func NewStatsIn(reg *metrics.Registry, prefix string) *Stats {
-	c := func(name string) *metrics.Counter { return reg.Counter(prefix + "." + name) }
-	return &Stats{
-		multicastStores:    c("multicast_stores"),
-		pullReduces:        c("pull_reduces"),
-		pushReduces:        c("push_reduces"),
-		mergedLoads:        c("merged_loads"),
-		loadFetches:        c("load_fetches"),
-		bypassLoads:        c("bypass_loads"),
-		mergedReds:         c("merged_reds"),
-		completedReds:      c("completed_reds"),
-		bypassReds:         c("bypass_reds"),
-		evictions:          c("evictions"),
-		partialFlushes:     c("partial_flushes"),
-		timeoutEvictions:   c("timeout_evictions"),
-		syncReleases:       c("sync_releases"),
-		nvlsTimeoutFlushes: c("nvls_timeout_flushes"),
-		syncDropped:        c("sync_dropped"),
-		syncDuplicates:     c("sync_duplicates"),
-		sessLifeSumPS:      c("session_lifetime_sum_ps"),
-		sessLifeCount:      c("session_lifetime_count"),
-		sessLifeUS:         reg.Hist(prefix + ".session_lifetime_us"),
-		skew:               make(map[uint64]*skewEntry),
-		skewSumPS:          c("skew_sum_ps"),
-		skewCount:          c("skew_count"),
-		skewMaxPS:          reg.Gauge(prefix + ".skew_max_ps"),
-		skewUS:             reg.Hist(prefix + ".skew_us"),
-		ldSkewSumPS:        c("load_skew_sum_ps"),
-		ldSkewCount:        c("load_skew_count"),
-		redSkewSum:         c("reduction_skew_sum_ps"),
-		redSkewCnt:         c("reduction_skew_count"),
+	st := &Stats{
+		sessLifeUS: reg.Hist(prefix + ".session_lifetime_us"),
+		skew:       make(map[uint64]*skewEntry),
+		skewUS:     reg.Hist(prefix + ".skew_us"),
 	}
+	v := reflect.ValueOf(&st.Summary).Elem()
+	for i, f := range summaryFields {
+		read := v.Field(i).Int
+		if f.max {
+			reg.GaugeFunc(prefix+"."+f.name, func() float64 { return float64(read()) })
+		} else {
+			reg.CounterFunc(prefix+"."+f.name, read)
+		}
+	}
+	return st
 }
 
 func (st *Stats) noteArrivalKind(addr uint64, expected int, now sim.Time, isLoad bool) {
@@ -121,25 +77,23 @@ func (st *Stats) noteArrivalKind(addr uint64, expected int, now sim.Time, isLoad
 	if e.seen >= e.expected {
 		delete(st.skew, addr)
 		d := e.last - e.first
-		st.skewSumPS.Add(int64(d))
-		st.skewCount.Inc()
+		st.SkewSum += d
+		st.SkewCount++
 		st.skewUS.Observe(d.Microseconds())
-		if d > sim.FromPicoseconds(st.skewMaxPS.Value()) {
-			st.skewMaxPS.Set(float64(d))
-		}
+		st.SkewMax = max(st.SkewMax, d)
 		if isLoad {
-			st.ldSkewSumPS.Add(int64(d))
-			st.ldSkewCount.Inc()
+			st.LdSkewSum += d
+			st.LdSkewCount++
 		} else {
-			st.redSkewSum.Add(int64(d))
-			st.redSkewCnt.Inc()
+			st.RedSkewSum += d
+			st.RedSkewCount++
 		}
 	}
 }
 
 func (st *Stats) noteSessionLifetime(d sim.Time) {
-	st.sessLifeSumPS.Add(int64(d))
-	st.sessLifeCount.Inc()
+	st.SessLifeSum += d
+	st.SessLifeCount++
 	st.sessLifeUS.Observe(d.Microseconds())
 }
 
@@ -147,124 +101,80 @@ func (st *Stats) noteSessionLifetime(d sim.Time) {
 // arrivals not yet all seen) — diagnostics for tests.
 func (st *Stats) OpenSkewAddrs() int { return len(st.skew) }
 
-// Summary captures the collector into a plain value for reporting.
-func (st *Stats) Summary() Summary {
-	return Summary{
-		MulticastStores:    st.multicastStores.Value(),
-		PullReduces:        st.pullReduces.Value(),
-		PushReduces:        st.pushReduces.Value(),
-		MergedLoads:        st.mergedLoads.Value(),
-		LoadFetches:        st.loadFetches.Value(),
-		BypassLoads:        st.bypassLoads.Value(),
-		MergedReds:         st.mergedReds.Value(),
-		CompletedReds:      st.completedReds.Value(),
-		BypassReds:         st.bypassReds.Value(),
-		Evictions:          st.evictions.Value(),
-		PartialFlushes:     st.partialFlushes.Value(),
-		TimeoutEvictions:   st.timeoutEvictions.Value(),
-		SyncReleases:       st.syncReleases.Value(),
-		NvlsTimeoutFlushes: st.nvlsTimeoutFlushes.Value(),
-		SyncDropped:        st.syncDropped.Value(),
-		SyncDuplicates:     st.syncDuplicates.Value(),
-		SessLifeSum:        sim.Time(st.sessLifeSumPS.Value()),
-		SessLifeCount:      st.sessLifeCount.Value(),
-		SkewSum:            sim.Time(st.skewSumPS.Value()),
-		SkewCount:          st.skewCount.Value(),
-		SkewMax:            sim.FromPicoseconds(st.skewMaxPS.Value()),
-		LdSkewSum:          sim.Time(st.ldSkewSumPS.Value()),
-		LdSkewCount:        st.ldSkewCount.Value(),
-		RedSkewSum:         sim.Time(st.redSkewSum.Value()),
-		RedSkewCount:       st.redSkewCnt.Value(),
-	}
-}
-
-// Accessor convenience on the live collector (delegates to Summary).
-
-// AvgSkew reports the mean per-address arrival spread observed so far.
-func (st *Stats) AvgSkew() sim.Time { return st.Summary().AvgSkew() }
-
-// MaxSkew reports the largest observed per-address arrival spread.
-func (st *Stats) MaxSkew() sim.Time { return st.Summary().MaxSkew() }
-
-// SkewSamples reports how many addresses contributed to AvgSkew.
-func (st *Stats) SkewSamples() int64 { return st.Summary().SkewSamples() }
-
-// AvgSessionLifetime reports mean merge-session residency.
-func (st *Stats) AvgSessionLifetime() sim.Time { return st.Summary().AvgSessionLifetime() }
-
 // Summary is one plane's (or, after Add, a whole machine's) statistics as
 // a plain value: the reporting API consumed by experiments, the CLI and
-// tests. Field names match the pre-registry Stats fields so call sites
-// read identically.
+// tests. Each field's `metric` tag names it in the registry; the one
+// tagged ",max" is a high-water mark, which planes fold by maximum and the
+// registry reports as a gauge. Every field is int64-kinded.
 type Summary struct {
 	// NVLS unit.
-	MulticastStores int64 // multimem.st replications
-	PullReduces     int64 // completed multimem.ld_reduce sessions
-	PushReduces     int64 // completed multimem.red sessions
+	MulticastStores int64 `metric:"multicast_stores"` // multimem.st replications
+	PullReduces     int64 `metric:"pull_reduces"`     // completed multimem.ld_reduce sessions
+	PushReduces     int64 `metric:"push_reduces"`     // completed multimem.red sessions
 
 	// Merge unit (Micro-Functions 1 and 2).
-	MergedLoads   int64 // ld.cais requests absorbed by an existing session
-	LoadFetches   int64 // fetches issued to home GPUs (one per session)
-	BypassLoads   int64 // loads forwarded unmerged (table saturated)
-	MergedReds    int64 // red.cais contributions accepted into sessions
-	CompletedReds int64 // reduction sessions that gathered all contributions
-	BypassReds    int64 // contributions forwarded unmerged
+	MergedLoads   int64 `metric:"merged_loads"`   // ld.cais requests absorbed by an existing session
+	LoadFetches   int64 `metric:"load_fetches"`   // fetches issued to home GPUs (one per session)
+	BypassLoads   int64 `metric:"bypass_loads"`   // loads forwarded unmerged (table saturated)
+	MergedReds    int64 `metric:"merged_reds"`    // red.cais contributions accepted into sessions
+	CompletedReds int64 `metric:"completed_reds"` // reduction sessions that gathered all contributions
+	BypassReds    int64 `metric:"bypass_reds"`    // contributions forwarded unmerged
 
 	// Eviction machinery.
-	Evictions        int64 // LRU capacity evictions
-	PartialFlushes   int64 // partial reduction results flushed to home GPUs
-	TimeoutEvictions int64 // forward-progress timeouts
+	Evictions        int64 `metric:"evictions"`         // LRU capacity evictions
+	PartialFlushes   int64 `metric:"partial_flushes"`   // partial reduction results flushed to home GPUs
+	TimeoutEvictions int64 `metric:"timeout_evictions"` // forward-progress timeouts
 
 	// Group Sync Table.
-	SyncReleases int64
+	SyncReleases int64 `metric:"sync_releases"`
 
-	// Fault tolerance (plane failover).
-	NvlsTimeoutFlushes int64 // NVLS push sessions flushed partial by timeout/failover
-	SyncDropped        int64 // sync entries dropped when the plane failed
-	SyncDuplicates     int64 // duplicate registrations tolerated in fault mode
+	// Fault tolerance (plane failover, see DESIGN.md §8).
+	NvlsTimeoutFlushes int64 `metric:"nvls_timeout_flushes"` // NVLS push sessions flushed partial by timeout/failover
+	SyncDropped        int64 `metric:"sync_dropped"`         // sync entries dropped when the plane failed
+	SyncDuplicates     int64 `metric:"sync_duplicates"`      // duplicate registrations tolerated in fault mode
 
 	// Session lifetime (first arrival to release).
-	SessLifeSum   sim.Time
-	SessLifeCount int64
+	SessLifeSum   sim.Time `metric:"session_lifetime_sum_ps"`
+	SessLifeCount int64    `metric:"session_lifetime_count"`
 
 	// Per-address request skew aggregates.
-	SkewSum      sim.Time
-	SkewCount    int64
-	SkewMax      sim.Time
-	LdSkewSum    sim.Time
-	LdSkewCount  int64
-	RedSkewSum   sim.Time
-	RedSkewCount int64
+	SkewSum      sim.Time `metric:"skew_sum_ps"`
+	SkewCount    int64    `metric:"skew_count"`
+	SkewMax      sim.Time `metric:"skew_max_ps,max"`
+	LdSkewSum    sim.Time `metric:"load_skew_sum_ps"`
+	LdSkewCount  int64    `metric:"load_skew_count"`
+	RedSkewSum   sim.Time `metric:"reduction_skew_sum_ps"`
+	RedSkewCount int64    `metric:"reduction_skew_count"`
 }
 
-// Add folds another summary in (for summing across planes).
+// summaryField is one Summary field's `metric` tag.
+type summaryField struct {
+	name string // registry name under the plane's prefix
+	max  bool   // a high-water mark: folds by max, reports as a gauge
+}
+
+// summaryFields holds Summary's tags parsed once, in field order.
+var summaryFields = func() []summaryField {
+	t := reflect.TypeOf(Summary{})
+	out := make([]summaryField, t.NumField())
+	for i := range out {
+		name, opt, _ := strings.Cut(t.Field(i).Tag.Get("metric"), ",")
+		out[i] = summaryField{name: name, max: opt == "max"}
+	}
+	return out
+}()
+
+// Add folds another summary in (for summing across planes): every field
+// sums except the ",max" high-water mark, which keeps the larger value.
 func (s Summary) Add(o Summary) Summary {
-	s.MulticastStores += o.MulticastStores
-	s.PullReduces += o.PullReduces
-	s.PushReduces += o.PushReduces
-	s.MergedLoads += o.MergedLoads
-	s.LoadFetches += o.LoadFetches
-	s.BypassLoads += o.BypassLoads
-	s.MergedReds += o.MergedReds
-	s.CompletedReds += o.CompletedReds
-	s.BypassReds += o.BypassReds
-	s.Evictions += o.Evictions
-	s.PartialFlushes += o.PartialFlushes
-	s.TimeoutEvictions += o.TimeoutEvictions
-	s.SyncReleases += o.SyncReleases
-	s.NvlsTimeoutFlushes += o.NvlsTimeoutFlushes
-	s.SyncDropped += o.SyncDropped
-	s.SyncDuplicates += o.SyncDuplicates
-	s.SessLifeSum += o.SessLifeSum
-	s.SessLifeCount += o.SessLifeCount
-	s.SkewSum += o.SkewSum
-	s.SkewCount += o.SkewCount
-	s.LdSkewSum += o.LdSkewSum
-	s.LdSkewCount += o.LdSkewCount
-	s.RedSkewSum += o.RedSkewSum
-	s.RedSkewCount += o.RedSkewCount
-	if o.SkewMax > s.SkewMax {
-		s.SkewMax = o.SkewMax
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(o)
+	for i, f := range summaryFields {
+		a, b := sv.Field(i).Int(), ov.Field(i).Int()
+		if f.max {
+			sv.Field(i).SetInt(max(a, b))
+		} else {
+			sv.Field(i).SetInt(a + b)
+		}
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package nvswitch
 
 import (
+	"reflect"
 	"testing"
 
 	"cais/internal/metrics"
@@ -26,7 +27,7 @@ func TestSkewAccountingPerAddress(t *testing.T) {
 	if st.OpenSkewAddrs() != 0 {
 		t.Fatalf("open addrs = %d, want 0", st.OpenSkewAddrs())
 	}
-	s := st.Summary()
+	s := st.Summary
 	if s.SkewSamples() != 2 {
 		t.Fatalf("samples = %d, want 2", s.SkewSamples())
 	}
@@ -46,7 +47,7 @@ func TestSkewAccountingSplitsLoadAndReduction(t *testing.T) {
 	st.noteArrivalKind(0x1, 2, 10*us, true)
 	st.noteArrivalKind(0x2, 2, 0, false) // reduction pair: spread 40us
 	st.noteArrivalKind(0x2, 2, 40*us, false)
-	s := st.Summary()
+	s := st.Summary
 	if got := s.AvgLoadSkew(); got != 10*us {
 		t.Fatalf("load skew = %v, want 10us", got)
 	}
@@ -64,9 +65,9 @@ func TestSkewIgnoresSingletonExpectations(t *testing.T) {
 	st := NewStats()
 	st.noteArrivalKind(0x9, 1, 5*us, true)
 	st.noteArrivalKind(0x9, 0, 6*us, false)
-	if st.OpenSkewAddrs() != 0 || st.Summary().SkewSamples() != 0 {
+	if st.OpenSkewAddrs() != 0 || st.Summary.SkewSamples() != 0 {
 		t.Fatalf("singleton arrivals recorded: open=%d samples=%d",
-			st.OpenSkewAddrs(), st.Summary().SkewSamples())
+			st.OpenSkewAddrs(), st.Summary.SkewSamples())
 	}
 }
 
@@ -82,7 +83,7 @@ func TestSkewMaxTracksLargestSpread(t *testing.T) {
 		t.Fatalf("max skew = %v, want 50us", got)
 	}
 	other := Summary{SkewMax: 80 * us}
-	if got := st.Summary().Add(other).MaxSkew(); got != 80*us {
+	if got := st.Summary.Add(other).MaxSkew(); got != 80*us {
 		t.Fatalf("folded max = %v, want 80us", got)
 	}
 }
@@ -92,7 +93,7 @@ func TestSkewMaxTracksLargestSpread(t *testing.T) {
 func TestStatsRegisterIntoCentralRegistry(t *testing.T) {
 	reg := metrics.NewRegistry()
 	st := NewStatsIn(reg, "nvswitch.plane0")
-	st.mergedLoads.Add(5)
+	st.MergedLoads += 5
 	st.noteSessionLifetime(3 * us)
 	st.noteArrivalKind(0x1, 2, 0, true)
 	st.noteArrivalKind(0x1, 2, 8*us, true)
@@ -107,7 +108,7 @@ func TestStatsRegisterIntoCentralRegistry(t *testing.T) {
 	if !ok || m.Kind != "hist" || m.Count != 1 {
 		t.Fatalf("session lifetime hist = %+v ok=%v", m, ok)
 	}
-	if s := st.Summary(); s.MergedLoads != 5 || s.SessLifeCount != 1 {
+	if s := st.Summary; s.MergedLoads != 5 || s.SessLifeCount != 1 {
 		t.Fatalf("summary = %+v", s)
 	}
 	if got := st.AvgSessionLifetime(); got != 3*us {
@@ -128,5 +129,43 @@ func TestSummaryAverageArithmeticIsExact(t *testing.T) {
 	if empty.AvgSkew() != 0 || empty.AvgLoadSkew() != 0 ||
 		empty.AvgReductionSkew() != 0 || empty.AvgSessionLifetime() != 0 {
 		t.Fatal("empty summary averages must be 0")
+	}
+}
+
+// TestSummaryFieldsWired sets every Summary field to a distinct value and
+// checks that the registry reports each under its tag — a counter, or a
+// gauge for the skew_max_ps high-water mark — and that Add sums every
+// field but folds SkewMax by maximum.
+func TestSummaryFieldsWired(t *testing.T) {
+	reg := metrics.NewRegistry()
+	st := NewStatsIn(reg, "p")
+	typ := reflect.TypeOf(Summary{})
+	live := reflect.ValueOf(&st.Summary).Elem()
+	var big Summary
+	bigV := reflect.ValueOf(&big).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		live.Field(i).SetInt(int64(i + 1))
+		bigV.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	snap := reg.Snapshot()
+	if got, want := snap.Len(), typ.NumField()+2; got != want {
+		t.Fatalf("registry holds %d metrics, want %d: one per Summary field plus two histograms", got, want)
+	}
+	fwd, rev := st.Summary.Add(big), big.Add(st.Summary)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Tag.Get("metric") == "" {
+			t.Errorf("%s has no metric tag", f.Name)
+		}
+		name, kind, folded := "p."+f.Tag.Get("metric"), "counter", int64(101*(i+1))
+		if f.Name == "SkewMax" {
+			name, kind, folded = "p.skew_max_ps", "gauge", int64(100*(i+1))
+		}
+		if m, ok := snap.Get(name); !ok || m.Kind != kind || m.Value != float64(i+1) {
+			t.Errorf("%s: registry %q = %+v (present %v), want %s %d", f.Name, name, m, ok, kind, i+1)
+		}
+		if a, b := reflect.ValueOf(fwd).Field(i).Int(), reflect.ValueOf(rev).Field(i).Int(); a != folded || b != folded {
+			t.Errorf("%s: Add folds to %d / %d (both orders), want %d", f.Name, a, b, folded)
+		}
 	}
 }

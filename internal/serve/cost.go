@@ -3,10 +3,10 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cais/internal/config"
 	"cais/internal/memo"
-	"cais/internal/metrics"
 	"cais/internal/sim"
 	"cais/internal/strategy"
 )
@@ -69,8 +69,8 @@ type StrategyCost struct {
 	mu      sync.Mutex
 	anchors map[int]anchor
 
-	sims    metrics.AtomicCounter // anchor simulations actually run
-	lookups metrics.AtomicCounter // Prefill/Decode calls served
+	sims    atomic.Int64 // anchor simulations actually run
+	lookups atomic.Int64 // Prefill/Decode calls served
 }
 
 // anchor is one quantized shape's simulated model and its memo key.
@@ -104,10 +104,10 @@ func NewStrategyCost(hw config.Hardware, spec strategy.Spec, base config.Model, 
 // Sims reports how many anchor simulations this model triggered (cache
 // misses it caused). The scheduler's memo test pins Sims() strictly below
 // the iteration count.
-func (sc *StrategyCost) Sims() int64 { return sc.sims.Value() }
+func (sc *StrategyCost) Sims() int64 { return sc.sims.Load() }
 
 // Lookups reports how many iteration prices were served.
-func (sc *StrategyCost) Lookups() int64 { return sc.lookups.Value() }
+func (sc *StrategyCost) Lookups() int64 { return sc.lookups.Load() }
 
 // anchorFor returns the simulated shape for q tokens and its memo key,
 // deriving both on first use. The name encodes the anchor
@@ -136,11 +136,11 @@ func (sc *StrategyCost) tokenCost(tokens int) (sim.Time, error) {
 	if tokens < 1 {
 		return 0, fmt.Errorf("serve: non-positive token count %d", tokens)
 	}
-	sc.lookups.Inc()
+	sc.lookups.Add(1)
 	q := quantizeTokens(tokens)
 	a := sc.anchorFor(q)
 	e, err := sc.cache.Do(a.key, func() (memo.Entry, error) {
-		sc.sims.Inc()
+		sc.sims.Add(1)
 		return memo.RunLayers(nil, sc.hw, sc.spec, a.model, false, sc.layers, sc.opts)
 	})
 	if err != nil {

@@ -72,11 +72,7 @@ type Latch struct {
 
 // Reset clears the latch for pool reuse; the cached doneFn method value
 // is the object's identity and survives.
-func (l *Latch) Reset() {
-	l.remaining = 0
-	l.fn = nil
-	l.home = nil
-}
+func (l *Latch) Reset() { *l = Latch{doneFn: l.doneFn} }
 
 // Remaining reports outstanding completions.
 func (l *Latch) Remaining() int { return l.remaining }

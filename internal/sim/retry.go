@@ -1,70 +1,27 @@
 package sim
 
-// Backoff describes a deterministic exponential retry policy. There is no
-// jitter by design: retry timing must be bit-reproducible, and the caller
-// already gets de-correlation from the simulated system state (queue
-// depths, link repairs) rather than from randomness.
-type Backoff struct {
-	// Base is the delay before the second attempt (the first attempt runs
-	// immediately). Non-positive defaults to 1 microsecond.
-	Base Time
-	// Max caps the per-attempt delay once the exponential ladder exceeds
-	// it. Non-positive means uncapped.
-	Max Time
-	// Factor multiplies the delay between consecutive attempts. Values
-	// below 2 default to 2.
-	Factor int
-	// Attempts bounds the total number of attempts. Non-positive means
-	// unlimited (the caller must guarantee eventual success, e.g. a fault
-	// schedule that repairs the resource being waited on).
-	Attempts int
-}
+// retryMaxDelay caps the doubling retry ladder.
+const retryMaxDelay = 64 * Microsecond
 
-// delay reports the wait before attempt n+1 (n is the 1-based attempt that
-// just failed).
-func (b Backoff) delay(n int) Time {
-	base := b.Base
-	if base <= 0 {
-		base = Microsecond
-	}
-	factor := b.Factor
-	if factor < 2 {
-		factor = 2
-	}
-	d := base
-	for i := 1; i < n; i++ {
-		d *= Time(factor)
-		if b.Max > 0 && d >= b.Max {
-			return b.Max
-		}
-	}
-	if b.Max > 0 && d > b.Max {
-		d = b.Max
-	}
-	return d
-}
-
-// Retry invokes attempt until it reports success, spacing attempts per the
-// backoff policy. The first attempt runs synchronously; each subsequent one
-// is an engine event. attempt receives the 1-based attempt number and
-// returns true when it succeeded (or permanently gave up on its own). When
-// the policy's attempt budget is exhausted, onGiveUp (if non-nil) runs
-// once. This is the timeout/retry primitive the fault re-routing path uses:
-// e.g. re-registering a sync group after a switch-plane failure retries
+// Retry invokes attempt until it reports success: once synchronously, then
+// as engine events after 1, 2, 4 ... microseconds, the delay doubling up to
+// a 64 µs cap. There is no jitter by design: retry timing must be
+// bit-reproducible, and the caller already gets de-correlation from the
+// simulated system state (queue depths, link repairs) rather than from
+// randomness. There is no attempt budget either: the caller must guarantee
+// eventual success, e.g. a fault schedule that repairs the resource being
+// waited on. This is the timeout/retry primitive the fault re-routing path
+// uses: re-registering a sync group after a switch-plane failure retries
 // until the surviving plane's uplink is back up.
-func Retry(eng *Engine, b Backoff, attempt func(n int) bool, onGiveUp func()) {
-	var try func(n int)
-	try = func(n int) {
-		if attempt(n) {
+func Retry(eng *Engine, attempt func() bool) {
+	delay := Microsecond
+	var try func()
+	try = func() {
+		if attempt() {
 			return
 		}
-		if b.Attempts > 0 && n >= b.Attempts {
-			if onGiveUp != nil {
-				onGiveUp()
-			}
-			return
-		}
-		eng.After(b.delay(n), func() { try(n + 1) })
+		eng.After(delay, try)
+		delay = min(2*delay, retryMaxDelay)
 	}
-	try(1)
+	try()
 }

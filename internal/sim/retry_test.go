@@ -5,13 +5,10 @@ import "testing"
 func TestRetryFirstAttemptImmediate(t *testing.T) {
 	eng := NewEngine()
 	calls := 0
-	Retry(eng, Backoff{}, func(n int) bool {
+	Retry(eng, func() bool {
 		calls++
-		if n != 1 {
-			t.Fatalf("attempt number = %d, want 1", n)
-		}
 		return true
-	}, nil)
+	})
 	if calls != 1 {
 		t.Fatalf("attempt ran %d times before Run, want 1 (synchronous first attempt)", calls)
 	}
@@ -20,173 +17,40 @@ func TestRetryFirstAttemptImmediate(t *testing.T) {
 	}
 }
 
+// TestRetryExponentialSpacing pins the whole ladder: delays of 1, 2, 4 ...
+// µs, doubling until they meet the 64 µs cap exactly.
 func TestRetryExponentialSpacing(t *testing.T) {
 	eng := NewEngine()
 	var at []Time
-	Retry(eng, Backoff{Base: 1 * Microsecond, Factor: 2}, func(n int) bool {
+	Retry(eng, func() bool {
 		at = append(at, eng.Now())
-		return n >= 4
-	}, nil)
+		return len(at) == 9
+	})
 	eng.Run()
-	// Attempts at 0, base, base+2*base, base+2*base+4*base.
-	want := []Time{0, 1 * Microsecond, 3 * Microsecond, 7 * Microsecond}
+	want := []Time{0, 1, 3, 7, 15, 31, 63, 127, 191}
 	if len(at) != len(want) {
 		t.Fatalf("got %d attempts, want %d", len(at), len(want))
 	}
 	for i := range want {
-		if at[i] != want[i] {
-			t.Errorf("attempt %d at %v, want %v", i+1, at[i], want[i])
+		if at[i] != want[i]*Microsecond {
+			t.Errorf("attempt %d at %v, want %vus", i+1, at[i], want[i])
 		}
 	}
 }
 
+// TestRetryMaxCapsDelay: once the ladder reaches the cap, every later
+// delay stays at 64 µs, however long the chain runs.
 func TestRetryMaxCapsDelay(t *testing.T) {
 	eng := NewEngine()
 	var at []Time
-	Retry(eng, Backoff{Base: 1 * Microsecond, Factor: 4, Max: 2 * Microsecond}, func(n int) bool {
+	Retry(eng, func() bool {
 		at = append(at, eng.Now())
-		return n >= 4
-	}, nil)
-	eng.Run()
-	// Delays: 1us, min(4us,2us)=2us, min(16us,2us)=2us.
-	want := []Time{0, 1 * Microsecond, 3 * Microsecond, 5 * Microsecond}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Errorf("attempt %d at %v, want %v", i+1, at[i], want[i])
-		}
-	}
-}
-
-func TestRetryGiveUp(t *testing.T) {
-	eng := NewEngine()
-	attempts, gaveUp := 0, false
-	Retry(eng, Backoff{Base: Nanosecond, Attempts: 3}, func(n int) bool {
-		attempts++
-		return false
-	}, func() { gaveUp = true })
-	eng.Run()
-	if attempts != 3 {
-		t.Errorf("ran %d attempts, want 3", attempts)
-	}
-	if !gaveUp {
-		t.Error("onGiveUp did not run after the attempt budget was exhausted")
-	}
-}
-
-// TestRetryGiveUpTiming pins WHEN onGiveUp runs, not just that it runs: it
-// must fire synchronously at the final attempt's sim time (no extra backoff
-// delay after a decision that will never be retried) and leave nothing
-// pending on the engine.
-func TestRetryGiveUpTiming(t *testing.T) {
-	eng := NewEngine()
-	var lastAttemptAt, gaveUpAt Time
-	gaveUpAt = -1
-	Retry(eng, Backoff{Base: Microsecond, Attempts: 3}, func(n int) bool {
-		lastAttemptAt = eng.Now()
-		return false
-	}, func() { gaveUpAt = eng.Now() })
-	eng.Run()
-	if gaveUpAt < 0 {
-		t.Fatal("onGiveUp never ran")
-	}
-	// Attempts at 0, 1us, 3us; giving up must not add a fourth delay.
-	if want := 3 * Microsecond; lastAttemptAt != want {
-		t.Errorf("final attempt at %v, want %v", lastAttemptAt, want)
-	}
-	if gaveUpAt != lastAttemptAt {
-		t.Errorf("onGiveUp at %v, want the final attempt's time %v", gaveUpAt, lastAttemptAt)
-	}
-	if eng.Pending() != 0 {
-		t.Errorf("give-up left %d events pending", eng.Pending())
-	}
-}
-
-// TestRetrySingleAttemptGivesUpSynchronously covers the Attempts=1 edge:
-// one synchronous try, an immediate give-up at t=0, and no engine events at
-// all (the backoff ladder is never consulted).
-func TestRetrySingleAttemptGivesUpSynchronously(t *testing.T) {
-	eng := NewEngine()
-	attempts, giveUps := 0, 0
-	Retry(eng, Backoff{Base: Second, Attempts: 1}, func(n int) bool {
-		attempts++
-		return false
-	}, func() {
-		giveUps++
-		if now := eng.Now(); now != 0 {
-			t.Errorf("gave up at %v, want 0 (synchronous)", now)
-		}
+		return len(at) == 40
 	})
-	if attempts != 1 || giveUps != 1 {
-		t.Fatalf("before Run: %d attempts / %d give-ups, want 1/1", attempts, giveUps)
-	}
-	if eng.Pending() != 0 {
-		t.Errorf("single-attempt policy scheduled %d events, want 0", eng.Pending())
-	}
 	eng.Run()
-	if attempts != 1 || giveUps != 1 {
-		t.Errorf("after Run: %d attempts / %d give-ups, want 1/1", attempts, giveUps)
-	}
-}
-
-// TestRetryMaxBelowBaseClampsFirstDelay pins the ceiling edge where Max is
-// smaller than Base: every delay, including the very first, is clamped to
-// Max rather than starting above it.
-func TestRetryMaxBelowBaseClampsFirstDelay(t *testing.T) {
-	eng := NewEngine()
-	var at []Time
-	Retry(eng, Backoff{Base: 8 * Microsecond, Max: 2 * Microsecond}, func(n int) bool {
-		at = append(at, eng.Now())
-		return n >= 3
-	}, nil)
-	eng.Run()
-	want := []Time{0, 2 * Microsecond, 4 * Microsecond}
-	if len(at) != len(want) {
-		t.Fatalf("got %d attempts, want %d", len(at), len(want))
-	}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Errorf("attempt %d at %v, want %v", i+1, at[i], want[i])
-		}
-	}
-}
-
-// TestRetryFactorBelowTwoDefaults pins the Factor floor: 0 and 1 both fall
-// back to doubling (a factor of 1 would retry at a constant interval
-// forever, defeating the backoff).
-func TestRetryFactorBelowTwoDefaults(t *testing.T) {
-	for _, factor := range []int{0, 1} {
-		eng := NewEngine()
-		var at []Time
-		Retry(eng, Backoff{Base: Microsecond, Factor: factor}, func(n int) bool {
-			at = append(at, eng.Now())
-			return n >= 3
-		}, nil)
-		eng.Run()
-		want := []Time{0, Microsecond, 3 * Microsecond} // doubling ladder
-		for i := range want {
-			if at[i] != want[i] {
-				t.Errorf("factor=%d attempt %d at %v, want %v", factor, i+1, at[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRetryDelayCeilingExact probes the delay ladder right at the ceiling:
-// once the exponential ladder reaches Max the delay stays pinned there for
-// every later attempt (no overflow past the cap on long retry chains).
-func TestRetryDelayCeilingExact(t *testing.T) {
-	b := Backoff{Base: Microsecond, Factor: 2, Max: 8 * Microsecond}
-	want := []Time{
-		Microsecond,     // after attempt 1
-		2 * Microsecond, // after attempt 2
-		4 * Microsecond,
-		8 * Microsecond, // ladder meets the cap exactly
-		8 * Microsecond, // and stays clamped
-		8 * Microsecond,
-	}
-	for n := 1; n <= len(want); n++ {
-		if got := b.delay(n); got != want[n-1] {
-			t.Errorf("delay(%d) = %v, want %v", n, got, want[n-1])
+	for i := 8; i < len(at); i++ {
+		if gap := at[i] - at[i-1]; gap != retryMaxDelay {
+			t.Errorf("delay before attempt %d = %v, want the %v cap", i+1, gap, retryMaxDelay)
 		}
 	}
 }
@@ -194,12 +58,15 @@ func TestRetryDelayCeilingExact(t *testing.T) {
 func TestRetryUnlimitedUntilSuccess(t *testing.T) {
 	eng := NewEngine()
 	attempts := 0
-	Retry(eng, Backoff{Base: Nanosecond, Max: 4 * Nanosecond}, func(n int) bool {
+	Retry(eng, func() bool {
 		attempts++
-		return n >= 20
-	}, func() { t.Error("onGiveUp ran for an unlimited policy") })
+		return attempts == 20
+	})
 	eng.Run()
 	if attempts != 20 {
 		t.Errorf("ran %d attempts, want 20", attempts)
+	}
+	if eng.Pending() != 0 {
+		t.Errorf("success left %d events pending", eng.Pending())
 	}
 }
