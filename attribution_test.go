@@ -25,7 +25,7 @@ func attributedRun(t *testing.T, s cais.Strategy, sched *cais.FaultSchedule) cai
 	hw := cais.DGXH100()
 	hw.RequestBytes = 32 << 10
 	hw.Seed = 0xD37E12
-	res, err := cais.RunInferenceOpts(hw, s, tinyModel(), 1, cais.RunOptions{Attrib: true, Faults: sched})
+	res, err := cais.RunInference(hw, s, tinyModel(), 1, cais.RunOptions{Attrib: true, Faults: sched})
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name, err)
 	}
@@ -143,7 +143,7 @@ func TestAttributionReportExports(t *testing.T) {
 func TestAttributionDisabledIsFree(t *testing.T) {
 	hw := cais.DGXH100()
 	hw.RequestBytes = 32 << 10
-	res, err := cais.RunInference(hw, cais.CAIS(), tinyModel(), 1)
+	res, err := cais.RunInference(hw, cais.CAIS(), tinyModel(), 1, cais.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

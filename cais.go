@@ -136,25 +136,16 @@ func StrategyByName(name string) (Strategy, error) { return strategy.ByName(name
 func SubLayers(m Model) []SubLayer { return model.SubLayers(m) }
 
 // RunInference simulates `layers` transformer layers of prefill under the
-// strategy and returns the elapsed simulated time and statistics.
-func RunInference(hw Hardware, s Strategy, m Model, layers int) (Result, error) {
-	return strategy.RunLayers(hw, s, m, false, layers)
+// strategy and returns the elapsed simulated time and statistics. The run
+// options carry design ablations, fault injection, tracing, progress
+// callbacks and attribution; the zero value runs the plain design.
+func RunInference(hw Hardware, s Strategy, m Model, layers int, opts RunOptions) (Result, error) {
+	return strategy.RunLayersOpts(hw, s, m, false, layers, opts)
 }
 
 // RunTraining simulates `layers` layers of a training step (forward and
 // backward) under the strategy.
-func RunTraining(hw Hardware, s Strategy, m Model, layers int) (Result, error) {
-	return strategy.RunLayers(hw, s, m, true, layers)
-}
-
-// RunInferenceOpts is RunInference with run options (design ablations,
-// fault injection, tracing, progress callbacks, attribution).
-func RunInferenceOpts(hw Hardware, s Strategy, m Model, layers int, opts RunOptions) (Result, error) {
-	return strategy.RunLayersOpts(hw, s, m, false, layers, opts)
-}
-
-// RunTrainingOpts is RunTraining with run options.
-func RunTrainingOpts(hw Hardware, s Strategy, m Model, layers int, opts RunOptions) (Result, error) {
+func RunTraining(hw Hardware, s Strategy, m Model, layers int, opts RunOptions) (Result, error) {
 	return strategy.RunLayersOpts(hw, s, m, true, layers, opts)
 }
 

@@ -23,11 +23,11 @@ func tiny() cais.Model {
 
 func TestFacadeInferenceAndTraining(t *testing.T) {
 	hw := fastHW()
-	inf, err := cais.RunInference(hw, cais.CAIS(), tiny(), 1)
+	inf, err := cais.RunInference(hw, cais.CAIS(), tiny(), 1, cais.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := cais.RunTraining(hw, cais.CAIS(), tiny(), 1)
+	tr, err := cais.RunTraining(hw, cais.CAIS(), tiny(), 1, cais.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,12 @@ func TestFacadeSessionCustomPipeline(t *testing.T) {
 	k := b.GEMM("custom", 256, 256, 512, 1,
 		func(g, mi, ni int) []kernel.Tile { return nil }, out)
 	s.Stage(k)
-	elapsed, err := s.Run()
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed <= 0 || s.DrainedAt() < elapsed {
-		t.Fatalf("elapsed=%v drained=%v", elapsed, s.DrainedAt())
+	if res.Elapsed <= 0 || res.Drained < res.Elapsed {
+		t.Fatalf("elapsed=%v drained=%v", res.Elapsed, res.Drained)
 	}
 	// Second run must be rejected.
 	if _, err := s.Run(); err == nil {
@@ -131,10 +131,11 @@ func TestFacadeSessionConcurrentStages(t *testing.T) {
 	k2 := b.GEMM("b", 256, 256, 256, 1, func(g, mi, ni int) []kernel.Tile { return nil }, o2)
 	s.Stage(k1)
 	s.Concurrent(k2)
-	if _, err := s.Run(); err != nil {
+	res, err := s.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.SwitchStats().MergedLoads != 0 {
+	if res.Stats.MergedLoads != 0 {
 		t.Fatal("local GEMMs must not touch the merge unit")
 	}
 }

@@ -27,56 +27,78 @@ import (
 	"cais"
 )
 
-func main() {
-	var (
-		experiment = flag.String("experiment", "", "experiment ID (see -list), or 'all'")
-		quick      = flag.Bool("quick", false, "reduced fidelity (fast)")
-		list       = flag.Bool("list", false, "list experiment IDs")
-		strategies = flag.Bool("strategies", false, "list execution strategies")
-		strat      = flag.String("strategy", "", "run one workload under this strategy")
-		modelName  = flag.String("model", "llama-7b", "model: mega-gpt-4b | mega-gpt-8b | llama-7b")
-		layers     = flag.Int("layers", 1, "transformer layers to simulate")
-		training   = flag.Bool("training", false, "simulate training (fwd+bwd) instead of prefill")
-		gpus       = flag.Int("gpus", 0, "override the GPU count (default: 8)")
-		requestKB  = flag.Int("request-kb", 0, "override the request granularity in KB")
-		seed       = flag.Uint64("seed", 0, "RNG seed for simulated jitter (0 = built-in default)")
-		parallel   = flag.Int("parallel", 0, "sweep worker pool size for experiments (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at any value")
-		noMemo     = flag.Bool("no-memo", false, "disable cross-sweep point memoization; every experiment point simulates cold (output is byte-identical either way)")
-		arrival    = flag.Float64("arrival-rate", 0, "serving experiment: collapse the arrival-rate sweep to this rate in requests/second (0 = built-in sweep)")
-		sloMs      = flag.Float64("slo", 0, "serving experiment: end-to-end latency SLO in milliseconds (0 = fidelity default)")
-		faultsFile = flag.String("faults", "", "JSON fault-injection schedule (strategy runs; see DESIGN.md §8)")
-		traceOut   = flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this file (strategy runs)")
-		metricsOut = flag.String("metrics-json", "", "write the metric snapshot as JSON to this file (per-run for -strategy; sweep-level memo/cache counters for experiments)")
-		attribOn   = flag.Bool("attrib", false, "print the time-attribution breakdown and critical path (DESIGN.md §12)")
-		attribJSON = flag.String("attrib-json", "", "write the attribution report as JSON to this file (implies attribution)")
-		attribTr   = flag.String("attrib-trace", "", "write the attribution top-contributors view as a Chrome trace to this file (implies attribution)")
-		verbose    = flag.Bool("v", false, "log simulation progress to stderr")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-	)
-	flag.Parse()
+// options holds every flag; each is named once, in parseFlags.
+type options struct {
+	experiment, strategy, model string
+	quick, list, strategies     bool
+	layers                      int
+	training                    bool
+	gpus, requestKB             int
+	gpusSet                     bool
+	seed                        uint64
+	parallel                    int
+	noMemo                      bool
+	arrivalRate, sloMs          float64
 
-	gpusSet := false
+	faultsFile, traceOut, metricsOut string
+	attrib                           bool
+	attribJSON, attribTrace          string
+	verbose                          bool
+	pprofAddr                        string
+}
+
+func parseFlags() options {
+	var o options
+	flag.StringVar(&o.experiment, "experiment", "", "experiment ID (see -list), or 'all'")
+	flag.BoolVar(&o.quick, "quick", false, "reduced fidelity (fast)")
+	flag.BoolVar(&o.list, "list", false, "list experiment IDs")
+	flag.BoolVar(&o.strategies, "strategies", false, "list execution strategies")
+	flag.StringVar(&o.strategy, "strategy", "", "run one workload under this strategy")
+	flag.StringVar(&o.model, "model", "llama-7b", "model: mega-gpt-4b | mega-gpt-8b | llama-7b")
+	flag.IntVar(&o.layers, "layers", 1, "transformer layers to simulate")
+	flag.BoolVar(&o.training, "training", false, "simulate training (fwd+bwd) instead of prefill")
+	flag.IntVar(&o.gpus, "gpus", 0, "override the GPU count (default: 8)")
+	flag.IntVar(&o.requestKB, "request-kb", 0, "override the request granularity in KB")
+	flag.Uint64Var(&o.seed, "seed", 0, "RNG seed for simulated jitter (0 = built-in default)")
+	flag.IntVar(&o.parallel, "parallel", 0, "sweep worker pool size for experiments (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at any value")
+	flag.BoolVar(&o.noMemo, "no-memo", false, "disable cross-sweep point memoization; every experiment point simulates cold (output is byte-identical either way)")
+	flag.Float64Var(&o.arrivalRate, "arrival-rate", 0, "serving experiment: collapse the arrival-rate sweep to this rate in requests/second (0 = built-in sweep)")
+	flag.Float64Var(&o.sloMs, "slo", 0, "serving experiment: end-to-end latency SLO in milliseconds (0 = fidelity default)")
+	flag.StringVar(&o.faultsFile, "faults", "", "JSON fault-injection schedule (strategy runs; see DESIGN.md §8)")
+	flag.StringVar(&o.traceOut, "trace", "", "write a Chrome/Perfetto trace of the run to this file (strategy runs)")
+	flag.StringVar(&o.metricsOut, "metrics-json", "", "write the metric snapshot as JSON to this file (per-run for -strategy; sweep-level memo/cache counters for experiments)")
+	flag.BoolVar(&o.attrib, "attrib", false, "print the time-attribution breakdown and critical path (DESIGN.md §12)")
+	flag.StringVar(&o.attribJSON, "attrib-json", "", "write the attribution report as JSON to this file (implies attribution)")
+	flag.StringVar(&o.attribTrace, "attrib-trace", "", "write the attribution top-contributors view as a Chrome trace to this file (implies attribution)")
+	flag.BoolVar(&o.verbose, "v", false, "log simulation progress to stderr")
+	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
+	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "gpus" {
-			gpusSet = true
+			o.gpusSet = true
 		}
 	})
+	return o
+}
 
-	if *pprofAddr != "" {
+func main() {
+	o := parseFlags()
+
+	if o.pprofAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "pprof listening on %s\n", *pprofAddr)
+		fmt.Fprintf(os.Stderr, "pprof listening on %s\n", o.pprofAddr)
 	}
 
 	switch {
-	case *list:
+	case o.list:
 		for _, n := range cais.ExperimentNames() {
 			fmt.Println(n)
 		}
-	case *strategies:
+	case o.strategies:
 		for _, s := range cais.Strategies() {
 			nvls := ""
 			if s.UsesNVLS() {
@@ -87,30 +109,25 @@ func main() {
 		for _, s := range cais.ExtensionStrategies() {
 			fmt.Printf("%-14s layout=%s (extension beyond the paper)\n", s.Name, s.Layout)
 		}
-	case *strat != "":
-		runStrategy(strategyRun{
-			name: *strat, model: *modelName, layers: *layers, training: *training,
-			gpus: *gpus, gpusSet: gpusSet, requestKB: *requestKB, seed: *seed, faultsFile: *faultsFile,
-			traceOut: *traceOut, metricsOut: *metricsOut, verbose: *verbose,
-			attrib: *attribOn, attribJSON: *attribJSON, attribTrace: *attribTr,
-		})
-	case *experiment != "":
-		if *traceOut != "" {
+	case o.strategy != "":
+		runStrategy(o)
+	case o.experiment != "":
+		if o.traceOut != "" {
 			fmt.Fprintln(os.Stderr, "note: -trace applies to -strategy runs only; ignored for experiments")
 		}
-		if *faultsFile != "" {
+		if o.faultsFile != "" {
 			fmt.Fprintln(os.Stderr, "note: -faults applies to -strategy runs only; the resilience experiment builds its own schedules")
 		}
-		runExperiments(experimentRun{
-			id: *experiment, quick: *quick, seed: *seed, workers: *parallel, noMemo: *noMemo,
-			arrivalRate: *arrival, sloMs: *sloMs,
-			metricsOut: *metricsOut,
-			attrib:     *attribOn, attribJSON: *attribJSON, attribTrace: *attribTr,
-		})
+		runExperiments(o)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// attributing reports whether any attribution output was asked for.
+func (o options) attributing() bool {
+	return o.attrib || o.attribJSON != "" || o.attribTrace != ""
 }
 
 // usageErr reports an invalid flag value with the accepted IDs and exits
@@ -120,23 +137,7 @@ func usageErr(what, got string, valid []string) {
 	os.Exit(2)
 }
 
-type experimentRun struct {
-	id      string
-	quick   bool
-	seed    uint64
-	workers int
-	noMemo  bool
-
-	arrivalRate float64
-	sloMs       float64
-
-	metricsOut  string
-	attrib      bool
-	attribJSON  string
-	attribTrace string
-}
-
-func runExperiments(r experimentRun) {
+func runExperiments(r options) {
 	cfg := cais.DefaultExperiments()
 	if r.quick {
 		cfg = cais.QuickExperiments()
@@ -144,7 +145,7 @@ func runExperiments(r experimentRun) {
 	if r.seed != 0 {
 		cfg.HW.Seed = r.seed
 	}
-	cfg.Workers = r.workers
+	cfg.Workers = r.parallel
 	// One cache per invocation: points repeated across figure drivers (the
 	// shared TP-NVLS / CAIS anchors) simulate once under -experiment all.
 	if !r.noMemo {
@@ -157,22 +158,22 @@ func runExperiments(r experimentRun) {
 	if r.metricsOut != "" {
 		cfg.Metrics = cais.NewMetricsRegistry()
 	}
-	if r.attrib || r.attribJSON != "" || r.attribTrace != "" {
+	if r.attributing() {
 		cfg.Attrib = cais.NewAttribAggregator()
 	}
-	ids := []string{r.id}
-	if r.id == "all" {
+	ids := []string{r.experiment}
+	if r.experiment == "all" {
 		ids = cais.ExperimentNames()
 	} else {
 		known := false
 		for _, n := range cais.ExperimentNames() {
-			if n == r.id {
+			if n == r.experiment {
 				known = true
 				break
 			}
 		}
 		if !known {
-			usageErr("experiment", r.id, append(cais.ExperimentNames(), "all"))
+			usageErr("experiment", r.experiment, append(cais.ExperimentNames(), "all"))
 		}
 	}
 	for _, x := range ids {
@@ -189,52 +190,15 @@ func runExperiments(r experimentRun) {
 	if r.attrib {
 		fmt.Println(cfg.Attrib.Render())
 	}
-	if r.attribJSON != "" {
-		if err := writeTo(r.attribJSON, cfg.Attrib.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "attrib-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote attribution for %d points to %s\n", cfg.Attrib.Len(), r.attribJSON)
-	}
-	if r.attribTrace != "" {
-		if err := writeTo(r.attribTrace, cfg.Attrib.WriteChromeTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "attrib-trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote attribution Chrome trace to %s\n", r.attribTrace)
-	}
+	writeAttribution(r, cfg.Attrib, fmt.Sprintf("attribution for %d points", cfg.Attrib.Len()))
 	if r.metricsOut != "" {
 		cais.RegisterMemoMetrics(cfg.Memo, cfg.Metrics)
-		if err := writeMetrics(r.metricsOut, cfg.Metrics.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d metrics to %s\n", cfg.Metrics.Snapshot().Len(), r.metricsOut)
+		writeMetrics(r.metricsOut, cfg.Metrics.Snapshot())
 	}
 	if cfg.Memo != nil {
 		fmt.Fprintf(os.Stderr, "[memo: %d lookups, %d served from cache, %d points simulated]\n",
 			cfg.Memo.Lookups(), cfg.Memo.Hits(), cfg.Memo.Misses())
 	}
-}
-
-type strategyRun struct {
-	name      string
-	model     string
-	layers    int
-	training  bool
-	gpus      int
-	gpusSet   bool
-	requestKB int
-	seed      uint64
-
-	faultsFile string
-	traceOut   string
-	metricsOut string
-	verbose    bool
-
-	attrib      bool
-	attribJSON  string
-	attribTrace string
 }
 
 // strategyNames lists every accepted -strategy value (baselines, CAIS, its
@@ -250,10 +214,10 @@ func strategyNames() []string {
 	return names
 }
 
-func runStrategy(r strategyRun) {
-	spec, err := cais.StrategyByName(r.name)
+func runStrategy(r options) {
+	spec, err := cais.StrategyByName(r.strategy)
 	if err != nil {
-		usageErr("strategy", r.name, strategyNames())
+		usageErr("strategy", r.strategy, strategyNames())
 	}
 	var m cais.Model
 	switch strings.ToLower(r.model) {
@@ -298,9 +262,7 @@ func runStrategy(r strategyRun) {
 	if r.traceOut != "" {
 		opts.Tracer = cais.NewTracer()
 	}
-	if r.attrib || r.attribJSON != "" || r.attribTrace != "" {
-		opts.Attrib = true
-	}
+	opts.Attrib = r.attributing()
 	if r.verbose {
 		wallStart := time.Now()
 		lastWall := wallStart
@@ -315,10 +277,10 @@ func runStrategy(r strategyRun) {
 		}
 	}
 
-	run := cais.RunInferenceOpts
+	run := cais.RunInference
 	kind := "inference (prefill)"
 	if r.training {
-		run = cais.RunTrainingOpts
+		run = cais.RunTraining
 		kind = "training step"
 	}
 	start := time.Now()
@@ -347,39 +309,41 @@ func runStrategy(r strategyRun) {
 		fmt.Println()
 		fmt.Print(res.Attrib.Render())
 	}
-	if r.attribJSON != "" {
-		if err := writeTo(r.attribJSON, res.Attrib.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "attrib-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote attribution report to %s\n", r.attribJSON)
-	}
-	if r.attribTrace != "" {
-		if err := writeTo(r.attribTrace, res.Attrib.WriteChromeTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "attrib-trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote attribution Chrome trace to %s\n", r.attribTrace)
-	}
-
-	if r.traceOut != "" {
-		if err := writeTo(r.traceOut, opts.Tracer.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", opts.Tracer.Len(), r.traceOut)
-	}
-	if r.metricsOut != "" {
-		if err := writeMetrics(r.metricsOut, res.Telemetry); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d metrics to %s\n", res.Telemetry.Len(), r.metricsOut)
-	}
+	writeAttribution(r, res.Attrib, "attribution report")
+	writeFile("trace", r.traceOut, opts.Tracer.WriteJSON, fmt.Sprintf("%d trace events", opts.Tracer.Len()))
+	writeMetrics(r.metricsOut, res.Telemetry)
 }
 
-func writeMetrics(path string, snap cais.Telemetry) error {
-	return writeTo(path, snap.WriteJSON)
+// attribution is what -attrib-json and -attrib-trace write: one run's
+// report or a sweep's aggregator.
+type attribution interface {
+	WriteJSON(io.Writer) error
+	WriteChromeTrace(io.Writer) error
+}
+
+// writeAttribution writes the attribution files the flags name; what
+// describes the JSON file on stderr.
+func writeAttribution(o options, a attribution, what string) {
+	writeFile("attrib-json", o.attribJSON, a.WriteJSON, what)
+	writeFile("attrib-trace", o.attribTrace, a.WriteChromeTrace, "attribution Chrome trace")
+}
+
+func writeMetrics(path string, snap cais.Telemetry) {
+	writeFile("metrics", path, snap.WriteJSON, fmt.Sprintf("%d metrics", snap.Len()))
+}
+
+// writeFile writes path, when a flag named it, and reports it on stderr as
+// "wrote <what> to <path>". A failure exits 1, prefixed by the flag's
+// name.
+func writeFile(name, path string, write func(io.Writer) error, what string) {
+	if path == "" {
+		return
+	}
+	if err := writeTo(path, write); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s to %s\n", what, path)
 }
 
 // writeTo creates path and streams write into it, closing on all paths.

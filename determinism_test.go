@@ -96,9 +96,9 @@ func tracedRun(t *testing.T, training bool, sched *cais.FaultSchedule) string {
 	t.Helper()
 	hw := cais.QuickExperiments().HW
 	hw.Seed = 0xD37E12
-	run := cais.RunInferenceOpts
+	run := cais.RunInference
 	if training {
-		run = cais.RunTrainingOpts
+		run = cais.RunTraining
 	}
 	tr := cais.NewTracer()
 	r, err := run(hw, cais.CAIS(), quickModel, 2, cais.RunOptions{Tracer: tr, Faults: sched, Attrib: true})

@@ -89,10 +89,8 @@ func runAllGather(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err erro
 		} else {
 			s.Stage(b.RingAllGather("ag", src, cols, in, copies))
 		}
-		if _, err := s.Run(); err != nil {
-			return 0, err
-		}
-		return s.DrainedAt(), nil
+		res, err := s.Run()
+		return res.Drained, err
 	}
 	if nvls, err = run(true); err != nil {
 		return
@@ -122,10 +120,8 @@ func runReduceScatter(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err 
 		} else {
 			s.Stage(b.RingReduceScatter("rs", rows, cols, in, red, parts))
 		}
-		if _, err := s.Run(); err != nil {
-			return 0, err
-		}
-		return s.DrainedAt(), nil
+		res, err := s.Run()
+		return res.Drained, err
 	}
 	if nvls, err = run(true); err != nil {
 		return
@@ -157,10 +153,8 @@ func runAllReduce(hw cais.Hardware, bytes int64, nvls bool) (cais.Time, error) {
 		k = b.RingAllReduce("allreduce", rows, cols, in, out)
 	}
 	s.Stage(k)
-	if _, err := s.Run(); err != nil {
-		return 0, err
-	}
-	// Completion means delivery everywhere: DrainedAt covers the last
+	// Completion means delivery everywhere: Drained covers the last
 	// reduced copy landing, not just the (posted) pushes.
-	return s.DrainedAt(), nil
+	res, err := s.Run()
+	return res.Drained, err
 }

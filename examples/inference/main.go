@@ -33,7 +33,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := cais.RunInference(hw, spec, model, 1)
+			res, err := cais.RunInference(hw, spec, model, 1, cais.RunOptions{})
 			if err != nil {
 				log.Fatalf("%s/%s: %v", model.Name, name, err)
 			}

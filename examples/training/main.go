@@ -43,7 +43,7 @@ func main() {
 	}
 	var rows []row
 	for _, spec := range cais.Strategies() {
-		res, err := cais.RunTraining(hw, spec, model, 1)
+		res, err := cais.RunTraining(hw, spec, model, 1, cais.RunOptions{})
 		if err != nil {
 			log.Fatalf("%s: %v", spec.Name, err)
 		}

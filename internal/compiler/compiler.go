@@ -1,8 +1,10 @@
 // Package compiler implements the CAIS compiler support of Section III-B:
 // static index analysis of memory-access address expressions (detecting
-// GPU-ID invariance), TB-group formation, and the lowering decision that
-// rewrites eligible instructions to their compute-aware CAIS variants
-// (ld.cais / red.cais) while leaving GPU-dependent accesses untouched.
+// GPU-ID invariance) and the lowering decision that rewrites eligible
+// instructions to their compute-aware CAIS variants (ld.cais / red.cais)
+// while leaving GPU-dependent accesses untouched. TB groups need no
+// compiler metadata: a group is the TBs sharing one blockIdx across GPUs
+// (Sec. III-B-1), so the fused builders use blockIdx as the group ID.
 package compiler
 
 import (
@@ -59,53 +61,3 @@ func plainMode(s kernel.Semantic) noc.Op {
 	}
 	panic(fmt.Sprintf("compiler: unknown semantic %v", s))
 }
-
-// AnalyzeKernel analyzes every pattern of a kernel.
-func AnalyzeKernel(k *kernel.Kernel) []Verdict {
-	out := make([]Verdict, 0, len(k.Patterns))
-	for _, p := range k.Patterns {
-		out = append(out, Analyze(p))
-	}
-	return out
-}
-
-// AllMergeable reports whether every pattern of the kernel passed the
-// analysis (the precondition for full CAIS lowering of the kernel).
-func AllMergeable(verdicts []Verdict) bool {
-	for _, v := range verdicts {
-		if !v.Mergeable {
-			return false
-		}
-	}
-	return len(verdicts) > 0
-}
-
-// GroupPlan is the TB-group metadata attached to a kernel launch: TBs
-// across GPUs with the same blockIdx form one logical group (Sec. III-B-1)
-// so the runtime and switch can align their request timing.
-type GroupPlan struct {
-	Grid    int // TBs per GPU
-	Members int // GPUs participating per group
-	Base    int // globally-unique group ID base (assigned at launch)
-}
-
-// BuildGroups creates the TB-group plan for a kernel launched on numGPUs
-// GPUs: one group per blockIdx, each containing one TB per GPU.
-func BuildGroups(grid, numGPUs int) GroupPlan {
-	if grid < 1 || numGPUs < 1 {
-		panic(fmt.Sprintf("compiler: invalid group plan grid=%d gpus=%d", grid, numGPUs))
-	}
-	return GroupPlan{Grid: grid, Members: numGPUs}
-}
-
-// GroupOf returns the global group ID of a thread block, identical on
-// every GPU (that identity is what makes the group's requests mergeable).
-func (g GroupPlan) GroupOf(tb int) int {
-	if tb < 0 || tb >= g.Grid {
-		panic(fmt.Sprintf("compiler: tb %d out of grid %d", tb, g.Grid))
-	}
-	return g.Base + tb
-}
-
-// NumGroups reports how many groups the plan defines.
-func (g GroupPlan) NumGroups() int { return g.Grid }

@@ -72,73 +72,3 @@ func TestAnalyzePlainWriteNeverRewritten(t *testing.T) {
 		t.Fatalf("mode = %v, want st", v.Mode)
 	}
 }
-
-func TestAnalyzeKernelAndAllMergeable(t *testing.T) {
-	red := invariantRead()
-	red.Sem = kernel.SemReduce
-	k := &kernel.Kernel{
-		Name: "fused", Grid: 8,
-		Work:     func(g, tb int) kernel.TBDesc { return kernel.TBDesc{} },
-		Patterns: []kernel.Pattern{invariantRead(), red},
-	}
-	vs := AnalyzeKernel(k)
-	if len(vs) != 2 {
-		t.Fatalf("verdicts = %d, want 2", len(vs))
-	}
-	if !AllMergeable(vs) {
-		t.Fatal("fully-invariant kernel should be all-mergeable")
-	}
-	variant := invariantRead()
-	variant.Addr = kernel.ParamGPU
-	k.Patterns = append(k.Patterns, variant)
-	if AllMergeable(AnalyzeKernel(k)) {
-		t.Fatal("kernel with a variant pattern must not be all-mergeable")
-	}
-	if AllMergeable(nil) {
-		t.Fatal("empty verdict list must not be all-mergeable")
-	}
-}
-
-func TestGroupPlanOneGroupPerBlockIdx(t *testing.T) {
-	g := BuildGroups(100, 8)
-	g.Base = 1000
-	if g.NumGroups() != 100 {
-		t.Fatalf("groups = %d, want 100", g.NumGroups())
-	}
-	if g.Members != 8 {
-		t.Fatalf("members = %d, want 8", g.Members)
-	}
-	if g.GroupOf(0) != 1000 || g.GroupOf(99) != 1099 {
-		t.Fatal("group IDs not contiguous from base")
-	}
-	// Identical mapping regardless of which GPU asks — that identity is
-	// the merging precondition.
-	seen := map[int]bool{}
-	for tb := 0; tb < 100; tb++ {
-		id := g.GroupOf(tb)
-		if seen[id] {
-			t.Fatalf("duplicate group id %d", id)
-		}
-		seen[id] = true
-	}
-}
-
-func TestGroupPlanBounds(t *testing.T) {
-	g := BuildGroups(10, 4)
-	for _, tb := range []int{-1, 10} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("GroupOf(%d) did not panic", tb)
-				}
-			}()
-			g.GroupOf(tb)
-		}()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("BuildGroups(0, 0) did not panic")
-		}
-	}()
-	BuildGroups(0, 0)
-}

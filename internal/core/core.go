@@ -13,6 +13,7 @@ import (
 	"cais/internal/config"
 	"cais/internal/kernel"
 	"cais/internal/machine"
+	"cais/internal/metrics"
 	"cais/internal/model"
 	"cais/internal/nvswitch"
 	"cais/internal/sim"
@@ -28,9 +29,43 @@ type Session struct {
 	builder *model.Builder
 	stages  [][]*kernel.Kernel
 	ran     bool
-	elapsed sim.Time
-	drained sim.Time
-	attrib  *attrib.Report
+}
+
+// Result is everything observable about one run as plain values, plus the
+// machine for callers that inspect it further. strategy.Result and
+// memo.Entry are this type.
+type Result struct {
+	Strategy string   // the strategy that lowered the run (strategy runs)
+	Elapsed  sim.Time // completion time of the final stage
+	// Drained is when the event queue fully drained: all posted data
+	// delivered and committed. Collective microbenchmarks time to it.
+	Drained  sim.Time
+	Stats    nvswitch.Summary
+	AvgUtil  float64 // mean link utilization over [0, Elapsed]
+	MergeHWM int64   // max per-port merging-table occupancy
+	// UpBytes/DownBytes are the wire bytes carried GPU->switch and
+	// switch->GPU (Fig. 10's decomposition).
+	UpBytes   int64
+	DownBytes int64
+	// Telemetry is the machine-readable snapshot of every registered
+	// metric at run completion (-metrics-json).
+	Telemetry metrics.Snapshot
+	// Timeline is the binned utilization timeline (Options.UtilBin > 0).
+	Timeline metrics.UtilTimeline
+	// Attrib is the time-attribution report (Options.Attrib, DESIGN.md
+	// §12).
+	Attrib *attrib.Report
+	// Machine is the machine that ran, nil in a memoized result.
+	Machine *machine.Machine
+}
+
+// Speedup reports other's elapsed time divided by r's (how much faster r
+// is than other).
+func (r Result) Speedup(other Result) float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(other.Elapsed) / float64(r.Elapsed)
 }
 
 // NewSession assembles a machine for the hardware configuration and the
@@ -75,42 +110,33 @@ func (s *Session) PublishTiles(tiles []kernel.Tile) {
 	s.machine.PublishTiles(tiles)
 }
 
-// Run executes the staged plan to completion and returns the simulated
-// time at which the final stage finished. Under Options.Attrib it then
-// builds the time-attribution report (Attrib).
-func (s *Session) Run() (sim.Time, error) {
+// Run executes the staged plan to completion and reports the run. Under
+// Options.Attrib the result carries the time-attribution report.
+func (s *Session) Run() (Result, error) {
 	if s.ran {
-		return 0, fmt.Errorf("core: session already ran")
+		return Result{}, fmt.Errorf("core: session already ran")
 	}
 	s.ran = true
-	doneAt, drained, err := s.machine.RunStages(s.stages)
-	s.drained = drained
+	m := s.machine
+	doneAt, drained, err := m.RunStages(s.stages)
 	if err != nil {
-		return 0, err
+		return Result{}, err
 	}
-	s.elapsed = doneAt
-	if s.machine.Opts.Attrib {
-		s.attrib = attrib.Build(s.machine, s.machine.Opts.Tracer, doneAt)
+	var rep *attrib.Report
+	if m.Opts.Attrib {
+		rep = attrib.Build(m, m.Opts.Tracer, doneAt)
 	}
-	return doneAt, nil
-}
-
-// Attrib returns the time-attribution report of the run (DESIGN.md §12),
-// or nil unless the session ran with Options.Attrib.
-func (s *Session) Attrib() *attrib.Report { return s.attrib }
-
-// Elapsed reports the completion time of the last Run's staged plan
-// (thread-block retirement; posted writes may still be in flight).
-func (s *Session) Elapsed() sim.Time { return s.elapsed }
-
-// DrainedAt reports when the event queue fully drained — all posted data
-// delivered and committed. Collective microbenchmarks should use this.
-func (s *Session) DrainedAt() sim.Time { return s.drained }
-
-// SwitchStats folds the per-plane switch statistics.
-func (s *Session) SwitchStats() nvswitch.Summary { return s.machine.SwitchStats() }
-
-// AvgLinkUtilization reports the mean link busy fraction over the run.
-func (s *Session) AvgLinkUtilization() float64 {
-	return s.machine.AvgLinkUtilization(s.elapsed)
+	res := Result{
+		Elapsed:   doneAt,
+		Drained:   drained,
+		Stats:     m.SwitchStats(),
+		AvgUtil:   m.AvgLinkUtilization(doneAt),
+		MergeHWM:  m.MergeTableHighWater(),
+		Telemetry: m.Metrics().Snapshot(),
+		Timeline:  m.Timeline(),
+		Attrib:    rep,
+		Machine:   m,
+	}
+	res.UpBytes, res.DownBytes = m.DirectionTraffic()
+	return res, nil
 }

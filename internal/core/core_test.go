@@ -47,17 +47,17 @@ func TestSessionStagedPipeline(t *testing.T) {
 		func(g, mi, ni int) []kernel.Tile { return nil },
 		model.ReduceCAIS, model.FullCoordination(), red, parts)
 	s.Stage(rs)
-	elapsed, err := s.Run()
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed <= 0 {
+	if res.Elapsed <= 0 {
 		t.Fatal("no elapsed time")
 	}
-	if s.SwitchStats().MergedReds == 0 {
+	if res.Stats.MergedReds == 0 {
 		t.Fatal("fused GEMM-RS produced no merged reductions")
 	}
-	if s.AvgLinkUtilization() <= 0 {
+	if res.AvgUtil <= 0 {
 		t.Fatal("no link utilization")
 	}
 }
@@ -72,21 +72,21 @@ func TestSessionHonoursObserverOptions(t *testing.T) {
 	}
 	b := s.Builder()
 	s.Stage(b.NVLSAllReduce("ar", 512, 512, func(g, mi, ni int) []kernel.Tile { return nil }, b.NewLocalGrid(512, 512)))
-	elapsed, err := s.Run()
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Attrib()
-	if rep == nil || rep.Elapsed != elapsed || len(rep.Components) == 0 {
-		t.Fatalf("attribution report %+v does not cover the run's %v", rep, elapsed)
+	rep := res.Attrib
+	if rep == nil || rep.Elapsed != res.Elapsed || len(rep.Components) == 0 {
+		t.Fatalf("attribution report %+v does not cover the run's %v", rep, res.Elapsed)
 	}
 	for _, c := range rep.Components {
-		if c.Total() != elapsed {
-			t.Fatalf("%s: buckets sum to %v, want %v", c.Name, c.Total(), elapsed)
+		if c.Total() != res.Elapsed {
+			t.Fatalf("%s: buckets sum to %v, want %v", c.Name, c.Total(), res.Elapsed)
 		}
 	}
 	var busy sim.Time
-	for _, b := range s.Machine().Timeline().Busy {
+	for _, b := range res.Timeline.Busy {
 		busy += b
 	}
 	if busy <= 0 {

@@ -107,19 +107,20 @@ func runAllReduce(hw config.Hardware, bytes int64, nvls bool) (sim.Time, error) 
 	} else {
 		s.Stage(b.RingAllReduce("ar.bench", rows, cols, in, out))
 	}
-	if _, err := s.Run(); err != nil {
+	res, err := s.Run()
+	if err != nil {
 		return 0, err
 	}
 	// The collective is done when every GPU's reduced copy has been
 	// delivered, not when the (posted) pushes were issued: time it to
 	// quiescence and confirm all output tiles published.
-	m := s.Machine()
+	m := res.Machine
 	for g := 0; g < hw.NumGPUs; g++ {
 		if !m.TileReady(out.Tile(0, 0, g)) || !m.TileReady(out.Tile(out.MTiles-1, out.NTiles-1, g)) {
 			return 0, fmt.Errorf("allreduce data not fully delivered")
 		}
 	}
-	return s.DrainedAt(), nil
+	return res.Drained, nil
 }
 
 // Render formats the Fig. 18 table.

@@ -126,7 +126,7 @@ type TBDesc struct {
 	Post       []Access // performed after compute (writes/reductions)
 	In         []Tile   // tiles that must be ready before the TB starts
 	Out        []Tile   // tiles published when the TB (and its posts) retire
-	Group      int      // TB-group ID (compiler-assigned); -1 = ungrouped
+	Group      int      // TB-group ID, the TB's blockIdx; -1 = ungrouped
 
 	// GroupPeers is the number of GPUs whose TB of this group issues
 	// CAIS-tagged instructions and therefore registers with the Group
@@ -150,11 +150,6 @@ type Kernel struct {
 	// from a per-run arena (the model builders do), so callers must not
 	// retain Pre/Post/In/Out slices across a later arena rewind.
 	Work func(gpu, tb int) TBDesc
-
-	// Patterns are the symbolic access patterns of the kernel body,
-	// consumed by the compiler's static index analysis. They describe
-	// the same accesses Work generates concretely.
-	Patterns []Pattern
 
 	// CommSMs pins a comm kernel to a fixed SM count (asymmetric kernel
 	// overlapping partitions the pool). Zero means the full GPU.

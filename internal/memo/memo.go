@@ -21,9 +21,11 @@
 //   - Defaults are resolved before hashing, so a zero value and its
 //     explicit default hash identically (nil vs empty fault schedule).
 //   - Entries are plain values (times, summaries, telemetry snapshots):
-//     no machine, engine or other live state is retained, so a cache hit
+//     the run's Machine is cleared before an entry is stored, so no
+//     machine, engine or other live state is retained and a cache hit
 //     cannot observe or perturb a later run. Callers must treat the
-//     telemetry snapshot as read-only — it is shared across hits.
+//     telemetry snapshot, timeline and attribution report as read-only —
+//     they are shared across hits.
 //
 // The cache is the one component outside internal/sweep that parallel
 // workers share, so it is mutex-guarded, with single-flight deduplication:
@@ -36,42 +38,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cais/internal/attrib"
+	"cais/internal/core"
 	"cais/internal/metrics"
-	"cais/internal/nvswitch"
-	"cais/internal/sim"
 )
 
-// Entry is the value-type result of one simulation point: everything the
-// experiment drivers consume, nothing tied to the run's live objects.
-type Entry struct {
-	Strategy  string
-	Elapsed   sim.Time
-	Stats     nvswitch.Summary
-	AvgUtil   float64
-	MergeHWM  int64
-	Telemetry metrics.Snapshot
-	// UpBytes/DownBytes capture machine.DirectionTraffic at completion
-	// (Fig. 10's decomposition): the machine itself is not retained.
-	UpBytes   int64
-	DownBytes int64
-	// Timeline is the replayable utilization timeline recorded when the
-	// point ran with Options.UtilBin > 0 (Fig. 16). Shared across hits —
-	// read-only, like Telemetry.
-	Timeline metrics.UtilTimeline
-	// Attrib is the attribution report recorded under Options.Attrib
-	// (DESIGN.md §12). Shared across hits — read-only.
-	Attrib *attrib.Report
-}
-
-// Speedup reports other's elapsed time divided by e's (how much faster e
-// is), mirroring strategy.Result.Speedup.
-func (e Entry) Speedup(other Entry) float64 {
-	if e.Elapsed <= 0 {
-		return 0
-	}
-	return float64(other.Elapsed) / float64(e.Elapsed)
-}
+// Entry is the result of one simulation point with its Machine cleared:
+// everything the experiment drivers consume, nothing tied to the run's
+// live objects.
+type Entry = core.Result
 
 // cell is one cache slot. done is closed when the in-flight computation
 // finishes; ready distinguishes a populated cell from an abandoned one.

@@ -6,24 +6,10 @@ import (
 	"cais/internal/strategy"
 )
 
-// entryOf flattens a strategy.Result into the cacheable value type,
-// capturing the direction-traffic decomposition before the machine is
-// dropped.
-func entryOf(res strategy.Result) Entry {
-	e := Entry{
-		Strategy:  res.Strategy,
-		Elapsed:   res.Elapsed,
-		Stats:     res.Stats,
-		AvgUtil:   res.AvgUtil,
-		MergeHWM:  res.MergeHWM,
-		Telemetry: res.Telemetry,
-		Timeline:  res.Timeline,
-		Attrib:    res.Attrib,
-	}
-	if res.Machine != nil {
-		e.UpBytes, e.DownBytes = res.Machine.DirectionTraffic()
-	}
-	return e
+// entry drops the run's machine, so the cache holds no live state.
+func entry(res strategy.Result, err error) (Entry, error) {
+	res.Machine = nil
+	return res, err
 }
 
 // RunSubLayer is the memoizing wrapper around strategy.RunSubLayer: a nil
@@ -31,8 +17,7 @@ func entryOf(res strategy.Result) Entry {
 // otherwise the point simulates at most once per cache lifetime.
 func RunSubLayer(c *Cache, hw config.Hardware, spec strategy.Spec, sub model.SubLayer, opts strategy.Options) (Entry, error) {
 	run := func() (Entry, error) {
-		res, err := strategy.RunSubLayer(hw, spec, sub, opts)
-		return entryOf(res), err
+		return entry(strategy.RunSubLayer(hw, spec, sub, opts))
 	}
 	if c == nil || !Cacheable(opts) {
 		return run()
@@ -43,8 +28,7 @@ func RunSubLayer(c *Cache, hw config.Hardware, spec strategy.Spec, sub model.Sub
 // RunLayers is the memoizing wrapper around strategy.RunLayersOpts.
 func RunLayers(c *Cache, hw config.Hardware, spec strategy.Spec, cfg config.Model, training bool, layers int, opts strategy.Options) (Entry, error) {
 	run := func() (Entry, error) {
-		res, err := strategy.RunLayersOpts(hw, spec, cfg, training, layers, opts)
-		return entryOf(res), err
+		return entry(strategy.RunLayersOpts(hw, spec, cfg, training, layers, opts))
 	}
 	if c == nil || !Cacheable(opts) {
 		return run()

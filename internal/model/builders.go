@@ -180,10 +180,6 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 		}
 		loadOp = v.Mode
 	}
-	// TB groups: one per blockIdx, one TB per GPU (the compiler's launch
-	// metadata, Sec. III-B-1).
-	groups := compiler.BuildGroups(mT*nT, b.P)
-
 	flops, localBytes := b.gemmTB(k, scale)
 	peers := b.P - 1
 	if coord.Throttle {
@@ -193,15 +189,16 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 	}
 	return &kernel.Kernel{
 		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT,
-		Patterns:      []kernel.Pattern{pattern},
 		PreLaunchSync: coord.PreLaunch && mode == GatherCAIS,
 		PreAccessSync: coord.PreAccess && mode == GatherCAIS,
 		Throttled:     coord.Throttle && mode == GatherCAIS,
 		Work: func(g, tb int) kernel.TBDesc {
 			mi, ni := tb/nT, tb%nT
+			// TB group: the TBs sharing this blockIdx, one per GPU
+			// (Sec. III-B-1).
 			d := kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes,
-				Group: groups.GroupOf(tb), GroupPeers: peers,
+				Group: tb, GroupPeers: peers,
 				Out: b.tiles.One(out.Tile(mi, ni, g)),
 			}
 			owner := src.Owner(mi)
@@ -227,7 +224,7 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 				d.In = b.tiles.One(copies.Tile(mi, g))
 				return d
 			}
-			addr := uint64(pattern.Addr.Eval(kernel.Env{GPU: int64(g), BlockIdx: int64(tb)}))
+			addr := pattern.AddrAt(g, tb)
 			acc := kernel.Access{
 				Sem: kernel.SemRead, Addr: addr, Home: owner, Bytes: rowBytes,
 				Publish: b.tiles.One(copies.Tile(mi, g)),
@@ -307,17 +304,15 @@ func (b *Builder) FusedGEMMRS(name string, m, n, kLocal int, scale float64, in I
 	if coord.Throttle {
 		peers = b.P
 	}
-	groups := compiler.BuildGroups(mT*nT, b.P)
 	return &kernel.Kernel{
 		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT,
-		Patterns:      []kernel.Pattern{pattern},
 		PreLaunchSync: coord.PreLaunch && mode == ReduceCAIS,
 		PreAccessSync: coord.PreAccess && mode == ReduceCAIS,
 		Throttled:     coord.Throttle && mode == ReduceCAIS,
 		Work: func(g, tb int) kernel.TBDesc {
 			mi, ni := tb/nT, tb%nT
 			owner := red.Owner(mi)
-			addr := uint64(pattern.Addr.Eval(kernel.Env{GPU: int64(g), BlockIdx: int64(tb)}))
+			addr := pattern.AddrAt(g, tb)
 			acc := kernel.Access{
 				Sem: kernel.SemReduce, Addr: addr, Home: owner, Bytes: tileBytes,
 				TileNeed: b.P,
@@ -332,7 +327,7 @@ func (b *Builder) FusedGEMMRS(name string, m, n, kLocal int, scale float64, in I
 			}
 			return kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes,
-				Group: groups.GroupOf(tb), GroupPeers: peers,
+				Group: tb, GroupPeers: peers,
 				In:   in(g, mi, ni),
 				Post: b.accs.One(acc),
 			}
@@ -369,10 +364,8 @@ func (b *Builder) FusedGEMMAR(name string, m, n, kLocal int, scale float64, in I
 	}
 
 	flops, localBytes := b.gemmTB(kLocal, scale)
-	groups := compiler.BuildGroups(mT*nT, b.P)
 	return &kernel.Kernel{
 		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT,
-		Patterns:      []kernel.Pattern{pattern},
 		PreLaunchSync: coord.PreLaunch,
 		PreAccessSync: coord.PreAccess,
 		Throttled:     coord.Throttle,
@@ -385,14 +378,14 @@ func (b *Builder) FusedGEMMAR(name string, m, n, kLocal int, scale float64, in I
 			// applies.
 			acc := kernel.Access{
 				Sem: kernel.SemReduce, Mode: v.Mode,
-				Addr: uint64(pattern.Addr.Eval(kernel.Env{GPU: int64(g), BlockIdx: int64(tb)})),
+				Addr: pattern.AddrAt(g, tb),
 				Home: mi % b.P, Bytes: tileBytes,
 				Expected: b.P, TileNeed: b.P, Broadcast: true,
 				PublishEach: out.Tile(mi, ni, 0),
 			}
 			return kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes,
-				Group: groups.GroupOf(tb), GroupPeers: b.P,
+				Group: tb, GroupPeers: b.P,
 				In:   in(g, mi, ni),
 				Post: b.accs.One(acc),
 			}

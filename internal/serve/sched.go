@@ -40,11 +40,6 @@ type Result struct {
 	DecodeIters  int
 	// Makespan is the completion time of the last request.
 	Makespan sim.Time
-	// CostSims/CostLookups mirror the cost model's counters when it is a
-	// *StrategyCost (0 otherwise): lookups are per-iteration prices
-	// served, sims the anchor simulations behind them.
-	CostSims    int64
-	CostLookups int64
 }
 
 // Throughput reports completed requests per second of simulated time.
@@ -181,10 +176,6 @@ func Run(w Workload, cm CostModel, sc SchedConfig) (Result, error) {
 
 	res.Requests = reqs
 	res.Makespan = makespan
-	if stc, ok := cm.(*StrategyCost); ok {
-		res.CostSims = stc.Sims()
-		res.CostLookups = stc.Lookups()
-	}
 	return res, nil
 }
 

@@ -184,16 +184,16 @@ func TestStrategyCostMemoizesShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CostLookups != int64(res.Iterations) {
-		t.Errorf("%d lookups for %d iterations, want one per iteration", res.CostLookups, res.Iterations)
+	if cm.Lookups() != int64(res.Iterations) {
+		t.Errorf("%d lookups for %d iterations, want one per iteration", cm.Lookups(), res.Iterations)
 	}
-	if res.CostSims == 0 {
+	if cm.Sims() == 0 {
 		t.Fatal("no anchor simulations ran; the cost model is not consulting the strategy layer")
 	}
-	if res.CostSims >= int64(res.Iterations) {
-		t.Fatalf("sims (%d) not strictly fewer than scheduler iterations (%d)", res.CostSims, res.Iterations)
+	if cm.Sims() >= int64(res.Iterations) {
+		t.Fatalf("sims (%d) not strictly fewer than scheduler iterations (%d)", cm.Sims(), res.Iterations)
 	}
-	t.Logf("serve memo: %d iterations, %d lookups, %d anchor simulations", res.Iterations, res.CostLookups, res.CostSims)
+	t.Logf("serve memo: %d iterations, %d lookups, %d anchor simulations", res.Iterations, cm.Lookups(), cm.Sims())
 
 	// Same shapes, same cache: a second cost model simulates nothing.
 	cm2, err := NewStrategyCost(tinyHW(), strategy.CAIS(), tinyModel(), 1, strategy.Options{}, cache)
@@ -204,8 +204,8 @@ func TestStrategyCostMemoizesShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.CostSims != 0 {
-		t.Errorf("hot-cache run simulated %d new anchors, want 0", res2.CostSims)
+	if cm2.Sims() != 0 {
+		t.Errorf("hot-cache run simulated %d new anchors, want 0", cm2.Sims())
 	}
 	if !reflect.DeepEqual(res.Requests, res2.Requests) {
 		t.Error("hot-cache request trace differs from cold run")

@@ -126,10 +126,6 @@ type eventHeap struct {
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-// min returns the earliest pending event without removing it. Callers must
-// check len first.
-func (h *eventHeap) min() *event { return &h.a[0] }
-
 // push inserts an event, growing the backing array geometrically (doubling)
 // so n pushes cost O(log n) allocations regardless of starting size.
 func (h *eventHeap) push(e event) {
@@ -203,12 +199,11 @@ func (h *eventHeap) siftDown(i int) {
 // the same instant run in scheduling order, so simulations are
 // bit-reproducible across runs and platforms.
 type Engine struct {
-	now     Time
-	seq     uint64
-	steps   uint64
-	heap    eventHeap
-	stopped bool
-	limit   uint64 // optional hard step limit guard; 0 disables
+	now   Time
+	seq   uint64
+	steps uint64
+	heap  eventHeap
+	limit uint64 // optional hard step limit guard; 0 disables
 
 	// observer is an opaque attachment slot for cross-cutting
 	// instrumentation (the trace package's Tracer hooks in here, so every
@@ -275,27 +270,10 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Stop makes the current Run call return after the in-flight event
-// completes. Pending events stay queued.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called. It
-// returns the final simulated time.
+// Run executes events until the queue is empty and returns the final
+// simulated time.
 func (e *Engine) Run() Time {
-	return e.RunUntil(-1)
-}
-
-// RunUntil executes events with timestamp <= deadline (deadline < 0 means
-// no deadline) until the queue drains or Stop is called. The clock is left
-// at the last executed event (or at the deadline if the deadline was
-// reached with events still pending).
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for e.heap.len() > 0 && !e.stopped {
-		if deadline >= 0 && e.heap.min().at > deadline {
-			e.now = deadline
-			return e.now
-		}
+	for e.heap.len() > 0 {
 		ev := e.heap.pop()
 		e.now = ev.at
 		e.steps++

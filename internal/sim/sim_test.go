@@ -63,36 +63,6 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestEngineRunUntilStopsAtDeadline(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10*Nanosecond, func() { ran++ })
-	e.At(20*Nanosecond, func() { ran++ })
-	e.At(30*Nanosecond, func() { ran++ })
-	e.RunUntil(20 * Nanosecond)
-	if ran != 2 {
-		t.Fatalf("ran %d events before deadline, want 2", ran)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if ran != 3 {
-		t.Fatalf("ran %d after full drain, want 3", ran)
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10*Nanosecond, func() { ran++; e.Stop() })
-	e.At(20*Nanosecond, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1 (Stop should halt)", ran)
-	}
-}
-
 func TestEngineStepLimitPanics(t *testing.T) {
 	e := NewEngine()
 	e.SetStepLimit(5)

@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cais/internal/core"
@@ -64,8 +66,14 @@ func TestLoweringGuards(t *testing.T) {
 func TestRunLayersRejectsInvalidModel(t *testing.T) {
 	bad := tinyModel()
 	bad.Layers = 0
-	if _, err := RunLayers(tinyHW(), CAIS(), bad, false, 1); err == nil {
+	if _, err := RunLayersOpts(tinyHW(), CAIS(), bad, false, 1, Options{}); err == nil {
 		t.Fatal("invalid model accepted")
+	}
+	for _, layers := range []int{0, -1} {
+		_, err := RunLayersOpts(tinyHW(), CAIS(), tinyModel(), false, layers, Options{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d layers", layers)) {
+			t.Errorf("%d layers: error %v, want one naming the layer count", layers, err)
+		}
 	}
 }
 

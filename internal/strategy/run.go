@@ -3,15 +3,11 @@ package strategy
 import (
 	"fmt"
 
-	"cais/internal/attrib"
 	"cais/internal/config"
 	"cais/internal/core"
 	"cais/internal/kernel"
 	"cais/internal/machine"
-	"cais/internal/metrics"
 	"cais/internal/model"
-	"cais/internal/nvswitch"
-	"cais/internal/sim"
 )
 
 // Options tune a run beyond the strategy spec: design ablations, fault
@@ -20,30 +16,7 @@ import (
 type Options = machine.Options
 
 // Result is the outcome of one simulated run.
-type Result struct {
-	Strategy string
-	Elapsed  sim.Time // completion time of the final stage
-	Stats    nvswitch.Summary
-	AvgUtil  float64 // mean link utilization over [0, Elapsed]
-	MergeHWM int64   // max per-port merging-table occupancy
-	Machine  *machine.Machine
-	// Telemetry is the machine-readable snapshot of every registered
-	// metric at run completion (-metrics-json).
-	Telemetry metrics.Snapshot
-	// Timeline is the binned utilization timeline (Options.UtilBin > 0).
-	Timeline metrics.UtilTimeline
-	// Attrib is the time-attribution report (Options.Attrib).
-	Attrib *attrib.Report
-}
-
-// Speedup reports other's elapsed time divided by r's (how much faster r
-// is than other).
-func (r Result) Speedup(other Result) float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(other.Elapsed) / float64(r.Elapsed)
-}
+type Result = core.Result
 
 // coordination maps the spec's CAIS knobs to the builder's flags.
 func (s Spec) coordination() model.Coordination {
@@ -447,24 +420,14 @@ func run(hw config.Hardware, spec Spec, opts Options, label string, build func(s
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%s: %w", spec.Name, label, err)
 	}
-	m := s.Machine()
-	m.SetTrafficControl(spec.TrafficControl)
+	s.Machine().SetTrafficControl(spec.TrafficControl)
 	build(s)
-	doneAt, err := s.Run()
+	res, err := s.Run()
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%s: %w", spec.Name, label, err)
 	}
-	return Result{
-		Strategy:  spec.Name,
-		Elapsed:   doneAt,
-		Stats:     s.SwitchStats(),
-		AvgUtil:   s.AvgLinkUtilization(),
-		MergeHWM:  m.MergeTableHighWater(),
-		Machine:   m,
-		Telemetry: m.Metrics().Snapshot(),
-		Timeline:  m.Timeline(),
-		Attrib:    s.Attrib(),
-	}, nil
+	res.Strategy = spec.Name
+	return res, nil
 }
 
 // RunSubLayer executes one of the paper's communication-intensive
@@ -487,15 +450,14 @@ func RunSubLayer(hw config.Hardware, spec Spec, sub model.SubLayer, opts Options
 	})
 }
 
-// RunLayers executes n transformer layers (forward, plus backward when
-// training) under the strategy and returns the elapsed time for that
-// chain. Callers scale per-layer time to the full model depth.
-func RunLayers(hw config.Hardware, spec Spec, cfg config.Model, training bool, layers int) (Result, error) {
-	return RunLayersOpts(hw, spec, cfg, training, layers, Options{})
-}
-
-// RunLayersOpts is RunLayers with run options.
+// RunLayersOpts executes `layers` transformer layers (forward, plus
+// backward when training) under the strategy and returns the elapsed time
+// for that chain. Callers scale per-layer time to the full model depth, so
+// layers must be at least 1.
 func RunLayersOpts(hw config.Hardware, spec Spec, cfg config.Model, training bool, layers int, opts Options) (Result, error) {
+	if layers < 1 {
+		return Result{}, fmt.Errorf("%s/%s: %d layers, want at least 1", spec.Name, cfg.Name, layers)
+	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}

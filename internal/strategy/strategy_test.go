@@ -144,7 +144,7 @@ func TestAllStrategiesCompleteLayerChain(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := RunLayers(hw, spec, cfg, false, 1)
+			res, err := RunLayersOpts(hw, spec, cfg, false, 1, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestAllStrategiesCompleteTraining(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := RunLayers(hw, spec, cfg, true, 1)
+			res, err := RunLayersOpts(hw, spec, cfg, true, 1, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,11 +175,11 @@ func TestAllStrategiesCompleteTraining(t *testing.T) {
 }
 
 func TestTrainingChainCompletes(t *testing.T) {
-	res, err := RunLayers(tinyHW(), CAIS(), tinyModel(), true, 1)
+	res, err := RunLayersOpts(tinyHW(), CAIS(), tinyModel(), true, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, err := RunLayers(tinyHW(), CAIS(), tinyModel(), false, 1)
+	fwd, err := RunLayersOpts(tinyHW(), CAIS(), tinyModel(), false, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

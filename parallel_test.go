@@ -81,9 +81,9 @@ func TestParallelSweepDigestsByteIdentical(t *testing.T) {
 	specs := append(cais.Strategies(), cais.ExtensionStrategies()...)
 	phases := []string{"prefill", "training"}
 	got, err := sweep.Map(len(specs)*len(phases), 2, func(i int) (string, error) {
-		run := cais.RunInferenceOpts
+		run := cais.RunInference
 		if i%2 == 1 {
-			run = cais.RunTrainingOpts
+			run = cais.RunTraining
 		}
 		r, err := run(hw, specs[i/2], quickModel, 1, cais.RunOptions{Attrib: true})
 		if err != nil {
