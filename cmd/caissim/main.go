@@ -254,7 +254,7 @@ func runStrategy(r options) {
 			os.Exit(1)
 		}
 		if err := sched.Validate(hw.NumGPUs, hw.NumSwitchPlanes); err != nil {
-			fmt.Fprintf(os.Stderr, "faults: schedule does not fit this topology: %v\n", err)
+			fmt.Fprintf(os.Stderr, "faults: invalid schedule: %v\n", err)
 			os.Exit(1)
 		}
 		opts.Faults = sched

@@ -5,6 +5,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"cais/internal/sim"
 )
@@ -113,7 +114,10 @@ func FullScaleH100() Hardware {
 }
 
 // Validate reports configuration errors that would make a simulation
-// meaningless (zero GPUs, non-positive bandwidths, and similar).
+// meaningless: zero GPUs, rates that are not finite and positive, negative
+// times, and similar. None of these fails at run time: the engine clamps
+// a negative delay to zero, and a NaN or infinite rate turns into
+// arbitrary event times.
 func (h Hardware) Validate() error {
 	switch {
 	case h.NumGPUs < 1:
@@ -122,21 +126,42 @@ func (h Hardware) Validate() error {
 		return fmt.Errorf("config: NumSwitchPlanes = %d, need >= 1", h.NumSwitchPlanes)
 	case h.SMsPerGPU < 1:
 		return fmt.Errorf("config: SMsPerGPU = %d, need >= 1", h.SMsPerGPU)
-	case h.SMFLOPs <= 0:
-		return fmt.Errorf("config: SMFLOPs = %g, need > 0", h.SMFLOPs)
-	case h.HBMBandwidth <= 0:
-		return fmt.Errorf("config: HBMBandwidth = %g, need > 0", h.HBMBandwidth)
-	case h.LinkBandwidth <= 0:
-		return fmt.Errorf("config: LinkBandwidth = %g, need > 0", h.LinkBandwidth)
-	case h.LinkLatency < 0:
-		return fmt.Errorf("config: negative LinkLatency")
+	case !finitePositive(h.SMFLOPs):
+		return fmt.Errorf("config: SMFLOPs = %g, need finite > 0", h.SMFLOPs)
+	case !finitePositive(h.HBMBandwidth):
+		return fmt.Errorf("config: HBMBandwidth = %g, need finite > 0", h.HBMBandwidth)
+	case !finitePositive(h.LinkBandwidth):
+		return fmt.Errorf("config: LinkBandwidth = %g, need finite > 0", h.LinkBandwidth)
+	case math.IsNaN(h.LinkEfficiency):
+		return fmt.Errorf("config: LinkEfficiency = NaN, need a number")
+	case !(h.TBTimeNoise >= 0 && h.TBTimeNoise < 1):
+		// At 1 or above a TB's jittered time can go negative.
+		return fmt.Errorf("config: TBTimeNoise = %g, need in [0, 1)", h.TBTimeNoise)
 	case h.RequestBytes < 1:
 		return fmt.Errorf("config: RequestBytes = %d, need >= 1", h.RequestBytes)
 	case h.ElemBytes < 1:
 		return fmt.Errorf("config: ElemBytes = %d, need >= 1", h.ElemBytes)
 	}
+	for _, f := range []struct {
+		name string
+		t    sim.Time
+	}{
+		{"LinkLatency", h.LinkLatency},
+		{"SwitchLatency", h.SwitchLatency},
+		{"MergeTimeout", h.MergeTimeout},
+		{"KernelLaunchOverhead", h.KernelLaunchOverhead},
+		{"KernelLaunchJitter", h.KernelLaunchJitter},
+		{"TBOverhead", h.TBOverhead},
+	} {
+		if f.t < 0 {
+			return fmt.Errorf("config: %s = %v, need >= 0", f.name, f.t)
+		}
+	}
 	return nil
 }
+
+// finitePositive reports 0 < v < +Inf; NaN fails.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // PlaneBandwidth is the effective per-direction bandwidth of one switch
 // plane's link to one GPU.

@@ -1,6 +1,8 @@
 package config
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -20,28 +22,51 @@ func TestDGXH100IsValid(t *testing.T) {
 }
 
 func TestValidateCatchesEachField(t *testing.T) {
-	break1 := []func(*Hardware){
-		func(h *Hardware) { h.NumGPUs = 0 },
-		func(h *Hardware) { h.NumSwitchPlanes = 0 },
-		func(h *Hardware) { h.SMsPerGPU = 0 },
-		func(h *Hardware) { h.SMFLOPs = 0 },
-		func(h *Hardware) { h.HBMBandwidth = -1 },
-		func(h *Hardware) { h.LinkBandwidth = 0 },
-		func(h *Hardware) { h.LinkLatency = -1 },
-		func(h *Hardware) { h.RequestBytes = 0 },
-		func(h *Hardware) { h.ElemBytes = 0 },
+	cases := []struct {
+		field   string // the error must name it
+		breakIt func(*Hardware)
+	}{
+		{"NumGPUs", func(h *Hardware) { h.NumGPUs = 0 }},
+		{"NumSwitchPlanes", func(h *Hardware) { h.NumSwitchPlanes = 0 }},
+		{"SMsPerGPU", func(h *Hardware) { h.SMsPerGPU = 0 }},
+		{"SMFLOPs", func(h *Hardware) { h.SMFLOPs = 0 }},
+		{"SMFLOPs", func(h *Hardware) { h.SMFLOPs = math.NaN() }},
+		{"HBMBandwidth", func(h *Hardware) { h.HBMBandwidth = -1 }},
+		{"HBMBandwidth", func(h *Hardware) { h.HBMBandwidth = math.Inf(1) }},
+		{"LinkBandwidth", func(h *Hardware) { h.LinkBandwidth = 0 }},
+		{"LinkBandwidth", func(h *Hardware) { h.LinkBandwidth = math.NaN() }},
+		{"LinkEfficiency", func(h *Hardware) { h.LinkEfficiency = math.NaN() }},
+		{"LinkLatency", func(h *Hardware) { h.LinkLatency = -1 }},
+		{"SwitchLatency", func(h *Hardware) { h.SwitchLatency = -sim.Nanosecond }},
+		{"MergeTimeout", func(h *Hardware) { h.MergeTimeout = -1 }},
+		{"KernelLaunchOverhead", func(h *Hardware) { h.KernelLaunchOverhead = -1 }},
+		{"KernelLaunchJitter", func(h *Hardware) { h.KernelLaunchJitter = -5 }},
+		{"TBOverhead", func(h *Hardware) { h.TBOverhead = -sim.Nanosecond }},
+		{"TBTimeNoise", func(h *Hardware) { h.TBTimeNoise = -0.1 }},
+		{"TBTimeNoise", func(h *Hardware) { h.TBTimeNoise = 1 }},
+		{"TBTimeNoise", func(h *Hardware) { h.TBTimeNoise = math.NaN() }},
+		{"RequestBytes", func(h *Hardware) { h.RequestBytes = 0 }},
+		{"ElemBytes", func(h *Hardware) { h.ElemBytes = 0 }},
 	}
-	for i, breakIt := range break1 {
+	for i, c := range cases {
 		h := DGXH100()
-		breakIt(&h)
-		if err := h.Validate(); err == nil {
-			t.Errorf("broken config %d accepted", i)
+		c.breakIt(&h)
+		err := h.Validate()
+		if err == nil {
+			t.Errorf("broken config %d (%s) accepted", i, c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("broken config %d: error %q does not name %s", i, err, c.field)
 		}
 	}
 	h := DGXH100()
 	h.MergeTableBytes = -1 // unlimited (Fig. 13a)
 	if err := h.Validate(); err != nil {
 		t.Errorf("unlimited merge table rejected: %v", err)
+	}
+	h = DGXH100()
+	h.LinkEfficiency, h.MergeTimeout, h.TBTimeNoise = 0, 0, 0 // wire rate, no timeout, no noise
+	if err := h.Validate(); err != nil {
+		t.Errorf("documented zero values rejected: %v", err)
 	}
 }
 

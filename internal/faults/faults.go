@@ -23,8 +23,8 @@ type Kind int
 
 const (
 	// LinkDegrade scales the bandwidth of the targeted links by Factor
-	// (0 < Factor <= 1) for the fault window; 0.25 models a link that lost
-	// 75% of its lanes.
+	// (1e-6 <= Factor <= 1) for the fault window; 0.25 models a link that
+	// lost 75% of its lanes.
 	LinkDegrade Kind = iota
 	// LinkDown stalls the targeted links completely: queued traffic holds
 	// and resumes at repair. A repair time is mandatory — a permanently
@@ -40,7 +40,7 @@ const (
 	// (the same path the strategy layer uses for non-CAIS configurations).
 	MergeDisable
 	// Straggler scales the targeted GPU's thread-block compute time by
-	// Factor (>= 1): a thermally throttled or contended GPU.
+	// Factor (1 <= Factor <= 1e6): a thermally throttled or contended GPU.
 	Straggler
 )
 
@@ -111,8 +111,8 @@ type Fault struct {
 	GPU int
 	// Dir selects the link direction(s) for LinkDegrade / LinkDown.
 	Dir Dir
-	// Factor is the bandwidth scale for LinkDegrade (0 < f <= 1) and the
-	// compute slowdown for Straggler (f >= 1); ignored otherwise.
+	// Factor is the bandwidth scale for LinkDegrade and the compute
+	// slowdown for Straggler (ranges on the kinds); ignored otherwise.
 	Factor float64
 }
 
@@ -181,11 +181,25 @@ func checkGPU(f Fault, numGPUs int, wildcardOK bool) error {
 	return nil
 }
 
+// Magnitude limits. Past them a slowed packet or thread-block time, or
+// caissim's whole-model extrapolation of a faulted layer, can overflow
+// sim.Time, and a run reports nonsense instead of a slow layer: under a
+// 1e-300 degrade or a 1e30 straggler a layer finishes faster than healthy.
+const (
+	minDegradeFactor   = 1e-6
+	maxStragglerFactor = 1e6
+	// maxFaultEnd bounds every fault's onset and repair time: one
+	// simulated hour, far past any layer, and small enough that
+	// extrapolating a faulted layer over a whole model cannot overflow.
+	maxFaultEnd = 3600 * sim.Second
+)
+
 // Validate checks the schedule against a concrete topology. Rules beyond
-// simple range checks: a repair time must fit the sim clock, LinkDown must
-// have a repair time (a permanently dead link deadlocks queued traffic),
-// and at least one plane must survive every instant of the run (the
-// re-route hash needs a live target).
+// simple range checks: a fault window must end within maxFaultEnd, factors
+// must stay within their magnitude limits, LinkDown must have a repair
+// time (a permanently dead link deadlocks queued traffic), and at least
+// one plane must survive every instant of the run (the re-route hash
+// needs a live target).
 func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 	if s == nil {
 		return nil
@@ -204,6 +218,9 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 		if f.At > math.MaxInt64-f.For {
 			return fmt.Errorf("faults: fault %d (%s): repair time overflows the sim clock", i, f)
 		}
+		if f.At+f.For > maxFaultEnd {
+			return fmt.Errorf("faults: fault %d (%s): window ends at %v, after one simulated hour", i, f, f.At+f.For)
+		}
 		switch f.Kind {
 		case LinkDegrade:
 			if err := checkPlane(f, numPlanes, true); err != nil {
@@ -212,8 +229,8 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 			if err := checkGPU(f, numGPUs, true); err != nil {
 				return err
 			}
-			if !(f.Factor > 0 && f.Factor <= 1) { // NaN fails too
-				return fmt.Errorf("faults: fault %d (%s): degrade factor must be in (0,1]", i, f)
+			if !(f.Factor >= minDegradeFactor && f.Factor <= 1) { // NaN fails too
+				return fmt.Errorf("faults: fault %d (%s): degrade factor must be in [%g,1]", i, f, minDegradeFactor)
 			}
 		case LinkDown:
 			if err := checkPlane(f, numPlanes, true); err != nil {
@@ -246,8 +263,8 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 			if err := checkGPU(f, numGPUs, false); err != nil {
 				return err
 			}
-			if !(f.Factor >= 1) {
-				return fmt.Errorf("faults: fault %d (%s): straggler factor must be >= 1", i, f)
+			if !(f.Factor >= 1 && f.Factor <= maxStragglerFactor) {
+				return fmt.Errorf("faults: fault %d (%s): straggler factor must be in [1,%g]", i, f, maxStragglerFactor)
 			}
 		default:
 			return fmt.Errorf("faults: fault %d: unknown kind %d", i, int(f.Kind))

@@ -29,6 +29,15 @@ func TestValidateAcceptsWellFormedSchedule(t *testing.T) {
 	if err := handover.Validate(8, 4); err != nil {
 		t.Fatalf("Validate(handover): %v", err)
 	}
+	// The magnitude limits are inclusive.
+	limits := &Schedule{Name: "limits", Faults: []Fault{
+		{Kind: LinkDegrade, Plane: All, GPU: All, Factor: 1e-6},
+		{Kind: Straggler, GPU: 0, Factor: 1e6},
+		{Kind: LinkDown, At: 1800 * sim.Second, For: 1800 * sim.Second, Plane: 0, GPU: 0},
+	}}
+	if err := limits.Validate(8, 4); err != nil {
+		t.Fatalf("Validate(limits): %v", err)
+	}
 }
 
 func TestValidateRejections(t *testing.T) {
@@ -73,6 +82,20 @@ func TestValidateRejections(t *testing.T) {
 		}}, "at least one must survive"},
 		{"NaN degrade factor", Schedule{Faults: []Fault{{Kind: LinkDegrade, Factor: math.NaN()}}}, "degrade factor"},
 		{"NaN straggler factor", Schedule{Faults: []Fault{{Kind: Straggler, Factor: math.NaN()}}}, "straggler factor"},
+		// Magnitudes whose slowed times overflow sim.Time: each once ran
+		// a LLaMA-7B layer to completion with a nonsense time.
+		{"degrade factor overflows", Schedule{Faults: []Fault{
+			{Kind: LinkDegrade, For: 100 * sim.Microsecond, Plane: All, GPU: All, Factor: 1e-300},
+		}}, "fault 0 (link-degrade plane=-1 gpu=-1 dir=both factor=1e-300): degrade factor"},
+		{"straggler factor overflows", Schedule{Faults: []Fault{
+			{Kind: Straggler, For: 100 * sim.Microsecond, GPU: 0, Factor: 1e30},
+		}}, "fault 0 (straggler gpu=0 factor=1e+30): straggler factor"},
+		{"window past one hour", Schedule{Faults: []Fault{
+			{Kind: LinkDown, For: 9_000_000_000_000 * sim.Microsecond, Plane: 0, GPU: 0},
+		}}, "fault 0 (link-down plane=0 gpu=0 dir=both): window ends"},
+		{"onset past one hour", Schedule{Faults: []Fault{
+			{Kind: PlaneDown, At: 3600*sim.Second + 1, Plane: 0},
+		}}, "after one simulated hour"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,8 +14,8 @@ import (
 // within the engine's step limit. A panic or an unfinished run fails.
 // The seeds follow a GPU health-event taxonomy — NVLink errors, a GPU
 // fallen off the bus (XID 79), thermal throttling, ECC double-bit errors,
-// a fatal switch error — plus two schedules that once passed Validate and
-// then panicked.
+// a fatal switch error — plus schedules that once passed Validate and then
+// panicked or ran to a nonsense time.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		// NVLink CRC errors: one GPU's lanes retrain at reduced width.
@@ -33,6 +33,12 @@ func FuzzParse(f *testing.F) {
 			{"kind": "plane-down", "at_us": 0, "for_us": 8, "plane": 1}]}`,
 		// Repair time past the end of the sim clock.
 		`{"faults": [{"kind": "link-degrade", "at_us": 9e12, "for_us": 9e12, "factor": 0.5}]}`,
+		// Magnitudes whose slowed times overflow sim.Time: a near-zero
+		// degrade on every link, a 1e30 straggler, and a link-down window
+		// that ends about 104 days in.
+		`{"faults": [{"kind": "link-degrade", "at_us": 0, "for_us": 100, "plane": -1, "gpu": -1, "factor": 1e-300}]}`,
+		`{"faults": [{"kind": "straggler", "at_us": 0, "for_us": 100, "gpu": 0, "factor": 1e30}]}`,
+		`{"faults": [{"kind": "link-down", "at_us": 0, "for_us": 9e12, "plane": 0, "gpu": 0}]}`,
 		// Every plane down at once, each only briefly.
 		`{"faults": [{"kind": "plane-down", "at_us": 0, "for_us": 100, "plane": 0},
 			{"kind": "plane-down", "at_us": 0, "for_us": 100, "plane": 1},

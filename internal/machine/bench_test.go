@@ -1,9 +1,10 @@
 // Dependency-tracker hot-path microbenchmark. Every TB of every kernel
 // registers its input tiles and is woken by publishes — tens of millions
-// of cycles per sweep point — so the pooled dependency records, recycled
-// waiter lists, and pooled TB run slots must make the full cycle
-// allocation-free at steady state. The benchmark pins that in addition to
-// timing it.
+// of cycles per sweep point — so the pooled dependency records, the waiter
+// arrays that stay in their tile slots, and pooled TB run slots must make
+// the full cycle allocation-free at steady state. The benchmark pins that
+// in addition to timing it, and TestRegisterTBCycleAllocatesNothing pins
+// it in every test run.
 package machine
 
 import (
@@ -14,12 +15,13 @@ import (
 	"cais/internal/sim"
 )
 
-// BenchmarkRegisterTB drives one full dependency cycle per iteration:
-// register a TB against two unready tiles, publish both (waking and
-// admitting the TB), and drain the engine so the no-op TB retires and its
-// run slot recycles. The tiles are un-published between iterations so the
-// tracker's maps stay at constant size.
-func BenchmarkRegisterTB(b *testing.B) {
+// registerTBCycle returns one full dependency cycle, warmed: register a
+// TB against two unready tiles, publish both (waking and admitting the
+// TB), and drain the engine so the no-op TB retires and its run slot
+// recycles. The cycle then marks both slots unready again, so the next
+// registration appends into the waiter arrays the slots kept.
+func registerTBCycle(tb testing.TB) func() {
+	tb.Helper()
 	eng := sim.NewEngine()
 	m := New(eng, testHW(), Options{})
 	// A huge grid of no-op TBs: each iteration consumes one fresh TB index
@@ -31,19 +33,25 @@ func BenchmarkRegisterTB(b *testing.B) {
 	var l *gpu.Launch
 	eng.At(0, func() { l = m.GPUs[0].Launch(k, gpu.LaunchOpts{LaunchID: 1}) })
 	eng.Run() // past readyAt: eligibility now admits instead of buffering
-	in := []kernel.Tile{{Buf: 1, Idx: 0}, {Buf: 1, Idx: 1}}
+	buf := m.NewBuffer(2)
+	in := []kernel.Tile{{Buf: buf, Idx: 0}, {Buf: buf, Idx: 1}}
 	nextTB := 0
 	cycle := func() {
 		m.registerTB(l, nextTB, in)
 		nextTB++
 		m.PublishTiles(in)
 		eng.Run() // retire the admitted no-op TB, recycling its run slot
-		m.ready[in[0]] = false
-		m.ready[in[1]] = false
+		m.slot(in[0]).ready = false
+		m.slot(in[1]).ready = false
 	}
 	for i := 0; i < 64; i++ {
-		cycle() // warm the pools, waiter lists, and event heap
+		cycle() // warm the pools, waiter arrays, and event heap
 	}
+	return cycle
+}
+
+func BenchmarkRegisterTB(b *testing.B) {
+	cycle := registerTBCycle(b)
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		b.Fatalf("warmed dependency cycle allocates %.2f/op, want 0", got)
 	}
@@ -51,5 +59,14 @@ func BenchmarkRegisterTB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle()
+	}
+}
+
+// TestRegisterTBCycleAllocatesNothing runs BenchmarkRegisterTB's warmed
+// cycle, so the 0 allocs/op pin holds in every test run.
+func TestRegisterTBCycleAllocatesNothing(t *testing.T) {
+	cycle := registerTBCycle(t)
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("warmed dependency cycle allocates %.2f/op, want 0", got)
 	}
 }

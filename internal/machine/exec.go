@@ -60,8 +60,8 @@ func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 	// across runs; per-GPU relative TB order is identical across GPUs,
 	// which keeps cross-GPU group synchronization deadlock-free.
 	//
-	// Each registration descriptor is transient — registerTB copies the
-	// tiles it needs into the tracker — so the arena space every Work
+	// Each registration descriptor is transient — registerTB only reads
+	// its tiles to find their slots — so the arena space every Work
 	// call allocates here is rewound immediately. Admission-time Work
 	// calls (at readyAt, strictly later) run outside any Mark window and
 	// their slices stay live for the machine's lifetime.
@@ -132,7 +132,8 @@ func (m *Machine) registerTB(l *gpu.Launch, tb int, in []kernel.Tile) {
 	pending := 0
 	var dep *tbDep
 	for _, t := range in {
-		if m.ready[t] {
+		s := m.slot(t)
+		if s.ready {
 			continue
 		}
 		if dep == nil {
@@ -140,26 +141,16 @@ func (m *Machine) registerTB(l *gpu.Launch, tb int, in []kernel.Tile) {
 			dep.launch, dep.tb = l, tb
 		}
 		pending++
-		m.addWaiter(t, dep)
+		if s.waiters == nil {
+			s.waiters = make([]*tbDep, 0, firstWaiters)
+		}
+		s.waiters = append(s.waiters, dep)
 	}
 	if pending == 0 {
 		l.MarkEligible(tb)
 		return
 	}
 	dep.pending = pending
-}
-
-// addWaiter appends a dependency record to a tile's waiter list, reusing
-// a recycled backing array for lists starting from scratch. Identical
-// dependency sets thereby share pool-interned storage across kernels
-// instead of growing a fresh map entry per registration.
-func (m *Machine) addWaiter(t kernel.Tile, d *tbDep) {
-	w, ok := m.waiters[t]
-	if !ok && len(m.depLists) > 0 {
-		w = m.depLists[len(m.depLists)-1]
-		m.depLists = m.depLists[:len(m.depLists)-1]
-	}
-	m.waiters[t] = append(w, d)
 }
 
 // PublishTiles marks tiles globally ready and wakes waiting TBs in
@@ -171,19 +162,17 @@ func (m *Machine) PublishTiles(tiles []kernel.Tile) {
 }
 
 // publishOne publishes a single tile: drained dependency records return
-// to their pool and the waiter list's backing array goes back on the
-// free list for the next registration.
+// to their pool, and the slot keeps its emptied waiter array. Nothing can
+// append to it while the loop runs, since registerTB skips a ready tile.
 func (m *Machine) publishOne(t kernel.Tile) {
-	if m.ready[t] {
+	s := m.slot(t)
+	if s.ready {
 		return
 	}
-	m.ready[t] = true
+	s.ready = true
 	m.PublishedTiles++
-	deps, ok := m.waiters[t]
-	if !ok {
-		return
-	}
-	delete(m.waiters, t)
+	deps := s.waiters
+	s.waiters = deps[:0]
 	for i, d := range deps {
 		deps[i] = nil
 		d.pending--
@@ -193,11 +182,34 @@ func (m *Machine) publishOne(t kernel.Tile) {
 			launch.MarkEligible(tb)
 		}
 	}
-	m.depLists = append(m.depLists, deps[:0])
 }
 
-// TileReady reports whether a tile has been published.
-func (m *Machine) TileReady(t kernel.Tile) bool { return m.ready[t] }
+// lookup returns t's tracker slot, or nil when t lies outside every
+// allocated buffer.
+func (m *Machine) lookup(t kernel.Tile) *tileSlot {
+	if uint(t.Buf) < uint(len(m.slots)) {
+		if b := m.slots[t.Buf]; uint(t.Idx) < uint(len(b)) {
+			return &b[t.Idx]
+		}
+	}
+	return nil
+}
+
+// slot is lookup for registration and publication, where a tile outside
+// every allocated buffer is a wiring bug.
+func (m *Machine) slot(t kernel.Tile) *tileSlot {
+	if s := m.lookup(t); s != nil {
+		return s
+	}
+	panic(fmt.Sprintf("machine: tile{buf=%d idx=%d} lies outside every allocated buffer", t.Buf, t.Idx))
+}
+
+// TileReady reports whether a tile has been published; a tile outside
+// every allocated buffer never has.
+func (m *Machine) TileReady(t kernel.Tile) bool {
+	s := m.lookup(t)
+	return s != nil && s.ready
+}
 
 // OnData implements gpu.DataSink: a data packet committed to HBM at GPU g.
 // Packets carrying a TileTag contribute toward their access's completion;

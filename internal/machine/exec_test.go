@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cais/internal/kernel"
@@ -40,7 +42,7 @@ func TestRunStages(t *testing.T) {
 	}
 
 	stuck := newTestMachine(t, testHW(), Options{})
-	never := kernel.Tile{Buf: 999, Idx: 0}
+	never := kernel.Tile{Buf: stuck.NewBuffer(1), Idx: 0}
 	k := &kernel.Kernel{Name: "stuck", Grid: 1, Work: func(g, tb int) kernel.TBDesc {
 		return kernel.TBDesc{In: []kernel.Tile{never}, Group: -1}
 	}}
@@ -91,7 +93,7 @@ func TestOnDataIgnoresUntaggedPackets(t *testing.T) {
 func TestUtilBinCoversAllLinks(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{UtilBin: 10 * sim.Microsecond})
 	m.Eng.At(0, func() {
-		k := buildRSKernel(m, 8, 4<<10, m.NewBuffer(), false)
+		k := buildRSKernel(m, 8, 4<<10, m.NewBuffer(8), false)
 		m.LaunchKernel(k, nil)
 	})
 	m.Run()
@@ -122,7 +124,7 @@ func TestZeroOptionsAttachNoObservers(t *testing.T) {
 
 func TestPublishTilesIdempotent(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	tl := kernel.Tile{Buf: 5, Idx: 1}
+	tl := kernel.Tile{Buf: m.NewBuffer(2), Idx: 1}
 	m.PublishTiles([]kernel.Tile{tl})
 	n := m.PublishedTiles
 	m.PublishTiles([]kernel.Tile{tl})
@@ -131,5 +133,35 @@ func TestPublishTilesIdempotent(t *testing.T) {
 	}
 	if !m.TileReady(tl) {
 		t.Fatal("tile not ready")
+	}
+}
+
+// TestTileOutsideBuffersPanics: the tracker holds only the tiles NewBuffer
+// allocated. Registering or publishing any other tile is a wiring bug and
+// panics naming the tile, and TileReady reports it unpublished.
+func TestTileOutsideBuffersPanics(t *testing.T) {
+	wantPanic := func(what string, tl kernel.Tile, fn func()) {
+		t.Helper()
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if want := fmt.Sprintf("tile{buf=%d idx=%d}", tl.Buf, tl.Idx); !strings.Contains(msg, want) {
+				t.Errorf("%s %+v: panic %q does not name %s", what, tl, msg, want)
+			}
+		}()
+		fn()
+	}
+	for _, tl := range []kernel.Tile{{Buf: 0, Idx: 0}, {Buf: -1, Idx: 0}, {Buf: 1, Idx: 2}, {Buf: 1, Idx: -1}, {Buf: 2, Idx: 0}} {
+		m := newTestMachine(t, testHW(), Options{})
+		if buf := m.NewBuffer(2); buf != 1 {
+			t.Fatalf("first buffer ID = %d, want 1", buf)
+		}
+		if m.TileReady(tl) {
+			t.Errorf("TileReady(%+v) = true outside every buffer", tl)
+		}
+		wantPanic("publishing", tl, func() { m.PublishTiles([]kernel.Tile{tl}) })
+		k := &kernel.Kernel{Name: "miswired", Grid: 1, Work: func(g, tb int) kernel.TBDesc {
+			return kernel.TBDesc{In: []kernel.Tile{tl}, Group: -1}
+		}}
+		wantPanic("registering", tl, func() { m.LaunchKernel(k, nil) })
 	}
 }

@@ -14,7 +14,7 @@ func runRS(t *testing.T, sched *faults.Schedule) (sim.Time, uint64, *Machine) {
 	m := newTestMachine(t, unlimitedHW(), Options{Faults: sched})
 	done := false
 	m.Eng.At(0, func() {
-		k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(), true)
+		k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), true)
 		m.LaunchKernel(k, func() { done = true })
 	})
 	end := m.Run()
@@ -195,7 +195,7 @@ func TestPlaneDownDuringAGPattern(t *testing.T) {
 		}}})
 	done := false
 	m.Eng.At(0, func() {
-		k := buildAGKernel(m, 8, 4, 8<<10, m.NewBuffer())
+		k := buildAGKernel(m, 8, 4, 8<<10, m.NewBuffer(8*m.HW.NumGPUs))
 		m.LaunchKernel(k, func() { done = true })
 	})
 	m.Run()

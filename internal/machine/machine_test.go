@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cais/internal/config"
@@ -136,7 +138,7 @@ func TestAGPatternMergesLoads(t *testing.T) {
 	done := false
 	var k *kernel.Kernel
 	m.Eng.At(0, func() {
-		k = buildAGKernel(m, rows, cols, shardBytes, m.NewBuffer())
+		k = buildAGKernel(m, rows, cols, shardBytes, m.NewBuffer(rows*hw.NumGPUs))
 		m.LaunchKernel(k, func() { done = true })
 	})
 	m.Run()
@@ -211,7 +213,7 @@ func TestRSPatternMergesReductionsAndPublishes(t *testing.T) {
 	outBuf := 0
 	done := false
 	m.Eng.At(0, func() {
-		outBuf = m.NewBuffer()
+		outBuf = m.NewBuffer(rows)
 		k := buildRSKernel(m, rows, tileBytes, outBuf, true)
 		m.LaunchKernel(k, func() { done = true })
 	})
@@ -245,7 +247,7 @@ func TestCoordinationReducesSkew(t *testing.T) {
 	run := func(coordinated bool) sim.Time {
 		m := newTestMachine(t, hw, Options{})
 		m.Eng.At(0, func() {
-			k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(), coordinated)
+			k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), coordinated)
 			m.LaunchKernel(k, nil)
 		})
 		m.Run()
@@ -270,7 +272,7 @@ func TestCoordinationReducesMergeTableHighWater(t *testing.T) {
 	run := func(coordinated bool) int64 {
 		m := newTestMachine(t, hw, Options{})
 		m.Eng.At(0, func() {
-			k := buildRSKernel(m, 32, 4<<10, m.NewBuffer(), coordinated)
+			k := buildRSKernel(m, 32, 4<<10, m.NewBuffer(32), coordinated)
 			m.LaunchKernel(k, nil)
 		})
 		m.Run()
@@ -285,7 +287,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 	run := func() (sim.Time, uint64) {
 		m := newTestMachine(t, testHW(), Options{})
 		m.Eng.At(0, func() {
-			k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(), true)
+			k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), true)
 			m.LaunchKernel(k, nil)
 		})
 		end := m.Run()
@@ -313,26 +315,34 @@ func TestAddrAllocatorNonOverlapping(t *testing.T) {
 	}
 }
 
+// TestCheckQuiescentDetectsStuckDependency: both TBs on each of the four
+// GPUs wait on a tile nothing publishes, and the error names that tile
+// with all eight waiters.
 func TestCheckQuiescentDetectsStuckDependency(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	never := kernel.Tile{Buf: 999, Idx: 0}
+	buf := m.NewBuffer(2)
+	never := kernel.Tile{Buf: buf, Idx: 1}
 	k := &kernel.Kernel{
-		Name: "stuck", Grid: 1,
+		Name: "stuck", Grid: 2,
 		Work: func(g, tb int) kernel.TBDesc {
 			return kernel.TBDesc{In: []kernel.Tile{never}, Group: -1}
 		},
 	}
 	m.Eng.At(0, func() { m.LaunchKernel(k, nil) })
 	m.Run()
-	if err := m.CheckQuiescent(); err == nil {
+	err := m.CheckQuiescent()
+	if err == nil {
 		t.Fatal("stuck dependency not detected")
+	}
+	if want := fmt.Sprintf("tile{buf=%d idx=1}: 8 TBs waiting", buf); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
 	}
 }
 
 func TestAvgLinkUtilizationBounded(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
 	m.Eng.At(0, func() {
-		k := buildRSKernel(m, 16, 16<<10, m.NewBuffer(), false)
+		k := buildRSKernel(m, 16, 16<<10, m.NewBuffer(16), false)
 		m.LaunchKernel(k, nil)
 	})
 	end := m.Run()

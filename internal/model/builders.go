@@ -49,23 +49,27 @@ func (b *Builder) PeerTiles(grid LocalGrid, mi, ni int) []kernel.Tile {
 
 // NewSharded allocates a sequence-sharded tensor handle for rows rows.
 func (b *Builder) NewSharded(rows int) Sharded {
-	return Sharded{Buf: b.M.NewBuffer(), MTiles: MTiles(rows), P: b.P}
+	mT := MTiles(rows)
+	return Sharded{Buf: b.M.NewBuffer(mT), MTiles: mT, P: b.P}
 }
 
 // NewGathered allocates a per-GPU replicated tensor handle.
 func (b *Builder) NewGathered(rows int) Gathered {
-	return Gathered{Buf: b.M.NewBuffer(), MTiles: MTiles(rows), P: b.P}
+	mT := MTiles(rows)
+	return Gathered{Buf: b.M.NewBuffer(mT * b.P), MTiles: mT, P: b.P}
 }
 
 // NewLocalGrid allocates a per-GPU tile-grid handle.
 func (b *Builder) NewLocalGrid(rows, cols int) LocalGrid {
-	return LocalGrid{Buf: b.M.NewBuffer(), MTiles: MTiles(rows), NTiles: NTiles(cols), P: b.P}
+	mT, nT := MTiles(rows), NTiles(cols)
+	return LocalGrid{Buf: b.M.NewBuffer(mT * nT * b.P), MTiles: mT, NTiles: nT, P: b.P}
 }
 
 // NewParts allocates a reduced-parts handle (tile grid without a GPU
 // dimension: block (mi, ni) lives at the row owner).
 func (b *Builder) NewParts(rows, cols int) LocalGrid {
-	return LocalGrid{Buf: b.M.NewBuffer(), MTiles: MTiles(rows), NTiles: NTiles(cols), P: 1}
+	mT, nT := MTiles(rows), NTiles(cols)
+	return LocalGrid{Buf: b.M.NewBuffer(mT * nT), MTiles: mT, NTiles: nT, P: 1}
 }
 
 // gemmTB fills the compute cost of one 128x128xK GEMM thread block.

@@ -124,7 +124,7 @@ func (b *Builder) NVLSAllReduce(name string, m, n int, in InTiles, out LocalGrid
 func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, red Sharded, parts LocalGrid) *kernel.Kernel {
 	mT, nT := MTiles(m), NTiles(n)
 	tileBytes := b.tileBytes()
-	hopBuf := b.M.NewBuffer() // per-(tile, gpu) arrival markers
+	hopBuf := b.M.NewBuffer(mT * nT * b.P) // per-(tile, gpu) arrival markers
 	hopTile := func(t, g int) kernel.Tile { return kernel.Tile{Buf: hopBuf, Idx: t*b.P + g} }
 	base := b.M.AllocAddrs(mT * nT * b.M.AddrsFor(tileBytes))
 	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
@@ -207,7 +207,7 @@ func (b *Builder) RingAllReduce(name string, m, n int, in InTiles, out LocalGrid
 	mT, nT := MTiles(m), NTiles(n)
 	tiles := mT * nT
 	tileBytes := b.tileBytes()
-	hopBuf := b.M.NewBuffer()
+	hopBuf := b.M.NewBuffer(tiles * b.P)
 	hopTile := func(t, g int) kernel.Tile { return kernel.Tile{Buf: hopBuf, Idx: t*b.P + g} }
 	base := b.M.AllocAddrs(2 * tiles * b.M.AddrsFor(tileBytes))
 	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
@@ -306,7 +306,7 @@ func (b *Builder) P2PAllGather(name string, src Sharded, cols int, in InTiles, o
 // (gateBuf, c*P+g) on GPU g once in(g, c) is satisfied — the chunk-level
 // barrier of the software-pipelined overlap baselines (CoCoNet, FuseLib).
 func (b *Builder) GateKernel(name string, chunks int, in func(g, c int) []kernel.Tile) (*kernel.Kernel, func(c, g int) kernel.Tile) {
-	buf := b.M.NewBuffer()
+	buf := b.M.NewBuffer(chunks * b.P)
 	gate := func(c, g int) kernel.Tile { return kernel.Tile{Buf: buf, Idx: c*b.P + g} }
 	k := &kernel.Kernel{
 		Name: name, Kind: kernel.KindComm, Grid: chunks,

@@ -168,11 +168,11 @@ func TestEventHeapPushAllocsAmortized(t *testing.T) {
 	}
 }
 
-// BenchmarkLatchPool measures a full pooled-latch cycle: Get, the cached
-// Done method value, and the fire that recycles the latch back into the
-// pool before its callback runs. At steady state the same latch object
-// round-trips forever: zero allocations per cycle.
-func BenchmarkLatchPool(b *testing.B) {
+// latchPoolCycle returns a warmed pooled-latch cycle: Get, the cached Done
+// method value, and the fire that recycles the latch back into the pool
+// before its callback runs. At steady state the same latch object
+// round-trips forever.
+func latchPoolCycle() func() {
 	var lp LatchPool
 	cb := func() {}
 	cycle := func() {
@@ -184,6 +184,13 @@ func BenchmarkLatchPool(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		cycle() // warm: the pool settles on one latch with a cached doneFn
 	}
+	return cycle
+}
+
+// BenchmarkLatchPool measures a full pooled-latch cycle at zero
+// allocations per cycle.
+func BenchmarkLatchPool(b *testing.B) {
+	cycle := latchPoolCycle()
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		b.Fatalf("warmed latch cycle allocates %.2f/op, want 0", got)
 	}
@@ -191,5 +198,13 @@ func BenchmarkLatchPool(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle()
+	}
+}
+
+// TestLatchPoolCycleAllocatesNothing runs BenchmarkLatchPool's warmed
+// cycle, so the 0 allocs/op pin holds in every test run.
+func TestLatchPoolCycleAllocatesNothing(t *testing.T) {
+	if got := testing.AllocsPerRun(100, latchPoolCycle()); got != 0 {
+		t.Fatalf("warmed latch cycle allocates %.2f/op, want 0", got)
 	}
 }
