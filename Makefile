@@ -60,8 +60,8 @@ fmt:
 
 # check: the one pre-merge gate, the same script CI runs — formatting,
 # vet, build, caislint, the tests (root module, the caisbench module and
-# under -race), the zero-alloc tracer benchmark, the quick smokes and the
-# CLI's quick sweep compared with the committed golden.
+# under -race), the zero-alloc tracer benchmark, the four examples, the
+# quick smokes and the CLI's quick sweep compared with the committed golden.
 check:
 	sh scripts/check.sh
 

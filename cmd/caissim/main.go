@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -78,6 +79,16 @@ func parseFlags() options {
 			o.gpusSet = true
 		}
 	})
+	// The serving overrides must be finite and non-negative (0 keeps the
+	// default); an SLO past one simulated day would overflow the sim clock.
+	if r := o.arrivalRate; !(r >= 0 && r <= math.MaxFloat64) {
+		fmt.Fprintf(os.Stderr, "invalid -arrival-rate %g: want a finite rate >= 0\n", r)
+		os.Exit(2)
+	}
+	if ms := o.sloMs; !(ms >= 0 && ms <= 24*3600*1000) {
+		fmt.Fprintf(os.Stderr, "invalid -slo %g: want a latency in [0, 86400000] ms (one simulated day)\n", ms)
+		os.Exit(2)
+	}
 	return o
 }
 
@@ -104,10 +115,10 @@ func main() {
 			if s.UsesNVLS() {
 				nvls = " (in-switch computing)"
 			}
-			fmt.Printf("%-14s layout=%s%s\n", s.Name, s.Layout, nvls)
+			fmt.Printf("%-14s layout=%s%s\n", s.Name, s.Layout(), nvls)
 		}
 		for _, s := range cais.ExtensionStrategies() {
-			fmt.Printf("%-14s layout=%s (extension beyond the paper)\n", s.Name, s.Layout)
+			fmt.Printf("%-14s layout=%s (extension beyond the paper)\n", s.Name, s.Layout())
 		}
 	case o.strategy != "":
 		runStrategy(o)

@@ -41,11 +41,10 @@ func TestSessionStagedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := s.Builder()
-	red := b.NewSharded(512)
 	parts := b.NewParts(512, 512)
-	rs := b.FusedGEMMRS("rs", 512, 512, 256, 1,
+	rs := b.FusedGEMMReduce("rs", 512, 512, 256, 1,
 		func(g, mi, ni int) []kernel.Tile { return nil },
-		model.ReduceCAIS, model.FullCoordination(), red, parts)
+		model.ReduceCAIS, kernel.Coordination{PreLaunch: true, PreAccess: true, Throttle: true}, parts)
 	s.Stage(rs)
 	res, err := s.Run()
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"cais/internal/kernel"
 	"cais/internal/metrics"
 	"cais/internal/model"
 	"cais/internal/sim"
@@ -119,8 +120,8 @@ func Fig13b(c Config) (*Fig13bResult, error) {
 		spec strategy.Spec
 	}{
 		{"no coordination", strategy.CAISNoCoord()},
-		{"+ pre-launch sync", withCoord(strategy.CAISNoCoord(), true, false, false)},
-		{"+ pre-access sync", withCoord(strategy.CAISNoCoord(), true, true, false)},
+		{"+ pre-launch sync", withCoord(strategy.CAISNoCoord(), kernel.Coordination{PreLaunch: true})},
+		{"+ pre-access sync", withCoord(strategy.CAISNoCoord(), kernel.Coordination{PreLaunch: true, PreAccess: true})},
 		{"+ request throttling", strategy.CAIS()},
 	}
 	sub := model.SubLayers(c.primaryModel())[1] // the paper's L2
@@ -142,13 +143,10 @@ func Fig13b(c Config) (*Fig13bResult, error) {
 	return &Fig13bResult{Rows: rows}, nil
 }
 
-func withCoord(s strategy.Spec, preLaunch, preAccess, throttle bool) strategy.Spec {
-	s.CoordPreLaunch = preLaunch
-	s.CoordPreAccess = preAccess
-	s.Throttled = throttle
-	if preLaunch || preAccess || throttle {
-		s.Name = "CAIS-ablation"
-	}
+// withCoord is an intermediate Fig. 13b step: s under coord.
+func withCoord(s strategy.Spec, coord kernel.Coordination) strategy.Spec {
+	s.Name = "CAIS-ablation"
+	s.Coord = coord
 	return s
 }
 

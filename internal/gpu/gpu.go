@@ -290,10 +290,6 @@ func writesData(op noc.Op) bool {
 	}
 }
 
-func mergeable(op noc.Op) bool {
-	return op == noc.OpLdCAIS || op == noc.OpRedCAIS
-}
-
 // chunkSizes splits n bytes into request-granularity chunks.
 func chunkSizes(n, chunk int64) []int64 {
 	if n <= 0 {

@@ -101,18 +101,12 @@ func TestThrottleDisabledPassesThrough(t *testing.T) {
 	}
 }
 
-func TestWritesDataAndMergeable(t *testing.T) {
+func TestWritesData(t *testing.T) {
 	if !writesData(noc.OpRedCAIS) || !writesData(noc.OpStore) || !writesData(noc.OpMultimemST) || !writesData(noc.OpMultimemRed) {
 		t.Fatal("data-carrying ops misclassified")
 	}
 	if writesData(noc.OpLdCAIS) || writesData(noc.OpLoad) {
 		t.Fatal("loads misclassified as writes")
-	}
-	if !mergeable(noc.OpLdCAIS) || !mergeable(noc.OpRedCAIS) {
-		t.Fatal("CAIS ops must be mergeable")
-	}
-	if mergeable(noc.OpStore) || mergeable(noc.OpMultimemRed) {
-		t.Fatal("non-CAIS ops must not be mergeable")
 	}
 }
 

@@ -155,7 +155,7 @@ func (r *tbRun) preLoad() {
 	r.prePending = len(r.desc.Pre)
 	r.next = stepPreDone
 	for _, a := range r.desc.Pre {
-		r.g.issueAccess(a, r.group, r.l.K.Throttled, nil, r.stepFn)
+		r.g.issueAccess(a, r.group, r.l.K.Coord.Throttle, nil, r.stepFn)
 	}
 }
 
@@ -185,7 +185,7 @@ func (r *tbRun) issuePosts() {
 	r.postPending = len(r.desc.Post)
 	r.next = stepPostIssued
 	for _, a := range r.desc.Post {
-		r.g.issueAccess(a, r.group, r.l.K.Throttled, r.stepFn, nil)
+		r.g.issueAccess(a, r.group, r.l.K.Coord.Throttle, r.stepFn, nil)
 	}
 }
 
@@ -262,9 +262,10 @@ func (l *Launch) MarkEligible(tb int) {
 	l.g.trySchedule()
 }
 
-// admit runs pre-launch synchronization (when coordinated) and then queues
-// the TB for dispatch. No-op TBs (empty slots of an SPMD grid whose work
-// lives on another GPU) retire immediately without occupying an SM.
+// admit runs pre-launch synchronization (for a grouped TB of a kernel
+// that coordinates it) and then queues the TB for dispatch. No-op TBs
+// (empty slots of an SPMD grid whose work lives on another GPU) retire
+// immediately without occupying an SM.
 func (l *Launch) admit(tb int) {
 	desc := l.K.Work(l.g.ID, tb)
 	run := l.g.getRun(l)
@@ -277,46 +278,12 @@ func (l *Launch) admit(tb int) {
 	if desc.Group >= 0 {
 		run.group = l.groupBase + desc.Group
 	}
-	if l.K.PreLaunchSync && run.group >= 0 && participates(l.K, desc.Pre, desc.Post) {
+	if l.K.Coord.PreLaunch && run.group >= 0 {
 		run.next = stepReady
-		l.g.sync.Wait(run.group, PhasePreLaunch, l.groupPeers(desc), run.stepFn)
+		l.g.sync.Wait(run.group, PhasePreLaunch, desc.GroupPeers, run.stepFn)
 		return
 	}
 	l.ready.PushBack(run)
-}
-
-// groupPeers is the number of GPUs registering this TB's group with the
-// switch's Group Sync Table.
-func (l *Launch) groupPeers(d kernel.TBDesc) int {
-	if d.GroupPeers > 0 {
-		return d.GroupPeers
-	}
-	return l.g.hw.NumGPUs
-}
-
-// participates reports whether a TB takes part in its group's
-// synchronization: TBs with CAIS-tagged accesses always do; with TB-aware
-// request throttling enabled, the data owner's TB (whose access is local)
-// also joins, so no GPU runs ahead of its group's peers (Sec. III-B-2).
-func participates(k *kernel.Kernel, accLists ...[]kernel.Access) bool {
-	for _, accs := range accLists {
-		if anyMergeable(accs) {
-			return true
-		}
-		if k.Throttled && anyLocalGrouped(accs) {
-			return true
-		}
-	}
-	return false
-}
-
-func anyLocalGrouped(accs []kernel.Access) bool {
-	for _, a := range accs {
-		if a.Local && (a.Sem == kernel.SemRead || a.Sem == kernel.SemReduce) && a.TileNeed != 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // trySchedule dispatches dispatchable TBs onto free SM slots. Launches are
@@ -377,8 +344,9 @@ func (g *GPU) slotRelease(l *Launch, run *tbRun) {
 	run.slotTid = -1
 }
 
-// tbPrePhase performs pre-access synchronization (for mergeable loads) and
-// issues the TB's load accesses; compute starts once all loads complete.
+// tbPrePhase performs pre-access synchronization (for a grouped TB's
+// loads) and issues the TB's load accesses; compute starts once all loads
+// complete.
 //
 // Coordinated TBs do not hold the SM while waiting: the group release
 // triggers the (aligned) load issue directly — the loads need no compute —
@@ -391,10 +359,10 @@ func (g *GPU) tbPrePhase(l *Launch, run *tbRun) {
 		g.tbCompute(l, run)
 		return
 	}
-	if l.K.PreAccessSync && run.group >= 0 && participates(l.K, run.desc.Pre) {
+	if l.K.Coord.PreAccess && run.group >= 0 && len(run.desc.Pre) > 0 {
 		run.yielded = true
 		run.next = stepPreLoad
-		g.sync.Wait(run.group, PhasePreLoad, l.groupPeers(run.desc), run.stepFn)
+		g.sync.Wait(run.group, PhasePreLoad, run.desc.GroupPeers, run.stepFn)
 		// Yield the slot while the group synchronizes and the data moves.
 		g.slotRelease(l, run)
 		g.slotsFree++
@@ -408,15 +376,6 @@ func (g *GPU) tbPrePhase(l *Launch, run *tbRun) {
 	}
 	run.yielded = false
 	run.preLoad()
-}
-
-func anyMergeable(accs []kernel.Access) bool {
-	for _, a := range accs {
-		if mergeable(a.Mode) {
-			return true
-		}
-	}
-	return false
 }
 
 // tbCompute occupies the SM for the roofline duration with calibrated
@@ -451,12 +410,12 @@ func (g *GPU) computeTime(l *Launch, run *tbRun) sim.Time {
 	return d
 }
 
-// tbPostPhase performs pre-access synchronization for mergeable reductions
-// and issues the TB's write/reduction accesses; the TB retires once every
-// post access has been issued (posted-write semantics — downstream
-// dependencies are tracked at the home GPU).
+// tbPostPhase performs pre-access synchronization for a grouped TB's
+// reductions and issues the TB's write/reduction accesses; the TB retires
+// once every post access has been issued (posted-write semantics —
+// downstream dependencies are tracked at the home GPU).
 func (g *GPU) tbPostPhase(l *Launch, run *tbRun) {
-	if l.K.PreAccessSync && run.group >= 0 && participates(l.K, run.desc.Post) {
+	if l.K.Coord.PreAccess && run.group >= 0 && len(run.desc.Post) > 0 {
 		// Yield the SM while waiting for the group: issuing the posts
 		// after the release needs no further compute, so the TB finishes
 		// without re-acquiring a slot.
@@ -466,7 +425,7 @@ func (g *GPU) tbPostPhase(l *Launch, run *tbRun) {
 		g.TBsRun++
 		run.retireAfterPost = false
 		run.next = stepIssuePosts
-		g.sync.Wait(run.group, PhasePreReduce, l.groupPeers(run.desc), run.stepFn)
+		g.sync.Wait(run.group, PhasePreReduce, run.desc.GroupPeers, run.stepFn)
 		g.trySchedule()
 		return
 	}

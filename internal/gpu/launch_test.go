@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 
 	"cais/internal/kernel"
@@ -11,13 +12,12 @@ import (
 // loopback is a minimal fabric: it answers load requests with data and
 // lets everything else fall to the GPU or a recorder.
 type loopback struct {
-	eng  *sim.Engine
-	gpus []*GPU
-	seen []noc.Op
+	eng   *sim.Engine
+	gpus  []*GPU
+	syncs []syncKey // Group Sync Table registrations, in arrival order
 }
 
 func (lb *loopback) Receive(p *noc.Packet) {
-	lb.seen = append(lb.seen, p.Op)
 	switch p.Op {
 	case noc.OpLoad, noc.OpLdCAIS:
 		resp := &noc.Packet{
@@ -40,6 +40,7 @@ func (lb *loopback) Receive(p *noc.Packet) {
 			}
 		})
 	case noc.OpSyncRequest:
+		lb.syncs = append(lb.syncs, syncKey{group: p.Group, phase: int(p.Addr)})
 		// Single-GPU harness: release immediately.
 		lb.eng.After(500*sim.Nanosecond, func() {
 			lb.gpus[p.Src].Receive(&noc.Packet{Op: noc.OpSyncRelease, Addr: p.Addr, Group: p.Group, Dst: p.Src})
@@ -75,10 +76,11 @@ func TestLaunchLifecycleWithLoadsComputeAndPosts(t *testing.T) {
 	eng, g, lb, sink := newHarness(t)
 	copyTile := kernel.Tile{Buf: 1, Idx: 0}
 	k := &kernel.Kernel{
-		Name: "lifecycle", Grid: 2,
-		PreLaunchSync: true, PreAccessSync: true,
+		Name: "lifecycle", Grid: 3,
+		Coord: kernel.Coordination{PreLaunch: true, PreAccess: true},
 		Work: func(gpu, tb int) kernel.TBDesc {
-			if tb == 0 {
+			switch tb {
+			case 0:
 				return kernel.TBDesc{
 					Flops: 1e8, Group: 0, GroupPeers: 1,
 					Pre: []kernel.Access{{
@@ -89,6 +91,18 @@ func TestLaunchLifecycleWithLoadsComputeAndPosts(t *testing.T) {
 					Post: []kernel.Access{{
 						Sem: kernel.SemReduce, Mode: noc.OpRedCAIS,
 						Addr: 200, Home: 0, Bytes: 2 << 10, Expected: 1, TileNeed: 1,
+					}},
+				}
+			case 1:
+				// A grouped TB with only a local reduction (a row owner's
+				// own partial): membership alone makes it synchronize,
+				// before launch and before its reduction, never before
+				// loads it does not issue.
+				return kernel.TBDesc{
+					Flops: 1e8, Group: 1, GroupPeers: 1,
+					Post: []kernel.Access{{
+						Sem: kernel.SemReduce, Mode: noc.OpStore, Local: true,
+						Addr: 300, Home: 0, Bytes: 2 << 10, TileNeed: 1,
 					}},
 				}
 			}
@@ -103,22 +117,26 @@ func TestLaunchLifecycleWithLoadsComputeAndPosts(t *testing.T) {
 			OnTBRetire: func(tb int, _ []kernel.Tile) { retired[tb] = true },
 			OnDone:     func() { done = true },
 		})
-		l.MarkEligible(0)
-		l.MarkEligible(1)
+		for tb := 0; tb < k.Grid; tb++ {
+			l.MarkEligible(tb)
+		}
 	})
 	eng.Run()
-	if !done || !retired[0] || !retired[1] {
+	if !done || len(retired) != k.Grid {
 		t.Fatalf("lifecycle incomplete: done=%v retired=%v", done, retired)
 	}
-	// The coordinated TB registered pre-launch + pre-access syncs.
-	nSync := 0
-	for _, op := range lb.seen {
-		if op == noc.OpSyncRequest {
-			nSync++
-		}
+	// Each grouped TB registers at every phase its accesses give it; the
+	// ungrouped TB registers nothing.
+	phases := map[int][]string{}
+	for _, s := range lb.syncs {
+		phases[s.group] = append(phases[s.group], phaseName(s.phase))
 	}
-	if nSync < 2 {
-		t.Fatalf("sync requests = %d, want >= 2 (pre-launch + pre-access)", nSync)
+	want := map[int][]string{
+		10: {"pre-launch", "pre-load", "pre-reduce"},
+		11: {"pre-launch", "pre-reduce"},
+	}
+	if !reflect.DeepEqual(phases, want) {
+		t.Fatalf("sync registrations by group = %v, want %v", phases, want)
 	}
 	// The load completed and published its copy tile at the issuer.
 	foundPublish := false

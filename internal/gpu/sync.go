@@ -13,9 +13,9 @@ import (
 const (
 	// PhasePreLaunch aligns TB dispatch across GPUs.
 	PhasePreLaunch = 0
-	// PhasePreLoad aligns the first mergeable load of a TB.
+	// PhasePreLoad aligns a grouped TB's loads (its Pre accesses).
 	PhasePreLoad = 1
-	// PhasePreReduce aligns the first mergeable reduction of a TB.
+	// PhasePreReduce aligns a grouped TB's reductions (its Post accesses).
 	PhasePreReduce = 2
 )
 

@@ -126,14 +126,27 @@ type TBDesc struct {
 	Post       []Access // performed after compute (writes/reductions)
 	In         []Tile   // tiles that must be ready before the TB starts
 	Out        []Tile   // tiles published when the TB (and its posts) retire
-	Group      int      // TB-group ID, the TB's blockIdx; -1 = ungrouped
 
-	// GroupPeers is the number of GPUs whose TB of this group issues
-	// CAIS-tagged instructions and therefore registers with the Group
-	// Sync Table. The GPU owning the data accesses it locally and is not
-	// part of the group, so this is typically NumGPUs-1. Zero means all
-	// GPUs participate.
+	// Group is the TB-group ID, the TB's blockIdx. A value >= 0 means the
+	// TB synchronizes with its group at every phase its kernel's Coord
+	// enables: pre-launch, then pre-access before its Pre accesses if it
+	// has any and before its Post accesses if it has any. -1 means it
+	// synchronizes with no group. The kernel's builder decides membership.
+	Group int
+
+	// GroupPeers is the number of GPUs whose TB of this group joins it,
+	// the count the switch's Group Sync Table waits for. Zero means all
+	// GPUs.
 	GroupPeers int
+}
+
+// Coordination selects the merging-aware TB coordination mechanisms
+// (Sec. III-B, the Fig. 13b ablation axes) a kernel's grouped TBs use.
+// The zero value coordinates nothing.
+type Coordination struct {
+	PreLaunch bool // pre-launch TB-group synchronization (aligned dispatch)
+	PreAccess bool // pre-access synchronization before a TB's accesses
+	Throttle  bool // TB-aware request throttling
 }
 
 // Kernel is one device kernel: a grid of TBs whose work is produced by the
@@ -155,15 +168,8 @@ type Kernel struct {
 	// overlapping partitions the pool). Zero means the full GPU.
 	CommSMs int
 
-	// PreLaunchSync enables pre-launch TB-group synchronization (aligned
-	// dispatch across GPUs); PreAccessSync enables pre-access
-	// synchronization at the first CAIS-tagged instruction. Full
-	// merging-aware coordination (Sec. III-B) enables both.
-	PreLaunchSync bool
-	PreAccessSync bool
-
-	// Throttled enables TB-aware request throttling.
-	Throttled bool
+	// Coord is the TB-group coordination the kernel's grouped TBs use.
+	Coord Coordination
 }
 
 // Validate reports structural problems in the kernel definition.

@@ -99,14 +99,16 @@ func buildAGKernel(m *Machine, rows, cols int, shardBytes int64, copyBuf int) *k
 	}
 	return &kernel.Kernel{
 		Name: "ag-gemm", Kind: kernel.KindGEMM, Grid: rows * cols,
-		PreLaunchSync: true, PreAccessSync: true, Throttled: true,
+		Coord: kernel.Coordination{PreLaunch: true, PreAccess: true, Throttle: true},
 		Work: func(g, tb int) kernel.TBDesc {
 			r, c := tb/cols, tb%cols
 			home := r % n
 			copyTile := kernel.Tile{Buf: copyBuf, Idx: r*n + g}
-			// Throttled kernels include the owner in the group.
-			d := kernel.TBDesc{Flops: 1e8, LocalBytes: 1 << 12, Group: tb, GroupPeers: n}
+			// The loaders form the groups; throttling includes the owner.
+			// Consumers join none.
+			d := kernel.TBDesc{Flops: 1e8, LocalBytes: 1 << 12, Group: -1}
 			if c == 0 {
+				d.Group, d.GroupPeers = tb, n
 				if home == g {
 					// The shard is local: read it from HBM.
 					d.Pre = append(d.Pre, kernel.Access{
@@ -178,7 +180,7 @@ func buildRSKernel(m *Machine, rows int, tileBytes int64, outBuf int, coordinate
 	}
 	return &kernel.Kernel{
 		Name: "gemm-rs", Kind: kernel.KindGEMM, Grid: rows,
-		PreLaunchSync: coordinated, PreAccessSync: coordinated, Throttled: coordinated,
+		Coord: kernel.Coordination{PreLaunch: coordinated, PreAccess: coordinated, Throttle: coordinated},
 		Work: func(g, tb int) kernel.TBDesc {
 			home := tb % n
 			redTile := kernel.Tile{Buf: outBuf, Idx: tb}

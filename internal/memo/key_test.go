@@ -103,7 +103,7 @@ func TestKeySemanticFieldsDiffer(t *testing.T) {
 	// Fig. 13b's ablation specs share one name while differing in
 	// coordination knobs: the full spec is digested, not just the name.
 	tweaked := spec
-	tweaked.Throttled = !spec.Throttled
+	tweaked.Coord.Throttle = !spec.Coord.Throttle
 	if KeySubLayer(hw, tweaked, sub, strategy.Options{}) == base {
 		t.Error("spec knob change behind an unchanged name did not move the key")
 	}

@@ -89,17 +89,32 @@ func (b *Builder) tileBytes() int64 {
 	return int64(TileM) * int64(TileN) * b.Elem
 }
 
-// Coordination selects which merging-aware TB coordination mechanisms a
-// fused CAIS kernel uses (the Fig. 13b ablation axes).
-type Coordination struct {
-	PreLaunch bool // pre-launch TB-group synchronization
-	PreAccess bool // pre-access synchronization
-	Throttle  bool // TB-aware request throttling
+// caisOp runs the CAIS compiler's static index analysis (Fig. 8a) on a
+// fused kernel's access pattern and returns the .cais operation it lowers
+// to. The fused builders only emit GPU-invariant patterns, so a rejection
+// is a builder bug.
+func caisOp(name string, p kernel.Pattern) noc.Op {
+	v := compiler.Analyze(p)
+	if !v.Mergeable {
+		panic(fmt.Sprintf("model: %s: compiler rejected CAIS lowering: %s", name, v.Reason))
+	}
+	return v.Mode
 }
 
-// FullCoordination enables every mechanism.
-func FullCoordination() Coordination {
-	return Coordination{PreLaunch: true, PreAccess: true, Throttle: true}
+// group decides whether GPU g's TB tb of a fused CAIS kernel joins its TB
+// group, the TBs sharing its blockIdx across GPUs (Sec. III-B-1), and how
+// many GPUs' TBs join. A TB whose access goes through the switch joins.
+// The owner's TB accesses its data locally: it joins only under TB-aware
+// throttling, which locks every GPU to its group, and only when P > 1
+// gives it a peer. A TB that does not join gets (-1, 0).
+func (b *Builder) group(tb, owner, g int, coord kernel.Coordination) (group, peers int) {
+	if owner == g && !(coord.Throttle && b.P > 1) {
+		return -1, 0
+	}
+	if coord.Throttle {
+		return tb, b.P
+	}
+	return tb, b.P - 1
 }
 
 // InTiles wires a consumer kernel's TB inputs; implementations close over
@@ -148,8 +163,9 @@ const (
 // TB (mi, 0) is the block's loader: it issues the (mergeable) load for row
 // block mi and publishes the local copy; TBs (mi, ni>0) consume the copy.
 // src holds the gathered operand (width k); out is the M x nLocal result.
+// coord applies to GatherCAIS only; the loaders form the TB groups.
 func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale float64,
-	mode GatherMode, coord Coordination, out LocalGrid) *kernel.Kernel {
+	mode GatherMode, coord kernel.Coordination, out LocalGrid) *kernel.Kernel {
 
 	mT, nT := MTiles(m), NTiles(nLocal)
 	if src.MTiles != mT {
@@ -178,49 +194,29 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 	}
 	loadOp := noc.OpLoad
 	if mode == GatherCAIS {
-		v := compiler.Analyze(pattern)
-		if !v.Mergeable {
-			panic(fmt.Sprintf("model: %s: compiler rejected CAIS lowering: %s", name, v.Reason))
-		}
-		loadOp = v.Mode
+		loadOp = caisOp(name, pattern)
+	} else {
+		coord = kernel.Coordination{}
 	}
 	flops, localBytes := b.gemmTB(k, scale)
-	peers := b.P - 1
-	if coord.Throttle {
-		// The owner's TB joins the group too (TB-aware throttling keeps
-		// every GPU locked to its group).
-		peers = b.P
-	}
 	return &kernel.Kernel{
-		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT,
-		PreLaunchSync: coord.PreLaunch && mode == GatherCAIS,
-		PreAccessSync: coord.PreAccess && mode == GatherCAIS,
-		Throttled:     coord.Throttle && mode == GatherCAIS,
+		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT, Coord: coord,
 		Work: func(g, tb int) kernel.TBDesc {
 			mi, ni := tb/nT, tb%nT
-			// TB group: the TBs sharing this blockIdx, one per GPU
-			// (Sec. III-B-1).
 			d := kernel.TBDesc{
-				Flops: flops, LocalBytes: localBytes,
-				Group: tb, GroupPeers: peers,
+				Flops: flops, LocalBytes: localBytes, Group: -1,
 				Out: b.tiles.One(out.Tile(mi, ni, g)),
 			}
 			owner := src.Owner(mi)
 			if mode == GatherPerTB {
-				// Every TB fetches its operand rows itself: no copy
-				// staging, no merging — the redundant-traffic mode.
-				acc := kernel.Access{
-					Sem: kernel.SemRead, Addr: 0, Home: owner, Bytes: rowBytes,
-				}
-				// Per-(gpu, tb) unique address range so nothing merges.
-				acc.Addr = perTBBase + uint64(g*mT*nT+tb)*uint64(addrsPerRow)
-				if owner == g {
-					acc.Mode = noc.OpLoad
-					acc.Local = true
-				} else {
-					acc.Mode = noc.OpLoad
-				}
-				d.Pre = b.accs.One(acc)
+				// Every TB fetches its operand rows itself, from a
+				// per-(gpu, tb) address range so nothing merges, with no
+				// copy staging — the redundant-traffic mode.
+				d.Pre = b.accs.One(kernel.Access{
+					Sem: kernel.SemRead, Mode: noc.OpLoad, Local: owner == g,
+					Addr: perTBBase + uint64(g*mT*nT+tb)*uint64(addrsPerRow),
+					Home: owner, Bytes: rowBytes,
+				})
 				d.In = b.tiles.One(src.Tile(mi))
 				return d
 			}
@@ -228,9 +224,9 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 				d.In = b.tiles.One(copies.Tile(mi, g))
 				return d
 			}
-			addr := pattern.AddrAt(g, tb)
+			d.Group, d.GroupPeers = b.group(tb, owner, g, coord)
 			acc := kernel.Access{
-				Sem: kernel.SemRead, Addr: addr, Home: owner, Bytes: rowBytes,
+				Sem: kernel.SemRead, Addr: pattern.AddrAt(g, tb), Home: owner, Bytes: rowBytes,
 				Publish: b.tiles.One(copies.Tile(mi, g)),
 			}
 			if owner == g {
@@ -261,20 +257,37 @@ const (
 	// (T3-NVLS's DMA-based NVLS design): in-switch reduction with the
 	// pre-existing NVLS buffers, but no merge-table/coordination machinery.
 	ReduceNVLSPush
+	// ReduceCAISBroadcast uses broadcast red.cais reductions, the
+	// compute-aware GEMM-AR of the paper's Fig. 1(h) combination table (an
+	// extension beyond the evaluated SP pipelines): the merge unit
+	// accumulates all P contributions and writes the reduced tile to every
+	// GPU's replica.
+	ReduceCAISBroadcast
 )
 
-// FusedGEMMRS builds the compute-aware GEMM-RS kernel: each TB computes a
-// partial output tile and immediately issues its reduction toward the row
-// owner, following the write semantics of the computation. parts receives
-// the reduced blocks (parts.Tile(mi, ni, 0) publishes at the owner when
-// all P contributions have landed). n is the full output width; kLocal the
-// per-GPU contraction shard.
-func (b *Builder) FusedGEMMRS(name string, m, n, kLocal int, scale float64, in InTiles,
-	mode ReduceMode, coord Coordination, red Sharded, parts LocalGrid) *kernel.Kernel {
+// FusedGEMMReduce builds the compute-aware GEMM-reduce kernel: each TB
+// computes a partial output tile and immediately issues its reduction,
+// following the write semantics of the computation. n is the full output
+// width; kLocal the per-GPU contraction shard. Row block mi's owner is
+// mi % P, Sharded.Owner's rule.
+//
+// Under ReduceCAISBroadcast every GPU contributes through the switch, out
+// is the per-GPU replica grid, and out.Tile(mi, ni, g) publishes at GPU g
+// when its reduced copy lands. The other modes reduce toward the row
+// owner, which contributes its own partial locally: out is the parts grid
+// (P = 1), and out.Tile(mi, ni, 0) publishes at the owner once all P
+// contributions have landed. coord applies to the CAIS modes only.
+func (b *Builder) FusedGEMMReduce(name string, m, n, kLocal int, scale float64, in InTiles,
+	mode ReduceMode, coord kernel.Coordination, out LocalGrid) *kernel.Kernel {
 
 	mT, nT := MTiles(m), NTiles(n)
-	if parts.MTiles != mT || parts.NTiles != nT || parts.P != 1 {
-		panic(fmt.Sprintf("model: %s: parts handle mismatch", name))
+	bcast := mode == ReduceCAISBroadcast
+	outP := 1
+	if bcast {
+		outP = b.P
+	}
+	if out.MTiles != mT || out.NTiles != nT || out.P != outP {
+		panic(fmt.Sprintf("model: %s: out handle mismatch", name))
 	}
 	tileBytes := b.tileBytes()
 	addrsPerTile := b.M.AddrsFor(tileBytes)
@@ -291,105 +304,47 @@ func (b *Builder) FusedGEMMRS(name string, m, n, kLocal int, scale float64, in I
 	}
 	redOp := noc.OpStore
 	switch mode {
-	case ReduceCAIS:
-		v := compiler.Analyze(pattern)
-		if !v.Mergeable {
-			panic(fmt.Sprintf("model: %s: compiler rejected CAIS lowering: %s", name, v.Reason))
-		}
-		redOp = v.Mode
+	case ReduceCAIS, ReduceCAISBroadcast:
+		redOp = caisOp(name, pattern)
 	case ReduceNVLSPush:
 		redOp = noc.OpMultimemRed
+		coord = kernel.Coordination{}
 	default:
 		// ReduceP2PStore keeps plain stores.
+		coord = kernel.Coordination{}
 	}
 
 	flops, localBytes := b.gemmTB(kLocal, scale)
-	peers := b.P - 1
-	if coord.Throttle {
-		peers = b.P
-	}
 	return &kernel.Kernel{
-		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT,
-		PreLaunchSync: coord.PreLaunch && mode == ReduceCAIS,
-		PreAccessSync: coord.PreAccess && mode == ReduceCAIS,
-		Throttled:     coord.Throttle && mode == ReduceCAIS,
+		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT, Coord: coord,
 		Work: func(g, tb int) kernel.TBDesc {
 			mi, ni := tb/nT, tb%nT
-			owner := red.Owner(mi)
-			addr := pattern.AddrAt(g, tb)
+			owner := mi % b.P
 			acc := kernel.Access{
-				Sem: kernel.SemReduce, Addr: addr, Home: owner, Bytes: tileBytes,
-				TileNeed: b.P,
-				Publish:  b.tiles.One(parts.Tile(mi, ni, 0)),
+				Sem: kernel.SemReduce, Mode: redOp, Addr: pattern.AddrAt(g, tb),
+				Home: owner, Bytes: tileBytes, TileNeed: b.P,
 			}
-			if owner == g {
-				acc.Mode = noc.OpStore
-				acc.Local = true
+			// Every GPU's TB contributes to a broadcast through the
+			// switch, so all P join the group.
+			group, peers := tb, b.P
+			if bcast {
+				// Receiver r's replica tile is out.Tile(mi, ni, r) —
+				// stride 1 in the GPU index, so the closure-free
+				// PublishEach form applies.
+				acc.Expected, acc.Broadcast = b.P, true
+				acc.PublishEach = out.Tile(mi, ni, 0)
 			} else {
-				acc.Mode = redOp
-				acc.Expected = b.P - 1
+				acc.Publish = b.tiles.One(out.Tile(mi, ni, 0))
+				if owner == g {
+					acc.Mode, acc.Local = noc.OpStore, true
+				} else {
+					acc.Expected = b.P - 1
+				}
+				group, peers = b.group(tb, owner, g, coord)
 			}
 			return kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes,
-				Group: tb, GroupPeers: peers,
-				In:   in(g, mi, ni),
-				Post: b.accs.One(acc),
-			}
-		},
-	}
-}
-
-// FusedGEMMAR builds the compute-aware GEMM-AR kernel of the paper's
-// Fig. 1(h) combination table (an extension beyond the evaluated SP
-// pipelines): each TB computes a partial output tile and issues a
-// broadcast red.cais — the merge unit accumulates all P contributions and
-// writes the reduced tile to every GPU's replica. out.Tile(mi, ni, g)
-// publishes at GPU g when its reduced copy lands.
-func (b *Builder) FusedGEMMAR(name string, m, n, kLocal int, scale float64, in InTiles,
-	coord Coordination, out LocalGrid) *kernel.Kernel {
-
-	mT, nT := MTiles(m), NTiles(n)
-	tileBytes := b.tileBytes()
-	addrsPerTile := b.M.AddrsFor(tileBytes)
-	base := b.M.AllocAddrs(mT * nT * addrsPerTile)
-
-	pattern := kernel.Pattern{
-		Name: "red." + name, Sem: kernel.SemReduce,
-		Addr: kernel.Add(kernel.Const(int64(base)),
-			kernel.Mul(kernel.ParamBlock, kernel.Const(int64(addrsPerTile)))),
-		Home: kernel.Mod(
-			kernel.Div(kernel.ParamBlock, kernel.Const(int64(nT))),
-			kernel.Const(int64(b.P))),
-		Bytes: tileBytes,
-	}
-	v := compiler.Analyze(pattern)
-	if !v.Mergeable {
-		panic(fmt.Sprintf("model: %s: compiler rejected CAIS lowering: %s", name, v.Reason))
-	}
-
-	flops, localBytes := b.gemmTB(kLocal, scale)
-	return &kernel.Kernel{
-		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT,
-		PreLaunchSync: coord.PreLaunch,
-		PreAccessSync: coord.PreAccess,
-		Throttled:     coord.Throttle,
-		Work: func(g, tb int) kernel.TBDesc {
-			mi, ni := tb/nT, tb%nT
-			// All P GPUs contribute through the switch; the reduced tile
-			// broadcasts back to every replica.
-			// Receiver r's replica tile is out.Tile(mi, ni, r) — stride 1
-			// in the GPU index, so the closure-free PublishEach form
-			// applies.
-			acc := kernel.Access{
-				Sem: kernel.SemReduce, Mode: v.Mode,
-				Addr: pattern.AddrAt(g, tb),
-				Home: mi % b.P, Bytes: tileBytes,
-				Expected: b.P, TileNeed: b.P, Broadcast: true,
-				PublishEach: out.Tile(mi, ni, 0),
-			}
-			return kernel.TBDesc{
-				Flops: flops, LocalBytes: localBytes,
-				Group: tb, GroupPeers: b.P,
+				Group: group, GroupPeers: peers,
 				In:   in(g, mi, ni),
 				Post: b.accs.One(acc),
 			}

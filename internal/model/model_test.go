@@ -160,13 +160,16 @@ func TestGEMMBuilderGrid(t *testing.T) {
 	}
 }
 
+// fullCoord enables every TB coordination mechanism.
+var fullCoord = kernel.Coordination{PreLaunch: true, PreAccess: true, Throttle: true}
+
 func TestFusedAGGEMMLoaderStructure(t *testing.T) {
 	b := testBuilder(t)
 	src := b.NewSharded(512)
 	out := b.NewLocalGrid(512, 256)
-	k := b.FusedAGGEMM("ag", src, 512, 256, 1024, 1, GatherCAIS, FullCoordination(), out)
-	if !k.PreLaunchSync || !k.PreAccessSync || !k.Throttled {
-		t.Fatal("coordination flags not set")
+	k := b.FusedAGGEMM("ag", src, 512, 256, 1024, 1, GatherCAIS, fullCoord, out)
+	if k.Coord != fullCoord {
+		t.Fatalf("coordination = %+v, want %+v", k.Coord, fullCoord)
 	}
 	nT := NTiles(256)
 	// Loader TB of a remote block issues ld.cais; compute TBs depend on
@@ -199,8 +202,8 @@ func TestFusedAGGEMMPerTBMode(t *testing.T) {
 	b := testBuilder(t)
 	src := b.NewSharded(512)
 	out := b.NewLocalGrid(512, 256)
-	k := b.FusedAGGEMM("ladm", src, 512, 256, 1024, 1, GatherPerTB, Coordination{}, out)
-	if k.PreLaunchSync || k.Throttled {
+	k := b.FusedAGGEMM("ladm", src, 512, 256, 1024, 1, GatherPerTB, fullCoord, out)
+	if k.Coord != (kernel.Coordination{}) {
 		t.Fatal("LADM mode must not be coordinated")
 	}
 	nT := NTiles(256)
@@ -215,13 +218,14 @@ func TestFusedAGGEMMPerTBMode(t *testing.T) {
 	}
 }
 
-func TestFusedGEMMRSModes(t *testing.T) {
+func TestFusedGEMMReduceModes(t *testing.T) {
 	b := testBuilder(t)
-	for _, mode := range []ReduceMode{ReduceCAIS, ReduceP2PStore, ReduceNVLSPush} {
-		red := b.NewSharded(512)
-		parts := b.NewParts(512, 512)
-		k := b.FusedGEMMRS("rs", 512, 512, 256, 1, NoInputs, mode, FullCoordination(), red, parts)
-		nT := NTiles(512)
+	for _, mode := range []ReduceMode{ReduceCAIS, ReduceP2PStore, ReduceNVLSPush, ReduceCAISBroadcast} {
+		out := b.NewParts(512, 512)
+		if mode == ReduceCAISBroadcast {
+			out = b.NewLocalGrid(512, 512)
+		}
+		k := b.FusedGEMMReduce("rs", 512, 512, 256, 1, NoInputs, mode, fullCoord, out)
 		var remote kernel.Access
 		found := false
 		for tb := 0; tb < k.Grid && !found; tb++ {
@@ -235,9 +239,10 @@ func TestFusedGEMMRSModes(t *testing.T) {
 			t.Fatalf("mode %v: no remote reduction found", mode)
 		}
 		want := map[ReduceMode]noc.Op{
-			ReduceCAIS:     noc.OpRedCAIS,
-			ReduceP2PStore: noc.OpStore,
-			ReduceNVLSPush: noc.OpMultimemRed,
+			ReduceCAIS:          noc.OpRedCAIS,
+			ReduceP2PStore:      noc.OpStore,
+			ReduceNVLSPush:      noc.OpMultimemRed,
+			ReduceCAISBroadcast: noc.OpRedCAIS,
 		}[mode]
 		if remote.Mode != want {
 			t.Fatalf("mode %v lowered to %v, want %v", mode, remote.Mode, want)
@@ -245,10 +250,58 @@ func TestFusedGEMMRSModes(t *testing.T) {
 		if remote.TileNeed != b.P {
 			t.Fatalf("TileNeed = %d, want P", remote.TileNeed)
 		}
-		if k.Throttled != (mode == ReduceCAIS) {
-			t.Fatalf("mode %v: throttling only applies to CAIS lowering", mode)
+		if remote.Broadcast != (mode == ReduceCAISBroadcast) {
+			t.Fatalf("mode %v: broadcast = %v", mode, remote.Broadcast)
 		}
-		_ = nT
+		if cais := want == noc.OpRedCAIS; (k.Coord == fullCoord) != cais {
+			t.Fatalf("mode %v: coordination = %+v; it applies to CAIS lowering only", mode, k.Coord)
+		}
+	}
+}
+
+// TestFusedGroupMembership pins who joins a TB group in the fused CAIS
+// kernels: every non-owner GPU's TB, the owner's only under throttling
+// with P > 1, never an AG-GEMM consumer, and every broadcast GEMM-AR TB
+// with all P peers.
+func TestFusedGroupMembership(t *testing.T) {
+	// Each want is the group size a joining TB reports, or -1 for a TB
+	// that must not join.
+	cases := []struct {
+		name                   string
+		b                      *Builder
+		coord                  kernel.Coordination
+		owner, nonOwner, bcast int
+	}{
+		{"full coordination", testBuilder(t), fullCoord, 4, 4, 4},
+		{"CAIS-w/o-Coord", testBuilder(t), kernel.Coordination{}, -1, 3, 4},
+		{"one GPU", singleGPUBuilder(t), fullCoord, -1, -1, 1},
+	}
+	for _, c := range cases {
+		b := c.b
+		ag := b.FusedAGGEMM("ag", b.NewSharded(512), 512, 256, 1024, 1, GatherCAIS, c.coord, b.NewLocalGrid(512, 256))
+		rs := b.FusedGEMMReduce("rs", 512, 512, 256, 1, NoInputs, ReduceCAIS, c.coord, b.NewParts(512, 512))
+		ar := b.FusedGEMMReduce("ar", 512, 512, 256, 1, NoInputs, ReduceCAISBroadcast, c.coord, b.NewLocalGrid(512, 512))
+		check := func(role string, k *kernel.Kernel, tb, peers int) {
+			t.Helper()
+			d := k.Work(0, tb) // GPU 0 owns row block 0
+			wantGroup := tb
+			if peers < 0 {
+				wantGroup, peers = -1, 0
+			}
+			if d.Group != wantGroup || d.GroupPeers != peers {
+				t.Errorf("%s: %s TB %d: group %d of %d, want %d of %d",
+					c.name, role, tb, d.Group, d.GroupPeers, wantGroup, peers)
+			}
+		}
+		agN, rsN := NTiles(256), NTiles(512)
+		check("AG-GEMM owner loader", ag, 0, c.owner)
+		check("AG-GEMM consumer", ag, 1, -1)
+		check("GEMM-RS owner", rs, 0, c.owner)
+		check("GEMM-AR broadcast", ar, 0, c.bcast)
+		if b.P > 1 { // row block 1 belongs to GPU 1
+			check("AG-GEMM non-owner loader", ag, agN, c.nonOwner)
+			check("GEMM-RS non-owner", rs, rsN, c.nonOwner)
+		}
 	}
 }
 
@@ -406,7 +459,7 @@ func TestKernelAggregateHelpers(t *testing.T) {
 	b := testBuilder(t)
 	src := b.NewSharded(512)
 	out := b.NewLocalGrid(512, 256)
-	k := b.FusedAGGEMM("agg", src, 512, 256, 1024, 1, GatherCAIS, FullCoordination(), out)
+	k := b.FusedAGGEMM("agg", src, 512, 256, 1024, 1, GatherCAIS, fullCoord, out)
 	if k.TotalFlops(0) <= 0 {
 		t.Fatal("no compute")
 	}

@@ -14,6 +14,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"cais/internal/sim"
 )
@@ -102,8 +103,8 @@ func (w Workload) Validate() error {
 	if w.Requests < 1 {
 		return fmt.Errorf("serve: workload needs at least 1 request, have %d", w.Requests)
 	}
-	if w.RatePerSec <= 0 {
-		return fmt.Errorf("serve: arrival rate must be positive, have %g", w.RatePerSec)
+	if !(w.RatePerSec > 0) || math.IsInf(w.RatePerSec, 1) {
+		return fmt.Errorf("serve: arrival rate must be finite and positive, have %g", w.RatePerSec)
 	}
 	if err := w.Prompt.validate("prompt"); err != nil {
 		return err
@@ -143,11 +144,17 @@ func (r Request) TPOT() sim.Time {
 // E2E reports the end-to-end latency.
 func (r Request) E2E() sim.Time { return r.Done - r.Arrival }
 
+// maxArrival bounds every request's arrival: one simulated day, far past
+// any serving study (4096 requests at 10 rps arrive within about 410 s)
+// and far inside sim.Time's range of about 106 days, so the scheduler's
+// clock and every latency stay representable.
+const maxArrival = 24 * 3600 * sim.Second
+
 // GenRequests materializes the workload's request trace: exponential
 // inter-arrivals at RatePerSec plus per-request prompt/output lengths,
 // each from its own labeled stream of the workload seed. The trace is
 // sorted by arrival time by construction and is a pure function of the
-// workload value.
+// workload value. A request arriving after one simulated day is an error.
 func GenRequests(w Workload) ([]Request, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -159,9 +166,14 @@ func GenRequests(w Workload) ([]Request, error) {
 	reqs := make([]Request, w.Requests)
 	var at sim.Time
 	for i := range reqs {
-		// Exponential gap with mean 1/rate seconds; Scale is the audited
-		// float->Time conversion.
-		at += sim.Scale(sim.Second, arrivals.ExpFloat64()/w.RatePerSec)
+		// Exponential gap with mean 1/rate seconds, checked in float
+		// seconds before Scale (the audited float->Time conversion)
+		// could overflow.
+		gap := arrivals.ExpFloat64() / w.RatePerSec
+		if gap > (maxArrival - at).Seconds() {
+			return nil, fmt.Errorf("serve: request %d arrives after one simulated day at %g requests/s", i, w.RatePerSec)
+		}
+		at += sim.Scale(sim.Second, gap)
 		reqs[i] = Request{
 			ID:           i,
 			Arrival:      at,

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cais/internal/config"
@@ -83,16 +85,23 @@ func TestGenRequestsStreamIsolation(t *testing.T) {
 }
 
 func TestWorkloadValidate(t *testing.T) {
-	cases := []Workload{
-		{Requests: 0, RatePerSec: 1, Prompt: Fixed(1), Output: Fixed(1)},
-		{Requests: 1, RatePerSec: 0, Prompt: Fixed(1), Output: Fixed(1)},
-		{Requests: 1, RatePerSec: 1, Prompt: Fixed(0), Output: Fixed(1)},
-		{Requests: 1, RatePerSec: 1, Prompt: Fixed(1), Output: Uniform(5, 2)},
-		{Requests: 1, RatePerSec: 1, Prompt: LengthDist{Kind: DistKind(99), Value: 1}, Output: Fixed(1)},
+	cases := []struct {
+		w    Workload
+		want string // in the error
+	}{
+		{Workload{Requests: 0, RatePerSec: 1, Prompt: Fixed(1), Output: Fixed(1)}, "at least 1 request"},
+		{Workload{Requests: 1, RatePerSec: 0, Prompt: Fixed(1), Output: Fixed(1)}, "arrival rate"},
+		{Workload{Requests: 1, RatePerSec: math.NaN(), Prompt: Fixed(1), Output: Fixed(1)}, "arrival rate"},
+		{Workload{Requests: 1, RatePerSec: math.Inf(1), Prompt: Fixed(1), Output: Fixed(1)}, "arrival rate"},
+		// Each mean gap is 10^12 s, past the sim clock's range.
+		{Workload{Requests: 1, RatePerSec: 1e-12, Prompt: Fixed(1), Output: Fixed(1)}, "request 0 arrives after one simulated day"},
+		{Workload{Requests: 1, RatePerSec: 1, Prompt: Fixed(0), Output: Fixed(1)}, "prompt"},
+		{Workload{Requests: 1, RatePerSec: 1, Prompt: Fixed(1), Output: Uniform(5, 2)}, "output"},
+		{Workload{Requests: 1, RatePerSec: 1, Prompt: LengthDist{Kind: DistKind(99), Value: 1}, Output: Fixed(1)}, "unknown distribution"},
 	}
-	for i, w := range cases {
-		if _, err := GenRequests(w); err == nil {
-			t.Errorf("case %d: invalid workload %+v accepted", i, w)
+	for i, c := range cases {
+		if _, err := GenRequests(c.w); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: workload %+v: error %v, want one naming %q", i, c.w, err, c.want)
 		}
 	}
 }

@@ -142,12 +142,11 @@ func TestLADMGeneratesRedundantTraffic(t *testing.T) {
 }
 
 func TestCoordinationSpecWiring(t *testing.T) {
-	c := CAIS().coordination()
+	c := CAIS().Coord
 	if !c.PreLaunch || !c.PreAccess || !c.Throttle {
 		t.Fatal("CAIS coordination incomplete")
 	}
-	n := CAISNoCoord().coordination()
-	if n.PreLaunch || n.PreAccess || n.Throttle {
+	if n := CAISNoCoord().Coord; n != (kernel.Coordination{}) {
 		t.Fatal("CAIS-w/o-Coord must disable coordination")
 	}
 }

@@ -18,15 +18,6 @@ type Options = machine.Options
 // Result is the outcome of one simulated run.
 type Result = core.Result
 
-// coordination maps the spec's CAIS knobs to the builder's flags.
-func (s Spec) coordination() model.Coordination {
-	return model.Coordination{
-		PreLaunch: s.CoordPreLaunch,
-		PreAccess: s.CoordPreAccess,
-		Throttle:  s.Throttled,
-	}
-}
-
 // stateKind tracks the representation the activation currently lives in.
 type stateKind int
 
@@ -41,12 +32,11 @@ const (
 
 // actState is the lowering context threaded through the op sequence.
 type actState struct {
-	kind       stateKind
-	sharded    model.Sharded
-	parts      model.LocalGrid
-	partsOwner model.Sharded
-	gathered   model.Gathered
-	local      model.LocalGrid
+	kind     stateKind
+	sharded  model.Sharded
+	parts    model.LocalGrid
+	gathered model.Gathered
+	local    model.LocalGrid
 }
 
 // place adds one op's kernels to the session according to the barrier
@@ -198,16 +188,13 @@ func lowerColGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 		// splits them (place handles both).
 		place(s, spec.Barrier, ag, gemm)
 
-	case AGFusedCAIS:
-		src := needSharded(st, op.Name)
-		k := b.FusedAGGEMM(op.Name, src, op.M, nLocal, op.K, scale,
-			model.GatherCAIS, spec.coordination(), out)
-		place(s, spec.Barrier, k)
-
-	case AGPerTB:
-		src := needSharded(st, op.Name)
-		k := b.FusedAGGEMM(op.Name, src, op.M, nLocal, op.K, scale,
-			model.GatherPerTB, model.Coordination{}, out)
+	case AGFusedCAIS, AGPerTB:
+		mode := model.GatherCAIS
+		if spec.Gather == AGPerTB {
+			mode = model.GatherPerTB
+		}
+		k := b.FusedAGGEMM(op.Name, needSharded(st, op.Name), op.M, nLocal, op.K, scale,
+			mode, spec.Coord, out)
 		place(s, spec.Barrier, k)
 	}
 	*st = actState{kind: stateLocal, local: out}
@@ -270,16 +257,16 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 			rs = b.RingReduceScatter("rs."+op.Name, op.M, op.N, commIn, red, parts)
 		}
 		place(s, spec.Barrier, gemm, rs)
-		*st = actState{kind: stateParts, parts: parts, partsOwner: red}
+		*st = actState{kind: stateParts, parts: parts}
 
 	case RedARFusedCAIS:
 		copies := b.NewLocalGrid(op.M, op.N)
-		k := b.FusedGEMMAR(op.Name, op.M, op.N, kLocal, scale, in, spec.coordination(), copies)
+		k := b.FusedGEMMReduce(op.Name, op.M, op.N, kLocal, scale, in,
+			model.ReduceCAISBroadcast, spec.Coord, copies)
 		place(s, spec.Barrier, k)
 		*st = actState{kind: stateReducedCopies, local: copies}
 
 	case RedRSFusedCAIS, RedRSFusedStore, RedRSFusedNVLSPush:
-		red := b.NewSharded(op.M)
 		parts := b.NewParts(op.M, op.N)
 		mode := model.ReduceCAIS
 		switch spec.Reduce {
@@ -290,10 +277,10 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 		default:
 			// RedRSFusedCAIS keeps ReduceCAIS.
 		}
-		k := b.FusedGEMMRS(op.Name, op.M, op.N, kLocal, scale, in,
-			mode, spec.coordination(), red, parts)
+		k := b.FusedGEMMReduce(op.Name, op.M, op.N, kLocal, scale, in,
+			mode, spec.Coord, parts)
 		place(s, spec.Barrier, k)
-		*st = actState{kind: stateParts, parts: parts, partsOwner: red}
+		*st = actState{kind: stateParts, parts: parts}
 	}
 }
 
@@ -377,7 +364,7 @@ func needSharded(st *actState, name string) model.Sharded {
 // starting lowering state.
 func initialState(s *core.Session, spec Spec, tokens int) actState {
 	b := s.Builder()
-	switch spec.Layout {
+	switch spec.Layout() {
 	case SeqParallel:
 		x := b.NewSharded(tokens)
 		var tiles []kernel.Tile

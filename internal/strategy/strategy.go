@@ -9,6 +9,8 @@ package strategy
 import (
 	"fmt"
 	"strings"
+
+	"cais/internal/kernel"
 )
 
 // Layout is the tensor-parallel partitioning scheme (Fig. 1a/1b).
@@ -94,7 +96,6 @@ const (
 // Spec declares one execution strategy.
 type Spec struct {
 	Name    string
-	Layout  Layout
 	Gather  GatherImpl
 	Reduce  ReduceImpl
 	Barrier BarrierMode
@@ -105,15 +106,26 @@ type Spec struct {
 	Chunks    int
 	FusedComm bool
 
-	// CAIS knobs (the Fig. 13b ablation axes).
-	CoordPreLaunch bool // pre-launch TB-group synchronization
-	CoordPreAccess bool // pre-access synchronization
-	Throttled      bool // TB-aware request throttling
+	// Coord is CAIS's merging-aware TB coordination (the Fig. 13b
+	// ablation axes), carried by the fused CAIS kernels.
+	Coord          kernel.Coordination
 	TrafficControl bool // load/reduction virtual channels (Sec. III-C-2)
 }
 
+// fullCoord enables every TB coordination mechanism.
+var fullCoord = kernel.Coordination{PreLaunch: true, PreAccess: true, Throttle: true}
+
 // String returns the strategy name.
 func (s Spec) String() string { return s.Name }
+
+// Layout is the partitioning the strategy's gather implies: activations
+// stay replicated (Basic TP) exactly when no column GEMM gathers its input.
+func (s Spec) Layout() Layout {
+	if s.Gather == AGNone {
+		return BasicTP
+	}
+	return SeqParallel
+}
 
 // UsesNVLS reports whether the strategy leverages in-switch computing.
 func (s Spec) UsesNVLS() bool {
@@ -134,29 +146,29 @@ func (s Spec) UsesNVLS() bool {
 
 // TPNVLS is Basic TP with NVLS AllReduce and global barriers.
 func TPNVLS() Spec {
-	return Spec{Name: "TP-NVLS", Layout: BasicTP, Gather: AGNone, Reduce: RedARNVLS, Barrier: BarrierGlobal}
+	return Spec{Name: "TP-NVLS", Gather: AGNone, Reduce: RedARNVLS, Barrier: BarrierGlobal}
 }
 
 // SPNVLS is TP+SP with NVLS ReduceScatter/AllGather and global barriers.
 func SPNVLS() Spec {
-	return Spec{Name: "SP-NVLS", Layout: SeqParallel, Gather: AGNVLS, Reduce: RedRSNVLSPull, Barrier: BarrierGlobal}
+	return Spec{Name: "SP-NVLS", Gather: AGNVLS, Reduce: RedRSNVLSPull, Barrier: BarrierGlobal}
 }
 
 // CoCoNet overlaps GEMM with chunked ring AllReduce via software
 // pipelining (one kernel launch per chunk).
 func CoCoNet() Spec {
-	return Spec{Name: "CoCoNet", Layout: BasicTP, Gather: AGNone, Reduce: RedARRing, Barrier: BarrierStage, Chunks: 4}
+	return Spec{Name: "CoCoNet", Gather: AGNone, Reduce: RedARRing, Barrier: BarrierStage, Chunks: 4}
 }
 
 // FuseLib is the fused-kernel variant of chunked overlap (single launch).
 func FuseLib() Spec {
-	return Spec{Name: "FuseLib", Layout: BasicTP, Gather: AGNone, Reduce: RedARRing, Barrier: BarrierStage, Chunks: 4, FusedComm: true}
+	return Spec{Name: "FuseLib", Gather: AGNone, Reduce: RedARRing, Barrier: BarrierStage, Chunks: 4, FusedComm: true}
 }
 
 // T3 uses hardware track-and-trigger: fused GEMM-RS via direct stores and
 // fine-grained P2P AllGather, with stage-level barriers.
 func T3() Spec {
-	return Spec{Name: "T3", Layout: SeqParallel, Gather: AGP2PPush, Reduce: RedRSFusedStore, Barrier: BarrierStage}
+	return Spec{Name: "T3", Gather: AGP2PPush, Reduce: RedRSFusedStore, Barrier: BarrierStage}
 }
 
 // CoCoNetNVLS is CoCoNet with NVLS collectives.
@@ -177,31 +189,27 @@ func FuseLibNVLS() Spec {
 
 // T3NVLS is T3 with the DMA-based NVLS design.
 func T3NVLS() Spec {
-	return Spec{Name: "T3-NVLS", Layout: SeqParallel, Gather: AGNVLS, Reduce: RedRSFusedNVLSPush, Barrier: BarrierStage}
+	return Spec{Name: "T3-NVLS", Gather: AGNVLS, Reduce: RedRSFusedNVLSPush, Barrier: BarrierStage}
 }
 
 // LADM is locality-aware TB scheduling without in-switch computing:
 // per-TB remote fetches and direct-store reductions.
 func LADM() Spec {
-	return Spec{Name: "LADM", Layout: SeqParallel, Gather: AGPerTB, Reduce: RedRSFusedStore, Barrier: BarrierNone}
+	return Spec{Name: "LADM", Gather: AGPerTB, Reduce: RedRSFusedStore, Barrier: BarrierNone}
 }
 
 // CAIS is the full compute-aware in-switch computing framework.
 func CAIS() Spec {
 	return Spec{
-		Name: "CAIS", Layout: SeqParallel,
-		Gather: AGFusedCAIS, Reduce: RedRSFusedCAIS, Barrier: BarrierNone,
-		CoordPreLaunch: true, CoordPreAccess: true, Throttled: true, TrafficControl: true,
+		Name: "CAIS", Gather: AGFusedCAIS, Reduce: RedRSFusedCAIS, Barrier: BarrierNone,
+		Coord: fullCoord, TrafficControl: true,
 	}
 }
 
 // CAISBase disables TB coordination and the graph-level dataflow
 // optimizer (stage barriers, no coordination, no traffic control).
 func CAISBase() Spec {
-	return Spec{
-		Name: "CAIS-Base", Layout: SeqParallel,
-		Gather: AGFusedCAIS, Reduce: RedRSFusedCAIS, Barrier: BarrierStage,
-	}
+	return Spec{Name: "CAIS-Base", Gather: AGFusedCAIS, Reduce: RedRSFusedCAIS, Barrier: BarrierStage}
 }
 
 // CAISPartial is CAIS without traffic control (Fig. 15/16).
@@ -216,9 +224,7 @@ func CAISPartial() Spec {
 func CAISNoCoord() Spec {
 	s := CAIS()
 	s.Name = "CAIS-w/o-Coord"
-	s.CoordPreLaunch = false
-	s.CoordPreAccess = false
-	s.Throttled = false
+	s.Coord = kernel.Coordination{}
 	return s
 }
 
@@ -228,9 +234,8 @@ func CAISNoCoord() Spec {
 // the merged tile is written to every replica, with no AllGather at all.
 func CAISTP() Spec {
 	return Spec{
-		Name: "CAIS-TP", Layout: BasicTP,
-		Gather: AGNone, Reduce: RedARFusedCAIS, Barrier: BarrierNone,
-		CoordPreLaunch: true, CoordPreAccess: true, Throttled: true, TrafficControl: true,
+		Name: "CAIS-TP", Gather: AGNone, Reduce: RedARFusedCAIS, Barrier: BarrierNone,
+		Coord: fullCoord, TrafficControl: true,
 	}
 }
 
@@ -251,7 +256,7 @@ func All() []Spec {
 // TP+SP with plain GPU-driven ring collectives (standard NCCL without any
 // in-switch computing) and global barriers — the pre-NVLS status quo.
 func MegatronRing() Spec {
-	return Spec{Name: "Megatron-Ring", Layout: SeqParallel, Gather: AGRing, Reduce: RedRSRing, Barrier: BarrierGlobal}
+	return Spec{Name: "Megatron-Ring", Gather: AGRing, Reduce: RedRSRing, Barrier: BarrierGlobal}
 }
 
 // Extensions returns strategies beyond the paper's evaluated set.

@@ -19,7 +19,6 @@ func BenchmarkDisabledHotPath(b *testing.B) {
 		tr.Instant(1, 2, "gpu.sync", "wait", sim.Time(i))
 		tr.BeginAsync(3, "kernel", "k", uint64(i), sim.Time(i))
 		tr.EndAsync(3, "kernel", "k", uint64(i), sim.Time(i+10))
-		tr.Counter(3, "merge.used", sim.Time(i), float64(i))
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package trace is the simulation-wide event tracer: instrumented
 // subsystems (gpu, nvswitch, noc, machine) record spans, instants and
-// counter samples against simulated time, and the tracer serializes them
+// async spans against simulated time, and the tracer serializes them
 // as Chrome trace-event JSON loadable in Perfetto or chrome://tracing.
 //
 // Tracing is strictly opt-in. A nil *Tracer is a valid, disabled tracer:
@@ -74,7 +74,6 @@ const (
 	PhaseInstant    byte = 'i'
 	PhaseAsyncBegin byte = 'b'
 	PhaseAsyncEnd   byte = 'e'
-	PhaseCounter    byte = 'C'
 )
 
 // Internal aliases keep the recording methods terse.
@@ -83,7 +82,6 @@ const (
 	phInstant    = PhaseInstant
 	phAsyncBegin = PhaseAsyncBegin
 	phAsyncEnd   = PhaseAsyncEnd
-	phCounter    = PhaseCounter
 )
 
 type event struct {
@@ -95,7 +93,6 @@ type event struct {
 	ts   sim.Time
 	dur  sim.Time // complete events only
 	id   uint64   // async events only
-	val  float64  // counter events only
 }
 
 // Tracer accumulates trace events in memory. It is not goroutine-safe;
@@ -181,16 +178,6 @@ func (t *Tracer) EndAsync(pid int32, cat, name string, id uint64, at sim.Time) {
 	}
 	t.events = append(t.events, event{
 		name: name, cat: cat, ph: phAsyncEnd, pid: pid, ts: at, id: id,
-	})
-}
-
-// Counter records a sampled counter value (rendered as a track graph).
-func (t *Tracer) Counter(pid int32, name string, at sim.Time, v float64) {
-	if t == nil {
-		return
-	}
-	t.events = append(t.events, event{
-		name: name, ph: phCounter, pid: pid, ts: at, val: v,
 	})
 }
 
@@ -326,10 +313,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		case phAsyncBegin, phAsyncEnd:
 			buf = append(buf, `,"id":`...)
 			buf = strconv.AppendUint(buf, e.id, 10)
-		case phCounter:
-			buf = append(buf, `,"args":{"value":`...)
-			buf = strconv.AppendFloat(buf, e.val, 'g', -1, 64)
-			buf = append(buf, '}')
 		}
 		buf = append(buf, '}')
 		bw.Write(buf)

@@ -18,7 +18,6 @@ func TestNilTracerIsDisabledAndSafe(t *testing.T) {
 	tr.Instant(1, 2, "cat", "name", 5)
 	tr.BeginAsync(1, "cat", "name", 7, 0)
 	tr.EndAsync(1, "cat", "name", 7, 10)
-	tr.Counter(1, "name", 0, 1.5)
 	tr.NameProcess(1, "p")
 	tr.NameThread(1, 2, "t")
 	if tr.Len() != 0 || tr.NextID() != 0 || tr.CountCategory("cat") != 0 {
@@ -82,17 +81,16 @@ func TestWriteJSONChromeFormat(t *testing.T) {
 	id := tr.NextID()
 	tr.BeginAsync(SwitchPid(1), "nvswitch.merge", "red.session", id, sim.Microsecond)
 	tr.EndAsync(SwitchPid(1), "nvswitch.merge", "red.session", id, 4*sim.Microsecond)
-	tr.Counter(SwitchPid(1), "merge.used", 3*sim.Microsecond, 4096)
 
 	evs := decode(t, tr)
-	if len(evs) != 7 { // 2 metadata + 5 events
-		t.Fatalf("event count = %d, want 7", len(evs))
+	if len(evs) != 6 { // 2 metadata + 4 events
+		t.Fatalf("event count = %d, want 6", len(evs))
 	}
 	byPh := map[string]int{}
 	for _, e := range evs {
 		byPh[e.Ph]++
 	}
-	for _, ph := range []string{"M", "X", "i", "b", "e", "C"} {
+	for _, ph := range []string{"M", "X", "i", "b", "e"} {
 		if byPh[ph] == 0 {
 			t.Fatalf("missing phase %q in %v", ph, byPh)
 		}
@@ -172,7 +170,6 @@ func TestDisabledInstrumentationAllocatesNothing(t *testing.T) {
 		tr.Instant(1, 2, "gpu.sync", "wait", 5)
 		tr.BeginAsync(3, "kernel", "k", 1, 0)
 		tr.EndAsync(3, "kernel", "k", 1, 10)
-		tr.Counter(3, "merge.used", 5, 42)
 		tr.Visit(func(Event) {}) // the attribution reader is nil-safe too
 	})
 	if allocs != 0 {

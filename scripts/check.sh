@@ -3,9 +3,10 @@
 # Runs formatting, vet (root and caisbench modules), build, caislint (the
 # determinism & unit-safety analyzer), the full test suite (plain, for the
 # caisbench module, and under the race detector), the disabled-tracer
-# zero-alloc benchmark, the quick resilience, attribution and serving
-# smokes, and the CLI's parallel quick sweep compared byte for byte with
-# the committed golden (internal/experiments/testdata/golden/quick.txt).
+# zero-alloc benchmark, the four examples (run, output discarded), the
+# quick resilience, attribution and serving smokes, and the CLI's parallel
+# quick sweep compared byte for byte with the committed golden
+# (internal/experiments/testdata/golden/quick.txt).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -43,6 +44,13 @@ go test -race ./...
 
 echo "== disabled-tracer zero-alloc benchmark"
 go test -run='^$' -bench=BenchmarkDisabledHotPath -benchmem ./internal/trace/
+
+# The examples are the public API's runnable demos; collectives is also the
+# one caller of the kernel builders outside internal/.
+echo "== examples (run, output discarded)"
+for ex in examples/*/; do
+	go run "./$ex" > /dev/null
+done
 
 echo "== resilience smoke (fault-injection degradation study, quick)"
 go run ./cmd/caissim -experiment resilience -quick
