@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint race resilience-smoke parallel-smoke attrib-smoke serving-smoke experiments-full bench bench-quick bench-diff profile clean
+.PHONY: all build test check vet fmt lint race fuzz resilience-smoke parallel-smoke attrib-smoke serving-smoke experiments-full bench bench-quick bench-diff profile clean
 
 all: check
 
@@ -15,6 +15,17 @@ test: build
 # — run the whole suite under the race detector to keep that honest.
 race:
 	$(GO) test -race ./...
+
+# fuzz: each fuzz target for FUZZTIME (default 30s): fault schedules
+# (FuzzParse), serving workloads (FuzzWorkload) and hardware plus assembly
+# (FuzzHardware), one `go test -fuzz` run per package. Plain `go test` runs
+# only their seed corpora. A crasher lands in the package's
+# testdata/fuzz/<target>/; commit it there as a regression seed.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkload$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzHardware$$' -fuzztime $(FUZZTIME) ./internal/strategy
 
 # resilience-smoke: the fault-injection degradation study at reduced
 # fidelity (DESIGN.md §8) — a fast end-to-end pass over every fault kind.

@@ -112,13 +112,12 @@ func runReduceScatter(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err 
 		if rows < model.TileM {
 			rows = model.TileM
 		}
-		red := b.NewSharded(rows)
 		parts := b.NewParts(rows, cols)
 		in := func(g, mi, ni int) []kernel.Tile { return nil }
 		if useNVLS {
-			s.Stage(b.NVLSReduceScatter("rs", rows, cols, in, red, parts))
+			s.Stage(b.NVLSReduceScatter("rs", rows, cols, in, parts))
 		} else {
-			s.Stage(b.RingReduceScatter("rs", rows, cols, in, red, parts))
+			s.Stage(b.RingReduceScatter("rs", rows, cols, in, parts))
 		}
 		res, err := s.Run()
 		return res.Drained, err

@@ -16,7 +16,6 @@ import (
 
 // Verdict is the analysis result for one access pattern.
 type Verdict struct {
-	Pattern   kernel.Pattern
 	Mergeable bool   // address expression is GPU-invariant
 	Mode      noc.Op // CAIS lowering when mergeable; plain op otherwise
 	Reason    string // human-readable justification
@@ -28,7 +27,7 @@ type Verdict struct {
 // (Fig. 8a). Plain writes are never rewritten: CAIS extends only loads and
 // reductions (Fig. 4).
 func Analyze(p kernel.Pattern) Verdict {
-	v := Verdict{Pattern: p}
+	var v Verdict
 	if kernel.UsesParam(p.Addr, kernel.ParamGPU) {
 		v.Mergeable = false
 		v.Mode = plainMode(p.Sem)

@@ -11,9 +11,8 @@ import (
 func invariantRead() kernel.Pattern {
 	// The AG-GEMM input load of Fig. 8a: addr = blockIdx*tile (no gpuID).
 	return kernel.Pattern{
-		Name: "ld.X", Sem: kernel.SemRead,
+		Sem:  kernel.SemRead,
 		Addr: kernel.Mul(kernel.ParamBlock, kernel.Const(128)),
-		Home: kernel.Mod(kernel.ParamBlock, kernel.Const(8)),
 	}
 }
 
@@ -41,13 +40,12 @@ func TestAnalyzeRewritesGPUInvariantReduction(t *testing.T) {
 
 func TestAnalyzeRejectsGPUVariantAccess(t *testing.T) {
 	p := kernel.Pattern{
-		Name: "ld.local", Sem: kernel.SemRead,
+		Sem: kernel.SemRead,
 		// addr = gpuID*shard + blockIdx*tile: each GPU touches its own
 		// shard, so merging would be incorrect.
 		Addr: kernel.Add(
 			kernel.Mul(kernel.ParamGPU, kernel.Const(1<<20)),
 			kernel.Mul(kernel.ParamBlock, kernel.Const(128))),
-		Home: kernel.ParamGPU,
 	}
 	v := Analyze(p)
 	if v.Mergeable {

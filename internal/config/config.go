@@ -105,19 +105,25 @@ func DGXH100() Hardware {
 	}
 }
 
-// FullScaleH100 returns the full-scale configuration used by the Table II
-// scaled-down validation: 132 SMs.
-func FullScaleH100() Hardware {
-	h := DGXH100()
-	h.SMsPerGPU = 132
-	return h
-}
+// Magnitude limits on the hardware's rates and times. Far past them a
+// transfer, a thread block or a launch can overflow sim.Time, and a run
+// reports nonsense instead of a slow machine: over a 1e-300 B/s link a
+// packet's +Inf serialization time converts to a negative time and the
+// layer finishes faster than healthy, and a 2^62 ps latency schedules an
+// event before now. DGX-H100's rates sit about six orders of magnitude
+// above minRate, the headroom the fault model grants a straggler, and its
+// largest time, the 30 us launch jitter, far below maxTime.
+const (
+	minRate = 1e6        // bytes or FLOP per second
+	maxTime = sim.Second // one simulated second
+)
 
 // Validate reports configuration errors that would make a simulation
-// meaningless: zero GPUs, rates that are not finite and positive, negative
-// times, and similar. None of these fails at run time: the engine clamps
-// a negative delay to zero, and a NaN or infinite rate turns into
-// arbitrary event times.
+// meaningless: zero GPUs, rates that are not finite or below minRate,
+// negative times or times above maxTime, an efficiency outside [0, 1],
+// and similar. None of these fails at run time: the engine clamps a
+// negative delay to zero, and an out-of-range rate or time turns into
+// arbitrary event times. Every error names its field.
 func (h Hardware) Validate() error {
 	switch {
 	case h.NumGPUs < 1:
@@ -126,14 +132,8 @@ func (h Hardware) Validate() error {
 		return fmt.Errorf("config: NumSwitchPlanes = %d, need >= 1", h.NumSwitchPlanes)
 	case h.SMsPerGPU < 1:
 		return fmt.Errorf("config: SMsPerGPU = %d, need >= 1", h.SMsPerGPU)
-	case !finitePositive(h.SMFLOPs):
-		return fmt.Errorf("config: SMFLOPs = %g, need finite > 0", h.SMFLOPs)
-	case !finitePositive(h.HBMBandwidth):
-		return fmt.Errorf("config: HBMBandwidth = %g, need finite > 0", h.HBMBandwidth)
-	case !finitePositive(h.LinkBandwidth):
-		return fmt.Errorf("config: LinkBandwidth = %g, need finite > 0", h.LinkBandwidth)
-	case math.IsNaN(h.LinkEfficiency):
-		return fmt.Errorf("config: LinkEfficiency = NaN, need a number")
+	case !(h.LinkEfficiency >= 0 && h.LinkEfficiency <= 1): // NaN fails too
+		return fmt.Errorf("config: LinkEfficiency = %g, need in [0, 1] (0 = wire rate)", h.LinkEfficiency)
 	case !(h.TBTimeNoise >= 0 && h.TBTimeNoise < 1):
 		// At 1 or above a TB's jittered time can go negative.
 		return fmt.Errorf("config: TBTimeNoise = %g, need in [0, 1)", h.TBTimeNoise)
@@ -141,6 +141,18 @@ func (h Hardware) Validate() error {
 		return fmt.Errorf("config: RequestBytes = %d, need >= 1", h.RequestBytes)
 	case h.ElemBytes < 1:
 		return fmt.Errorf("config: ElemBytes = %d, need >= 1", h.ElemBytes)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SMFLOPs", h.SMFLOPs},
+		{"HBMBandwidth", h.HBMBandwidth},
+		{"LinkBandwidth", h.LinkBandwidth},
+	} {
+		if !(f.v >= minRate && !math.IsInf(f.v, 1)) { // NaN fails too
+			return fmt.Errorf("config: %s = %g, need finite and >= %g", f.name, f.v, minRate)
+		}
 	}
 	for _, f := range []struct {
 		name string
@@ -153,15 +165,12 @@ func (h Hardware) Validate() error {
 		{"KernelLaunchJitter", h.KernelLaunchJitter},
 		{"TBOverhead", h.TBOverhead},
 	} {
-		if f.t < 0 {
-			return fmt.Errorf("config: %s = %v, need >= 0", f.name, f.t)
+		if f.t < 0 || f.t > maxTime {
+			return fmt.Errorf("config: %s = %v, need in [0, %v]", f.name, f.t, maxTime)
 		}
 	}
 	return nil
 }
-
-// finitePositive reports 0 < v < +Inf; NaN fails.
-func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // PlaneBandwidth is the effective per-direction bandwidth of one switch
 // plane's link to one GPU.

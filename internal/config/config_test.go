@@ -13,12 +13,6 @@ func TestDGXH100IsValid(t *testing.T) {
 	if err := DGXH100().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := FullScaleH100().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if FullScaleH100().SMsPerGPU != 2*DGXH100().SMsPerGPU {
-		t.Fatal("full scale must double the SM count")
-	}
 }
 
 func TestValidateCatchesEachField(t *testing.T) {
@@ -47,6 +41,20 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"TBTimeNoise", func(h *Hardware) { h.TBTimeNoise = math.NaN() }},
 		{"RequestBytes", func(h *Hardware) { h.RequestBytes = 0 }},
 		{"ElemBytes", func(h *Hardware) { h.ElemBytes = 0 }},
+		// Finite magnitudes that overflow sim.Time: the three rates made
+		// a layer finish faster than healthy, the two latencies panicked
+		// scheduling an event before now, and the launch overhead ran
+		// past what a whole-model extrapolation can represent.
+		{"LinkBandwidth", func(h *Hardware) { h.LinkBandwidth = 1e-300 }},
+		{"SMFLOPs", func(h *Hardware) { h.SMFLOPs = 1e-300 }},
+		{"HBMBandwidth", func(h *Hardware) { h.HBMBandwidth = 1e-300 }},
+		{"LinkLatency", func(h *Hardware) { h.LinkLatency = 1 << 62 }},
+		{"TBOverhead", func(h *Hardware) { h.TBOverhead = 1 << 62 }},
+		{"KernelLaunchOverhead", func(h *Hardware) { h.KernelLaunchOverhead = 1 << 62 }},
+		// A negative efficiency silently meant wire rate.
+		{"LinkEfficiency", func(h *Hardware) { h.LinkEfficiency = -5 }},
+		{"LinkEfficiency", func(h *Hardware) { h.LinkEfficiency = 1.5 }},
+		{"MergeTimeout", func(h *Hardware) { h.MergeTimeout = sim.Second + 1 }},
 	}
 	for i, c := range cases {
 		h := DGXH100()
@@ -67,6 +75,19 @@ func TestValidateCatchesEachField(t *testing.T) {
 	h.LinkEfficiency, h.MergeTimeout, h.TBTimeNoise = 0, 0, 0 // wire rate, no timeout, no noise
 	if err := h.Validate(); err != nil {
 		t.Errorf("documented zero values rejected: %v", err)
+	}
+	h = DGXH100() // Fig. 2's ideal fabric
+	h.LinkBandwidth *= 1e4
+	h.LinkEfficiency, h.LinkLatency, h.SwitchLatency = 1, 0, 0
+	if err := h.Validate(); err != nil {
+		t.Errorf("ideal fabric rejected: %v", err)
+	}
+	h = DGXH100() // every rate at its floor, every time at its ceiling
+	h.SMFLOPs, h.HBMBandwidth, h.LinkBandwidth = minRate, minRate, minRate
+	h.LinkLatency, h.SwitchLatency, h.MergeTimeout = maxTime, maxTime, maxTime
+	h.KernelLaunchOverhead, h.KernelLaunchJitter, h.TBOverhead = maxTime, maxTime, maxTime
+	if err := h.Validate(); err != nil {
+		t.Errorf("bounds themselves rejected: %v", err)
 	}
 }
 

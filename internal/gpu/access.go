@@ -23,7 +23,7 @@ import (
 const (
 	jobServe    = int8(iota) // answer a remote read with a response packet
 	jobLoadResp              // commit arrived read data, complete the chunk
-	jobData                  // commit write/reduction/multicast data, notify sink
+	jobData                  // commit write/reduction/multicast data, notify host
 	jobLocal                 // finish a local access (publish + complete)
 )
 
@@ -41,7 +41,7 @@ func (g *GPU) hbmDone() {
 	case jobServe:
 		p := j.p
 		resp := g.pkts.Get()
-		resp.ID, resp.Op, resp.Addr, resp.Home = g.pktID(), noc.OpLoadResp, p.Addr, g.ID
+		resp.Op, resp.Addr, resp.Home = noc.OpLoadResp, p.Addr, g.ID
 		resp.Src, resp.Dst, resp.Size, resp.Group = g.ID, p.Src, p.Size, p.Group
 		resp.Tag = p.Tag
 		g.pkts.Put(p)
@@ -61,7 +61,7 @@ func (g *GPU) hbmDone() {
 
 	case jobData:
 		p := j.p
-		g.sink.OnData(g.ID, p)
+		g.host.OnData(g.ID, p)
 		if p.OnDone != nil {
 			p.OnDone()
 		}
@@ -70,7 +70,7 @@ func (g *GPU) hbmDone() {
 	case jobLocal:
 		c := j.ctx
 		if len(c.a.Publish) > 0 || c.a.PublishEach.Buf != 0 {
-			g.sink.OnAccessDone(g.ID, c.a)
+			g.host.OnAccessDone(g.ID, c.a)
 		}
 		if c.onComplete != nil {
 			c.onComplete()
@@ -135,7 +135,7 @@ func (c *accessCtx) chunkDone() {
 	c.pendingDone--
 	if c.pendingDone == 0 {
 		if c.publishHere {
-			c.g.sink.OnAccessDone(c.g.ID, c.a)
+			c.g.host.OnAccessDone(c.g.ID, c.a)
 		}
 		if c.onComplete != nil {
 			c.onComplete()
@@ -167,7 +167,7 @@ func (c *accessCtx) sendChunk(i int) {
 	g := c.g
 	sz := chunkSize(i, c.a.Bytes, c.chunk)
 	p := g.pkts.Get()
-	p.ID, p.Op, p.Addr, p.Home = g.pktID(), c.a.Mode, c.a.Addr+uint64(i), c.a.Home
+	p.Op, p.Addr, p.Home = c.a.Mode, c.a.Addr+uint64(i), c.a.Home
 	p.Src, p.Dst, p.Size, p.Group = g.ID, c.a.Home, sz, c.group
 	if c.throttledReq {
 		// Release on the switch's acceptance credit, not on completion:

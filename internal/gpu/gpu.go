@@ -29,10 +29,15 @@ type TileTag struct {
 	PublishEach kernel.Tile
 }
 
-// DataSink is the machine layer's view of data movement: it receives every
-// committed data arrival and every completed publishing access so it can
-// drive TB-level dataflow.
-type DataSink interface {
+// Host is the machine layer as one GPU sees it: it routes the GPU's
+// traffic onto switch planes and receives every committed data arrival and
+// every completed publishing access so it can drive TB-level dataflow.
+type Host interface {
+	// RouteAddr picks the switch plane an address's requests travel on.
+	RouteAddr(addr uint64) int
+	// RouteGroup picks the plane holding a TB group's Group Sync Table
+	// entry, so all GPUs of the group meet at the same switch.
+	RouteGroup(group int) int
 	// OnData fires when a data packet has been committed to this GPU's
 	// HBM (stores, reduction results, multicast copies).
 	OnData(gpu int, p *noc.Packet)
@@ -45,19 +50,14 @@ type DataSink interface {
 type GPU struct {
 	ID int
 
-	eng     *sim.Engine
-	hw      config.Hardware
-	up      []*noc.Link // per switch plane
-	planeOf func(addr uint64) int
-	// groupPlane, when set by the assembly layer, routes sync traffic for
-	// a TB group (fault-aware: it skips failed planes). Nil keeps the
-	// default static group % planes hash.
-	groupPlane func(group int) int
+	eng  *sim.Engine
+	hw   config.Hardware
+	up   []*noc.Link // per switch plane
+	host Host
 	// slowdown scales TB compute time (straggler fault injection; 1 =
 	// healthy).
 	slowdown float64
 	hbm      *sim.Resource
-	sink     DataSink
 
 	slotsFree int
 	launches  []*Launch
@@ -65,12 +65,10 @@ type GPU struct {
 	sync      *Synchronizer
 	throttle  *Throttle
 
-	nextPktID uint64
-	seed      uint64
+	seed uint64
 
 	// Free lists for the request hot path. pkts is the run-wide packet
-	// pool shared with the switches (wired by the assembly layer; nil
-	// degrades to plain allocation); the rest are private to this GPU.
+	// pool shared with the switches; the rest are private to this GPU.
 	pkts    *noc.PacketPool
 	ctxs    pool.Pool[accessCtx, *accessCtx]
 	credits pool.Pool[chunkCredit, *chunkCredit]
@@ -91,16 +89,17 @@ type GPU struct {
 	BytesRequested int64
 }
 
-// New creates a GPU. Uplinks are attached afterwards with ConnectUp.
-func New(eng *sim.Engine, id int, hw config.Hardware, planeOf func(addr uint64) int, sink DataSink) *GPU {
+// New creates GPU id of the run: host routes its traffic and takes its
+// data, pkts is the run's packet pool and tr its tracer (nil disables
+// tracing). Uplinks are attached afterwards with ConnectUp.
+func New(eng *sim.Engine, id int, hw config.Hardware, host Host, pkts *noc.PacketPool, tr *trace.Tracer) *GPU {
 	g := &GPU{
-		ID: id, eng: eng, hw: hw, planeOf: planeOf, sink: sink,
+		ID: id, eng: eng, hw: hw, host: host, pkts: pkts, tr: tr,
 		slowdown:  1,
 		up:        make([]*noc.Link, hw.NumSwitchPlanes),
-		hbm:       sim.NewResource(fmt.Sprintf("gpu%d.hbm", id)),
+		hbm:       sim.NewResource(),
 		slotsFree: hw.SMsPerGPU,
 		seed:      sim.Hash64(hw.Seed, uint64(id)),
-		tr:        trace.FromEngine(eng),
 		pid:       trace.GPUPid(id),
 	}
 	g.hbmDoneFn = g.hbmDone
@@ -120,11 +119,6 @@ func New(eng *sim.Engine, id int, hw config.Hardware, planeOf func(addr uint64) 
 // ConnectUp attaches the GPU->switch link for one plane.
 func (g *GPU) ConnectUp(plane int, link *noc.Link) { g.up[plane] = link }
 
-// SetPacketPool wires the run-wide packet free list (assembly layer). A
-// nil pool — the default for hand-wired unit tests — falls back to plain
-// allocation.
-func (g *GPU) SetPacketPool(pp *noc.PacketPool) { g.pkts = pp }
-
 // PoolStats sums Get traffic, fresh allocations and idle entries across
 // the GPU's typed free lists (access contexts, chunk credits, TB runs).
 // The shared packet pool is excluded — the machine reports it once.
@@ -135,11 +129,6 @@ func (g *GPU) PoolStats() (gets, news, idle int) {
 	}
 	return
 }
-
-// SetGroupRouter installs a fault-aware sync routing function (see
-// Synchronizer.Wait). The assembly layer points this at the machine's
-// plane-liveness-aware hash; standalone GPUs keep the static default.
-func (g *GPU) SetGroupRouter(fn func(group int) int) { g.groupPlane = fn }
 
 // SetComputeSlowdown scales this GPU's TB compute time (straggler fault
 // injection). 1 restores full speed.
@@ -159,14 +148,9 @@ func (g *GPU) Synchronizer() *Synchronizer { return g.sync }
 // Throttle exposes the request throttle (for tests).
 func (g *GPU) Throttle() *Throttle { return g.throttle }
 
-func (g *GPU) pktID() uint64 {
-	g.nextPktID++
-	return uint64(g.ID)<<48 | g.nextPktID
-}
-
 // sendUp routes a packet onto the deterministic plane for its address.
 func (g *GPU) sendUp(p *noc.Packet) {
-	plane := g.planeOf(p.Addr)
+	plane := g.host.RouteAddr(p.Addr)
 	if g.up[plane] == nil {
 		panic(fmt.Sprintf("gpu%d: no uplink for plane %d", g.ID, plane))
 	}

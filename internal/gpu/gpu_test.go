@@ -152,14 +152,18 @@ func TestSynchronizerReleaseUnknownPanics(t *testing.T) {
 // newBareGPU builds a GPU with stub links for synchronizer tests.
 func newBareGPU(eng *sim.Engine) *GPU {
 	hw := testHardware()
-	g := New(eng, 0, hw, func(addr uint64) int { return int(addr % 2) }, nopSink{})
+	g := New(eng, 0, hw, nopSink{}, &noc.PacketPool{}, nil)
 	for p := 0; p < hw.NumSwitchPlanes; p++ {
-		g.ConnectUp(p, noc.NewLink(eng, "up", 1e9, 0, noc.EndpointFunc(func(*noc.Packet) {})))
+		g.ConnectUp(p, noc.NewLink(eng, 1e9, 0, noc.EndpointFunc(func(*noc.Packet) {})))
 	}
 	return g
 }
 
+// nopSink is a Host that routes like the static hash of the 2-plane test
+// hardware and ignores data.
 type nopSink struct{}
 
+func (nopSink) RouteAddr(addr uint64) int       { return int(addr % 2) }
+func (nopSink) RouteGroup(group int) int        { return group % 2 }
 func (nopSink) OnData(int, *noc.Packet)         {}
 func (nopSink) OnAccessDone(int, kernel.Access) {}

@@ -53,6 +53,8 @@ type recSink struct {
 	accesses []kernel.Access
 }
 
+func (r *recSink) RouteAddr(addr uint64) int           { return int(addr % 2) }
+func (r *recSink) RouteGroup(group int) int            { return group % 2 }
 func (r *recSink) OnData(g int, p *noc.Packet)         { r.data = append(r.data, p.Op) }
 func (r *recSink) OnAccessDone(g int, a kernel.Access) { r.accesses = append(r.accesses, a) }
 
@@ -64,9 +66,9 @@ func newHarness(t *testing.T) (*sim.Engine, *GPU, *loopback, *recSink) {
 	hw.NumGPUs = 1 // groups expect only this GPU
 	lb := &loopback{eng: eng}
 	sink := &recSink{}
-	g := New(eng, 0, hw, func(addr uint64) int { return int(addr) % hw.NumSwitchPlanes }, sink)
+	g := New(eng, 0, hw, sink, &noc.PacketPool{}, nil)
 	for p := 0; p < hw.NumSwitchPlanes; p++ {
-		g.ConnectUp(p, noc.NewLink(eng, "up", 100e9, 250*sim.Nanosecond, lb))
+		g.ConnectUp(p, noc.NewLink(eng, 100e9, 250*sim.Nanosecond, lb))
 	}
 	lb.gpus = []*GPU{g}
 	return eng, g, lb, sink

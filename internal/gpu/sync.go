@@ -75,23 +75,10 @@ func newSynchronizer(g *GPU) *Synchronizer {
 // enables it only for schedules containing a plane failure.
 func (s *Synchronizer) SetLenient(on bool) { s.lenient = on }
 
-// routePlane picks the Group Sync Table plane for a group: the machine's
-// fault-aware hash when installed, else the static group % planes default.
-func (s *Synchronizer) routePlane(group int) int {
-	if s.g.groupPlane != nil {
-		return s.g.groupPlane(group)
-	}
-	plane := group % len(s.g.up)
-	if plane < 0 {
-		plane = 0
-	}
-	return plane
-}
-
 // register sends the Group Sync Table registration packet on a plane.
 func (s *Synchronizer) register(group, phase, expected, plane int) {
 	req := s.g.pkts.Get()
-	req.ID, req.Op = s.g.pktID(), noc.OpSyncRequest
+	req.Op = noc.OpSyncRequest
 	req.Addr, req.Group = uint64(phase), group
 	req.Src, req.Dst, req.Contribs = s.g.ID, -1, expected
 	s.g.up[plane].Send(req)
@@ -119,7 +106,7 @@ func (s *Synchronizer) Wait(group, phase, expected int, fn func()) {
 	}
 	// Sync traffic routes on the group's deterministic plane so all GPUs
 	// of a group meet at the same Group Sync Table.
-	plane := s.routePlane(group)
+	plane := s.g.host.RouteGroup(group)
 	w := s.waits.Get()
 	w.fn, w.plane, w.expected = fn, plane, expected
 	s.waiting[key] = w
@@ -148,7 +135,7 @@ func (s *Synchronizer) Resync() {
 	})
 	for _, k := range keys {
 		w := s.waiting[k]
-		if w == nil || s.routePlane(k.group) == w.plane {
+		if w == nil || s.g.host.RouteGroup(k.group) == w.plane {
 			continue
 		}
 		s.Reregistrations++
@@ -161,7 +148,7 @@ func (s *Synchronizer) Resync() {
 			if !ok {
 				return true // released while backing off; nothing to do
 			}
-			plane := s.routePlane(key.group)
+			plane := s.g.host.RouteGroup(key.group)
 			if cur.plane == plane {
 				return true // already on the live plane
 			}

@@ -127,19 +127,11 @@ func UsesParam(e Expr, p Param) bool {
 // analyzes Addr for GPU-invariance and, when mergeable, rewrites the
 // instruction to its CAIS variant and forms TB groups.
 type Pattern struct {
-	Name  string   // instruction label, e.g. "ld.X" or "red.Y"
-	Sem   Semantic // memory-semantic requirement
-	Addr  Expr     // address index expression
-	Home  Expr     // owner-GPU expression
-	Bytes int64    // bytes per access instance
+	Sem  Semantic // memory-semantic requirement
+	Addr Expr     // address index expression
 }
 
 // AddrAt evaluates the pattern's address for a (gpu, blockIdx) instance.
 func (p Pattern) AddrAt(gpu, block int) uint64 {
 	return uint64(p.Addr.Eval(Env{GPU: int64(gpu), BlockIdx: int64(block)}))
-}
-
-// HomeAt evaluates the pattern's owner GPU for a (gpu, blockIdx) instance.
-func (p Pattern) HomeAt(gpu, block int) int {
-	return int(p.Home.Eval(Env{GPU: int64(gpu), BlockIdx: int64(block)}))
 }

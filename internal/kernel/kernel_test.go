@@ -79,17 +79,9 @@ func TestExprGPUInvarianceProperty(t *testing.T) {
 }
 
 func TestPatternEvaluators(t *testing.T) {
-	p := Pattern{
-		Name: "ld.X", Sem: SemRead,
-		Addr:  Mul(ParamBlock, Const(1024)),
-		Home:  Mod(ParamBlock, Const(8)),
-		Bytes: 2048,
-	}
+	p := Pattern{Sem: SemRead, Addr: Mul(ParamBlock, Const(1024))}
 	if got := p.AddrAt(5, 3); got != 3072 {
 		t.Fatalf("AddrAt = %d, want 3072", got)
-	}
-	if got := p.HomeAt(5, 11); got != 3 {
-		t.Fatalf("HomeAt = %d, want 3", got)
 	}
 }
 

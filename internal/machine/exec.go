@@ -211,7 +211,7 @@ func (m *Machine) TileReady(t kernel.Tile) bool {
 	return s != nil && s.ready
 }
 
-// OnData implements gpu.DataSink: a data packet committed to HBM at GPU g.
+// OnData implements gpu.Host: a data packet committed to HBM at GPU g.
 // Packets carrying a TileTag contribute toward their access's completion;
 // once the required contribution bytes accumulate, the tiles publish.
 func (m *Machine) OnData(g int, p *noc.Packet) {
@@ -227,7 +227,7 @@ func (m *Machine) OnData(g int, p *noc.Packet) {
 		tag.Publish, tag.PublishEach)
 }
 
-// OnAccessDone implements gpu.DataSink: one TB's access completed at the
+// OnAccessDone implements gpu.Host: one TB's access completed at the
 // issuing GPU. Read accesses publish their tiles directly (the data is now
 // local); local write/reduce accesses count as contributions at this (home)
 // GPU.

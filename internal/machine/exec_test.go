@@ -8,7 +8,6 @@ import (
 	"cais/internal/kernel"
 	"cais/internal/noc"
 	"cais/internal/sim"
-	"cais/internal/trace"
 )
 
 func TestLaunchAllEmptyAndSequenceEmpty(t *testing.T) {
@@ -114,7 +113,7 @@ func TestUtilBinCoversAllLinks(t *testing.T) {
 // unless a run opts in.
 func TestZeroOptionsAttachNoObservers(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	if trace.FromEngine(m.Eng) != nil {
+	if m.tr != nil {
 		t.Fatal("tracer attached without Tracer or Attrib")
 	}
 	if !m.Timeline().IsZero() {

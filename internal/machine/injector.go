@@ -14,7 +14,6 @@ import (
 // the workload.
 type injector struct {
 	m      *Machine
-	sched  *faults.Schedule
 	active int
 
 	applied  int64 // onsets fired
@@ -32,7 +31,7 @@ func (m *Machine) installFaults() {
 	if err := sched.Validate(m.HW.NumGPUs, m.HW.NumSwitchPlanes); err != nil {
 		panic(err)
 	}
-	inj := &injector{m: m, sched: sched}
+	inj := &injector{m: m}
 	m.inj = inj
 	m.reg.CounterFunc("faults.applied", func() int64 { return inj.applied })
 	m.reg.CounterFunc("faults.repaired", func() int64 { return inj.repaired })

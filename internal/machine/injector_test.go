@@ -96,12 +96,12 @@ func TestPlaneDownFailoverCompletes(t *testing.T) {
 	}
 	// Routing invariants after the kill: everything lands on plane 0.
 	for addr := uint64(1); addr < 64; addr++ {
-		if m.routeAddr(addr) != 0 {
+		if m.RouteAddr(addr) != 0 {
 			t.Fatalf("addr %d routed to dead plane", addr)
 		}
 	}
 	for g := 0; g < 8; g++ {
-		if m.routeGroup(g) != 0 {
+		if m.RouteGroup(g) != 0 {
 			t.Fatalf("group %d routed to dead plane", g)
 		}
 	}
@@ -117,8 +117,8 @@ func TestPlaneDownThenRepair(t *testing.T) {
 	}
 	// Static routing restored: addr hash is the identity plane hash again.
 	for addr := uint64(1); addr < 16; addr++ {
-		if got, want := m.routeAddr(addr), int(addr%2); got != want {
-			t.Fatalf("routeAddr(%d) = %d after repair, want %d", addr, got, want)
+		if got, want := m.RouteAddr(addr), int(addr%2); got != want {
+			t.Fatalf("RouteAddr(%d) = %d after repair, want %d", addr, got, want)
 		}
 	}
 }

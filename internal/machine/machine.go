@@ -33,8 +33,8 @@ type Options struct {
 	// on every link (design ablation: control packets then share the
 	// data queues and suffer head-of-line blocking).
 	NoControlSideband bool
-	// Tracer, when non-nil, is attached to the engine before assembly so
-	// every subsystem records spans into it (Perfetto export). Nil keeps
+	// Tracer, when non-nil, is handed to every component at assembly so
+	// each records spans into it (Perfetto export). Nil keeps
 	// instrumentation disabled at zero cost. memo.Cacheable rejects runs
 	// that set it.
 	Tracer *trace.Tracer `memo:"-"`
@@ -104,7 +104,7 @@ type Machine struct {
 
 	// Plane liveness for fault-aware routing: planeAlive[p] is false while
 	// plane p is failed; survivors lists the live planes in index order.
-	// All-alive keeps routeAddr/routeGroup bit-identical to the static
+	// All-alive keeps RouteAddr/RouteGroup bit-identical to the static
 	// address-hash of a healthy machine.
 	planeAlive []bool
 	survivors  []int
@@ -224,19 +224,16 @@ func (m *Machine) TileArena() *pool.Arena[kernel.Tile] { return &m.tiles }
 func (m *Machine) AccessArena() *pool.Arena[kernel.Access] { return &m.accs }
 
 // New assembles a machine for the hardware configuration and applies
-// every run option: observers attach to the engine and the links, and a
-// fault schedule arms the injector.
+// every run option. It is the one place components are wired: each GPU,
+// switch plane and link receives the hardware, the run's packet pool, the
+// machine's fault-aware routes and the tracer at construction, observers
+// attach to the links, and a fault schedule arms the injector.
 func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 	if err := hw.Validate(); err != nil {
 		panic(err)
 	}
 	if opts.Attrib && opts.Tracer == nil {
 		opts.Tracer = trace.New()
-	}
-	if opts.Tracer != nil {
-		// Attach before assembly: every component captures the tracer from
-		// the engine at construction time.
-		trace.Attach(eng, opts.Tracer)
 	}
 	if opts.Progress != nil && opts.ProgressEvery > 0 {
 		eng.SetProgress(opts.ProgressEvery, opts.Progress)
@@ -248,7 +245,7 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 		// Address 0 is reserved so a zero Access is always a bug.
 		nextAddr: 1,
 		reg:      metrics.NewRegistry(),
-		tr:       trace.FromEngine(eng),
+		tr:       opts.Tracer,
 	}
 	// One retire callback for every launch of this machine's lifetime
 	// (the per-kernel-per-GPU closures it replaces were ~N_GPUs allocs
@@ -266,31 +263,19 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 	// One run-wide packet free list shared by every GPU and switch plane:
 	// packets recycle wherever they are terminally consumed, which is
 	// usually on the other side of the fabric from where they were built.
-	pkts := &noc.PacketPool{}
-	m.pkts = pkts
+	m.pkts = &noc.PacketPool{}
 	for g := 0; g < hw.NumGPUs; g++ {
-		m.GPUs = append(m.GPUs, gpu.New(eng, g, hw, m.routeAddr, m))
-		m.GPUs[g].SetGroupRouter(m.routeGroup)
-		m.GPUs[g].SetPacketPool(pkts)
+		m.GPUs = append(m.GPUs, gpu.New(eng, g, hw, m, m.pkts, m.tr))
 	}
 	planeBW := hw.PlaneBandwidth()
 	for pl := 0; pl < hw.NumSwitchPlanes; pl++ {
-		sw := nvswitch.New(eng, nvswitch.Config{
-			NumGPUs: hw.NumGPUs, Plane: pl,
-			SwitchLatency: hw.SwitchLatency,
-			MergeCapacity: hw.MergeTableBytes,
-			MergeTimeout:  hw.MergeTimeout,
-			CreditLatency: hw.LinkLatency,
-			Eviction:      opts.Eviction,
-			Metrics:       m.reg,
-		})
-		sw.SetPacketPool(pkts)
+		sw := nvswitch.New(eng, hw, pl, opts.Eviction, m.reg, m.pkts, m.tr)
 		m.Switches = append(m.Switches, sw)
 		ups := make([]*noc.Link, hw.NumGPUs)
 		downs := make([]*noc.Link, hw.NumGPUs)
 		for g := 0; g < hw.NumGPUs; g++ {
-			up := noc.NewLink(eng, fmt.Sprintf("g%d->sw%d", g, pl), planeBW, hw.LinkLatency, sw)
-			down := noc.NewLink(eng, fmt.Sprintf("sw%d->g%d", pl, g), planeBW, hw.LinkLatency, m.GPUs[g])
+			up := noc.NewLink(eng, planeBW, hw.LinkLatency, sw)
+			down := noc.NewLink(eng, planeBW, hw.LinkLatency, m.GPUs[g])
 			up.SetControlSideband(!opts.NoControlSideband)
 			down.SetControlSideband(!opts.NoControlSideband)
 			m.GPUs[g].ConnectUp(pl, up)
@@ -298,8 +283,8 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 			ups[g], downs[g] = up, down
 			// Link busy intervals render on the switch plane's process:
 			// one uplink and one downlink track per GPU port.
-			up.TraceOn(trace.SwitchPid(pl), trace.TIDUplinkBase+int32(g))
-			down.TraceOn(trace.SwitchPid(pl), trace.TIDDownlinkBase+int32(g))
+			up.TraceOn(m.tr, trace.SwitchPid(pl), trace.TIDUplinkBase+int32(g))
+			down.TraceOn(m.tr, trace.SwitchPid(pl), trace.TIDDownlinkBase+int32(g))
 		}
 		m.upLink = append(m.upLink, ups)
 		m.downLink = append(m.downLink, downs)
@@ -334,11 +319,12 @@ func (m *Machine) Timeline() metrics.UtilTimeline {
 	return m.util.Timeline()
 }
 
-// routeAddr is the fault-aware address-to-plane hash shared by every GPU:
-// the static plane hash when the plane is alive, else a consistent re-hash
-// over the survivors. Only addresses that hashed to a dead plane remap, so
-// live-plane merge/NVLS sessions are never split by a failover.
-func (m *Machine) routeAddr(addr uint64) int {
+// RouteAddr implements gpu.Host: the fault-aware address-to-plane hash
+// shared by every GPU. It is the static plane hash when the plane is
+// alive, else a consistent re-hash over the survivors. Only addresses that
+// hashed to a dead plane remap, so live-plane merge/NVLS sessions are
+// never split by a failover.
+func (m *Machine) RouteAddr(addr uint64) int {
 	p := int(addr % uint64(m.HW.NumSwitchPlanes))
 	if m.planeAlive[p] {
 		return p
@@ -350,9 +336,9 @@ func (m *Machine) routeAddr(addr uint64) int {
 	return m.survivors[addr%uint64(len(m.survivors))]
 }
 
-// routeGroup is the fault-aware Group Sync Table plane hash (same fallback
-// rule as routeAddr, keyed by group ID).
-func (m *Machine) routeGroup(group int) int {
+// RouteGroup implements gpu.Host: the fault-aware Group Sync Table plane
+// hash (same fallback rule as RouteAddr, keyed by group ID).
+func (m *Machine) RouteGroup(group int) int {
 	p := group % m.HW.NumSwitchPlanes
 	if p < 0 {
 		p = 0

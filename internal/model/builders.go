@@ -184,13 +184,9 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 	// depends only on blockIdx (row block = blockIdx / nTiles), so the
 	// instruction is GPU-invariant and mergeable (Fig. 8a).
 	pattern := kernel.Pattern{
-		Name: "ld." + name, Sem: kernel.SemRead,
+		Sem: kernel.SemRead,
 		Addr: kernel.Add(kernel.Const(int64(base)),
 			kernel.Mul(kernel.Div(kernel.ParamBlock, kernel.Const(int64(nT))), kernel.Const(int64(addrsPerRow)))),
-		Home: kernel.Mod(
-			kernel.Div(kernel.ParamBlock, kernel.Const(int64(nT))),
-			kernel.Const(int64(b.P))),
-		Bytes: rowBytes,
 	}
 	loadOp := noc.OpLoad
 	if mode == GatherCAIS {
@@ -294,13 +290,9 @@ func (b *Builder) FusedGEMMReduce(name string, m, n, kLocal int, scale float64, 
 	base := b.M.AllocAddrs(mT * nT * addrsPerTile)
 
 	pattern := kernel.Pattern{
-		Name: "red." + name, Sem: kernel.SemReduce,
+		Sem: kernel.SemReduce,
 		Addr: kernel.Add(kernel.Const(int64(base)),
 			kernel.Mul(kernel.ParamBlock, kernel.Const(int64(addrsPerTile)))),
-		Home: kernel.Mod(
-			kernel.Div(kernel.ParamBlock, kernel.Const(int64(nT))),
-			kernel.Const(int64(b.P))),
-		Bytes: tileBytes,
 	}
 	redOp := noc.OpStore
 	switch mode {
@@ -397,7 +389,7 @@ func (b *Builder) ReplicatedRowOp(name string, kind kernel.Kind, rows, cols int,
 // LocalRowOp builds a per-GPU row-wise elementwise kernel over a local
 // grid (GeLU on the column-parallel FFN activation): GPU g transforms its
 // own shard in place.
-func (b *Builder) LocalRowOp(name string, rows, colsLocal int, in InTiles, out LocalGrid) *kernel.Kernel {
+func (b *Builder) LocalRowOp(name string, rows int, in InTiles, out LocalGrid) *kernel.Kernel {
 	mT := MTiles(rows)
 	nT := out.NTiles
 	bytes := 2 * int64(TileM) * int64(TileN) * b.Elem

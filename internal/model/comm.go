@@ -59,10 +59,11 @@ func (b *Builder) NVLSAllGather(name string, src Sharded, cols int, in InTiles, 
 }
 
 // NVLSReduceScatter builds the multimem.ld_reduce pull-mode ReduceScatter:
-// the owner of each row block pulls it, the switch fans reads to every
-// GPU's replica and reduces in flight. parts.Tile(mi, ni, 0) publishes at
-// the owner on arrival. in gates the pull on the partials' readiness.
-func (b *Builder) NVLSReduceScatter(name string, m, n int, in InTiles, red Sharded, parts LocalGrid) *kernel.Kernel {
+// the owner of each row block (mi % P, Sharded.Owner's rule) pulls it, the
+// switch fans reads to every GPU's replica and reduces in flight.
+// parts.Tile(mi, ni, 0) publishes at the owner on arrival. in gates the
+// pull on the partials' readiness.
+func (b *Builder) NVLSReduceScatter(name string, m, n int, in InTiles, parts LocalGrid) *kernel.Kernel {
 	mT, nT := MTiles(m), NTiles(n)
 	tileBytes := b.tileBytes()
 	base := b.M.AllocAddrs(mT * nT * b.M.AddrsFor(tileBytes))
@@ -74,7 +75,7 @@ func (b *Builder) NVLSReduceScatter(name string, m, n int, in InTiles, red Shard
 	}
 	return b.commKernel(name, mT*nT, func(g, tb int) kernel.TBDesc {
 		mi, ni := tb/nT, tb%nT
-		if red.Owner(mi) != g {
+		if mi%b.P != g {
 			return kernel.TBDesc{Group: -1}
 		}
 		return kernel.TBDesc{
@@ -119,9 +120,10 @@ func (b *Builder) NVLSAllReduce(name string, m, n int, in InTiles, out LocalGrid
 }
 
 // RingReduceScatter builds the GPU-driven ring ReduceScatter: each tile's
-// partial travels P-1 accumulation hops ending at the row owner. Hop
-// pipelining emerges from tile dependencies between per-hop TBs.
-func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, red Sharded, parts LocalGrid) *kernel.Kernel {
+// partial travels P-1 accumulation hops ending at the row owner (mi % P,
+// Sharded.Owner's rule). Hop pipelining emerges from tile dependencies
+// between per-hop TBs.
+func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, parts LocalGrid) *kernel.Kernel {
 	mT, nT := MTiles(m), NTiles(n)
 	tileBytes := b.tileBytes()
 	hopBuf := b.M.NewBuffer(mT * nT * b.P) // per-(tile, gpu) arrival markers
@@ -135,7 +137,7 @@ func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, red Shard
 	}
 	return b.commKernel(name, mT*nT, func(g, tb int) kernel.TBDesc {
 		mi, ni := tb/nT, tb%nT
-		owner := red.Owner(mi)
+		owner := mi % b.P
 		if g == owner {
 			// The owner only contributes its local partial; the final
 			// arriving hop publishes the reduced block.

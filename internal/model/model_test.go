@@ -329,10 +329,9 @@ func TestCommKernelShapes(t *testing.T) {
 		t.Fatal("non-owner AG TB must be empty")
 	}
 
-	red := b.NewSharded(512)
 	parts := b.NewParts(512, 512)
-	rs := b.NVLSReduceScatter("rs", 512, 512, in, red, parts)
-	ownerRS := rs.Work(red.Owner(0), 0)
+	rs := b.NVLSReduceScatter("rs", 512, 512, in, parts)
+	ownerRS := rs.Work(0, 0) // row block 0's owner is GPU 0 (mi % P)
 	if len(ownerRS.Pre) != 1 || ownerRS.Pre[0].Mode != noc.OpMultimemLdReduce {
 		t.Fatalf("owner RS TB = %+v", ownerRS.Pre)
 	}
@@ -419,8 +418,8 @@ func TestCollectivesDegenerateAtP1(t *testing.T) {
 		b.NVLSAllGather("ag", src, 256, in, copies),
 		b.RingAllGather("rag", src, 256, in, copies),
 		b.P2PAllGather("pag", src, 256, in, copies),
-		b.NVLSReduceScatter("rs", 256, 256, in, src, parts),
-		b.RingReduceScatter("rrs", 256, 256, in, src, parts),
+		b.NVLSReduceScatter("rs", 256, 256, in, parts),
+		b.RingReduceScatter("rrs", 256, 256, in, parts),
 		b.NVLSAllReduce("ar", 256, 256, in, outAR),
 		b.RingAllReduce("rar", 256, 256, in, outAR),
 	}

@@ -128,7 +128,6 @@ const HeaderBytes = 16
 // Packet is one unit of traffic. Size is the payload in bytes; control
 // packets have Size 0 and occupy only the header on the wire.
 type Packet struct {
-	ID    uint64
 	Op    Op
 	Addr  uint64 // address key used for routing and merging
 	Home  int    // GPU owning Addr
@@ -203,8 +202,6 @@ type BusyRecorder interface {
 // blocking between load and reduction traffic; otherwise a single FIFO is
 // used (the CAIS-Partial configuration).
 type Link struct {
-	Name string
-
 	eng      *sim.Engine
 	bw       float64 // bytes/s
 	latency  sim.Time
@@ -232,31 +229,29 @@ type Link struct {
 	onSerializedFn func()
 	deliverFn      func()
 
-	tr     *trace.Tracer
-	trPid  int32
-	trTid  int32
-	traced bool
+	tr    *trace.Tracer // nil until TraceOn
+	trPid int32
+	trTid int32
 }
 
 // NewLink creates a link delivering to dst. The control sideband is
 // enabled by default.
-func NewLink(eng *sim.Engine, name string, bytesPerSecond float64, latency sim.Time, dst Endpoint) *Link {
+func NewLink(eng *sim.Engine, bytesPerSecond float64, latency sim.Time, dst Endpoint) *Link {
 	if bytesPerSecond <= 0 {
 		panic("noc: link bandwidth must be positive")
 	}
-	l := &Link{Name: name, eng: eng, bw: bytesPerSecond, latency: latency, dst: dst, sideband: true,
-		bwScale: 1, tr: trace.FromEngine(eng)}
+	l := &Link{eng: eng, bw: bytesPerSecond, latency: latency, dst: dst, sideband: true, bwScale: 1}
 	l.onSerializedFn = l.onSerialized
 	l.deliverFn = l.deliver
 	return l
 }
 
-// TraceOn places the link's busy intervals on a trace track: every
+// TraceOn places the link's busy intervals on a trace track of tr: every
 // transmitted packet becomes a complete span on (pid, tid). The assembly
-// layer assigns tracks; without it the link records nothing.
-func (l *Link) TraceOn(pid, tid int32) {
-	l.trPid, l.trTid = pid, tid
-	l.traced = l.tr.Enabled()
+// layer assigns tracks; without it, or with a nil tracer, the link records
+// nothing.
+func (l *Link) TraceOn(tr *trace.Tracer, pid, tid int32) {
+	l.tr, l.trPid, l.trTid = tr, pid, tid
 }
 
 // SetControlSideband enables (default) or disables the dedicated channel
@@ -407,7 +402,7 @@ func (l *Link) transmitNext() {
 	if l.recorder != nil {
 		l.recorder.RecordBusy(start, end, wire)
 	}
-	if l.traced {
+	if l.tr.Enabled() {
 		l.tr.Span(l.trPid, l.trTid, "noc.link", p.Op.String(), start, end)
 	}
 	// Cut-through delivery: the head arrives after latency, the tail

@@ -21,7 +21,7 @@ func (s *sink) Receive(p *Packet) {
 func newTestLink(bw float64, lat sim.Time) (*sim.Engine, *Link, *sink) {
 	eng := sim.NewEngine()
 	s := &sink{eng: eng}
-	l := NewLink(eng, "test", bw, lat, s)
+	l := NewLink(eng, bw, lat, s)
 	return eng, l, s
 }
 
@@ -266,7 +266,7 @@ func TestControlSidebandBypassesData(t *testing.T) {
 	// ...and must queue behind it when the sideband is disabled.
 	eng2 := sim.NewEngine()
 	s2 := &sink{eng: eng2}
-	l2 := NewLink(eng2, "nosideband", 100e9, 0, s2)
+	l2 := NewLink(eng2, 100e9, 0, s2)
 	l2.SetControlSideband(false)
 	eng2.At(0, func() {
 		l2.Send(&Packet{Op: OpRedCAIS, Size: 99984})

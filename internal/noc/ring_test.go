@@ -21,7 +21,7 @@ func TestRingFIFOAcrossWrap(t *testing.T) {
 		// 16-slot backing array several times.
 		pkts := make([]*Packet, 100)
 		for i := range pkts {
-			p := &Packet{ID: uint64(i), Op: OpStore, Size: 984}
+			p := &Packet{Op: OpStore, Addr: uint64(i), Size: 984}
 			pkts[i] = p
 			eng.At(sim.Time(i/3)*25*sim.Nanosecond, func() { l.Send(p) })
 		}
@@ -31,7 +31,7 @@ func TestRingFIFOAcrossWrap(t *testing.T) {
 		}
 		for i, p := range s.got {
 			if p != pkts[i] {
-				t.Fatalf("vc=%v: delivery %d is packet %d", vc, i, p.ID)
+				t.Fatalf("vc=%v: delivery %d is packet %d", vc, i, p.Addr)
 			}
 		}
 	}
@@ -42,7 +42,7 @@ func TestRingFIFOAcrossWrap(t *testing.T) {
 func TestRingPopClearsSlot(t *testing.T) {
 	for _, vc := range []bool{false, true} {
 		eng := sim.NewEngine()
-		l := NewLink(eng, "test", 100e9, sim.Nanosecond, EndpointFunc(func(*Packet) {}))
+		l := NewLink(eng, 100e9, sim.Nanosecond, EndpointFunc(func(*Packet) {}))
 		l.SetVirtualChannels(vc)
 		var sent []weak.Pointer[Packet]
 		for _, op := range []Op{OpStore, OpLdCAIS, OpRedCAIS} {
@@ -63,7 +63,7 @@ func TestRingPopClearsSlot(t *testing.T) {
 
 func TestRingSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	l := NewLink(eng, "test", 100e9, sim.Nanosecond, EndpointFunc(func(*Packet) {}))
+	l := NewLink(eng, 100e9, sim.Nanosecond, EndpointFunc(func(*Packet) {}))
 	l.SetVirtualChannels(true)
 	pkts := []*Packet{{Op: OpStore, Size: 984}, {Op: OpLdCAIS}, {Op: OpRedCAIS, Size: 984}}
 	// An 8-deep burst per class warms every ring to its high-water

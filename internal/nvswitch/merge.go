@@ -117,7 +117,7 @@ func (p EvictionPolicy) String() string {
 // plus merging table with byte-capacity accounting, LRU eviction and a
 // timeout-based forward-progress mechanism (Sec. III-A-4).
 type MergeUnit struct {
-	name          string
+	plane         int
 	gpu           int // the GPU this port faces (the home side)
 	eng           *sim.Engine
 	capacity      int64 // bytes; negative = unlimited
@@ -131,13 +131,12 @@ type MergeUnit struct {
 	creditLatency sim.Time
 	policy        EvictionPolicy
 	numGPUs       int
-	nextID        uint64
 	disabled      bool // fault injection: force the unmerged bypass path
 	tr            *trace.Tracer
 	pid           int32
 
-	// pkts is the run-wide packet free list (nil degrades to allocation);
-	// the session/tag pools are private to this port.
+	// pkts is the run-wide packet free list; the session/tag pools are
+	// private to this port.
 	pkts      *noc.PacketPool
 	sessPool  pool.Pool[session, *session]
 	respTags  pool.Pool[mergeRespTag, *mergeRespTag]
@@ -153,13 +152,6 @@ func (m *MergeUnit) getSession() *session {
 		s.timeoutFn = s.timeoutCheck
 	}
 	return s
-}
-
-func newMergeUnit(eng *sim.Engine, name string, capacity int64, timeout sim.Time, stats *Stats) *MergeUnit {
-	return &MergeUnit{
-		name: name, eng: eng, capacity: capacity, timeout: timeout,
-		sessions: make(map[uint64]*session), stats: stats,
-	}
 }
 
 // SetDisabled turns the merge unit off (true) or back on (false). While
@@ -215,11 +207,6 @@ func (m *MergeUnit) HighWater() int64 { return m.hwm }
 
 // Sessions reports the number of live entries.
 func (m *MergeUnit) Sessions() int { return len(m.sessions) }
-
-func (m *MergeUnit) id() uint64 {
-	m.nextID++
-	return m.nextID
-}
 
 // credit returns the acceptance feedback to the issuing GPU's throttle.
 func (m *MergeUnit) credit(p *noc.Packet) {
@@ -286,7 +273,7 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 	tag := m.respTags.Get()
 	tag.unit, tag.addr, tag.orig = m, p.Addr, p.Tag
 	fetch := m.pkts.Get()
-	fetch.ID, fetch.Op, fetch.Addr, fetch.Home = m.id(), noc.OpLoad, p.Addr, p.Home
+	fetch.Op, fetch.Addr, fetch.Home = noc.OpLoad, p.Addr, p.Home
 	fetch.Src, fetch.Dst, fetch.Size, fetch.Group = p.Src, p.Home, p.Size, p.Group
 	fetch.Tag = tag
 	m.sendDown(p.Home, fetch)
@@ -344,7 +331,7 @@ func (m *MergeUnit) HandleResponse(p *noc.Packet, tag *mergeRespTag) {
 // respond sends cached data down to one requester.
 func (m *MergeUnit) respond(s *session, req *noc.Packet) {
 	resp := m.pkts.Get()
-	resp.ID, resp.Op, resp.Addr, resp.Home = m.id(), noc.OpLoadResp, s.addr, m.gpu
+	resp.Op, resp.Addr, resp.Home = noc.OpLoadResp, s.addr, m.gpu
 	resp.Src, resp.Dst, resp.Size, resp.Group = m.gpu, req.Src, req.Size, req.Group
 	resp.OnDone, resp.Tag = req.OnDone, req.Tag
 	m.sendDown(req.Src, resp)
@@ -357,7 +344,7 @@ func (m *MergeUnit) forwardPlainLoad(p *noc.Packet) {
 	tag := m.plainTags.Get()
 	tag.unit, tag.requester, tag.onDone, tag.orig = m, p.Src, p.OnDone, p.Tag
 	fetch := m.pkts.Get()
-	fetch.ID, fetch.Op, fetch.Addr, fetch.Home = m.id(), noc.OpLoad, p.Addr, p.Home
+	fetch.Op, fetch.Addr, fetch.Home = noc.OpLoad, p.Addr, p.Home
 	fetch.Src, fetch.Dst, fetch.Size, fetch.Group = p.Src, p.Home, p.Size, p.Group
 	fetch.Tag = tag
 	m.sendDown(p.Home, fetch)
@@ -389,7 +376,7 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 			// the full downlink cost of losing the merge unit.
 			for g := 0; g < m.numGPUs; g++ {
 				out := m.pkts.Get()
-				out.ID, out.Op, out.Addr, out.Home = m.id(), noc.OpRedCAIS, p.Addr, m.gpu
+				out.Op, out.Addr, out.Home = noc.OpRedCAIS, p.Addr, m.gpu
 				out.Src, out.Dst, out.Size, out.Group = -1, g, p.Size, p.Group
 				out.Contribs, out.Tag = 1, p.Tag
 				if g == m.gpu {
@@ -409,7 +396,7 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 		// Same address used for both load and reduction merging would be
 		// a workload bug: CAIS keys sessions by (address, type) and our
 		// address space assigns distinct ranges per buffer.
-		panic(fmt.Sprintf("nvswitch: %s: load/reduction key collision at %#x", m.name, p.Addr))
+		panic(fmt.Sprintf("nvswitch: sw%d.port%d: load/reduction key collision at %#x", m.plane, m.gpu, p.Addr))
 	}
 	if !ok {
 		if !m.reserve(p.Size) {
@@ -450,7 +437,7 @@ func (m *MergeUnit) finishReduction(s *session) {
 	if s.bcast {
 		for g := 0; g < m.numGPUs; g++ {
 			out := m.pkts.Get()
-			out.ID, out.Op, out.Addr, out.Home = m.id(), noc.OpRedCAIS, s.addr, m.gpu
+			out.Op, out.Addr, out.Home = noc.OpRedCAIS, s.addr, m.gpu
 			out.Src, out.Dst, out.Size, out.Group = -1, g, s.size, s.group
 			out.Contribs, out.Tag = s.count, s.tag
 			m.sendDown(g, out)
@@ -469,7 +456,7 @@ func (m *MergeUnit) finishReduction(s *session) {
 // payload folds in so it can detect completion.
 func (m *MergeUnit) forwardPartial(addr uint64, size int64, group, contribs int, tag interface{}, onDone func()) {
 	out := m.pkts.Get()
-	out.ID, out.Op, out.Addr, out.Home = m.id(), noc.OpRedCAIS, addr, m.gpu
+	out.Op, out.Addr, out.Home = noc.OpRedCAIS, addr, m.gpu
 	out.Src, out.Dst, out.Size, out.Group = -1, m.gpu, size, group
 	out.Contribs, out.Tag, out.OnDone = contribs, tag, onDone
 	m.sendDown(m.gpu, out)

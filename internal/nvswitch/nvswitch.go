@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cais/internal/config"
 	"cais/internal/metrics"
 	"cais/internal/noc"
 	"cais/internal/pool"
@@ -17,38 +18,12 @@ import (
 	"cais/internal/trace"
 )
 
-// Config parameterizes one switch plane.
-type Config struct {
-	NumGPUs       int
-	Plane         int      // plane index (for naming/diagnostics)
-	SwitchLatency sim.Time // per-packet processing latency
-
-	// MergeCapacity is the per-port merging-table capacity in bytes.
-	// Negative means unlimited (used to measure the minimal required
-	// table size, Fig. 13a).
-	MergeCapacity int64
-	// MergeTimeout is the forward-progress eviction timeout.
-	MergeTimeout sim.Time
-
-	// CreditLatency is the switch->GPU delay of the merge unit's
-	// acceptance feedback (one link traversal).
-	CreditLatency sim.Time
-
-	// Eviction selects the merge unit's victim policy (default LRU).
-	Eviction EvictionPolicy
-
-	// Metrics, when set, is the central registry the plane's statistics
-	// register into (as "nvswitch.plane<N>.<metric>"). Nil means a private
-	// per-plane registry (standalone tests).
-	Metrics *metrics.Registry
-}
-
 // Switch is one NVSwitch plane. It terminates the per-GPU uplinks (it is
 // their noc.Endpoint) and owns one downlink plus one merge unit per
 // GPU-facing port.
 type Switch struct {
 	eng  *sim.Engine
-	cfg  Config
+	hw   config.Hardware
 	down []*noc.Link // index = GPU
 	port []*MergeUnit
 
@@ -64,13 +39,12 @@ type Switch struct {
 	// behavior.
 	faultTolerant bool
 
-	stats  *Stats
-	tr     *trace.Tracer
-	pid    int32
-	nextID uint64
+	stats *Stats
+	tr    *trace.Tracer
+	pid   int32
 
-	// pkts is the run-wide packet free list (nil degrades to plain
-	// allocation); the session pools are private to this plane.
+	// pkts is the run-wide packet free list; the session pools are
+	// private to this plane.
 	pkts         *noc.PacketPool
 	redSessions  pool.Pool[nvlsRedSession, *nvlsRedSession]
 	pullSessions pool.Pool[nvlsPullSession, *nvlsPullSession]
@@ -143,37 +117,40 @@ func (e *syncEntry) Reset() {
 	*e = syncEntry{seen: e.seen}
 }
 
-// New creates a switch plane for cfg.
-func New(eng *sim.Engine, cfg Config) *Switch {
-	if cfg.NumGPUs < 1 {
+// New creates the switch plane with index plane for the run's hardware hw:
+// one merge unit per GPU-facing port with hw's merging table and timeout,
+// the given eviction policy, and hw.LinkLatency as the credit-return
+// latency (one link traversal back to the issuing GPU). The plane's statistics register in
+// reg as "nvswitch.plane<N>.<metric>"; pkts is the run's packet pool and
+// tr its tracer (nil disables tracing).
+func New(eng *sim.Engine, hw config.Hardware, plane int, eviction EvictionPolicy,
+	reg *metrics.Registry, pkts *noc.PacketPool, tr *trace.Tracer) *Switch {
+	if hw.NumGPUs < 1 {
 		panic("nvswitch: NumGPUs must be >= 1")
-	}
-	st := NewStats()
-	if cfg.Metrics != nil {
-		st = NewStatsIn(cfg.Metrics, fmt.Sprintf("nvswitch.plane%d", cfg.Plane))
 	}
 	s := &Switch{
 		eng:      eng,
-		cfg:      cfg,
-		down:     make([]*noc.Link, cfg.NumGPUs),
-		port:     make([]*MergeUnit, cfg.NumGPUs),
+		hw:       hw,
+		down:     make([]*noc.Link, hw.NumGPUs),
+		port:     make([]*MergeUnit, hw.NumGPUs),
 		nvlsRed:  make(map[uint64]*nvlsRedSession),
 		nvlsPull: make(map[pullKey]*nvlsPullSession),
 		sync:     make(map[syncTableKey]*syncEntry),
-		stats:    st,
-		tr:       trace.FromEngine(eng),
-		pid:      trace.SwitchPid(cfg.Plane),
+		stats:    NewStatsIn(reg, fmt.Sprintf("nvswitch.plane%d", plane)),
+		tr:       tr,
+		pid:      trace.SwitchPid(plane),
+		pkts:     pkts,
 	}
 	s.processNextFn = s.processNext
-	for g := 0; g < cfg.NumGPUs; g++ {
-		s.port[g] = newMergeUnit(eng, fmt.Sprintf("sw%d.port%d", cfg.Plane, g), cfg.MergeCapacity, cfg.MergeTimeout, s.stats)
-		s.port[g].sendDown = s.sendDown
-		s.port[g].gpu = g
-		s.port[g].creditLatency = cfg.CreditLatency
-		s.port[g].policy = cfg.Eviction
-		s.port[g].numGPUs = cfg.NumGPUs
-		s.port[g].tr = s.tr
-		s.port[g].pid = s.pid
+	for g := range s.port {
+		s.port[g] = &MergeUnit{
+			plane: plane, gpu: g, eng: eng,
+			capacity: hw.MergeTableBytes, timeout: hw.MergeTimeout,
+			sessions: make(map[uint64]*session), stats: s.stats,
+			sendDown: s.sendDown, creditLatency: hw.LinkLatency,
+			policy: eviction, numGPUs: hw.NumGPUs,
+			tr: tr, pid: s.pid, pkts: pkts,
+		}
 	}
 	return s
 }
@@ -181,16 +158,6 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 // ConnectDown attaches the switch->GPU link for one port. Must be called
 // for every GPU before traffic flows.
 func (s *Switch) ConnectDown(gpu int, link *noc.Link) { s.down[gpu] = link }
-
-// SetPacketPool wires the run-wide packet free list into the plane and its
-// merge units (assembly layer). Nil — the default for hand-wired tests —
-// falls back to plain allocation.
-func (s *Switch) SetPacketPool(pp *noc.PacketPool) {
-	s.pkts = pp
-	for _, port := range s.port {
-		port.pkts = pp
-	}
-}
 
 // Stats returns the plane's statistics collector.
 func (s *Switch) Stats() *Stats { return s.stats }
@@ -263,7 +230,7 @@ func (s *Switch) Repair() {
 // processed after the switch-internal latency.
 func (s *Switch) Receive(p *noc.Packet) {
 	s.pending.PushBack(p)
-	s.eng.After(s.cfg.SwitchLatency, s.processNextFn)
+	s.eng.After(s.hw.SwitchLatency, s.processNextFn)
 }
 
 func (s *Switch) processNext() {
@@ -337,13 +304,12 @@ func (s *Switch) handleLoadResp(p *noc.Packet) {
 // uplink payload is replicated to every peer's downlink.
 func (s *Switch) handleMulticastStore(p *noc.Packet) {
 	s.stats.MulticastStores++
-	for g := 0; g < s.cfg.NumGPUs; g++ {
+	for g := 0; g < s.hw.NumGPUs; g++ {
 		if g == p.Src {
 			continue
 		}
 		copyP := s.pkts.Get()
 		*copyP = *p
-		copyP.ID = s.id()
 		copyP.Dst = g
 		copyP.OnDone = nil // completion is sender-side
 		s.sendDown(g, copyP)
@@ -366,17 +332,17 @@ func (s *Switch) handlePullReduce(p *noc.Packet) {
 		panic(fmt.Sprintf("nvswitch: duplicate ld_reduce session %+v", key))
 	}
 	resp := s.pkts.Get()
-	resp.ID, resp.Op, resp.Addr, resp.Home = s.id(), noc.OpLoadResp, p.Addr, p.Home
+	resp.Op, resp.Addr, resp.Home = noc.OpLoadResp, p.Addr, p.Home
 	resp.Src, resp.Dst, resp.Size, resp.Group = p.Home, p.Src, p.Size, p.Group
-	resp.OnDone, resp.Tag, resp.Contribs = p.OnDone, p.Tag, s.cfg.NumGPUs
+	resp.OnDone, resp.Tag, resp.Contribs = p.OnDone, p.Tag, s.hw.NumGPUs
 	sess := s.pullSessions.Get()
-	sess.pending, sess.resp = s.cfg.NumGPUs, resp
+	sess.pending, sess.resp = s.hw.NumGPUs, resp
 	sess.fanTag = pullTag{sw: s, key: key}
 	s.nvlsPull[key] = sess
 	s.stats.PullReduces++
-	for g := 0; g < s.cfg.NumGPUs; g++ {
+	for g := 0; g < s.hw.NumGPUs; g++ {
 		fan := s.pkts.Get()
-		fan.ID, fan.Op, fan.Addr, fan.Home = s.id(), noc.OpReadFan, p.Addr, g
+		fan.Op, fan.Addr, fan.Home = noc.OpReadFan, p.Addr, g
 		fan.Src, fan.Dst, fan.Size, fan.Group = p.Src, g, p.Size, p.Group
 		fan.Tag = &sess.fanTag
 		s.sendDown(g, fan)
@@ -407,7 +373,7 @@ func (s *Switch) handlePushReduce(p *noc.Packet) {
 	if !ok {
 		expected := p.Contribs
 		if expected <= 0 {
-			expected = s.cfg.NumGPUs
+			expected = s.hw.NumGPUs
 		}
 		sess = s.redSessions.Get()
 		sess.size, sess.expected, sess.home = p.Size, expected, p.Home
@@ -440,7 +406,7 @@ func (s *Switch) handlePushReduce(p *noc.Packet) {
 func (s *Switch) completeRed(addr uint64, sess *nvlsRedSession) {
 	delete(s.nvlsRed, addr)
 	if sess.bcast {
-		for g := 0; g < s.cfg.NumGPUs; g++ {
+		for g := 0; g < s.hw.NumGPUs; g++ {
 			s.sendRedResult(addr, sess, g)
 		}
 	} else {
@@ -454,7 +420,7 @@ func (s *Switch) completeRed(addr uint64, sess *nvlsRedSession) {
 
 func (s *Switch) sendRedResult(addr uint64, sess *nvlsRedSession, g int) {
 	out := s.pkts.Get()
-	out.ID, out.Op, out.Addr, out.Home = s.id(), noc.OpMultimemRed, addr, sess.home
+	out.Op, out.Addr, out.Home = noc.OpMultimemRed, addr, sess.home
 	out.Src, out.Dst, out.Size, out.Group = -1, g, sess.size, sess.group
 	out.Contribs, out.Tag = sess.count, sess.tag
 	s.sendDown(g, out)
@@ -465,7 +431,7 @@ func (s *Switch) sendRedResult(addr uint64, sess *nvlsRedSession, g int) {
 // timeout window, the partial result flushes. This is what keeps sessions
 // live when a plane failure re-routes later contributions elsewhere.
 func (s *Switch) armRedTimeout(addr uint64, sess *nvlsRedSession) {
-	to := s.cfg.MergeTimeout
+	to := s.hw.MergeTimeout
 	if to <= 0 {
 		to = 8 * sim.Microsecond
 	}
@@ -501,13 +467,13 @@ func (s *Switch) syncRegister(p *noc.Packet) {
 	if !ok {
 		expected := p.Contribs
 		if expected <= 0 {
-			expected = s.cfg.NumGPUs
+			expected = s.hw.NumGPUs
 		}
 		e = s.syncEntries.Get()
-		if cap(e.seen) < s.cfg.NumGPUs {
-			e.seen = make([]bool, s.cfg.NumGPUs)
+		if cap(e.seen) < s.hw.NumGPUs {
+			e.seen = make([]bool, s.hw.NumGPUs)
 		} else {
-			e.seen = e.seen[:s.cfg.NumGPUs]
+			e.seen = e.seen[:s.hw.NumGPUs]
 		}
 		e.expected = expected
 		s.sync[key] = e
@@ -532,12 +498,12 @@ func (s *Switch) syncRegister(p *noc.Packet) {
 	if s.tr.Enabled() {
 		s.tr.Instant(s.pid, int32(p.Group), "nvswitch.sync", "sync release", s.eng.Now())
 	}
-	for g := 0; g < s.cfg.NumGPUs; g++ {
+	for g := 0; g < s.hw.NumGPUs; g++ {
 		if !e.seen[g] {
 			continue
 		}
 		rel := s.pkts.Get()
-		rel.ID, rel.Op, rel.Addr = s.id(), noc.OpSyncRelease, p.Addr
+		rel.Op, rel.Addr = noc.OpSyncRelease, p.Addr
 		rel.Src, rel.Dst, rel.Group = -1, g, p.Group
 		s.sendDown(g, rel)
 	}
@@ -551,9 +517,4 @@ type syncTableKey struct {
 
 func syncKey(group int, phase uint64) syncTableKey {
 	return syncTableKey{group: group, phase: phase}
-}
-
-func (s *Switch) id() uint64 {
-	s.nextID++
-	return s.nextID
 }

@@ -3,9 +3,29 @@ package nvswitch
 import (
 	"testing"
 
+	"cais/internal/config"
+	"cais/internal/metrics"
 	"cais/internal/noc"
 	"cais/internal/sim"
 )
+
+// testHW is the hardware of an n-GPU test plane: DGX-H100's 50 ns switch
+// latency with the given merging-table capacity, timeout and
+// credit-return latency (the switch reads the latter from LinkLatency).
+func testHW(n int, capacity int64, timeout, credit sim.Time) config.Hardware {
+	hw := config.DGXH100()
+	hw.NumGPUs = n
+	hw.MergeTableBytes = capacity
+	hw.MergeTimeout = timeout
+	hw.LinkLatency = credit
+	return hw
+}
+
+// newSwitch builds plane 0 of hw with a fresh registry and packet pool
+// and no tracer.
+func newSwitch(eng *sim.Engine, hw config.Hardware, eviction EvictionPolicy) *Switch {
+	return New(eng, hw, 0, eviction, metrics.NewRegistry(), &noc.PacketPool{}, nil)
+}
 
 // fakeGPU is a minimal GPU endpoint: it answers read requests immediately
 // and records everything it receives.
@@ -55,16 +75,13 @@ func newRig(t *testing.T, n int, capacity int64, timeout sim.Time) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	eng.SetStepLimit(1_000_000)
-	sw := New(eng, Config{
-		NumGPUs: n, SwitchLatency: 50 * sim.Nanosecond,
-		MergeCapacity: capacity, MergeTimeout: timeout,
-	})
+	sw := newSwitch(eng, testHW(n, capacity, timeout, 0), EvictLRU)
 	r := &rig{eng: eng, sw: sw, gpus: make([]*fakeGPU, n)}
 	const bw, lat = 100e9, 250 * sim.Nanosecond
 	for g := 0; g < n; g++ {
 		gpu := &fakeGPU{id: g}
-		gpu.up = noc.NewLink(eng, "up", bw, lat, sw)
-		sw.ConnectDown(g, noc.NewLink(eng, "down", bw, lat, gpu))
+		gpu.up = noc.NewLink(eng, bw, lat, sw)
+		sw.ConnectDown(g, noc.NewLink(eng, bw, lat, gpu))
 		r.gpus[g] = gpu
 	}
 	return r
@@ -484,7 +501,9 @@ func TestEvictionPolicies(t *testing.T) {
 		{EvictLRU, 0x10}, {EvictMRU, 0x30}, {EvictFIFO, 0x10},
 	} {
 		eng := sim.NewEngine()
-		sw := New(eng, Config{NumGPUs: 4, MergeCapacity: 3 * 1024, Eviction: tc.policy})
+		hw := testHW(4, 3*1024, 0, 0)
+		hw.SwitchLatency = 0
+		sw := newSwitch(eng, hw, tc.policy)
 		var flushed []uint64
 		gpu0 := noc.EndpointFunc(func(p *noc.Packet) {
 			if p.Op == noc.OpRedCAIS {
@@ -496,9 +515,9 @@ func TestEvictionPolicies(t *testing.T) {
 			if g != 0 {
 				dst = noc.EndpointFunc(func(*noc.Packet) {})
 			}
-			sw.ConnectDown(g, noc.NewLink(eng, "d", 100e9, 0, dst))
+			sw.ConnectDown(g, noc.NewLink(eng, 100e9, 0, dst))
 		}
-		up := noc.NewLink(eng, "u", 100e9, 0, sw)
+		up := noc.NewLink(eng, 100e9, 0, sw)
 		eng.At(0, func() {
 			up.Send(&noc.Packet{Op: noc.OpRedCAIS, Addr: 0x10, Home: 0, Src: 1, Size: 1024, Contribs: 3})
 		})

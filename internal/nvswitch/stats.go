@@ -37,11 +37,6 @@ type skewEntry struct {
 	expected int
 }
 
-// NewStats returns a collector backed by a private registry (standalone
-// switch tests); system assembly uses NewStatsIn with the machine's
-// central registry.
-func NewStats() *Stats { return NewStatsIn(metrics.NewRegistry(), "nvswitch") }
-
 // NewStatsIn returns a collector whose metrics register into reg under
 // "<prefix>.<metric>" names: one counter per Summary field (a gauge for a
 // field tagged ",max") plus the two distribution histograms.

@@ -14,7 +14,7 @@ const us = sim.Microsecond
 // independently per address: interleaved arrivals to two addresses must
 // each measure their own first-to-last window.
 func TestSkewAccountingPerAddress(t *testing.T) {
-	st := NewStats()
+	st := NewStatsIn(metrics.NewRegistry(), "nvswitch")
 	// Address A: arrivals at 0 and 30us. Address B: 10us and 20us,
 	// interleaved inside A's window.
 	st.noteArrivalKind(0xA, 2, 0, true)
@@ -42,7 +42,7 @@ func TestSkewAccountingPerAddress(t *testing.T) {
 // TestSkewAccountingSplitsLoadAndReduction checks the ld/red decomposition
 // (Fig. 13b reports the two waiting times separately).
 func TestSkewAccountingSplitsLoadAndReduction(t *testing.T) {
-	st := NewStats()
+	st := NewStatsIn(metrics.NewRegistry(), "nvswitch")
 	st.noteArrivalKind(0x1, 2, 0, true) // load pair: spread 10us
 	st.noteArrivalKind(0x1, 2, 10*us, true)
 	st.noteArrivalKind(0x2, 2, 0, false) // reduction pair: spread 40us
@@ -62,7 +62,7 @@ func TestSkewAccountingSplitsLoadAndReduction(t *testing.T) {
 // TestSkewIgnoresSingletonExpectations: an address expecting a single
 // request has no spread to measure and must not pollute the histogram.
 func TestSkewIgnoresSingletonExpectations(t *testing.T) {
-	st := NewStats()
+	st := NewStatsIn(metrics.NewRegistry(), "nvswitch")
 	st.noteArrivalKind(0x9, 1, 5*us, true)
 	st.noteArrivalKind(0x9, 0, 6*us, false)
 	if st.OpenSkewAddrs() != 0 || st.Summary.SkewSamples() != 0 {
@@ -74,7 +74,7 @@ func TestSkewIgnoresSingletonExpectations(t *testing.T) {
 // TestSkewMaxTracksLargestSpread: the max must survive later smaller
 // samples and fold correctly across planes via Summary.Add.
 func TestSkewMaxTracksLargestSpread(t *testing.T) {
-	st := NewStats()
+	st := NewStatsIn(metrics.NewRegistry(), "nvswitch")
 	st.noteArrivalKind(0x1, 2, 0, false)
 	st.noteArrivalKind(0x1, 2, 50*us, false)
 	st.noteArrivalKind(0x2, 2, 100*us, false)

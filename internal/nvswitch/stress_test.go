@@ -119,16 +119,12 @@ type stressRig struct {
 func newStressRig(n int, capacity int64, timeout sim.Time) *stressRig {
 	eng := sim.NewEngine()
 	eng.SetStepLimit(5_000_000)
-	sw := New(eng, Config{
-		NumGPUs: n, SwitchLatency: 50 * sim.Nanosecond,
-		MergeCapacity: capacity, MergeTimeout: timeout,
-		CreditLatency: 250 * sim.Nanosecond,
-	})
+	sw := newSwitch(eng, testHW(n, capacity, timeout, 250*sim.Nanosecond), EvictLRU)
 	r := &stressRig{eng: eng, sw: sw, gpus: make([]*fakeGPU, n)}
 	for g := 0; g < n; g++ {
 		gpu := &fakeGPU{id: g}
-		gpu.up = noc.NewLink(eng, "up", 100e9, 250*sim.Nanosecond, sw)
-		sw.ConnectDown(g, noc.NewLink(eng, "down", 100e9, 250*sim.Nanosecond, gpu))
+		gpu.up = noc.NewLink(eng, 100e9, 250*sim.Nanosecond, sw)
+		sw.ConnectDown(g, noc.NewLink(eng, 100e9, 250*sim.Nanosecond, gpu))
 		r.gpus[g] = gpu
 	}
 	return r

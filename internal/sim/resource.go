@@ -12,14 +12,13 @@ import "cais/internal/pool"
 // events it needs, which keeps queueing policy (FIFO vs virtual channels)
 // in the component that owns the policy.
 type Resource struct {
-	Name   string
 	freeAt Time
 	busy   Time
 }
 
 // NewResource returns an idle resource.
-func NewResource(name string) *Resource {
-	return &Resource{Name: name}
+func NewResource() *Resource {
+	return &Resource{}
 }
 
 // Reserve books dur of exclusive use no earlier than now and returns the

@@ -205,11 +205,6 @@ type Engine struct {
 	heap  eventHeap
 	limit uint64 // optional hard step limit guard; 0 disables
 
-	// observer is an opaque attachment slot for cross-cutting
-	// instrumentation (the trace package's Tracer hooks in here, so every
-	// component that holds the engine can find it without new plumbing).
-	observer any
-
 	// Progress heartbeat: fn runs every progEvery executed events.
 	progEvery uint64
 	progress  func(now Time, steps uint64)
@@ -230,15 +225,6 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // It exists to turn accidental event loops in tests into immediate failures
 // rather than hangs. Zero disables the guard.
 func (e *Engine) SetStepLimit(n uint64) { e.limit = n }
-
-// SetObserver attaches an opaque observer to the engine. The trace package
-// uses this slot so every component holding the engine can discover the
-// tracer at construction time; a nil observer means instrumentation is
-// disabled and call sites compile down to nil checks.
-func (e *Engine) SetObserver(v any) { e.observer = v }
-
-// Observer returns the attached observer (nil when none).
-func (e *Engine) Observer() any { return e.observer }
 
 // SetProgress installs a heartbeat callback invoked every `every` executed
 // events (0 disables). The callback sees the current simulated time and

@@ -111,7 +111,7 @@ func TestDurationForBytes(t *testing.T) {
 }
 
 func TestResourceSerializesReservations(t *testing.T) {
-	r := NewResource("link")
+	r := NewResource()
 	s1, e1 := r.Reserve(0, 10*Nanosecond)
 	if s1 != 0 || e1 != 10*Nanosecond {
 		t.Fatalf("first reservation (%v,%v)", s1, e1)
@@ -132,7 +132,7 @@ func TestResourceSerializesReservations(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	r := NewResource("hbm")
+	r := NewResource()
 	r.Reserve(0, 25*Nanosecond)
 	if u := r.Utilization(100 * Nanosecond); u != 0.25 {
 		t.Fatalf("utilization = %v, want 0.25", u)
@@ -146,7 +146,7 @@ func TestResourceReservationsNeverOverlap(t *testing.T) {
 	// Property: for any request sequence, granted intervals are disjoint
 	// and ordered.
 	f := func(durs []uint16, gaps []uint16) bool {
-		r := NewResource("x")
+		r := NewResource()
 		now := Time(0)
 		lastEnd := Time(0)
 		for i, d := range durs {

@@ -102,7 +102,7 @@ func lowerRowOp(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 		// Elementwise on a column-parallel shard (GeLU).
 		local := st.local
 		out := b.NewLocalGrid(op.Rows, local.NTiles*model.TileN)
-		k := b.LocalRowOp(op.Name, op.Rows, local.NTiles*model.TileN,
+		k := b.LocalRowOp(op.Name, op.Rows,
 			func(g, mi, ni int) []kernel.Tile { return b.Tile1(local.Tile(mi, ni, g)) }, out)
 		place(s, spec.Barrier, k)
 		*st = actState{kind: stateLocal, local: out}
@@ -239,7 +239,6 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 	case RedRSNVLSPull, RedRSRing:
 		partial := b.NewLocalGrid(op.M, op.N)
 		gemm := b.GEMM(op.Name, op.M, op.N, kLocal, scale, in, partial)
-		red := b.NewSharded(op.M)
 		parts := b.NewParts(op.M, op.N)
 		var rs *kernel.Kernel
 		if spec.Reduce == RedRSNVLSPull {
@@ -249,12 +248,12 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 				// same for every requesting GPU and iteration).
 				return b.PeerTiles(partial, mi, ni)
 			}
-			rs = b.NVLSReduceScatter("rs."+op.Name, op.M, op.N, commIn, red, parts)
+			rs = b.NVLSReduceScatter("rs."+op.Name, op.M, op.N, commIn, parts)
 		} else {
 			commIn := func(g, mi, ni int) []kernel.Tile {
 				return b.Tile1(partial.Tile(mi, ni, g))
 			}
-			rs = b.RingReduceScatter("rs."+op.Name, op.M, op.N, commIn, red, parts)
+			rs = b.RingReduceScatter("rs."+op.Name, op.M, op.N, commIn, parts)
 		}
 		place(s, spec.Barrier, gemm, rs)
 		*st = actState{kind: stateParts, parts: parts}

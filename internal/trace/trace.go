@@ -55,18 +55,6 @@ func GPUPid(gpu int) int32 { return pidGPUBase + int32(gpu) }
 // SwitchPid returns the trace process ID of a switch plane.
 func SwitchPid(plane int) int32 { return pidSwitchBase + int32(plane) }
 
-// Attach installs t as eng's observer so components constructed against
-// eng discover it via FromEngine. Attaching nil detaches.
-func Attach(eng *sim.Engine, t *Tracer) { eng.SetObserver(t) }
-
-// FromEngine returns the tracer attached to eng, or nil when tracing is
-// disabled. Components call this once at construction and keep the typed
-// pointer, so their hot paths only pay a nil check.
-func FromEngine(eng *sim.Engine) *Tracer {
-	t, _ := eng.Observer().(*Tracer)
-	return t
-}
-
 // Event phase bytes (Chrome trace-event "ph" field), exported so offline
 // consumers (internal/attrib) can classify visited events.
 const (

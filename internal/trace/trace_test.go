@@ -28,22 +28,6 @@ func TestNilTracerIsDisabledAndSafe(t *testing.T) {
 	}
 }
 
-func TestEngineAttachment(t *testing.T) {
-	eng := sim.NewEngine()
-	if FromEngine(eng) != nil {
-		t.Fatal("fresh engine must have no tracer")
-	}
-	tr := New()
-	Attach(eng, tr)
-	if FromEngine(eng) != tr {
-		t.Fatal("FromEngine must return the attached tracer")
-	}
-	Attach(eng, nil)
-	if FromEngine(eng) != nil {
-		t.Fatal("detaching must clear the tracer")
-	}
-}
-
 // chromeEvent is the decoded shape used to validate serialization.
 type chromeEvent struct {
 	Name string  `json:"name"`
