@@ -12,20 +12,21 @@ import (
 // Fig13b 4.49M allocs/op); the zero-alloc kernel-construction pass (tile
 // arenas, pooled latches and dependency records, interned tile sets, the
 // single-slot TB continuation) cut the remainder to under a tenth of the
-// original, and the dense tile tracker (per-tile slots that keep their
-// waiter arrays) trimmed it again. Ceilings sit ~10% above the dense
-// tracker's measurement (Fig17 1,214,892 / Table2 662,249 /
-// Fig13b 481,878), so a change that reintroduces per-TB or
-// per-registration allocation trips these before it reaches a benchmark
-// diff.
+// original, the dense tile tracker (per-tile slots that keep their
+// waiter arrays) trimmed it again, and carrying each access's own
+// descriptor as its packets' completion record (no per-access tag) cut
+// another seventh. Ceilings sit ~10% above that measurement (Fig17
+// 1,042,244 / Table2 556,280 / Fig13b 415,066), so a change that
+// reintroduces per-TB, per-access or per-registration allocation trips
+// these before it reaches a benchmark diff.
 // The ceilings double as the attribution PR's disabled-path guard: none of
 // these configs set Config.Attrib or Options.UtilBin, so a change that
 // makes the off-by-default observability layer allocate (an eagerly built
 // tracer, an unconditional recorder) trips them immediately.
 const (
-	allocCeilingFig17  = 1_336_000 // measured 1,214,892 + ~10%
-	allocCeilingTable2 = 728_000   // measured 662,249 + ~10%
-	allocCeilingFig13b = 530_000   // measured 481,878 + ~10%
+	allocCeilingFig17  = 1_147_000 // measured 1,042,244 + ~10%
+	allocCeilingTable2 = 612_000   // measured 556,280 + ~10%
+	allocCeilingFig13b = 457_000   // measured 415,066 + ~10%
 )
 
 // allocsForRun measures one quick-fidelity sequential regeneration.

@@ -150,7 +150,7 @@ func TestAttributionDisabledIsFree(t *testing.T) {
 	if res.Attrib != nil {
 		t.Fatal("attribution report produced without opt-in")
 	}
-	if !res.Timeline.IsZero() {
+	if res.Timeline.Bin != 0 {
 		t.Fatal("utilization timeline recorded without opt-in")
 	}
 }

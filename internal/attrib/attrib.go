@@ -226,7 +226,7 @@ func fill(c *Component, elapsed sim.Time, prio []Bucket, ivs [][]interval) {
 // openSpan tracks an unmatched async begin event.
 type openSpan struct {
 	pid     int32
-	cat     byte // 's' = gpu.sync, 'm' = nvswitch.merge
+	sync    bool // a trace.CatSync wait; else a trace.CatMerge session
 	start   sim.Time
 	matched bool
 }
@@ -255,26 +255,22 @@ func Build(m *machine.Machine, tr *trace.Tracer, elapsed sim.Time) *Report {
 		switch e.Phase {
 		case trace.PhaseComplete:
 			switch e.Cat {
-			case "gpu.tb":
+			case trace.CatTB:
 				if g := int(e.Pid) - int(trace.GPUPid(0)); g >= 0 && g < nGPU {
 					gpuCompute[g] = addClamped(gpuCompute[g], e.Ts, e.Ts+e.Dur, elapsed)
 				}
-			case "noc.link":
+			case trace.CatLink:
 				if p := int(e.Pid) - int(trace.SwitchPid(0)); p >= 0 && p < nPlane {
 					planeTransit[p] = addClamped(planeTransit[p], e.Ts, e.Ts+e.Dur, elapsed)
 				}
 			}
 		case trace.PhaseAsyncBegin:
-			switch e.Cat {
-			case "gpu.sync":
+			if e.Cat == trace.CatSync || e.Cat == trace.CatMerge {
 				openIdx[e.ID] = len(opens)
-				opens = append(opens, openSpan{pid: e.Pid, cat: 's', start: e.Ts})
-			case "nvswitch.merge":
-				openIdx[e.ID] = len(opens)
-				opens = append(opens, openSpan{pid: e.Pid, cat: 'm', start: e.Ts})
+				opens = append(opens, openSpan{pid: e.Pid, sync: e.Cat == trace.CatSync, start: e.Ts})
 			}
 		case trace.PhaseAsyncEnd:
-			if e.Cat != "gpu.sync" && e.Cat != "nvswitch.merge" {
+			if e.Cat != trace.CatSync && e.Cat != trace.CatMerge {
 				return
 			}
 			i, ok := openIdx[e.ID]
@@ -335,15 +331,14 @@ func Build(m *machine.Machine, tr *trace.Tracer, elapsed sim.Time) *Report {
 
 // emitAsync routes one closed async span to its component's bucket list.
 func emitAsync(o openSpan, end, elapsed sim.Time, nGPU, nPlane int, gpuSync, planeMerge [][]interval) {
-	switch o.cat {
-	case 's':
+	if o.sync {
 		if g := int(o.pid) - int(trace.GPUPid(0)); g >= 0 && g < nGPU {
 			gpuSync[g] = addClamped(gpuSync[g], o.start, end, elapsed)
 		}
-	case 'm':
-		if p := int(o.pid) - int(trace.SwitchPid(0)); p >= 0 && p < nPlane {
-			planeMerge[p] = addClamped(planeMerge[p], o.start, end, elapsed)
-		}
+		return
+	}
+	if p := int(o.pid) - int(trace.SwitchPid(0)); p >= 0 && p < nPlane {
+		planeMerge[p] = addClamped(planeMerge[p], o.start, end, elapsed)
 	}
 }
 

@@ -33,10 +33,11 @@ type KindShare struct {
 const launchStallShare = "launch-stall"
 
 // criticalPath extracts the longest dependency chain over the kernel
-// spans. The dependency graph is the wave order: machine.LaunchAll gives
-// every kernel of one barrier-delimited batch a shared wave number and
-// waves launch strictly after their predecessor completes, so the chain
-// of per-wave last finishers IS the longest path through the run. Within
+// spans. The dependency graph is the wave order: machine.RunStages gives
+// every kernel of one stage (a barrier-delimited batch) a shared wave
+// number and waves launch strictly after their predecessor completes, so
+// the chain of per-wave last finishers IS the longest path through the
+// run. Within
 // a wave the span with the latest End is critical; ties break to launch
 // order (the spans slice is append-ordered), which is deterministic.
 func criticalPath(spans []*machine.KernelSpan, elapsed sim.Time) ([]PathSeg, []KindShare) {

@@ -66,7 +66,7 @@ type Hardware struct {
 	// occupies (NCCL-style channel count).
 	CommSMs int
 
-	// Data type width in bytes (BF16 = 2).
+	// Data type width in bytes (BF16 = 2), from FP8 (1) to FP64 (8).
 	ElemBytes int
 
 	// Seed for all deterministic pseudo-randomness.
@@ -121,7 +121,7 @@ const (
 // Validate reports configuration errors that would make a simulation
 // meaningless: zero GPUs, rates that are not finite or below minRate,
 // negative times or times above maxTime, an efficiency outside [0, 1],
-// and similar. None of these fails at run time: the engine clamps a
+// an element width outside FP8 to FP64, and similar. None of these fails at run time: the engine clamps a
 // negative delay to zero, and an out-of-range rate or time turns into
 // arbitrary event times. Every error names its field.
 func (h Hardware) Validate() error {
@@ -139,8 +139,10 @@ func (h Hardware) Validate() error {
 		return fmt.Errorf("config: TBTimeNoise = %g, need in [0, 1)", h.TBTimeNoise)
 	case h.RequestBytes < 1:
 		return fmt.Errorf("config: RequestBytes = %d, need >= 1", h.RequestBytes)
-	case h.ElemBytes < 1:
-		return fmt.Errorf("config: ElemBytes = %d, need >= 1", h.ElemBytes)
+	case h.ElemBytes < 1 || h.ElemBytes > 8:
+		// Every tile's bytes scale with it: at 1<<40 a 2-GPU sub-layer
+		// ran without end instead of failing.
+		return fmt.Errorf("config: ElemBytes = %d, need in [1, 8] (FP8 to FP64)", h.ElemBytes)
 	}
 	for _, f := range []struct {
 		name string

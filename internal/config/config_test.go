@@ -41,6 +41,10 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"TBTimeNoise", func(h *Hardware) { h.TBTimeNoise = math.NaN() }},
 		{"RequestBytes", func(h *Hardware) { h.RequestBytes = 0 }},
 		{"ElemBytes", func(h *Hardware) { h.ElemBytes = 0 }},
+		{"ElemBytes", func(h *Hardware) { h.ElemBytes = 9 }},
+		// Every tile's bytes scale with the element width: at 1<<40 a
+		// 2-GPU sub-layer ran without end instead of failing.
+		{"ElemBytes", func(h *Hardware) { h.ElemBytes = 1 << 40 }},
 		// Finite magnitudes that overflow sim.Time: the three rates made
 		// a layer finish faster than healthy, the two latencies panicked
 		// scheduling an event before now, and the launch overhead ran
@@ -82,8 +86,9 @@ func TestValidateCatchesEachField(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Errorf("ideal fabric rejected: %v", err)
 	}
-	h = DGXH100() // every rate at its floor, every time at its ceiling
+	h = DGXH100() // every rate at its floor, every time and width at its ceiling
 	h.SMFLOPs, h.HBMBandwidth, h.LinkBandwidth = minRate, minRate, minRate
+	h.ElemBytes = 8
 	h.LinkLatency, h.SwitchLatency, h.MergeTimeout = maxTime, maxTime, maxTime
 	h.KernelLaunchOverhead, h.KernelLaunchJitter, h.TBOverhead = maxTime, maxTime, maxTime
 	if err := h.Validate(); err != nil {

@@ -61,7 +61,9 @@ func (g *GPU) hbmDone() {
 
 	case jobData:
 		p := j.p
-		g.host.OnData(g.ID, p)
+		if a, ok := p.Tag.(*kernel.Access); ok {
+			g.host.Deliver(g.ID, a, int64(max(p.Contribs, 1))*p.Size)
+		}
 		if p.OnDone != nil {
 			p.OnDone()
 		}
@@ -69,8 +71,8 @@ func (g *GPU) hbmDone() {
 
 	case jobLocal:
 		c := j.ctx
-		if len(c.a.Publish) > 0 || c.a.PublishEach.Buf != 0 {
-			g.host.OnAccessDone(g.ID, c.a)
+		if c.publishHere {
+			g.host.Deliver(g.ID, c.a, c.a.Bytes)
 		}
 		if c.onComplete != nil {
 			c.onComplete()
@@ -84,13 +86,12 @@ func (g *GPU) hbmDone() {
 // the cached completion closures shared by every chunk of the access.
 type accessCtx struct {
 	g            *GPU
-	a            kernel.Access
+	a            *kernel.Access
 	group        int
 	throttledReq bool // red.cais under TB-aware throttling
-	publishHere  bool
+	publishHere  bool // deliver a to the host once its data moved
 	onIssued     func()
 	onComplete   func()
-	tag          *TileTag
 	chunk        int64 // resolved request granularity
 	nextChunk    int   // next chunk index the throttle will send
 	pendingIssue int
@@ -135,7 +136,7 @@ func (c *accessCtx) chunkDone() {
 	c.pendingDone--
 	if c.pendingDone == 0 {
 		if c.publishHere {
-			c.g.host.OnAccessDone(c.g.ID, c.a)
+			c.g.host.Deliver(c.g.ID, c.a, c.a.Bytes)
 		}
 		if c.onComplete != nil {
 			c.onComplete()
@@ -188,11 +189,11 @@ func (c *accessCtx) sendChunk(i int) {
 		p.Tag = c
 	case noc.OpStore, noc.OpMultimemST:
 		p.Contribs = 1
-		p.Tag = c.tag
+		p.Tag = c.a
 		p.OnDone = c.chunkDoneFn
 	case noc.OpRedCAIS, noc.OpMultimemRed:
 		p.Contribs = c.a.Expected
-		p.Tag = c.tag
+		p.Tag = c.a
 		// Reductions complete (for throttling) when the merge session
 		// finishes or flushes at the switch.
 		p.OnDone = c.chunkDoneFn
@@ -239,7 +240,7 @@ func (c *chunkCredit) accepted() {
 }
 
 // chunkCount is the number of request-granularity chunks for n bytes,
-// matching chunkSizes (the reference implementation kept for tests).
+// matching the tests' reference split.
 func chunkCount(n, chunk int64) int {
 	if n <= 0 {
 		return 1

@@ -17,33 +17,23 @@ import (
 	"cais/internal/trace"
 )
 
-// TileTag travels on data packets so the machine layer can publish tiles
-// and count reduction contributions at the receiving GPU.
-type TileTag struct {
-	Base      uint64 // access base address (chunks share it)
-	NeedBytes int64  // contribution bytes required before publishing
-	Publish   []kernel.Tile
-	// PublishEach, when Buf != 0, makes receiver r publish the single
-	// tile {Buf, Idx + r} (multicast copies land in per-GPU local
-	// buffers).
-	PublishEach kernel.Tile
-}
-
 // Host is the machine layer as one GPU sees it: it routes the GPU's
-// traffic onto switch planes and receives every committed data arrival and
-// every completed publishing access so it can drive TB-level dataflow.
+// traffic onto switch planes and takes the completions of thread blocks'
+// accesses so it can drive TB-level dataflow.
 type Host interface {
 	// RouteAddr picks the switch plane an address's requests travel on.
 	RouteAddr(addr uint64) int
 	// RouteGroup picks the plane holding a TB group's Group Sync Table
 	// entry, so all GPUs of the group meet at the same switch.
 	RouteGroup(group int) int
-	// OnData fires when a data packet has been committed to this GPU's
-	// HBM (stores, reduction results, multicast copies).
-	OnData(gpu int, p *noc.Packet)
-	// OnAccessDone fires when one TB's access (all chunks) completed at
-	// the issuing GPU: loads with arrived data, or local accesses.
-	OnAccessDone(gpu int, a kernel.Access)
+	// Deliver hands over one completion of access a at this GPU. Either
+	// a data packet carrying a as its tag committed to this GPU's HBM (a
+	// store, reduction result or multicast copy; bytes is max(Contribs,
+	// 1) times the packet's size), or a read or local access finished at
+	// its issuer (bytes is a.Bytes). a is the issuing thread block's own
+	// descriptor: admission-time descriptors are never reclaimed, so it
+	// stays valid for the machine's lifetime.
+	Deliver(gpu int, a *kernel.Access, bytes int64)
 }
 
 // GPU is one simulated device.
@@ -142,11 +132,9 @@ func (g *GPU) SetComputeSlowdown(f float64) {
 // ComputeSlowdown reports the current straggler factor (1 = healthy).
 func (g *GPU) ComputeSlowdown() float64 { return g.slowdown }
 
-// Synchronizer exposes the TB-group synchronizer (for tests).
+// Synchronizer exposes the TB-group synchronizer to the machine's fault
+// injector and quiescence audit.
 func (g *GPU) Synchronizer() *Synchronizer { return g.sync }
-
-// Throttle exposes the request throttle (for tests).
-func (g *GPU) Throttle() *Throttle { return g.throttle }
 
 // sendUp routes a packet onto the deterministic plane for its address.
 func (g *GPU) sendUp(p *noc.Packet) {
@@ -204,17 +192,23 @@ func (g *GPU) Receive(p *noc.Packet) {
 // been handed to the fabric (posted-write retirement point); onComplete
 // fires when the access's data movement finished at this GPU (loads: all
 // chunks arrived; local accesses: HBM reservation drained). onComplete may
-// be nil for posted writes.
-func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, onComplete func()) {
+// be nil for posted writes. a is the thread block's own descriptor: remote
+// writes and reductions carry it to their home GPU as the packet tag.
+func (g *GPU) issueAccess(a *kernel.Access, group int, throttled bool, onIssued, onComplete func()) {
+	// Reads and local accesses are delivered here once their data moved,
+	// if they publish tiles. Remote writes and reductions publish at the
+	// home GPU instead (the issuer's completion is only a throttling
+	// signal).
+	publishHere := (a.Local || a.Sem == kernel.SemRead) &&
+		(len(a.Publish) > 0 || a.PublishEach.Buf != 0)
 	if a.Local {
 		_, end := g.hbm.Reserve(g.eng.Now(), g.hbmTime(a.Bytes))
 		if onIssued != nil {
 			g.eng.After(0, onIssued)
 		}
-		if len(a.Publish) > 0 || a.PublishEach.Buf != 0 || onComplete != nil {
+		if publishHere || onComplete != nil {
 			ctx := g.getAccessCtx()
-			ctx.a = a
-			ctx.onComplete = onComplete
+			ctx.a, ctx.publishHere, ctx.onComplete = a, publishHere, onComplete
 			g.hbmJobs.PushBack(hbmJob{kind: jobLocal, ctx: ctx})
 			g.eng.At(end, g.hbmDoneFn)
 		}
@@ -227,11 +221,7 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 	ctx.group = group
 	ctx.onIssued = onIssued
 	ctx.onComplete = onComplete
-	// Reads publish their tiles at the issuing GPU once the data arrives;
-	// remote writes/reductions publish at the home GPU via the packet tag
-	// (never here — the issuer's completion is only a throttling signal).
-	ctx.publishHere = a.Sem == kernel.SemRead &&
-		(len(a.Publish) > 0 || a.PublishEach.Buf != 0)
+	ctx.publishHere = publishHere
 	// Throttling applies to reduction traffic: red.cais carries data
 	// uplink (the direction the merge footprint accumulates on), while
 	// ld.cais requests are header-only and already paced by the
@@ -239,20 +229,6 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 	ctx.throttledReq = throttled && a.Mode == noc.OpRedCAIS
 	ctx.chunk = g.hw.RequestBytes
 	ctx.pendingIssue, ctx.pendingDone = n, n
-
-	if writesData(a.Mode) {
-		need := a.TileNeed
-		if need <= 0 {
-			need = 1
-		}
-		// The tag outlives the access context: multicast copies still in
-		// flight reference it at their receivers, so it stays a plain
-		// allocation rather than joining a pool.
-		ctx.tag = &TileTag{
-			Base: a.Addr, NeedBytes: int64(need) * a.Bytes,
-			Publish: a.Publish, PublishEach: a.PublishEach,
-		}
-	}
 
 	if ctx.throttledReq {
 		for i := 0; i < n; i++ {
@@ -263,33 +239,4 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 	for i := 0; i < n; i++ {
 		ctx.sendChunk(i)
 	}
-}
-
-func writesData(op noc.Op) bool {
-	switch op {
-	case noc.OpStore, noc.OpRedCAIS, noc.OpMultimemRed, noc.OpMultimemST:
-		return true
-	default:
-		return false
-	}
-}
-
-// chunkSizes splits n bytes into request-granularity chunks.
-func chunkSizes(n, chunk int64) []int64 {
-	if n <= 0 {
-		return []int64{0}
-	}
-	if chunk <= 0 {
-		chunk = n
-	}
-	var out []int64
-	for n > 0 {
-		c := chunk
-		if n < c {
-			c = n
-		}
-		out = append(out, c)
-		n -= c
-	}
-	return out
 }

@@ -39,8 +39,14 @@ func TestChunkSizesConserveBytes(t *testing.T) {
 		// Bound the chunk count so the property check stays fast.
 		n := n32 % (1 << 20)
 		cs := chunkSizes(int64(n), int64(chunk)+64)
+		if chunkCount(int64(n), int64(chunk)+64) != len(cs) {
+			return false
+		}
 		var sum int64
-		for _, c := range cs {
+		for i, c := range cs {
+			if chunkSize(i, int64(n), int64(chunk)+64) != c {
+				return false
+			}
 			sum += c
 		}
 		if n == 0 {
@@ -66,8 +72,8 @@ func TestThrottleWindowFIFO(t *testing.T) {
 	if len(order) != 3 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("post-release order = %v, want [1 2 3]", order)
 	}
-	if th.Outstanding() != 70 {
-		t.Fatalf("outstanding = %d, want 70", th.Outstanding())
+	if th.out != 70 {
+		t.Fatalf("outstanding = %d, want 70", th.out)
 	}
 }
 
@@ -98,15 +104,6 @@ func TestThrottleDisabledPassesThrough(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("grants = %d, want 10 with throttling disabled", n)
-	}
-}
-
-func TestWritesData(t *testing.T) {
-	if !writesData(noc.OpRedCAIS) || !writesData(noc.OpStore) || !writesData(noc.OpMultimemST) || !writesData(noc.OpMultimemRed) {
-		t.Fatal("data-carrying ops misclassified")
-	}
-	if writesData(noc.OpLdCAIS) || writesData(noc.OpLoad) {
-		t.Fatal("loads misclassified as writes")
 	}
 }
 
@@ -160,10 +157,30 @@ func newBareGPU(eng *sim.Engine) *GPU {
 }
 
 // nopSink is a Host that routes like the static hash of the 2-plane test
-// hardware and ignores data.
+// hardware and ignores deliveries.
 type nopSink struct{}
 
-func (nopSink) RouteAddr(addr uint64) int       { return int(addr % 2) }
-func (nopSink) RouteGroup(group int) int        { return group % 2 }
-func (nopSink) OnData(int, *noc.Packet)         {}
-func (nopSink) OnAccessDone(int, kernel.Access) {}
+func (nopSink) RouteAddr(addr uint64) int          { return int(addr % 2) }
+func (nopSink) RouteGroup(group int) int           { return group % 2 }
+func (nopSink) Deliver(int, *kernel.Access, int64) {}
+
+// chunkSizes splits n bytes into request-granularity chunks: the
+// reference split chunkCount and chunkSize must match.
+func chunkSizes(n, chunk int64) []int64 {
+	if n <= 0 {
+		return []int64{0}
+	}
+	if chunk <= 0 {
+		chunk = n
+	}
+	var out []int64
+	for n > 0 {
+		c := chunk
+		if n < c {
+			c = n
+		}
+		out = append(out, c)
+		n -= c
+	}
+	return out
+}

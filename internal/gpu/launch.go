@@ -6,6 +6,7 @@ import (
 	"cais/internal/kernel"
 	"cais/internal/pool"
 	"cais/internal/sim"
+	"cais/internal/trace"
 )
 
 // LaunchOpts parameterizes one kernel launch on one GPU.
@@ -152,10 +153,11 @@ func (r *tbRun) enqueueReady() {
 // preLoad is the pre-access sync release: issue every pre access with the
 // shared completion counter.
 func (r *tbRun) preLoad() {
-	r.prePending = len(r.desc.Pre)
+	pre := r.desc.Pre
+	r.prePending = len(pre)
 	r.next = stepPreDone
-	for _, a := range r.desc.Pre {
-		r.g.issueAccess(a, r.group, r.l.K.Coord.Throttle, nil, r.stepFn)
+	for i := range pre {
+		r.g.issueAccess(&pre[i], r.group, r.l.K.Coord.Throttle, nil, r.stepFn)
 	}
 }
 
@@ -178,14 +180,15 @@ func (r *tbRun) preDone() {
 // issuePosts issues every post access; the TB finishes when all are issued
 // (posted-write semantics).
 func (r *tbRun) issuePosts() {
-	if len(r.desc.Post) == 0 {
+	post := r.desc.Post
+	if len(post) == 0 {
 		r.postComplete()
 		return
 	}
-	r.postPending = len(r.desc.Post)
+	r.postPending = len(post)
 	r.next = stepPostIssued
-	for _, a := range r.desc.Post {
-		r.g.issueAccess(a, r.group, r.l.K.Coord.Throttle, r.stepFn, nil)
+	for i := range post {
+		r.g.issueAccess(&post[i], r.group, r.l.K.Coord.Throttle, r.stepFn, nil)
 	}
 }
 
@@ -339,7 +342,7 @@ func (g *GPU) slotRelease(l *Launch, run *tbRun) {
 	if run.slotTid < 0 {
 		return
 	}
-	g.tr.Span(g.pid, run.slotTid, "gpu.tb", l.K.Name, run.slotStart, g.eng.Now())
+	g.tr.Span(g.pid, run.slotTid, trace.CatTB, l.K.Name, run.slotStart, g.eng.Now())
 	g.slotTids = append(g.slotTids, run.slotTid)
 	run.slotTid = -1
 }
@@ -485,6 +488,3 @@ func (g *GPU) removeLaunch(l *Launch) {
 
 // ActiveLaunches reports how many launches are in flight.
 func (g *GPU) ActiveLaunches() int { return len(g.launches) }
-
-// FreeSlots reports currently idle SM slots.
-func (g *GPU) FreeSlots() int { return g.slotsFree }

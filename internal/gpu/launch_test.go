@@ -48,15 +48,21 @@ func (lb *loopback) Receive(p *noc.Packet) {
 	}
 }
 
-type recSink struct {
-	data     []noc.Op
-	accesses []kernel.Access
+// delivery is one Host.Deliver call.
+type delivery struct {
+	a     *kernel.Access
+	bytes int64
 }
 
-func (r *recSink) RouteAddr(addr uint64) int           { return int(addr % 2) }
-func (r *recSink) RouteGroup(group int) int            { return group % 2 }
-func (r *recSink) OnData(g int, p *noc.Packet)         { r.data = append(r.data, p.Op) }
-func (r *recSink) OnAccessDone(g int, a kernel.Access) { r.accesses = append(r.accesses, a) }
+type recSink struct {
+	delivered []delivery
+}
+
+func (r *recSink) RouteAddr(addr uint64) int { return int(addr % 2) }
+func (r *recSink) RouteGroup(group int) int  { return group % 2 }
+func (r *recSink) Deliver(g int, a *kernel.Access, bytes int64) {
+	r.delivered = append(r.delivered, delivery{a, bytes})
+}
 
 func newHarness(t *testing.T) (*sim.Engine, *GPU, *loopback, *recSink) {
 	t.Helper()
@@ -140,28 +146,47 @@ func TestLaunchLifecycleWithLoadsComputeAndPosts(t *testing.T) {
 	if !reflect.DeepEqual(phases, want) {
 		t.Fatalf("sync registrations by group = %v, want %v", phases, want)
 	}
-	// The load completed and published its copy tile at the issuer.
-	foundPublish := false
-	for _, a := range sink.accesses {
-		if a.Sem == kernel.SemRead && len(a.Publish) == 1 {
-			foundPublish = true
+	// The load completed and delivered its whole access at the issuer;
+	// the reduction's two 1 KB chunks each delivered their bytes at the
+	// home GPU. The local reduction publishes nothing, so it is not
+	// delivered.
+	var loadBytes, redBytes int64
+	for _, d := range sink.delivered {
+		switch d.a.Mode {
+		case noc.OpLdCAIS:
+			loadBytes += d.bytes
+		case noc.OpRedCAIS:
+			redBytes += d.bytes
+		default:
+			t.Errorf("unexpected delivery of %v access", d.a.Mode)
 		}
 	}
-	if !foundPublish {
-		t.Fatal("load completion did not publish at the issuer")
+	if loadBytes != 4<<10 {
+		t.Fatalf("load delivered %d bytes at the issuer, want the access's 4096", loadBytes)
 	}
-	// The reduction arrived at the home GPU's sink.
-	foundRed := false
-	for _, op := range sink.data {
-		if op == noc.OpRedCAIS {
-			foundRed = true
-		}
+	if redBytes != 2<<10 {
+		t.Fatalf("reduction delivered %d bytes at the home GPU, want 2048", redBytes)
 	}
-	if !foundRed {
-		t.Fatal("reduction never committed at the home GPU")
+	if g.slotsFree != testHardwareSlots() {
+		t.Fatalf("slots leaked: %d free", g.slotsFree)
 	}
-	if g.FreeSlots() != testHardwareSlots() {
-		t.Fatalf("slots leaked: %d free", g.FreeSlots())
+}
+
+// TestUntaggedDataDeliversNothing: a committed data packet delivers the
+// access it carries as its tag; one without a tag commits to HBM and
+// delivers nothing.
+func TestUntaggedDataDeliversNothing(t *testing.T) {
+	eng, g, _, sink := newHarness(t)
+	done := false
+	eng.At(0, func() {
+		g.Receive(&noc.Packet{Op: noc.OpStore, Size: 128, OnDone: func() { done = true }})
+	})
+	eng.Run()
+	if !done {
+		t.Fatal("untagged store never committed")
+	}
+	if len(sink.delivered) != 0 {
+		t.Fatalf("untagged store delivered %d times, want none", len(sink.delivered))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"cais/internal/noc"
 	"cais/internal/pool"
 	"cais/internal/sim"
+	"cais/internal/trace"
 )
 
 // Sync phases of the TB-group coordination protocol (Sec. III-B-2).
@@ -97,10 +98,10 @@ func (s *Synchronizer) Wait(group, phase, expected int, fn func()) {
 		// spans: register-to-release per (group, phase).
 		id := tr.NextID()
 		name := phaseName(phase)
-		tr.BeginAsync(s.g.pid, "gpu.sync", name, id, s.g.eng.Now())
+		tr.BeginAsync(s.g.pid, trace.CatSync, name, id, s.g.eng.Now())
 		inner := fn
 		fn = func() {
-			tr.EndAsync(s.g.pid, "gpu.sync", name, id, s.g.eng.Now())
+			tr.EndAsync(s.g.pid, trace.CatSync, name, id, s.g.eng.Now())
 			inner()
 		}
 	}
@@ -234,6 +235,3 @@ func (t *Throttle) Release(bytes int64) {
 	}
 	t.pump()
 }
-
-// Outstanding reports in-flight throttled bytes.
-func (t *Throttle) Outstanding() int64 { return t.out }

@@ -194,22 +194,3 @@ func (k *Kernel) TotalFlops(gpu int) float64 {
 	}
 	return total
 }
-
-// RemoteBytes sums non-local access bytes across the grid for one GPU.
-func (k *Kernel) RemoteBytes(gpu int) int64 {
-	var total int64
-	for tb := 0; tb < k.Grid; tb++ {
-		d := k.Work(gpu, tb)
-		for _, a := range d.Pre {
-			if !a.Local {
-				total += a.Bytes
-			}
-		}
-		for _, a := range d.Post {
-			if !a.Local {
-				total += a.Bytes
-			}
-		}
-	}
-	return total
-}

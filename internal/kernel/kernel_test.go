@@ -116,9 +116,6 @@ func TestKernelAggregates(t *testing.T) {
 	if got := k.TotalFlops(0); got != 300 {
 		t.Fatalf("TotalFlops = %v, want 300", got)
 	}
-	if got := k.RemoteBytes(0); got != 30 {
-		t.Fatalf("RemoteBytes = %v, want 30 (local posts excluded)", got)
-	}
 }
 
 func TestKindAndSemanticStrings(t *testing.T) {

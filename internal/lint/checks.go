@@ -171,7 +171,7 @@ func isFloat(t types.Type) bool {
 //
 //  1. A conversion from a float expression to sim.Time truncates
 //     picoseconds and must go through an audited helper in internal/sim
-//     (Scale, DurationForBytes, DurationForFlops, FromPicoseconds).
+//     (Scale, DurationForBytes, DurationForFlops).
 //  2. Accumulating simulated time into a float64 (`sum += float64(t)` or
 //     `sum += t.Seconds()`) is flagged: float summation is
 //     non-associative, so the result depends on accumulation order —
@@ -189,7 +189,7 @@ func checkUnits(p *Package, f *ast.File, rc *resolved, rep reporter) {
 			}
 			if isFloat(p.Info.TypeOf(n.Args[0])) {
 				rep(n.Pos(), CheckUnits,
-					"float-to-time conversion truncates picoseconds; use an audited sim helper (Scale, DurationForBytes, DurationForFlops, FromPicoseconds)")
+					"float-to-time conversion truncates picoseconds; use an audited sim helper (Scale, DurationForBytes, DurationForFlops)")
 			}
 		case *ast.AssignStmt:
 			if n.Tok != token.ADD_ASSIGN && n.Tok != token.SUB_ASSIGN {

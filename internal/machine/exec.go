@@ -6,20 +6,13 @@ import (
 
 	"cais/internal/gpu"
 	"cais/internal/kernel"
-	"cais/internal/noc"
 	"cais/internal/sim"
 	"cais/internal/trace"
 )
 
-// LaunchKernel starts kernel k on every GPU (SPMD) and wires TB-level
-// dependencies through the global tile tracker. onDone fires when the
-// kernel has retired on all GPUs. The kernel gets its own wave number
-// (LaunchAll batches share one).
-func (m *Machine) LaunchKernel(k *kernel.Kernel, onDone func()) {
-	m.nextWave++
-	m.launchKernel(k, m.nextWave, onDone)
-}
-
+// launchKernel starts kernel k on every GPU (SPMD) in launch wave wave and
+// wires TB-level dependencies through the global tile tracker. onDone
+// fires when the kernel has retired on all GPUs.
 func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 	if err := k.Validate(); err != nil {
 		panic(err)
@@ -76,12 +69,14 @@ func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 	m.launchScratch = launches[:0]
 }
 
-// RunStages executes a staged plan: each stage's kernels launch together
-// (LaunchAll) once every kernel of the previous stage has retired on all
-// GPUs. It drains the event queue and returns when the final stage
-// finished and when the queue drained — posted writes may still land
-// after the last thread block retires. A plan that never finishes
-// returns the quiescence error naming what it is stuck on.
+// RunStages executes a staged plan, the one way kernels run: each stage's
+// kernels launch together (launchAll) once every kernel of the previous
+// stage has retired on all GPUs. It drains the event queue and returns
+// when the final stage finished and when the queue drained — posted
+// writes may still land after the last thread block retires. Every
+// return carries the quiescence audit's error: a plan that completed
+// but left a waiter, a sync wait, a launch or a reduction counter open
+// fails like a plan that never finished.
 func (m *Machine) RunStages(stages [][]*kernel.Kernel) (done, drained sim.Time, err error) {
 	completed := false
 	m.Eng.At(0, func() {
@@ -92,25 +87,23 @@ func (m *Machine) RunStages(stages [][]*kernel.Kernel) (done, drained sim.Time, 
 				done = m.Eng.Now()
 				return
 			}
-			m.LaunchAll(stages[i], func() { step(i + 1) })
+			m.launchAll(stages[i], func() { step(i + 1) })
 		}
 		step(0)
 	})
-	drained = m.Run()
-	if !completed {
-		if err = m.CheckQuiescent(); err == nil {
-			err = errors.New("machine: staged plan did not complete")
-		}
-		return 0, drained, err
+	drained = m.Eng.Run()
+	err = m.checkQuiescent()
+	if !completed && err == nil {
+		err = errors.New("machine: staged plan did not complete")
 	}
-	return done, drained, nil
+	return done, drained, err
 }
 
-// LaunchAll launches a set of kernels concurrently (they share the GPU per
+// launchAll launches a set of kernels concurrently (they share the GPU per
 // their SM partitions) and calls onDone when every one of them finished.
 // The whole batch shares one wave number: the batch boundary is the
 // barrier the critical-path extraction chains spans across.
-func (m *Machine) LaunchAll(kernels []*kernel.Kernel, onDone func()) {
+func (m *Machine) launchAll(kernels []*kernel.Kernel, onDone func()) {
 	if len(kernels) == 0 {
 		if onDone != nil {
 			onDone()
@@ -211,51 +204,26 @@ func (m *Machine) TileReady(t kernel.Tile) bool {
 	return s != nil && s.ready
 }
 
-// OnData implements gpu.Host: a data packet committed to HBM at GPU g.
-// Packets carrying a TileTag contribute toward their access's completion;
-// once the required contribution bytes accumulate, the tiles publish.
-func (m *Machine) OnData(g int, p *noc.Packet) {
-	tag, ok := p.Tag.(*gpu.TileTag)
-	if !ok || tag == nil {
-		return
-	}
-	contribs := p.Contribs
-	if contribs < 1 {
-		contribs = 1
-	}
-	m.addContribution(g, tag.Base, tag.NeedBytes, int64(contribs)*p.Size,
-		tag.Publish, tag.PublishEach)
-}
-
-// OnAccessDone implements gpu.Host: one TB's access completed at the
-// issuing GPU. Read accesses publish their tiles directly (the data is now
-// local); local write/reduce accesses count as contributions at this (home)
-// GPU.
-func (m *Machine) OnAccessDone(g int, a kernel.Access) {
+// Deliver implements gpu.Host: one completion of access a at GPU g. A
+// read publishes its tiles here, since its data is now local. A write or
+// reduction adds bytes to the access's contribution count at this (home)
+// GPU and publishes once max(TileNeed, 1) whole accesses have landed.
+func (m *Machine) Deliver(g int, a *kernel.Access, bytes int64) {
 	if a.Sem == kernel.SemRead {
-		m.publishFor(g, a.Publish, a.PublishEach)
+		m.publishFor(g, a)
 		return
 	}
-	need := a.TileNeed
-	if need <= 0 {
-		need = 1
-	}
-	m.addContribution(g, a.Addr, int64(need)*a.Bytes, a.Bytes,
-		a.Publish, a.PublishEach)
-}
-
-func (m *Machine) addContribution(g int, base uint64, needBytes, bytes int64,
-	pub []kernel.Tile, pubEach kernel.Tile) {
-	key := contribKey{base: base, gpu: g}
+	need := int64(max(a.TileNeed, 1)) * a.Bytes
+	key := contribKey{base: a.Addr, gpu: g}
 	st, ok := m.contrib[key]
 	if !ok {
 		st = m.contribs.Get()
-		st.need = needBytes
+		st.need = need
 		m.contrib[key] = st
 	}
-	if st.need != needBytes {
+	if st.need != need {
 		panic(fmt.Sprintf("machine: inconsistent contribution need at addr %#x gpu %d: %d vs %d",
-			base, g, st.need, needBytes))
+			a.Addr, g, st.need, need))
 	}
 	st.got += bytes
 	if st.got < st.need {
@@ -263,13 +231,15 @@ func (m *Machine) addContribution(g int, base uint64, needBytes, bytes int64,
 	}
 	delete(m.contrib, key)
 	m.contribs.Put(st)
-	m.publishFor(g, pub, pubEach)
+	m.publishFor(g, a)
 }
 
-func (m *Machine) publishFor(g int, tiles []kernel.Tile, each kernel.Tile) {
-	if each.Buf != 0 {
+// publishFor publishes a's tiles at GPU g: its Publish list, or receiver
+// g's tile of a PublishEach access.
+func (m *Machine) publishFor(g int, a *kernel.Access) {
+	if each := a.PublishEach; each.Buf != 0 {
 		m.publishOne(kernel.Tile{Buf: each.Buf, Idx: each.Idx + g})
 		return
 	}
-	m.PublishTiles(tiles)
+	m.PublishTiles(a.Publish)
 }

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"cais/internal/kernel"
-	"cais/internal/noc"
 	"cais/internal/sim"
 )
 
 func TestLaunchAllEmptyAndSequenceEmpty(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
 	calls := 0
-	m.LaunchAll(nil, func() { calls++ })
+	m.launchAll(nil, func() { calls++ })
 	if calls != 1 {
 		t.Fatal("an empty batch must complete immediately")
 	}
@@ -68,34 +67,24 @@ func TestKernelSpansRecorded(t *testing.T) {
 	}
 }
 
+// TestContributionInconsistencyPanics: two writes to one address at one
+// home GPU must agree on the bytes they need before publishing.
 func TestContributionInconsistencyPanics(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	m.addContribution(0, 99, 100, 10, nil, kernel.Tile{})
+	m.Deliver(0, &kernel.Access{Sem: kernel.SemReduce, Addr: 99, Bytes: 100}, 10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("inconsistent contribution need did not panic")
 		}
 	}()
-	m.addContribution(0, 99, 200, 10, nil, kernel.Tile{})
-}
-
-func TestOnDataIgnoresUntaggedPackets(t *testing.T) {
-	m := newTestMachine(t, testHW(), Options{})
-	m.OnData(0, &noc.Packet{Op: noc.OpStore, Size: 128}) // no tag: no-op
-	if len(m.contrib) != 0 {
-		t.Fatal("untagged packet created contribution state")
-	}
+	m.Deliver(0, &kernel.Access{Sem: kernel.SemReduce, Addr: 99, Bytes: 200}, 10)
 }
 
 // TestUtilBinCoversAllLinks: Options.UtilBin attaches one recorder to
 // every link, and Timeline reads it back.
 func TestUtilBinCoversAllLinks(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{UtilBin: 10 * sim.Microsecond})
-	m.Eng.At(0, func() {
-		k := buildRSKernel(m, 8, 4<<10, m.NewBuffer(8), false)
-		m.LaunchKernel(k, nil)
-	})
-	m.Run()
+	runKernel(t, m, buildRSKernel(m, 8, 4<<10, m.NewBuffer(8), false))
 	var recorded, busy sim.Time
 	for _, b := range m.Timeline().Busy {
 		recorded += b
@@ -116,7 +105,7 @@ func TestZeroOptionsAttachNoObservers(t *testing.T) {
 	if m.tr != nil {
 		t.Fatal("tracer attached without Tracer or Attrib")
 	}
-	if !m.Timeline().IsZero() {
+	if m.Timeline().Bin != 0 {
 		t.Fatal("timeline recorded without UtilBin")
 	}
 }
@@ -161,6 +150,6 @@ func TestTileOutsideBuffersPanics(t *testing.T) {
 		k := &kernel.Kernel{Name: "miswired", Grid: 1, Work: func(g, tb int) kernel.TBDesc {
 			return kernel.TBDesc{In: []kernel.Tile{tl}, Group: -1}
 		}}
-		wantPanic("registering", tl, func() { m.LaunchKernel(k, nil) })
+		wantPanic("registering", tl, func() { m.RunStages([][]*kernel.Kernel{{k}}) })
 	}
 }

@@ -32,7 +32,6 @@ func (m *Machine) installFaults() {
 		panic(err)
 	}
 	inj := &injector{m: m}
-	m.inj = inj
 	m.reg.CounterFunc("faults.applied", func() int64 { return inj.applied })
 	m.reg.CounterFunc("faults.repaired", func() int64 { return inj.repaired })
 	m.reg.GaugeFunc("faults.active", func() float64 { return float64(inj.active) })
@@ -77,18 +76,6 @@ func (m *Machine) installFaults() {
 			m.Eng.At(f.At+f.For, func() { inj.repair(f) })
 		}
 	}
-}
-
-// Reroutes reports how many packets were routed around a dead plane.
-func (m *Machine) Reroutes() int64 { return m.reroutes }
-
-// FaultsActive reports how many injected faults are currently in effect
-// (0 when no schedule is installed).
-func (m *Machine) FaultsActive() int {
-	if m.inj == nil {
-		return 0
-	}
-	return m.inj.active
 }
 
 func (inj *injector) instant(label string) {

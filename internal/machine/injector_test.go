@@ -12,19 +12,14 @@ import (
 func runRS(t *testing.T, sched *faults.Schedule) (sim.Time, uint64, *Machine) {
 	t.Helper()
 	m := newTestMachine(t, unlimitedHW(), Options{Faults: sched})
-	done := false
-	m.Eng.At(0, func() {
-		k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), true)
-		m.LaunchKernel(k, func() { done = true })
-	})
-	end := m.Run()
-	if !done {
-		t.Fatal("workload did not finish under faults")
-	}
-	if err := m.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
+	end := runKernel(t, m, buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), true))
 	return end, m.Eng.Steps(), m
+}
+
+// faultsActive reads the faults.active gauge: how many injected faults
+// are in effect (0 without a schedule, which registers no faults.*).
+func faultsActive(m *Machine) int {
+	return int(m.Metrics().Snapshot().Value("faults.active"))
 }
 
 func TestZeroFaultScheduleIsInert(t *testing.T) {
@@ -35,9 +30,9 @@ func TestZeroFaultScheduleIsInert(t *testing.T) {
 			empty, emptySteps, base, baseSteps)
 	}
 	for _, m := range []*Machine{bm, em} {
-		if m.FaultsActive() != 0 || m.Reroutes() != 0 {
+		if faultsActive(m) != 0 || m.reroutes != 0 {
 			t.Fatalf("fault state on an unfaulted machine: active=%d reroutes=%d",
-				m.FaultsActive(), m.Reroutes())
+				faultsActive(m), m.reroutes)
 		}
 		if _, ok := m.Metrics().Snapshot().Get("faults.applied"); ok {
 			t.Fatal("faults.* metrics registered without a schedule")
@@ -57,8 +52,8 @@ func TestLinkDegradeSlowsRun(t *testing.T) {
 	if snap.Value("faults.applied") != 1 {
 		t.Fatalf("faults.applied = %v, want 1", snap.Value("faults.applied"))
 	}
-	if m.FaultsActive() != 1 {
-		t.Fatalf("active faults = %d, want 1 (permanent degrade)", m.FaultsActive())
+	if faultsActive(m) != 1 {
+		t.Fatalf("active faults = %d, want 1 (permanent degrade)", faultsActive(m))
 	}
 }
 
@@ -76,10 +71,10 @@ func TestLinkDownWindowStallsAndRecovers(t *testing.T) {
 	if snap.Value("faults.applied") != 1 || snap.Value("faults.repaired") != 1 {
 		t.Fatalf("applied/repaired = %v/%v, want 1/1", snap.Value("faults.applied"), snap.Value("faults.repaired"))
 	}
-	if m.FaultsActive() != 0 {
-		t.Fatalf("active faults after repair = %d, want 0", m.FaultsActive())
+	if faultsActive(m) != 0 {
+		t.Fatalf("active faults after repair = %d, want 0", faultsActive(m))
 	}
-	if m.UpLink(0, 1).Down() {
+	if m.upLink[0][1].Down() {
 		t.Fatal("uplink still down after the repair event")
 	}
 }
@@ -88,10 +83,10 @@ func TestPlaneDownFailoverCompletes(t *testing.T) {
 	_, _, m := runRS(t, &faults.Schedule{Name: "plane-kill", Faults: []faults.Fault{
 		{Kind: faults.PlaneDown, At: 3 * sim.Microsecond, Plane: 1, GPU: faults.All},
 	}})
-	if m.PlaneAlive(1) {
+	if m.planeAlive[1] {
 		t.Fatal("plane 1 still marked alive")
 	}
-	if m.Reroutes() == 0 {
+	if m.reroutes == 0 {
 		t.Fatal("no packets rerouted around the dead plane")
 	}
 	// Routing invariants after the kill: everything lands on plane 0.
@@ -112,7 +107,7 @@ func TestPlaneDownThenRepair(t *testing.T) {
 		{Kind: faults.PlaneDown, At: 3 * sim.Microsecond, For: 30 * sim.Microsecond,
 			Plane: 0, GPU: faults.All},
 	}})
-	if !m.PlaneAlive(0) {
+	if !m.planeAlive[0] {
 		t.Fatal("plane 0 not restored after repair")
 	}
 	// Static routing restored: addr hash is the identity plane hash again.
@@ -170,8 +165,8 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 	if t1 != t2 || s1 != s2 {
 		t.Fatalf("nondeterministic faulted run: (%v,%d) vs (%v,%d)", t1, s1, t2, s2)
 	}
-	if m1.Reroutes() != m2.Reroutes() {
-		t.Fatalf("reroute counts differ: %d vs %d", m1.Reroutes(), m2.Reroutes())
+	if m1.reroutes != m2.reroutes {
+		t.Fatalf("reroute counts differ: %d vs %d", m1.reroutes, m2.reroutes)
 	}
 }
 
@@ -193,16 +188,5 @@ func TestPlaneDownDuringAGPattern(t *testing.T) {
 		Faults: &faults.Schedule{Name: "ag-plane-kill", Faults: []faults.Fault{
 			{Kind: faults.PlaneDown, At: 4 * sim.Microsecond, Plane: 0, GPU: faults.All},
 		}}})
-	done := false
-	m.Eng.At(0, func() {
-		k := buildAGKernel(m, 8, 4, 8<<10, m.NewBuffer(8*m.HW.NumGPUs))
-		m.LaunchKernel(k, func() { done = true })
-	})
-	m.Run()
-	if !done {
-		t.Fatal("AG kernel did not survive the plane failure")
-	}
-	if err := m.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
+	runKernel(t, m, buildAGKernel(m, 8, 4, 8<<10, m.NewBuffer(8*m.HW.NumGPUs)))
 }

@@ -109,15 +109,13 @@ type Machine struct {
 	planeAlive []bool
 	survivors  []int
 	reroutes   int64 // packets routed around a dead plane
-	inj        *injector
 
 	// KernelSpans records per-kernel execution windows for reporting:
 	// earliest launch start to latest completion across GPUs.
 	KernelSpans []*KernelSpan
 	// nextWave numbers barrier-delimited launch batches: every kernel of
-	// one LaunchAll shares a wave, standalone launches get their own. The
-	// wave order is the dependency order the critical-path extraction in
-	// internal/attrib chains spans by.
+	// one launchAll shares a wave. The wave order is the dependency order
+	// the critical-path extraction in internal/attrib chains spans by.
 	nextWave int
 
 	pkts *noc.PacketPool
@@ -361,9 +359,6 @@ func (m *Machine) recomputeSurvivors() {
 	}
 }
 
-// PlaneAlive reports whether a switch plane is currently in service.
-func (m *Machine) PlaneAlive(p int) bool { return m.planeAlive[p] }
-
 // nameTraceTracks labels the Perfetto processes and threads so the trace
 // reads as the machine topology.
 func (m *Machine) nameTraceTracks() {
@@ -469,9 +464,6 @@ func (m *Machine) registerGauges() {
 // Metrics exposes the machine's central metric registry.
 func (m *Machine) Metrics() *metrics.Registry { return m.reg }
 
-// UpLink returns the GPU->switch link for (plane, gpu).
-func (m *Machine) UpLink(plane, g int) *noc.Link { return m.upLink[plane][g] }
-
 // Links yields every link in the fabric (both directions).
 func (m *Machine) Links() []*noc.Link {
 	var out []*noc.Link
@@ -573,12 +565,12 @@ func (m *Machine) AvgLinkUtilization(horizon sim.Time) float64 {
 	return sum / float64(len(links))
 }
 
-// Run drains the event queue and returns the final simulated time.
-func (m *Machine) Run() sim.Time { return m.Eng.Run() }
-
-// CheckQuiescent reports an error when the machine stopped with
-// unsatisfied dependencies — a deadlock or a miswired workload.
-func (m *Machine) CheckQuiescent() error {
+// checkQuiescent is the end-of-run audit RunStages applies to every run:
+// it reports an error naming each tile still holding waiting TBs, each
+// GPU with sync waits or launches outstanding, and any reduction
+// contribution count left open — a deadlock, a miswired workload, or a
+// reduction that never received all its contributions.
+func (m *Machine) checkQuiescent() error {
 	var stuck []string
 	for buf, slots := range m.slots {
 		for idx := range slots {

@@ -35,6 +35,17 @@ func newTestMachine(t *testing.T, hw config.Hardware, opts Options) *Machine {
 	return New(eng, hw, opts)
 }
 
+// runKernel runs k as a one-stage plan, fails the test on any error the
+// run or its quiescence audit reports, and returns the drained time.
+func runKernel(t *testing.T, m *Machine, k *kernel.Kernel) sim.Time {
+	t.Helper()
+	_, drained, err := m.RunStages([][]*kernel.Kernel{{k}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return drained
+}
+
 // computeOnly builds a kernel of pure local compute.
 func computeOnly(name string, grid int, flops float64) *kernel.Kernel {
 	return &kernel.Kernel{
@@ -47,15 +58,7 @@ func computeOnly(name string, grid int, flops float64) *kernel.Kernel {
 
 func TestComputeKernelCompletes(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	done := false
-	m.Eng.At(0, func() { m.LaunchKernel(computeOnly("gemm", 32, 1e9), func() { done = true }) })
-	end := m.Run()
-	if !done {
-		t.Fatal("kernel never completed")
-	}
-	if err := m.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
+	end := runKernel(t, m, computeOnly("gemm", 32, 1e9))
 	// 32 TBs over 8 SMs, ~267us each (1e9/3.75e12): at least 4 waves.
 	perTB := 1e9 / 7.5e12 // seconds per TB
 	minT := sim.Time(4 * perTB * 1e12)
@@ -78,9 +81,6 @@ func TestSequenceRunsKernelsWithBarriers(t *testing.T) {
 	k1 := computeOnly("a", 8, 1e8)
 	k2 := computeOnly("b", 8, 1e8)
 	if _, _, err := m.RunStages([][]*kernel.Kernel{{k1}, {k2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CheckQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if m.KernelSpans[1].Start < m.KernelSpans[0].End {
@@ -137,19 +137,7 @@ func TestAGPatternMergesLoads(t *testing.T) {
 	m := newTestMachine(t, hw, Options{})
 	const rows, cols = 8, 4
 	shardBytes := int64(8 << 10) // 8 chunks of 1KB
-	done := false
-	var k *kernel.Kernel
-	m.Eng.At(0, func() {
-		k = buildAGKernel(m, rows, cols, shardBytes, m.NewBuffer(rows*hw.NumGPUs))
-		m.LaunchKernel(k, func() { done = true })
-	})
-	m.Run()
-	if !done {
-		t.Fatal("AG kernel did not finish")
-	}
-	if err := m.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
+	runKernel(t, m, buildAGKernel(m, rows, cols, shardBytes, m.NewBuffer(rows*hw.NumGPUs)))
 	st := m.SwitchStats()
 	chunks := int64(shardBytes / hw.RequestBytes)
 	// Each remote row (6 of 8 rows per... each row has 3 remote
@@ -212,20 +200,8 @@ func TestRSPatternMergesReductionsAndPublishes(t *testing.T) {
 	m := newTestMachine(t, hw, Options{})
 	const rows = 8
 	tileBytes := int64(4 << 10)
-	outBuf := 0
-	done := false
-	m.Eng.At(0, func() {
-		outBuf = m.NewBuffer(rows)
-		k := buildRSKernel(m, rows, tileBytes, outBuf, true)
-		m.LaunchKernel(k, func() { done = true })
-	})
-	m.Run()
-	if !done {
-		t.Fatal("RS kernel did not finish")
-	}
-	if err := m.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
+	outBuf := m.NewBuffer(rows)
+	runKernel(t, m, buildRSKernel(m, rows, tileBytes, outBuf, true))
 	// Every reduced tile must have published (N contributions each).
 	for r := 0; r < rows; r++ {
 		if !m.TileReady(kernel.Tile{Buf: outBuf, Idx: r}) {
@@ -248,14 +224,7 @@ func TestCoordinationReducesSkew(t *testing.T) {
 	hw.KernelLaunchJitter = 10 * sim.Microsecond
 	run := func(coordinated bool) sim.Time {
 		m := newTestMachine(t, hw, Options{})
-		m.Eng.At(0, func() {
-			k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), coordinated)
-			m.LaunchKernel(k, nil)
-		})
-		m.Run()
-		if err := m.CheckQuiescent(); err != nil {
-			t.Fatal(err)
-		}
+		runKernel(t, m, buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), coordinated))
 		return m.SwitchStats().AvgSkew()
 	}
 	uncoord := run(false)
@@ -273,11 +242,7 @@ func TestCoordinationReducesMergeTableHighWater(t *testing.T) {
 	hw.KernelLaunchJitter = 10 * sim.Microsecond
 	run := func(coordinated bool) int64 {
 		m := newTestMachine(t, hw, Options{})
-		m.Eng.At(0, func() {
-			k := buildRSKernel(m, 32, 4<<10, m.NewBuffer(32), coordinated)
-			m.LaunchKernel(k, nil)
-		})
-		m.Run()
+		runKernel(t, m, buildRSKernel(m, 32, 4<<10, m.NewBuffer(32), coordinated))
 		return m.MergeTableHighWater()
 	}
 	if c, u := run(true), run(false); c > u {
@@ -288,11 +253,7 @@ func TestCoordinationReducesMergeTableHighWater(t *testing.T) {
 func TestRunsAreDeterministic(t *testing.T) {
 	run := func() (sim.Time, uint64) {
 		m := newTestMachine(t, testHW(), Options{})
-		m.Eng.At(0, func() {
-			k := buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), true)
-			m.LaunchKernel(k, nil)
-		})
-		end := m.Run()
+		end := runKernel(t, m, buildRSKernel(m, 16, 4<<10, m.NewBuffer(16), true))
 		return end, m.Eng.Steps()
 	}
 	t1, s1 := run()
@@ -318,8 +279,8 @@ func TestAddrAllocatorNonOverlapping(t *testing.T) {
 }
 
 // TestCheckQuiescentDetectsStuckDependency: both TBs on each of the four
-// GPUs wait on a tile nothing publishes, and the error names that tile
-// with all eight waiters.
+// GPUs wait on a tile nothing publishes, and the error RunStages returns
+// names that tile with all eight waiters.
 func TestCheckQuiescentDetectsStuckDependency(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
 	buf := m.NewBuffer(2)
@@ -330,9 +291,7 @@ func TestCheckQuiescentDetectsStuckDependency(t *testing.T) {
 			return kernel.TBDesc{In: []kernel.Tile{never}, Group: -1}
 		},
 	}
-	m.Eng.At(0, func() { m.LaunchKernel(k, nil) })
-	m.Run()
-	err := m.CheckQuiescent()
+	_, _, err := m.RunStages([][]*kernel.Kernel{{k}})
 	if err == nil {
 		t.Fatal("stuck dependency not detected")
 	}
@@ -343,13 +302,43 @@ func TestCheckQuiescentDetectsStuckDependency(t *testing.T) {
 
 func TestAvgLinkUtilizationBounded(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	m.Eng.At(0, func() {
-		k := buildRSKernel(m, 16, 16<<10, m.NewBuffer(16), false)
-		m.LaunchKernel(k, nil)
-	})
-	end := m.Run()
+	end := runKernel(t, m, buildRSKernel(m, 16, 16<<10, m.NewBuffer(16), false))
 	u := m.AvgLinkUtilization(end)
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization %v out of (0,1]", u)
+	}
+}
+
+// TestRunStagesAuditsCompletedPlan: GPU 1 posts one store toward a tile
+// that needs two whole contributions at GPU 0, and nothing else
+// contributes. The plan completes, since a posted store retires its TB
+// once issued, but the home GPU's reduction counter stays open, and
+// RunStages must report it.
+func TestRunStagesAuditsCompletedPlan(t *testing.T) {
+	m := newTestMachine(t, testHW(), Options{})
+	buf := m.NewBuffer(1)
+	addr := m.AllocAddrs(1)
+	k := &kernel.Kernel{
+		Name: "half-reduced", Grid: 1,
+		Work: func(g, tb int) kernel.TBDesc {
+			if g != 1 {
+				return kernel.TBDesc{Group: -1}
+			}
+			return kernel.TBDesc{Group: -1, Post: []kernel.Access{{
+				Sem: kernel.SemWrite, Mode: noc.OpStore, Addr: addr, Home: 0,
+				Bytes: 1 << 10, TileNeed: 2,
+				Publish: []kernel.Tile{{Buf: buf, Idx: 0}},
+			}}}
+		},
+	}
+	done, _, err := m.RunStages([][]*kernel.Kernel{{k}})
+	if done <= 0 {
+		t.Fatalf("plan did not complete: done = %v", done)
+	}
+	if err == nil || !strings.Contains(err.Error(), "1 reduction contributions incomplete") {
+		t.Fatalf("RunStages error = %v, want the open reduction counter named", err)
+	}
+	if m.TileReady(kernel.Tile{Buf: buf, Idx: 0}) {
+		t.Fatal("a tile needing two contributions published after one")
 	}
 }

@@ -89,9 +89,6 @@ func (s *UtilSeries) Timeline() UtilTimeline {
 	return UtilTimeline{Bin: s.bin, Links: s.links, Busy: s.busy}
 }
 
-// IsZero reports whether no timeline was recorded.
-func (t UtilTimeline) IsZero() bool { return t.Bin == 0 }
-
 // Utilization returns per-bin utilization in [0, 1]: busy time divided by
 // bin width times the number of links feeding the series.
 func (t UtilTimeline) Utilization() []float64 {

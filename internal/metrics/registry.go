@@ -36,9 +36,6 @@ func NewRegistry() *Registry {
 	return &Registry{items: make(map[string]metric)}
 }
 
-// Len reports how many metrics are registered.
-func (r *Registry) Len() int { return len(r.items) }
-
 // CounterFunc registers a lazily-read monotonic counter: fn is called at
 // snapshot time, so the count lives in the component that increments it.
 // Re-registering the same name replaces the function.
@@ -91,11 +88,6 @@ func (r *Registry) Snapshot() Snapshot {
 		out.Metrics = append(out.Metrics, r.items[n].snap(n))
 	}
 	return out
-}
-
-// WriteJSON serializes a snapshot of the registry.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return r.Snapshot().WriteJSON(w)
 }
 
 // funcMetric is a counter or gauge read through a function at snapshot

@@ -17,8 +17,8 @@ func TestRegistryCountersGaugesIdempotent(t *testing.T) {
 	if r.Hist("gpu.tb_us") != h {
 		t.Fatal("Hist must be idempotent per name")
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
+	if len(r.items) != 3 {
+		t.Fatalf("len = %d, want 3", len(r.items))
 	}
 	loads = 5
 	m, _ := r.Snapshot().Get("nvswitch.plane0.merged_loads")
@@ -193,7 +193,7 @@ func TestSnapshotJSONRoundtrip(t *testing.T) {
 	r.CounterFunc("noc.up.wire_bytes", func() int64 { return 1024 })
 	r.Hist("gpu.tb_us").Observe(3)
 	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
+	if err := r.Snapshot().WriteJSON(&sb); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var s Snapshot

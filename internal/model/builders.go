@@ -121,9 +121,6 @@ func (b *Builder) group(tb, owner, g int, coord kernel.Coordination) (group, pee
 // the producer handles chosen by the strategy.
 type InTiles func(gpu, mi, ni int) []kernel.Tile
 
-// NoInputs is the empty dependency wiring.
-func NoInputs(gpu, mi, ni int) []kernel.Tile { return nil }
-
 // GEMM builds a pure-local GEMM kernel (column-parallel GEMMs whose input
 // is already local, weight-gradient GEMMs, attention projections):
 // M x nLocal output, contraction over k.

@@ -188,12 +188,6 @@ func SubLayers(m config.Model) []SubLayer {
 	}
 }
 
-// CommVolume reports the bytes a collective over a tokens x cols tensor
-// moves (full tensor size).
-func CommVolume(tokens, cols, elemBytes int) int64 {
-	return int64(tokens) * int64(cols) * int64(elemBytes)
-}
-
 // MTiles is the number of row blocks for a row count.
 func MTiles(rows int) int { return (rows + TileM - 1) / TileM }
 

@@ -57,9 +57,6 @@ const (
 	OpSyncRequest
 	// OpSyncRelease is the switch's broadcast release for a TB group.
 	OpSyncRelease
-	// OpCredit is switch->GPU merge-tracker feedback used by TB-aware
-	// request throttling.
-	OpCredit
 )
 
 var opNames = map[Op]string{
@@ -74,7 +71,6 @@ var opNames = map[Op]string{
 	OpRedCAIS:          "red.cais",
 	OpSyncRequest:      "sync.req",
 	OpSyncRelease:      "sync.rel",
-	OpCredit:           "credit",
 }
 
 func (o Op) String() string {
@@ -88,7 +84,7 @@ func (o Op) String() string {
 // the 16-byte header travels on the wire).
 func (o Op) IsControl() bool {
 	switch o {
-	case OpLoad, OpMultimemLdReduce, OpReadFan, OpLdCAIS, OpSyncRequest, OpSyncRelease, OpCredit:
+	case OpLoad, OpMultimemLdReduce, OpReadFan, OpLdCAIS, OpSyncRequest, OpSyncRelease:
 		return true
 	default:
 		return false
@@ -218,7 +214,6 @@ type Link struct {
 	busyTime sim.Time
 	sent     int64 // total wire bytes
 	recorder BusyRecorder
-	maxQueue int
 
 	// inflight holds packets whose serialization has been booked, in
 	// transmit order. Serialization end times are monotonic and the
@@ -278,9 +273,6 @@ func (l *Link) SetBandwidthScale(scale float64) {
 	l.bwScale = scale
 }
 
-// BandwidthScale reports the current degradation factor (1 = healthy).
-func (l *Link) BandwidthScale() float64 { return l.bwScale }
-
 // SetDown takes the link down (true) or repairs it (false). A down link
 // stalls: Send still enqueues, an in-flight packet finishes its
 // serialization and delivery, but no new packet starts until repair. Stall
@@ -304,9 +296,6 @@ func (l *Link) BusyTime() sim.Time { return l.busyTime }
 
 // BytesSent reports total wire bytes transmitted (including headers).
 func (l *Link) BytesSent() int64 { return l.sent }
-
-// MaxQueueDepth reports the high-water mark of queued packets.
-func (l *Link) MaxQueueDepth() int { return l.maxQueue }
 
 // Utilization reports busy fraction over [0, horizon].
 func (l *Link) Utilization(horizon sim.Time) float64 {
@@ -334,27 +323,9 @@ func (l *Link) Send(p *Packet) {
 	default:
 		l.fifo.PushBack(p)
 	}
-	if d := l.queueDepth(); d > l.maxQueue {
-		l.maxQueue = d
-	}
 	if !l.busy && !l.down {
 		l.transmitNext()
 	}
-}
-
-// QueueDepth reports the number of packets currently queued (not in
-// flight). Exposed for fault-injection tests and diagnostics.
-func (l *Link) QueueDepth() int { return l.queueDepth() }
-
-func (l *Link) queueDepth() int {
-	n := l.control.Len()
-	if !l.vcOn {
-		return n + l.fifo.Len()
-	}
-	for c := range l.queues {
-		n += l.queues[c].Len()
-	}
-	return n
 }
 
 // pop selects the next packet, or nil when none is queued: control
@@ -403,7 +374,7 @@ func (l *Link) transmitNext() {
 		l.recorder.RecordBusy(start, end, wire)
 	}
 	if l.tr.Enabled() {
-		l.tr.Span(l.trPid, l.trTid, "noc.link", p.Op.String(), start, end)
+		l.tr.Span(l.trPid, l.trTid, trace.CatLink, p.Op.String(), start, end)
 	}
 	// Cut-through delivery: the head arrives after latency, the tail
 	// after latency + serialization. The packet parks on the inflight

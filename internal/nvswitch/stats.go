@@ -92,10 +92,6 @@ func (st *Stats) noteSessionLifetime(d sim.Time) {
 	st.sessLifeUS.Observe(d.Microseconds())
 }
 
-// OpenSkewAddrs reports how many addresses are mid-observation (expected
-// arrivals not yet all seen) — diagnostics for tests.
-func (st *Stats) OpenSkewAddrs() int { return len(st.skew) }
-
 // Summary is one plane's (or, after Add, a whole machine's) statistics as
 // a plain value: the reporting API consumed by experiments, the CLI and
 // tests. Each field's `metric` tag names it in the registry; the one
@@ -183,32 +179,5 @@ func (s Summary) AvgSkew() sim.Time {
 	return s.SkewSum / sim.Time(s.SkewCount)
 }
 
-// MaxSkew reports the largest observed per-address arrival spread.
-func (s Summary) MaxSkew() sim.Time { return s.SkewMax }
-
 // SkewSamples reports how many addresses contributed to AvgSkew.
 func (s Summary) SkewSamples() int64 { return s.SkewCount }
-
-// AvgLoadSkew reports mean per-address arrival spread for load merging.
-func (s Summary) AvgLoadSkew() sim.Time {
-	if s.LdSkewCount == 0 {
-		return 0
-	}
-	return s.LdSkewSum / sim.Time(s.LdSkewCount)
-}
-
-// AvgReductionSkew reports mean arrival spread for reduction merging.
-func (s Summary) AvgReductionSkew() sim.Time {
-	if s.RedSkewCount == 0 {
-		return 0
-	}
-	return s.RedSkewSum / sim.Time(s.RedSkewCount)
-}
-
-// AvgSessionLifetime reports mean merge-session residency.
-func (s Summary) AvgSessionLifetime() sim.Time {
-	if s.SessLifeCount == 0 {
-		return 0
-	}
-	return s.SessLifeSum / sim.Time(s.SessLifeCount)
-}

@@ -20,12 +20,12 @@ func TestSkewAccountingPerAddress(t *testing.T) {
 	st.noteArrivalKind(0xA, 2, 0, true)
 	st.noteArrivalKind(0xB, 2, 10*us, true)
 	st.noteArrivalKind(0xB, 2, 20*us, true)
-	if st.OpenSkewAddrs() != 1 {
-		t.Fatalf("open addrs = %d, want 1 (A still waiting)", st.OpenSkewAddrs())
+	if len(st.skew) != 1 {
+		t.Fatalf("open addrs = %d, want 1 (A still waiting)", len(st.skew))
 	}
 	st.noteArrivalKind(0xA, 2, 30*us, true)
-	if st.OpenSkewAddrs() != 0 {
-		t.Fatalf("open addrs = %d, want 0", st.OpenSkewAddrs())
+	if len(st.skew) != 0 {
+		t.Fatalf("open addrs = %d, want 0", len(st.skew))
 	}
 	s := st.Summary
 	if s.SkewSamples() != 2 {
@@ -34,7 +34,7 @@ func TestSkewAccountingPerAddress(t *testing.T) {
 	if got := s.AvgSkew(); got != 20*us { // (30 + 10) / 2
 		t.Fatalf("avg skew = %v, want 20us", got)
 	}
-	if got := s.MaxSkew(); got != 30*us {
+	if got := s.SkewMax; got != 30*us {
 		t.Fatalf("max skew = %v, want 30us", got)
 	}
 }
@@ -48,11 +48,11 @@ func TestSkewAccountingSplitsLoadAndReduction(t *testing.T) {
 	st.noteArrivalKind(0x2, 2, 0, false) // reduction pair: spread 40us
 	st.noteArrivalKind(0x2, 2, 40*us, false)
 	s := st.Summary
-	if got := s.AvgLoadSkew(); got != 10*us {
-		t.Fatalf("load skew = %v, want 10us", got)
+	if s.LdSkewSum != 10*us || s.LdSkewCount != 1 {
+		t.Fatalf("load skew = %v over %d, want 10us over 1", s.LdSkewSum, s.LdSkewCount)
 	}
-	if got := s.AvgReductionSkew(); got != 40*us {
-		t.Fatalf("reduction skew = %v, want 40us", got)
+	if s.RedSkewSum != 40*us || s.RedSkewCount != 1 {
+		t.Fatalf("reduction skew = %v over %d, want 40us over 1", s.RedSkewSum, s.RedSkewCount)
 	}
 	if got := s.AvgSkew(); got != 25*us {
 		t.Fatalf("combined skew = %v, want 25us", got)
@@ -65,9 +65,9 @@ func TestSkewIgnoresSingletonExpectations(t *testing.T) {
 	st := NewStatsIn(metrics.NewRegistry(), "nvswitch")
 	st.noteArrivalKind(0x9, 1, 5*us, true)
 	st.noteArrivalKind(0x9, 0, 6*us, false)
-	if st.OpenSkewAddrs() != 0 || st.Summary.SkewSamples() != 0 {
+	if len(st.skew) != 0 || st.Summary.SkewSamples() != 0 {
 		t.Fatalf("singleton arrivals recorded: open=%d samples=%d",
-			st.OpenSkewAddrs(), st.Summary.SkewSamples())
+			len(st.skew), st.Summary.SkewSamples())
 	}
 }
 
@@ -79,11 +79,11 @@ func TestSkewMaxTracksLargestSpread(t *testing.T) {
 	st.noteArrivalKind(0x1, 2, 50*us, false)
 	st.noteArrivalKind(0x2, 2, 100*us, false)
 	st.noteArrivalKind(0x2, 2, 110*us, false)
-	if got := st.MaxSkew(); got != 50*us {
+	if got := st.SkewMax; got != 50*us {
 		t.Fatalf("max skew = %v, want 50us", got)
 	}
 	other := Summary{SkewMax: 80 * us}
-	if got := st.Summary.Add(other).MaxSkew(); got != 80*us {
+	if got := st.Summary.Add(other).SkewMax; got != 80*us {
 		t.Fatalf("folded max = %v, want 80us", got)
 	}
 }
@@ -108,11 +108,8 @@ func TestStatsRegisterIntoCentralRegistry(t *testing.T) {
 	if !ok || m.Kind != "hist" || m.Count != 1 {
 		t.Fatalf("session lifetime hist = %+v ok=%v", m, ok)
 	}
-	if s := st.Summary; s.MergedLoads != 5 || s.SessLifeCount != 1 {
+	if s := st.Summary; s.MergedLoads != 5 || s.SessLifeCount != 1 || s.SessLifeSum != 3*us {
 		t.Fatalf("summary = %+v", s)
-	}
-	if got := st.AvgSessionLifetime(); got != 3*us {
-		t.Fatalf("avg lifetime = %v, want 3us", got)
 	}
 }
 
@@ -126,9 +123,8 @@ func TestSummaryAverageArithmeticIsExact(t *testing.T) {
 		t.Fatalf("avg = %v, want exactly 5us", got)
 	}
 	var empty Summary
-	if empty.AvgSkew() != 0 || empty.AvgLoadSkew() != 0 ||
-		empty.AvgReductionSkew() != 0 || empty.AvgSessionLifetime() != 0 {
-		t.Fatal("empty summary averages must be 0")
+	if empty.AvgSkew() != 0 {
+		t.Fatal("empty summary average must be 0")
 	}
 }
 

@@ -89,7 +89,7 @@ func TestMergeUnitStressInvariants(t *testing.T) {
 		}
 		// Invariant 3: the table drained.
 		for g := 0; g < 4; g++ {
-			if r.sw.Port(g).Used() != 0 || r.sw.Port(g).Sessions() != 0 {
+			if r.sw.Port(g).used != 0 || len(r.sw.Port(g).sessions) != 0 {
 				t.Logf("seed %d: port %d not drained", seed, g)
 				return false
 			}

@@ -42,14 +42,6 @@ type Result struct {
 	Makespan sim.Time
 }
 
-// Throughput reports completed requests per second of simulated time.
-func (r Result) Throughput() float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return float64(len(r.Requests)) / r.Makespan.Seconds()
-}
-
 // active is one running (decoding) request.
 type active struct {
 	req       *Request

@@ -2,18 +2,15 @@ package sim
 
 import "cais/internal/pool"
 
-// Resource models a serialized, full-throughput resource such as a link's
-// serialization stage or a GPU's HBM share. Callers reserve an interval of
-// exclusive use; the resource tracks its next-free time and accumulated
-// busy time for utilization reporting.
+// Resource models a serialized, full-throughput FIFO resource: a GPU's
+// HBM. Callers reserve an interval of exclusive use; the resource tracks
+// only its next-free time.
 //
 // Resource intentionally does not schedule events itself: the caller
 // receives the (start, end) interval and schedules whatever completion
-// events it needs, which keeps queueing policy (FIFO vs virtual channels)
-// in the component that owns the policy.
+// events it needs.
 type Resource struct {
 	freeAt Time
-	busy   Time
 }
 
 // NewResource returns an idle resource.
@@ -34,23 +31,7 @@ func (r *Resource) Reserve(now Time, dur Time) (start, end Time) {
 	}
 	end = start + dur
 	r.freeAt = end
-	r.busy += dur
 	return start, end
-}
-
-// BusyTime reports the total reserved time.
-func (r *Resource) BusyTime() Time { return r.busy }
-
-// Utilization reports busy time as a fraction of the window [0, horizon].
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	u := float64(r.busy) / float64(horizon)
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // Latch is a pooled countdown latch used to model barriers: LatchPool.Get
@@ -72,9 +53,6 @@ type Latch struct {
 // Reset clears the latch for pool reuse; the cached doneFn method value
 // is the object's identity and survives.
 func (l *Latch) Reset() { *l = Latch{doneFn: l.doneFn} }
-
-// Remaining reports outstanding completions.
-func (l *Latch) Remaining() int { return l.remaining }
 
 // Done counts down one completion, firing the callback when the count hits
 // zero. Calling Done on a released latch panics: it indicates a

@@ -12,8 +12,8 @@ func TestRetryFirstAttemptImmediate(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("attempt ran %d times before Run, want 1 (synchronous first attempt)", calls)
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("successful first attempt left %d events pending", eng.Pending())
+	if eng.heap.len() != 0 {
+		t.Fatalf("successful first attempt left %d events pending", eng.heap.len())
 	}
 }
 
@@ -66,7 +66,7 @@ func TestRetryUnlimitedUntilSuccess(t *testing.T) {
 	if attempts != 20 {
 		t.Errorf("ran %d attempts, want 20", attempts)
 	}
-	if eng.Pending() != 0 {
-		t.Errorf("success left %d events pending", eng.Pending())
+	if eng.heap.len() != 0 {
+		t.Errorf("success left %d events pending", eng.heap.len())
 	}
 }

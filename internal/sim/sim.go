@@ -86,12 +86,6 @@ func Scale(d Time, factor float64) Time {
 	return Time(float64(d) * factor)
 }
 
-// FromPicoseconds converts a float picosecond count (e.g. a metrics gauge
-// value) back into a Time, truncating toward zero.
-func FromPicoseconds(ps float64) Time {
-	return Time(ps)
-}
-
 type event struct {
 	at  Time
 	seq uint64
@@ -273,6 +267,3 @@ func (e *Engine) Run() Time {
 	}
 	return e.now
 }
-
-// Pending reports how many events are queued.
-func (e *Engine) Pending() int { return e.heap.len() }

@@ -126,20 +126,6 @@ func TestResourceSerializesReservations(t *testing.T) {
 	if s3 != 100*Nanosecond {
 		t.Fatalf("idle-start reservation at %v, want 100ns", s3)
 	}
-	if r.BusyTime() != 21*Nanosecond {
-		t.Fatalf("busy = %v, want 21ns", r.BusyTime())
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	r := NewResource()
-	r.Reserve(0, 25*Nanosecond)
-	if u := r.Utilization(100 * Nanosecond); u != 0.25 {
-		t.Fatalf("utilization = %v, want 0.25", u)
-	}
-	if u := r.Utilization(0); u != 0 {
-		t.Fatalf("zero-horizon utilization = %v", u)
-	}
 }
 
 func TestResourceReservationsNeverOverlap(t *testing.T) {
@@ -212,8 +198,8 @@ func TestLatchPoolRecyclesOnFire(t *testing.T) {
 	if l2 != l {
 		t.Fatal("fired latch was not recycled")
 	}
-	if l2.Remaining() != 1 {
-		t.Fatalf("recycled latch Remaining = %d, want 1", l2.Remaining())
+	if l2.remaining != 1 {
+		t.Fatalf("recycled latch remaining = %d, want 1", l2.remaining)
 	}
 	l2.Done()
 	if gets, news, idle := lp.Stats(); gets != 2 || news != 1 || idle != 1 {

@@ -56,7 +56,7 @@ func TestUtilBinRecordsTimeline(t *testing.T) {
 	if res.Elapsed != base.Elapsed {
 		t.Fatalf("timeline recording changed elapsed time: %v vs %v", res.Elapsed, base.Elapsed)
 	}
-	if res.Timeline.IsZero() {
+	if res.Timeline.Bin == 0 {
 		t.Fatal("UtilBin set but no timeline recorded")
 	}
 	if res.Timeline.Bin != base.Elapsed/16 {

@@ -15,15 +15,17 @@ import (
 // elapsed time. A panic, a step-limit abort or a non-positive time fails.
 // The seeds are DGX-H100 cut to 4 GPUs, a 2-GPU probe with each magnitude
 // that once overflowed sim.Time (three rates at 1e-300, three times at
-// 2^62 ps) and the negative efficiency that meant wire rate, Fig. 2's
-// ideal fabric, and Fig. 13a's unlimited merging table with no timeout.
+// 2^62 ps), the negative efficiency that meant wire rate and the 2^40-byte
+// element that ran without end, Fig. 2's ideal fabric, and Fig. 13a's
+// unlimited merging table with no timeout.
 func FuzzHardware(f *testing.F) {
 	add := func(h config.Hardware) {
 		f.Add(h.NumGPUs, h.NumSwitchPlanes, h.SMsPerGPU,
 			h.SMFLOPs, h.HBMBandwidth, h.LinkBandwidth, h.LinkEfficiency,
 			int64(h.LinkLatency), int64(h.SwitchLatency), int64(h.MergeTimeout),
 			int64(h.KernelLaunchOverhead), int64(h.KernelLaunchJitter), int64(h.TBOverhead),
-			h.TBTimeNoise, h.MergeTableBytes, h.RequestBytes, h.Seed)
+			h.TBTimeNoise, h.MergeTableBytes, h.RequestBytes, h.Seed,
+			h.ElemBytes, h.ThrottleWindowBytes, h.CommSMs)
 	}
 	dgx := config.DGXH100() // at the size limits below
 	dgx.NumGPUs, dgx.SMsPerGPU = 4, 16
@@ -39,6 +41,7 @@ func FuzzHardware(f *testing.F) {
 		func(h *config.Hardware) { h.TBOverhead = 1 << 62 },
 		func(h *config.Hardware) { h.KernelLaunchOverhead = 1 << 62 },
 		func(h *config.Hardware) { h.LinkEfficiency = -5 },
+		func(h *config.Hardware) { h.ElemBytes = 1 << 40 },
 	} {
 		h := probe
 		extreme(&h)
@@ -56,13 +59,15 @@ func FuzzHardware(f *testing.F) {
 	f.Fuzz(func(t *testing.T, gpus, planes, sms int,
 		smFLOPs, hbmBW, linkBW, linkEff float64,
 		linkLat, switchLat, mergeTimeout, launchOverhead, launchJitter, tbOverhead int64,
-		tbNoise float64, mergeTable, requestBytes int64, seed uint64) {
+		tbNoise float64, mergeTable, requestBytes int64, seed uint64,
+		elemBytes int, throttleWindow int64, commSMs int) {
 		h := config.DGXH100()
 		h.NumGPUs, h.NumSwitchPlanes, h.SMsPerGPU = gpus, planes, sms
 		h.SMFLOPs, h.HBMBandwidth, h.LinkBandwidth, h.LinkEfficiency = smFLOPs, hbmBW, linkBW, linkEff
 		h.LinkLatency, h.SwitchLatency, h.MergeTimeout = sim.Time(linkLat), sim.Time(switchLat), sim.Time(mergeTimeout)
 		h.KernelLaunchOverhead, h.KernelLaunchJitter, h.TBOverhead = sim.Time(launchOverhead), sim.Time(launchJitter), sim.Time(tbOverhead)
 		h.TBTimeNoise, h.MergeTableBytes, h.RequestBytes, h.Seed = tbNoise, mergeTable, requestBytes, seed
+		h.ElemBytes, h.ThrottleWindowBytes, h.CommSMs = elemBytes, throttleWindow, commSMs
 
 		verr := h.Validate()
 		if verr == nil && (h.NumGPUs > 4 || h.NumSwitchPlanes > 4 || h.SMsPerGPU > 16 ||

@@ -64,29 +64,33 @@ const (
 	PhaseAsyncEnd   byte = 'e'
 )
 
-// Internal aliases keep the recording methods terse.
+// Event categories: the recorders in gpu, noc and nvswitch stamp them and
+// internal/attrib classifies the events it visits by them.
 const (
-	phComplete   = PhaseComplete
-	phInstant    = PhaseInstant
-	phAsyncBegin = PhaseAsyncBegin
-	phAsyncEnd   = PhaseAsyncEnd
+	CatTB    = "gpu.tb"         // SM-slot residency spans
+	CatSync  = "gpu.sync"       // TB-group barrier waits (async)
+	CatLink  = "noc.link"       // link serialization spans
+	CatMerge = "nvswitch.merge" // merge sessions (async) and unit instants
 )
 
-type event struct {
-	name string
-	cat  string
-	ph   byte
-	pid  int32
-	tid  int32
-	ts   sim.Time
-	dur  sim.Time // complete events only
-	id   uint64   // async events only
+// Event is one recorded trace event, as the tracer stores it and Visit
+// hands it out. Dur is meaningful for PhaseComplete events only; ID pairs
+// PhaseAsyncBegin with its PhaseAsyncEnd.
+type Event struct {
+	Name  string
+	Cat   string
+	Phase byte
+	Pid   int32
+	Tid   int32 // complete and instant events only
+	Ts    sim.Time
+	Dur   sim.Time
+	ID    uint64
 }
 
 // Tracer accumulates trace events in memory. It is not goroutine-safe;
 // the simulation engine is single-threaded by design.
 type Tracer struct {
-	events  []event
+	events  []Event
 	procs   map[int32]string
 	threads map[int64]string
 	nextID  uint64
@@ -97,7 +101,7 @@ type Tracer struct {
 // nil slice costs a dozen doubling copies per run for nothing.
 func New() *Tracer {
 	return &Tracer{
-		events:  make([]event, 0, 4096),
+		events:  make([]Event, 0, 4096),
 		procs:   make(map[int32]string),
 		threads: make(map[int64]string),
 	}
@@ -132,9 +136,9 @@ func (t *Tracer) Span(pid, tid int32, cat, name string, start, end sim.Time) {
 	if end < start {
 		end = start
 	}
-	t.events = append(t.events, event{
-		name: name, cat: cat, ph: phComplete,
-		pid: pid, tid: tid, ts: start, dur: end - start,
+	t.events = append(t.events, Event{
+		Name: name, Cat: cat, Phase: PhaseComplete,
+		Pid: pid, Tid: tid, Ts: start, Dur: end - start,
 	})
 }
 
@@ -143,8 +147,8 @@ func (t *Tracer) Instant(pid, tid int32, cat, name string, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{
-		name: name, cat: cat, ph: phInstant, pid: pid, tid: tid, ts: at,
+	t.events = append(t.events, Event{
+		Name: name, Cat: cat, Phase: PhaseInstant, Pid: pid, Tid: tid, Ts: at,
 	})
 }
 
@@ -154,8 +158,8 @@ func (t *Tracer) BeginAsync(pid int32, cat, name string, id uint64, at sim.Time)
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{
-		name: name, cat: cat, ph: phAsyncBegin, pid: pid, ts: at, id: id,
+	t.events = append(t.events, Event{
+		Name: name, Cat: cat, Phase: PhaseAsyncBegin, Pid: pid, Ts: at, ID: id,
 	})
 }
 
@@ -164,8 +168,8 @@ func (t *Tracer) EndAsync(pid int32, cat, name string, id uint64, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{
-		name: name, cat: cat, ph: phAsyncEnd, pid: pid, ts: at, id: id,
+	t.events = append(t.events, Event{
+		Name: name, Cat: cat, Phase: PhaseAsyncEnd, Pid: pid, Ts: at, ID: id,
 	})
 }
 
@@ -185,20 +189,6 @@ func (t *Tracer) NameThread(pid, tid int32, name string) {
 	t.threads[int64(pid)<<32|int64(uint32(tid))] = name
 }
 
-// Event is the read-only view of one recorded trace event handed to Visit
-// callbacks. Dur is meaningful for PhaseComplete events only; ID pairs
-// PhaseAsyncBegin with its PhaseAsyncEnd.
-type Event struct {
-	Name  string
-	Cat   string
-	Phase byte
-	Pid   int32
-	Tid   int32
-	Ts    sim.Time
-	Dur   sim.Time
-	ID    uint64
-}
-
 // Visit calls fn for every recorded event in recording order. It is
 // nil-receiver safe (a disabled tracer visits nothing), so offline
 // consumers need no enabled check.
@@ -207,27 +197,8 @@ func (t *Tracer) Visit(fn func(Event)) {
 		return
 	}
 	for i := range t.events {
-		e := &t.events[i]
-		fn(Event{
-			Name: e.name, Cat: e.cat, Phase: e.ph,
-			Pid: e.pid, Tid: e.tid, Ts: e.ts, Dur: e.dur, ID: e.id,
-		})
+		fn(t.events[i])
 	}
-}
-
-// CountCategory reports how many events carry the given category (used by
-// tests and the CLI summary).
-func (t *Tracer) CountCategory(cat string) int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for i := range t.events {
-		if t.events[i].cat == cat {
-			n++
-		}
-	}
-	return n
 }
 
 // WriteJSON serializes the trace in the Chrome trace-event JSON object
@@ -277,30 +248,30 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		sep()
 		buf = buf[:0]
 		buf = append(buf, `{"name":`...)
-		buf = append(buf, quote(e.name)...)
-		if e.cat != "" {
+		buf = append(buf, quote(e.Name)...)
+		if e.Cat != "" {
 			buf = append(buf, `,"cat":`...)
-			buf = append(buf, quote(e.cat)...)
+			buf = append(buf, quote(e.Cat)...)
 		}
 		buf = append(buf, `,"ph":"`...)
-		buf = append(buf, e.ph)
+		buf = append(buf, e.Phase)
 		buf = append(buf, `","pid":`...)
-		buf = strconv.AppendInt(buf, int64(e.pid), 10)
-		if e.ph == phComplete || e.ph == phInstant {
+		buf = strconv.AppendInt(buf, int64(e.Pid), 10)
+		if e.Phase == PhaseComplete || e.Phase == PhaseInstant {
 			buf = append(buf, `,"tid":`...)
-			buf = strconv.AppendInt(buf, int64(e.tid), 10)
+			buf = strconv.AppendInt(buf, int64(e.Tid), 10)
 		}
 		buf = append(buf, `,"ts":`...)
-		buf = appendMicros(buf, e.ts)
-		switch e.ph {
-		case phComplete:
+		buf = appendMicros(buf, e.Ts)
+		switch e.Phase {
+		case PhaseComplete:
 			buf = append(buf, `,"dur":`...)
-			buf = appendMicros(buf, e.dur)
-		case phInstant:
+			buf = appendMicros(buf, e.Dur)
+		case PhaseInstant:
 			buf = append(buf, `,"s":"t"`...)
-		case phAsyncBegin, phAsyncEnd:
+		case PhaseAsyncBegin, PhaseAsyncEnd:
 			buf = append(buf, `,"id":`...)
-			buf = strconv.AppendUint(buf, e.id, 10)
+			buf = strconv.AppendUint(buf, e.ID, 10)
 		}
 		buf = append(buf, '}')
 		bw.Write(buf)
