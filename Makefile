@@ -17,12 +17,14 @@ race:
 	$(GO) test -race ./...
 
 # fuzz: each fuzz target for FUZZTIME (default 30s): fault schedules
-# (FuzzParse), serving workloads (FuzzWorkload) and hardware plus assembly
-# (FuzzHardware), one `go test -fuzz` run per package. Plain `go test` runs
-# only their seed corpora. A crasher lands in the package's
+# (FuzzParse), serving workloads (FuzzWorkload), hardware plus assembly
+# (FuzzHardware) and event schedules against the reference (at, seq) order
+# (FuzzEngineOrder), one `go test -fuzz` run per target. Plain `go test`
+# runs only their seed corpora. A crasher lands in the package's
 # testdata/fuzz/<target>/; commit it there as a regression seed.
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkload$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzHardware$$' -fuzztime $(FUZZTIME) ./internal/strategy
@@ -39,7 +41,7 @@ parallel-smoke: build
 	$(GO) run ./cmd/caissim -experiment all -quick -parallel 4 | cmp - internal/experiments/testdata/golden/quick.txt
 
 # experiments-full: regenerate experiments_full.txt, the full-fidelity
-# output EXPERIMENTS.md quotes (about two minutes on 2 vCPUs). CI runs it
+# output EXPERIMENTS.md quotes (about 90 s on 2 vCPUs). CI runs it
 # and fails when the committed file differs.
 experiments-full: build
 	$(GO) run ./cmd/caissim -experiment all > experiments_full.txt

@@ -1,8 +1,8 @@
 // Engine hot-path microbenchmarks. The event queue is the simulator's
 // innermost loop — every simulated request, kernel phase and sync crossing
 // is one push/pop pair — so these benchmarks pin the two properties the
-// concrete 4-ary heap was built for: low ns/event and zero steady-state
-// allocations per scheduled event.
+// concrete 4-ary heap and the delay lanes were built for: low ns/event and
+// zero steady-state allocations per scheduled event.
 //
 // BenchmarkEngineHoldBoxedHeap keeps the old container/heap implementation
 // alive (test-only) as the comparison baseline: run
@@ -60,6 +60,82 @@ func benchHold(b *testing.B, depth int) {
 func BenchmarkEngineHold64(b *testing.B)   { benchHold(b, 64) }
 func BenchmarkEngineHold1024(b *testing.B) { benchHold(b, 1024) }
 func BenchmarkEngineHold8192(b *testing.B) { benchHold(b, 8192) }
+
+// layerHotDelays is a cyclic table of delays drawn from the push mix
+// measured on one LLaMA-7B layer under CAIS (8 GPUs, 32 KB requests): 250 ns
+// link latency 29%, 316 ps and 647,585 ps serializations 18% and 9%, 50 ns
+// switch latency 14%, 300 ns TB overhead 6%, 9,781 ps 4%, zero 4%, the
+// 8 us merge timeout 3%, and 13% one-off compute and HBM delays.
+var layerHotDelays = func() []Time {
+	mix := []struct {
+		d   Time
+		pct int
+	}{
+		{250 * Nanosecond, 29}, {316, 18}, {647_585, 9}, {50 * Nanosecond, 14},
+		{300 * Nanosecond, 6}, {9_781, 4}, {0, 4}, {8 * Microsecond, 3},
+	}
+	rng := NewRNG(0x1a7e)
+	table := make([]Time, 4096)
+	for i := range table {
+		table[i] = rng.Between(100*Nanosecond, 10*Microsecond) // one-off
+		k := rng.Intn(100)
+		for _, m := range mix {
+			if k < m.pct {
+				table[i] = m.d
+				break
+			}
+			k -= m.pct
+		}
+	}
+	return table
+}()
+
+// mixedHold is the hold model over layerHotDelays: every executed event
+// schedules one successor at the table's next delay while budget remains.
+type mixedHold struct {
+	e      *Engine
+	next   int
+	budget int
+	arm    func()
+}
+
+func newMixedHold() *mixedHold {
+	h := &mixedHold{e: NewEngine()}
+	h.arm = func() {
+		if h.budget > 0 {
+			h.budget--
+			h.schedule()
+		}
+	}
+	return h
+}
+
+func (h *mixedHold) schedule() {
+	h.e.After(layerHotDelays[h.next%len(layerHotDelays)], h.arm)
+	h.next++
+}
+
+// fill seeds depth pending events and sets the budget of successors.
+func (h *mixedHold) fill(depth, budget int) {
+	for i := 0; i < depth; i++ {
+		h.schedule()
+	}
+	h.budget = budget
+}
+
+// mixedHoldDepth is about the pending-event count of layer-hot's CAIS run.
+const mixedHoldDepth = 2000
+
+// BenchmarkEngineMixedDelays replays layer-hot's push mix at about 2,000
+// pending events: one pop plus one push per op. Most delays recur, so most
+// events pass through the delay lanes instead of the heap.
+func BenchmarkEngineMixedDelays(b *testing.B) {
+	h := newMixedHold()
+	h.fill(mixedHoldDepth, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	h.e.Run()
+}
 
 // boxedHeap is the pre-overhaul event queue: container/heap over a slice
 // of events, paying one interface box per Push and one unbox per Pop. It
@@ -143,6 +219,20 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+run allocates %.1f times per event, want 0", allocs)
+	}
+}
+
+// TestEngineMixedDelaysAllocs pins BenchmarkEngineMixedDelays' workload at
+// zero allocations once the heap and the lanes' rings have grown.
+func TestEngineMixedDelaysAllocs(t *testing.T) {
+	h := newMixedHold()
+	// AllocsPerRun's warm-up call grows the heap and the rings.
+	allocs := testing.AllocsPerRun(5, func() {
+		h.fill(mixedHoldDepth, 20_000)
+		h.e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("warmed mixed-delay hold allocates %.1f times per 22,000 events, want 0", allocs)
 	}
 }
 

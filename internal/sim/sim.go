@@ -1,8 +1,9 @@
 // Package sim provides the discrete-event simulation engine used by every
-// other subsystem in the CAIS reproduction: a deterministic event heap with
-// picosecond resolution, a splitmix64-based reproducible RNG, serialized
-// resources for bandwidth/occupancy accounting, and countdown latches for
-// barrier modeling.
+// other subsystem in the CAIS reproduction: a deterministic event queue
+// (a 4-ary heap beside delay-keyed FIFO lanes) with picosecond resolution,
+// a splitmix64-based reproducible RNG, serialized resources for
+// bandwidth/occupancy accounting, and countdown latches for barrier
+// modeling.
 //
 // All simulated components (GPUs, links, switches, runtimes) share one
 // Engine and communicate exclusively by scheduling events on it, so a whole
@@ -11,6 +12,9 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+
+	"cais/internal/pool"
 )
 
 // Time is simulated time in picoseconds. Picoseconds keep bandwidth
@@ -189,15 +193,46 @@ func (h *eventHeap) siftDown(i int) {
 	h.a[i] = e
 }
 
+// laneBits sets the number of delay lanes, 1<<laneBits; the live mask
+// below holds one bit per lane.
+const laneBits = 4
+
+// laneSlot picks the lane for delay d by multiplicative (Fibonacci)
+// hashing, so the simulator's recurring delays spread over the lanes even
+// though most are round numbers of picoseconds.
+func laneSlot(d Time) int {
+	return int(uint64(d) * 0x9E3779B97F4A7C15 >> (64 - laneBits))
+}
+
+// lane is a FIFO of pending events that were all scheduled with the same
+// delay d. Because now never decreases and seq only grows, events that
+// share a delay arrive in (at, seq) order, so a lane stays sorted without
+// a single comparison. The lane's earliest event lives in Engine.heads;
+// ring holds the rest.
+type lane struct {
+	ring pool.Ring[event]
+	d    Time // delay of every queued event; kept while the lane is empty
+	miss Time // delay of the slot's latest miss
+}
+
 // Engine is a deterministic discrete-event scheduler. Events scheduled for
 // the same instant run in scheduling order, so simulations are
 // bit-reproducible across runs and platforms.
+//
+// Pending events wait either in the heap or in one of the delay lanes.
+// Run always takes the smaller (at, seq) of the heap top and the live lane
+// heads, so events leave in exactly the order one heap would give.
 type Engine struct {
 	now   Time
 	seq   uint64
 	steps uint64
 	heap  eventHeap
 	limit uint64 // optional hard step limit guard; 0 disables
+
+	lanes [1 << laneBits]lane
+	heads [1 << laneBits]event // each live lane's earliest event
+	live  uint16               // bit i set: lane i holds events
+	first int                  // the live lane with the earliest head
 
 	// Progress heartbeat: fn runs every progEvery executed events.
 	progEvery uint64
@@ -238,7 +273,30 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.heap.push(event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	d := t - e.now
+	i := laneSlot(d)
+	l, bit := &e.lanes[i], uint16(1)<<i
+	if l.d != d {
+		// A lane changes its delay only while empty, and only for a delay
+		// that missed its slot twice running: one-off delays stay in the
+		// heap instead of evicting a recurring delay from the lane.
+		if e.live&bit != 0 || l.miss != d {
+			l.miss = d
+			e.heap.push(ev)
+			return
+		}
+		l.d = d
+	}
+	if e.live&bit == 0 {
+		if e.live == 0 || ev.before(&e.heads[e.first]) {
+			e.first = i
+		}
+		e.live |= bit
+		e.heads[i] = ev
+		return
+	}
+	l.ring.PushBack(ev)
 }
 
 // After schedules fn to run d after the current time. Negative delays clamp
@@ -253,8 +311,13 @@ func (e *Engine) After(d Time, fn func()) {
 // Run executes events until the queue is empty and returns the final
 // simulated time.
 func (e *Engine) Run() Time {
-	for e.heap.len() > 0 {
-		ev := e.heap.pop()
+	for e.live != 0 || e.heap.len() > 0 {
+		var ev event
+		if e.live == 0 || e.heap.len() > 0 && e.heap.a[0].before(&e.heads[e.first]) {
+			ev = e.heap.pop()
+		} else {
+			ev = e.popFirstLane()
+		}
 		e.now = ev.at
 		e.steps++
 		if e.limit > 0 && e.steps > e.limit {
@@ -266,4 +329,31 @@ func (e *Engine) Run() Time {
 		ev.fn()
 	}
 	return e.now
+}
+
+// popFirstLane removes and returns the earliest lane head, promotes the
+// next event of its lane, and finds the new earliest live lane.
+func (e *Engine) popFirstLane() event {
+	i := e.first
+	ev := e.heads[i]
+	if l := &e.lanes[i]; l.ring.Len() > 0 {
+		e.heads[i] = l.ring.PopFront()
+	} else {
+		e.heads[i] = event{} // release the fn reference for the GC
+		e.live &^= 1 << i
+	}
+	m := e.live
+	if m == 0 {
+		return ev
+	}
+	best := bits.TrailingZeros16(m)
+	at, seq := e.heads[best].at, e.heads[best].seq
+	for m &= m - 1; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros16(m)
+		if h := &e.heads[j]; h.at < at || h.at == at && h.seq < seq {
+			best, at, seq = j, h.at, h.seq
+		}
+	}
+	e.first = best
+	return ev
 }
