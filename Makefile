@@ -73,8 +73,9 @@ fmt:
 
 # check: the one pre-merge gate, the same script CI runs — formatting,
 # vet, build, caislint, the tests (root module, the caisbench module and
-# under -race), the zero-alloc tracer benchmark, the four examples, the
-# quick smokes and the CLI's quick sweep compared with the committed golden.
+# under -race), one caisbench pass checking all 45 golden digests, the
+# zero-alloc tracer benchmark, the four examples, the quick smokes and the
+# CLI's quick sweep compared with the committed golden.
 check:
 	sh scripts/check.sh
 

@@ -212,23 +212,12 @@ func runExperiments(r options) {
 	}
 }
 
-// strategyNames lists every accepted -strategy value (baselines, CAIS, its
-// ablations, and the extension strategies).
-func strategyNames() []string {
-	var names []string
-	for _, s := range cais.Strategies() {
-		names = append(names, s.Name)
-	}
-	for _, s := range cais.ExtensionStrategies() {
-		names = append(names, s.Name)
-	}
-	return names
-}
-
 func runStrategy(r options) {
 	spec, err := cais.StrategyByName(r.strategy)
 	if err != nil {
-		usageErr("strategy", r.strategy, strategyNames())
+		// The error lists every accepted -strategy value.
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	var m cais.Model
 	switch strings.ToLower(r.model) {

@@ -189,6 +189,17 @@ func (h Hardware) GPUFLOPs() float64 {
 	return h.SMFLOPs * float64(h.SMsPerGPU)
 }
 
+// RequestChunks is the number of requests an access of the given size
+// splits into, ⌈bytes / RequestBytes⌉ with a floor of 1. An access
+// reserves one address key per request, so the builders' address ranges
+// and the GPU's packets follow this one rule.
+func (h Hardware) RequestChunks(bytes int64) int {
+	if bytes <= 0 || h.RequestBytes <= 0 {
+		return 1
+	}
+	return int((bytes + h.RequestBytes - 1) / h.RequestBytes)
+}
+
 // Model is one LLM configuration from Table I. Layer counts are not in the
 // table; they follow the public model definitions (LLaMA-7B: 32) and the
 // Megatron-GPT family sizing for the Mega-GPT variants, and only scale

@@ -48,16 +48,11 @@ func (g *GPU) hbmDone() {
 		g.sendUp(resp)
 
 	case jobLoadResp:
-		p := j.p
-		done := p.OnDone
-		ctx, _ := p.Tag.(*accessCtx)
-		g.pkts.Put(p)
-		switch {
-		case done != nil:
-			done()
-		case ctx != nil:
-			ctx.chunkDone()
-		}
+		// Every load, merged, bypassed or reduced on the way, comes back
+		// with its issuer's context as the tag.
+		ctx := j.p.Tag.(*accessCtx)
+		g.pkts.Put(j.p)
+		ctx.chunkDone()
 
 	case jobData:
 		p := j.p
@@ -92,8 +87,7 @@ type accessCtx struct {
 	publishHere  bool // deliver a to the host once its data moved
 	onIssued     func()
 	onComplete   func()
-	chunk        int64 // resolved request granularity
-	nextChunk    int   // next chunk index the throttle will send
+	nextChunk    int // next chunk index the throttle will send
 	pendingIssue int
 	pendingDone  int
 
@@ -166,7 +160,7 @@ func (c *accessCtx) sendNext() {
 // sendChunk builds and injects chunk i's packet.
 func (c *accessCtx) sendChunk(i int) {
 	g := c.g
-	sz := chunkSize(i, c.a.Bytes, c.chunk)
+	sz := chunkSize(i, c.a.Bytes, g.hw.RequestBytes)
 	p := g.pkts.Get()
 	p.Op, p.Addr, p.Home = c.a.Mode, c.a.Addr+uint64(i), c.a.Home
 	p.Src, p.Dst, p.Size, p.Group = g.ID, c.a.Home, sz, c.group
@@ -179,12 +173,9 @@ func (c *accessCtx) sendChunk(i int) {
 		p.OnAccepted = cc.acceptedFn
 	}
 	switch c.a.Mode {
-	case noc.OpLdCAIS, noc.OpMultimemLdReduce:
-		p.Contribs = c.a.Expected
-		p.OnDone = c.chunkDoneFn
-	case noc.OpLoad:
-		// Plain P2P loads route the completion through the tag: the home
-		// GPU copies the tag onto its response.
+	case noc.OpLoad, noc.OpLdCAIS, noc.OpMultimemLdReduce:
+		// A load completes through its tag: every response to it, from
+		// the home GPU, the merge unit or an NVLS pull, copies the tag.
 		p.Contribs = c.a.Expected
 		p.Tag = c
 	case noc.OpStore, noc.OpMultimemST:
@@ -239,19 +230,8 @@ func (c *chunkCredit) accepted() {
 	c.g.throttle.Release(sz)
 }
 
-// chunkCount is the number of request-granularity chunks for n bytes,
-// matching the tests' reference split.
-func chunkCount(n, chunk int64) int {
-	if n <= 0 {
-		return 1
-	}
-	if chunk <= 0 {
-		return 1
-	}
-	return int((n + chunk - 1) / chunk)
-}
-
-// chunkSize is chunk i's byte count under the same split.
+// chunkSize is chunk i's byte count when n bytes split into chunk-byte
+// requests (config.Hardware.RequestChunks counts them).
 func chunkSize(i int, n, chunk int64) int64 {
 	if n <= 0 {
 		return 0

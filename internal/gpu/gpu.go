@@ -34,6 +34,9 @@ type Host interface {
 	// descriptor: admission-time descriptors are never reclaimed, so it
 	// stays valid for the machine's lifetime.
 	Deliver(gpu int, a *kernel.Access, bytes int64)
+	// PublishTiles takes a retiring thread block's Out tiles: its posts
+	// are issued, so the tiles it produces count as ready.
+	PublishTiles(tiles []kernel.Tile)
 }
 
 // GPU is one simulated device.
@@ -152,40 +155,36 @@ func (g *GPU) hbmTime(n int64) sim.Time {
 	return sim.DurationForBytes(n, g.hw.HBMBandwidth)
 }
 
-// Receive implements noc.Endpoint for downlink traffic. HBM-bound work is
-// parked on the job ring and drained by the cached hbmDoneFn closure:
-// reservations are FIFO and same-instant events run in scheduling order,
-// so job k always pairs with the k-th completion (see access.go).
+// Receive implements noc.Endpoint for downlink traffic. Everything but a
+// sync release commits to (or reads from) HBM first: the packet parks on
+// the job ring and the cached hbmDoneFn closure drains it. Reservations
+// are FIFO and same-instant events run in scheduling order, so job k
+// always pairs with the k-th completion (see access.go).
 func (g *GPU) Receive(p *noc.Packet) {
+	var kind int8
 	switch p.Op {
 	case noc.OpLoad, noc.OpReadFan:
-		// Serve a remote read from HBM, then respond on the address's
-		// plane so merge/pull sessions see the response.
-		_, end := g.hbm.Reserve(g.eng.Now(), g.hbmTime(p.Size))
-		g.hbmJobs.PushBack(hbmJob{kind: jobServe, p: p})
-		g.eng.At(end, g.hbmDoneFn)
-
+		// Serve a remote read, then respond on the address's plane so
+		// merge/pull sessions see the response.
+		kind = jobServe
 	case noc.OpLoadResp:
-		// Requested data arrived: commit to HBM, then complete.
-		_, end := g.hbm.Reserve(g.eng.Now(), g.hbmTime(p.Size))
-		g.hbmJobs.PushBack(hbmJob{kind: jobLoadResp, p: p})
-		g.eng.At(end, g.hbmDoneFn)
-
+		// Requested data arrived: commit it, then complete the load.
+		kind = jobLoadResp
 	case noc.OpStore, noc.OpRedCAIS, noc.OpMultimemRed, noc.OpMultimemST:
-		// Incoming write/reduction/multicast data: commit to HBM, then
-		// notify the machine layer (tile publishing, contribution
-		// counting) and the issuer.
-		_, end := g.hbm.Reserve(g.eng.Now(), g.hbmTime(p.Size))
-		g.hbmJobs.PushBack(hbmJob{kind: jobData, p: p})
-		g.eng.At(end, g.hbmDoneFn)
-
+		// Incoming write/reduction/multicast data: commit it, then notify
+		// the machine layer (tile publishing, contribution counting) and
+		// the issuer.
+		kind = jobData
 	case noc.OpSyncRelease:
 		g.sync.Release(p.Group, int(p.Addr))
 		g.pkts.Put(p)
-
+		return
 	default:
 		panic(fmt.Sprintf("gpu%d: unexpected downlink op %v", g.ID, p.Op))
 	}
+	_, end := g.hbm.Reserve(g.eng.Now(), g.hbmTime(p.Size))
+	g.hbmJobs.PushBack(hbmJob{kind: kind, p: p})
+	g.eng.At(end, g.hbmDoneFn)
 }
 
 // issueAccess performs one TB access. onIssued fires once every chunk has
@@ -215,7 +214,7 @@ func (g *GPU) issueAccess(a *kernel.Access, group int, throttled bool, onIssued,
 		return
 	}
 
-	n := chunkCount(a.Bytes, g.hw.RequestBytes)
+	n := g.hw.RequestChunks(a.Bytes)
 	ctx := g.getAccessCtx()
 	ctx.a = a
 	ctx.group = group
@@ -227,12 +226,11 @@ func (g *GPU) issueAccess(a *kernel.Access, group int, throttled bool, onIssued,
 	// ld.cais requests are header-only and already paced by the
 	// request/response round trip.
 	ctx.throttledReq = throttled && a.Mode == noc.OpRedCAIS
-	ctx.chunk = g.hw.RequestBytes
 	ctx.pendingIssue, ctx.pendingDone = n, n
 
 	if ctx.throttledReq {
 		for i := 0; i < n; i++ {
-			g.throttle.Acquire(chunkSize(i, a.Bytes, ctx.chunk), ctx.sendNextFn)
+			g.throttle.Acquire(chunkSize(i, a.Bytes, g.hw.RequestBytes), ctx.sendNextFn)
 		}
 		return
 	}

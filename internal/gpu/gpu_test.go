@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cais/internal/config"
 	"cais/internal/kernel"
 	"cais/internal/noc"
 	"cais/internal/sim"
@@ -39,7 +40,8 @@ func TestChunkSizesConserveBytes(t *testing.T) {
 		// Bound the chunk count so the property check stays fast.
 		n := n32 % (1 << 20)
 		cs := chunkSizes(int64(n), int64(chunk)+64)
-		if chunkCount(int64(n), int64(chunk)+64) != len(cs) {
+		hw := config.Hardware{RequestBytes: int64(chunk) + 64}
+		if hw.RequestChunks(int64(n)) != len(cs) {
 			return false
 		}
 		var sum int64
@@ -163,9 +165,10 @@ type nopSink struct{}
 func (nopSink) RouteAddr(addr uint64) int          { return int(addr % 2) }
 func (nopSink) RouteGroup(group int) int           { return group % 2 }
 func (nopSink) Deliver(int, *kernel.Access, int64) {}
+func (nopSink) PublishTiles([]kernel.Tile)         {}
 
 // chunkSizes splits n bytes into request-granularity chunks: the
-// reference split chunkCount and chunkSize must match.
+// reference split that Hardware.RequestChunks and chunkSize must match.
 func chunkSizes(n, chunk int64) []int64 {
 	if n <= 0 {
 		return []int64{0}

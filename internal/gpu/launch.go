@@ -9,23 +9,6 @@ import (
 	"cais/internal/trace"
 )
 
-// LaunchOpts parameterizes one kernel launch on one GPU.
-type LaunchOpts struct {
-	// LaunchID is the machine-wide launch sequence number; it seeds the
-	// per-launch jitter so the same launch gets different (deterministic)
-	// noise on each GPU.
-	LaunchID int
-	// GroupBase offsets the kernel's TB-local group IDs into the global
-	// group-ID space shared with the switch's Group Sync Table.
-	GroupBase int
-	// OnTBRetire fires when TB tb retires (its posts are issued). out is
-	// the TB's Out tile list from its work descriptor, handed back so the
-	// machine layer publishes retirement tiles without re-running Work.
-	OnTBRetire func(tb int, out []kernel.Tile)
-	// OnDone fires when every TB of the launch has retired.
-	OnDone func()
-}
-
 // Launch is one kernel instance executing on one GPU.
 type Launch struct {
 	K  *kernel.Kernel
@@ -36,14 +19,11 @@ type Launch struct {
 	limit     int // SM partition size (asymmetric kernel overlapping)
 	active    int
 	started   bool
-	readyAt   sim.Time
-	buffered  []int             // eligible TBs seen before readyAt
+	buffered  []int             // eligible TBs seen before the launch started
 	ready     pool.Ring[*tbRun] // dispatchable deque (front = priority re-queue)
 	remaining int
-	done      bool
 
-	onTBRetire func(int, []kernel.Tile)
-	onDone     func()
+	onDone func()
 }
 
 // tbRun is one thread block's runtime state. Runs are pooled per GPU and
@@ -208,25 +188,26 @@ func (r *tbRun) postComplete() {
 	r.g.finishTB(r.l, r)
 }
 
-// Launch starts a kernel on this GPU. The caller (machine layer) marks TBs
-// eligible as their input tiles become ready.
-func (g *GPU) Launch(k *kernel.Kernel, opts LaunchOpts) *Launch {
+// Launch starts a kernel on this GPU. launchID, the machine-wide launch
+// sequence number, seeds the per-launch jitter; groupBase offsets the
+// kernel's TB-local group IDs into the Group Sync Table's global space;
+// onDone fires when every TB has retired. The caller (machine layer) marks
+// TBs eligible as their input tiles become ready.
+func (g *GPU) Launch(k *kernel.Kernel, launchID, groupBase int, onDone func()) *Launch {
 	if err := k.Validate(); err != nil {
 		panic(fmt.Sprintf("gpu%d: %v", g.ID, err))
 	}
 	l := &Launch{
-		K: k, id: opts.LaunchID, g: g,
-		groupBase:  opts.GroupBase,
-		limit:      g.partitionFor(k),
-		remaining:  k.Grid,
-		onTBRetire: opts.OnTBRetire,
-		onDone:     opts.OnDone,
+		K: k, id: launchID, g: g,
+		groupBase: groupBase,
+		limit:     g.partitionFor(k),
+		remaining: k.Grid,
+		onDone:    onDone,
 	}
-	rng := sim.NewRNG(sim.Hash64(g.seed, uint64(opts.LaunchID)))
+	rng := sim.NewRNG(sim.Hash64(g.seed, uint64(launchID)))
 	jitter := rng.Between(0, g.hw.KernelLaunchJitter)
-	l.readyAt = g.eng.Now() + g.hw.KernelLaunchOverhead + jitter
 	g.launches = append(g.launches, l)
-	g.eng.At(l.readyAt, func() {
+	g.eng.At(g.eng.Now()+g.hw.KernelLaunchOverhead+jitter, func() {
 		l.started = true
 		buffered := l.buffered
 		l.buffered = nil
@@ -300,7 +281,7 @@ func (g *GPU) trySchedule() {
 		n := len(g.launches)
 		for i := 0; i < n && g.slotsFree > 0; i++ {
 			l := g.launches[(g.rrLaunch+i)%n]
-			if l.done || !l.started || l.ready.Len() == 0 || l.active >= l.limit {
+			if !l.started || l.ready.Len() == 0 || l.active >= l.limit {
 				continue
 			}
 			run := l.ready.PopFront()
@@ -334,11 +315,14 @@ func (g *GPU) slotAcquire(run *tbRun) {
 	run.slotStart = g.eng.Now()
 }
 
-// slotRelease emits the TB's SM-residency span and recycles its track.
-// Residency spans cover dispatch-to-yield and dispatch-to-retire windows,
-// so a coordinated TB that yields while its group synchronizes shows up as
-// two spans — exactly the occupancy the SM scheduler sees.
+// slotRelease frees the TB's SM slot, emits its SM-residency span and
+// recycles its track. Residency spans cover dispatch-to-yield and
+// dispatch-to-retire windows, so a coordinated TB that yields while its
+// group synchronizes shows up as two spans — exactly the occupancy the SM
+// scheduler sees.
 func (g *GPU) slotRelease(l *Launch, run *tbRun) {
+	g.slotsFree++
+	l.active--
 	if run.slotTid < 0 {
 		return
 	}
@@ -368,8 +352,6 @@ func (g *GPU) tbPrePhase(l *Launch, run *tbRun) {
 		g.sync.Wait(run.group, PhasePreLoad, run.desc.GroupPeers, run.stepFn)
 		// Yield the slot while the group synchronizes and the data moves.
 		g.slotRelease(l, run)
-		g.slotsFree++
-		l.active--
 		g.trySchedule()
 		return
 	}
@@ -423,8 +405,6 @@ func (g *GPU) tbPostPhase(l *Launch, run *tbRun) {
 		// after the release needs no further compute, so the TB finishes
 		// without re-acquiring a slot.
 		g.slotRelease(l, run)
-		g.slotsFree++
-		l.active--
 		g.TBsRun++
 		run.retireAfterPost = false
 		run.next = stepIssuePosts
@@ -439,28 +419,23 @@ func (g *GPU) tbPostPhase(l *Launch, run *tbRun) {
 // tbRetire frees the SM slot and finishes the TB.
 func (g *GPU) tbRetire(l *Launch, run *tbRun) {
 	g.slotRelease(l, run)
-	g.slotsFree++
-	l.active--
 	g.TBsRun++
 	g.finishTB(l, run)
 }
 
-// finishTB publishes the TB's output tiles (via the machine callback) and
-// completes the launch when the grid drains. isNoop TBs come here directly
-// without ever holding an SM slot.
+// finishTB publishes the TB's output tiles through the host and completes
+// the launch when the grid drains. isNoop TBs come here directly without
+// ever holding an SM slot.
 func (g *GPU) finishTB(l *Launch, run *tbRun) {
-	// The run's lifecycle ends here: recycle it before the retire
-	// callback and scheduling sweep so the next admitted TB can reuse it.
-	// The Out tile list rides along to the retire callback so the machine
-	// layer never re-runs Work for retirement publishing.
-	tb, out := run.tb, run.desc.Out
+	// The run's lifecycle ends here: recycle it before publishing and the
+	// scheduling sweep so the next admitted TB can reuse it. The Out tile
+	// list comes from the admission-time descriptor, so publishing never
+	// re-runs Work.
+	out := run.desc.Out
 	g.runs.Put(run)
-	if l.onTBRetire != nil {
-		l.onTBRetire(tb, out)
-	}
+	g.host.PublishTiles(out)
 	l.remaining--
 	if l.remaining == 0 {
-		l.done = true
 		g.removeLaunch(l)
 		if l.onDone != nil {
 			l.onDone()

@@ -31,8 +31,8 @@ func registerTBCycle(tb testing.TB) func() {
 		Work: func(g, tb int) kernel.TBDesc { return kernel.TBDesc{Group: -1} },
 	}
 	var l *gpu.Launch
-	eng.At(0, func() { l = m.GPUs[0].Launch(k, gpu.LaunchOpts{LaunchID: 1}) })
-	eng.Run() // past readyAt: eligibility now admits instead of buffering
+	eng.At(0, func() { l = m.GPUs[0].Launch(k, 1, 0, nil) })
+	eng.Run() // past the launch start: eligibility now admits instead of buffering
 	buf := m.NewBuffer(2)
 	in := []kernel.Tile{{Buf: buf, Idx: 0}, {Buf: buf, Idx: 1}}
 	nextTB := 0

@@ -40,12 +40,7 @@ func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 	doneFn := latch.DoneFunc()
 	launches := m.launchScratch[:0]
 	for g := range m.GPUs {
-		launches = append(launches, m.GPUs[g].Launch(k, gpu.LaunchOpts{
-			LaunchID:   launchID,
-			GroupBase:  groupBase,
-			OnTBRetire: m.tbRetireFn,
-			OnDone:     doneFn,
-		}))
+		launches = append(launches, m.GPUs[g].Launch(k, launchID, groupBase, doneFn))
 	}
 	// Register input dependencies after all launches exist so publishes
 	// triggered by eligibility cascades see a consistent tracker. The
@@ -56,8 +51,8 @@ func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 	// Each registration descriptor is transient — registerTB only reads
 	// its tiles to find their slots — so the arena space every Work
 	// call allocates here is rewound immediately. Admission-time Work
-	// calls (at readyAt, strictly later) run outside any Mark window and
-	// their slices stay live for the machine's lifetime.
+	// calls (once the launch starts, strictly later) run outside any Mark
+	// window and their slices stay live for the machine's lifetime.
 	for g := range m.GPUs {
 		for tb := 0; tb < k.Grid; tb++ {
 			tm, am := m.tiles.Mark(), m.accs.Mark()

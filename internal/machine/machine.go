@@ -87,10 +87,6 @@ type Machine struct {
 	contribs pool.Pool[contribState, *contribState] // reduction contribution counters
 	latches  sim.LatchPool                          // kernel/batch completion latches
 
-	// tbRetireFn is the one retire callback shared by every launch: the
-	// retiring TB's Out tiles arrive as an argument, so nothing needs to
-	// be captured per kernel per GPU.
-	tbRetireFn func(tb int, out []kernel.Tile)
 	// launchScratch is the reusable per-launchKernel slice of the
 	// SPMD launch handles (only live inside one launchKernel call).
 	launchScratch []*gpu.Launch
@@ -245,14 +241,6 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 		reg:      metrics.NewRegistry(),
 		tr:       opts.Tracer,
 	}
-	// One retire callback for every launch of this machine's lifetime
-	// (the per-kernel-per-GPU closures it replaces were ~N_GPUs allocs
-	// per launch).
-	m.tbRetireFn = func(tb int, out []kernel.Tile) {
-		if len(out) > 0 {
-			m.PublishTiles(out)
-		}
-	}
 	m.planeAlive = make([]bool, hw.NumSwitchPlanes)
 	for p := range m.planeAlive {
 		m.planeAlive[p] = true
@@ -327,11 +315,8 @@ func (m *Machine) RouteAddr(addr uint64) int {
 	if m.planeAlive[p] {
 		return p
 	}
-	if len(m.survivors) == 0 {
-		panic("machine: all switch planes are down")
-	}
 	m.reroutes++
-	return m.survivors[addr%uint64(len(m.survivors))]
+	return m.survivor(addr)
 }
 
 // RouteGroup implements gpu.Host: the fault-aware Group Sync Table plane
@@ -344,10 +329,15 @@ func (m *Machine) RouteGroup(group int) int {
 	if m.planeAlive[p] {
 		return p
 	}
+	return m.survivor(uint64(p))
+}
+
+// survivor re-hashes key over the live planes.
+func (m *Machine) survivor(key uint64) int {
 	if len(m.survivors) == 0 {
 		panic("machine: all switch planes are down")
 	}
-	return m.survivors[uint64(p)%uint64(len(m.survivors))]
+	return m.survivors[key%uint64(len(m.survivors))]
 }
 
 func (m *Machine) recomputeSurvivors() {
@@ -474,8 +464,8 @@ func (m *Machine) Links() []*noc.Link {
 	return out
 }
 
-// AllocAddrs reserves n consecutive address keys (one per request chunk)
-// and returns the base.
+// AllocAddrs reserves n consecutive address keys (one per request chunk,
+// as HW.RequestChunks counts them) and returns the base.
 func (m *Machine) AllocAddrs(n int) uint64 {
 	if n < 1 {
 		n = 1
@@ -483,16 +473,6 @@ func (m *Machine) AllocAddrs(n int) uint64 {
 	base := m.nextAddr
 	m.nextAddr += uint64(n)
 	return base
-}
-
-// AddrsFor reports how many address keys an access of the given byte size
-// occupies at the machine's request granularity.
-func (m *Machine) AddrsFor(bytes int64) int {
-	rb := m.HW.RequestBytes
-	if rb <= 0 || bytes <= 0 {
-		return 1
-	}
-	return int((bytes + rb - 1) / rb)
 }
 
 // NewBuffer allocates a buffer of n tiles, indexed 0..n-1, in the tile

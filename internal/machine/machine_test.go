@@ -95,7 +95,7 @@ func buildAGKernel(m *Machine, rows, cols int, shardBytes int64, copyBuf int) *k
 	n := m.HW.NumGPUs
 	bases := make([]uint64, rows)
 	for r := 0; r < rows; r++ {
-		bases[r] = m.AllocAddrs(m.AddrsFor(shardBytes))
+		bases[r] = m.AllocAddrs(m.HW.RequestChunks(shardBytes))
 	}
 	return &kernel.Kernel{
 		Name: "ag-gemm", Kind: kernel.KindGEMM, Grid: rows * cols,
@@ -164,7 +164,7 @@ func buildRSKernel(m *Machine, rows int, tileBytes int64, outBuf int, coordinate
 	n := m.HW.NumGPUs
 	bases := make([]uint64, rows)
 	for r := 0; r < rows; r++ {
-		bases[r] = m.AllocAddrs(m.AddrsFor(tileBytes))
+		bases[r] = m.AllocAddrs(m.HW.RequestChunks(tileBytes))
 	}
 	return &kernel.Kernel{
 		Name: "gemm-rs", Kind: kernel.KindGEMM, Grid: rows,
@@ -270,11 +270,11 @@ func TestAddrAllocatorNonOverlapping(t *testing.T) {
 	if b < a+10 {
 		t.Fatalf("overlapping allocations: a=%d b=%d", a, b)
 	}
-	if m.AddrsFor(4096) != 4 {
-		t.Fatalf("AddrsFor(4096) = %d, want 4 at 1KB chunks", m.AddrsFor(4096))
+	if n := m.HW.RequestChunks(4096); n != 4 {
+		t.Fatalf("RequestChunks(4096) = %d, want 4 at 1KB chunks", n)
 	}
-	if m.AddrsFor(0) != 1 {
-		t.Fatal("AddrsFor(0) should be 1")
+	if m.HW.RequestChunks(0) != 1 {
+		t.Fatal("RequestChunks(0) should be 1")
 	}
 }
 

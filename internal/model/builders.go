@@ -169,7 +169,7 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 		panic(fmt.Sprintf("model: %s: src has %d row blocks, GEMM needs %d", name, src.MTiles, mT))
 	}
 	rowBytes := b.rowBytes(k)
-	addrsPerRow := b.M.AddrsFor(rowBytes)
+	addrsPerRow := b.M.HW.RequestChunks(rowBytes)
 	base := b.M.AllocAddrs(mT * addrsPerRow)
 	copies := b.NewGathered(m)
 	var perTBBase uint64
@@ -283,7 +283,7 @@ func (b *Builder) FusedGEMMReduce(name string, m, n, kLocal int, scale float64, 
 		panic(fmt.Sprintf("model: %s: out handle mismatch", name))
 	}
 	tileBytes := b.tileBytes()
-	addrsPerTile := b.M.AddrsFor(tileBytes)
+	addrsPerTile := b.M.HW.RequestChunks(tileBytes)
 	base := b.M.AllocAddrs(mT * nT * addrsPerTile)
 
 	pattern := kernel.Pattern{

@@ -32,8 +32,8 @@ func (b *Builder) NVLSAllGather(name string, src Sharded, cols int, in InTiles, 
 		panic(fmt.Sprintf("model: %s: handle mismatch", name))
 	}
 	rowBytes := b.rowBytes(cols)
-	base := b.M.AllocAddrs(mT * b.M.AddrsFor(rowBytes))
-	addrsPerRow := uint64(b.M.AddrsFor(rowBytes))
+	base := b.M.AllocAddrs(mT * b.M.HW.RequestChunks(rowBytes))
+	addrsPerRow := uint64(b.M.HW.RequestChunks(rowBytes))
 	if b.P == 1 {
 		return b.localCopyKernel(name, mT, in, func(mi, g int) []kernel.Tile {
 			return b.tiles.One(out.Tile(mi, g))
@@ -66,8 +66,8 @@ func (b *Builder) NVLSAllGather(name string, src Sharded, cols int, in InTiles, 
 func (b *Builder) NVLSReduceScatter(name string, m, n int, in InTiles, parts LocalGrid) *kernel.Kernel {
 	mT, nT := MTiles(m), NTiles(n)
 	tileBytes := b.tileBytes()
-	base := b.M.AllocAddrs(mT * nT * b.M.AddrsFor(tileBytes))
-	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
+	base := b.M.AllocAddrs(mT * nT * b.M.HW.RequestChunks(tileBytes))
+	addrsPerTile := uint64(b.M.HW.RequestChunks(tileBytes))
 	if b.P == 1 {
 		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) []kernel.Tile {
 			return b.tiles.One(parts.Tile(tb/nT, tb%nT, 0))
@@ -97,8 +97,8 @@ func (b *Builder) NVLSReduceScatter(name string, m, n int, in InTiles, parts Loc
 func (b *Builder) NVLSAllReduce(name string, m, n int, in InTiles, out LocalGrid) *kernel.Kernel {
 	mT, nT := MTiles(m), NTiles(n)
 	tileBytes := b.tileBytes()
-	base := b.M.AllocAddrs(mT * nT * b.M.AddrsFor(tileBytes))
-	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
+	base := b.M.AllocAddrs(mT * nT * b.M.HW.RequestChunks(tileBytes))
+	addrsPerTile := uint64(b.M.HW.RequestChunks(tileBytes))
 	if b.P == 1 {
 		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) []kernel.Tile {
 			return b.tiles.One(out.Tile(tb/nT, tb%nT, g))
@@ -128,8 +128,8 @@ func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, parts Loc
 	tileBytes := b.tileBytes()
 	hopBuf := b.M.NewBuffer(mT * nT * b.P) // per-(tile, gpu) arrival markers
 	hopTile := func(t, g int) kernel.Tile { return kernel.Tile{Buf: hopBuf, Idx: t*b.P + g} }
-	base := b.M.AllocAddrs(mT * nT * b.M.AddrsFor(tileBytes))
-	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
+	base := b.M.AllocAddrs(mT * nT * b.M.HW.RequestChunks(tileBytes))
+	addrsPerTile := uint64(b.M.HW.RequestChunks(tileBytes))
 	if b.P == 1 {
 		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) []kernel.Tile {
 			return b.tiles.One(parts.Tile(tb/nT, tb%nT, 0))
@@ -169,8 +169,8 @@ func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, parts Loc
 func (b *Builder) RingAllGather(name string, src Sharded, cols int, in InTiles, out Gathered) *kernel.Kernel {
 	mT := src.MTiles
 	rowBytes := b.rowBytes(cols)
-	base := b.M.AllocAddrs(mT * b.M.AddrsFor(rowBytes))
-	addrsPerRow := uint64(b.M.AddrsFor(rowBytes))
+	base := b.M.AllocAddrs(mT * b.M.HW.RequestChunks(rowBytes))
+	addrsPerRow := uint64(b.M.HW.RequestChunks(rowBytes))
 	if b.P == 1 {
 		return b.localCopyKernel(name, mT, in, func(mi, g int) []kernel.Tile {
 			return b.tiles.One(out.Tile(mi, g))
@@ -211,8 +211,8 @@ func (b *Builder) RingAllReduce(name string, m, n int, in InTiles, out LocalGrid
 	tileBytes := b.tileBytes()
 	hopBuf := b.M.NewBuffer(tiles * b.P)
 	hopTile := func(t, g int) kernel.Tile { return kernel.Tile{Buf: hopBuf, Idx: t*b.P + g} }
-	base := b.M.AllocAddrs(2 * tiles * b.M.AddrsFor(tileBytes))
-	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
+	base := b.M.AllocAddrs(2 * tiles * b.M.HW.RequestChunks(tileBytes))
+	addrsPerTile := uint64(b.M.HW.RequestChunks(tileBytes))
 	if b.P == 1 {
 		return b.localCopyKernel(name, tiles, in2(in, nT), func(tb, g int) []kernel.Tile {
 			return b.tiles.One(out.Tile(tb/nT, tb%nT, g))
@@ -267,7 +267,7 @@ func (b *Builder) RingAllReduce(name string, m, n int, in InTiles, out LocalGrid
 func (b *Builder) P2PAllGather(name string, src Sharded, cols int, in InTiles, out Gathered) *kernel.Kernel {
 	mT := src.MTiles
 	rowBytes := b.rowBytes(cols)
-	addrsPerRow := b.M.AddrsFor(rowBytes)
+	addrsPerRow := b.M.HW.RequestChunks(rowBytes)
 	base := b.M.AllocAddrs(mT * b.P * addrsPerRow)
 	if b.P == 1 {
 		return b.localCopyKernel(name, mT, in, func(mi, g int) []kernel.Tile {

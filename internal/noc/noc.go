@@ -137,8 +137,9 @@ type Packet struct {
 	// counts contributions to detect reduction completion.
 	Contribs int
 
-	// OnDone is invoked at the requester when the operation completes
-	// (response delivered, or write committed at the home GPU).
+	// OnDone is invoked at the issuer when a store, reduction or multicast
+	// completes (write committed at the home GPU, merged result written
+	// out, multicast accepted). Loads never set it: they complete by Tag.
 	OnDone func()
 
 	// OnAccepted is invoked when the switch's merge unit accepts the
@@ -146,7 +147,11 @@ type Packet struct {
 	// TB-aware request throttling paces against (Sec. III-B-2).
 	OnAccepted func()
 
-	// Tag carries protocol-specific context opaque to the fabric.
+	// Tag carries protocol-specific context opaque to the fabric. A load
+	// (ld, ld.cais, multimem.ld_reduce) carries its issuer's completion
+	// context: every response to it copies the tag, and the issuer
+	// completes the load by it. A store, reduction or multicast carries the
+	// issuing access, which the receiving GPU delivers.
 	Tag interface{}
 }
 
@@ -195,18 +200,16 @@ type BusyRecorder interface {
 // Link is a unidirectional NVLink: packets serialize at the link bandwidth
 // and arrive after the propagation latency. With virtual channels enabled,
 // per-class queues are served round-robin, eliminating head-of-line
-// blocking between load and reduction traffic; otherwise a single FIFO is
-// used (the CAIS-Partial configuration).
+// blocking between load and reduction traffic; otherwise data shares one
+// FIFO (the CAIS-Partial configuration).
 type Link struct {
 	eng      *sim.Engine
 	bw       float64 // bytes/s
 	latency  sim.Time
 	dst      Endpoint
 	vcOn     bool
-	sideband bool               // dedicated control/request channel (default on)
-	control  pool.Ring[*Packet] // sideband queue: requests, sync, credits
-	queues   [numClasses]pool.Ring[*Packet]
-	fifo     pool.Ring[*Packet]
+	sideband bool                           // dedicated control/request channel (default on)
+	queues   [numClasses]pool.Ring[*Packet] // every waiting packet, in the ring class picks
 	rr       Class
 	busy     bool
 	bwScale  float64 // fault-injection bandwidth degradation factor (1 = healthy)
@@ -309,39 +312,39 @@ func (l *Link) Utilization(horizon sim.Time) float64 {
 	return u
 }
 
-// Send enqueues p for transmission. Header-only packets (requests,
-// synchronization, credits) always travel on a dedicated request/control
-// channel — NVSwitch reserves virtual channels for control flits and read
-// requests — so the paper's traffic-control knob governs only the
-// separation of load and reduction data streams.
+// Send enqueues p for transmission.
 func (l *Link) Send(p *Packet) {
-	switch {
-	case l.sideband && p.Op.IsControl():
-		l.control.PushBack(p)
-	case l.vcOn:
-		l.queues[ClassOf(p.Op)].PushBack(p)
-	default:
-		l.fifo.PushBack(p)
-	}
+	l.queues[l.class(p)].PushBack(p)
 	if !l.busy && !l.down {
 		l.transmitNext()
 	}
 }
 
-// pop selects the next packet, or nil when none is queued: control
-// sideband first (header-only flits), then data per the arbitration policy.
+// class picks p's ring. Header-only packets (requests, synchronization,
+// credits) ride the sideband, ClassControl's ring, whenever it is on:
+// NVSwitch reserves virtual channels for control flits and read requests,
+// so the paper's traffic-control knob separates only load and reduction
+// data. Without virtual channels the rest share ClassLoad's ring.
+func (l *Link) class(p *Packet) Class {
+	switch {
+	case l.sideband && p.Op.IsControl():
+		return ClassControl
+	case l.vcOn:
+		return ClassOf(p.Op)
+	default:
+		return ClassLoad
+	}
+}
+
+// pop selects the next packet, or nil when none is queued: the sideband
+// first, then round-robin over the non-empty classes after the last
+// served. With the sideband off, synchronization packets share the
+// round-robin as ClassControl; without virtual channels only ClassLoad
+// fills, so the round-robin is one FIFO.
 func (l *Link) pop() *Packet {
-	if l.control.Len() > 0 {
-		return l.control.PopFront()
+	if l.sideband && l.queues[ClassControl].Len() > 0 {
+		return l.queues[ClassControl].PopFront()
 	}
-	if !l.vcOn {
-		if l.fifo.Len() > 0 {
-			return l.fifo.PopFront()
-		}
-		return nil
-	}
-	// Round-robin over non-empty classes after the last served (the
-	// ClassControl queue is only populated when the sideband is off).
 	for i := 1; i <= int(numClasses); i++ {
 		c := Class((int(l.rr) + i) % int(numClasses))
 		if l.queues[c].Len() > 0 {

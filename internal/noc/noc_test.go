@@ -441,8 +441,8 @@ func TestLinkSendWhileDownQueues(t *testing.T) {
 	eng.At(0, func() { l.SetDown(true) })
 	eng.At(1*sim.Nanosecond, func() {
 		l.Send(&Packet{Op: OpStore, Size: 984})
-		if l.fifo.Len() != 1 {
-			t.Fatalf("queue depth = %d while down, want 1", l.fifo.Len())
+		if n := l.queues[ClassLoad].Len(); n != 1 {
+			t.Fatalf("queue depth = %d while down, want 1", n)
 		}
 	})
 	eng.At(100*sim.Nanosecond, func() { l.SetDown(false) })

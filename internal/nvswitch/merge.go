@@ -217,9 +217,7 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 	m.credit(p)
 	now := m.eng.Now()
 	if m.disabled {
-		m.stats.BypassLoads++
-		m.forwardPlainLoad(p)
-		m.pkts.Put(p) // original absorbed; the fetch carries its context
+		m.bypassLoad(p)
 		return
 	}
 	if s, ok := m.sessions[p.Addr]; ok && s.state != Reduction {
@@ -248,30 +246,33 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 	// metadata); on capacity pressure, evict LRU evictable entries; if
 	// nothing is evictable, bypass the merge unit.
 	if !m.reserve(loadMetaBytes) {
-		m.stats.BypassLoads++
 		if m.tr.Enabled() {
 			m.tr.Instant(m.pid, int32(m.gpu), trace.CatMerge, "load bypass", now)
 		}
-		m.forwardPlainLoad(p)
-		m.pkts.Put(p)
+		m.bypassLoad(p)
 		return
 	}
 	s := m.getSession()
 	s.addr, s.state, s.size, s.count = p.Addr, LoadWait, loadMetaBytes, 1
 	s.expected, s.group, s.first, s.lru = p.Expected(), p.Group, now, now
 	s.waiters = append(s.waiters, p)
-	s.tag = p.Tag
 	m.insert(s)
 	m.stats.LoadFetches++
-	// Forward the fetch to the home GPU through the standard routing path.
 	tag := m.respTags.Get()
 	tag.unit, tag.addr, tag.orig = m, p.Addr, p.Tag
-	fetch := m.pkts.Get()
-	fetch.Op, fetch.Addr, fetch.Home = noc.OpLoad, p.Addr, p.Home
-	fetch.Src, fetch.Dst, fetch.Size, fetch.Group = p.Src, p.Home, p.Size, p.Group
-	fetch.Tag = tag
-	m.sendDown(p.Home, fetch)
+	m.fetch(p, tag)
 	m.armTimeout(s)
+}
+
+// fetch sends p's read to its home GPU through the standard routing path.
+// tag routes the response back: to the session of a merged load, or
+// straight to the requester of a bypassed one.
+func (m *MergeUnit) fetch(p *noc.Packet, tag interface{}) {
+	f := m.pkts.Get()
+	f.Op, f.Addr, f.Home = noc.OpLoad, p.Addr, p.Home
+	f.Src, f.Dst, f.Size, f.Group = p.Src, p.Home, p.Size, p.Group
+	f.Tag = tag
+	m.sendDown(p.Home, f)
 }
 
 // HandleResponse consumes the home GPU's fetch response for a LoadWait
@@ -283,7 +284,8 @@ func (m *MergeUnit) HandleResponse(p *noc.Packet, tag *mergeRespTag) {
 	m.respTags.Put(tag)
 	if !ok {
 		// Session was force-released (timeout after flush); deliver to the
-		// original requester only, with its completion context restored.
+		// original requester only. Its tag is the load's completion
+		// context, so restoring it completes the load.
 		p.Tag = orig
 		m.sendDown(p.Dst, p)
 		return
@@ -322,34 +324,34 @@ func (m *MergeUnit) HandleResponse(p *noc.Packet, tag *mergeRespTag) {
 	m.pkts.Put(p) // response data cached; packet absorbed
 }
 
-// respond sends cached data down to one requester.
+// respond sends cached data down to one requester, carrying the request's
+// tag (the load's completion context).
 func (m *MergeUnit) respond(s *session, req *noc.Packet) {
 	resp := m.pkts.Get()
 	resp.Op, resp.Addr, resp.Home = noc.OpLoadResp, s.addr, m.gpu
 	resp.Src, resp.Dst, resp.Size, resp.Group = m.gpu, req.Src, req.Size, req.Group
-	resp.OnDone, resp.Tag = req.OnDone, req.Tag
+	resp.Tag = req.Tag
 	m.sendDown(req.Src, resp)
 }
 
-// forwardPlainLoad bypasses merging: the request goes to the home GPU and
-// the response routes straight back (no caching, no table entry). Per
+// bypassLoad forwards a load unmerged: the request goes to the home GPU
+// and the response routes straight back (no caching, no table entry). Per
 // Sec. III-A-4 this path avoids thrashing when the table is saturated.
-func (m *MergeUnit) forwardPlainLoad(p *noc.Packet) {
+// The request is absorbed; the fetch carries its context.
+func (m *MergeUnit) bypassLoad(p *noc.Packet) {
+	m.stats.BypassLoads++
 	tag := m.plainTags.Get()
-	tag.unit, tag.requester, tag.onDone, tag.orig = m, p.Src, p.OnDone, p.Tag
-	fetch := m.pkts.Get()
-	fetch.Op, fetch.Addr, fetch.Home = noc.OpLoad, p.Addr, p.Home
-	fetch.Src, fetch.Dst, fetch.Size, fetch.Group = p.Src, p.Home, p.Size, p.Group
-	fetch.Tag = tag
-	m.sendDown(p.Home, fetch)
+	tag.unit, tag.requester, tag.orig = m, p.Src, p.Tag
+	m.fetch(p, tag)
+	m.pkts.Put(p)
 }
 
 // plainLoadTag marks a bypassed load so the home GPU's response routes to
-// the requester without touching the merge unit.
+// the requester, with its own tag restored, without touching the merge
+// unit.
 type plainLoadTag struct {
 	unit      *MergeUnit
 	requester int
-	onDone    func()
 	orig      interface{}
 }
 
@@ -367,21 +369,18 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 			// Broadcast (GEMM-AR) contribution with merging off: without
 			// in-switch accumulation each contribution is replicated to
 			// every replica, which count contributions to completion —
-			// the full downlink cost of losing the merge unit.
+			// the full downlink cost of losing the merge unit. The issuer
+			// completes when its home copy commits.
 			for g := 0; g < m.numGPUs; g++ {
-				out := m.pkts.Get()
-				out.Op, out.Addr, out.Home = noc.OpRedCAIS, p.Addr, m.gpu
-				out.Src, out.Dst, out.Size, out.Group = -1, g, p.Size, p.Group
-				out.Contribs, out.Tag = 1, p.Tag
+				var done func()
 				if g == m.gpu {
-					out.OnDone = p.OnDone
+					done = p.OnDone
 				}
-				m.sendDown(g, out)
+				m.writeResult(g, p.Addr, p.Size, p.Group, 1, p.Tag, done)
 			}
-			m.pkts.Put(p)
-			return
+		} else {
+			m.writeResult(m.gpu, p.Addr, p.Size, p.Group, 1, p.Tag, p.OnDone)
 		}
-		m.forwardPartial(p.Addr, p.Size, p.Group, 1, p.Tag, p.OnDone)
 		m.pkts.Put(p)
 		return
 	}
@@ -400,7 +399,7 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 			if m.tr.Enabled() {
 				m.tr.Instant(m.pid, int32(m.gpu), trace.CatMerge, "red bypass", now)
 			}
-			m.forwardPartial(p.Addr, p.Size, p.Group, 1, p.Tag, p.OnDone)
+			m.writeResult(m.gpu, p.Addr, p.Size, p.Group, 1, p.Tag, p.OnDone)
 			m.pkts.Put(p)
 			return
 		}
@@ -430,14 +429,10 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 func (m *MergeUnit) finishReduction(s *session) {
 	if s.bcast {
 		for g := 0; g < m.numGPUs; g++ {
-			out := m.pkts.Get()
-			out.Op, out.Addr, out.Home = noc.OpRedCAIS, s.addr, m.gpu
-			out.Src, out.Dst, out.Size, out.Group = -1, g, s.size, s.group
-			out.Contribs, out.Tag = s.count, s.tag
-			m.sendDown(g, out)
+			m.writeResult(g, s.addr, s.size, s.group, s.count, s.tag, nil)
 		}
 	} else {
-		m.forwardPartial(s.addr, s.size, s.group, s.count, s.tag, nil)
+		m.writeResult(m.gpu, s.addr, s.size, s.group, s.count, s.tag, nil)
 	}
 	for _, done := range s.onDone {
 		m.eng.After(0, done)
@@ -445,15 +440,17 @@ func (m *MergeUnit) finishReduction(s *session) {
 	m.release(s)
 }
 
-// forwardPartial sends an accumulated (possibly partial) reduction result
-// to the home GPU; Contribs tells the home how many contributions the
-// payload folds in so it can detect completion.
-func (m *MergeUnit) forwardPartial(addr uint64, size int64, group, contribs int, tag interface{}, onDone func()) {
+// writeResult sends an accumulated (possibly partial) reduction result to
+// GPU g's replica: the home GPU's, or any replica's for a broadcast.
+// Contribs tells the receiver how many contributions the payload folds in
+// so it can detect completion; onDone, when set, completes an unmerged
+// contribution's issuer once the receiver commits it.
+func (m *MergeUnit) writeResult(g int, addr uint64, size int64, group, contribs int, tag interface{}, onDone func()) {
 	out := m.pkts.Get()
 	out.Op, out.Addr, out.Home = noc.OpRedCAIS, addr, m.gpu
-	out.Src, out.Dst, out.Size, out.Group = -1, m.gpu, size, group
+	out.Src, out.Dst, out.Size, out.Group = -1, g, size, group
 	out.Contribs, out.Tag, out.OnDone = contribs, tag, onDone
-	m.sendDown(m.gpu, out)
+	m.sendDown(g, out)
 }
 
 // reserve makes room for size bytes, evicting LRU evictable entries if

@@ -190,11 +190,11 @@ func (s *Switch) SetFaultTolerant(on bool) { s.faultTolerant = on }
 
 // Failover takes the plane down: every NVLS push session flushes its
 // partial result (receivers count contribution bytes, so split sessions
-// still complete), every Group Sync Table entry is dropped (the machine
-// re-registers affected waiters on a surviving plane), and every port's
-// merge unit quiesces. Traffic already addressed to the plane keeps
-// draining — downlinks stay up — and any sessions such stragglers open are
-// reaped by the fault-tolerant timeouts.
+// still complete), every Group Sync Table entry is dropped and returned
+// to its pool (the machine re-registers affected waiters on a surviving
+// plane), and every port's merge unit quiesces. Traffic already addressed
+// to the plane keeps draining — downlinks stay up — and any sessions such
+// stragglers open are reaped by the fault-tolerant timeouts.
 func (s *Switch) Failover() {
 	addrs := make([]uint64, 0, len(s.nvlsRed))
 	for a := range s.nvlsRed {
@@ -205,8 +205,21 @@ func (s *Switch) Failover() {
 		s.stats.NvlsTimeoutFlushes++
 		s.completeRed(a, s.nvlsRed[a])
 	}
-	s.stats.SyncDropped += int64(len(s.sync))
-	s.sync = make(map[syncTableKey]*syncEntry)
+	keys := make([]syncTableKey, 0, len(s.sync))
+	for k := range s.sync {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].group != keys[j].group {
+			return keys[i].group < keys[j].group
+		}
+		return keys[i].phase < keys[j].phase
+	})
+	for _, k := range keys {
+		s.syncEntries.Put(s.sync[k])
+	}
+	s.stats.SyncDropped += int64(len(keys))
+	clear(s.sync)
 	for _, port := range s.port {
 		port.Quiesce()
 	}
@@ -285,7 +298,6 @@ func (s *Switch) handleLoadResp(p *noc.Packet) {
 	case *plainLoadTag:
 		// Bypassed (unmerged) load: restore the requester's completion
 		// context and deliver directly.
-		p.OnDone = tag.onDone
 		p.Tag = tag.orig
 		requester, unit := tag.requester, tag.unit
 		if unit != nil {
@@ -331,7 +343,7 @@ func (s *Switch) handlePullReduce(p *noc.Packet) {
 	resp := s.pkts.Get()
 	resp.Op, resp.Addr, resp.Home = noc.OpLoadResp, p.Addr, p.Home
 	resp.Src, resp.Dst, resp.Size, resp.Group = p.Home, p.Src, p.Size, p.Group
-	resp.OnDone, resp.Tag, resp.Contribs = p.OnDone, p.Tag, s.hw.NumGPUs
+	resp.Tag, resp.Contribs = p.Tag, s.hw.NumGPUs
 	sess := s.pullSessions.Get()
 	sess.pending, sess.resp = s.hw.NumGPUs, resp
 	sess.fanTag = pullTag{sw: s, key: key}

@@ -27,8 +27,14 @@ func newSwitch(eng *sim.Engine, hw config.Hardware, eviction EvictionPolicy) *Sw
 	return New(eng, hw, 0, eviction, metrics.NewRegistry(), &noc.PacketPool{}, nil)
 }
 
-// fakeGPU is a minimal GPU endpoint: it answers read requests immediately
-// and records everything it receives.
+// loadTag stands in for the issuing GPU's access context: every response
+// to a load copies the load's tag, and the fake GPU completes the load by
+// counting the responses that carry it.
+type loadTag struct{ done int }
+
+// fakeGPU is a minimal GPU endpoint: it answers read requests immediately,
+// completes loads by their tag and everything else by OnDone, and records
+// everything it receives.
 type fakeGPU struct {
 	id       int
 	up       *noc.Link
@@ -38,6 +44,10 @@ type fakeGPU struct {
 func (g *fakeGPU) Receive(p *noc.Packet) {
 	g.received = append(g.received, p)
 	switch p.Op {
+	case noc.OpLoadResp:
+		if tag, ok := p.Tag.(*loadTag); ok {
+			tag.done++
+		}
 	case noc.OpLoad:
 		g.up.Send(&noc.Packet{
 			Op: noc.OpLoadResp, Addr: p.Addr, Home: g.id,
@@ -93,12 +103,12 @@ func (r *rig) send(from int, p *noc.Packet) {
 
 func TestLoadMergingFetchesOnceServesAll(t *testing.T) {
 	r := newRig(t, 4, -1, 0)
-	done := 0
+	tag := &loadTag{}
 	r.eng.At(0, func() {
 		for _, g := range []int{1, 2, 3} {
 			r.send(g, &noc.Packet{
 				Op: noc.OpLdCAIS, Addr: 0x100, Home: 0, Src: g,
-				Size: 1024, Contribs: 3, OnDone: func() { done++ },
+				Size: 1024, Contribs: 3, Tag: tag,
 			})
 		}
 	})
@@ -111,8 +121,8 @@ func TestLoadMergingFetchesOnceServesAll(t *testing.T) {
 			t.Fatalf("gpu %d got %d responses, want 1", g, got)
 		}
 	}
-	if done != 3 {
-		t.Fatalf("OnDone fired %d times, want 3", done)
+	if tag.done != 3 {
+		t.Fatalf("%d responses completed a load, want 3", tag.done)
 	}
 	st := r.sw.Summary()
 	if st.LoadFetches != 1 || st.MergedLoads != 2 {
@@ -257,18 +267,18 @@ func TestCapacityPressureBypassesWhenNothingEvictable(t *testing.T) {
 	// different address must bypass the merge unit. Capacity fits one
 	// metadata entry.
 	r := newRig(t, 4, 200, 0)
-	got := 0
+	bypassed := &loadTag{}
 	r.eng.At(0, func() {
 		r.send(1, &noc.Packet{Op: noc.OpLdCAIS, Addr: 0x700, Home: 0, Src: 1, Size: 1024, Contribs: 3})
 		r.send(2, &noc.Packet{Op: noc.OpLdCAIS, Addr: 0x800, Home: 0, Src: 2, Size: 1024, Contribs: 3,
-			OnDone: func() { got++ }})
+			Tag: bypassed})
 	})
 	r.eng.Run()
 	st := r.sw.Summary()
 	if st.BypassLoads != 1 {
 		t.Fatalf("bypasses = %d, want 1", st.BypassLoads)
 	}
-	if got != 1 {
+	if bypassed.done != 1 {
 		t.Fatal("bypassed load never completed")
 	}
 	// Home saw two fetches: the merged session's and the bypassed one.
@@ -313,10 +323,10 @@ func TestMulticastStoreReplicatesToPeers(t *testing.T) {
 
 func TestPullReduceFansToAllAndReturnsOne(t *testing.T) {
 	r := newRig(t, 4, -1, 0)
-	done := false
+	tag := &loadTag{}
 	r.eng.At(0, func() {
 		r.send(2, &noc.Packet{Op: noc.OpMultimemLdReduce, Addr: 0xC00, Home: 0, Src: 2,
-			Size: 4096, OnDone: func() { done = true }})
+			Size: 4096, Tag: tag})
 	})
 	r.eng.Run()
 	for g := 0; g < 4; g++ {
@@ -328,9 +338,8 @@ func TestPullReduceFansToAllAndReturnsOne(t *testing.T) {
 		t.Fatal("requester did not get the reduced value")
 	}
 	resp := r.gpus[2].received[len(r.gpus[2].received)-1]
-	if !done || resp.OnDone == nil {
-		// OnDone is invoked by the fake GPU's default branch.
-		t.Fatal("requester completion not delivered")
+	if tag.done != 1 || resp.Tag != tag || resp.OnDone != nil {
+		t.Fatal("requester completion not delivered through the load's tag alone")
 	}
 }
 
@@ -534,5 +543,74 @@ func TestEvictionPolicies(t *testing.T) {
 		if len(flushed) == 0 || flushed[0] != tc.victim {
 			t.Errorf("policy %v evicted %v, want %#x first", tc.policy, flushed, tc.victim)
 		}
+	}
+}
+
+// TestMergeDisabledBroadcastReductionReachesEveryReplica: with the home
+// port's merge unit off, a broadcast (GEMM-AR) contribution bypasses
+// accumulation and is replicated unmerged. Every replica receives it once,
+// as one contribution carrying the issuing access, and only the home
+// replica's copy completes the issuer.
+func TestMergeDisabledBroadcastReductionReachesEveryReplica(t *testing.T) {
+	r := newRig(t, 4, -1, 0)
+	r.sw.Port(0).SetDisabled(true)
+	access := &struct{ name string }{"contribution"}
+	done := 0
+	r.eng.At(0, func() {
+		r.send(2, &noc.Packet{
+			Op: noc.OpRedCAIS, Addr: 0x1300, Home: 0, Src: 2, Dst: -1,
+			Size: 1024, Contribs: 4, Tag: access, OnDone: func() { done++ },
+		})
+	})
+	r.eng.Run()
+	for g := 0; g < 4; g++ {
+		var copies []*noc.Packet
+		for _, p := range r.gpus[g].received {
+			if p.Op == noc.OpRedCAIS {
+				copies = append(copies, p)
+			}
+		}
+		if len(copies) != 1 {
+			t.Fatalf("gpu %d received %d copies, want 1", g, len(copies))
+		}
+		p := copies[0]
+		if p.Contribs != 1 || p.Size != 1024 || p.Tag != access {
+			t.Fatalf("gpu %d copy: contribs=%d size=%d tag=%v, want one 1 KB contribution with the access",
+				g, p.Contribs, p.Size, p.Tag)
+		}
+		if (p.OnDone != nil) != (g == 0) {
+			t.Fatalf("gpu %d copy carries OnDone = %v; only the home copy completes the issuer", g, p.OnDone != nil)
+		}
+	}
+	if done != 1 {
+		t.Fatalf("issuer completed %d times, want 1", done)
+	}
+	if st := r.sw.Summary(); st.BypassReds != 1 || st.MergedReds != 0 {
+		t.Fatalf("bypassed=%d merged=%d, want 1/0", st.BypassReds, st.MergedReds)
+	}
+}
+
+// TestFailoverReturnsSyncEntriesToPool: the Group Sync Table entries a
+// failed plane drops go back to its pool, so once the plane has failed
+// over every pooled object is idle.
+func TestFailoverReturnsSyncEntriesToPool(t *testing.T) {
+	r := newRig(t, 4, -1, 0)
+	r.eng.At(0, func() {
+		// Partial entries: one of four GPUs registers each group.
+		for group := 0; group < 3; group++ {
+			r.send(1, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: group, Src: 1, Contribs: 4})
+		}
+		r.send(2, &noc.Packet{Op: noc.OpSyncRequest, Addr: 2, Group: 0, Src: 2, Contribs: 4})
+	})
+	r.eng.Run()
+	if _, allocs, idle := r.sw.PoolStats(); allocs != 4 || idle != 0 {
+		t.Fatalf("before failover: %d of %d pooled objects idle, want 0 of 4", idle, allocs)
+	}
+	r.sw.Failover()
+	if _, allocs, idle := r.sw.PoolStats(); idle != allocs {
+		t.Fatalf("after failover: %d of %d pooled objects idle", idle, allocs)
+	}
+	if n := r.sw.Summary().SyncDropped; n != 4 {
+		t.Fatalf("sync entries dropped = %d, want 4", n)
 	}
 }

@@ -34,7 +34,7 @@ func TestMergeUnitStressInvariants(t *testing.T) {
 			contribs int
 		}
 		expects := make([]expect, addrs)
-		responses := 0
+		loads := &loadTag{} // every load's tag: the fake GPUs count responses
 		wantResponses := 0
 		// Loads on even addresses, reductions on odd. Offset the address
 		// space so load/red keys never collide.
@@ -50,8 +50,7 @@ func TestMergeUnitStressInvariants(t *testing.T) {
 					r.eng.At(at, func() {
 						r.send(g, &noc.Packet{
 							Op: noc.OpLdCAIS, Addr: addr, Home: 0, Src: g,
-							Size: 2 << 10, Contribs: perAddrLoad,
-							OnDone: func() { responses++ },
+							Size: 2 << 10, Contribs: perAddrLoad, Tag: loads,
 						})
 					})
 				} else {
@@ -67,8 +66,8 @@ func TestMergeUnitStressInvariants(t *testing.T) {
 		r.eng.Run()
 
 		// Invariant 1: every load answered exactly once.
-		if responses != wantResponses {
-			t.Logf("seed %d: responses = %d, want %d", seed, responses, wantResponses)
+		if loads.done != wantResponses {
+			t.Logf("seed %d: responses = %d, want %d", seed, loads.done, wantResponses)
 			return false
 		}
 		// Invariant 2: reduction contributions conserved at the home GPU.

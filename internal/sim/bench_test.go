@@ -33,28 +33,75 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
-// benchHold runs the classic hold model on the real engine: a pending set
-// of `depth` events where each executed event schedules one successor, so
-// the queue depth stays constant and every iteration is exactly one pop
-// plus one push at steady state.
-func benchHold(b *testing.B, depth int) {
-	e := NewEngine()
-	remaining := b.N
-	// Self-rescheduling closure: each event re-arms itself while budget
-	// remains, keeping the pending set at `depth`.
-	var arm func()
-	arm = func() {
-		if remaining > 0 {
-			remaining--
-			e.After(Time(1+remaining%64), arm)
+// hold is the classic hold model on the real engine: a pending set of
+// depth events where each executed event schedules one successor while
+// budget remains, so the queue depth stays constant and every iteration
+// is exactly one pop plus one push at steady state. Successor k, counted
+// up from zero, waits 64-k%64: the delays descend from 64 to 1 and repeat
+// whatever the budget, so the lanes reach the same state after the same
+// number of events at any b.N. The seam between the ascending seed delays
+// and the first descending run leaves 15 lanes holding a delay.
+type hold struct {
+	e      *Engine
+	n      int // successors scheduled so far
+	budget int
+	arm    func()
+}
+
+func newHold(depth, budget int) *hold {
+	h := &hold{e: NewEngine(), budget: budget}
+	h.arm = func() {
+		if h.n < h.budget {
+			d := Time(64 - h.n%64)
+			h.n++
+			h.e.After(d, h.arm)
 		}
 	}
 	for i := 0; i < depth; i++ {
-		e.At(Time(i%64), arm)
+		h.e.At(Time(i%64), h.arm)
 	}
+	return h
+}
+
+func benchHold(b *testing.B, depth int) {
+	h := newHold(depth, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.Run()
+	h.e.Run()
+}
+
+// TestHoldLaneStateIndependentOfBudget: BenchmarkEngineHold* measure one
+// queue at any b.N. Two budgets 32 apart leave the lanes in the same
+// state after the same number of events.
+func TestHoldLaneStateIndependentOfBudget(t *testing.T) {
+	type laneState struct {
+		d, miss [1 << laneBits]Time
+		live    uint16
+		heap    int
+	}
+	const depth, at = 64, 20_000
+	state := func(budget int) laneState {
+		h := newHold(depth, budget)
+		var st laneState
+		h.e.SetProgress(at, func(_ Time, steps uint64) {
+			if steps != at {
+				return
+			}
+			for i := range h.e.lanes {
+				st.d[i], st.miss[i] = h.e.lanes[i].d, h.e.lanes[i].miss
+			}
+			st.live, st.heap = h.e.live, h.e.heap.len()
+		})
+		h.e.Run()
+		return st
+	}
+	a, b := state(30_000), state(30_032)
+	if a != b {
+		t.Fatalf("lane state after %d events differs between budgets:\n%+v\n%+v", at, a, b)
+	}
+	if a.live == 0 {
+		t.Fatal("no lane holds events: the hold measures the heap alone")
+	}
 }
 
 func BenchmarkEngineHold64(b *testing.B)   { benchHold(b, 64) }

@@ -264,14 +264,18 @@ func Extensions() []Spec {
 	return []Spec{CAISTP(), MegatronRing()}
 }
 
-// ByName looks a strategy up case-insensitively.
+// ByName looks a strategy up case-insensitively among All, the
+// CAIS-Partial and CAIS-w/o-Coord ablations and the Extensions. An unknown
+// name's error lists every name it accepts.
 func ByName(name string) (Spec, error) {
 	all := append(All(), CAISPartial(), CAISNoCoord())
 	all = append(all, Extensions()...)
-	for _, s := range all {
+	names := make([]string, len(all))
+	for i, s := range all {
 		if strings.EqualFold(s.Name, name) {
 			return s, nil
 		}
+		names[i] = s.Name
 	}
-	return Spec{}, fmt.Errorf("strategy: unknown strategy %q", name)
+	return Spec{}, fmt.Errorf("strategy: unknown strategy %q; valid: %s", name, strings.Join(names, ", "))
 }

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"strings"
 	"testing"
 
 	"cais/internal/config"
@@ -99,13 +100,22 @@ func TestMegatronRingReference(t *testing.T) {
 	}
 }
 
+// TestByName: every name ByName accepts (All, the two ablations and the
+// Extensions) resolves in any case, and an unknown name's error lists
+// each of them.
 func TestByName(t *testing.T) {
-	s, err := ByName("cais-partial")
-	if err != nil || s.Name != "CAIS-Partial" {
-		t.Fatalf("ByName(cais-partial) = %v, %v", s, err)
-	}
-	if _, err := ByName("nope"); err == nil {
+	_, err := ByName("nope")
+	if err == nil {
 		t.Fatal("unknown name accepted")
+	}
+	accepted := append(All(), CAISPartial(), CAISNoCoord())
+	for _, s := range append(accepted, Extensions()...) {
+		if got, err := ByName(strings.ToUpper(s.Name)); err != nil || got.Name != s.Name {
+			t.Errorf("ByName(%q) = %q, %v", strings.ToUpper(s.Name), got.Name, err)
+		}
+		if !strings.Contains(err.Error(), s.Name) {
+			t.Errorf("error %q does not list %q", err, s.Name)
+		}
 	}
 }
 

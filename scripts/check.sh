@@ -2,10 +2,11 @@
 # check.sh — the repo's one pre-merge gate; `make check` and CI both run it.
 # Runs formatting, vet (root and caisbench modules), build, caislint (the
 # determinism & unit-safety analyzer), the full test suite (plain, for the
-# caisbench module, and under the race detector), the disabled-tracer
-# zero-alloc benchmark, the four examples (run, output discarded), the
-# quick resilience, attribution and serving smokes, and the CLI's parallel
-# quick sweep compared byte for byte with the committed golden
+# caisbench module, and under the race detector), one caisbench pass that
+# checks every workload's golden digests, the disabled-tracer zero-alloc
+# benchmark, the four examples (run, output discarded), the quick
+# resilience, attribution and serving smokes, and the CLI's parallel quick
+# sweep compared byte for byte with the committed golden
 # (internal/experiments/testdata/golden/quick.txt).
 set -eu
 
@@ -38,6 +39,13 @@ go test ./...
 
 echo "== go test (cmd/caisbench module)"
 (cd cmd/caisbench && go test ./...)
+
+# One pass of all four caisbench workloads: it checks all 45 golden
+# digests in cmd/caisbench/testdata/golden.json (each hashes a run's
+# telemetry, sim.steps included) and exits nonzero on any failed op. The
+# go tests above check only layer-hot's two.
+echo "== caisbench goldens (one pass of every workload)"
+bash cmd/caisbench/run.sh --seconds 1
 
 echo "== go test -race"
 go test -race ./...
