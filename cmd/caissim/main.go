@@ -267,7 +267,6 @@ func runStrategy(r options) {
 		wallStart := time.Now()
 		lastWall := wallStart
 		var lastSteps uint64
-		opts.ProgressEvery = 1 << 18
 		opts.Progress = func(now cais.Time, steps uint64) {
 			wall := time.Now()
 			rate := float64(steps-lastSteps) / wall.Sub(lastWall).Seconds()

@@ -1,7 +1,11 @@
+// Package compiler holds the tests of the CAIS compiler support (Sec.
+// III-B, Fig. 8a) as the paper states it: a load or reduction whose
+// address does not depend on the GPU ID is rewritten to ld.cais or
+// red.cais, a GPU-dependent access keeps its plain operation, and plain
+// writes are never rewritten. The pass itself is kernel.Pattern.Lower.
 package compiler
 
 import (
-	"strings"
 	"testing"
 
 	"cais/internal/kernel"
@@ -10,63 +14,52 @@ import (
 
 func invariantRead() kernel.Pattern {
 	// The AG-GEMM input load of Fig. 8a: addr = blockIdx*tile (no gpuID).
-	return kernel.Pattern{
-		Sem:  kernel.SemRead,
-		Addr: kernel.Mul(kernel.ParamBlock, kernel.Const(128)),
-	}
+	return kernel.Pattern{Sem: kernel.SemRead, Stride: 128}
 }
 
 func TestAnalyzeRewritesGPUInvariantLoad(t *testing.T) {
-	v := Analyze(invariantRead())
-	if !v.Mergeable {
-		t.Fatalf("GPU-invariant load not mergeable: %s", v.Reason)
+	op, merged := invariantRead().Lower()
+	if !merged {
+		t.Fatal("GPU-invariant load not merged")
 	}
-	if v.Mode != noc.OpLdCAIS {
-		t.Fatalf("mode = %v, want ld.cais", v.Mode)
-	}
-	if !strings.Contains(v.Reason, "ld.cais") {
-		t.Fatalf("reason lacks rewrite detail: %s", v.Reason)
+	if op != noc.OpLdCAIS || op.String() != "ld.cais" {
+		t.Fatalf("op = %v, want ld.cais", op)
 	}
 }
 
 func TestAnalyzeRewritesGPUInvariantReduction(t *testing.T) {
 	p := invariantRead()
 	p.Sem = kernel.SemReduce
-	v := Analyze(p)
-	if !v.Mergeable || v.Mode != noc.OpRedCAIS {
-		t.Fatalf("reduction verdict = %+v", v)
+	if op, merged := p.Lower(); !merged || op != noc.OpRedCAIS {
+		t.Fatalf("reduction lowers to (%v, %v), want (red.cais, true)", op, merged)
 	}
 }
 
 func TestAnalyzeRejectsGPUVariantAccess(t *testing.T) {
-	p := kernel.Pattern{
-		Sem: kernel.SemRead,
-		// addr = gpuID*shard + blockIdx*tile: each GPU touches its own
-		// shard, so merging would be incorrect.
-		Addr: kernel.Add(
-			kernel.Mul(kernel.ParamGPU, kernel.Const(1<<20)),
-			kernel.Mul(kernel.ParamBlock, kernel.Const(128))),
+	// addr = gpuID*shard + blockIdx*tile: each GPU touches its own shard,
+	// so merging would be incorrect.
+	p := invariantRead()
+	p.PerGPU = 1 << 20
+	if p.AddrAt(0, 3) == p.AddrAt(1, 3) {
+		t.Fatal("gpuID term leaves GPUs 0 and 1 on one address")
 	}
-	v := Analyze(p)
-	if v.Mergeable {
-		t.Fatal("GPU-variant access marked mergeable")
+	op, merged := p.Lower()
+	if merged {
+		t.Fatal("GPU-variant access merged")
 	}
-	if v.Mode != noc.OpLoad {
-		t.Fatalf("mode = %v, want plain ld", v.Mode)
-	}
-	if !strings.Contains(v.Reason, "gpuID") {
-		t.Fatalf("reason should cite gpuID: %s", v.Reason)
+	if op != noc.OpLoad {
+		t.Fatalf("op = %v, want plain ld", op)
 	}
 }
 
 func TestAnalyzePlainWriteNeverRewritten(t *testing.T) {
 	p := invariantRead()
 	p.Sem = kernel.SemWrite
-	v := Analyze(p)
-	if v.Mergeable {
-		t.Fatal("plain write marked mergeable: CAIS only extends ld/red")
+	op, merged := p.Lower()
+	if merged {
+		t.Fatal("plain write merged: CAIS only extends ld/red")
 	}
-	if v.Mode != noc.OpStore {
-		t.Fatalf("mode = %v, want st", v.Mode)
+	if op != noc.OpStore {
+		t.Fatalf("op = %v, want st", op)
 	}
 }

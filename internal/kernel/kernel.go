@@ -1,7 +1,7 @@
 // Package kernel defines the kernel intermediate representation the CAIS
-// stack operates on: tiled grids of thread blocks, symbolic address
-// expressions for the compiler's static index analysis (Fig. 8a), and the
-// per-TB work descriptors the GPU model executes.
+// stack operates on: tiled grids of thread blocks, affine access patterns
+// with the CAIS compiler pass that lowers them (Sec. III-B, Fig. 8a), and
+// the per-TB work descriptors the GPU model executes.
 //
 // A kernel is deliberately represented at thread-block granularity: every
 // mechanism the paper builds (request merging, TB-group coordination,
@@ -70,6 +70,47 @@ func (s Semantic) String() string {
 		return "write"
 	}
 	return fmt.Sprintf("sem(%d)", int(s))
+}
+
+// Pattern is one affine access pattern of a kernel body, the index
+// expression the CAIS compiler analyzes (Fig. 8a): TB blockIdx on GPU
+// gpuID touches Base + ⌊blockIdx/Div⌋·Stride + gpuID·PerGPU. GEMM tile
+// indexing is affine in the block and GPU indices, so this form holds
+// every access the fused builders emit.
+type Pattern struct {
+	Sem    Semantic // memory-semantic requirement
+	Base   uint64   // address of blockIdx 0 on GPU 0
+	Div    int      // TBs per address step (a row block's column tiles); zero means 1
+	Stride uint64   // address step per ⌊blockIdx/Div⌋
+	PerGPU uint64   // address step per gpuID; zero makes the access GPU-invariant
+}
+
+// AddrAt evaluates the pattern's address for TB block on GPU gpu.
+func (p Pattern) AddrAt(gpu, block int) uint64 {
+	if p.Div > 1 {
+		block /= p.Div
+	}
+	return p.Base + uint64(block)*p.Stride + uint64(gpu)*p.PerGPU
+}
+
+// Lower is the CAIS compiler pass: static index analysis plus instruction
+// rewriting. An access whose address does not depend on the GPU ID
+// (PerGPU == 0) is GPU-invariant: TBs with equal blockIdx on different
+// GPUs touch the same location, so a load lowers to ld.cais and a
+// reduction to red.cais, and merged reports true. A GPU-variant access
+// keeps its plain operation (ld, or st for a reduction). Plain writes are
+// never rewritten: CAIS extends only loads and reductions (Fig. 4).
+func (p Pattern) Lower() (op noc.Op, merged bool) {
+	switch {
+	case p.Sem == SemRead && p.PerGPU == 0:
+		return noc.OpLdCAIS, true
+	case p.Sem == SemReduce && p.PerGPU == 0:
+		return noc.OpRedCAIS, true
+	case p.Sem == SemRead:
+		return noc.OpLoad, false
+	default:
+		return noc.OpStore, false
+	}
 }
 
 // Tile identifies one unit of data for TB-level dependency tracking: a

@@ -8,80 +8,90 @@ import (
 )
 
 func TestExprEval(t *testing.T) {
-	env := Env{GPU: 3, BlockIdx: 17}
+	// The address Base + ⌊blockIdx/Div⌋·Stride + gpuID·PerGPU, term by term.
 	cases := []struct {
-		e    Expr
-		want int64
+		name       string
+		p          Pattern
+		gpu, block int
+		want       uint64
 	}{
-		{Const(5), 5},
-		{ParamGPU, 3},
-		{ParamBlock, 17},
-		{Add(ParamBlock, Const(1)), 18},
-		{Mul(ParamBlock, Const(128)), 17 * 128},
-		{Div(ParamBlock, Const(4)), 4},
-		{Mod(ParamBlock, Const(4)), 1},
-		{Add(Mul(ParamGPU, Const(100)), ParamBlock), 317},
+		{"base only", Pattern{Base: 7}, 3, 17, 7},
+		{"stride per block", Pattern{Stride: 128}, 3, 17, 17 * 128},
+		{"div floors", Pattern{Base: 100, Div: 4, Stride: 8}, 0, 17, 100 + 4*8},
+		{"per gpu", Pattern{PerGPU: 100, Stride: 1}, 3, 17, 317},
+		{"all terms", Pattern{Base: 1 << 20, Div: 2, Stride: 3, PerGPU: 1000}, 2, 9, 1<<20 + 4*3 + 2000},
 	}
 	for _, c := range cases {
-		if got := c.e.Eval(env); got != c.want {
-			t.Errorf("%s = %d, want %d", c.e, got, c.want)
+		if got := c.p.AddrAt(c.gpu, c.block); got != c.want {
+			t.Errorf("%s: %+v.AddrAt(%d, %d) = %d, want %d", c.name, c.p, c.gpu, c.block, got, c.want)
 		}
 	}
 }
 
-func TestExprDivModByZeroPanics(t *testing.T) {
-	for _, e := range []Expr{Div(ParamBlock, Const(0)), Mod(ParamBlock, Const(0))} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", e)
-				}
-			}()
-			e.Eval(Env{})
-		}()
+func TestPatternEvaluators(t *testing.T) {
+	// Div 0 and Div 1 both step the address once per blockIdx.
+	for _, div := range []int{0, 1} {
+		p := Pattern{Sem: SemRead, Div: div, Stride: 1024}
+		if got := p.AddrAt(5, 3); got != 3072 {
+			t.Errorf("Div %d: AddrAt = %d, want 3072", div, got)
+		}
 	}
 }
 
-func TestUsesParam(t *testing.T) {
-	gpuVariant := Add(Mul(ParamGPU, Const(4096)), ParamBlock)
-	gpuInvariant := Add(Mul(ParamBlock, Const(128)), Const(7))
-	if !UsesParam(gpuVariant, ParamGPU) {
-		t.Error("gpuID not detected in variant expression")
-	}
-	if UsesParam(gpuInvariant, ParamGPU) {
-		t.Error("false gpuID detection in invariant expression")
-	}
-	if !UsesParam(gpuInvariant, ParamBlock) {
-		t.Error("blockIdx not detected")
-	}
-}
-
-func TestExprGPUInvarianceProperty(t *testing.T) {
-	// Property: an expression not using gpuID evaluates identically on
-	// all GPUs for the same blockIdx (the exact property the compiler's
-	// index analysis relies on).
-	f := func(scale uint8, off uint16, block uint8) bool {
-		e := Add(Mul(ParamBlock, Const(int64(scale)+1)), Const(int64(off)))
-		var first int64
-		for g := 0; g < 8; g++ {
-			v := e.Eval(Env{GPU: int64(g), BlockIdx: int64(block)})
-			if g == 0 {
-				first = v
-			} else if v != first {
+func TestPatternGPUInvarianceProperty(t *testing.T) {
+	// Property: a pattern without a gpuID term addresses the same location
+	// on every GPU for the same blockIdx (what makes merging correct), and
+	// Lower merges exactly those loads and reductions; a gpuID term gives
+	// every GPU its own location, and Lower keeps the plain operation.
+	f := func(base uint32, div, stride uint8, perGPU uint16, block uint8, sem uint8) bool {
+		p := Pattern{Sem: Semantic(sem % 3), Base: uint64(base), Div: int(div), Stride: uint64(stride)}
+		_, merged := p.Lower()
+		if merged != (p.Sem != SemWrite) {
+			return false
+		}
+		for g := 1; g < 8; g++ {
+			if p.AddrAt(g, int(block)) != p.AddrAt(0, int(block)) {
 				return false
 			}
 		}
-		return true
+		p.PerGPU = uint64(perGPU) + 1
+		if _, merged := p.Lower(); merged {
+			return false
+		}
+		seen := map[uint64]bool{}
+		for g := 0; g < 8; g++ {
+			seen[p.AddrAt(g, int(block))] = true
+		}
+		return len(seen) == 8
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestPatternEvaluators(t *testing.T) {
-	p := Pattern{Sem: SemRead, Addr: Mul(ParamBlock, Const(1024))}
-	if got := p.AddrAt(5, 3); got != 3072 {
-		t.Fatalf("AddrAt = %d, want 3072", got)
+func TestUsesParam(t *testing.T) {
+	// A gpuID term (PerGPU != 0) gives every GPU its own address, and
+	// Lower keeps such an access plain whatever its semantic. A blockIdx
+	// term alone is not a gpuID use.
+	gpuVariant := Pattern{Stride: 1, PerGPU: 4096}
+	gpuInvariant := Pattern{Sem: SemRead, Base: 7, Stride: 128}
+	for _, c := range []struct {
+		sem Semantic
+		op  noc.Op
+	}{{SemRead, noc.OpLoad}, {SemReduce, noc.OpStore}, {SemWrite, noc.OpStore}} {
+		gpuVariant.Sem = c.sem
+		if op, merged := gpuVariant.Lower(); op != c.op || merged {
+			t.Errorf("gpuID not detected: %v lowers to (%v, %v), want (%v, false)", c.sem, op, merged, c.op)
+		}
+	}
+	if gpuVariant.AddrAt(0, 5) == gpuVariant.AddrAt(1, 5) {
+		t.Error("gpuID term not evaluated")
+	}
+	if _, merged := gpuInvariant.Lower(); !merged {
+		t.Error("false gpuID detection in invariant pattern")
+	}
+	if gpuInvariant.AddrAt(0, 5) == gpuInvariant.AddrAt(0, 6) {
+		t.Error("blockIdx term not evaluated")
 	}
 }
 

@@ -38,11 +38,10 @@ type Options struct {
 	// instrumentation disabled at zero cost. memo.Cacheable rejects runs
 	// that set it.
 	Tracer *trace.Tracer `memo:"-"`
-	// Progress, when set together with ProgressEvery, is invoked from the
-	// event loop every ProgressEvery engine steps (heartbeat logging). The
-	// cadence does not affect simulated time.
-	Progress      func(now sim.Time, steps uint64) `memo:"-"`
-	ProgressEvery uint64                           `memo:"-"`
+	// Progress, when set, is invoked from the event loop every 2^18
+	// engine steps (heartbeat logging). The cadence does not affect
+	// simulated time.
+	Progress func(now sim.Time, steps uint64) `memo:"-"`
 	// Faults, when non-nil and non-empty, is the fault schedule the
 	// machine's injector plays back on the sim clock (DESIGN.md §8). Nil
 	// or empty keeps every fault hook inert, bit-identical to an
@@ -229,8 +228,9 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 	if opts.Attrib && opts.Tracer == nil {
 		opts.Tracer = trace.New()
 	}
-	if opts.Progress != nil && opts.ProgressEvery > 0 {
-		eng.SetProgress(opts.ProgressEvery, opts.Progress)
+	if opts.Progress != nil {
+		const progressEvery = 1 << 18 // engine steps per heartbeat
+		eng.SetProgress(progressEvery, opts.Progress)
 	}
 	m := &Machine{
 		Eng: eng, HW: hw, Opts: opts,

@@ -61,7 +61,7 @@ func (r *Registry) setFunc(name, kind string, fn func() float64) {
 	r.items[name] = &funcMetric{k: kind, fn: fn}
 }
 
-// Hist returns the named weighted histogram, creating it on first use.
+// Hist returns the named histogram, creating it on first use.
 func (r *Registry) Hist(name string) *Hist {
 	existing, ok := r.items[name]
 	if !ok {
@@ -103,43 +103,34 @@ func (f *funcMetric) snap(name string) Metric {
 }
 
 // histBuckets is the number of power-of-two histogram buckets: bucket i
-// counts weight for values in (2^(i-1), 2^i] (bucket 0 holds (0, 1]).
+// counts values in (2^(i-1), 2^i] (bucket 0 holds (0, 1]).
 const histBuckets = 64
 
-// Hist is a weighted power-of-two histogram. Observations carry a weight,
-// which makes it a time-weighted histogram when the weight is a duration
-// (e.g. "merge-table occupancy weighted by how long it persisted") and a
-// plain frequency histogram with weight 1.
+// Hist is a power-of-two frequency histogram.
 type Hist struct {
 	buckets [histBuckets]float64
 	count   int64
 	sum     float64
-	wsum    float64
 	min     float64
 	max     float64
 }
 
 func newHist() *Hist { return &Hist{min: math.Inf(1), max: math.Inf(-1)} }
 
-// Observe records v with weight 1.
-func (h *Hist) Observe(v float64) { h.ObserveWeighted(v, 1) }
-
-// ObserveWeighted records v with the given weight (non-positive weights
-// are ignored). NaN values are ignored.
-func (h *Hist) ObserveWeighted(v, weight float64) {
-	if weight <= 0 || math.IsNaN(v) {
+// Observe records v. NaN values are ignored.
+func (h *Hist) Observe(v float64) {
+	if math.IsNaN(v) {
 		return
 	}
 	h.count++
-	h.sum += v * weight
-	h.wsum += weight
+	h.sum += v
 	if v < h.min {
 		h.min = v
 	}
 	if v > h.max {
 		h.max = v
 	}
-	h.buckets[bucketOf(v)] += weight
+	h.buckets[bucketOf(v)]++
 }
 
 // bucketOf maps a value to the bucket index i with 2^(i-1) < v <= 2^i.
@@ -164,12 +155,12 @@ func bucketOf(v float64) int {
 // Count reports the number of observations.
 func (h *Hist) Count() int64 { return h.count }
 
-// Mean reports the weighted mean of observations (0 when empty).
+// Mean reports the mean of observations (0 when empty).
 func (h *Hist) Mean() float64 {
-	if h.wsum == 0 {
+	if h.count == 0 {
 		return 0
 	}
-	return h.sum / h.wsum
+	return h.sum / float64(h.count)
 }
 
 // Max reports the largest observed value (0 when empty).
@@ -180,7 +171,7 @@ func (h *Hist) Max() float64 {
 	return h.max
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of the weighted
+// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
 // distribution from the power-of-two buckets: it walks the bucket CDF to
 // the crossing bucket and interpolates linearly within it, clamping to the
 // exact observed min/max. Resolution is bounded by the bucket width (a
@@ -197,7 +188,7 @@ func (h *Hist) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.max
 	}
-	target := q * h.wsum
+	target := q * float64(h.count)
 	cum := 0.0
 	for i, w := range h.buckets {
 		if w == 0 {
@@ -243,7 +234,7 @@ func (h *Hist) snap(name string) Metric {
 }
 
 // Metric is one snapshotted metric, JSON-ready. Value carries the counter
-// or gauge value; for histograms it is the weighted mean.
+// or gauge value; for histograms it is the mean.
 type Metric struct {
 	Name  string  `json:"name"`
 	Kind  string  `json:"kind"`
@@ -260,7 +251,7 @@ type Metric struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Bucket is one histogram bucket: accumulated weight for values in
+// Bucket is one histogram bucket: Weight counts the observations in
 // (UpperBound/2, UpperBound].
 type Bucket struct {
 	UpperBound float64 `json:"le"`

@@ -69,17 +69,18 @@ func TestSnapshotSortedAndQueryable(t *testing.T) {
 	}
 }
 
-func TestHistWeightedStats(t *testing.T) {
+func TestHistStats(t *testing.T) {
 	r := NewRegistry()
 	h := r.Hist("nvswitch.session_lifetime_us")
 	h.Observe(2)
-	h.ObserveWeighted(10, 3) // time-weighted: value 10 held for 3 units
-	h.ObserveWeighted(5, 0)  // ignored: non-positive weight
-	h.Observe(math.NaN())    // ignored
-	if h.Count() != 2 {
-		t.Fatalf("count = %d, want 2", h.Count())
+	for i := 0; i < 3; i++ {
+		h.Observe(10)
 	}
-	want := (2.0*1 + 10.0*3) / 4.0
+	h.Observe(math.NaN()) // ignored
+	if h.Count() != 4 {
+		t.Fatalf("count = %d, want 4", h.Count())
+	}
+	want := (2.0 + 10.0*3) / 4.0
 	if math.Abs(h.Mean()-want) > 1e-12 {
 		t.Fatalf("mean = %v, want %v", h.Mean(), want)
 	}
@@ -87,7 +88,7 @@ func TestHistWeightedStats(t *testing.T) {
 		t.Fatalf("max = %v, want 10", h.Max())
 	}
 	m := h.snap("x")
-	if m.Kind != "hist" || m.Count != 2 || m.Min != 2 || m.Max != 10 {
+	if m.Kind != "hist" || m.Count != 4 || m.Min != 2 || m.Max != 10 {
 		t.Fatalf("snapshot = %+v", m)
 	}
 	var totalW float64
@@ -95,7 +96,7 @@ func TestHistWeightedStats(t *testing.T) {
 		totalW += b.Weight
 	}
 	if totalW != 4 {
-		t.Fatalf("bucket weight = %v, want 4", totalW)
+		t.Fatalf("bucket counts sum to %v, want 4", totalW)
 	}
 }
 
@@ -120,7 +121,7 @@ func TestHistQuantiles(t *testing.T) {
 		t.Fatal("empty histogram quantile must be 0")
 	}
 
-	// 100 unit-weight observations of the value i+1 (1..100): every
+	// 100 observations of the value i+1 (1..100): every
 	// quantile is derivable by hand. Values spread over buckets
 	// (0,1], (1,2], (2,4], ... so interpolation is exercised.
 	for i := 0; i < 100; i++ {
@@ -160,7 +161,9 @@ func TestHistQuantiles(t *testing.T) {
 
 func TestHistQuantileSingleValue(t *testing.T) {
 	h := newHist()
-	h.ObserveWeighted(42, 3)
+	for i := 0; i < 3; i++ {
+		h.Observe(42)
+	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := h.Quantile(q); got != 42 {
 			t.Errorf("q=%v: got %v, want 42 (all mass at one value, clamped to min/max)", q, got)
@@ -213,7 +216,7 @@ func TestHistHotPathAllocatesNothing(t *testing.T) {
 	h := NewRegistry().Hist("hot_hist")
 	if allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(2)
-		h.ObserveWeighted(5, 3)
+		h.Observe(5)
 	}); allocs != 0 {
 		t.Fatalf("Hist.Observe allocates %v/op, want 0", allocs)
 	}

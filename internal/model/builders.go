@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 
-	"cais/internal/compiler"
 	"cais/internal/kernel"
 	"cais/internal/machine"
 	"cais/internal/noc"
@@ -89,18 +88,6 @@ func (b *Builder) tileBytes() int64 {
 	return int64(TileM) * int64(TileN) * b.Elem
 }
 
-// caisOp runs the CAIS compiler's static index analysis (Fig. 8a) on a
-// fused kernel's access pattern and returns the .cais operation it lowers
-// to. The fused builders only emit GPU-invariant patterns, so a rejection
-// is a builder bug.
-func caisOp(name string, p kernel.Pattern) noc.Op {
-	v := compiler.Analyze(p)
-	if !v.Mergeable {
-		panic(fmt.Sprintf("model: %s: compiler rejected CAIS lowering: %s", name, v.Reason))
-	}
-	return v.Mode
-}
-
 // group decides whether GPU g's TB tb of a fused CAIS kernel joins its TB
 // group, the TBs sharing its blockIdx across GPUs (Sec. III-B-1), and how
 // many GPUs' TBs join. A TB whose access goes through the switch joins.
@@ -170,25 +157,25 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 	}
 	rowBytes := b.rowBytes(k)
 	addrsPerRow := b.M.HW.RequestChunks(rowBytes)
-	base := b.M.AllocAddrs(mT * addrsPerRow)
-	copies := b.NewGathered(m)
-	var perTBBase uint64
-	if mode == GatherPerTB {
-		perTBBase = b.M.AllocAddrs(b.P * mT * nT * addrsPerRow)
-	}
-
-	// The symbolic pattern the CAIS compiler analyzes: the load address
-	// depends only on blockIdx (row block = blockIdx / nTiles), so the
-	// instruction is GPU-invariant and mergeable (Fig. 8a).
+	// The loaders' address depends only on blockIdx (row block = blockIdx
+	// / nT), so it is GPU-invariant and lowers to a merged ld.cais.
 	pattern := kernel.Pattern{
-		Sem: kernel.SemRead,
-		Addr: kernel.Add(kernel.Const(int64(base)),
-			kernel.Mul(kernel.Div(kernel.ParamBlock, kernel.Const(int64(nT))), kernel.Const(int64(addrsPerRow)))),
+		Sem: kernel.SemRead, Base: b.M.AllocAddrs(mT * addrsPerRow),
+		Div: nT, Stride: uint64(addrsPerRow),
 	}
-	loadOp := noc.OpLoad
-	if mode == GatherCAIS {
-		loadOp = caisOp(name, pattern)
-	} else {
+	copies := b.NewGathered(m)
+	if mode == GatherPerTB {
+		// Every TB loads from its own per-(GPU, TB) range: the address
+		// depends on gpuID, so the access stays a plain ld. The loaders'
+		// range stays allocated, so later addresses, which pick each
+		// packet's switch plane, do not shift with the mode.
+		pattern = kernel.Pattern{
+			Sem: kernel.SemRead, Base: b.M.AllocAddrs(b.P * mT * nT * addrsPerRow),
+			Stride: uint64(addrsPerRow), PerGPU: uint64(mT * nT * addrsPerRow),
+		}
+	}
+	loadOp, merged := pattern.Lower()
+	if !merged {
 		coord = kernel.Coordination{}
 	}
 	flops, localBytes := b.gemmTB(k, scale)
@@ -201,14 +188,12 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 				Out: b.tiles.One(out.Tile(mi, ni, g)),
 			}
 			owner := src.Owner(mi)
-			if mode == GatherPerTB {
-				// Every TB fetches its operand rows itself, from a
-				// per-(gpu, tb) address range so nothing merges, with no
-				// copy staging — the redundant-traffic mode.
+			if !merged {
+				// Every TB fetches its operand rows itself, with no copy
+				// staging — the redundant-traffic mode.
 				d.Pre = b.accs.One(kernel.Access{
-					Sem: kernel.SemRead, Mode: noc.OpLoad, Local: owner == g,
-					Addr: perTBBase + uint64(g*mT*nT+tb)*uint64(addrsPerRow),
-					Home: owner, Bytes: rowBytes,
+					Sem: kernel.SemRead, Mode: loadOp, Local: owner == g,
+					Addr: pattern.AddrAt(g, tb), Home: owner, Bytes: rowBytes,
 				})
 				d.In = b.tiles.One(src.Tile(mi))
 				return d
@@ -284,17 +269,16 @@ func (b *Builder) FusedGEMMReduce(name string, m, n, kLocal int, scale float64, 
 	}
 	tileBytes := b.tileBytes()
 	addrsPerTile := b.M.HW.RequestChunks(tileBytes)
-	base := b.M.AllocAddrs(mT * nT * addrsPerTile)
-
+	// One address range per output tile, indexed by blockIdx alone: the
+	// reduction is GPU-invariant and lowers to a merged red.cais.
 	pattern := kernel.Pattern{
-		Sem: kernel.SemReduce,
-		Addr: kernel.Add(kernel.Const(int64(base)),
-			kernel.Mul(kernel.ParamBlock, kernel.Const(int64(addrsPerTile)))),
+		Sem: kernel.SemReduce, Base: b.M.AllocAddrs(mT * nT * addrsPerTile),
+		Stride: uint64(addrsPerTile),
 	}
 	redOp := noc.OpStore
 	switch mode {
 	case ReduceCAIS, ReduceCAISBroadcast:
-		redOp = caisOp(name, pattern)
+		redOp, _ = pattern.Lower()
 	case ReduceNVLSPush:
 		redOp = noc.OpMultimemRed
 		coord = kernel.Coordination{}

@@ -358,30 +358,31 @@ type plainLoadTag struct {
 // Reset clears the tag for pool reuse.
 func (t *plainLoadTag) Reset() { *t = plainLoadTag{} }
 
+// bypassRed forwards a reduction contribution unmerged, as one
+// contribution: to the home GPU, which folds it in at HBM cost, and for a
+// broadcast (GEMM-AR) contribution to every other replica too, since
+// without in-switch accumulation each replica counts contributions to
+// completion. The issuer completes when its home copy commits. The
+// request is absorbed.
+func (m *MergeUnit) bypassRed(p *noc.Packet) {
+	m.stats.BypassReds++
+	for g := 0; g < m.numGPUs; g++ {
+		if g == m.gpu {
+			m.writeResult(g, p.Addr, p.Size, p.Group, 1, p.Tag, p.OnDone)
+		} else if p.Dst < 0 {
+			m.writeResult(g, p.Addr, p.Size, p.Group, 1, p.Tag, nil)
+		}
+	}
+	m.pkts.Put(p)
+}
+
 // HandleReduction implements Micro-Function 2 (reduction request merging).
 func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 	m.stats.noteArrivalKind(p.Addr, p.Expected(), m.eng.Now(), false)
 	m.credit(p)
 	now := m.eng.Now()
 	if m.disabled {
-		m.stats.BypassReds++
-		if p.Dst < 0 {
-			// Broadcast (GEMM-AR) contribution with merging off: without
-			// in-switch accumulation each contribution is replicated to
-			// every replica, which count contributions to completion —
-			// the full downlink cost of losing the merge unit. The issuer
-			// completes when its home copy commits.
-			for g := 0; g < m.numGPUs; g++ {
-				var done func()
-				if g == m.gpu {
-					done = p.OnDone
-				}
-				m.writeResult(g, p.Addr, p.Size, p.Group, 1, p.Tag, done)
-			}
-		} else {
-			m.writeResult(m.gpu, p.Addr, p.Size, p.Group, 1, p.Tag, p.OnDone)
-		}
-		m.pkts.Put(p)
+		m.bypassRed(p)
 		return
 	}
 	s, ok := m.sessions[p.Addr]
@@ -393,14 +394,10 @@ func (m *MergeUnit) HandleReduction(p *noc.Packet) {
 	}
 	if !ok {
 		if !m.reserve(p.Size) {
-			// Bypass: forward the lone contribution straight to the home
-			// GPU, which folds it in at HBM cost.
-			m.stats.BypassReds++
 			if m.tr.Enabled() {
 				m.tr.Instant(m.pid, int32(m.gpu), trace.CatMerge, "red bypass", now)
 			}
-			m.writeResult(m.gpu, p.Addr, p.Size, p.Group, 1, p.Tag, p.OnDone)
-			m.pkts.Put(p)
+			m.bypassRed(p)
 			return
 		}
 		s = m.getSession()

@@ -38,6 +38,9 @@ type Switch struct {
 	// default so healthy runs keep strict invariants and bit-identical
 	// behavior.
 	faultTolerant bool
+	// failed is set from Failover to Repair: the Group Sync Table accepts
+	// no registrations while the plane is down.
+	failed bool
 
 	stats *Stats
 	tr    *trace.Tracer
@@ -194,8 +197,11 @@ func (s *Switch) SetFaultTolerant(on bool) { s.faultTolerant = on }
 // to its pool (the machine re-registers affected waiters on a surviving
 // plane), and every port's merge unit quiesces. Traffic already addressed
 // to the plane keeps draining — downlinks stay up — and any sessions such
-// stragglers open are reaped by the fault-tolerant timeouts.
+// stragglers open are reaped by the fault-tolerant timeouts. Straggler
+// sync registrations are dropped until Repair: their waits are already
+// re-registered elsewhere.
 func (s *Switch) Failover() {
+	s.failed = true
 	addrs := make([]uint64, 0, len(s.nvlsRed))
 	for a := range s.nvlsRed {
 		addrs = append(addrs, a)
@@ -231,6 +237,7 @@ func (s *Switch) Failover() {
 // Repair brings a failed plane back into service. Its tables are empty
 // (flushed at failure); routing is restored by the machine.
 func (s *Switch) Repair() {
+	s.failed = false
 	if s.tr.Enabled() {
 		s.tr.Instant(s.pid, 0, "nvswitch.fault", "plane repair", s.eng.Now())
 	}
@@ -464,9 +471,13 @@ func (s *Switch) armRedTimeout(addr uint64, sess *nvlsRedSession) {
 
 // handleSync implements the Group Sync Table: when all expected GPUs have
 // registered a given group/phase key, release packets broadcast to every
-// GPU's synchronizer.
+// GPU's synchronizer. A failed plane drops the registration instead.
 func (s *Switch) handleSync(p *noc.Packet) {
-	s.syncRegister(p)
+	if s.failed {
+		s.stats.SyncDropped++
+	} else {
+		s.syncRegister(p)
+	}
 	s.pkts.Put(p) // registration request absorbed
 }
 

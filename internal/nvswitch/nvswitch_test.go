@@ -546,53 +546,68 @@ func TestEvictionPolicies(t *testing.T) {
 	}
 }
 
-// TestMergeDisabledBroadcastReductionReachesEveryReplica: with the home
-// port's merge unit off, a broadcast (GEMM-AR) contribution bypasses
-// accumulation and is replicated unmerged. Every replica receives it once,
-// as one contribution carrying the issuing access, and only the home
-// replica's copy completes the issuer.
+// TestMergeDisabledBroadcastReductionReachesEveryReplica: a broadcast
+// (GEMM-AR) contribution that bypasses accumulation, because the port's
+// merge unit is off or because its table cannot make room, is replicated
+// unmerged. Every replica receives it once, as one contribution carrying
+// the issuing access, and only the home replica's copy completes the
+// issuer.
 func TestMergeDisabledBroadcastReductionReachesEveryReplica(t *testing.T) {
-	r := newRig(t, 4, -1, 0)
-	r.sw.Port(0).SetDisabled(true)
-	access := &struct{ name string }{"contribution"}
-	done := 0
-	r.eng.At(0, func() {
-		r.send(2, &noc.Packet{
-			Op: noc.OpRedCAIS, Addr: 0x1300, Home: 0, Src: 2, Dst: -1,
-			Size: 1024, Contribs: 4, Tag: access, OnDone: func() { done++ },
-		})
-	})
-	r.eng.Run()
-	for g := 0; g < 4; g++ {
-		var copies []*noc.Packet
-		for _, p := range r.gpus[g].received {
-			if p.Op == noc.OpRedCAIS {
-				copies = append(copies, p)
+	cases := []struct {
+		name     string
+		capacity int64
+		disabled bool
+	}{
+		{"merge unit disabled", -1, true},
+		{"table too small", 512, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, 4, c.capacity, 0)
+			r.sw.Port(0).SetDisabled(c.disabled)
+			access := &struct{ name string }{"contribution"}
+			done := 0
+			r.eng.At(0, func() {
+				r.send(2, &noc.Packet{
+					Op: noc.OpRedCAIS, Addr: 0x1300, Home: 0, Src: 2, Dst: -1,
+					Size: 1024, Contribs: 4, Tag: access, OnDone: func() { done++ },
+				})
+			})
+			r.eng.Run()
+			for g := 0; g < 4; g++ {
+				var copies []*noc.Packet
+				for _, p := range r.gpus[g].received {
+					if p.Op == noc.OpRedCAIS {
+						copies = append(copies, p)
+					}
+				}
+				if len(copies) != 1 {
+					t.Fatalf("gpu %d received %d copies, want 1", g, len(copies))
+				}
+				p := copies[0]
+				if p.Contribs != 1 || p.Size != 1024 || p.Tag != access {
+					t.Fatalf("gpu %d copy: contribs=%d size=%d tag=%v, want one 1 KB contribution with the access",
+						g, p.Contribs, p.Size, p.Tag)
+				}
+				if (p.OnDone != nil) != (g == 0) {
+					t.Fatalf("gpu %d copy carries OnDone = %v; only the home copy completes the issuer", g, p.OnDone != nil)
+				}
 			}
-		}
-		if len(copies) != 1 {
-			t.Fatalf("gpu %d received %d copies, want 1", g, len(copies))
-		}
-		p := copies[0]
-		if p.Contribs != 1 || p.Size != 1024 || p.Tag != access {
-			t.Fatalf("gpu %d copy: contribs=%d size=%d tag=%v, want one 1 KB contribution with the access",
-				g, p.Contribs, p.Size, p.Tag)
-		}
-		if (p.OnDone != nil) != (g == 0) {
-			t.Fatalf("gpu %d copy carries OnDone = %v; only the home copy completes the issuer", g, p.OnDone != nil)
-		}
-	}
-	if done != 1 {
-		t.Fatalf("issuer completed %d times, want 1", done)
-	}
-	if st := r.sw.Summary(); st.BypassReds != 1 || st.MergedReds != 0 {
-		t.Fatalf("bypassed=%d merged=%d, want 1/0", st.BypassReds, st.MergedReds)
+			if done != 1 {
+				t.Fatalf("issuer completed %d times, want 1", done)
+			}
+			if st := r.sw.Summary(); st.BypassReds != 1 || st.MergedReds != 0 {
+				t.Fatalf("bypassed=%d merged=%d, want 1/0", st.BypassReds, st.MergedReds)
+			}
+		})
 	}
 }
 
 // TestFailoverReturnsSyncEntriesToPool: the Group Sync Table entries a
 // failed plane drops go back to its pool, so once the plane has failed
-// over every pooled object is idle.
+// over every pooled object is idle. A registration still draining into
+// the failed plane is dropped too (its wait was re-registered on a
+// survivor), and after Repair the table accepts registrations again.
 func TestFailoverReturnsSyncEntriesToPool(t *testing.T) {
 	r := newRig(t, 4, -1, 0)
 	r.eng.At(0, func() {
@@ -612,5 +627,30 @@ func TestFailoverReturnsSyncEntriesToPool(t *testing.T) {
 	}
 	if n := r.sw.Summary().SyncDropped; n != 4 {
 		t.Fatalf("sync entries dropped = %d, want 4", n)
+	}
+
+	r.eng.At(r.eng.Now(), func() {
+		r.send(3, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: 0, Src: 3, Contribs: 4})
+	})
+	r.eng.Run()
+	if _, allocs, idle := r.sw.PoolStats(); idle != allocs {
+		t.Fatalf("straggler after failover: %d of %d pooled objects idle", idle, allocs)
+	}
+	if n := r.sw.Summary().SyncDropped; n != 5 {
+		t.Fatalf("sync entries and registrations dropped = %d, want 5", n)
+	}
+
+	r.sw.Repair()
+	r.eng.At(r.eng.Now(), func() {
+		for g := 0; g < 4; g++ {
+			r.send(g, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: 9, Src: g, Contribs: 4})
+		}
+	})
+	r.eng.Run()
+	if st := r.sw.Summary(); st.SyncReleases != 1 || st.SyncDropped != 5 {
+		t.Fatalf("after repair: %d releases, %d dropped; want 1 and 5", st.SyncReleases, st.SyncDropped)
+	}
+	if _, allocs, idle := r.sw.PoolStats(); idle != allocs {
+		t.Fatalf("after repair: %d of %d pooled objects idle", idle, allocs)
 	}
 }

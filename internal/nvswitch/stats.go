@@ -121,7 +121,7 @@ type Summary struct {
 
 	// Fault tolerance (plane failover, see DESIGN.md §8).
 	NvlsTimeoutFlushes int64 `metric:"nvls_timeout_flushes"` // NVLS push sessions flushed partial by timeout/failover
-	SyncDropped        int64 `metric:"sync_dropped"`         // sync entries dropped when the plane failed
+	SyncDropped        int64 `metric:"sync_dropped"`         // sync entries dropped at failover, plus registrations reaching the failed plane
 	SyncDuplicates     int64 `metric:"sync_duplicates"`      // duplicate registrations tolerated in fault mode
 
 	// Session lifetime (first arrival to release).

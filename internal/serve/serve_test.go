@@ -254,7 +254,7 @@ func TestStrategyCostPrivateCacheMatchesShared(t *testing.T) {
 // TestStrategyCostRejectsUncacheableOptions: live callbacks cannot memoize,
 // so the constructor refuses them up front.
 func TestStrategyCostRejectsUncacheableOptions(t *testing.T) {
-	opts := strategy.Options{Progress: func(sim.Time, uint64) {}, ProgressEvery: 1}
+	opts := strategy.Options{Progress: func(sim.Time, uint64) {}}
 	if _, err := NewStrategyCost(tinyHW(), strategy.CAIS(), tinyModel(), 1, opts, nil); err == nil {
 		t.Fatal("uncacheable options accepted")
 	}

@@ -1,13 +1,13 @@
 #!/bin/sh
 # check.sh — the repo's one pre-merge gate; `make check` and CI both run it.
 # Runs formatting, vet (root and caisbench modules), build, caislint (the
-# determinism & unit-safety analyzer), the full test suite (plain, for the
-# caisbench module, and under the race detector), one caisbench pass that
-# checks every workload's golden digests, the disabled-tracer zero-alloc
-# benchmark, the four examples (run, output discarded), the quick
-# resilience, attribution and serving smokes, and the CLI's parallel quick
-# sweep compared byte for byte with the committed golden
-# (internal/experiments/testdata/golden/quick.txt).
+# determinism & unit-safety analyzer), the full test suite (the root module
+# plain and under the race detector, the caisbench module under the race
+# detector), one caisbench pass that checks every workload's golden
+# digests, the disabled-tracer zero-alloc benchmark, the four examples
+# (run, output discarded), the quick resilience, attribution and serving
+# smokes, and the CLI's parallel quick sweep compared byte for byte with
+# the committed golden (internal/experiments/testdata/golden/quick.txt).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,8 +37,10 @@ go run ./cmd/caislint ./...
 echo "== go test"
 go test ./...
 
-echo "== go test (cmd/caisbench module)"
-(cd cmd/caisbench && go test ./...)
+# Under the race detector: TestRecorderFromSweepWorkers records from sweep
+# workers, and the root module's -race pass below does not reach this module.
+echo "== go test -race (cmd/caisbench module)"
+(cd cmd/caisbench && go test -race ./...)
 
 # One pass of all four caisbench workloads: it checks all 45 golden
 # digests in cmd/caisbench/testdata/golden.json (each hashes a run's
