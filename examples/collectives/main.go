@@ -76,18 +76,12 @@ func runAllGather(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err erro
 		if rows < model.TileM {
 			rows = model.TileM
 		}
-		src := b.NewSharded(rows)
 		copies := b.NewGathered(rows)
-		var tiles []kernel.Tile
-		for mi := 0; mi < src.MTiles; mi++ {
-			tiles = append(tiles, src.Tile(mi))
-		}
-		s.PublishTiles(tiles)
 		in := func(g, mi, ni int) []kernel.Tile { return nil }
 		if useNVLS {
-			s.Stage(b.NVLSAllGather("ag", src, cols, in, copies))
+			s.Stage(b.NVLSAllGather("ag", cols, in, copies))
 		} else {
-			s.Stage(b.RingAllGather("ag", src, cols, in, copies))
+			s.Stage(b.RingAllGather("ag", cols, in, copies))
 		}
 		res, err := s.Run()
 		return res.Drained, err

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"cais/internal/attrib"
+	"cais/internal/config"
 	"cais/internal/faults"
 	"cais/internal/memo"
 	"cais/internal/metrics"
@@ -34,9 +35,9 @@ import (
 //
 //   - quick.txt is the verbatim stdout of `caissim -experiment all -quick`.
 //   - points.txt has one "key elapsed_ps digest" line per labeled sweep
-//     point (its attribution JSON), per strategy × {prefill, training} at
-//     one layer of the quick model, and per traced CAIS run, plus the memo
-//     run's lookup and simulated counts. A digest is 16 hex digits of
+//     point (its attribution JSON), per strategy × {prefill, training,
+//     prefill on one GPU} at one layer of the quick model, and per traced
+//     CAIS run, plus the memo run's lookup and simulated counts. A digest is 16 hex digits of
 //     SHA-256, the format of caisbench's goldens. Telemetry enters a digest
 //     without the host allocator gauges (pool.*, arena.*): they move when a
 //     pool is added or deleted, while no simulated number does.
@@ -267,15 +268,23 @@ func attribPoints(t *testing.T, a *attrib.Aggregator, points map[string]string) 
 }
 
 // strategyPoints enters every strategy for one prefill and one training
-// layer of the quick model with attribution on, fanned out at GOMAXPROCS
-// workers.
+// layer of the quick model, and for one prefill layer on a single GPU,
+// where every collective degenerates to a local copy, with attribution on,
+// fanned out at GOMAXPROCS workers.
 func strategyPoints(t *testing.T, points map[string]string) {
 	t.Helper()
 	hw := Quick().HW
+	one := hw
+	one.NumGPUs = 1
 	specs := append(strategy.All(), strategy.Extensions()...)
-	phases := []string{"prefill", "training"}
-	vals, err := sweep.Map(len(specs)*len(phases), 0, func(i int) (string, error) {
-		r, err := strategy.RunLayersOpts(hw, specs[i/2], quickModel(), i%2 == 1, 1, strategy.Options{Attrib: true})
+	runs := []struct {
+		key      string
+		hw       config.Hardware
+		training bool
+	}{{"prefill", hw, false}, {"training", hw, true}, {"gpus1", one, false}}
+	vals, err := sweep.Map(len(specs)*len(runs), 0, func(i int) (string, error) {
+		run := runs[i%len(runs)]
+		r, err := strategy.RunLayersOpts(run.hw, specs[i/len(runs)], quickModel(), run.training, 1, strategy.Options{Attrib: true})
 		if err != nil {
 			return "", err
 		}
@@ -285,7 +294,7 @@ func strategyPoints(t *testing.T, points map[string]string) {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
-		points["strategy/"+phases[i%2]+"/"+specs[i/2].Name] = v
+		points["strategy/"+runs[i%len(runs)].key+"/"+specs[i/len(runs)].Name] = v
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"cais/internal/sim"
 )
@@ -52,12 +53,25 @@ var kindNames = map[Kind]string{
 	Straggler:    "straggler",
 }
 
-var kindByName = map[string]Kind{
-	"link-degrade":  LinkDegrade,
-	"link-down":     LinkDown,
-	"plane-down":    PlaneDown,
-	"merge-disable": MergeDisable,
-	"straggler":     Straggler,
+// kindByName and dirByName are the name tables' inverses, the JSON
+// grammar Parse reads, so a named value always parses.
+var (
+	kindByName = inverse(kindNames)
+	dirByName  = inverse(dirNames)
+)
+
+// inverse maps each name in a name table back to its value, walking the
+// enum up from 0 until a value has no name: caislint's exhaustive check
+// keeps every value of the enum in the table.
+func inverse[E ~int](names map[E]string) map[string]E {
+	out := make(map[string]E, len(names))
+	for e := E(0); ; e++ {
+		s, ok := names[e]
+		if !ok {
+			return out
+		}
+		out[s] = e
+	}
 }
 
 func (k Kind) String() string {
@@ -352,15 +366,10 @@ func Parse(data []byte) (*Schedule, error) {
 		if jf.Factor != nil {
 			f.Factor = *jf.Factor
 		}
-		switch jf.Dir {
-		case "", "both":
-			f.Dir = DirBoth
-		case "up":
-			f.Dir = DirUp
-		case "down":
-			f.Dir = DirDown
-		default:
-			return nil, fmt.Errorf("faults: fault %d: unknown dir %q (valid: both, up, down)", i, jf.Dir)
+		if jf.Dir != "" { // omitted: both directions, the zero Dir
+			if f.Dir, ok = dirByName[jf.Dir]; !ok {
+				return nil, fmt.Errorf("faults: fault %d: unknown dir %q (valid: both, up, down)", i, jf.Dir)
+			}
 		}
 		s.Faults = append(s.Faults, f)
 	}
@@ -383,12 +392,5 @@ func KindNames() string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return strings.Join(names, ", ")
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -185,5 +186,40 @@ func TestKindAndDirStrings(t *testing.T) {
 	}
 	if !strings.Contains(KindNames(), "straggler") {
 		t.Errorf("KindNames() = %q", KindNames())
+	}
+}
+
+// TestNamesParseBack: every Kind and Dir name parses back to its value,
+// and an omitted dir means both directions. The walk from 0 must reach
+// every named value, so the enums stay gap-free for the inverse tables.
+func TestNamesParseBack(t *testing.T) {
+	parse := func(kind, dir string) Fault {
+		t.Helper()
+		s, err := Parse([]byte(fmt.Sprintf(`{"faults": [{"kind": %q, "dir": %q}]}`, kind, dir)))
+		if err != nil {
+			t.Fatalf("kind %q, dir %q: %v", kind, dir, err)
+		}
+		return s.Faults[0]
+	}
+	k := Kind(0)
+	for ; kindNames[k] != ""; k++ {
+		if got := parse(k.String(), "").Kind; got != k {
+			t.Errorf("kind %q parses to %v, want %v", k.String(), got, k)
+		}
+	}
+	if int(k) != len(kindNames) {
+		t.Errorf("walk from 0 named %d kinds, the table %d", k, len(kindNames))
+	}
+	d := Dir(0)
+	for ; dirNames[d] != ""; d++ {
+		if got := parse("link-down", d.String()).Dir; got != d {
+			t.Errorf("dir %q parses to %v, want %v", d.String(), got, d)
+		}
+	}
+	if int(d) != len(dirNames) {
+		t.Errorf("walk from 0 named %d dirs, the table %d", d, len(dirNames))
+	}
+	if got := parse("link-down", "").Dir; got != DirBoth {
+		t.Errorf("omitted dir parses to %v, want both", got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // warmRowTiles returns a builder whose cache has interned every (row, gpu)
 // set of a 4096x4096 grid, so each later lookup is one map probe.
-func warmRowTiles(tb testing.TB) (*Builder, LocalGrid) {
+func warmRowTiles(tb testing.TB) (*Builder, Tensor) {
 	bl := testBuilder(tb)
 	grid := bl.NewLocalGrid(4096, 4096)
 	for mi := 0; mi < grid.MTiles; mi++ {

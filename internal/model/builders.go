@@ -13,7 +13,7 @@ import (
 // buffer and address-space allocation so kernels built for the same
 // machine never collide, plus the per-run allocation state kernel Work
 // generators draw descriptor slices from: the machine's tile/access
-// arenas and a tile-set intern cache (DESIGN.md §10).
+// arenas and one tile-set intern cache (DESIGN.md §10).
 type Builder struct {
 	M    *machine.Machine
 	Elem int64 // element width in bytes
@@ -21,14 +21,14 @@ type Builder struct {
 
 	tiles *pool.Arena[kernel.Tile]
 	accs  *pool.Arena[kernel.Access]
-	cache *TileCache
+	sets  map[tileSetKey][]kernel.Tile // see tileSet
 }
 
 // NewBuilder creates a builder for a machine.
 func NewBuilder(m *machine.Machine) *Builder {
 	return &Builder{
 		M: m, Elem: int64(m.HW.ElemBytes), P: m.HW.NumGPUs,
-		tiles: m.TileArena(), accs: m.AccessArena(), cache: &TileCache{},
+		tiles: m.TileArena(), accs: m.AccessArena(), sets: map[tileSetKey][]kernel.Tile{},
 	}
 }
 
@@ -36,40 +36,34 @@ func NewBuilder(m *machine.Machine) *Builder {
 // []kernel.Tile{t} literals on the kernel-construction hot path.
 func (b *Builder) Tile1(t kernel.Tile) []kernel.Tile { return b.tiles.One(t) }
 
-// RowTiles is grid.RowTiles interned through the builder's cache.
-func (b *Builder) RowTiles(grid LocalGrid, mi, gpu int) []kernel.Tile {
-	return grid.RowTiles(mi, gpu, b.cache)
+// newTensor allocates an mT x nT-block tensor held in p copies.
+func (b *Builder) newTensor(mT, nT, p int) Tensor {
+	return Tensor{Buf: b.M.NewBuffer(mT * nT * p), MTiles: mT, NTiles: nT, P: p}
 }
 
-// PeerTiles is grid.PeerTiles interned through the builder's cache.
-func (b *Builder) PeerTiles(grid LocalGrid, mi, ni int) []kernel.Tile {
-	return grid.PeerTiles(mi, ni, b.cache)
+// NewSharded allocates a sequence-sharded activation of rows rows: one
+// copy, each row block at its owner.
+func (b *Builder) NewSharded(rows int) Tensor { return b.newTensor(MTiles(rows), 1, 1) }
+
+// NewGathered allocates a replicated activation: every GPU holds a copy
+// of every row block.
+func (b *Builder) NewGathered(rows int) Tensor { return b.newTensor(MTiles(rows), 1, b.P) }
+
+// NewLocalGrid allocates a rows x cols tile grid with a copy per GPU.
+func (b *Builder) NewLocalGrid(rows, cols int) Tensor {
+	return b.newTensor(MTiles(rows), NTiles(cols), b.P)
 }
 
-// NewSharded allocates a sequence-sharded tensor handle for rows rows.
-func (b *Builder) NewSharded(rows int) Sharded {
-	mT := MTiles(rows)
-	return Sharded{Buf: b.M.NewBuffer(mT), MTiles: mT, P: b.P}
-}
+// NewParts allocates reduced parts: one copy, block (mi, ni) at the row
+// owner.
+func (b *Builder) NewParts(rows, cols int) Tensor { return b.newTensor(MTiles(rows), NTiles(cols), 1) }
 
-// NewGathered allocates a per-GPU replicated tensor handle.
-func (b *Builder) NewGathered(rows int) Gathered {
-	mT := MTiles(rows)
-	return Gathered{Buf: b.M.NewBuffer(mT * b.P), MTiles: mT, P: b.P}
-}
-
-// NewLocalGrid allocates a per-GPU tile-grid handle.
-func (b *Builder) NewLocalGrid(rows, cols int) LocalGrid {
-	mT, nT := MTiles(rows), NTiles(cols)
-	return LocalGrid{Buf: b.M.NewBuffer(mT * nT * b.P), MTiles: mT, NTiles: nT, P: b.P}
-}
-
-// NewParts allocates a reduced-parts handle (tile grid without a GPU
-// dimension: block (mi, ni) lives at the row owner).
-func (b *Builder) NewParts(rows, cols int) LocalGrid {
-	mT, nT := MTiles(rows), NTiles(cols)
-	return LocalGrid{Buf: b.M.NewBuffer(mT * nT), MTiles: mT, NTiles: nT, P: 1}
-}
+// owner maps a row block to the GPU holding it in a one-copy tensor.
+// Ownership is block-cyclic (round-robin): consecutive row blocks live on
+// different GPUs, which spreads concurrent merge sessions across the
+// switch ports of different home GPUs — the load balance the paper's
+// 40 KB/port bound relies on.
+func (b *Builder) owner(mi int) int { return mi % b.P }
 
 // gemmTB fills the compute cost of one 128x128xK GEMM thread block.
 func (b *Builder) gemmTB(k int, scale float64) (flops float64, localBytes int64) {
@@ -105,13 +99,13 @@ func (b *Builder) group(tb, owner, g int, coord kernel.Coordination) (group, pee
 }
 
 // InTiles wires a consumer kernel's TB inputs; implementations close over
-// the producer handles chosen by the strategy.
+// the producer tensors chosen by the strategy.
 type InTiles func(gpu, mi, ni int) []kernel.Tile
 
 // GEMM builds a pure-local GEMM kernel (column-parallel GEMMs whose input
 // is already local, weight-gradient GEMMs, attention projections):
 // M x nLocal output, contraction over k.
-func (b *Builder) GEMM(name string, m, nLocal, k int, scale float64, in InTiles, out LocalGrid) *kernel.Kernel {
+func (b *Builder) GEMM(name string, m, nLocal, k int, scale float64, in InTiles, out Tensor) *kernel.Kernel {
 	mT, nT := MTiles(m), NTiles(nLocal)
 	flops, localBytes := b.gemmTB(k, scale)
 	return &kernel.Kernel{
@@ -148,8 +142,8 @@ const (
 // block mi and publishes the local copy; TBs (mi, ni>0) consume the copy.
 // src holds the gathered operand (width k); out is the M x nLocal result.
 // coord applies to GatherCAIS only; the loaders form the TB groups.
-func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale float64,
-	mode GatherMode, coord kernel.Coordination, out LocalGrid) *kernel.Kernel {
+func (b *Builder) FusedAGGEMM(name string, src Tensor, m, nLocal, k int, scale float64,
+	mode GatherMode, coord kernel.Coordination, out Tensor) *kernel.Kernel {
 
 	mT, nT := MTiles(m), NTiles(nLocal)
 	if src.MTiles != mT {
@@ -187,7 +181,7 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 				Flops: flops, LocalBytes: localBytes, Group: -1,
 				Out: b.tiles.One(out.Tile(mi, ni, g)),
 			}
-			owner := src.Owner(mi)
+			owner := b.owner(mi)
 			if !merged {
 				// Every TB fetches its operand rows itself, with no copy
 				// staging — the redundant-traffic mode.
@@ -195,17 +189,17 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 					Sem: kernel.SemRead, Mode: loadOp, Local: owner == g,
 					Addr: pattern.AddrAt(g, tb), Home: owner, Bytes: rowBytes,
 				})
-				d.In = b.tiles.One(src.Tile(mi))
+				d.In = b.tiles.One(src.Tile(mi, 0, g))
 				return d
 			}
 			if ni != 0 {
-				d.In = b.tiles.One(copies.Tile(mi, g))
+				d.In = b.tiles.One(copies.Tile(mi, 0, g))
 				return d
 			}
 			d.Group, d.GroupPeers = b.group(tb, owner, g, coord)
 			acc := kernel.Access{
 				Sem: kernel.SemRead, Addr: pattern.AddrAt(g, tb), Home: owner, Bytes: rowBytes,
-				Publish: b.tiles.One(copies.Tile(mi, g)),
+				Publish: b.tiles.One(copies.Tile(mi, 0, g)),
 			}
 			if owner == g {
 				acc.Mode = noc.OpLoad
@@ -215,7 +209,7 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 				acc.Expected = b.P - 1
 			}
 			d.Pre = b.accs.One(acc)
-			d.In = b.tiles.One(src.Tile(mi))
+			d.In = b.tiles.One(src.Tile(mi, 0, g))
 			return d
 		},
 	}
@@ -246,17 +240,16 @@ const (
 // FusedGEMMReduce builds the compute-aware GEMM-reduce kernel: each TB
 // computes a partial output tile and immediately issues its reduction,
 // following the write semantics of the computation. n is the full output
-// width; kLocal the per-GPU contraction shard. Row block mi's owner is
-// mi % P, Sharded.Owner's rule.
+// width; kLocal the per-GPU contraction shard.
 //
 // Under ReduceCAISBroadcast every GPU contributes through the switch, out
-// is the per-GPU replica grid, and out.Tile(mi, ni, g) publishes at GPU g
-// when its reduced copy lands. The other modes reduce toward the row
-// owner, which contributes its own partial locally: out is the parts grid
-// (P = 1), and out.Tile(mi, ni, 0) publishes at the owner once all P
-// contributions have landed. coord applies to the CAIS modes only.
+// has a copy per GPU, and out.Tile(mi, ni, g) publishes at GPU g when its
+// reduced copy lands. The other modes reduce toward the row owner, which
+// contributes its own partial locally: out is the one-copy parts tensor,
+// and its tile publishes at the owner once all P contributions have
+// landed. coord applies to the CAIS modes only.
 func (b *Builder) FusedGEMMReduce(name string, m, n, kLocal int, scale float64, in InTiles,
-	mode ReduceMode, coord kernel.Coordination, out LocalGrid) *kernel.Kernel {
+	mode ReduceMode, coord kernel.Coordination, out Tensor) *kernel.Kernel {
 
 	mT, nT := MTiles(m), NTiles(n)
 	bcast := mode == ReduceCAISBroadcast
@@ -265,7 +258,7 @@ func (b *Builder) FusedGEMMReduce(name string, m, n, kLocal int, scale float64, 
 		outP = b.P
 	}
 	if out.MTiles != mT || out.NTiles != nT || out.P != outP {
-		panic(fmt.Sprintf("model: %s: out handle mismatch", name))
+		panic(fmt.Sprintf("model: %s: out tensor mismatch", name))
 	}
 	tileBytes := b.tileBytes()
 	addrsPerTile := b.M.HW.RequestChunks(tileBytes)
@@ -292,7 +285,7 @@ func (b *Builder) FusedGEMMReduce(name string, m, n, kLocal int, scale float64, 
 		Name: name, Kind: kernel.KindGEMM, Grid: mT * nT, Coord: coord,
 		Work: func(g, tb int) kernel.TBDesc {
 			mi, ni := tb/nT, tb%nT
-			owner := mi % b.P
+			owner := b.owner(mi)
 			acc := kernel.Access{
 				Sem: kernel.SemReduce, Mode: redOp, Addr: pattern.AddrAt(g, tb),
 				Home: owner, Bytes: tileBytes, TileNeed: b.P,
@@ -325,59 +318,19 @@ func (b *Builder) FusedGEMMReduce(name string, m, n, kLocal int, scale float64, 
 	}
 }
 
-// ShardedRowOp builds a sequence-sharded row-wise kernel (LN, dropout/add
-// under SP): GPU g processes only the row blocks it owns; its TB publishes
-// the block's sharded tile. in wires the dependencies of an owned block
-// (ni is always 0 for row ops).
-func (b *Builder) ShardedRowOp(name string, kind kernel.Kind, rows, cols int, in InTiles, out Sharded) *kernel.Kernel {
-	mT := MTiles(rows)
-	if out.MTiles != mT {
-		panic(fmt.Sprintf("model: %s: out has %d blocks, op needs %d", name, out.MTiles, mT))
-	}
-	bytes := 3 * b.rowBytes(cols) // read, normalize, write
-	return &kernel.Kernel{
-		Name: name, Kind: kind, Grid: mT,
-		Work: func(g, tb int) kernel.TBDesc {
-			if out.Owner(tb) != g {
-				return kernel.TBDesc{Group: -1}
-			}
-			return kernel.TBDesc{
-				LocalBytes: bytes, Group: -1,
-				In:  in(g, tb, 0),
-				Out: b.tiles.One(out.Tile(tb)),
-			}
-		},
-	}
-}
-
-// ReplicatedRowOp builds a replicated row-wise kernel (LN under Basic TP):
-// every GPU processes every row block on its own copy.
-func (b *Builder) ReplicatedRowOp(name string, kind kernel.Kind, rows, cols int, in InTiles, out Gathered) *kernel.Kernel {
-	mT := MTiles(rows)
-	bytes := 3 * b.rowBytes(cols)
-	return &kernel.Kernel{
-		Name: name, Kind: kind, Grid: mT,
-		Work: func(g, tb int) kernel.TBDesc {
-			return kernel.TBDesc{
-				LocalBytes: bytes, Group: -1,
-				In:  in(g, tb, 0),
-				Out: b.tiles.One(out.Tile(tb, g)),
-			}
-		},
-	}
-}
-
-// LocalRowOp builds a per-GPU row-wise elementwise kernel over a local
-// grid (GeLU on the column-parallel FFN activation): GPU g transforms its
-// own shard in place.
-func (b *Builder) LocalRowOp(name string, rows int, in InTiles, out LocalGrid) *kernel.Kernel {
-	mT := MTiles(rows)
+// RowOp builds a row-wise kernel (LN, GeLU, dropout/add), one TB per
+// block of out, each moving bytes of HBM traffic. TB (mi, ni) on GPU g
+// reads in(g, mi, ni) and publishes GPU g's copy of the block; on a
+// one-copy output only the row owner's TB works.
+func (b *Builder) RowOp(name string, kind kernel.Kind, bytes int64, in InTiles, out Tensor) *kernel.Kernel {
 	nT := out.NTiles
-	bytes := 2 * int64(TileM) * int64(TileN) * b.Elem
 	return &kernel.Kernel{
-		Name: name, Kind: kernel.KindElemwise, Grid: mT * nT,
+		Name: name, Kind: kind, Grid: out.MTiles * nT,
 		Work: func(g, tb int) kernel.TBDesc {
 			mi, ni := tb/nT, tb%nT
+			if out.P == 1 && b.owner(mi) != g {
+				return kernel.TBDesc{Group: -1}
+			}
 			return kernel.TBDesc{
 				LocalBytes: bytes, Group: -1,
 				In:  in(g, mi, ni),
@@ -392,7 +345,7 @@ func (b *Builder) LocalRowOp(name string, rows int, in InTiles, out LocalGrid) *
 // K/V sequence. qkv is the QKV projection's local output grid (column ni
 // indexes heads); out receives the context blocks.
 func (b *Builder) Attention(name string, batch, headsLocal, seq, headDim int, scale float64,
-	qkv LocalGrid, out LocalGrid) *kernel.Kernel {
+	qkv, out Tensor) *kernel.Kernel {
 
 	sT := MTiles(seq)
 	grid := batch * headsLocal * sT
@@ -409,15 +362,8 @@ func (b *Builder) Attention(name string, batch, headsLocal, seq, headDim int, sc
 			// K/V column of its head (token rows of this batch element).
 			// The column set is shared by every query block of the same
 			// (batch, head, gpu), so it interns in the builder's cache.
-			key := tileSetKey{kind: setAttn, buf: qkv.Buf, a: bIdx*qkv.NTiles + ni, b: g}
-			in, ok := b.cache.lookup(key)
-			if !ok {
-				in = make([]kernel.Tile, 0, sT)
-				for mj := 0; mj < sT; mj++ {
-					in = append(in, qkv.Tile(bIdx*sT+mj, ni, g))
-				}
-				in = b.cache.store(key, in)
-			}
+			in := b.tileSet(tileSetKey{kind: setAttn, buf: qkv.Buf, a: bIdx*qkv.NTiles + ni, b: g}, sT,
+				func(mj int) kernel.Tile { return qkv.Tile(bIdx*sT+mj, ni, g) })
 			return kernel.TBDesc{
 				Flops: flopsPerTB, LocalBytes: bytesPerTB, Group: -1,
 				In:  in,

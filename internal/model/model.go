@@ -3,7 +3,10 @@
 // into operator sequences under Basic TP and TP+Sequence-Parallelism
 // (Fig. 1a/1b), and provides the kernel builders the execution strategies
 // lower those operators with — local GEMMs, CAIS-fused AG-GEMM / GEMM-RS,
-// NVLS and ring collectives, LayerNorm, elementwise and attention kernels.
+// NVLS and ring collectives, row-wise (LayerNorm, elementwise) and
+// attention kernels. Both layouts are one idea: a tensor tiled into
+// 128x128 blocks, held once at each block's row owner or once per GPU —
+// the two values of a Tensor's copy count.
 package model
 
 import (

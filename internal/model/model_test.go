@@ -22,21 +22,18 @@ func testBuilder(t testing.TB) *Builder {
 }
 
 func TestTileHelpers(t *testing.T) {
-	s := Sharded{Buf: 7, MTiles: 16, P: 4}
+	b := testBuilder(t)
 	// Block-cyclic ownership.
 	for mi := 0; mi < 16; mi++ {
-		if s.Owner(mi) != mi%4 {
-			t.Fatalf("owner(%d) = %d, want %d", mi, s.Owner(mi), mi%4)
+		if b.owner(mi) != mi%4 {
+			t.Fatalf("owner(%d) = %d, want %d", mi, b.owner(mi), mi%4)
 		}
 	}
-	if (Sharded{P: 1}).Owner(5) != 0 {
+	if singleGPUBuilder(t).owner(5) != 0 {
 		t.Fatal("single-GPU owner must be 0")
 	}
-	g := Gathered{Buf: 8, MTiles: 16, P: 4}
-	if g.Tile(3, 2) == g.Tile(3, 1) || g.Tile(3, 2) == g.Tile(2, 2) {
-		t.Fatal("gathered tiles must be distinct per (block, gpu)")
-	}
-	l := LocalGrid{Buf: 9, MTiles: 4, NTiles: 3, P: 4}
+	// A tensor with a copy per GPU has a distinct tile per (block, GPU).
+	l := Tensor{Buf: 9, MTiles: 4, NTiles: 3, P: 4}
 	seen := map[kernel.Tile]bool{}
 	for mi := 0; mi < 4; mi++ {
 		for ni := 0; ni < 3; ni++ {
@@ -49,8 +46,20 @@ func TestTileHelpers(t *testing.T) {
 			}
 		}
 	}
-	if len(l.RowTiles(2, 1, nil)) != 3 {
+	// A one-copy tensor has one tile per block, whichever GPU asks.
+	parts := Tensor{Buf: 10, MTiles: 4, NTiles: 3, P: 1}
+	for mi := 0; mi < 4; mi++ {
+		for ni := 0; ni < 3; ni++ {
+			if tl := parts.Tile(mi, ni, 2); tl != parts.Tile(mi, ni, 0) || tl.Idx != mi*3+ni {
+				t.Fatalf("one-copy tile (%d, %d) = %v on GPU 2, %v on GPU 0", mi, ni, tl, parts.Tile(mi, ni, 0))
+			}
+		}
+	}
+	if len(b.RowTiles(l, 2, 1)) != 3 {
 		t.Fatal("RowTiles must span NTiles")
+	}
+	if len(b.PeerTiles(l, 2, 1)) != 4 {
+		t.Fatal("PeerTiles must span the copies")
 	}
 }
 
@@ -58,10 +67,10 @@ func TestOwnershipBalancedProperty(t *testing.T) {
 	f := func(mt uint8, p uint8) bool {
 		P := int(p%8) + 1
 		MT := int(mt) + P // at least one block per GPU
-		s := Sharded{MTiles: MT, P: P}
+		b := &Builder{P: P}
 		counts := make([]int, P)
 		for mi := 0; mi < MT; mi++ {
-			counts[s.Owner(mi)]++
+			counts[b.owner(mi)]++
 		}
 		min, max := counts[0], counts[0]
 		for _, c := range counts {
@@ -177,7 +186,7 @@ func TestFusedAGGEMMLoaderStructure(t *testing.T) {
 	var remoteLoader, localLoader kernel.TBDesc
 	for mi := 0; mi < 4; mi++ {
 		d := k.Work(1, mi*nT) // gpu 1
-		if src.Owner(mi) == 1 {
+		if b.owner(mi) == 1 {
 			localLoader = d
 		} else {
 			remoteLoader = d
@@ -307,16 +316,15 @@ func TestFusedGroupMembership(t *testing.T) {
 
 func TestCommKernelShapes(t *testing.T) {
 	b := testBuilder(t)
-	src := b.NewSharded(512)
 	copies := b.NewGathered(512)
 	in := func(g, mi, ni int) []kernel.Tile { return nil }
 
-	ag := b.NVLSAllGather("ag", src, 1024, in, copies)
+	ag := b.NVLSAllGather("ag", 1024, in, copies)
 	if ag.Kind != kernel.KindComm || ag.CommSMs != b.M.HW.CommSMs {
 		t.Fatal("AG must be a comm kernel on CommSMs")
 	}
 	// The owner's TB pushes with multimem.st and publishes its own copy.
-	ownerTB := ag.Work(src.Owner(0), 0)
+	ownerTB := ag.Work(b.owner(0), 0)
 	if len(ownerTB.Post) != 1 || ownerTB.Post[0].Mode != noc.OpMultimemST {
 		t.Fatalf("owner AG TB = %+v", ownerTB.Post)
 	}
@@ -324,7 +332,7 @@ func TestCommKernelShapes(t *testing.T) {
 		t.Fatal("multicast must publish per receiver")
 	}
 	// Non-owners do nothing.
-	other := ag.Work((src.Owner(0)+1)%b.P, 0)
+	other := ag.Work((b.owner(0)+1)%b.P, 0)
 	if len(other.Post) != 0 {
 		t.Fatal("non-owner AG TB must be empty")
 	}
@@ -349,13 +357,12 @@ func TestCommKernelShapes(t *testing.T) {
 
 func TestRingKernelsHopStructure(t *testing.T) {
 	b := testBuilder(t)
-	src := b.NewSharded(512)
 	copies := b.NewGathered(512)
 	in := func(g, mi, ni int) []kernel.Tile { return nil }
-	ag := b.RingAllGather("ring-ag", src, 1024, in, copies)
+	ag := b.RingAllGather("ring-ag", 1024, in, copies)
 	// Owner forwards its block to the next GPU; the GPU before the owner
 	// does not forward (the ring ends there).
-	owner := src.Owner(0)
+	owner := b.owner(0)
 	ownerTB := ag.Work(owner, 0)
 	if len(ownerTB.Post) != 1 || ownerTB.Post[0].Home != (owner+1)%b.P {
 		t.Fatalf("owner must forward to the next GPU: %+v", ownerTB.Post)
@@ -374,15 +381,72 @@ func TestRingKernelsHopStructure(t *testing.T) {
 
 func TestGateKernel(t *testing.T) {
 	b := testBuilder(t)
-	k, gate := b.GateKernel("gate", 4, func(g, c int) []kernel.Tile {
-		return []kernel.Tile{{Buf: 1, Idx: c}}
-	})
+	grid := b.NewLocalGrid(4*TileM, 2*TileN)
+	k, gate := b.GateKernel("gate", 4, grid)
 	if k.Grid != 4 {
 		t.Fatalf("grid = %d", k.Grid)
 	}
 	d := k.Work(2, 3)
-	if len(d.In) != 1 || len(d.Out) != 1 || d.Out[0] != gate(3, 2) {
-		t.Fatalf("gate TB = %+v", d)
+	want := []kernel.Tile{grid.Tile(3, 0, 2), grid.Tile(3, 1, 2)}
+	if len(d.In) != 2 || d.In[0] != want[0] || d.In[1] != want[1] || len(d.Out) != 1 || d.Out[0] != gate.Tile(3, 2) {
+		t.Fatalf("gate TB = %+v, want In %v", d, want)
+	}
+}
+
+// TestGateChunksPartitionRows: with more chunks than row blocks, fewer,
+// or a count that does not divide them, each row block belongs to exactly
+// one chunk, and chunk c's gate waits on GPU g's copy of exactly the
+// blocks whose Chunk is c, in row order.
+func TestGateChunksPartitionRows(t *testing.T) {
+	b := testBuilder(t)
+	for _, c := range []struct{ rows, chunks int }{{2, 4}, {5, 4}, {8, 4}, {7, 3}, {1, 1}} {
+		grid := b.NewLocalGrid(c.rows*TileM, 2*TileN)
+		k, gate := b.GateKernel("gate", c.chunks, grid)
+		for ch := 0; ch < c.chunks; ch++ {
+			var want []kernel.Tile
+			for mi := 0; mi < c.rows; mi++ {
+				if gate.Chunk(mi) == ch {
+					want = append(want, grid.Tile(mi, 0, 1), grid.Tile(mi, 1, 1))
+				}
+			}
+			got := k.Work(1, ch).In
+			if len(got) != len(want) {
+				t.Fatalf("%d rows in %d chunks: chunk %d waits on %v, want %v", c.rows, c.chunks, ch, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%d rows in %d chunks: chunk %d waits on %v, want %v", c.rows, c.chunks, ch, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRowOpOwnership: on a one-copy output only the row owner's TB works;
+// on an output with a copy per GPU every GPU's TB works on its own copy.
+func TestRowOpOwnership(t *testing.T) {
+	b := testBuilder(t)
+	in := func(g, mi, ni int) []kernel.Tile { return []kernel.Tile{{Buf: 99, Idx: mi}} }
+	sharded := b.NewSharded(4 * TileM)
+	k := b.RowOp("ln", kernel.KindLN, 3, in, sharded)
+	for mi := 0; mi < 4; mi++ {
+		for g := 0; g < b.P; g++ {
+			d := k.Work(g, mi)
+			if works := d.LocalBytes != 0; works != (g == b.owner(mi)) {
+				t.Fatalf("sharded LN: GPU %d on block %d works = %v", g, mi, works)
+			}
+			if g == b.owner(mi) && (len(d.In) != 1 || len(d.Out) != 1 || d.Out[0] != sharded.Tile(mi, 0, g)) {
+				t.Fatalf("sharded LN: owner TB %d = %+v", mi, d)
+			}
+		}
+	}
+	grid := b.NewLocalGrid(2*TileM, 3*TileN)
+	k = b.RowOp("gelu", kernel.KindElemwise, 2, in, grid)
+	if k.Grid != 6 {
+		t.Fatalf("grid = %d, want one TB per block", k.Grid)
+	}
+	if d := k.Work(3, 5); d.LocalBytes != 2 || len(d.Out) != 1 || d.Out[0] != grid.Tile(1, 2, 3) {
+		t.Fatalf("GeLU TB (1, 2) on GPU 3 = %+v", d)
 	}
 }
 
@@ -403,26 +467,48 @@ func singleGPUBuilder(t *testing.T) *Builder {
 }
 
 func TestCollectivesDegenerateAtP1(t *testing.T) {
-	// With one GPU every collective becomes a local republish: no remote
-	// accesses at all.
+	// With one GPU every collective becomes a local republish on the comm
+	// kernel's SMs: TB (mi, ni) reads its input and publishes block
+	// (mi, ni) once, with no accesses at all.
 	b := singleGPUBuilder(t)
-	in := func(g, mi, ni int) []kernel.Tile { return nil }
-	src := b.NewSharded(256)
+	in := func(g, mi, ni int) []kernel.Tile { return []kernel.Tile{{Buf: 99, Idx: mi*100 + ni}} }
 	copies := b.NewGathered(256)
-	parts := b.NewParts(256, 256)
-	outAR := b.NewLocalGrid(256, 256)
-	kernels := []*kernel.Kernel{
-		b.NVLSAllGather("ag", src, 256, in, copies),
-		b.RingAllGather("rag", src, 256, in, copies),
-		b.P2PAllGather("pag", src, 256, in, copies),
-		b.NVLSReduceScatter("rs", 256, 256, in, parts),
-		b.RingReduceScatter("rrs", 256, 256, in, parts),
-		b.NVLSAllReduce("ar", 256, 256, in, outAR),
-		b.RingAllReduce("rar", 256, 256, in, outAR),
+	parts := b.NewParts(256, 512)
+	outAR := b.NewLocalGrid(256, 512)
+	rows := func(mi, ni int) kernel.Tile { return copies.Tile(mi, 0, 0) }
+	grid := func(out Tensor) func(mi, ni int) kernel.Tile {
+		return func(mi, ni int) kernel.Tile { return out.Tile(mi, ni, 0) }
 	}
-	for _, k := range kernels {
-		if got := remoteBytes(k, 0); got != 0 {
-			t.Errorf("%s: remote bytes = %d at P=1, want 0", k.Name, got)
+	for _, c := range []struct {
+		k      *kernel.Kernel
+		nTiles int
+		block  func(mi, ni int) kernel.Tile
+	}{
+		{b.NVLSAllGather("ag", 256, in, copies), 1, rows},
+		{b.RingAllGather("rag", 256, in, copies), 1, rows},
+		{b.P2PAllGather("pag", 256, in, copies), 1, rows},
+		{b.NVLSReduceScatter("rs", 256, 512, in, parts), 4, grid(parts)},
+		{b.RingReduceScatter("rrs", 256, 512, in, parts), 4, grid(parts)},
+		{b.NVLSAllReduce("ar", 256, 512, in, outAR), 4, grid(outAR)},
+		{b.RingAllReduce("rar", 256, 512, in, outAR), 4, grid(outAR)},
+	} {
+		k := c.k
+		if k.Kind != kernel.KindComm || k.CommSMs != b.M.HW.CommSMs {
+			t.Errorf("%s: kind %v on %d SMs, want a comm kernel on CommSMs (%d)", k.Name, k.Kind, k.CommSMs, b.M.HW.CommSMs)
+		}
+		if want := MTiles(256) * c.nTiles; k.Grid != want {
+			t.Errorf("%s: grid = %d, want one TB per block (%d)", k.Name, k.Grid, want)
+		}
+		for tb := 0; tb < k.Grid; tb++ {
+			mi, ni := tb/c.nTiles, tb%c.nTiles
+			d := k.Work(0, tb)
+			if len(d.In) != 1 || d.In[0] != in(0, mi, ni)[0] {
+				t.Errorf("%s: TB (%d, %d) reads %v, want in(0, %d, %d)", k.Name, mi, ni, d.In, mi, ni)
+			}
+			if len(d.Out) != 1 || d.Out[0] != c.block(mi, ni) || len(d.Pre)+len(d.Post) != 0 {
+				t.Errorf("%s: TB (%d, %d) publishes %v with accesses %v %v, want block %v once",
+					k.Name, mi, ni, d.Out, d.Pre, d.Post, c.block(mi, ni))
+			}
 		}
 	}
 }

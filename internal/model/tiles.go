@@ -2,93 +2,54 @@ package model
 
 import "cais/internal/kernel"
 
-// Sharded is a sequence-sharded tensor handle: row block mi lives on
-// Owner(mi); its tile publishes at the owner when the block's data is
-// final (e.g. after a ReduceScatter or a sharded LN).
-type Sharded struct {
-	Buf    int
-	MTiles int
-	P      int // TP degree
-}
-
-// Owner maps a row block to the GPU holding it. Ownership is block-cyclic
-// (round-robin): consecutive row blocks live on different GPUs, which
-// spreads concurrent merge sessions across the switch ports of different
-// home GPUs — the load balance the paper's 40 KB/port bound relies on.
-func (s Sharded) Owner(mi int) int {
-	if s.P <= 1 {
-		return 0
-	}
-	return mi % s.P
-}
-
-// Tile is the global readiness tile for row block mi.
-func (s Sharded) Tile(mi int) kernel.Tile {
-	return kernel.Tile{Buf: s.Buf, Idx: mi}
-}
-
-// Gathered is a per-GPU replicated tensor handle: each GPU holds (or is
-// receiving) a local copy of every row block; tile (mi, g) publishes when
-// GPU g's copy of block mi is locally available.
-type Gathered struct {
-	Buf    int
-	MTiles int
-	P      int
-}
-
-// Tile is GPU g's local-copy readiness tile for row block mi.
-func (g Gathered) Tile(mi, gpu int) kernel.Tile {
-	return kernel.Tile{Buf: g.Buf, Idx: mi*g.P + gpu}
-}
-
-// LocalGrid is a per-GPU tile grid (column-parallel GEMM outputs,
-// row-parallel GEMM partials): tile (mi, ni, g) publishes when GPU g's
-// block is computed locally.
-type LocalGrid struct {
+// Tensor is a tensor tiled into TileM x TileN blocks and held in P copies.
+// With one copy, block (mi, ni) lives only at its row owner
+// (Builder.owner): a sequence-sharded activation, or the reduced parts of
+// a ReduceScatter. With P equal to the TP degree every GPU holds a copy: a
+// replicated activation, a column-parallel GEMM's output, a row-parallel
+// GEMM's partials, an AllReduce result. Row-wise tensors have one column
+// block. Tile (mi, ni, g) publishes when GPU g's copy of the block is
+// final.
+type Tensor struct {
 	Buf    int
 	MTiles int
 	NTiles int
-	P      int
+	P      int // copies: 1, or the TP degree
 }
 
-// Tile is GPU g's readiness tile for block (mi, ni).
-func (l LocalGrid) Tile(mi, ni, gpu int) kernel.Tile {
-	return kernel.Tile{Buf: l.Buf, Idx: (mi*l.NTiles+ni)*l.P + gpu}
+// Tile is GPU g's readiness tile for block (mi, ni); a one-copy tensor
+// returns its only tile for every g. It branches rather than dividing:
+// it runs in every Work call.
+func (t Tensor) Tile(mi, ni, g int) kernel.Tile {
+	if t.P == 1 {
+		return kernel.Tile{Buf: t.Buf, Idx: mi*t.NTiles + ni}
+	}
+	return kernel.Tile{Buf: t.Buf, Idx: (mi*t.NTiles+ni)*t.P + g}
 }
 
-// RowTiles lists all of GPU g's tiles in row mi. With a non-nil cache the
-// slice is interned: every kernel iteration asking for the same row set
-// shares one immutable backing array instead of allocating a fresh one
-// (kernel Work generators re-request identical sets millions of times per
-// sweep point). A nil cache allocates fresh, for callers outside a run.
-func (l LocalGrid) RowTiles(mi, gpu int, c *TileCache) []kernel.Tile {
-	key := tileSetKey{kind: setRow, buf: l.Buf, a: mi, b: gpu}
-	if s, ok := c.lookup(key); ok {
-		return s
-	}
-	out := make([]kernel.Tile, 0, l.NTiles)
-	for ni := 0; ni < l.NTiles; ni++ {
-		out = append(out, l.Tile(mi, ni, gpu))
-	}
-	return c.store(key, out)
+// Gate is the chunk-level barrier of the software-pipelined overlap
+// baselines (CoCoNet, FuseLib): a tensor's row blocks split into
+// contiguous chunks, and chunk c's gate tile on GPU g publishes once g's
+// copy of every block in the chunk has.
+type Gate struct {
+	buf, chunks, mTiles, p int
 }
 
-// PeerTiles lists block (mi, ni) across every GPU of the grid, interned
-// like RowTiles (the pull-mode ReduceScatter gates on all P partials).
-func (l LocalGrid) PeerTiles(mi, ni int, c *TileCache) []kernel.Tile {
-	key := tileSetKey{kind: setPeers, buf: l.Buf, a: mi, b: ni}
-	if s, ok := c.lookup(key); ok {
-		return s
-	}
-	out := make([]kernel.Tile, 0, l.P)
-	for g := 0; g < l.P; g++ {
-		out = append(out, l.Tile(mi, ni, g))
-	}
-	return c.store(key, out)
+// Chunk is the chunk row block mi falls in.
+func (gt Gate) Chunk(mi int) int { return mi * gt.chunks / gt.mTiles }
+
+// Tile is chunk c's gate tile on GPU g.
+func (gt Gate) Tile(c, g int) kernel.Tile { return kernel.Tile{Buf: gt.buf, Idx: c*gt.p + g} }
+
+// rows is chunk c's row-block range [lo, hi): the blocks mi with
+// Chunk(mi) = c.
+func (gt Gate) rows(c int) (lo, hi int) {
+	at := func(c int) int { return (c*gt.mTiles + gt.chunks - 1) / gt.chunks }
+	return at(c), at(c + 1)
 }
 
 // tileSetKey identifies one deterministic tile set. Buffer IDs are unique
-// per machine, so (kind, buf, a, b) can never alias across handles.
+// per machine, so (kind, buf, a, b) can never alias across tensors.
 type tileSetKey struct {
 	kind uint8
 	buf  int
@@ -97,35 +58,39 @@ type tileSetKey struct {
 
 // Tile-set kinds (tileSetKey.kind).
 const (
-	setRow uint8 = iota // LocalGrid.RowTiles: a=mi, b=gpu
-	setPeers
-	setAttn // attention K/V column: a=batch*NTiles+head column, b=gpu
+	setRow   uint8 = iota // RowTiles: a=mi, b=gpu
+	setPeers              // PeerTiles: a=mi, b=ni
+	setAttn               // attention K/V column: a=batch*NTiles+head column, b=gpu
+	setChunk              // gate inputs: buf=the gate's, a=chunk, b=gpu
 )
 
-// TileCache interns the deterministic tile sets kernel Work generators
-// request repeatedly (GEMM input rows, attention K/V columns). Interned
-// slices are immutable and deliberately heap-allocated — never
-// arena-backed — so a machine-layer arena rewind can't corrupt them; the
-// cache is owned by the Builder and dies with the run.
-type TileCache struct {
-	sets map[tileSetKey][]kernel.Tile
-}
-
-func (c *TileCache) lookup(k tileSetKey) ([]kernel.Tile, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s, ok := c.sets[k]
-	return s, ok
-}
-
-func (c *TileCache) store(k tileSetKey, s []kernel.Tile) []kernel.Tile {
-	if c == nil {
+// tileSet returns the interned set for key, listing its n tiles with at
+// on first use. Kernel Work generators re-request identical sets millions
+// of times per sweep point, so every request after the first shares one
+// immutable slice. The slices are heap-allocated, never arena-backed, so a
+// machine-layer arena rewind cannot corrupt them; the cache dies with its
+// Builder.
+func (b *Builder) tileSet(key tileSetKey, n int, at func(i int) kernel.Tile) []kernel.Tile {
+	if s, ok := b.sets[key]; ok {
 		return s
 	}
-	if c.sets == nil {
-		c.sets = make(map[tileSetKey][]kernel.Tile)
+	s := make([]kernel.Tile, n)
+	for i := range s {
+		s[i] = at(i)
 	}
-	c.sets[k] = s
+	b.sets[key] = s
 	return s
+}
+
+// RowTiles lists GPU g's tiles in row mi of t, interned.
+func (b *Builder) RowTiles(t Tensor, mi, g int) []kernel.Tile {
+	return b.tileSet(tileSetKey{kind: setRow, buf: t.Buf, a: mi, b: g}, t.NTiles,
+		func(ni int) kernel.Tile { return t.Tile(mi, ni, g) })
+}
+
+// PeerTiles lists block (mi, ni) across every copy of t, interned (the
+// pull-mode ReduceScatter gates on all P partials).
+func (b *Builder) PeerTiles(t Tensor, mi, ni int) []kernel.Tile {
+	return b.tileSet(tileSetKey{kind: setPeers, buf: t.Buf, a: mi, b: ni}, t.P,
+		func(g int) kernel.Tile { return t.Tile(mi, ni, g) })
 }

@@ -19,64 +19,25 @@ import (
 	"cais/internal/sim"
 )
 
-// DistKind selects a length-distribution family.
-type DistKind int
-
-const (
-	// DistFixed yields Value for every request.
-	DistFixed DistKind = iota
-	// DistUniform yields a uniform integer in [Min, Max].
-	DistUniform
-)
-
-// LengthDist is a configurable token-length distribution.
+// LengthDist is a uniform token-length distribution over [Min, Max]; a
+// fixed length is the one-value range.
 type LengthDist struct {
-	Kind DistKind
-	// Value is the fixed length (DistFixed).
-	Value int
-	// Min/Max bound the uniform draw (DistUniform).
 	Min, Max int
 }
 
 // Fixed returns a distribution yielding v always.
-func Fixed(v int) LengthDist { return LengthDist{Kind: DistFixed, Value: v} }
+func Fixed(v int) LengthDist { return Uniform(v, v) }
 
 // Uniform returns a uniform distribution over [lo, hi].
-func Uniform(lo, hi int) LengthDist { return LengthDist{Kind: DistUniform, Min: lo, Max: hi} }
+func Uniform(lo, hi int) LengthDist { return LengthDist{Min: lo, Max: hi} }
 
-// sample draws one length; results are clamped to at least 1 token.
-func (d LengthDist) sample(rng *sim.RNG) int {
-	n := d.Value
-	switch d.Kind {
-	case DistFixed:
-		// n already set.
-	case DistUniform:
-		lo, hi := d.Min, d.Max
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		n = lo + rng.Intn(hi-lo+1)
-	default:
-		n = d.Value
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// sample draws one length; a fixed length still draws, from its own
+// stream, so it moves no other draw.
+func (d LengthDist) sample(rng *sim.RNG) int { return d.Min + rng.Intn(d.Max-d.Min+1) }
 
 func (d LengthDist) validate(what string) error {
-	switch d.Kind {
-	case DistFixed:
-		if d.Value < 1 {
-			return fmt.Errorf("serve: %s: fixed length %d, want >= 1", what, d.Value)
-		}
-	case DistUniform:
-		if d.Min < 1 || d.Max < d.Min {
-			return fmt.Errorf("serve: %s: uniform bounds [%d,%d], want 1 <= min <= max", what, d.Min, d.Max)
-		}
-	default:
-		return fmt.Errorf("serve: %s: unknown distribution kind %d", what, int(d.Kind))
+	if d.Min < 1 || d.Max < d.Min {
+		return fmt.Errorf("serve: %s: uniform bounds [%d,%d], want 1 <= min <= max", what, d.Min, d.Max)
 	}
 	return nil
 }

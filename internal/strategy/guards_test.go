@@ -37,22 +37,22 @@ func TestLoweringGuards(t *testing.T) {
 	tokens := tinyModel().Tokens()
 
 	expectPanic(t, "attention without a local QKV grid", func() {
-		st := actState{kind: stateSharded, sharded: b.NewSharded(tokens)}
+		st := actState{kind: stateSharded, t: b.NewSharded(tokens)}
 		lower(s, CAIS(), model.OpSpec{Name: "attn", Kind: model.OpAttention,
 			Batch: 1, Heads: 4, Seq: 256, HeadDim: 128}, &st)
 	})
 	expectPanic(t, "row GEMM without a local input grid", func() {
-		st := actState{kind: stateGathered, gathered: b.NewGathered(tokens)}
+		st := actState{kind: stateGathered, t: b.NewGathered(tokens)}
 		lower(s, CAIS(), model.OpSpec{Name: "rg", Kind: model.OpRowGEMM,
 			M: tokens, N: 512, K: 512}, &st)
 	})
 	expectPanic(t, "Basic-TP col GEMM without replicated input", func() {
-		st := actState{kind: stateSharded, sharded: b.NewSharded(tokens)}
+		st := actState{kind: stateSharded, t: b.NewSharded(tokens)}
 		lower(s, TPNVLS(), model.OpSpec{Name: "cg", Kind: model.OpColGEMM,
 			M: tokens, N: 512, K: 512}, &st)
 	})
 	expectPanic(t, "SP gather from a non-sharded state", func() {
-		st := actState{kind: stateLocal, local: b.NewLocalGrid(tokens, 512)}
+		st := actState{kind: stateLocal, t: b.NewLocalGrid(tokens, 512)}
 		lower(s, CAIS(), model.OpSpec{Name: "cg", Kind: model.OpColGEMM,
 			M: tokens, N: 512, K: 512}, &st)
 	})

@@ -19,24 +19,24 @@ type Options = machine.Options
 type Result = core.Result
 
 // stateKind tracks the representation the activation currently lives in.
+// The tensor's shape does not tell them apart: a local shard and a reduced
+// copy can have the same tiling.
 type stateKind int
 
 const (
-	stateNone stateKind = iota
-	stateSharded
-	stateParts
-	stateGathered
-	stateLocal         // column-parallel GEMM output (per-GPU shard)
-	stateReducedCopies // AllReduce result (per-GPU full-width copy)
+	stateNone          stateKind = iota
+	stateSharded                 // sequence-sharded rows (one copy)
+	stateParts                   // ReduceScatter result (one copy)
+	stateGathered                // replicated rows (a copy per GPU)
+	stateLocal                   // column-parallel GEMM output (per-GPU shard)
+	stateReducedCopies           // AllReduce result (per-GPU full-width copy)
 )
 
-// actState is the lowering context threaded through the op sequence.
+// actState is the lowering context threaded through the op sequence: the
+// activation tensor and how it is laid out.
 type actState struct {
-	kind     stateKind
-	sharded  model.Sharded
-	parts    model.LocalGrid
-	gathered model.Gathered
-	local    model.LocalGrid
+	kind stateKind
+	t    model.Tensor
 }
 
 // place adds one op's kernels to the session according to the barrier
@@ -80,9 +80,9 @@ func lower(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 		}
 		tokens := op.Batch * op.Seq
 		out := b.NewLocalGrid(tokens, headsLocal*op.HeadDim)
-		k := b.Attention(op.Name, op.Batch, headsLocal, op.Seq, op.HeadDim, op.ComputeScale(), st.local, out)
+		k := b.Attention(op.Name, op.Batch, headsLocal, op.Seq, op.HeadDim, op.ComputeScale(), st.t, out)
 		place(s, spec.Barrier, k)
-		*st = actState{kind: stateLocal, local: out}
+		*st = actState{kind: stateLocal, t: out}
 
 	default:
 		panic(fmt.Sprintf("strategy: unknown op kind %v", op.Kind))
@@ -90,59 +90,35 @@ func lower(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 }
 
 // lowerRowOp handles LN and elementwise ops in whatever representation the
-// activation currently has.
+// activation currently has. A TB moves three row blocks (read, normalize,
+// write), or two tiles for elementwise on a column-parallel shard (GeLU).
 func lowerRowOp(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 	b := s.Builder()
 	kind := kernel.KindLN
 	if op.Kind == model.OpElemwise {
 		kind = kernel.KindElemwise
 	}
+	src := st.t
+	in := func(g, mi, ni int) []kernel.Tile { return b.Tile1(src.Tile(mi, ni, g)) }
+	if st.kind == stateParts || st.kind == stateReducedCopies {
+		// A reduced tensor is a full-width grid: a row op reads the row.
+		in = func(g, mi, _ int) []kernel.Tile { return b.RowTiles(src, mi, g) }
+	}
+	bytes := 3 * int64(model.TileM) * int64(op.Cols) * b.Elem
+	var next actState
 	switch st.kind {
 	case stateLocal:
-		// Elementwise on a column-parallel shard (GeLU).
-		local := st.local
-		out := b.NewLocalGrid(op.Rows, local.NTiles*model.TileN)
-		k := b.LocalRowOp(op.Name, op.Rows,
-			func(g, mi, ni int) []kernel.Tile { return b.Tile1(local.Tile(mi, ni, g)) }, out)
-		place(s, spec.Barrier, k)
-		*st = actState{kind: stateLocal, local: out}
-
-	case stateParts:
-		// Sharded row op over freshly reduced blocks (SP).
-		parts := st.parts
-		out := b.NewSharded(op.Rows)
-		k := b.ShardedRowOp(op.Name, kind, op.Rows, op.Cols,
-			func(g, mi, _ int) []kernel.Tile { return b.RowTiles(parts, mi, 0) }, out)
-		place(s, spec.Barrier, k)
-		*st = actState{kind: stateSharded, sharded: out}
-
-	case stateSharded:
-		src := st.sharded
-		out := b.NewSharded(op.Rows)
-		k := b.ShardedRowOp(op.Name, kind, op.Rows, op.Cols,
-			func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi)) }, out)
-		place(s, spec.Barrier, k)
-		*st = actState{kind: stateSharded, sharded: out}
-
-	case stateGathered:
-		src := st.gathered
-		out := b.NewGathered(op.Rows)
-		k := b.ReplicatedRowOp(op.Name, kind, op.Rows, op.Cols,
-			func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi, g)) }, out)
-		place(s, spec.Barrier, k)
-		*st = actState{kind: stateGathered, gathered: out}
-
-	case stateReducedCopies:
-		copies := st.local
-		out := b.NewGathered(op.Rows)
-		k := b.ReplicatedRowOp(op.Name, kind, op.Rows, op.Cols,
-			func(g, mi, _ int) []kernel.Tile { return b.RowTiles(copies, mi, g) }, out)
-		place(s, spec.Barrier, k)
-		*st = actState{kind: stateGathered, gathered: out}
-
+		next = actState{kind: stateLocal, t: b.NewLocalGrid(op.Rows, src.NTiles*model.TileN)}
+		bytes = 2 * int64(model.TileM) * int64(model.TileN) * b.Elem
+	case stateSharded, stateParts:
+		next = actState{kind: stateSharded, t: b.NewSharded(op.Rows)}
+	case stateGathered, stateReducedCopies:
+		next = actState{kind: stateGathered, t: b.NewGathered(op.Rows)}
 	default:
 		panic(fmt.Sprintf("strategy: row op %q with no activation state", op.Name))
 	}
+	place(s, spec.Barrier, b.RowOp(op.Name, kind, bytes, in, next.t))
+	*st = next
 }
 
 // lowerColGEMM handles the AllGather + column-parallel GEMM boundary.
@@ -161,28 +137,28 @@ func lowerColGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 		if st.kind != stateGathered {
 			panic(fmt.Sprintf("strategy: %q needs replicated input under Basic TP", op.Name))
 		}
-		src := st.gathered
+		src := st.t
 		k := b.GEMM(op.Name, op.M, nLocal, op.K, scale,
-			func(g, mi, ni int) []kernel.Tile { return b.Tile1(src.Tile(mi, g)) }, out)
+			func(g, mi, ni int) []kernel.Tile { return b.Tile1(src.Tile(mi, 0, g)) }, out)
 		place(s, spec.Barrier, k)
 
 	case AGNVLS, AGRing, AGP2PPush:
 		src := needSharded(st, op.Name)
 		copies := b.NewGathered(op.M)
-		in := func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi)) }
+		in := func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi, 0, g)) }
 		var ag *kernel.Kernel
 		switch spec.Gather {
 		case AGNVLS:
-			ag = b.NVLSAllGather("ag."+op.Name, src, op.K, in, copies)
+			ag = b.NVLSAllGather("ag."+op.Name, op.K, in, copies)
 		case AGRing:
-			ag = b.RingAllGather("ag."+op.Name, src, op.K, in, copies)
+			ag = b.RingAllGather("ag."+op.Name, op.K, in, copies)
 		case AGP2PPush:
-			ag = b.P2PAllGather("ag."+op.Name, src, op.K, in, copies)
+			ag = b.P2PAllGather("ag."+op.Name, op.K, in, copies)
 		default:
 			panic("strategy: unreachable gather impl inside AGNVLS/AGRing/AGP2PPush case")
 		}
 		gemm := b.GEMM(op.Name, op.M, nLocal, op.K, scale,
-			func(g, mi, ni int) []kernel.Tile { return b.Tile1(copies.Tile(mi, g)) }, out)
+			func(g, mi, ni int) []kernel.Tile { return b.Tile1(copies.Tile(mi, 0, g)) }, out)
 		// Stage mode keeps the gather and its consumer together for
 		// fine-grained AG-GEMM overlap (T3's extension); Global mode
 		// splits them (place handles both).
@@ -197,7 +173,7 @@ func lowerColGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 			mode, spec.Coord, out)
 		place(s, spec.Barrier, k)
 	}
-	*st = actState{kind: stateLocal, local: out}
+	*st = actState{kind: stateLocal, t: out}
 }
 
 // lowerRowGEMM handles the row-parallel GEMM + reduction boundary.
@@ -211,7 +187,7 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 	if st.kind != stateLocal {
 		panic(fmt.Sprintf("strategy: row GEMM %q needs a local input grid, have state %d", op.Name, st.kind))
 	}
-	input := st.local
+	input := st.t
 	in := func(g, mi, ni int) []kernel.Tile { return b.RowTiles(input, mi, g) }
 	scale := op.ComputeScale()
 
@@ -234,7 +210,7 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 			ar := build("ar."+op.Name, commIn)
 			place(s, spec.Barrier, gemm, ar)
 		}
-		*st = actState{kind: stateReducedCopies, local: copies}
+		*st = actState{kind: stateReducedCopies, t: copies}
 
 	case RedRSNVLSPull, RedRSRing:
 		partial := b.NewLocalGrid(op.M, op.N)
@@ -256,14 +232,14 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 			rs = b.RingReduceScatter("rs."+op.Name, op.M, op.N, commIn, parts)
 		}
 		place(s, spec.Barrier, gemm, rs)
-		*st = actState{kind: stateParts, parts: parts}
+		*st = actState{kind: stateParts, t: parts}
 
 	case RedARFusedCAIS:
 		copies := b.NewLocalGrid(op.M, op.N)
 		k := b.FusedGEMMReduce(op.Name, op.M, op.N, kLocal, scale, in,
 			model.ReduceCAISBroadcast, spec.Coord, copies)
 		place(s, spec.Barrier, k)
-		*st = actState{kind: stateReducedCopies, local: copies}
+		*st = actState{kind: stateReducedCopies, t: copies}
 
 	case RedRSFusedCAIS, RedRSFusedStore, RedRSFusedNVLSPush:
 		parts := b.NewParts(op.M, op.N)
@@ -279,7 +255,7 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 		k := b.FusedGEMMReduce(op.Name, op.M, op.N, kLocal, scale, in,
 			mode, spec.Coord, parts)
 		place(s, spec.Barrier, k)
-		*st = actState{kind: stateParts, parts: parts}
+		*st = actState{kind: stateParts, t: parts}
 	}
 }
 
@@ -288,63 +264,31 @@ func lowerRowGEMM(s *core.Session, spec Spec, op model.OpSpec, st *actState) {
 // split into per-chunk kernels (CoCoNet) or kept as one kernel whose TBs
 // are gated per chunk (FuseLib).
 func chunkedComms(b *model.Builder, spec Spec, op model.OpSpec,
-	partial model.LocalGrid, build func(string, model.InTiles) *kernel.Kernel) []*kernel.Kernel {
+	partial model.Tensor, build func(string, model.InTiles) *kernel.Kernel) []*kernel.Kernel {
 
-	C := spec.Chunks
-	mT := model.MTiles(op.M)
-	chunkOf := func(mi int) int {
-		c := mi * C / mT
-		if c >= C {
-			c = C - 1
-		}
-		return c
-	}
-	// Gate inputs intern per (gpu, chunk): the set is identical on every
-	// Work re-evaluation, so one immutable slice serves them all.
-	gateIn := make(map[[2]int][]kernel.Tile)
-	gate, gateTile := b.GateKernel("gate."+op.Name, C, func(g, c int) []kernel.Tile {
-		key := [2]int{g, c}
-		if tiles, ok := gateIn[key]; ok {
-			return tiles
-		}
-		var tiles []kernel.Tile
-		for mi := 0; mi < mT; mi++ {
-			if chunkOf(mi) != c {
-				continue
-			}
-			tiles = append(tiles, b.RowTiles(partial, mi, g)...)
-		}
-		gateIn[key] = tiles
-		return tiles
-	})
+	gate, gt := b.GateKernel("gate."+op.Name, spec.Chunks, partial)
+	// A collective TB waits for its row's chunk.
+	gated := func(g, mi, ni int) []kernel.Tile { return b.Tile1(gt.Tile(gt.Chunk(mi), g)) }
 	out := []*kernel.Kernel{gate}
 	if spec.FusedComm {
-		k := build("ar."+op.Name, func(g, mi, ni int) []kernel.Tile {
-			return b.Tile1(gateTile(chunkOf(mi), g))
-		})
-		return append(out, k)
+		return append(out, build("ar."+op.Name, gated))
 	}
-	for c := 0; c < C; c++ {
-		c := c
-		k := build(fmt.Sprintf("ar.%s.c%d", op.Name, c), func(g, mi, ni int) []kernel.Tile {
-			if chunkOf(mi) != c {
-				return nil
-			}
-			return b.Tile1(gateTile(c, g))
-		})
-		out = append(out, chunkFiltered(k, chunkOf, c, model.NTiles(op.N), model.MTiles(op.M)*model.NTiles(op.N)))
+	for c := 0; c < spec.Chunks; c++ {
+		k := build(fmt.Sprintf("ar.%s.c%d", op.Name, c), gated)
+		out = append(out, chunkFiltered(k, gt, c, partial))
 	}
 	return out
 }
 
-// chunkFiltered wraps a collective kernel so TBs outside the chunk are
-// no-ops (they neither move data nor publish tiles). tiles is the number
-// of data tiles per phase (ring AllReduce grids have two phases).
-func chunkFiltered(k *kernel.Kernel, chunkOf func(mi int) int, c, nT, tiles int) *kernel.Kernel {
+// chunkFiltered wraps a collective kernel over t so TBs outside chunk c
+// are no-ops (they neither move data nor publish tiles). A TB's block is
+// its index modulo t's block count (ring AllReduce grids have two
+// phases).
+func chunkFiltered(k *kernel.Kernel, gt model.Gate, c int, t model.Tensor) *kernel.Kernel {
 	orig := k.Work
+	tiles := t.MTiles * t.NTiles
 	k.Work = func(g, tb int) kernel.TBDesc {
-		mi := (tb % tiles) / nT
-		if chunkOf(mi) != c {
+		if gt.Chunk((tb%tiles)/t.NTiles) != c {
 			return kernel.TBDesc{Group: -1}
 		}
 		return orig(g, tb)
@@ -352,50 +296,37 @@ func chunkFiltered(k *kernel.Kernel, chunkOf func(mi int) int, c, nT, tiles int)
 	return k
 }
 
-func needSharded(st *actState, name string) model.Sharded {
+func needSharded(st *actState, name string) model.Tensor {
 	if st.kind != stateSharded {
 		panic(fmt.Sprintf("strategy: %q needs a sharded input under SP, have state %d", name, st.kind))
 	}
-	return st.sharded
+	return st.t
 }
 
 // initialState publishes the chain's input activation and returns the
 // starting lowering state.
 func initialState(s *core.Session, spec Spec, tokens int) actState {
 	b := s.Builder()
-	switch spec.Layout() {
-	case SeqParallel:
-		x := b.NewSharded(tokens)
-		var tiles []kernel.Tile
-		for mi := 0; mi < x.MTiles; mi++ {
-			tiles = append(tiles, x.Tile(mi))
-		}
-		s.PublishTiles(tiles)
-		return actState{kind: stateSharded, sharded: x}
-	default:
-		x := b.NewGathered(tokens)
-		var tiles []kernel.Tile
-		for mi := 0; mi < x.MTiles; mi++ {
-			for g := 0; g < b.P; g++ {
-				tiles = append(tiles, x.Tile(mi, g))
-			}
-		}
-		s.PublishTiles(tiles)
-		return actState{kind: stateGathered, gathered: x}
+	if spec.Layout() == SeqParallel {
+		return publish(s, actState{kind: stateSharded, t: b.NewSharded(tokens)})
 	}
+	return publish(s, actState{kind: stateGathered, t: b.NewGathered(tokens)})
 }
 
-// publishLocalGrid publishes a whole per-GPU grid (workload inputs).
-func publishLocalGrid(s *core.Session, grid model.LocalGrid) {
-	var tiles []kernel.Tile
-	for mi := 0; mi < grid.MTiles; mi++ {
-		for ni := 0; ni < grid.NTiles; ni++ {
-			for g := 0; g < grid.P; g++ {
-				tiles = append(tiles, grid.Tile(mi, ni, g))
+// publish marks every tile of st's tensor ready (workload inputs) and
+// returns st.
+func publish(s *core.Session, st actState) actState {
+	t := st.t
+	tiles := make([]kernel.Tile, 0, t.MTiles*t.NTiles*t.P)
+	for mi := 0; mi < t.MTiles; mi++ {
+		for ni := 0; ni < t.NTiles; ni++ {
+			for g := 0; g < t.P; g++ {
+				tiles = append(tiles, t.Tile(mi, ni, g))
 			}
 		}
 	}
 	s.PublishTiles(tiles)
+	return st
 }
 
 // run assembles a session for the spec, lowers the workload into it with
@@ -426,9 +357,7 @@ func RunSubLayer(hw config.Hardware, spec Spec, sub model.SubLayer, opts Options
 		if kLocal < model.TileN {
 			kLocal = model.TileN
 		}
-		input := b.NewLocalGrid(sub.RowGEMM.M, kLocal)
-		publishLocalGrid(s, input)
-		st := actState{kind: stateLocal, local: input}
+		st := publish(s, actState{kind: stateLocal, t: b.NewLocalGrid(sub.RowGEMM.M, kLocal)})
 
 		lower(s, spec, sub.RowGEMM, &st)
 		lower(s, spec, sub.LN, &st)
