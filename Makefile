@@ -35,10 +35,11 @@ resilience-smoke: build
 	$(GO) run ./cmd/caissim -experiment resilience -quick
 
 # parallel-smoke: every experiment at reduced fidelity on a 4-worker sweep
-# pool, compared byte for byte with the committed golden — exercises the
-# parallel executor end to end through the CLI.
+# pool with attribution on, compared byte for byte with the committed
+# golden — exercises the parallel executor end to end through the CLI and
+# pins that attribution adds no output byte. Writes attrib-report.json.
 parallel-smoke: build
-	$(GO) run ./cmd/caissim -experiment all -quick -parallel 4 | cmp - internal/experiments/testdata/golden/quick.txt
+	$(GO) run ./cmd/caissim -experiment all -quick -parallel 4 -attrib-json attrib-report.json | cmp - internal/experiments/testdata/golden/quick.txt
 
 # experiments-full: regenerate experiments_full.txt, the full-fidelity
 # output EXPERIMENTS.md quotes (about 90 s on 2 vCPUs). CI runs it
@@ -47,10 +48,9 @@ experiments-full: build
 	$(GO) run ./cmd/caissim -experiment all > experiments_full.txt
 
 # attrib-smoke: the time-attribution engine end to end (DESIGN.md §12) —
-# a quick fig17 sweep with the tick-exact JSON report written out; CI
-# uploads the report as a non-gating artifact.
-attrib-smoke: build
-	$(GO) run ./cmd/caissim -experiment fig17 -quick -attrib-json attrib-report.json
+# parallel-smoke with the tick-exact JSON report of every quick point
+# written out; CI uploads the report as a non-gating artifact.
+attrib-smoke: parallel-smoke
 
 # serving-smoke: the request-level serving study (DESIGN.md §13) at reduced
 # fidelity on a 4-worker pool — continuous batching, SLO/goodput evaluation

@@ -22,7 +22,9 @@
 package attrib
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"cais/internal/faults"
 	"cais/internal/machine"
@@ -141,19 +143,12 @@ func merge(iv []interval) []interval {
 	if len(iv) < 2 {
 		return iv
 	}
-	// Insertion-free sort by start (then end) via the standard library
-	// would allocate a closure; lists here are short-lived and offline,
-	// so a simple shell sort keeps it dependency- and alloc-free.
-	for gap := len(iv) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(iv); i++ {
-			v := iv[i]
-			j := i
-			for ; j >= gap && (iv[j-gap].start > v.start || (iv[j-gap].start == v.start && iv[j-gap].end > v.end)); j -= gap {
-				iv[j] = iv[j-gap]
-			}
-			iv[j] = v
+	slices.SortFunc(iv, func(a, b interval) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-	}
+		return cmp.Compare(a.end, b.end)
+	})
 	out := iv[:1]
 	for _, v := range iv[1:] {
 		last := &out[len(out)-1]

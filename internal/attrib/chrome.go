@@ -1,8 +1,10 @@
 package attrib
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"cais/internal/sim"
 	"cais/internal/trace"
@@ -68,16 +70,9 @@ func topFor(r *Report, b Bucket) []Component {
 			out = append(out, c)
 		}
 	}
-	// Stable insertion sort by bucket time descending: component order is
-	// already deterministic, so equal times keep index order.
-	for i := 1; i < len(out); i++ {
-		v := out[i]
-		j := i
-		for ; j > 0 && out[j-1].Buckets[b] < v.Buckets[b]; j-- {
-			out[j] = out[j-1]
-		}
-		out[j] = v
-	}
+	// Stable by bucket time descending: component order is already
+	// deterministic, so equal times keep index order.
+	slices.SortStableFunc(out, func(x, y Component) int { return cmp.Compare(y.Buckets[b], x.Buckets[b]) })
 	if len(out) > topContributors {
 		out = out[:topContributors]
 	}

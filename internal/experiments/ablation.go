@@ -39,50 +39,42 @@ type AblationResult struct {
 // actually matters; under full coordination sessions are so short-lived
 // that the policies coincide.
 func AblationEviction(c Config) (*AblationResult, error) {
-	out := &AblationResult{Title: "merge-unit eviction policy (CAIS-w/o-Coord, LLaMA-7B L2, 40 KB/port)"}
-	sub := model.SubLayers(c.primaryModel())[1]
-	hw := c.microHW()
-	policies := []nvswitch.EvictionPolicy{nvswitch.EvictLRU, nvswitch.EvictFIFO, nvswitch.EvictMRU}
-	results, err := mapPoints(c, len(policies), func(i int) (memo.Entry, error) {
-		pol := policies[i]
-		res, err := c.runSubLayer("ablation-eviction/"+pol.String(), hw, strategy.CAISNoCoord(), sub, strategy.Options{Eviction: pol})
-		if err != nil {
-			return memo.Entry{}, fmt.Errorf("ablation eviction %v: %w", pol, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
+	var variants []ablationVariant
+	for _, pol := range []nvswitch.EvictionPolicy{nvswitch.EvictLRU, nvswitch.EvictFIFO, nvswitch.EvictMRU} {
+		variants = append(variants, ablationVariant{pol.String(), strategy.Options{Eviction: pol}})
 	}
-	// Fold in index order: SlowdownPct references Rows[0] as the baseline.
-	for i, res := range results {
-		out.add(policies[i].String(), res)
-	}
-	return out, nil
+	return ablation(c, "ablation-eviction", "merge-unit eviction policy (CAIS-w/o-Coord, LLaMA-7B L2, 40 KB/port)",
+		strategy.CAISNoCoord(), variants)
 }
 
 // AblationSideband compares the dedicated control/request channel against
 // control packets sharing the data queues — the head-of-line-blocking
 // failure mode that breaks synchronization alignment.
 func AblationSideband(c Config) (*AblationResult, error) {
-	out := &AblationResult{Title: "control/request sideband (CAIS, LLaMA-7B L2)"}
+	return ablation(c, "ablation-sideband", "control/request sideband (CAIS, LLaMA-7B L2)", strategy.CAIS(), []ablationVariant{
+		{"sideband on (default)", strategy.Options{}},
+		{"sideband off", strategy.Options{NoControlSideband: true}},
+	})
+}
+
+// ablationVariant is one design variant: the run options that select it.
+type ablationVariant struct {
+	name string
+	opts strategy.Options
+}
+
+// ablation runs spec on the L2 sub-layer once per variant and folds the
+// rows in variant order, the first being the reference of the others.
+func ablation(c Config, id, title string, spec strategy.Spec, variants []ablationVariant) (*AblationResult, error) {
 	sub := model.SubLayers(c.primaryModel())[1]
 	hw := c.microHW()
-	variants := []struct {
-		name string
-		off  bool
-	}{{"sideband on (default)", false}, {"sideband off", true}}
 	results, err := mapPoints(c, len(variants), func(i int) (memo.Entry, error) {
-		v := variants[i]
-		res, err := c.runSubLayer("ablation-sideband/"+v.name, hw, strategy.CAIS(), sub, strategy.Options{NoControlSideband: v.off})
-		if err != nil {
-			return memo.Entry{}, fmt.Errorf("ablation sideband %s: %w", v.name, err)
-		}
-		return res, nil
+		return c.runSubLayer(id+"/"+variants[i].name, hw, spec, sub, variants[i].opts)
 	})
 	if err != nil {
 		return nil, err
 	}
+	out := &AblationResult{Title: title}
 	for i, res := range results {
 		out.add(variants[i].name, res)
 	}
@@ -92,36 +84,30 @@ func AblationSideband(c Config) (*AblationResult, error) {
 // AblationGranularity sweeps the simulation's request granularity to show
 // the reported shapes are not an artifact of one chunk size.
 func AblationGranularity(c Config) (*AblationResult, error) {
-	out := &AblationResult{Title: "request granularity sensitivity (CAIS speedup over TP-NVLS, LLaMA-7B L2)"}
 	sub := model.SubLayers(c.primaryModel())[1]
 	sizes := []int64{8 << 10, 16 << 10, 32 << 10}
 	if c.Quick {
 		sizes = sizes[1:]
 	}
-	rows, err := mapPoints(c, len(sizes), func(i int) (AblationRow, error) {
-		rb := sizes[i]
+	runs, err := grid(c, sizes, caisVsTPNVLS(), func(rb int64, spec strategy.Spec) (memo.Entry, error) {
 		hw := c.HW
 		hw.RequestBytes = rb
-		caisRes, err := c.runSubLayer(fmt.Sprintf("ablation-granularity/%dKB/CAIS", rb>>10), hw, strategy.CAIS(), sub, strategy.Options{})
-		if err != nil {
-			return AblationRow{}, fmt.Errorf("ablation granularity %d: %w", rb, err)
-		}
-		tp, err := c.runSubLayer(fmt.Sprintf("ablation-granularity/%dKB/TP-NVLS", rb>>10), hw, strategy.TPNVLS(), sub, strategy.Options{})
-		if err != nil {
-			return AblationRow{}, fmt.Errorf("ablation granularity %d: %w", rb, err)
-		}
-		return AblationRow{
-			Variant:     fmt.Sprintf("%d KB requests", rb>>10),
-			Elapsed:     caisRes.Elapsed,
-			SlowdownPct: (caisRes.Speedup(tp) - 1) * 100, // speedup margin, in %
-			Flushes:     caisRes.Stats.PartialFlushes,
-			SkewUS:      caisRes.Stats.AvgSkew().Microseconds(),
-		}, nil
+		return c.runSubLayer(fmt.Sprintf("ablation-granularity/%dKB/%s", rb>>10, spec.Name), hw, spec, sub, strategy.Options{})
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = rows
+	out := &AblationResult{Title: "request granularity sensitivity (CAIS speedup over TP-NVLS, LLaMA-7B L2)"}
+	for i, rb := range sizes {
+		cais := runs[i][0]
+		out.Rows = append(out.Rows, AblationRow{
+			Variant:     fmt.Sprintf("%d KB requests", rb>>10),
+			Elapsed:     cais.Elapsed,
+			SlowdownPct: (cais.Speedup(runs[i][1]) - 1) * 100, // speedup margin, in %
+			Flushes:     cais.Stats.PartialFlushes,
+			SkewUS:      cais.Stats.AvgSkew().Microseconds(),
+		})
+	}
 	return out, nil
 }
 

@@ -46,38 +46,32 @@ func Fig2(c Config) (*Fig2Result, error) {
 		counts = []int{2, 8}
 	}
 	cfg := c.primaryModel()
-	rows, err := mapPoints(c, len(counts), func(i int) (Fig2Row, error) {
-		p := counts[i]
+	elapsed, err := grid(c, counts, []string{"real", "ideal"}, func(p int, fabric string) (sim.Time, error) {
 		hw := c.e2eHW()
 		hw.NumGPUs = p
-		real, err := c.runLayers(fmt.Sprintf("fig2/p%d/real", p), hw, strategy.SPNVLS(), cfg, false, 1, strategy.Options{})
-		if err != nil {
-			return Fig2Row{}, fmt.Errorf("fig2 p=%d: %w", p, err)
+		if fabric == "ideal" {
+			hw.LinkBandwidth *= 1e4
+			hw.LinkEfficiency = 1
+			hw.LinkLatency = 0
+			hw.SwitchLatency = 0
 		}
-		ideal := hw
-		ideal.LinkBandwidth *= 1e4
-		ideal.LinkEfficiency = 1
-		ideal.LinkLatency = 0
-		ideal.SwitchLatency = 0
-		perfect, err := c.runLayers(fmt.Sprintf("fig2/p%d/ideal", p), ideal, strategy.SPNVLS(), cfg, false, 1, strategy.Options{})
-		if err != nil {
-			return Fig2Row{}, fmt.Errorf("fig2 ideal p=%d: %w", p, err)
-		}
-		compute := perfect.Elapsed
-		comm := real.Elapsed - perfect.Elapsed
-		if comm < 0 {
-			comm = 0
-		}
-		row := Fig2Row{GPUs: p, ComputeMS: ms(compute), CommMS: ms(comm)}
-		if row.ComputeMS > 0 {
-			row.Ratio = row.CommMS / row.ComputeMS
-		}
-		return row, nil
+		res, err := c.runLayers(fmt.Sprintf("fig2/p%d/%s", p, fabric), hw, strategy.SPNVLS(), cfg, false, 1, strategy.Options{})
+		return res.Elapsed, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Fig2Result{Rows: rows}, nil
+	out := &Fig2Result{}
+	for i, p := range counts {
+		compute := elapsed[i][1]
+		comm := max(elapsed[i][0]-compute, 0)
+		row := Fig2Row{GPUs: p, ComputeMS: ms(compute), CommMS: ms(comm)}
+		if row.ComputeMS > 0 {
+			row.Ratio = row.CommMS / row.ComputeMS
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out, nil
 }
 
 // Render formats the Fig. 2 table.
@@ -115,6 +109,13 @@ type SpeedupResult struct {
 	Geomean map[string]float64
 }
 
+// speedupPoint is one row of a speedup study: its model and workload, and
+// the run of one strategy on its point.
+type speedupPoint struct {
+	model, workload string
+	run             func(label string, spec strategy.Spec) (memo.Entry, error)
+}
+
 // Fig11 reproduces Fig. 11: end-to-end speedup of CAIS over the nine
 // baselines plus CAIS-Base, for training and inference (prefill) on the
 // Table I models.
@@ -126,121 +127,146 @@ func Fig11(c Config) (*SpeedupResult, error) {
 	if c.Quick {
 		workloads = workloads[:1]
 	}
-	var rows []SpeedupRow
-	var models []config.Model
-	var training []bool
+	var points []speedupPoint
 	for _, cfg := range c.models() {
 		for _, w := range workloads {
-			rows = append(rows, SpeedupRow{Model: cfg.Name, Workload: w.name})
-			models = append(models, cfg)
-			training = append(training, w.training)
+			points = append(points, speedupPoint{cfg.Name, w.name, func(label string, spec strategy.Spec) (memo.Entry, error) {
+				return c.runLayers(label, c.e2eHW(), spec, cfg, w.training, 1, strategy.Options{})
+			}})
 		}
 	}
-	return speedupStudy(c, "fig11", "Fig. 11: CAIS speedup over baselines (end-to-end per-layer chain)", "Workload", rows,
-		func(label string, row int, spec strategy.Spec) (memo.Entry, error) {
-			return c.runLayers(label, c.e2eHW(), spec, models[row], training[row], 1, strategy.Options{})
-		})
+	return speedupStudy(c, "fig11", "Fig. 11: CAIS speedup over baselines (end-to-end per-layer chain)", "Workload", points)
 }
 
 // Fig12 reproduces Fig. 12: speedups on the four communication-intensive
 // sub-layers (GEMM-RS + LN + AG-GEMM pipelines).
 func Fig12(c Config) (*SpeedupResult, error) {
 	hw := c.microHW()
-	var rows []SpeedupRow
-	var subs []model.SubLayer
+	var points []speedupPoint
 	for _, cfg := range c.models() {
-		cs := model.SubLayers(cfg)
+		subs := model.SubLayers(cfg)
 		if c.Quick {
-			cs = cs[:2]
+			subs = subs[:2]
 		}
-		for _, sub := range cs {
-			rows = append(rows, SpeedupRow{Model: cfg.Name, Workload: sub.ID})
-			subs = append(subs, sub)
+		for _, sub := range subs {
+			points = append(points, speedupPoint{cfg.Name, sub.ID, func(label string, spec strategy.Spec) (memo.Entry, error) {
+				return c.runSubLayer(label, hw, spec, sub, strategy.Options{})
+			}})
 		}
 	}
-	return speedupStudy(c, "fig12", "Fig. 12: CAIS speedup on sub-layers L1-L4", "Sub-layer", rows,
-		func(label string, row int, spec strategy.Spec) (memo.Entry, error) {
-			return c.runSubLayer(label, hw, spec, subs[row], strategy.Options{})
-		})
+	return speedupStudy(c, "fig12", "Fig. 12: CAIS speedup on sub-layers L1-L4", "Sub-layer", points)
 }
 
-// speedupStudy runs every strategy on each row's point and folds the
-// speedups of CAIS over the others. The (row, strategy) grid fans out as
-// independent points, then folds sequentially in row order so rows,
-// speedups and geomeans come out byte-identical to a sequential run.
-func speedupStudy(c Config, id, title, rowHeader string, rows []SpeedupRow,
-	run func(label string, row int, spec strategy.Spec) (memo.Entry, error)) (*SpeedupResult, error) {
-
+// speedupStudy runs every strategy on each point, one grid cell per
+// (point, strategy), and folds the speedups of CAIS over the others in
+// point order.
+func speedupStudy(c Config, id, title, rowHeader string, points []speedupPoint) (*SpeedupResult, error) {
 	specs := strategy.All()
-	out := &SpeedupResult{Title: title, RowHeader: rowHeader, Geomean: map[string]float64{}}
-	for _, s := range specs {
-		out.Strategies = append(out.Strategies, s.Name)
-	}
-	elapsed, err := mapPoints(c, len(rows)*len(specs), func(i int) (sim.Time, error) {
-		row, spec := rows[i/len(specs)], specs[i%len(specs)]
-		res, err := run(id+"/"+row.Model+"/"+row.Workload+"/"+spec.Name, i/len(specs), spec)
-		if err != nil {
-			return 0, fmt.Errorf("%s %s/%s/%s: %w", id, row.Model, row.Workload, spec.Name, err)
-		}
-		return res.Elapsed, nil
+	elapsed, err := grid(c, points, specs, func(p speedupPoint, spec strategy.Spec) (sim.Time, error) {
+		res, err := p.run(id+"/"+p.model+"/"+p.workload+"/"+spec.Name, spec)
+		return res.Elapsed, err
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	samples := map[string][]float64{}
-	idx := 0
-	for _, row := range rows {
-		row.Elapsed = map[string]sim.Time{}
-		row.Speedup = map[string]float64{}
-		for _, spec := range specs {
-			row.Elapsed[spec.Name] = elapsed[idx]
-			idx++
-		}
-		cais := row.Elapsed["CAIS"]
-		for _, name := range out.Strategies {
-			if name == "CAIS" || cais == 0 {
-				continue
-			}
-			sp := float64(row.Elapsed[name]) / float64(cais)
-			row.Speedup[name] = sp
-			samples[name] = append(samples[name], sp)
-		}
+	out := &SpeedupResult{Title: title, RowHeader: rowHeader, Strategies: specNames(specs)}
+	var speedups []map[string]float64
+	for i, p := range points {
+		row := SpeedupRow{Model: p.model, Workload: p.workload, Elapsed: byStrategy(out.Strategies, elapsed[i])}
+		row.Speedup = caisSpeedups(out.Strategies, row.Elapsed)
 		out.Rows = append(out.Rows, row)
+		speedups = append(speedups, row.Speedup)
 	}
-	for _, s := range out.Strategies {
-		if xs := samples[s]; len(xs) > 0 {
-			out.Geomean[s] = metrics.Geomean(xs)
-		}
-	}
+	out.Geomean = geomeans(out.Strategies, speedups)
 	return out, nil
 }
 
 // Render formats the speedup table.
 func (r *SpeedupResult) Render() string {
-	headers := append([]string{"Model", r.RowHeader}, r.Strategies...)
-	t := metrics.NewTable(r.Title, headers...)
+	t := metrics.NewTable(r.Title, append([]string{"Model", r.RowHeader}, r.Strategies...)...)
 	for _, row := range r.Rows {
-		cells := []string{row.Model, row.Workload}
-		for _, s := range r.Strategies {
-			if s == "CAIS" {
-				cells = append(cells, row.Elapsed[s].String())
-				continue
-			}
-			cells = append(cells, fmt.Sprintf("%.2fx", row.Speedup[s]))
-		}
-		t.AddRow(cells...)
+		t.AddRow(append([]string{row.Model, row.Workload}, speedupCells(r.Strategies, row.Elapsed, row.Speedup)...)...)
 	}
-	geo := []string{"geomean", ""}
-	for _, s := range r.Strategies {
-		if s == "CAIS" {
-			geo = append(geo, "1.00x")
-			continue
-		}
-		geo = append(geo, fmt.Sprintf("%.2fx", r.Geomean[s]))
-	}
-	t.AddRow(geo...)
+	t.AddRow(append([]string{"geomean", ""}, geomeanCells(r.Strategies, r.Geomean)...)...)
 	return t.String()
+}
+
+// specNames lists the strategies' names in order.
+func specNames(specs []strategy.Spec) []string {
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// byStrategy keys one grid row's elapsed times by strategy name.
+func byStrategy(strategies []string, row []sim.Time) map[string]sim.Time {
+	m := make(map[string]sim.Time, len(strategies))
+	for i, s := range strategies {
+		m[s] = row[i]
+	}
+	return m
+}
+
+// caisSpeedups is one row's speedup of CAIS over every other strategy:
+// that strategy's elapsed time over CAIS's. A row without a CAIS time has
+// none.
+func caisSpeedups(strategies []string, elapsed map[string]sim.Time) map[string]float64 {
+	sp := map[string]float64{}
+	if cais := elapsed["CAIS"]; cais != 0 {
+		for _, s := range strategies {
+			if s != "CAIS" {
+				sp[s] = float64(elapsed[s]) / float64(cais)
+			}
+		}
+	}
+	return sp
+}
+
+// geomeans is each strategy's geometric-mean CAIS speedup across the rows,
+// sampled in row order.
+func geomeans(strategies []string, rows []map[string]float64) map[string]float64 {
+	g := map[string]float64{}
+	for _, s := range strategies {
+		var xs []float64
+		for _, sp := range rows {
+			if x, ok := sp[s]; ok {
+				xs = append(xs, x)
+			}
+		}
+		if len(xs) > 0 {
+			g[s] = metrics.Geomean(xs)
+		}
+	}
+	return g
+}
+
+// speedupCells renders one row's strategy columns in strategy order: the
+// CAIS column is its elapsed time, every other its CAIS speedup.
+func speedupCells(strategies []string, elapsed map[string]sim.Time, speedup map[string]float64) []string {
+	cells := make([]string, len(strategies))
+	for i, s := range strategies {
+		if s == "CAIS" {
+			cells[i] = elapsed[s].String()
+		} else {
+			cells[i] = fmt.Sprintf("%.2fx", speedup[s])
+		}
+	}
+	return cells
+}
+
+// geomeanCells renders the geomean row's strategy columns; CAIS's is 1.00x.
+func geomeanCells(strategies []string, geomean map[string]float64) []string {
+	cells := make([]string, len(strategies))
+	for i, s := range strategies {
+		g := 1.0
+		if s != "CAIS" {
+			g = geomean[s]
+		}
+		cells[i] = fmt.Sprintf("%.2fx", g)
+	}
+	return cells
 }
 
 // Fig17Row is one GPU-count point of the scalability study.
@@ -281,7 +307,7 @@ func Fig17(c Config) (*Fig17Result, error) {
 			res, err := c.runLayers(fmt.Sprintf("fig17/p%d/%s", p, spec.Name),
 				hw, spec, cfg, false, 1, strategy.Options{})
 			if err != nil {
-				return point{}, fmt.Errorf("fig17 p=%d %s: %w", p, spec.Name, err)
+				return point{}, err
 			}
 			flopsPerGPU := layerFlopsPerGPU(cfg, p)
 			tput := flopsPerGPU / res.Elapsed.Seconds()
@@ -362,33 +388,33 @@ func Table2(c Config) (*Table2Result, error) {
 	if c.Quick {
 		fullSMs, halfSMs = c.HW.SMsPerGPU, c.HW.SMsPerGPU/2
 	}
-	setups := []struct {
+	type setup struct {
 		cfg config.Model
 		sms int
-	}{{full, fullSMs}, {half, halfSMs}}
-	rows, err := mapPoints(c, len(setups), func(i int) (Table2Row, error) {
-		setup := setups[i]
+	}
+	setups := []setup{{full, fullSMs}, {half, halfSMs}}
+	runs, err := grid(c, setups, caisVsTPNVLS(), func(st setup, spec strategy.Spec) (memo.Entry, error) {
 		hw := c.e2eHW()
-		hw.SMsPerGPU = setup.sms
-		cais, err := c.runLayers("table2/"+setup.cfg.Name+"/CAIS", hw, strategy.CAIS(), setup.cfg, false, 1, strategy.Options{})
-		if err != nil {
-			return Table2Row{}, fmt.Errorf("table2 %s: %w", setup.cfg.Name, err)
-		}
-		tp, err := c.runLayers("table2/"+setup.cfg.Name+"/TP-NVLS", hw, strategy.TPNVLS(), setup.cfg, false, 1, strategy.Options{})
-		if err != nil {
-			return Table2Row{}, fmt.Errorf("table2 %s: %w", setup.cfg.Name, err)
-		}
-		return Table2Row{
-			Setup: setup.cfg.Name, Hidden: setup.cfg.Hidden, FFN: setup.cfg.FFNHidden,
-			Heads: setup.cfg.Heads, SMs: setup.sms,
-			Speedup: cais.Speedup(tp),
-		}, nil
+		hw.SMsPerGPU = st.sms
+		return c.runLayers("table2/"+st.cfg.Name+"/"+spec.Name, hw, spec, st.cfg, false, 1, strategy.Options{})
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Table2Result{Rows: rows}, nil
+	out := &Table2Result{}
+	for i, st := range setups {
+		out.Rows = append(out.Rows, Table2Row{
+			Setup: st.cfg.Name, Hidden: st.cfg.Hidden, FFN: st.cfg.FFNHidden,
+			Heads: st.cfg.Heads, SMs: st.sms,
+			Speedup: runs[i][0].Speedup(runs[i][1]),
+		})
+	}
+	return out, nil
 }
+
+// caisVsTPNVLS is the column pair of Table II and the granularity
+// ablation: CAIS beside TP-NVLS.
+func caisVsTPNVLS() []strategy.Spec { return []strategy.Spec{strategy.CAIS(), strategy.TPNVLS()} }
 
 // Render formats the Table II table.
 func (r *Table2Result) Render() string {

@@ -136,33 +136,41 @@ type Runner func(c Config) (string, error)
 func Registry() map[string]Runner {
 	return map[string]Runner{
 		"table1": func(c Config) (string, error) { return Table1(), nil },
-		"fig2":   func(c Config) (string, error) { r, err := Fig2(c); return render(r, err) },
-		"fig10":  func(c Config) (string, error) { r, err := Fig10(c); return render(r, err) },
-		"fig11":  func(c Config) (string, error) { r, err := Fig11(c); return render(r, err) },
-		"fig12":  func(c Config) (string, error) { r, err := Fig12(c); return render(r, err) },
-		"fig13a": func(c Config) (string, error) { r, err := Fig13a(c); return render(r, err) },
-		"fig13b": func(c Config) (string, error) { r, err := Fig13b(c); return render(r, err) },
-		"fig14":  func(c Config) (string, error) { r, err := Fig14(c); return render(r, err) },
-		"fig15":  func(c Config) (string, error) { r, err := Fig15(c); return render(r, err) },
-		"fig16":  func(c Config) (string, error) { r, err := Fig16(c); return render(r, err) },
-		"fig17":  func(c Config) (string, error) { r, err := Fig17(c); return render(r, err) },
-		"fig18":  func(c Config) (string, error) { r, err := Fig18(c); return render(r, err) },
-		"table2": func(c Config) (string, error) { r, err := Table2(c); return render(r, err) },
+		"fig2":   rendered(Fig2),
+		"fig10":  rendered(Fig10),
+		"fig11":  rendered(Fig11),
+		"fig12":  rendered(Fig12),
+		"fig13a": rendered(Fig13a),
+		"fig13b": rendered(Fig13b),
+		"fig14":  rendered(Fig14),
+		"fig15":  rendered(Fig15),
+		"fig16":  rendered(Fig16),
+		"fig17":  rendered(Fig17),
+		"fig18":  rendered(Fig18),
+		"table2": rendered(Table2),
 		"area":   func(c Config) (string, error) { return Area(), nil },
 
 		// Fault-injection degradation study (DESIGN.md §8).
-		"resilience": func(c Config) (string, error) { r, err := Resilience(c); return render(r, err) },
+		"resilience": rendered(Resilience),
 
 		// Request-level serving workload study (DESIGN.md §13).
-		"serving": func(c Config) (string, error) { r, err := Serving(c); return render(r, err) },
+		"serving": rendered(Serving),
 
 		// Design-choice ablations beyond the paper's figures.
-		"ablation-eviction": func(c Config) (string, error) { r, err := AblationEviction(c); return render(r, err) },
-		"ablation-sideband": func(c Config) (string, error) { r, err := AblationSideband(c); return render(r, err) },
-		"ablation-granularity": func(c Config) (string, error) {
-			r, err := AblationGranularity(c)
-			return render(r, err)
-		},
+		"ablation-eviction":    rendered(AblationEviction),
+		"ablation-sideband":    rendered(AblationSideband),
+		"ablation-granularity": rendered(AblationGranularity),
+	}
+}
+
+// rendered adapts a driver to a Runner: the driver's result, rendered.
+func rendered[R interface{ Render() string }](driver func(Config) (R, error)) Runner {
+	return func(c Config) (string, error) {
+		r, err := driver(c)
+		if err != nil {
+			return "", err
+		}
+		return r.Render(), nil
 	}
 }
 
@@ -195,13 +203,21 @@ func mapPoints[T any](c Config, n int, fn func(i int) (T, error)) ([]T, error) {
 	return sweep.Map(n, c.Workers, fn)
 }
 
-type renderer interface{ Render() string }
-
-func render(r renderer, err error) (string, error) {
+// grid is mapPoints over a rows × cols sweep: every (row, col) cell is its
+// own point, in row-major order, and the results come back by [row][col]
+// for the caller's sequential fold.
+func grid[R, C, T any](c Config, rows []R, cols []C, fn func(r R, col C) (T, error)) ([][]T, error) {
+	flat, err := mapPoints(c, len(rows)*len(cols), func(i int) (T, error) {
+		return fn(rows[i/len(cols)], cols[i%len(cols)])
+	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return r.Render(), nil
+	out := make([][]T, len(rows))
+	for i := range out {
+		out[i] = flat[i*len(cols) : (i+1)*len(cols)]
+	}
+	return out, nil
 }
 
 func ms(t sim.Time) float64 { return t.Milliseconds() }

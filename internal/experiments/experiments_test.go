@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"cais/internal/strategy"
 )
 
 func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
@@ -291,44 +293,55 @@ func TestAreaRenders(t *testing.T) {
 func TestAllRendersPopulated(t *testing.T) {
 	c := cached(t)
 	cases := []struct {
-		name string
-		run  func() (string, error)
+		id   string
 		want []string
 	}{
-		{"fig2", func() (string, error) { r, e := Fig2(c); return render(r, e) },
-			[]string{"Fig. 2", "GPUs", "comm/compute"}},
-		{"fig10", func() (string, error) { r, e := Fig10(c); return render(r, e) },
-			[]string{"Fig. 10", "G2S", "S2G", "CAIS"}},
-		{"fig13a", func() (string, error) { r, e := Fig13a(c); return render(r, e) },
-			[]string{"Fig. 13a", "reduction"}},
-		{"fig13b", func() (string, error) { r, e := Fig13b(c); return render(r, e) },
-			[]string{"Fig. 13b", "throttling"}},
-		{"fig14", func() (string, error) { r, e := Fig14(c); return render(r, e) },
-			[]string{"Fig. 14", "Table (KB)"}},
-		{"fig16", func() (string, error) { r, e := Fig16(c); return render(r, e) },
-			[]string{"Fig. 16", "CAIS-Base", "%"}},
-		{"fig18", func() (string, error) { r, e := Fig18(c); return render(r, e) },
-			[]string{"Fig. 18", "avg", "algbw"}},
-		{"table2", func() (string, error) { r, e := Table2(c); return render(r, e) },
-			[]string{"Table II", "Full", "Half"}},
-		{"ablation-eviction", func() (string, error) { r, e := AblationEviction(c); return render(r, e) },
-			[]string{"eviction", "lru", "mru"}},
-		{"ablation-granularity", func() (string, error) { r, e := AblationGranularity(c); return render(r, e) },
-			[]string{"granularity", "KB requests"}},
+		{"fig2", []string{"Fig. 2", "GPUs", "comm/compute"}},
+		{"fig10", []string{"Fig. 10", "G2S", "S2G", "CAIS"}},
+		{"fig13a", []string{"Fig. 13a", "reduction"}},
+		{"fig13b", []string{"Fig. 13b", "throttling"}},
+		{"fig14", []string{"Fig. 14", "Table (KB)"}},
+		{"fig16", []string{"Fig. 16", "CAIS-Base", "%"}},
+		{"fig18", []string{"Fig. 18", "avg", "algbw"}},
+		{"table2", []string{"Table II", "Full", "Half"}},
+		{"ablation-eviction", []string{"eviction", "lru", "mru"}},
+		{"ablation-granularity", []string{"granularity", "KB requests"}},
 	}
 	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			out, err := tc.run()
+		t.Run(tc.id, func(t *testing.T) {
+			out, err := Run(tc.id, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range tc.want {
 				if !strings.Contains(out, w) {
-					t.Errorf("%s render missing %q:\n%s", tc.name, w, out)
+					t.Errorf("%s render missing %q:\n%s", tc.id, w, out)
 				}
 			}
 		})
+	}
+}
+
+// TestFailingPointErrorNamesItsLabel: a sweep whose every point fails
+// returns the lowest-index point's error, prefixed with that point's
+// label, at any worker count: a grid (fig14), a one-dimensional sweep
+// (fig13b) and the speedup study (fig11).
+func TestFailingPointErrorNamesItsLabel(t *testing.T) {
+	cases := []struct{ id, label string }{
+		{"fig14", "fig14/40KB/CAIS"},
+		{"fig13b", "fig13b/no coordination"},
+		{"fig11", "fig11/" + quickModel().Name + "/inference/" + strategy.All()[0].Name},
+	}
+	for _, workers := range []int{1, 2} {
+		for _, tc := range cases {
+			c := Quick()
+			c.Workers = workers
+			c.HW.NumGPUs = 0 // fails hardware validation at every point
+			_, err := Run(tc.id, c)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.label+": ") {
+				t.Errorf("%s at %d workers: error %v, want one beginning %q", tc.id, workers, err, tc.label+": ")
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"math"
 
 	"cais/internal/metrics"
 	"cais/internal/model"
@@ -36,13 +36,13 @@ func Fig10(c Config) (*Fig10Result, error) {
 		spec := specs[i]
 		res, err := c.runSubLayer("fig10/"+spec.Name, hw, spec, sub, strategy.Options{})
 		if err != nil {
-			return Fig10Row{}, fmt.Errorf("fig10 %s: %w", spec.Name, err)
+			return Fig10Row{}, err
 		}
 		up, down := res.UpBytes, res.DownBytes
 		total := float64(up + down)
 		imb := 0.0
 		if total > 0 {
-			imb = abs64(float64(up)-float64(down)) / total
+			imb = math.Abs(float64(up)-float64(down)) / total
 		}
 		return Fig10Row{
 			Strategy:  spec.Name,
@@ -56,13 +56,6 @@ func Fig10(c Config) (*Fig10Result, error) {
 		return nil, err
 	}
 	return &Fig10Result{Rows: rows}, nil
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Render formats the Fig. 10 table.

@@ -148,8 +148,8 @@ func TestGolden(t *testing.T) {
 		"memo": fmt.Sprintf("lookups=%d simulated=%d", memoOn.lookups, memoOn.misses),
 	}
 
-	// Attribution adds a section to the resilience study and changes no
-	// other byte; each labeled point's report is a points.txt entry.
+	// Attribution changes no rendered byte; each labeled point's report is
+	// a points.txt entry.
 	c := Quick()
 	c.Memo = memo.NewCache()
 	c.Attrib = attrib.NewAggregator()
@@ -158,8 +158,7 @@ func TestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range Names() {
-		out, want := attributed.outs[id], ref.outs[id]
-		if out != want && !(id == "resilience" && strings.HasPrefix(out, want+"\n")) {
+		if out, want := attributed.outs[id], ref.outs[id]; out != want {
 			t.Errorf("attribution on: %s output differs from quick.txt\n%s", id, diffLines(want, out))
 		}
 	}

@@ -32,7 +32,6 @@ type Fig13aResult struct {
 // high-water mark with an unlimited table, with and without merging-aware
 // TB coordination.
 func Fig13a(c Config) (*Fig13aResult, error) {
-	out := &Fig13aResult{}
 	// "Merge all eligible requests": an unlimited table and no
 	// forward-progress timeout, so every session waits for its full
 	// request set and the high-water mark is the true buffering
@@ -40,43 +39,23 @@ func Fig13a(c Config) (*Fig13aResult, error) {
 	hw := c.microHW()
 	hw.MergeTableBytes = -1
 	hw.MergeTimeout = 0
-	type cell struct {
-		modelName string
-		sub       model.SubLayer
-	}
-	var cells []cell
-	for _, cfg := range c.microModels() {
-		subs := model.SubLayers(cfg)
-		if c.Quick {
-			subs = subs[:1]
-		}
-		for _, sub := range subs {
-			cells = append(cells, cell{modelName: cfg.Name, sub: sub})
-		}
-	}
-	// Each point runs one cell's coordinated and uncoordinated probes.
-	rows, err := mapPoints(c, len(cells), func(i int) (Fig13aRow, error) {
-		cl := cells[i]
-		coord, err := c.runSubLayer("fig13a/"+cl.modelName+"/"+cl.sub.ID+"/CAIS", hw, strategy.CAIS(), cl.sub, strategy.Options{})
-		if err != nil {
-			return Fig13aRow{}, fmt.Errorf("fig13a %s/%s coord: %w", cl.modelName, cl.sub.ID, err)
-		}
-		uncoord, err := c.runSubLayer("fig13a/"+cl.modelName+"/"+cl.sub.ID+"/no-coord", hw, strategy.CAISNoCoord(), cl.sub, strategy.Options{})
-		if err != nil {
-			return Fig13aRow{}, fmt.Errorf("fig13a %s/%s uncoord: %w", cl.modelName, cl.sub.ID, err)
-		}
-		return Fig13aRow{
-			Model: cl.modelName, SubLayer: cl.sub.ID,
-			CoordKB:   float64(coord.MergeHWM) / 1024,
-			UncoordKB: float64(uncoord.MergeHWM) / 1024,
-		}, nil
+	cells := c.microCells()
+	hwm, err := grid(c, cells, caisVsNoCoord(), func(cl microCell, v variant) (int64, error) {
+		res, err := c.runSubLayer("fig13a/"+cl.model+"/"+cl.sub.ID+"/"+v.name, hw, v.spec, cl.sub, strategy.Options{})
+		return res.MergeHWM, err
 	})
 	if err != nil {
 		return nil, err
 	}
+	out := &Fig13aResult{}
 	var sumRatio float64
 	var n int
-	for _, row := range rows {
+	for i, cl := range cells {
+		row := Fig13aRow{
+			Model: cl.model, SubLayer: cl.sub.ID,
+			CoordKB:   float64(hwm[i][0]) / 1024,
+			UncoordKB: float64(hwm[i][1]) / 1024,
+		}
 		out.Rows = append(out.Rows, row)
 		if row.UncoordKB > 0 {
 			sumRatio += 1 - row.CoordKB/row.UncoordKB
@@ -87,6 +66,40 @@ func Fig13a(c Config) (*Fig13aResult, error) {
 		out.ReductionPct = sumRatio / float64(n) * 100
 	}
 	return out, nil
+}
+
+// microCell is one (model, sub-layer) row of the microstudies.
+type microCell struct {
+	model string
+	sub   model.SubLayer
+}
+
+// microCells lists the rows of Figs. 13a and 15: every sub-layer of the
+// microstudy models, only the first one in quick mode.
+func (c Config) microCells() []microCell {
+	var cells []microCell
+	for _, cfg := range c.microModels() {
+		subs := model.SubLayers(cfg)
+		if c.Quick {
+			subs = subs[:1]
+		}
+		for _, sub := range subs {
+			cells = append(cells, microCell{model: cfg.Name, sub: sub})
+		}
+	}
+	return cells
+}
+
+// variant is one labeled strategy of a sweep.
+type variant struct {
+	name string
+	spec strategy.Spec
+}
+
+// caisVsNoCoord is the column pair of Figs. 13a and 14: CAIS beside its
+// uncoordinated variant.
+func caisVsNoCoord() []variant {
+	return []variant{{"CAIS", strategy.CAIS()}, {"no-coord", strategy.CAISNoCoord()}}
 }
 
 // Render formats the Fig. 13(a) table.
@@ -115,10 +128,7 @@ type Fig13bResult struct{ Rows []Fig13bRow }
 // coordination mechanisms are enabled one by one. The paper reduces
 // ~35 us to <3 us.
 func Fig13b(c Config) (*Fig13bResult, error) {
-	steps := []struct {
-		name string
-		spec strategy.Spec
-	}{
+	steps := []variant{
 		{"no coordination", strategy.CAISNoCoord()},
 		{"+ pre-launch sync", withCoord(strategy.CAISNoCoord(), kernel.Coordination{PreLaunch: true})},
 		{"+ pre-access sync", withCoord(strategy.CAISNoCoord(), kernel.Coordination{PreLaunch: true, PreAccess: true})},
@@ -131,7 +141,7 @@ func Fig13b(c Config) (*Fig13bResult, error) {
 		st := steps[i]
 		res, err := c.runSubLayer("fig13b/"+st.name, hw, st.spec, sub, strategy.Options{})
 		if err != nil {
-			return Fig13bRow{}, fmt.Errorf("fig13b %s: %w", st.name, err)
+			return Fig13bRow{}, err
 		}
 		return Fig13bRow{
 			Step: st.name, SkewUS: res.Stats.AvgSkew().Microseconds(), Elapsed: res.Elapsed,
@@ -182,32 +192,22 @@ func Fig14(c Config) (*Fig14Result, error) {
 		sizes = []int{40, 80, 320}
 	}
 	sub := model.SubLayers(c.primaryModel())[1]
-	hw := c.microHW()
-	type pair struct{ cais, unc sim.Time }
-	points, err := mapPoints(c, len(sizes), func(i int) (pair, error) {
-		kb := sizes[i]
-		hw := hw // this point's table size
+	elapsed, err := grid(c, sizes, caisVsNoCoord(), func(kb int, v variant) (sim.Time, error) {
+		hw := c.microHW()
 		hw.MergeTableBytes = int64(kb) << 10
-		cais, err := c.runSubLayer(fmt.Sprintf("fig14/%dKB/CAIS", kb), hw, strategy.CAIS(), sub, strategy.Options{})
-		if err != nil {
-			return pair{}, fmt.Errorf("fig14 cais %dKB: %w", kb, err)
-		}
-		unc, err := c.runSubLayer(fmt.Sprintf("fig14/%dKB/no-coord", kb), hw, strategy.CAISNoCoord(), sub, strategy.Options{})
-		if err != nil {
-			return pair{}, fmt.Errorf("fig14 uncoord %dKB: %w", kb, err)
-		}
-		return pair{cais: cais.Elapsed, unc: unc.Elapsed}, nil
+		res, err := c.runSubLayer(fmt.Sprintf("fig14/%dKB/%s", kb, v.name), hw, v.spec, sub, strategy.Options{})
+		return res.Elapsed, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	ref := points[len(sizes)-1].cais
+	ref := elapsed[len(sizes)-1][0]
 	out := &Fig14Result{}
 	for i, kb := range sizes {
 		out.Rows = append(out.Rows, Fig14Row{
 			TableKB: kb,
-			CAIS:    float64(ref) / float64(points[i].cais),
-			Uncoord: float64(ref) / float64(points[i].unc),
+			CAIS:    float64(ref) / float64(elapsed[i][0]),
+			Uncoord: float64(ref) / float64(elapsed[i][1]),
 		})
 	}
 	return out, nil
@@ -243,64 +243,36 @@ type Fig15Result struct {
 // links and both directions, over the communication-active window) for
 // CAIS-Base, CAIS-Partial (no traffic control) and full CAIS.
 func Fig15(c Config) (*Fig15Result, error) {
-	out := &Fig15Result{}
 	hw := c.microHW()
-	specs := []strategy.Spec{strategy.CAISBase(), strategy.CAISPartial(), strategy.CAIS()}
-	type cell struct {
-		modelName string
-		sub       model.SubLayer
-	}
-	var cells []cell
-	for _, cfg := range c.microModels() {
-		subs := model.SubLayers(cfg)
-		if c.Quick {
-			subs = subs[:1]
-		}
-		for _, sub := range subs {
-			cells = append(cells, cell{modelName: cfg.Name, sub: sub})
-		}
-	}
-	// Flatten (cell, strategy) into independent utilization probes.
-	type runKey struct{ ci, si int }
-	keys := make([]runKey, 0, len(cells)*len(specs))
-	for ci := range cells {
-		for si := range specs {
-			keys = append(keys, runKey{ci, si})
-		}
-	}
-	utils, err := mapPoints(c, len(keys), func(i int) (float64, error) {
-		k := keys[i]
-		cl := cells[k.ci]
-		res, err := c.runSubLayer("fig15/"+cl.modelName+"/"+cl.sub.ID+"/"+specs[k.si].Name,
-			hw, specs[k.si], cl.sub, strategy.Options{})
-		if err != nil {
-			return 0, fmt.Errorf("fig15 %s/%s/%s: %w", cl.modelName, cl.sub.ID, specs[k.si].Name, err)
-		}
-		return res.AvgUtil * 100, nil
+	cells := c.microCells()
+	utils, err := grid(c, cells, utilizationLadder(), func(cl microCell, spec strategy.Spec) (float64, error) {
+		res, err := c.runSubLayer("fig15/"+cl.model+"/"+cl.sub.ID+"/"+spec.Name, hw, spec, cl.sub, strategy.Options{})
+		return res.AvgUtil * 100, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	var n float64
-	idx := 0
-	for _, cl := range cells {
-		row := Fig15Row{Model: cl.modelName, SubLayer: cl.sub.ID}
-		row.BasePct = utils[idx]
-		row.PartPct = utils[idx+1]
-		row.CAISPct = utils[idx+2]
-		idx += 3
+	out := &Fig15Result{}
+	for i, cl := range cells {
+		u := utils[i]
+		row := Fig15Row{Model: cl.model, SubLayer: cl.sub.ID, BasePct: u[0], PartPct: u[1], CAISPct: u[2]}
 		out.Rows = append(out.Rows, row)
 		out.AvgBase += row.BasePct
 		out.AvgPartial += row.PartPct
 		out.AvgCAIS += row.CAISPct
-		n++
 	}
-	if n > 0 {
+	if n := float64(len(cells)); n > 0 {
 		out.AvgBase /= n
 		out.AvgPartial /= n
 		out.AvgCAIS /= n
 	}
 	return out, nil
+}
+
+// utilizationLadder is the strategies of Figs. 15 and 16: CAIS-Base,
+// CAIS-Partial (no traffic control) and full CAIS.
+func utilizationLadder() []strategy.Spec {
+	return []strategy.Spec{strategy.CAISBase(), strategy.CAISPartial(), strategy.CAIS()}
 }
 
 // Render formats the Fig. 15 table.
@@ -335,7 +307,7 @@ func Fig16(c Config) (*Fig16Result, error) {
 	if c.Quick {
 		bin = 50 * sim.Microsecond
 	}
-	specs := []strategy.Spec{strategy.CAISBase(), strategy.CAISPartial(), strategy.CAIS()}
+	specs := utilizationLadder()
 	series, err := mapPoints(c, len(specs), func(i int) (Fig16Series, error) {
 		spec := specs[i]
 		// UtilBin is declarative and hashed into the memo key, so the
@@ -343,7 +315,7 @@ func Fig16(c Config) (*Fig16Result, error) {
 		// replays byte-identically on hits.
 		ent, err := c.runSubLayer("fig16/"+spec.Name, hw, spec, sub, strategy.Options{UtilBin: bin})
 		if err != nil {
-			return Fig16Series{}, fmt.Errorf("fig16 %s: %w", spec.Name, err)
+			return Fig16Series{}, err
 		}
 		return Fig16Series{Name: spec.Name, Bin: bin, Util: ent.Timeline.Utilization()}, nil
 	})

@@ -139,80 +139,61 @@ func Serving(c Config) (*ServingResult, error) {
 	scenarios := servingScenarios(hw, c.Quick)
 	faultRate := rates[len(rates)/2]
 
-	// Flatten (rate x strategy) + (scenario x strategy) into independent
-	// points; fold sequentially below in the same order.
-	type runKey struct {
-		tag   string
-		rate  float64
-		spec  strategy.Spec
-		sched *faults.Schedule
-	}
-	var keys []runKey
+	// One grid row per sweep rate, then one per fault scenario at the mid
+	// sweep rate.
+	var points []servingPoint
 	for _, rate := range rates {
-		for _, spec := range specs {
-			keys = append(keys, runKey{
-				tag: fmt.Sprintf("rate-%g/%s", rate, spec.Name), rate: rate, spec: spec,
-			})
-		}
+		points = append(points, servingPoint{tag: fmt.Sprintf("rate-%g", rate), rate: rate})
 	}
 	for _, sc := range scenarios {
-		for _, spec := range specs {
-			keys = append(keys, runKey{
-				tag: "faults/" + sc.name + "/" + spec.Name, rate: faultRate, spec: spec, sched: sc.sched,
-			})
-		}
+		points = append(points, servingPoint{tag: "faults/" + sc.name, rate: faultRate, sched: sc.sched})
 	}
-	type point struct {
-		res serve.Result
-		sum serve.Summary
-	}
-	points, err := mapPoints(c, len(keys), func(i int) (point, error) {
-		k := keys[i]
-		cm, err := serve.NewStrategyCost(hw, k.spec, base, 1, strategy.Options{Faults: k.sched}, c.Memo)
+	runs, err := grid(c, points, specs, func(p servingPoint, spec strategy.Spec) (serve.Result, error) {
+		cm, err := serve.NewStrategyCost(hw, spec, base, 1, strategy.Options{Faults: p.sched}, c.Memo)
 		if err != nil {
-			return point{}, fmt.Errorf("serving %s: %w", k.tag, err)
+			return serve.Result{}, fmt.Errorf("serving/%s/%s: %w", p.tag, spec.Name, err)
 		}
-		res, err := serve.Run(c.servingWorkload(k.rate), cm, serve.SchedConfig{})
+		res, err := serve.Run(c.servingWorkload(p.rate), cm, serve.SchedConfig{})
 		if err != nil {
-			return point{}, fmt.Errorf("serving %s: %w", k.tag, err)
+			return serve.Result{}, fmt.Errorf("serving/%s/%s: %w", p.tag, spec.Name, err)
 		}
-		return point{res: res, sum: serve.Evaluate(res, slo)}, nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	out := &ServingResult{SLO: slo, Rates: rates, FaultRate: faultRate}
-	for _, s := range specs {
-		out.Strategies = append(out.Strategies, s.Name)
-	}
-	idx := 0
-	for _, rate := range rates {
-		for _, spec := range specs {
-			p := points[idx]
-			idx++
-			out.Rows = append(out.Rows, ServingRow{Rate: rate, Strategy: spec.Name, Sum: p.sum})
+	out := &ServingResult{SLO: slo, Rates: rates, FaultRate: faultRate, Strategies: specNames(specs)}
+	for i, rate := range rates {
+		for j, spec := range specs {
+			out.Rows = append(out.Rows, ServingRow{Rate: rate, Strategy: spec.Name, Sum: serve.Evaluate(runs[i][j], slo)})
 			// Only healthy sweep latencies feed the exported histograms;
 			// faulted runs would skew the distributions.
-			p.res.Record(c.Metrics)
+			runs[i][j].Record(c.Metrics)
 		}
 	}
 	healthyGoodput := map[string]float64{}
-	for _, sc := range scenarios {
-		for _, spec := range specs {
-			p := points[idx]
-			idx++
-			row := ServingFaultRow{Scenario: sc.name, Strategy: spec.Name, Sum: p.sum}
+	for i, sc := range scenarios {
+		for j, spec := range specs {
+			row := ServingFaultRow{Scenario: sc.name, Strategy: spec.Name, Sum: serve.Evaluate(runs[len(rates)+i][j], slo)}
 			if sc.sched == nil {
-				healthyGoodput[spec.Name] = p.sum.GoodputRPS
+				healthyGoodput[spec.Name] = row.Sum.GoodputRPS
 			}
 			if h := healthyGoodput[spec.Name]; h > 0 {
-				row.RelGoodput = p.sum.GoodputRPS / h
+				row.RelGoodput = row.Sum.GoodputRPS / h
 			}
 			out.FaultRows = append(out.FaultRows, row)
 		}
 	}
 	return out, nil
+}
+
+// servingPoint is one row of the serving study's grid: a sweep rate, or a
+// fault scenario at the fault-study rate.
+type servingPoint struct {
+	tag   string
+	rate  float64
+	sched *faults.Schedule
 }
 
 // Render formats the serving tables.

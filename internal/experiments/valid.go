@@ -53,32 +53,30 @@ func Fig18(c Config) (*Fig18Result, error) {
 	// (kernel launch overhead plus expected launch-jitter absorption).
 	alpha := hw.KernelLaunchOverhead + hw.KernelLaunchJitter
 
-	rows, err := mapPoints(c, len(sizesMB), func(i int) (Fig18Row, error) {
-		mb := sizesMB[i]
-		bytes := int64(mb) << 20
-		simT, err := runAllReduce(hw, bytes, true)
+	elapsed, err := grid(c, sizesMB, []string{"nvls", "ring"}, func(mb int, alg string) (sim.Time, error) {
+		t, err := runAllReduce(hw, int64(mb)<<20, alg == "nvls")
 		if err != nil {
-			return Fig18Row{}, fmt.Errorf("fig18 %dMB nvls: %w", mb, err)
+			return 0, fmt.Errorf("fig18/%dMB/%s: %w", mb, alg, err)
 		}
-		ringT, err := runAllReduce(hw, bytes, false)
-		if err != nil {
-			return Fig18Row{}, fmt.Errorf("fig18 %dMB ring: %w", mb, err)
-		}
-		refT := alpha + sim.DurationForBytes(bytes, algbw)
-		e := math.Abs(float64(simT)-float64(refT)) / float64(refT) * 100
-		return Fig18Row{
-			SizeMB: mb,
-			SimMS:  ms(simT), RefMS: ms(refT), ErrPct: e,
-			RingMS: ms(ringT), NVLSGain: float64(ringT) / float64(simT),
-			BusBWGBs: float64(bytes) / simT.Seconds() / 1e9,
-		}, nil
+		return t, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig18Result{Rows: rows}
+	out := &Fig18Result{}
 	var errSum float64
-	for _, row := range rows {
+	for i, mb := range sizesMB {
+		bytes := int64(mb) << 20
+		simT, ringT := elapsed[i][0], elapsed[i][1]
+		refT := alpha + sim.DurationForBytes(bytes, algbw)
+		row := Fig18Row{
+			SizeMB: mb,
+			SimMS:  ms(simT), RefMS: ms(refT),
+			ErrPct: math.Abs(float64(simT)-float64(refT)) / float64(refT) * 100,
+			RingMS: ms(ringT), NVLSGain: float64(ringT) / float64(simT),
+			BusBWGBs: float64(bytes) / simT.Seconds() / 1e9,
+		}
+		out.Rows = append(out.Rows, row)
 		errSum += row.ErrPct
 	}
 	out.AvgErr = errSum / float64(len(sizesMB))

@@ -101,9 +101,7 @@ func (inj *injector) apply(f faults.Fault) {
 		// Flush the dead plane's state first, then sweep the GPUs so sync
 		// waits registered there re-register on a survivor.
 		m.Switches[f.Plane].Failover()
-		for _, g := range m.GPUs {
-			g.Synchronizer().Resync()
-		}
+		m.resync()
 	case faults.MergeDisable:
 		inj.eachMergeUnit(f, func(u *nvswitch.MergeUnit) { u.SetDisabled(true) })
 	case faults.Straggler:
@@ -127,13 +125,23 @@ func (inj *injector) repair(f faults.Fault) {
 		m.Switches[f.Plane].Repair()
 		// Routing reverted: waits registered on the standby plane during
 		// the outage move back, so all peers of a group meet at one table.
-		for _, g := range m.GPUs {
-			g.Synchronizer().Resync()
-		}
+		m.resync()
 	case faults.MergeDisable:
 		inj.eachMergeUnit(f, func(u *nvswitch.MergeUnit) { u.SetDisabled(false) })
 	case faults.Straggler:
 		m.GPUs[f.GPU].SetComputeSlowdown(1)
+	}
+}
+
+// resync follows a change of group routing: every plane drops the Group
+// Sync Table entries of the groups it no longer serves, then every GPU
+// re-registers its moved waits on their new plane.
+func (m *Machine) resync() {
+	for _, sw := range m.Switches {
+		sw.DropRerouted()
+	}
+	for _, g := range m.GPUs {
+		g.Synchronizer().Resync()
 	}
 }
 

@@ -255,7 +255,7 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 	}
 	planeBW := hw.PlaneBandwidth()
 	for pl := 0; pl < hw.NumSwitchPlanes; pl++ {
-		sw := nvswitch.New(eng, hw, pl, opts.Eviction, m.reg, m.pkts, m.tr)
+		sw := nvswitch.New(eng, hw, pl, opts.Eviction, m.RouteGroup, m.reg, m.pkts, m.tr)
 		m.Switches = append(m.Switches, sw)
 		ups := make([]*noc.Link, hw.NumGPUs)
 		downs := make([]*noc.Link, hw.NumGPUs)

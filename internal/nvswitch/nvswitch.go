@@ -38,9 +38,11 @@ type Switch struct {
 	// default so healthy runs keep strict invariants and bit-identical
 	// behavior.
 	faultTolerant bool
-	// failed is set from Failover to Repair: the Group Sync Table accepts
-	// no registrations while the plane is down.
-	failed bool
+	// plane is this switch's index, and routeGroup the machine's
+	// fault-aware Group Sync Table routing: the table keeps only the
+	// groups routed to this plane.
+	plane      int
+	routeGroup func(group int) int
 
 	stats *Stats
 	tr    *trace.Tracer
@@ -123,26 +125,29 @@ func (e *syncEntry) Reset() {
 // New creates the switch plane with index plane for the run's hardware hw:
 // one merge unit per GPU-facing port with hw's merging table and timeout,
 // the given eviction policy, and hw.LinkLatency as the credit-return
-// latency (one link traversal back to the issuing GPU). The plane's statistics register in
-// reg as "nvswitch.plane<N>.<metric>"; pkts is the run's packet pool and
-// tr its tracer (nil disables tracing).
-func New(eng *sim.Engine, hw config.Hardware, plane int, eviction EvictionPolicy,
+// latency (one link traversal back to the issuing GPU). routeGroup maps a
+// sync group to the plane whose Group Sync Table serves it. The plane's
+// statistics register in reg as "nvswitch.plane<N>.<metric>"; pkts is the
+// run's packet pool and tr its tracer (nil disables tracing).
+func New(eng *sim.Engine, hw config.Hardware, plane int, eviction EvictionPolicy, routeGroup func(group int) int,
 	reg *metrics.Registry, pkts *noc.PacketPool, tr *trace.Tracer) *Switch {
 	if hw.NumGPUs < 1 {
 		panic("nvswitch: NumGPUs must be >= 1")
 	}
 	s := &Switch{
-		eng:      eng,
-		hw:       hw,
-		down:     make([]*noc.Link, hw.NumGPUs),
-		port:     make([]*MergeUnit, hw.NumGPUs),
-		nvlsRed:  make(map[uint64]*nvlsRedSession),
-		nvlsPull: make(map[pullKey]*nvlsPullSession),
-		sync:     make(map[syncTableKey]*syncEntry),
-		stats:    NewStatsIn(reg, fmt.Sprintf("nvswitch.plane%d", plane)),
-		tr:       tr,
-		pid:      trace.SwitchPid(plane),
-		pkts:     pkts,
+		eng:        eng,
+		hw:         hw,
+		down:       make([]*noc.Link, hw.NumGPUs),
+		port:       make([]*MergeUnit, hw.NumGPUs),
+		nvlsRed:    make(map[uint64]*nvlsRedSession),
+		nvlsPull:   make(map[pullKey]*nvlsPullSession),
+		sync:       make(map[syncTableKey]*syncEntry),
+		plane:      plane,
+		routeGroup: routeGroup,
+		stats:      NewStatsIn(reg, fmt.Sprintf("nvswitch.plane%d", plane)),
+		tr:         tr,
+		pid:        trace.SwitchPid(plane),
+		pkts:       pkts,
 	}
 	s.processNextFn = s.processNext
 	for g := range s.port {
@@ -193,15 +198,12 @@ func (s *Switch) SetFaultTolerant(on bool) { s.faultTolerant = on }
 
 // Failover takes the plane down: every NVLS push session flushes its
 // partial result (receivers count contribution bytes, so split sessions
-// still complete), every Group Sync Table entry is dropped and returned
-// to its pool (the machine re-registers affected waiters on a surviving
-// plane), and every port's merge unit quiesces. Traffic already addressed
-// to the plane keeps draining — downlinks stay up — and any sessions such
-// stragglers open are reaped by the fault-tolerant timeouts. Straggler
-// sync registrations are dropped until Repair: their waits are already
-// re-registered elsewhere.
+// still complete) and every port's merge unit quiesces. Traffic already
+// addressed to the plane keeps draining — downlinks stay up — and any
+// sessions such stragglers open are reaped by the fault-tolerant timeouts.
+// The Group Sync Table empties through DropRerouted once the machine has
+// re-routed the plane's groups.
 func (s *Switch) Failover() {
-	s.failed = true
 	addrs := make([]uint64, 0, len(s.nvlsRed))
 	for a := range s.nvlsRed {
 		addrs = append(addrs, a)
@@ -211,6 +213,19 @@ func (s *Switch) Failover() {
 		s.stats.NvlsTimeoutFlushes++
 		s.completeRed(a, s.nvlsRed[a])
 	}
+	for _, port := range s.port {
+		port.Quiesce()
+	}
+	if s.tr.Enabled() {
+		s.tr.Instant(s.pid, 0, "nvswitch.fault", "plane failover", s.eng.Now())
+	}
+}
+
+// DropRerouted returns to the pool every Group Sync Table entry whose group
+// now routes to another plane, counting each in sync_dropped. The machine
+// runs it on every plane after a routing change (a plane failure or
+// repair), before the GPUs re-register the moved waits on their new plane.
+func (s *Switch) DropRerouted() {
 	keys := make([]syncTableKey, 0, len(s.sync))
 	for k := range s.sync {
 		keys = append(keys, k)
@@ -222,22 +237,17 @@ func (s *Switch) Failover() {
 		return keys[i].phase < keys[j].phase
 	})
 	for _, k := range keys {
-		s.syncEntries.Put(s.sync[k])
-	}
-	s.stats.SyncDropped += int64(len(keys))
-	clear(s.sync)
-	for _, port := range s.port {
-		port.Quiesce()
-	}
-	if s.tr.Enabled() {
-		s.tr.Instant(s.pid, 0, "nvswitch.fault", "plane failover", s.eng.Now())
+		if s.routeGroup(k.group) != s.plane {
+			s.syncEntries.Put(s.sync[k])
+			delete(s.sync, k)
+			s.stats.SyncDropped++
+		}
 	}
 }
 
 // Repair brings a failed plane back into service. Its tables are empty
 // (flushed at failure); routing is restored by the machine.
 func (s *Switch) Repair() {
-	s.failed = false
 	if s.tr.Enabled() {
 		s.tr.Instant(s.pid, 0, "nvswitch.fault", "plane repair", s.eng.Now())
 	}
@@ -471,9 +481,11 @@ func (s *Switch) armRedTimeout(addr uint64, sess *nvlsRedSession) {
 
 // handleSync implements the Group Sync Table: when all expected GPUs have
 // registered a given group/phase key, release packets broadcast to every
-// GPU's synchronizer. A failed plane drops the registration instead.
+// GPU's synchronizer. A registration whose group routes to another plane
+// (it was in flight when a failure or repair moved the group, and its wait
+// re-registers there) is dropped instead.
 func (s *Switch) handleSync(p *noc.Packet) {
-	if s.failed {
+	if s.routeGroup(p.Group) != s.plane {
 		s.stats.SyncDropped++
 	} else {
 		s.syncRegister(p)

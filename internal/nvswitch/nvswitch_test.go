@@ -22,10 +22,13 @@ func testHW(n int, capacity int64, timeout, credit sim.Time) config.Hardware {
 }
 
 // newSwitch builds plane 0 of hw with a fresh registry and packet pool
-// and no tracer.
-func newSwitch(eng *sim.Engine, hw config.Hardware, eviction EvictionPolicy) *Switch {
-	return New(eng, hw, 0, eviction, metrics.NewRegistry(), &noc.PacketPool{}, nil)
+// and no tracer; route maps a sync group to the plane serving it.
+func newSwitch(eng *sim.Engine, hw config.Hardware, eviction EvictionPolicy, route func(group int) int) *Switch {
+	return New(eng, hw, 0, eviction, route, metrics.NewRegistry(), &noc.PacketPool{}, nil)
 }
+
+// planeZero routes every sync group to the test switch, plane 0.
+func planeZero(int) int { return 0 }
 
 // loadTag stands in for the issuing GPU's access context: every response
 // to a load copies the load's tag, and the fake GPU completes the load by
@@ -79,14 +82,18 @@ type rig struct {
 	eng  *sim.Engine
 	sw   *Switch
 	gpus []*fakeGPU
+	// planeOf is the rig's group routing: a group routes to the plane it
+	// maps to, unlisted groups to the rig's switch, plane 0.
+	planeOf map[int]int
 }
 
 func newRig(t *testing.T, n int, capacity int64, timeout sim.Time) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	eng.SetStepLimit(1_000_000)
-	sw := newSwitch(eng, testHW(n, capacity, timeout, 0), EvictLRU)
-	r := &rig{eng: eng, sw: sw, gpus: make([]*fakeGPU, n)}
+	r := &rig{eng: eng, gpus: make([]*fakeGPU, n), planeOf: map[int]int{}}
+	sw := newSwitch(eng, testHW(n, capacity, timeout, 0), EvictLRU, func(group int) int { return r.planeOf[group] })
+	r.sw = sw
 	const bw, lat = 100e9, 250 * sim.Nanosecond
 	for g := 0; g < n; g++ {
 		gpu := &fakeGPU{id: g}
@@ -512,7 +519,7 @@ func TestEvictionPolicies(t *testing.T) {
 		eng := sim.NewEngine()
 		hw := testHW(4, 3*1024, 0, 0)
 		hw.SwitchLatency = 0
-		sw := newSwitch(eng, hw, tc.policy)
+		sw := newSwitch(eng, hw, tc.policy, planeZero)
 		var flushed []uint64
 		gpu0 := noc.EndpointFunc(func(p *noc.Packet) {
 			if p.Op == noc.OpRedCAIS {
@@ -603,11 +610,12 @@ func TestMergeDisabledBroadcastReductionReachesEveryReplica(t *testing.T) {
 	}
 }
 
-// TestFailoverReturnsSyncEntriesToPool: the Group Sync Table entries a
-// failed plane drops go back to its pool, so once the plane has failed
-// over every pooled object is idle. A registration still draining into
-// the failed plane is dropped too (its wait was re-registered on a
-// survivor), and after Repair the table accepts registrations again.
+// TestFailoverReturnsSyncEntriesToPool: once a failed plane's groups
+// route to a survivor, DropRerouted returns their Group Sync Table entries
+// to the pool, so every pooled object is idle. A registration still
+// draining into the failed plane is dropped too (its wait re-registers on
+// the survivor), and after Repair, with routing restored, the table
+// accepts registrations again.
 func TestFailoverReturnsSyncEntriesToPool(t *testing.T) {
 	r := newRig(t, 4, -1, 0)
 	r.eng.At(0, func() {
@@ -622,6 +630,10 @@ func TestFailoverReturnsSyncEntriesToPool(t *testing.T) {
 		t.Fatalf("before failover: %d of %d pooled objects idle, want 0 of 4", idle, allocs)
 	}
 	r.sw.Failover()
+	for group := 0; group < 3; group++ {
+		r.planeOf[group] = 1
+	}
+	r.sw.DropRerouted()
 	if _, allocs, idle := r.sw.PoolStats(); idle != allocs {
 		t.Fatalf("after failover: %d of %d pooled objects idle", idle, allocs)
 	}
@@ -641,6 +653,7 @@ func TestFailoverReturnsSyncEntriesToPool(t *testing.T) {
 	}
 
 	r.sw.Repair()
+	clear(r.planeOf)
 	r.eng.At(r.eng.Now(), func() {
 		for g := 0; g < 4; g++ {
 			r.send(g, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: 9, Src: g, Contribs: 4})
@@ -652,5 +665,49 @@ func TestFailoverReturnsSyncEntriesToPool(t *testing.T) {
 	}
 	if _, allocs, idle := r.sw.PoolStats(); idle != allocs {
 		t.Fatalf("after repair: %d of %d pooled objects idle", idle, allocs)
+	}
+}
+
+// TestStandbyDropsMovedBackGroups: a standby plane serves a failed plane's
+// group during the outage. When the repair routes the group back,
+// DropRerouted drops the group's partial entry and keeps the entries of
+// the standby's own groups, and a registration for the moved group that
+// arrives late is dropped; the standby's own group still releases, and
+// every pooled object ends idle.
+func TestStandbyDropsMovedBackGroups(t *testing.T) {
+	r := newRig(t, 4, -1, 0)
+	const moved, own = 1, 4 // group 1 lives on plane 1; the rig's switch stands in
+	r.eng.At(0, func() {
+		r.send(1, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: moved, Src: 1, Contribs: 4})
+		r.send(2, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: moved, Src: 2, Contribs: 4})
+		r.send(1, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: own, Src: 1, Contribs: 4})
+	})
+	r.eng.Run()
+	if _, allocs, idle := r.sw.PoolStats(); allocs != 2 || idle != 0 {
+		t.Fatalf("during the outage: %d of %d pooled objects idle, want 0 of 2", idle, allocs)
+	}
+
+	r.planeOf[moved] = 1 // plane 1 repaired
+	r.sw.DropRerouted()
+	if _, allocs, idle := r.sw.PoolStats(); allocs != 2 || idle != 1 {
+		t.Fatalf("after the repair: %d of %d pooled objects idle, want 1 of 2", idle, allocs)
+	}
+	r.eng.At(r.eng.Now(), func() {
+		r.send(3, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: moved, Src: 3, Contribs: 4})
+		for _, g := range []int{0, 2, 3} {
+			r.send(g, &noc.Packet{Op: noc.OpSyncRequest, Addr: 1, Group: own, Src: g, Contribs: 4})
+		}
+	})
+	r.eng.Run()
+	if st := r.sw.Summary(); st.SyncDropped != 2 || st.SyncReleases != 1 {
+		t.Fatalf("%d dropped, %d releases; want 2 (the moved entry and the late registration) and 1", st.SyncDropped, st.SyncReleases)
+	}
+	for g, gpu := range r.gpus {
+		if n := gpu.countOp(noc.OpSyncRelease); n != 1 {
+			t.Fatalf("gpu %d received %d releases, want 1 (group %d's)", g, n, own)
+		}
+	}
+	if _, allocs, idle := r.sw.PoolStats(); idle != allocs {
+		t.Fatalf("at the end: %d of %d pooled objects idle", idle, allocs)
 	}
 }

@@ -118,7 +118,7 @@ type stressRig struct {
 func newStressRig(n int, capacity int64, timeout sim.Time) *stressRig {
 	eng := sim.NewEngine()
 	eng.SetStepLimit(5_000_000)
-	sw := newSwitch(eng, testHW(n, capacity, timeout, 250*sim.Nanosecond), EvictLRU)
+	sw := newSwitch(eng, testHW(n, capacity, timeout, 250*sim.Nanosecond), EvictLRU, planeZero)
 	r := &stressRig{eng: eng, sw: sw, gpus: make([]*fakeGPU, n)}
 	for g := 0; g < n; g++ {
 		gpu := &fakeGPU{id: g}

@@ -5,9 +5,9 @@
 # plain and under the race detector, the caisbench module under the race
 # detector), one caisbench pass that checks every workload's golden
 # digests, the disabled-tracer zero-alloc benchmark, the four examples
-# (run, output discarded), the quick resilience, attribution and serving
-# smokes, and the CLI's parallel quick sweep compared byte for byte with
-# the committed golden (internal/experiments/testdata/golden/quick.txt).
+# (run, output discarded), the quick resilience and serving smokes, and the
+# CLI's parallel quick sweep, with attribution on, compared byte for byte
+# with the committed golden (internal/experiments/testdata/golden/quick.txt).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -65,13 +65,12 @@ done
 echo "== resilience smoke (fault-injection degradation study, quick)"
 go run ./cmd/caissim -experiment resilience -quick
 
-echo "== attribution smoke (fig17 quick, JSON report)"
-go run ./cmd/caissim -experiment fig17 -quick -attrib-json attrib-report.json > /dev/null
-
 echo "== serving smoke (request-level serving study, quick, 4 workers)"
 go run ./cmd/caissim -experiment serving -quick -parallel 4 > /dev/null
 
-echo "== parallel sweep check (all experiments, quick, 4 workers, against the golden)"
-go run ./cmd/caissim -experiment all -quick -parallel 4 | cmp - internal/experiments/testdata/golden/quick.txt
+# Attribution must add no stdout byte; its JSON report covers every quick
+# point and is CI's uploaded artifact.
+echo "== parallel sweep check (all experiments, quick, 4 workers, attribution on, against the golden)"
+go run ./cmd/caissim -experiment all -quick -parallel 4 -attrib-json attrib-report.json | cmp - internal/experiments/testdata/golden/quick.txt
 
 echo "OK"
