@@ -1,8 +1,10 @@
 package cais_test
 
 import (
+	"runtime"
 	"testing"
 
+	"cais/internal/attrib"
 	"cais/internal/experiments"
 )
 
@@ -28,6 +30,16 @@ const (
 	allocCeilingTable2 = 612_000   // measured 556,280 + ~10%
 	allocCeilingFig13b = 457_000   // measured 415,066 + ~10%
 )
+
+// allocBytesCeilingFig17Attrib bounds the bytes one attributed quick Fig17
+// regeneration allocates (Config.Attrib set, so every point records its
+// whole trace and builds its report). The tracer keeps its log in
+// fixed-size chunks of pointer-free records, so a recorded event is never
+// copied again: 419.3 MB measured (stable to 0.1 MB over three runs),
+// against 1,071.5 MB while the log was one []trace.Event grown by append.
+// The ceiling sits ~10% above, so a change that copies or re-grows the
+// event log trips it.
+const allocBytesCeilingFig17Attrib = 461 << 20 // measured 419.3 MB + ~10%
 
 // allocsForRun measures one quick-fidelity sequential regeneration.
 // Workers is pinned to 1: testing.AllocsPerRun sets GOMAXPROCS to 1, and a
@@ -83,5 +95,26 @@ func TestAllocCeilingFig13Coordination(t *testing.T) {
 	t.Logf("Fig13b allocs/run: %.0f (ceiling %d)", got, allocCeilingFig13b)
 	if got > allocCeilingFig13b {
 		t.Errorf("Fig13b allocates %.0f per run, over the pinned ceiling %d", got, allocCeilingFig13b)
+	}
+}
+
+func TestAllocBytesFig17Attributed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin runs full quick sweeps")
+	}
+	cfg := experiments.Quick()
+	cfg.Workers = 1
+	cfg.Attrib = attrib.NewAggregator()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := experiments.Fig17(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("attributed Fig17 allocates %.1f MB/run (ceiling %d MB)", float64(got)/(1<<20), allocBytesCeilingFig17Attrib>>20)
+	if got > allocBytesCeilingFig17Attrib {
+		t.Errorf("attributed Fig17 allocates %.1f MB per run, over the pinned ceiling %d MB",
+			float64(got)/(1<<20), allocBytesCeilingFig17Attrib>>20)
 	}
 }

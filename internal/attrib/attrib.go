@@ -163,6 +163,27 @@ func merge(iv []interval) []interval {
 	return out
 }
 
+// union returns the merged list covering a and b, both merged lists, in
+// one linear pass that coalesces overlapping or touching neighbours as
+// merge does.
+func union(a, b []interval) []interval {
+	out := make([]interval, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var v interval
+		if len(b) == 0 || len(a) > 0 && a[0].start <= b[0].start {
+			v, a = a[0], a[1:]
+		} else {
+			v, b = b[0], b[1:]
+		}
+		if n := len(out); n > 0 && v.start <= out[n-1].end {
+			out[n-1].end = max(out[n-1].end, v.end)
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
 // subtract returns a minus b; both inputs must be merged lists.
 func subtract(a, b []interval) []interval {
 	var out []interval
@@ -213,7 +234,7 @@ func fill(c *Component, elapsed sim.Time, prio []Bucket, ivs [][]interval) {
 		fresh := subtract(u, covered)
 		c.Buckets[b] = length(fresh)
 		total += c.Buckets[b]
-		covered = merge(append(covered, fresh...))
+		covered = union(covered, fresh)
 	}
 	c.Buckets[QueueStall] = elapsed - total
 }

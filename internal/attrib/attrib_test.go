@@ -3,6 +3,8 @@ package attrib
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cais/internal/kernel"
@@ -22,6 +24,33 @@ func TestMergeCoalesces(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("merge[%d]: got %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestUnionMatchesMerge holds fill's linear union to the sort-based merge
+// on random merged lists: mutually disjoint pairs, as fill passes them
+// (the fresh claims never overlap what is covered, but may touch it), and
+// overlapping pairs.
+func TestUnionMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randomMerged := func() []interval {
+		var iv []interval
+		for n := rng.Intn(12); n > 0; n-- {
+			s := sim.Time(rng.Intn(200))
+			iv = append(iv, interval{s, s + 1 + sim.Time(rng.Intn(20))})
+		}
+		return merge(iv)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := randomMerged(), randomMerged()
+		if trial%2 == 0 {
+			b = subtract(b, a)
+		}
+		want := merge(append(slices.Clone(a), b...))
+		got := union(a, b)
+		if !slices.Equal(got, want) {
+			t.Fatalf("union(%v, %v) = %v, want %v", a, b, got, want)
 		}
 	}
 }

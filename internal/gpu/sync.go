@@ -39,11 +39,14 @@ type syncKey struct {
 
 // pendingWait is one outstanding sync registration: the resume closure
 // plus the plane the registration was sent to, so a plane failure can
-// re-register exactly the waits that were routed to the dead plane.
+// re-register exactly the waits that were routed to the dead plane. span
+// is the wait's async trace span ID (0 when untraced); the int32 counts
+// keep the record at 24 bytes.
 type pendingWait struct {
 	fn       func()
-	plane    int
-	expected int
+	plane    int32
+	expected int32
+	span     uint64
 }
 
 // Reset clears the wait for pool reuse.
@@ -93,23 +96,17 @@ func (s *Synchronizer) Wait(group, phase, expected int, fn func()) {
 	if _, dup := s.waiting[key]; dup {
 		panic(fmt.Sprintf("gpu%d: duplicate sync wait for group %d phase %d", s.g.ID, group, phase))
 	}
-	if tr := s.g.tr; tr.Enabled() {
-		// Barrier waits overlap freely per GPU, so they trace as async
-		// spans: register-to-release per (group, phase).
-		id := tr.NextID()
-		name := phaseName(phase)
-		tr.BeginAsync(s.g.pid, trace.CatSync, name, id, s.g.eng.Now())
-		inner := fn
-		fn = func() {
-			tr.EndAsync(s.g.pid, trace.CatSync, name, id, s.g.eng.Now())
-			inner()
-		}
-	}
 	// Sync traffic routes on the group's deterministic plane so all GPUs
 	// of a group meet at the same Group Sync Table.
 	plane := s.g.host.RouteGroup(group)
 	w := s.waits.Get()
-	w.fn, w.plane, w.expected = fn, plane, expected
+	w.fn, w.plane, w.expected = fn, int32(plane), int32(expected)
+	if tr := s.g.tr; tr.Enabled() {
+		// Barrier waits overlap freely per GPU, so they trace as async
+		// spans: register-to-release per (group, phase). Release ends it.
+		w.span = tr.NextID()
+		tr.BeginAsync(s.g.pid, trace.CatSync, phaseName(phase), w.span, s.g.eng.Now())
+	}
 	s.waiting[key] = w
 	s.register(group, phase, expected, plane)
 }
@@ -136,7 +133,7 @@ func (s *Synchronizer) Resync() {
 	})
 	for _, k := range keys {
 		w := s.waiting[k]
-		if w == nil || s.g.host.RouteGroup(k.group) == w.plane {
+		if w == nil || s.g.host.RouteGroup(k.group) == int(w.plane) {
 			continue
 		}
 		s.Reregistrations++
@@ -150,15 +147,15 @@ func (s *Synchronizer) Resync() {
 				return true // released while backing off; nothing to do
 			}
 			plane := s.g.host.RouteGroup(key.group)
-			if cur.plane == plane {
+			if int(cur.plane) == plane {
 				return true // already on the live plane
 			}
 			if link := s.g.up[plane]; link == nil || link.Down() {
 				s.Retries++
 				return false
 			}
-			cur.plane = plane
-			s.register(key.group, key.phase, cur.expected, plane)
+			cur.plane = int32(plane)
+			s.register(key.group, key.phase, int(cur.expected), plane)
 			return true
 		})
 	}
@@ -176,8 +173,11 @@ func (s *Synchronizer) Release(group, phase int) {
 		panic(fmt.Sprintf("gpu%d: release for unknown sync group %d phase %d", s.g.ID, group, phase))
 	}
 	delete(s.waiting, key)
-	fn := w.fn
+	fn, span := w.fn, w.span
 	s.waits.Put(w)
+	if tr := s.g.tr; tr.Enabled() {
+		tr.EndAsync(s.g.pid, trace.CatSync, phaseName(phase), span, s.g.eng.Now())
+	}
 	fn()
 }
 

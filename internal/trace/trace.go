@@ -24,6 +24,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 
 	"cais/internal/sim"
 )
@@ -73,9 +74,9 @@ const (
 	CatMerge = "nvswitch.merge" // merge sessions (async) and unit instants
 )
 
-// Event is one recorded trace event, as the tracer stores it and Visit
-// hands it out. Dur is meaningful for PhaseComplete events only; ID pairs
-// PhaseAsyncBegin with its PhaseAsyncEnd.
+// Event is one recorded trace event, as Visit hands it out. Dur is
+// meaningful for PhaseComplete events only; ID pairs PhaseAsyncBegin with
+// its PhaseAsyncEnd.
 type Event struct {
 	Name  string
 	Cat   string
@@ -87,21 +88,48 @@ type Event struct {
 	ID    uint64
 }
 
-// Tracer accumulates trace events in memory. It is not goroutine-safe;
-// the simulation engine is single-threaded by design.
-type Tracer struct {
-	events  []Event
-	procs   map[int32]string
-	threads map[int64]string
-	nextID  uint64
+// chunkLen is the capacity of one chunk of the event log, in records.
+const chunkLen = 4096
+
+// record is one stored event. It holds no pointer, so the garbage
+// collector never scans the log: name and cat index the tracer's string
+// table.
+type record struct {
+	ts, dur   sim.Time
+	id        uint64
+	pid, tid  int32
+	name, cat uint32
+	phase     byte
 }
 
-// New returns an empty, enabled tracer. The event buffer is pre-sized:
-// even a quick sub-layer run emits thousands of events, so starting from a
-// nil slice costs a dozen doubling copies per run for nothing.
+// interned is the last string one record field interned, with its index.
+type interned struct {
+	s string
+	i uint32
+}
+
+// Tracer accumulates trace events in memory. It is not goroutine-safe;
+// the simulation engine is single-threaded by design.
+//
+// The log is a list of fixed-capacity chunks, so a recorded event is
+// written once and never copied or re-zeroed as the log grows.
+type Tracer struct {
+	chunks [][]record // each of capacity chunkLen; only the last is not full
+	strs   []string   // the string table; strs[0] is "", as a zero interned says
+	index  map[string]uint32
+	// Consecutive events mostly repeat their name and category, so each
+	// field checks the string it interned last before the map.
+	lastName, lastCat interned
+	procs             map[int32]string
+	threads           map[int64]string
+	nextID            uint64
+}
+
+// New returns an empty, enabled tracer.
 func New() *Tracer {
 	return &Tracer{
-		events:  make([]Event, 0, 4096),
+		strs:    []string{""},
+		index:   map[string]uint32{"": 0},
 		procs:   make(map[int32]string),
 		threads: make(map[int64]string),
 	}
@@ -112,10 +140,11 @@ func (t *Tracer) Enabled() bool { return t != nil }
 
 // Len reports how many events have been recorded.
 func (t *Tracer) Len() int {
-	if t == nil {
+	if t == nil || len(t.chunks) == 0 {
 		return 0
 	}
-	return len(t.events)
+	n := len(t.chunks) - 1
+	return n*chunkLen + len(t.chunks[n])
 }
 
 // NextID returns a fresh async-span correlation ID.
@@ -127,19 +156,45 @@ func (t *Tracer) NextID() uint64 {
 	return t.nextID
 }
 
+// intern returns s's index in the string table.
+func (t *Tracer) intern(s string, last *interned) uint32 {
+	if s == last.s {
+		return last.i
+	}
+	i, ok := t.index[s]
+	if !ok {
+		i = uint32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.index[s] = i
+	}
+	*last = interned{s, i}
+	return i
+}
+
+// add appends one record, opening a new chunk when the last one is full.
+func (t *Tracer) add(phase byte, pid, tid int32, cat, name string, ts, dur sim.Time, id uint64) {
+	n := len(t.chunks)
+	if n == 0 || len(t.chunks[n-1]) == chunkLen {
+		t.chunks = append(t.chunks, make([]record, 0, chunkLen))
+		n++
+	}
+	t.chunks[n-1] = append(t.chunks[n-1], record{
+		ts: ts, dur: dur, id: id, pid: pid, tid: tid,
+		name: t.intern(name, &t.lastName), cat: t.intern(cat, &t.lastCat),
+		phase: phase,
+	})
+}
+
 // Span records a complete slice [start, end) on a process thread. Slices
 // on one (pid, tid) track should not overlap (use async spans for those).
+// A negative duration clamps to 0.
 func (t *Tracer) Span(pid, tid int32, cat, name string, start, end sim.Time) {
 	if t == nil {
 		return
 	}
-	if end < start {
-		end = start
-	}
-	t.events = append(t.events, Event{
-		Name: name, Cat: cat, Phase: PhaseComplete,
-		Pid: pid, Tid: tid, Ts: start, Dur: end - start,
-	})
+	// One statement keeps Span within the inliner's budget, so a disabled
+	// call site stays a nil check.
+	t.add(PhaseComplete, pid, tid, cat, name, start, max(end-start, 0), 0)
 }
 
 // Instant records a point event.
@@ -147,9 +202,7 @@ func (t *Tracer) Instant(pid, tid int32, cat, name string, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{
-		Name: name, Cat: cat, Phase: PhaseInstant, Pid: pid, Tid: tid, Ts: at,
-	})
+	t.add(PhaseInstant, pid, tid, cat, name, at, 0, 0)
 }
 
 // BeginAsync opens an overlapping span identified by (cat, id); pair with
@@ -158,9 +211,7 @@ func (t *Tracer) BeginAsync(pid int32, cat, name string, id uint64, at sim.Time)
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{
-		Name: name, Cat: cat, Phase: PhaseAsyncBegin, Pid: pid, Ts: at, ID: id,
-	})
+	t.add(PhaseAsyncBegin, pid, 0, cat, name, at, 0, id)
 }
 
 // EndAsync closes the async span opened by BeginAsync.
@@ -168,9 +219,7 @@ func (t *Tracer) EndAsync(pid int32, cat, name string, id uint64, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{
-		Name: name, Cat: cat, Phase: PhaseAsyncEnd, Pid: pid, Ts: at, ID: id,
-	})
+	t.add(PhaseAsyncEnd, pid, 0, cat, name, at, 0, id)
 }
 
 // NameProcess labels a trace process (rendered as the track group title).
@@ -191,13 +240,20 @@ func (t *Tracer) NameThread(pid, tid int32, name string) {
 
 // Visit calls fn for every recorded event in recording order. It is
 // nil-receiver safe (a disabled tracer visits nothing), so offline
-// consumers need no enabled check.
+// consumers need no enabled check. It stays within the inliner's budget,
+// so a caller's closure inlines into the loop.
 func (t *Tracer) Visit(fn func(Event)) {
 	if t == nil {
 		return
 	}
-	for i := range t.events {
-		fn(t.events[i])
+	for _, c := range t.chunks {
+		for i := range c {
+			r := &c[i]
+			fn(Event{
+				Name: t.strs[r.name], Cat: t.strs[r.cat], Phase: r.phase,
+				Pid: r.pid, Tid: r.tid, Ts: r.ts, Dur: r.dur, ID: r.id,
+			})
+		}
 	}
 }
 
@@ -228,7 +284,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	for _, pid := range pids {
 		sep()
 		fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}}`,
-			pid, quote(t.procs[pid]))
+			pid, appendQuoted(nil, t.procs[pid]))
 	}
 	tkeys := make([]int64, 0, len(t.threads))
 	for k := range t.threads {
@@ -239,42 +295,48 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		pid, tid := int32(k>>32), int32(uint32(k))
 		sep()
 		fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
-			pid, tid, quote(t.threads[k]))
+			pid, tid, appendQuoted(nil, t.threads[k]))
 	}
 
+	// Quote each string-table entry once; every event reuses the bytes.
+	quoted := make([][]byte, len(t.strs))
+	for i, s := range t.strs {
+		quoted[i] = appendQuoted(nil, s)
+	}
 	var buf []byte
-	for i := range t.events {
-		e := &t.events[i]
-		sep()
-		buf = buf[:0]
-		buf = append(buf, `{"name":`...)
-		buf = append(buf, quote(e.Name)...)
-		if e.Cat != "" {
-			buf = append(buf, `,"cat":`...)
-			buf = append(buf, quote(e.Cat)...)
+	for _, c := range t.chunks {
+		for i := range c {
+			r := &c[i]
+			sep()
+			buf = append(buf[:0], `{"name":`...)
+			buf = append(buf, quoted[r.name]...)
+			if t.strs[r.cat] != "" {
+				buf = append(buf, `,"cat":`...)
+				buf = append(buf, quoted[r.cat]...)
+			}
+			buf = append(buf, `,"ph":"`...)
+			buf = append(buf, r.phase)
+			buf = append(buf, `","pid":`...)
+			buf = strconv.AppendInt(buf, int64(r.pid), 10)
+			if r.phase == PhaseComplete || r.phase == PhaseInstant {
+				buf = append(buf, `,"tid":`...)
+				buf = strconv.AppendInt(buf, int64(r.tid), 10)
+			}
+			buf = append(buf, `,"ts":`...)
+			buf = appendMicros(buf, r.ts)
+			switch r.phase {
+			case PhaseComplete:
+				buf = append(buf, `,"dur":`...)
+				buf = appendMicros(buf, r.dur)
+			case PhaseInstant:
+				buf = append(buf, `,"s":"t"`...)
+			case PhaseAsyncBegin, PhaseAsyncEnd:
+				buf = append(buf, `,"id":`...)
+				buf = strconv.AppendUint(buf, r.id, 10)
+			}
+			buf = append(buf, '}')
+			bw.Write(buf)
 		}
-		buf = append(buf, `,"ph":"`...)
-		buf = append(buf, e.Phase)
-		buf = append(buf, `","pid":`...)
-		buf = strconv.AppendInt(buf, int64(e.Pid), 10)
-		if e.Phase == PhaseComplete || e.Phase == PhaseInstant {
-			buf = append(buf, `,"tid":`...)
-			buf = strconv.AppendInt(buf, int64(e.Tid), 10)
-		}
-		buf = append(buf, `,"ts":`...)
-		buf = appendMicros(buf, e.Ts)
-		switch e.Phase {
-		case PhaseComplete:
-			buf = append(buf, `,"dur":`...)
-			buf = appendMicros(buf, e.Dur)
-		case PhaseInstant:
-			buf = append(buf, `,"s":"t"`...)
-		case PhaseAsyncBegin, PhaseAsyncEnd:
-			buf = append(buf, `,"id":`...)
-			buf = strconv.AppendUint(buf, e.ID, 10)
-		}
-		buf = append(buf, '}')
-		bw.Write(buf)
 	}
 	bw.WriteString("],\"displayTimeUnit\":\"ns\"}")
 	return bw.Flush()
@@ -303,5 +365,40 @@ func appendMicros(buf []byte, t sim.Time) []byte {
 	return append(buf, d...)
 }
 
-// quote renders a JSON string literal for trace names (ASCII-safe escape).
-func quote(s string) string { return strconv.Quote(s) }
+// appendQuoted appends s as a JSON string literal: `"` and `\` escaped,
+// \n, \r and \t as their short escapes, other bytes below 0x20 as \u00XX,
+// each byte of invalid UTF-8 as \ufffd, and everything else raw.
+func appendQuoted(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				buf = append(buf, `\ufffd`...)
+			} else {
+				buf = append(buf, s[i:i+size]...)
+			}
+			i += size
+			continue
+		}
+		switch {
+		case c == '"' || c == '\\':
+			buf = append(buf, '\\', c)
+		case c == '\n':
+			buf = append(buf, `\n`...)
+		case c == '\r':
+			buf = append(buf, `\r`...)
+		case c == '\t':
+			buf = append(buf, `\t`...)
+		case c < 0x20:
+			buf = append(buf, `\u00`...)
+			buf = append(buf, hex[c>>4], hex[c&0xf])
+		default:
+			buf = append(buf, c)
+		}
+		i++
+	}
+	return append(buf, '"')
+}

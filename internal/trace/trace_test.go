@@ -2,8 +2,11 @@ package trace
 
 import (
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"cais/internal/sim"
 )
@@ -46,6 +49,9 @@ func decode(t *testing.T, tr *Tracer) []chromeEvent {
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
+	}
+	if !utf8.ValidString(sb.String()) {
+		t.Fatalf("emitted trace is not valid UTF-8:\n%q", sb.String())
 	}
 	var doc struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
@@ -141,13 +147,112 @@ func TestSpanClampsNegativeDuration(t *testing.T) {
 	}
 }
 
+// TestNameEscaping checks that every name comes back through a JSON
+// parser: control bytes as \u00XX, DEL raw, invalid UTF-8 as U+FFFD. A
+// printable ASCII name renders as strconv.Quote renders it, so the traces
+// of the shipped names keep their bytes.
 func TestNameEscaping(t *testing.T) {
 	tr := New()
+	tr.NameProcess(0, "proc\x02")
 	tr.Span(0, 0, `cat"quote`, "name\nnewline", 0, 1)
-	evs := decode(t, tr)
-	if evs[0].Name != "name\nnewline" || evs[0].Cat != `cat"quote` {
-		t.Fatalf("escaping roundtrip failed: %+v", evs[0])
+	names := []struct{ in, want string }{
+		{"a\x01b", "a\x01b"},
+		{"del\x7f", "del\x7f"},
+		{"bad\xff", "bad\uFFFD"},
+		{"tab\tcr\r\x1f", "tab\tcr\r\x1f"},
+		{"µs ok \uFFFD", "µs ok \uFFFD"},
 	}
+	for _, n := range names {
+		tr.Instant(0, 0, "c", n.in, 0)
+	}
+	evs := decode(t, tr)
+	if evs[0].Args["name"] != "proc\x02" {
+		t.Errorf("process name: got %q", evs[0].Args["name"])
+	}
+	if evs[1].Name != "name\nnewline" || evs[1].Cat != `cat"quote` {
+		t.Fatalf("escaping roundtrip failed: %+v", evs[1])
+	}
+	for i, n := range names {
+		if got := evs[2+i].Name; got != n.want {
+			t.Errorf("name %q decodes as %q, want %q", n.in, got, n.want)
+		}
+	}
+
+	var ascii []byte
+	for c := byte(0x20); c < 0x7f; c++ {
+		ascii = append(ascii, c)
+	}
+	if got, want := string(appendQuoted(nil, string(ascii))), strconv.Quote(string(ascii)); got != want {
+		t.Errorf("printable ASCII quotes as %s, want %s", got, want)
+	}
+}
+
+// TestChunkedLogVisitsInOrder records three full chunks and a partial one,
+// mixing the four phases and cycling through more names than the
+// one-entry cache holds, and checks that Visit hands back every field in
+// recording order across the chunk boundaries, without allocating.
+func TestChunkedLogVisitsInOrder(t *testing.T) {
+	names := []string{"gemm", "ld", "red", "ld", "sync", "gemm", "evict", "x"}
+	cats := []string{CatTB, CatLink, "", CatMerge}
+	tr := New()
+	var want []Event
+	for i := 0; i < 3*chunkLen+777; i++ {
+		name, cat := names[(i/3)%len(names)], cats[(i/5)%len(cats)]
+		pid, tid, at := int32(i%7), int32(i%11), sim.Time(i)*sim.Nanosecond
+		switch i % 4 {
+		case 0:
+			tr.Span(pid, tid, cat, name, at, at+sim.Time(i%13))
+			want = append(want, Event{Name: name, Cat: cat, Phase: PhaseComplete, Pid: pid, Tid: tid, Ts: at, Dur: sim.Time(i % 13)})
+		case 1:
+			tr.Instant(pid, tid, cat, name, at)
+			want = append(want, Event{Name: name, Cat: cat, Phase: PhaseInstant, Pid: pid, Tid: tid, Ts: at})
+		case 2:
+			tr.BeginAsync(pid, cat, name, uint64(i)<<40, at)
+			want = append(want, Event{Name: name, Cat: cat, Phase: PhaseAsyncBegin, Pid: pid, Ts: at, ID: uint64(i) << 40})
+		case 3:
+			tr.EndAsync(pid, cat, name, uint64(i), at)
+			want = append(want, Event{Name: name, Cat: cat, Phase: PhaseAsyncEnd, Pid: pid, Ts: at, ID: uint64(i)})
+		}
+	}
+	if tr.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
+	}
+	i := 0
+	tr.Visit(func(e Event) {
+		if i < len(want) && e != want[i] {
+			t.Fatalf("event %d: got %+v, want %+v", i, e, want[i])
+		}
+		i++
+	})
+	if i != len(want) {
+		t.Fatalf("visited %d events, want %d", i, len(want))
+	}
+	if allocs := testing.AllocsPerRun(1, func() { tr.Visit(func(Event) {}) }); allocs != 0 {
+		t.Errorf("Visit allocates %v times, want 0", allocs)
+	}
+	if evs := decode(t, tr); len(evs) != len(want) {
+		t.Fatalf("WriteJSON wrote %d events, want %d", len(evs), len(want))
+	}
+}
+
+// TestRecordHoldsNoPointers: the stored record must stay pointer-free, so
+// the garbage collector never scans the event log.
+func TestRecordHoldsNoPointers(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	check("record", reflect.TypeOf(record{}))
 }
 
 // TestDisabledInstrumentationAllocatesNothing guards the opt-in guarantee:
